@@ -2,9 +2,10 @@
 
 A single broker lock makes publish linearizable: each published event is
 matched against every queue's bindings and enqueued (at most once per queue)
-before the next publish is admitted.  Consumers block on per-queue
-conditions, so slow consumers never stall publishers; a full queue drops its
-oldest event instead.
+before the next publish is admitted.  The queues a key matches are memoised
+per broker, so a repeated key is routed without scanning the bindings.
+Consumers block on per-queue conditions, so slow consumers never stall
+publishers; a full queue drops its oldest event instead.
 """
 
 from __future__ import annotations
@@ -15,8 +16,11 @@ from collections import deque
 from dataclasses import dataclass
 
 from .logmodel import (
-    EventClock,
+    HASH,
+    STAR,
     BindingPattern,
+    BoundedMemo,
+    EventClock,
     InvalidPattern,
     LogEvent,
     RoutingKey,
@@ -27,9 +31,6 @@ from .logmodel import (
 )
 
 DEFAULT_CAPACITY = 65536
-
-STAR = "*"
-HASH = "#"
 
 
 class BrokerError(Exception):
@@ -155,6 +156,8 @@ class Broker:
         self._closed = False
         self._default_capacity = default_capacity
         self._tap = open(tap, "w", encoding="utf-8") if tap else None
+        # key segments -> the queues they match, in declaration order
+        self._routes = BoundedMemo()
 
     def declare_queue(self, name: str, patterns, capacity: int | None = None) -> QueueHandle:
         """Create a named queue bound to one or more patterns.
@@ -178,6 +181,7 @@ class Broker:
             if name in self._queues:
                 raise DuplicateQueue(f"queue {name!r} already declared")
             self._queues[name] = _Queue(name, parsed, capacity, self._lock)
+            self._routes.clear()
         return QueueHandle(self, name, parsed)
 
     def publish(self, event: LogEvent) -> PublishReceipt:
@@ -193,19 +197,22 @@ class Broker:
                 raise QueueClosed("broker is closed")
             seq = self._published
             self._published += 1
-            matched = 0
-            for q in self._queues.values():
-                if any(_match(b.segments, key) for b in q.bindings):
-                    q.matched += 1
-                    matched += 1
-                    if len(q.buffer) >= q.capacity:
-                        q.buffer.popleft()
-                        q.dropped += 1
-                    q.buffer.append(event)
-                    q.cond.notify()
+            route = self._routes.get(key)
+            if route is None:
+                route = self._routes.remember(key, tuple(
+                    q for q in self._queues.values()
+                    if any(_match(b.segments, key) for b in q.bindings)
+                ))
+            for q in route:
+                q.matched += 1
+                if len(q.buffer) >= q.capacity:
+                    q.buffer.popleft()
+                    q.dropped += 1
+                q.buffer.append(event)
+                q.cond.notify()
             if self._tap is not None:
                 self._tap.write(serialize_event(event) + "\n")
-        return PublishReceipt(sequence=seq, matched=matched)
+        return PublishReceipt(sequence=seq, matched=len(route))
 
     def consume(self, handle: QueueHandle, maxWait: float | None = None) -> LogEvent | None:
         """Pop the next event in FIFO order.

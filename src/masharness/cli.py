@@ -23,7 +23,7 @@ from .evolution import (
     load_ga_config,
     run_observer,
 )
-from .logmodel import LogModelError, load_tap, routing_key
+from .logmodel import LogModelError, load_tap, parse_binding_pattern, routing_key
 from .neural import GenomeShapeMismatch, NetworkTopology, decode, load_genome, save_genome
 from .testkit import (
     TestkitError,
@@ -279,15 +279,15 @@ def cmd_test(args) -> int:
 
 
 def cmd_timeline(args) -> int:
+    pattern = parse_binding_pattern(args.pattern)
     events = load_tap(args.tap)
-    pattern = args.pattern
     timeline = [e for e in merge_timeline(events) if matches(pattern, e)]
     for event in timeline:
         print(f"{event.timestamp}\t{routing_key(event).encode()}\t{event.message}")
     write_manifest(
         args.manifest,
         "timeline",
-        {"tap": args.tap, "pattern": pattern, "events": len(timeline)},
+        {"tap": args.tap, "pattern": args.pattern, "events": len(timeline)},
     )
     return 0
 

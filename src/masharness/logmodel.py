@@ -42,8 +42,38 @@ class InvalidPattern(LogModelError):
     """A binding pattern is syntactically malformed."""
 
 
+#: entries a memo holds before it starts over; a default-world run sees
+#: about 120 distinct words and 240 distinct keys
+MEMO_SIZE = 4096
+
+
+class BoundedMemo(dict):
+    """A dict that empties itself rather than grow past MEMO_SIZE entries.
+
+    Reads are plain dict lookups.  ``remember`` is the only way in and holds
+    a lock, so concurrent fills cannot overshoot the bound.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def remember(self, key, value):
+        with self._lock:
+            if len(self) >= MEMO_SIZE:
+                self.clear()
+            self[key] = value
+        return value
+
+
+#: words that passed _check_word, so a repeated word skips the scan
+_valid_words = BoundedMemo()
+
+
 def _check_word(name: str, value: str) -> str:
     """Validate a single routing-key word (one tag value)."""
+    if type(value) is str and value in _valid_words:
+        return value
     if not isinstance(value, str) or not value:
         raise InvalidTag(f"{name} must be a non-empty string, got {value!r}")
     if "." in value:
@@ -52,6 +82,8 @@ def _check_word(name: str, value: str) -> str:
         raise InvalidTag(f"{name} may not contain wildcard characters: {value!r}")
     if any(c.isspace() for c in value):
         raise InvalidTag(f"{name} may not contain whitespace: {value!r}")
+    if type(value) is str:
+        _valid_words.remember(value, value)
     return value
 
 
@@ -79,10 +111,6 @@ class EventClock:
         with self._lock:
             if floor > self._next:
                 self._next = int(floor)
-
-    def peek(self) -> int:
-        with self._lock:
-            return self._next
 
 
 _module_clock = EventClock()
@@ -200,13 +228,25 @@ class RoutingKey:
         return self.encode()
 
 
+#: validated routing keys by segment tuple
+_keys = BoundedMemo()
+
+
 def routing_key(event: LogEvent) -> RoutingKey:
     """Derive the eight-segment routing key of an event.
 
     Raises KeyTooLong if the dotted form exceeds MAX_KEY_BYTES bytes of
-    UTF-8, mirroring the transport limit of topic exchanges.
+    UTF-8, mirroring the transport limit of topic exchanges.  A key seen
+    before comes from a memo instead of being validated again.
     """
-    return RoutingKey(event.key_segments())
+    segments = event.key_segments()
+    try:
+        key = _keys.get(segments)
+    except TypeError:  # an unhashable tag, which RoutingKey rejects below
+        key = None
+    if key is None:
+        key = _keys.remember(segments, RoutingKey(segments))
+    return key
 
 
 @dataclass(frozen=True, slots=True)
@@ -233,10 +273,6 @@ class BindingPattern:
 
     def encode(self) -> str:
         return ".".join(self.segments)
-
-    @property
-    def has_wildcards(self) -> bool:
-        return any(seg in (STAR, HASH) for seg in self.segments)
 
     def __str__(self) -> str:
         return self.encode()
@@ -302,7 +338,10 @@ def load_tap(path) -> list[LogEvent]:
     """Read a tap file written by the broker back into events."""
     events = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            if raw.strip():
-                events.append(parse_event_line(raw))
+        try:
+            for raw in fh:
+                if raw.strip():
+                    events.append(parse_event_line(raw))
+        except UnicodeDecodeError as exc:
+            raise LogModelError(f"tap {path} is not UTF-8 text: {exc.reason}") from None
     return events

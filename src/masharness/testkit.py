@@ -403,7 +403,11 @@ def load_test_plan(path) -> list[TestCase]:
 
     last_line = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise TestkitError(f"plan {path} is not UTF-8 text: {exc.reason}") from None
+        for lineno, raw in enumerate(lines, start=1):
             last_line = lineno
             line = raw.strip()
             if not line or line.startswith("#"):

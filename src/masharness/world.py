@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .broker import Broker
-from .logmodel import TICK_US
+from .logmodel import TICK_US, make_log_event
 from .neural import decode
 
 FAULT_GO_DARK = "go-dark"
@@ -268,7 +268,9 @@ class WorldState:
                 sourceUnit, sourceOperation, sourceLine, resource, message=""):
         if self.broker is None:
             return None
-        return self.broker.publisher(agentType, self.agent_name(agentName)).log(
+        event = make_log_event(
+            agentType,
+            self.agent_name(agentName),
             action,
             typeLog,
             sourceUnit=sourceUnit,
@@ -276,7 +278,9 @@ class WorldState:
             sourceLine=sourceLine,
             resource=resource,
             message=message,
+            clock=self.broker.clock,
         )
+        return self.broker.publish(event)
 
     # -- geometry ----------------------------------------------------------
 
@@ -371,8 +375,8 @@ def init_world(
 
     if world.broker is not None:
         world.broker.clock.advance_to(0)
-    for light in world.lights:
-        _handshake(world, light)
+        for light in world.lights:
+            _handshake(world, light)
     return world
 
 
@@ -452,26 +456,27 @@ def sense(light: Streetlight, world: WorldState) -> SensorFrame:
     frame = SensorFrame(lightLevel=level, motionDetected=motion, wirelessIn=wireless)
     light.lastFrame = frame
 
-    world.publish(
-        "lightContainer", light.id, "receiveWirelessData",
-        sourceUnit="Light", sourceOperation="sense", sourceLine=40,
-        resource="wirelessReceiver", message=f"in={frame.wirelessIn:.6f}",
-    )
-    world.publish(
-        "lightContainer", light.id, "readLightSensor",
-        sourceUnit="Light", sourceOperation="sense", sourceLine=42,
-        resource="lightSensor", message=f"level={frame.lightLevel:.6f}",
-    )
-    world.publish(
-        "lightContainer", light.id, "readMotionSensor",
-        sourceUnit="Light", sourceOperation="sense", sourceLine=44,
-        resource="motionSensor", message=f"motion={1 if frame.motionDetected else 0}",
-    )
-    world.publish(
-        "lightContainer", light.id, "sendMsg",
-        sourceUnit="Light", sourceOperation="sense", sourceLine=47,
-        resource="msgAdaptiveAgent", message=f"frame from {light.id}",
-    )
+    if world.broker is not None:
+        world.publish(
+            "lightContainer", light.id, "receiveWirelessData",
+            sourceUnit="Light", sourceOperation="sense", sourceLine=40,
+            resource="wirelessReceiver", message=f"in={frame.wirelessIn:.6f}",
+        )
+        world.publish(
+            "lightContainer", light.id, "readLightSensor",
+            sourceUnit="Light", sourceOperation="sense", sourceLine=42,
+            resource="lightSensor", message=f"level={frame.lightLevel:.6f}",
+        )
+        world.publish(
+            "lightContainer", light.id, "readMotionSensor",
+            sourceUnit="Light", sourceOperation="sense", sourceLine=44,
+            resource="motionSensor", message=f"motion={1 if frame.motionDetected else 0}",
+        )
+        world.publish(
+            "lightContainer", light.id, "sendMsg",
+            sourceUnit="Light", sourceOperation="sense", sourceLine=47,
+            resource="msgAdaptiveAgent", message=f"frame from {light.id}",
+        )
     return frame
 
 
@@ -479,12 +484,15 @@ def actuate(light: Streetlight, decision, world: WorldState) -> None:
     """Apply one controller output pair (led, wireless) to the hardware."""
     led = float(decision[0])
     wireless = float(decision[1])
+    light.lightOn = led > 0
+    light.outbox = 0.0 if FAULT_MUTE_WIRELESS in light.faultFlags else max(wireless, 0.0)
+    if world.broker is None:
+        return
     world.publish(
         "lightContainer", light.id, "receiveNeuralNetworkCommand",
         sourceUnit="Light", sourceOperation="act", sourceLine=55,
         resource="neuralCommand", message=f"led={led:.6f} wireless={wireless:.6f}",
     )
-    light.lightOn = led > 0
     if light.lightOn:
         world.publish(
             "lightContainer", light.id, "switchLightON",
@@ -497,7 +505,6 @@ def actuate(light: Streetlight, decision, world: WorldState) -> None:
             sourceUnit="Light", sourceOperation="act", sourceLine=58,
             resource="lightActuator", message="off",
         )
-    light.outbox = 0.0 if FAULT_MUTE_WIRELESS in light.faultFlags else max(wireless, 0.0)
     world.publish(
         "lightContainer", light.id, "sendWirelessData",
         sourceUnit="Light", sourceOperation="act", sourceLine=61,

@@ -11,8 +11,11 @@ from masharness.broker import (
     matches,
 )
 from masharness.logmodel import (
+    MEMO_SIZE,
     EventClock,
     InvalidPattern,
+    _keys,
+    _valid_words,
     load_tap,
     make_log_event,
 )
@@ -230,6 +233,36 @@ class TestStats:
         for qs in stats.queues.values():
             assert qs.matched == qs.delivered + qs.dropped + qs.buffered
         assert stats.published == 1000
+
+
+class TestRouteMemo:
+    def test_queue_declared_after_repeats_receives_the_next_publish(self):
+        broker = Broker()
+        broker.declare_queue("early", ["lightContainer.#"], capacity=8)
+        for _ in range(20):
+            broker.publish(event(clock=broker.clock))
+        late = broker.declare_queue("late", ["*.node1.ping.#"])
+        receipt = broker.publish(event(clock=broker.clock, message="after"))
+        assert receipt.matched == 2
+        assert late.consume(0.0).message == "after"
+        assert late.consume(0.0) is None
+        stats = broker.stats()
+        assert stats.queues["early"].matched == 21
+        for qs in stats.queues.values():
+            assert qs.matched == qs.delivered + qs.dropped + qs.buffered
+
+    def test_memos_stay_within_their_bound(self):
+        broker = Broker()
+        broker.declare_queue("q", ["*.node1.#"], capacity=16)
+        for i in range(MEMO_SIZE + 100):
+            broker.publish(event(action=f"bound{i}", clock=broker.clock))
+            assert len(broker._routes) <= MEMO_SIZE
+            assert len(_keys) <= MEMO_SIZE
+            assert len(_valid_words) <= MEMO_SIZE
+        assert broker.publish(event(action="bound0", clock=broker.clock)).matched == 1
+        qs = broker.stats().queues["q"]
+        assert qs.matched == MEMO_SIZE + 101
+        assert qs.matched == qs.delivered + qs.dropped + qs.buffered
 
 
 class TestTap:

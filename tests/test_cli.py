@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -236,6 +237,16 @@ class TestTest:
         assert code == 0
         assert "VERDICT process-output PASS" in out
 
+    def test_non_utf8_plan_exits_two_naming_the_file(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_bytes(b"\xff\xfetest broken level=local sublevel=scenario\n")
+        code = main(["test", "--plan", str(plan),
+                     "--manifest", str(tmp_path / "m.txt")])
+        err = capsys.readouterr().err
+        assert code == USAGE_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(plan) in err
+
     def test_plan_parse_error_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("test broken level=local sublevel=scenario\nexpect\n")
@@ -296,6 +307,45 @@ class TestTimeline:
         code = main(["timeline", "a..b", "--tap", tap, "--manifest", manifest])
         assert code == USAGE_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_malformed_pattern_on_an_empty_tap_exits_two(self, tmp_path, capsys):
+        tap = tmp_path / "empty.log"
+        tap.write_text("")
+        code = main(["timeline", "a..b", "--tap", str(tap),
+                     "--manifest", str(tmp_path / "m.txt")])
+        assert code == USAGE_ERROR
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_tap_exits_two_naming_the_file(self, tmp_path, capsys):
+        manifest, tap = self.make_tap(tmp_path, capsys)
+        with open(tap, "ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        code = main(["timeline", "#", "--tap", tap, "--manifest", manifest])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert tap in captured.err
+
+
+#: sha256 of the taps these runs wrote before words, keys and routes were
+#: memoised; perfbench/refs.json records the same digests
+GOLDEN_TAPS = [
+    (["--seed", "2"],
+     "5c0587c1f8c1a4b9a76ca9df906a30c64a1d808d24aebcb7a203c282a2aeed0e"),
+    (["--fault", "go-dark:node10", "--seed", "2"],
+     "c4b79ea33fd57428aeb1adb56910a30141bafe27aabef1e890e4c25600f7322d"),
+]
+
+
+class TestGoldenTaps:
+    @pytest.mark.parametrize("flags,digest", GOLDEN_TAPS, ids=["fault-free", "go-dark"])
+    def test_tap_bytes_are_unchanged(self, tmp_path, capsys, flags, digest):
+        manifest, tap = out_paths(tmp_path)
+        main(["test", *flags, "--tap", tap, "--manifest", manifest])
+        capsys.readouterr()
+        with open(tap, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == digest
 
 
 class TestParser:

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from masharness.logmodel import (
     MAX_KEY_BYTES,
@@ -11,6 +11,7 @@ from masharness.logmodel import (
     make_log_event,
     parse_binding_pattern,
     parse_event_line,
+    _check_word,
     routing_key,
     serialize_event,
 )
@@ -173,3 +174,55 @@ class TestSerialization:
 
         with pytest.raises(LogModelError):
             parse_event_line(bad)
+
+
+def per_character_check(name, value):
+    """The word check as written before it had a memo."""
+    if not isinstance(value, str) or not value:
+        raise InvalidTag(f"{name} must be a non-empty string, got {value!r}")
+    if "." in value:
+        raise InvalidTag(f"{name} may not contain '.': {value!r}")
+    if "*" in value or "#" in value:
+        raise InvalidTag(f"{name} may not contain wildcard characters: {value!r}")
+    if any(c.isspace() for c in value):
+        raise InvalidTag(f"{name} may not contain whitespace: {value!r}")
+    return value
+
+
+def outcome(check, name, value):
+    try:
+        return ("accepted", check(name, value))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+WORDS = st.one_of(
+    st.text(max_size=6),
+    st.text(alphabet="ab.*# \t\u00a0\u2028\u3000", max_size=4),
+    st.sampled_from(["node10", "ok", ""]),
+    st.none(),
+    st.integers(),
+    st.binary(max_size=3),
+    st.lists(st.text(max_size=2), max_size=2),
+)
+
+
+class TestWordMemo:
+    @given(WORDS, st.sampled_from(["agentName", "key segment"]))
+    @example("a\u00a0b", "agentName")
+    @example("\u2028", "agentName")
+    @example("x\u3000", "key segment")
+    @example(None, "agentName")
+    def test_memo_agrees_with_the_per_character_check(self, value, name):
+        expected = outcome(per_character_check, name, value)
+        assert outcome(_check_word, name, value) == expected
+        # the second call may be answered from the memo
+        assert outcome(_check_word, name, value) == expected
+
+    def test_repeated_key_is_the_memoised_key(self):
+        assert routing_key(sample_event()) is routing_key(sample_event())
+
+    def test_unhashable_tag_is_an_invalid_tag(self):
+        event = LogEvent("t", ["n"], "a", "info", "U", "op", 1, "r", timestamp=0)
+        with pytest.raises(InvalidTag):
+            routing_key(event)
