@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .broker import AgentPublisher, Broker
 from .neural import GenomeShapeMismatch, NetworkTopology, decode
-from .world import EpisodeMetrics, InvalidConfig, WorldConfig, run_episode
+from .world import EpisodeMetrics, InvalidConfig, WorldConfig, run_episode, run_episodes
 
 FITNESS_WEIGHT_PEOPLE = 1.0
 FITNESS_WEIGHT_TRIP = 0.6
@@ -78,7 +78,11 @@ def load_ga_config(path) -> GAConfig:
     """Read a flat key=value GA config file; keys are the GAConfig fields."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"GA config {path} is not UTF-8 text: {exc.reason}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -315,6 +319,22 @@ def _publish_evaluation_prologue(publisher: AgentPublisher | None, topology: Net
     )
 
 
+def _publish_results(publisher: AgentPublisher | None, metrics: EpisodeMetrics,
+                     energy_target: float) -> FitnessReport:
+    """Log readSimulationResults, then score the episode under the fitness protocol."""
+    if publisher is not None:
+        publisher.log(
+            "readSimulationResults",
+            sourceUnit="Observer", sourceOperation="evaluate", sourceLine=115,
+            resource="simulationResults",
+            message=(
+                f"pPeople={metrics.pPeople:.6f} pTrip={metrics.pTrip:.6f} "
+                f"pEnergy={metrics.pEnergy:.6f}"
+            ),
+        )
+    return fitness(metrics, energy_target, publisher)
+
+
 def evaluate_solution(
     world_config: WorldConfig,
     genes,
@@ -343,18 +363,7 @@ def evaluate_solution(
         faults=faults,
         episode_tag=episode_tag,
     )
-    if publisher is not None:
-        publisher.log(
-            "readSimulationResults",
-            sourceUnit="Observer", sourceOperation="evaluate", sourceLine=115,
-            resource="simulationResults",
-            message=(
-                f"pPeople={metrics.pPeople:.6f} pTrip={metrics.pTrip:.6f} "
-                f"pEnergy={metrics.pEnergy:.6f}"
-            ),
-        )
-    report = fitness(metrics, energy_target, publisher)
-    return report, metrics
+    return _publish_results(publisher, metrics, energy_target), metrics
 
 
 def run_observer(
@@ -368,7 +377,8 @@ def run_observer(
 
     Every genome is scored with one silent episode on the world seed from
     ``world_config`` (fixed for the whole run, so fitness values stay
-    comparable and elite scores never go stale).  After the last generation
+    comparable and elite scores never go stale); a generation's unscored
+    genomes run together in one run_episodes call.  After the last generation
     the best genome is re-run once with the full evaluation protocol.
     Returns the best genome, per-generation stats, and the final report.
     """
@@ -379,35 +389,25 @@ def run_observer(
     publisher = _observer(broker)
     rng = random.Random(ga_config.rngSeed)
 
-    def evaluator(genome: Genome) -> None:
-        _publish_evaluation_prologue(publisher, topology, world_config)
-        controller = decode(genome.genes, topology)
-        metrics = run_episode(world_config, controller, None)
-        if publisher is not None:
-            publisher.log(
-                "readSimulationResults",
-                sourceUnit="Observer", sourceOperation="evaluate", sourceLine=115,
-                resource="simulationResults",
-                message=(
-                    f"pPeople={metrics.pPeople:.6f} pTrip={metrics.pTrip:.6f} "
-                    f"pEnergy={metrics.pEnergy:.6f}"
-                ),
-            )
-        report = fitness(metrics, ga_config.energyTarget, publisher)
-        genome.fitness = report.fitness
-        genome.metrics = metrics
+    def score(genomes: list[Genome]) -> None:
+        # one batched silent episode for every unscored genome; the observer
+        # then logs each evaluation in population order, as if run one by one
+        unscored = [g for g in genomes if g.fitness is None]
+        controllers = [decode(g.genes, topology) for g in unscored]
+        for genome, metrics in zip(unscored, run_episodes(world_config, controllers)):
+            _publish_evaluation_prologue(publisher, topology, world_config)
+            report = _publish_results(publisher, metrics, ga_config.energyTarget)
+            genome.fitness = report.fitness
+            genome.metrics = metrics
 
     population = initial_population(ga_config, topology, rng)
     history: list[GenerationStats] = []
     history_file = open(history_path, "w", encoding="utf-8") if history_path else None
     try:
         if ga_config.generations == 0:
-            for genome in population:
-                evaluator(genome)
+            score(population)
         for generation in range(1, ga_config.generations + 1):
-            for genome in population:
-                if genome.fitness is None:
-                    evaluator(genome)
+            score(population)
             best_idx = pick_elites(population, 1)[0]
             stats = GenerationStats(
                 generation=generation,
@@ -420,7 +420,9 @@ def run_observer(
             if history_file is not None:
                 history_file.write(stats.line() + "\n")
             if generation < ga_config.generations:
-                population = evolve_generation(population, evaluator, ga_config, rng, publisher)
+                population = evolve_generation(
+                    population, lambda genome: score([genome]), ga_config, rng, publisher
+                )
     finally:
         if history_file is not None:
             history_file.close()

@@ -9,6 +9,7 @@ weights (row-major per output neuron), and output biases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
     """Unpack a flat gene sequence into a controller.
 
     Raises GenomeShapeMismatch when the gene count does not equal the
-    topology's genomeLength.
+    topology's genomeLength or a gene is not finite.
     """
     if topology is None:
         topology = NetworkTopology()
@@ -76,6 +77,8 @@ def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
         raise GenomeShapeMismatch(
             f"topology {n_in}-{n_h}-{n_out} needs {want} genes, got {g.size}"
         )
+    if not np.isfinite(g).all():
+        raise GenomeShapeMismatch("genes must be finite numbers")
     i = 0
     w1 = g[i : i + n_h * n_in].reshape(n_h, n_in)
     i += n_h * n_in
@@ -106,7 +109,10 @@ def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
 def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
     """Inverse of save_genome.  Raises GenomeShapeMismatch on a bad file."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        try:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        except UnicodeDecodeError as exc:
+            raise GenomeShapeMismatch(f"genome {path} is not UTF-8 text: {exc.reason}") from None
     if not lines:
         raise GenomeShapeMismatch("empty genome file")
     header = lines[0].split()
@@ -121,4 +127,6 @@ def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
         raise GenomeShapeMismatch(
             f"header promises {topology.genomeLength} genes, file has {len(genes)}"
         )
+    if not all(math.isfinite(gene) for gene in genes):
+        raise GenomeShapeMismatch(f"genome {path} has a gene that is not a finite number")
     return topology, genes

@@ -11,6 +11,12 @@ silently, which is what the learning loop uses.
 Each tick raises the event-clock floor by one tick's worth of microseconds,
 so ``timestamp // TICK_US`` recovers the tick an event was published on and
 test machines can measure timeouts in virtual time.
+
+Two engines run the same simulation.  With a broker attached, the world
+steps light by light (``init_world`` + ``step_world``), which gives every
+published event its exact place.  Silent episodes run on ``run_episodes``,
+which steps a whole batch of controllers at once on (controllers, lights)
+arrays and returns the same metrics bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .broker import Broker
 from .logmodel import TICK_US, make_log_event
-from .neural import decode
+from .neural import NeuralController, decode
 
 FAULT_GO_DARK = "go-dark"
 FAULT_SENSOR_STUCK = "sensor-stuck"
@@ -34,6 +40,9 @@ FAULT_KINDS = (
     FAULT_MUTE_WIRELESS,
     FAULT_SKIP_HANDSHAKE,
 )
+
+#: largest grid a WorldConfig accepts, in lights
+MAX_LIGHTS = 10_000
 
 
 class WorldError(Exception):
@@ -68,6 +77,10 @@ class WorldConfig:
     def __post_init__(self):
         if self.gridWidth < 1 or self.gridHeight < 1:
             raise InvalidConfig("grid dimensions must be positive")
+        if self.gridWidth * self.gridHeight > MAX_LIGHTS:
+            raise InvalidConfig(
+                f"grid {self.gridWidth}x{self.gridHeight} has more than {MAX_LIGHTS} lights"
+            )
         if self.wirelessRange < 0:
             raise InvalidConfig("wirelessRange must be >= 0")
         if self.numPeople < 0:
@@ -92,7 +105,11 @@ def load_world_config(path) -> WorldConfig:
     """Read a flat key=value config file; keys are the WorldConfig fields."""
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidConfig(f"config {path} is not UTF-8 text: {exc.reason}") from None
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -173,6 +190,49 @@ class EpisodeMetrics:
 def _node_id(config: WorldConfig, position: tuple[int, int]) -> str:
     x, y = position
     return f"node{y * config.gridWidth + x + 1}"
+
+
+def _neighbour_indices(config: WorldConfig) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Per light, in row-major order: its adjacent lights and its wireless peers.
+
+    Lights are numbered row-major (``y * gridWidth + x``).  Adjacent lights
+    come in the order sense() adds their spill: (x-1,y), (x+1,y), (x,y-1),
+    (x,y+1), off-grid ones left out.  Wireless peers are every other light
+    within Manhattan distance wirelessRange, row-major, found by walking the
+    offsets |dx| + |dy| <= r clipped to the grid, so building both lists costs
+    O(lights * r^2) rather than a scan of all pairs.
+    """
+    w, h, r = config.gridWidth, config.gridHeight, config.wirelessRange
+    adjacent, wireless = [], []
+    for y in range(h):
+        for x in range(w):
+            adjacent.append(tuple(
+                ny * w + nx
+                for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
+                if 0 <= nx < w and 0 <= ny < h
+            ))
+            peers = []
+            for ny in range(max(0, y - r), min(h, y + r + 1)):
+                reach = r - abs(ny - y)
+                peers.extend(
+                    ny * w + nx
+                    for nx in range(max(0, x - reach), min(w, x + reach + 1))
+                    if (nx, ny) != (x, y)
+                )
+            wireless.append(tuple(peers))
+    return adjacent, wireless
+
+
+def _episode_metrics(config: WorldConfig, lights: int, finished: int, ticks_moving: int,
+                     on_ticks: int) -> EpisodeMetrics:
+    """Normalise an episode's integer counts; both engines report through here."""
+    if config.numPeople == 0:
+        p_people, p_trip = 1.0, 0.0
+    else:
+        p_people = finished / config.numPeople
+        p_trip = ticks_moving / (config.numPeople * config.maxTicks)
+    p_energy = on_ticks / (lights * config.maxTicks)
+    return EpisodeMetrics(pPeople=p_people, pTrip=min(p_trip, 1.0), pEnergy=min(p_energy, 1.0))
 
 
 def _border_positions(config: WorldConfig) -> list[tuple[int, int]]:
@@ -317,14 +377,13 @@ class WorldState:
         return min(level, 1.0)
 
     def metrics(self) -> EpisodeMetrics:
-        cfg = self.config
-        if cfg.numPeople == 0:
-            p_people, p_trip = 1.0, 0.0
-        else:
-            p_people = sum(1 for p in self.people if p.finished) / cfg.numPeople
-            p_trip = sum(p.ticksMoving for p in self.people) / (cfg.numPeople * cfg.maxTicks)
-        p_energy = self.onTicks / (len(self.lights) * cfg.maxTicks)
-        return EpisodeMetrics(pPeople=p_people, pTrip=min(p_trip, 1.0), pEnergy=min(p_energy, 1.0))
+        return _episode_metrics(
+            self.config,
+            len(self.lights),
+            sum(1 for p in self.people if p.finished),
+            sum(p.ticksMoving for p in self.people),
+            self.onTicks,
+        )
 
 
 def init_world(
@@ -349,22 +408,10 @@ def init_world(
             world.lights_by_id[light.id] = light
             world.light_at[(x, y)] = light
             world.prev_outbox[light.id] = 0.0
-    for (x, y) in list(world.light_at):
-        adj = [
-            (nx, ny)
-            for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
-            if 0 <= nx < w and 0 <= ny < h
-        ]
-        world._neighbors[(x, y)] = tuple(adj)
-    for light in world.lights:
-        x, y = light.position
-        in_range = [
-            other.id
-            for other in world.lights
-            if other.id != light.id
-            and abs(other.position[0] - x) + abs(other.position[1] - y) <= config.wirelessRange
-        ]
-        world._wireless[light.id] = tuple(in_range)
+    lights = world.lights
+    for light, adjacent, peers in zip(lights, *_neighbour_indices(config)):
+        world._neighbors[light.position] = tuple(lights[i].position for i in adjacent)
+        world._wireless[light.id] = tuple(lights[i].id for i in peers)
 
     rng = random.Random(config.rngSeed)
     for i, route in enumerate(build_routes(config, rng), start=1):
@@ -410,17 +457,22 @@ def _handshake(world: WorldState, light: Streetlight) -> None:
     )
 
 
-def inject_fault(world: WorldState, spec: FaultSpec) -> None:
-    """Install one fault kind on one or more lights."""
+def _fault_targets(spec: FaultSpec, lights: dict) -> list:
+    """The values ``lights`` maps the spec's targets to, after checking the spec."""
     if spec.kind not in FAULT_KINDS:
         raise UnknownFault(f"unknown fault kind {spec.kind!r}")
     targets = []
     for target in spec.targets:
-        light = world.lights_by_id.get(target)
+        light = lights.get(target)
         if light is None:
             raise UnknownTarget(f"no light named {target!r}")
         targets.append(light)
-    for light in targets:
+    return targets
+
+
+def inject_fault(world: WorldState, spec: FaultSpec) -> None:
+    """Install one fault kind on one or more lights."""
+    for light in _fault_targets(spec, world.lights_by_id):
         light.faultFlags.add(spec.kind)
 
 
@@ -539,6 +591,23 @@ def move_people(world: WorldState) -> None:
                 person.finished = True
 
 
+def _controller_outputs(controller, inputs: np.ndarray) -> np.ndarray:
+    """Query one controller for all lights: (lights, 3) inputs -> (lights, 2) outputs.
+
+    forward_batch is used when available, then a per-row forward, then a
+    plain call per row.
+    """
+    if hasattr(controller, "forward_batch"):
+        outputs = np.asarray(controller.forward_batch(inputs), dtype=float)
+    elif hasattr(controller, "forward"):
+        outputs = np.array([controller.forward(row) for row in inputs], dtype=float)
+    else:
+        outputs = np.array([controller(row) for row in inputs], dtype=float)
+    if outputs.shape != (len(inputs), 2):
+        raise WorldError(f"controller must yield (lights, 2) outputs, got {outputs.shape}")
+    return outputs
+
+
 def step_world(world: WorldState, controller) -> None:
     """Run one tick: every light senses and acts, then pedestrians move.
 
@@ -558,14 +627,7 @@ def step_world(world: WorldState, controller) -> None:
         [[f.lightLevel, 1.0 if f.motionDetected else 0.0, f.wirelessIn] for f in frames],
         dtype=float,
     )
-    if hasattr(controller, "forward_batch"):
-        outputs = np.asarray(controller.forward_batch(inputs), dtype=float)
-    elif hasattr(controller, "forward"):
-        outputs = np.array([controller.forward(row) for row in inputs], dtype=float)
-    else:
-        outputs = np.array([controller(row) for row in inputs], dtype=float)
-    if outputs.shape != (len(world.lights), 2):
-        raise WorldError(f"controller must yield (lights, 2) outputs, got {outputs.shape}")
+    outputs = _controller_outputs(controller, inputs)
 
     for light, frame, out in zip(world.lights, frames, outputs):
         if world.broker is not None:
@@ -609,12 +671,14 @@ def run_episode(
     ``genome`` may be a flat gene sequence (decoded with the default
     topology) or any controller object.  The episode ends early when every
     pedestrian has finished; a world with no pedestrians always runs the
-    full maxTicks.
+    full maxTicks.  Without a broker the episode runs on run_episodes.
     """
     if hasattr(genome, "forward") or hasattr(genome, "forward_batch") or callable(genome):
         controller = genome
     else:
         controller = decode(genome)
+    if broker is None:
+        return run_episodes(config, [controller], faults=faults)[0]
     world = init_world(config, broker, faults=faults, episode_tag=episode_tag)
     for _ in range(config.maxTicks):
         step_world(world, controller)
@@ -627,3 +691,145 @@ def run_episode(
             resource="simulation", message=f"tick={world.tick}",
         )
     return world.metrics()
+
+
+def _stacked_networks(controllers: list) -> tuple[np.ndarray, ...] | None:
+    """Weights of same-shaped 3-H-2 NeuralControllers, stacked along a first axis.
+
+    Returns (W1T, B1, W2T, B2) shaped (P, 3, H), (P, 1, H), (P, H, 2) and
+    (P, 1, 2), or None when any controller is something else, which then
+    goes through _controller_outputs one by one.
+    """
+    topology = getattr(controllers[0], "topology", None)
+    if (topology is None or topology.inputCount != 3 or topology.outputCount != 2
+            or any(type(c) is not NeuralController or c.topology != topology
+                   for c in controllers)):
+        return None
+    return (
+        np.stack([c.w1.T for c in controllers]),
+        np.stack([c.b1 for c in controllers])[:, None, :],
+        np.stack([c.w2.T for c in controllers]),
+        np.stack([c.b2 for c in controllers])[:, None, :],
+    )
+
+
+def run_episodes(config: WorldConfig, controllers, *, faults=()) -> list[EpisodeMetrics]:
+    """Run one silent episode per controller, all at once, and report each one's metrics.
+
+    Every episode runs on the same world (routes from ``config.rngSeed``) with
+    the same faults, and gets exactly the EpisodeMetrics an ``init_world`` +
+    ``step_world`` loop without a broker gives its controller.  The state of
+    all P episodes lives in (P, lights + 1) arrays whose last column is a
+    sentinel light that never radiates and never transmits; index lists are
+    padded with it.  An episode whose pedestrians have all arrived stops like
+    run_episode's: its row is dropped and no longer changes.
+
+    Same-shaped NeuralControllers are evaluated with one stacked matmul per
+    layer, which gives the same bits as their forward_batch; any other
+    controller is queried on its own, in list order, as step_world does.
+    """
+    controllers = list(controllers)
+    lights = config.gridWidth * config.gridHeight
+    sentinel = lights
+    routes = build_routes(config, random.Random(config.rngSeed))
+    index = {_node_id(config, (i % config.gridWidth, i // config.gridWidth)): i
+             for i in range(lights)}
+    faulty = {kind: np.zeros(lights, dtype=bool) for kind in FAULT_KINDS}
+    for spec in faults:
+        for i in _fault_targets(spec, index):
+            faulty[spec.kind][i] = True
+    dark, stuck, mute = faulty[FAULT_GO_DARK], faulty[FAULT_SENSOR_STUCK], faulty[FAULT_MUTE_WIRELESS]
+    if not controllers:
+        return []
+
+    adjacent, wireless = _neighbour_indices(config)
+    # own lamp first, then the adjacent ones, as sense() looks at them
+    near = np.full((lights, 5), sentinel, dtype=np.intp)
+    # at least one sentinel column, so every maximum starts from 0.0 as sense() does
+    peers = np.full((lights, max(map(len, wireless)) + 1), sentinel, dtype=np.intp)
+    for i in range(lights):
+        near[i, : 1 + len(adjacent[i])] = (i, *adjacent[i])
+        peers[i, : len(wireless[i])] = wireless[i]
+    # sense() adds lightBrightness once per radiating lamp it sees, so its
+    # reading depends only on how many it sees; this table holds those sums,
+    # added in the same order
+    spill = [config.ambientLight]
+    for _ in range(5):
+        spill.append(spill[-1] + config.lightBrightness)
+    level_of = np.minimum(np.array(spill), 1.0)
+    threshold = config.darkThreshold
+    lit_walkable = min(config.ambientLight + config.lightBrightness, 1.0) > threshold
+    dark_walkable = min(config.ambientLight, 1.0) > threshold
+
+    people = len(routes)
+    path = np.full((people, max((len(r) for r in routes), default=0) + 1), sentinel, dtype=np.intp)
+    for n, route in enumerate(routes):
+        path[n, : len(route)] = [y * config.gridWidth + x for x, y in route]
+    last_step = np.array([len(r) - 1 for r in routes], dtype=np.intp)
+    person = np.arange(people)
+
+    p = len(controllers)
+    live = np.arange(p)  # the controller index of each row still running
+    radiating = np.zeros((p, lights + 1), dtype=bool)  # last tick's, column sentinel never lit
+    outbox = np.zeros((p, lights + 1))  # last tick's, column sentinel always 0.0
+    step = np.zeros((p, people), dtype=np.intp)
+    arrived = np.zeros((p, people), dtype=bool)
+    ticks_moving = np.zeros(p, dtype=np.int64)
+    on_ticks = np.zeros(p, dtype=np.int64)
+    stuck_level = None
+    networks = _stacked_networks(controllers)
+    results: list[EpisodeMetrics | None] = [None] * p
+
+    def finish(rows) -> None:
+        for r in rows:
+            results[live[r]] = _episode_metrics(
+                config, lights, int(arrived[r].sum()), int(ticks_moving[r]), int(on_ticks[r])
+            )
+
+    for _ in range(config.maxTicks):
+        rows = np.arange(len(live))[:, None]
+        level = level_of[radiating[:, near].sum(axis=2)]
+        if stuck_level is None:
+            stuck_level = level[:, stuck]  # sensor-stuck keeps its first reading
+        level[:, stuck] = stuck_level
+        at = path[person, step]
+        occupied = np.zeros_like(radiating)
+        occupied[rows, np.where(arrived, sentinel, at)] = True
+        occupied[:, sentinel] = False
+        motion = occupied[:, near].any(axis=2)
+        # fmax skips NaN, as sense()'s running max() does
+        wireless_in = np.fmax.reduce(outbox[:, peers], axis=2)
+        inputs = np.stack((level, motion, wireless_in), axis=-1)
+
+        if networks is not None:
+            w1t, b1, w2t, b2 = networks
+            outputs = np.tanh(np.matmul(np.tanh(np.matmul(inputs, w1t) + b1), w2t) + b2)
+        else:
+            outputs = np.stack([_controller_outputs(controllers[c], x)
+                                for c, x in zip(live, inputs)])
+        light_on = outputs[:, :, 0] > 0
+        radiating[:, :lights] = light_on & ~dark
+        outbox[:, :lights] = np.where(mute, 0.0, np.maximum(outputs[:, :, 1], 0.0))
+
+        walkable = np.where(radiating, lit_walkable, dark_walkable)
+        walking = ~arrived
+        moves = walking & walkable[rows, at] & walkable[rows, path[person, step + 1]]
+        ticks_moving += walking.sum(axis=1)
+        step += moves
+        arrived |= step == last_step
+        on_ticks += light_on.sum(axis=1)
+
+        if people:
+            done = arrived.all(axis=1)
+            if done.any():
+                finish(np.flatnonzero(done))
+                keep = ~done
+                live, radiating, outbox, step, arrived = (
+                    live[keep], radiating[keep], outbox[keep], step[keep], arrived[keep])
+                ticks_moving, on_ticks, stuck_level = ticks_moving[keep], on_ticks[keep], stuck_level[keep]
+                if networks is not None:
+                    networks = tuple(a[keep] for a in networks)
+                if not len(live):
+                    break
+    finish(range(len(live)))
+    return results

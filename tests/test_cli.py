@@ -1,6 +1,7 @@
 import hashlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -106,6 +107,39 @@ class TestSimulate:
         assert code == USAGE_ERROR
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ["--config", "--genome"])
+    def test_non_utf8_input_exits_two_naming_the_file(self, tmp_path, capsys, flag):
+        bad = tmp_path / "input.txt"
+        bad.write_bytes(b"\xff\xfe3 4 2\n")
+        manifest, tap = out_paths(tmp_path)
+        code = main(["simulate", flag, str(bad), "--manifest", manifest, "--tap", tap])
+        err = capsys.readouterr().err
+        assert code == USAGE_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_genome_exits_two(self, tmp_path, capsys, bad):
+        genome = tmp_path / "genome.txt"
+        genome.write_text("3 4 2\n" + f"{bad}\n" * 26)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["simulate", "--genome", str(genome), "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_oversized_grid_exits_two_quickly(self, tmp_path, capsys):
+        config = small_world(tmp_path, gridWidth=100000, gridHeight=100000)
+        manifest, tap = out_paths(tmp_path)
+        start = time.perf_counter()
+        code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == USAGE_ERROR
+        assert err.startswith("error: ") and "lights" in err
+        assert elapsed < 1.0
+
     def test_bad_config_content_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("gridWidth=not-a-number\n")
@@ -168,6 +202,16 @@ class TestEvolve:
                      "--manifest", str(tmp_path / "m.txt")])
         assert code == USAGE_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_ga_config_exits_two_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "ga.cfg"
+        bad.write_bytes(b"\xff\xfepopulationSize=4\n")
+        code = main(["evolve", "--ga-config", str(bad),
+                     "--manifest", str(tmp_path / "m.txt")])
+        err = capsys.readouterr().err
+        assert code == USAGE_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
 
 
 class TestTest:

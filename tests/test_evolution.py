@@ -1,10 +1,13 @@
+import hashlib
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masharness import evolution
 from masharness.broker import Broker, QueueClosed
+from masharness.cli import data_path, main
 from masharness.evolution import (
     DEFAULT_ENERGY_TARGET,
     FitnessReport,
@@ -170,6 +173,13 @@ class TestGAConfig:
         assert (c.populationSize, c.generations) == (8, 3)
         assert c.mutationSigma == 0.5
         assert c.elitism == 2  # defaults survive partial files
+
+    def test_load_rejects_non_utf8_naming_the_file(self, tmp_path):
+        path = tmp_path / "ga.cfg"
+        path.write_bytes(b"\xff\xfepopulationSize=4\n")
+        with pytest.raises(InvalidConfig, match="not UTF-8") as info:
+            load_ga_config(path)
+        assert str(path) in str(info.value)
 
     def test_load_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "ga.cfg"
@@ -486,3 +496,48 @@ class TestRunObserver:
             verdict = run(compile(case), queue)
         assert verdict.outcome == "pass"
         assert verdict.failedState is None
+
+    def test_each_generation_is_scored_in_one_batch(self, monkeypatch):
+        batches = []
+
+        def recording(config, controllers, **kw):
+            batches.append(len(controllers))
+            return real(config, controllers, **kw)
+
+        real = evolution.run_episodes
+        monkeypatch.setattr(evolution, "run_episodes", recording)
+        result, starts = self.count_evaluations(
+            tiny_world(), tiny_ga(populationSize=5, generations=3, elitism=2)
+        )
+        # three generations (5, then 5 - 2 offspring twice), plus the final
+        # confirmation, which runs through evaluate_solution -> run_episode
+        assert batches == [5, 3, 3]
+        assert starts == 5 + 3 + 3 + 1
+        assert len(result.history) == 3
+
+
+#: sha256 of the outputs of ``evolve --seed 1`` with the shipped GA config at
+#: two generations, recorded with the one-genome-at-a-time observer
+GOLDEN_EVOLVE = {
+    "genome": "278ee554e2bc3823d493311fe6524e089a5078cced19952963d395f5a5b2c147",
+    "history": "744534179317d4b22c603213113d26897d924cb12bb33f23b380a8a63beff59d",
+    "tap": "49e7651afcd53ff7a72153b402a66cd9d9596047e7de65d9f15df769462acdef",
+}
+
+
+def test_evolve_outputs_are_unchanged(tmp_path, capsys):
+    with open(data_path("ga.cfg"), encoding="utf-8") as fh:
+        lines = [ln for ln in fh if not ln.startswith("generations")]
+    ga = tmp_path / "ga.cfg"
+    ga.write_text("".join(lines) + "generations=2\n")
+    genome, tap = tmp_path / "genome.txt", tmp_path / "tap.log"
+    code = main(["evolve", "--ga-config", str(ga), "--seed", "1", "--genome", str(genome),
+                 "--tap", str(tap), "--manifest", str(tmp_path / "manifest.txt")])
+    capsys.readouterr()
+    assert code == 0
+    digests = {
+        name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for name, path in (("genome", genome), ("history", tmp_path / "genome.txt.history"),
+                           ("tap", tap))
+    }
+    assert digests == GOLDEN_EVOLVE

@@ -36,6 +36,13 @@ class TestDecode:
         with pytest.raises(GenomeShapeMismatch):
             decode([0.0] * 27)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_genes_are_rejected(self, bad):
+        genes = [0.0] * 26
+        genes[7] = bad
+        with pytest.raises(GenomeShapeMismatch, match="finite"):
+            decode(genes)
+
     def test_zero_genome_outputs_zero(self):
         controller = decode([0.0] * 26)
         assert controller.forward([1.0, 0.0, 0.5]) == (0.0, 0.0)
@@ -146,6 +153,21 @@ class TestGenomeFiles:
         path.write_text(text)
         with pytest.raises(GenomeShapeMismatch):
             load_genome(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_genes_are_rejected(self, tmp_path, bad):
+        path = tmp_path / "genome.txt"
+        path.write_text("3 4 2\n" + "0.5\n" * 25 + f"{bad}\n")
+        with pytest.raises(GenomeShapeMismatch, match="finite") as info:
+            load_genome(path)
+        assert str(path) in str(info.value)
+
+    def test_non_utf8_file_is_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "genome.txt"
+        path.write_bytes(b"\xff\xfe3 4 2\n")
+        with pytest.raises(GenomeShapeMismatch, match="not UTF-8") as info:
+            load_genome(path)
+        assert str(path) in str(info.value)
 
     def test_save_rejects_mismatched_genome(self, tmp_path):
         with pytest.raises(GenomeShapeMismatch):

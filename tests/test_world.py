@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from masharness.broker import Broker, QueueClosed
 from masharness.logmodel import load_tap
+from masharness.neural import NetworkTopology, decode
 from masharness.world import (
     FAULT_GO_DARK,
     FAULT_KINDS,
     FAULT_MUTE_WIRELESS,
     FAULT_SENSOR_STUCK,
     FAULT_SKIP_HANDSHAKE,
+    MAX_LIGHTS,
     EpisodeMetrics,
     FaultSpec,
     InvalidConfig,
@@ -28,6 +31,7 @@ from masharness.world import (
     move_people,
     parse_fault_spec,
     run_episode,
+    run_episodes,
     seeds_with_light_on_route,
     sense,
     step_world,
@@ -111,6 +115,20 @@ class TestWorldConfig:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(InvalidConfig):
             cfg(**kw)
+
+    def test_grid_size_is_bounded(self):
+        assert cfg(gridWidth=100, gridHeight=MAX_LIGHTS // 100).gridWidth == 100
+        with pytest.raises(InvalidConfig, match="lights"):
+            cfg(gridWidth=100, gridHeight=MAX_LIGHTS // 100 + 1)
+        with pytest.raises(InvalidConfig, match="lights"):
+            cfg(gridWidth=100_000, gridHeight=100_000)
+
+    def test_load_rejects_non_utf8_naming_the_file(self, tmp_path):
+        path = tmp_path / "world.cfg"
+        path.write_bytes(b"\xff\xfegridWidth = 3\n")
+        with pytest.raises(InvalidConfig, match="not UTF-8") as info:
+            load_world_config(path)
+        assert str(path) in str(info.value)
 
     def test_load_round_trip(self, tmp_path):
         path = tmp_path / "world.cfg"
@@ -201,6 +219,22 @@ class TestGridAndRoutes:
         zero = init_world(cfg(wirelessRange=0))
         assert world.lights_by_id["node5"].id not in world.wireless_neighbors(center)
         assert zero.wireless_neighbors(zero.lights_by_id["node1"]) == ()
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (1, 6), (4, 3), (6, 6)])
+    @pytest.mark.parametrize("reach", [0, 1, 2, 5, 12])
+    def test_neighbour_lists_match_an_all_pairs_scan(self, width, height, reach):
+        world = init_world(cfg(gridWidth=width, gridHeight=height, wirelessRange=reach))
+        for light in world.lights:
+            x, y = light.position
+            assert world.wireless_neighbors(light) == tuple(
+                other.id for other in world.lights
+                if other is not light
+                and abs(other.position[0] - x) + abs(other.position[1] - y) <= reach
+            )
+            assert world.neighbors(light.position) == tuple(
+                (nx, ny) for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
+                if 0 <= nx < width and 0 <= ny < height
+            )
 
     def test_routes_are_seeded_border_to_border_shortest_paths(self):
         c = cfg(gridWidth=5, gridHeight=4, numPeople=6, rngSeed=9)
@@ -696,3 +730,113 @@ class TestInvariants:
         metrics = run_episode(c, RandomController(ctrl_seed))
         for value in (metrics.pPeople, metrics.pTrip, metrics.pEnergy):
             assert 0.0 <= value <= 1.0
+
+
+def scalar_episode(config, controller, faults=()):
+    """The light-by-light world without a broker, stopped as run_episode stops."""
+    world = init_world(config, faults=faults)
+    for _ in range(config.maxTicks):
+        step_world(world, controller)
+        if config.numPeople > 0 and world.all_finished:
+            break
+    return world.metrics()
+
+
+GENE = st.one_of(
+    st.sampled_from([0.0, 5.0, -5.0]),
+    st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def batched_worlds(draw):
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lights = width * height
+    config = WorldConfig(
+        gridWidth=width,
+        gridHeight=height,
+        wirelessRange=draw(st.integers(0, 3)),
+        # a single light has no second border node to route people to
+        numPeople=draw(st.integers(0, 8)) if lights > 1 else 0,
+        maxTicks=draw(st.integers(1, 40)),
+        ambientLight=draw(st.sampled_from([0.0, 0.05, 0.2])),
+        rngSeed=draw(st.integers(0, 10_000)),
+    )
+    faults = tuple(
+        FaultSpec(kind, tuple(f"node{i}" for i in draw(
+            st.lists(st.integers(1, lights), min_size=1, max_size=3))))
+        for kind in draw(st.lists(st.sampled_from(FAULT_KINDS), max_size=4))
+    )
+    topology = NetworkTopology(hiddenCount=draw(st.integers(1, 5)))
+    count = draw(st.integers(1, 8))
+    genomes = draw(st.lists(
+        st.lists(GENE, min_size=topology.genomeLength, max_size=topology.genomeLength),
+        min_size=count, max_size=count,
+    ))
+    return config, faults, [decode(genes, topology) for genes in genomes]
+
+
+class TestRunEpisodes:
+    @given(case=batched_worlds())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_light_by_light_world(self, case):
+        config, faults, controllers = case
+        batch = run_episodes(config, controllers, faults=faults)
+        assert batch == [scalar_episode(config, c, faults) for c in controllers]
+        with Broker() as broker:
+            logged = run_episode(config, controllers[0], broker, faults=faults)
+        assert batch[0] == logged
+
+    def test_batch_size_does_not_change_a_genome_s_metrics(self):
+        c = cfg(gridWidth=5, gridHeight=5, numPeople=5, maxTicks=200, rngSeed=3)
+        rng = np.random.default_rng(11)
+        controllers = [decode(rng.uniform(-3.0, 3.0, 26)) for _ in range(24)]
+        faults = [FaultSpec(FAULT_GO_DARK, ("node7",)), FaultSpec(FAULT_SENSOR_STUCK, ("node13",))]
+        batch = run_episodes(c, controllers, faults=faults)
+        alone = [run_episodes(c, [ctrl], faults=faults)[0] for ctrl in controllers]
+        assert batch == alone
+        # episodes stop at different ticks, so rows leave the batch mid-run
+        assert len({m.pTrip for m in batch if m.pPeople == 1.0}) > 1
+        assert any(m.pPeople < 1.0 for m in batch)
+
+    def test_muted_relays_match_the_light_by_light_world(self):
+        # a lamp switches on and rebroadcasts when it sees motion or a
+        # neighbour's broadcast, so a muted column changes how far light spreads
+        relay = decode([0.0, 5.0, 5.0, -1.0, 5.0, 5.0, -1.0, -1.0], NetworkTopology(hiddenCount=1))
+        c = cfg(gridWidth=5, gridHeight=5, numPeople=2, maxTicks=30, rngSeed=8)
+        wall = [FaultSpec(FAULT_MUTE_WIRELESS, ("node3", "node8", "node13", "node18", "node23"))]
+        free, muted = run_episodes(c, [relay]), run_episodes(c, [relay], faults=wall)
+        assert free == [scalar_episode(c, relay)]
+        assert muted == [scalar_episode(c, relay, wall)]
+        assert muted[0].pEnergy < free[0].pEnergy
+
+    def test_other_controllers_are_queried_one_by_one(self):
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=25, rngSeed=4)
+        controllers = [ConstantController(1.0, 0.5), RandomController(2),
+                       decode([0.5] * 26), lambda row: (row[0] - 0.1, row[2])]
+        expected = [scalar_episode(c, ConstantController(1.0, 0.5)),
+                    scalar_episode(c, RandomController(2)),
+                    scalar_episode(c, decode([0.5] * 26)),
+                    scalar_episode(c, lambda row: (row[0] - 0.1, row[2]))]
+        assert run_episodes(c, controllers) == expected
+
+    def test_controller_shape_is_checked(self):
+        class Wide:
+            def forward_batch(self, inputs):
+                return np.zeros((len(inputs), 3))
+
+        with pytest.raises(WorldError, match=r"controller must yield \(lights, 2\) outputs"):
+            run_episodes(cfg(), [ConstantController(1.0, 0.0), Wide()])
+
+    @pytest.mark.parametrize("spec,error", [
+        (FaultSpec("flicker", ("node1",)), UnknownFault),
+        (FaultSpec(FAULT_GO_DARK, ("node1", "node99")), UnknownTarget),
+    ])
+    def test_fault_errors_match_the_light_by_light_world(self, spec, error):
+        with pytest.raises(error) as scalar:
+            init_world(cfg(), faults=[spec])
+        with pytest.raises(error, match=re.escape(str(scalar.value))):
+            run_episodes(cfg(), [ConstantController(1.0, 0.0)], faults=[spec])
+
+    def test_no_controllers_no_episodes(self):
+        assert run_episodes(cfg(), []) == []
