@@ -1,11 +1,14 @@
-"""In-process topic exchange with wildcard bindings and bounded FIFO queues.
+"""In-process topic exchange with wildcard bindings, bounded FIFO queues and
+inline subscribers.
 
 A single broker lock makes publish linearizable: each published event is
-matched against every queue's bindings and enqueued (at most once per queue)
-before the next publish is admitted.  The queues a key matches are memoised
-per broker, so a repeated key is routed without scanning the bindings.
-Consumers block on per-queue conditions, so slow consumers never stall
-publishers; a full queue drops its oldest event instead.
+matched against every binding's patterns and handed (at most once per
+queue or subscriber) before the next publish is admitted.  The queues and
+subscribers a key matches are memoised per broker, so a repeated key is
+routed without scanning the bindings.  A subscriber's callback runs inside
+``publish``, in publish order, on the publishing thread.  Queue consumers
+block on per-queue conditions, so slow consumers never stall publishers; a
+full queue drops its oldest event instead.
 """
 
 from __future__ import annotations
@@ -119,21 +122,27 @@ class QueueHandle:
     def consume(self, maxWait: float | None = None) -> LogEvent | None:
         return self._broker.consume(self, maxWait)
 
+    def stats(self) -> QueueStats:
+        return self._broker.stats().queues[self.name]
+
     def __repr__(self) -> str:
         pats = ", ".join(b.encode() for b in self.bindings)
         return f"QueueHandle({self.name!r}, [{pats}])"
 
 
 class _Queue:
-    __slots__ = ("name", "bindings", "buffer", "capacity", "cond",
+    """A declared queue, or a subscriber when ``deliver`` is set."""
+
+    __slots__ = ("name", "bindings", "buffer", "capacity", "cond", "deliver",
                  "matched", "delivered", "dropped")
 
-    def __init__(self, name, bindings, capacity, lock):
+    def __init__(self, name, bindings, capacity, lock, deliver):
         self.name = name
         self.bindings = bindings
         self.buffer: deque[LogEvent] = deque()
         self.capacity = capacity
         self.cond = threading.Condition(lock)
+        self.deliver = deliver
         self.matched = 0
         self.delivered = 0
         self.dropped = 0
@@ -165,31 +174,45 @@ class Broker:
         Raises DuplicateQueue on a name collision and InvalidPattern if the
         binding list is empty or contains a malformed pattern.
         """
+        if capacity is None:
+            capacity = self._default_capacity
+        if capacity < 1:
+            raise BrokerError(f"capacity must be positive, got {capacity}")
+        return QueueHandle(self, name, self._bind(name, patterns, capacity, None))
+
+    def subscribe(self, name: str, patterns, deliver) -> None:
+        """Call ``deliver(event)`` inside publish for every matching event.
+
+        Events arrive in publish order, at most once each, with nothing
+        buffered or dropped.  ``deliver`` runs under the broker lock and
+        must not call back into the broker.  Names share the queue
+        namespace; the errors are those of declare_queue.
+        """
+        self._bind(name, patterns, 0, deliver)
+
+    def _bind(self, name, patterns, capacity, deliver) -> tuple[BindingPattern, ...]:
         parsed = tuple(
             p if isinstance(p, BindingPattern) else parse_binding_pattern(p)
             for p in patterns
         )
         if not parsed:
             raise InvalidPattern("queue needs at least one binding pattern")
-        if capacity is None:
-            capacity = self._default_capacity
-        if capacity < 1:
-            raise BrokerError(f"capacity must be positive, got {capacity}")
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
             if name in self._queues:
                 raise DuplicateQueue(f"queue {name!r} already declared")
-            self._queues[name] = _Queue(name, parsed, capacity, self._lock)
+            self._queues[name] = _Queue(name, parsed, capacity, self._lock, deliver)
             self._routes.clear()
-        return QueueHandle(self, name, parsed)
+        return parsed
 
     def publish(self, event: LogEvent) -> PublishReceipt:
-        """Route one event to every queue with a matching binding.
+        """Route one event to every queue and subscriber with a matching binding.
 
-        An event is enqueued at most once per queue even if several of the
-        queue's bindings match.  Zero matches is legal; the receipt reports
-        the count.  A full queue drops its oldest buffered event first.
+        An event is handed over at most once per queue or subscriber even if
+        several of its bindings match.  Zero matches is legal; the receipt
+        reports the count.  A full queue drops its oldest buffered event
+        first; subscribers are called before publish returns.
         """
         key = routing_key(event).segments
         with self._lock:
@@ -203,15 +226,19 @@ class Broker:
                     q for q in self._queues.values()
                     if any(_match(b.segments, key) for b in q.bindings)
                 ))
+            if self._tap is not None:
+                self._tap.write(serialize_event(event) + "\n")
             for q in route:
                 q.matched += 1
+                if q.deliver is not None:
+                    q.delivered += 1
+                    q.deliver(event)
+                    continue
                 if len(q.buffer) >= q.capacity:
                     q.buffer.popleft()
                     q.dropped += 1
                 q.buffer.append(event)
                 q.cond.notify()
-            if self._tap is not None:
-                self._tap.write(serialize_event(event) + "\n")
         return PublishReceipt(sequence=seq, matched=len(route))
 
     def consume(self, handle: QueueHandle, maxWait: float | None = None) -> LogEvent | None:
@@ -259,7 +286,8 @@ class Broker:
     def stats(self) -> BrokerStats:
         """Consistent snapshot of broker counters.
 
-        For every queue, matched == delivered + dropped + buffered.
+        For every queue, matched == delivered + dropped + buffered; for a
+        subscriber, matched == delivered.
         """
         with self._lock:
             queues = {

@@ -4,19 +4,20 @@ Exit codes are uniform across commands: 0 when everything passed, 1 when
 any test machine failed, 2 on usage, config, or input-file errors.  Every
 run writes one plain-text manifest describing what ran and what it emitted;
 the manifest is the only output containing wall-clock time, so repeated
-runs with the same flags produce byte-identical taps and reports.
+runs with the same flags produce byte-identical taps and reports.  ``test``
+steps its machines inline as broker subscribers on the publishing thread,
+so it starts no threads.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import threading
 import time
 from dataclasses import replace
 from importlib import resources
 
-from .broker import Broker, BrokerError, QueueClosed, matches
+from .broker import Broker, BrokerError, matches
 from .evolution import (
     DEFAULT_ENERGY_TARGET,
     evaluate_solution,
@@ -31,7 +32,6 @@ from .testkit import (
     format_report,
     load_test_plan,
     merge_timeline,
-    run as run_machine,
 )
 from .world import (
     WorldConfig,
@@ -167,40 +167,25 @@ def run_test_plan(
 ):
     """Execute a parsed plan against one episode; returns (verdicts, report).
 
-    One queue per case, bound to the union of the case's patterns, plus an
-    error-monitor queue on ``*.*.*.error.#`` whose events annotate every
-    verdict.  Machines consume on their own threads while the episode runs
-    under the observer evaluation protocol; the broker close at the end
-    releases any machine still waiting.
+    Each case's machine subscribes to the union of its patterns and judges
+    events inline, in publish order, while the episode runs under the
+    observer evaluation protocol.  An error monitor on ``*.*.*.error.#``
+    annotates every verdict with the error-level events it saw.  Verdicts
+    are taken in plan order once the broker is closed.
     """
     if energy_target is None:
         energy_target = DEFAULT_ENERGY_TARGET
     broker = Broker(tap=tap)
-    machines = []
-    workers = []
-    results: dict[str, object] = {}
-    lock = threading.Lock()
+    error_notes = []
+
+    def note_error(event):
+        error_notes.append(f"error log: {routing_key(event).encode()} {event.message}")
+
     try:
-        for case in cases:
-            patterns = []
-            for spec in case.validationSequence:
-                for alt in spec.alternatives:
-                    if alt not in patterns:
-                        patterns.append(alt)
-            queue = broker.declare_queue(case.functionName, patterns)
-            machine = compile_machine(case)
-            machines.append(machine)
-
-            def worker(machine=machine, queue=queue):
-                verdict = run_machine(machine, queue, wallclock=wallclock)
-                with lock:
-                    results[machine.name] = verdict
-
-            thread = threading.Thread(target=worker, daemon=True, name=case.functionName)
-            workers.append(thread)
-        error_queue = broker.declare_queue("error-monitor", ["*.*.*.error.#"])
-        for thread in workers:
-            thread.start()
+        machines = [compile_machine(case, wallclock=wallclock) for case in cases]
+        for machine in machines:
+            broker.subscribe(machine.name, machine.patterns, machine.offer)
+        broker.subscribe("error-monitor", ["*.*.*.error.#"], note_error)
         report, _ = evaluate_solution(
             world_config,
             genes,
@@ -212,24 +197,9 @@ def run_test_plan(
         )
     finally:
         broker.close()
-    for thread in workers:
-        thread.join()
-
-    error_notes = []
-    while True:
-        try:
-            event = error_queue.consume(0.0)
-        except QueueClosed:
-            break
-        if event is None:
-            break
-        error_notes.append(f"error log: {routing_key(event).encode()} {event.message}")
-    verdicts = []
-    for case in cases:
-        verdict = results[case.functionName]
-        if error_notes:
-            verdict = replace(verdict, annotations=tuple(error_notes))
-        verdicts.append(verdict)
+    verdicts = [machine.finish() for machine in machines]
+    if error_notes:
+        verdicts = [replace(v, annotations=tuple(error_notes)) for v in verdicts]
     return verdicts, report
 
 

@@ -62,17 +62,27 @@ class NeuralController:
         return np.tanh(hidden @ self.w2.T + self.b2)
 
 
+def _check_controller_shape(topology: NetworkTopology, what: str) -> None:
+    """A light controller maps 3 sensor inputs to 2 commands."""
+    if (topology.inputCount, topology.outputCount) != (3, 2):
+        raise GenomeShapeMismatch(
+            f"{what} declares topology {topology.inputCount}-{topology.hiddenCount}-"
+            f"{topology.outputCount}, but a light controller has 3 inputs and 2 outputs"
+        )
+
+
 def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
     """Unpack a flat gene sequence into a controller.
 
-    Raises GenomeShapeMismatch when the gene count does not equal the
-    topology's genomeLength or a gene is not finite.
+    Raises GenomeShapeMismatch when the topology is not 3-H-2, the gene
+    count does not equal its genomeLength, or a gene is not finite.
     """
     if topology is None:
         topology = NetworkTopology()
     g = np.asarray(genes, dtype=float)
     n_in, n_h, n_out = topology.inputCount, topology.hiddenCount, topology.outputCount
     want = topology.genomeLength
+    _check_controller_shape(topology, "genome")
     if g.ndim != 1 or g.shape[0] != want:
         raise GenomeShapeMismatch(
             f"topology {n_in}-{n_h}-{n_out} needs {want} genes, got {g.size}"
@@ -123,6 +133,7 @@ def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
         genes = tuple(float(tok) for tok in lines[1:])
     except ValueError as exc:
         raise GenomeShapeMismatch(str(exc)) from exc
+    _check_controller_shape(topology, f"genome {path}")
     if len(genes) != topology.genomeLength:
         raise GenomeShapeMismatch(
             f"header promises {topology.genomeLength} genes, file has {len(genes)}"

@@ -1,21 +1,23 @@
-"""Trace-based test oracles: state machines over consumed log streams.
+"""Trace-based test oracles: state machines that judge a log stream.
 
 A test case lists the log patterns an execution must produce, in order.  The
 compiled machine starts in ``start`` and owns one pending transition at a
 time; an event matching any alternative of that transition advances the
-machine, every other event is recorded and ignored (open world).  Timeouts
-are measured on the events' virtual clock by default, so verdicts do not
-depend on host scheduling; wallclock mode exists for live runs.
+machine, every other event is recorded and ignored (open world).  Events
+reach a machine one at a time through ``offer``, inline as a broker
+subscriber or from a queue by ``run``, and ``finish`` gives the verdict.
+Deadlines are measured on the events' virtual clock by default, so a
+verdict is a pure function of the ordered events the machine's bindings
+match; wallclock mode exists for live runs.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .broker import Broker, QueueClosed, QueueHandle, _match
+from .broker import QueueClosed, QueueHandle, _match
 from .logmodel import (
     TICK_US,
     BindingPattern,
@@ -84,9 +86,6 @@ class TestCase:
     level: str
     subLevel: str
     validationSequence: tuple[TransitionSpec, ...]
-    procedure: str = ""
-    input: str = ""
-    expectedValue: str = ""
 
     def __post_init__(self):
         if self.level not in LEVELS:
@@ -105,66 +104,15 @@ class MachineStatus(enum.Enum):
     FAILED = "failed"
 
 
-class TestMachine:
-    """Compiled test case: N transitions give N+1 states.
-
-    ``states[0]`` is ``start``; ``states[i]`` is named after transition i's
-    alternatives.  Reaching the last state is a pass.  Once passed or failed
-    the machine is frozen and ignores further events.
-    """
-
-    def __init__(self, case: TestCase):
-        self.case = case
-        self.specs = case.validationSequence
-        self.states = ("start",) + tuple(spec.label() for spec in self.specs)
-        self.current = 0
-        self.status = MachineStatus.RUNNING
-        self.startedAt: int | None = None
-        self.trace: list[LogEvent] = []
-        self.matchedEvents: list[LogEvent] = []
-        self.failureReason: str | None = None
-
-    @property
-    def name(self) -> str:
-        return self.case.functionName
-
-    @property
-    def pending(self) -> TransitionSpec | None:
-        if self.status is MachineStatus.RUNNING:
-            return self.specs[self.current]
-        return None
-
-    def start(self, at_timestamp: int = 0) -> None:
-        self.startedAt = at_timestamp
-
-    def step(self, event: LogEvent) -> MachineStatus:
-        """Feed one event: advance on a match, ignore anything else."""
-        if self.status is not MachineStatus.RUNNING:
-            return self.status
-        self.trace.append(event)
-        spec = self.specs[self.current]
-        if spec.matches(event):
-            self.matchedEvents.append(event)
-            self.current += 1
-            if self.current == len(self.specs):
-                self.status = MachineStatus.PASSED
-        return self.status
-
-    def fail(self, reason: str) -> None:
-        if self.status is MachineStatus.RUNNING:
-            self.status = MachineStatus.FAILED
-            self.failureReason = reason
-
-
 @dataclass(frozen=True, slots=True)
 class TestVerdict:
-    """Outcome of running one machine against a queue."""
+    """Outcome of running one machine over an event stream."""
 
     name: str
     outcome: str  # "pass" or "fail"
     failedState: str | None
     missingPatterns: tuple[str, ...]
-    elapsed: float  # ticks in virtual mode, seconds in wallclock mode
+    elapsed: float  # ticks from the clock origin to the last event judged
     trace: tuple[LogEvent, ...]
     reason: str = ""
     annotations: tuple[str, ...] = ()
@@ -174,9 +122,114 @@ class TestVerdict:
         return self.outcome == "pass"
 
 
-def compile(case: TestCase) -> TestMachine:  # noqa: A001 - domain verb
-    """Build the runnable state machine for a test case."""
-    return TestMachine(case)
+class TestMachine:
+    """Compiled test case: N transitions give N+1 states.
+
+    ``states[0]`` is ``start``; ``states[i]`` is named after transition i's
+    alternatives.  Reaching the last state is a pass.  Once passed or failed
+    the machine is frozen and ignores further events.
+
+    Times are microseconds on one of two clocks: the offered event's
+    timestamp (virtual time, origin 0), or ``time.monotonic()`` at the offer
+    with SECONDS_PER_TICK per tick (wallclock, origin at compile time).  A
+    state's deadline is maxWait ticks after the time that entered it.
+    """
+
+    def __init__(self, case: TestCase, *, wallclock: bool = False):
+        self.case = case
+        self.specs = case.validationSequence
+        self.states = ("start",) + tuple(spec.label() for spec in self.specs)
+        #: every pattern of every transition, once each, in plan order
+        self.patterns = tuple(dict.fromkeys(
+            alt for spec in self.specs for alt in spec.alternatives
+        ))
+        self.current = 0
+        self.status = MachineStatus.RUNNING
+        self.trace: list[LogEvent] = []
+        self.failureReason: str | None = None
+        self.wallclock = wallclock
+        self._origin = self._entered = self._last = _wall_now() if wallclock else 0
+
+    @property
+    def name(self) -> str:
+        return self.case.functionName
+
+    def step(self, event: LogEvent) -> MachineStatus:
+        """Feed one event: advance on a match, ignore anything else."""
+        if self.status is not MachineStatus.RUNNING:
+            return self.status
+        self.trace.append(event)
+        spec = self.specs[self.current]
+        if spec.matches(event):
+            self.current += 1
+            if self.current == len(self.specs):
+                self.status = MachineStatus.PASSED
+        return self.status
+
+    def _deadline(self) -> float:
+        return self._entered + self.specs[self.current].maxWait * TICK_US
+
+    def _fail_if_late(self, now: float) -> bool:
+        """Fail at the pending deadline when ``now`` is past it."""
+        if now <= self._deadline():
+            return False
+        self._last = self._deadline()
+        self.status = MachineStatus.FAILED
+        self.failureReason = f"waited past {self.specs[self.current].maxWait} ticks"
+        return True
+
+    def offer(self, event: LogEvent) -> None:
+        """Judge one event: a late one fails the machine, any other is stepped."""
+        if self.status is not MachineStatus.RUNNING:
+            return
+        now = _wall_now() if self.wallclock else event.timestamp
+        if self._fail_if_late(now):
+            self.trace.append(event)
+            return
+        self._last = now
+        before = self.current
+        self.step(event)
+        if self.current != before:
+            self._entered = now
+
+    def seconds_left(self) -> float | None:
+        """Real time to the pending deadline; None (no bound) in virtual time."""
+        if not self.wallclock:
+            return None
+        return max(0.0, (self._deadline() - _wall_now()) / _WALL_US_PER_SECOND)
+
+    def finish(self) -> TestVerdict:
+        """End of stream: a machine still running fails at its state."""
+        if self.status is MachineStatus.RUNNING:
+            end = _wall_now() if self.wallclock else max(self._last, self._entered)
+            if not self._fail_if_late(end):
+                self._last = end
+                self.status = MachineStatus.FAILED
+                self.failureReason = "event stream ended before the expected pattern"
+        passed = self.status is MachineStatus.PASSED
+        pending = () if passed else self.specs[self.current].alternatives
+        return TestVerdict(
+            name=self.name,
+            outcome="pass" if passed else "fail",
+            failedState=None if passed else self.states[self.current],
+            missingPatterns=tuple(alt.encode() for alt in pending),
+            elapsed=(self._last - self._origin) / TICK_US,
+            trace=tuple(self.trace),
+            reason=self.failureReason or "",
+        )
+
+
+#: tick-time microseconds per wallclock second
+_WALL_US_PER_SECOND = TICK_US / SECONDS_PER_TICK
+
+
+def _wall_now() -> float:
+    return time.monotonic() * _WALL_US_PER_SECOND
+
+
+def compile(case: TestCase, *, wallclock: bool = False) -> TestMachine:  # noqa: A001 - domain verb
+    """Build the runnable state machine for a test case on the chosen clock."""
+    return TestMachine(case, wallclock=wallclock)
 
 
 def _check_bindings_cover(machine: TestMachine, queue: QueueHandle) -> None:
@@ -188,12 +241,7 @@ def _check_bindings_cover(machine: TestMachine, queue: QueueHandle) -> None:
     fails fast instead of producing a bogus timeout verdict.
     """
     bound = {b.segments for b in queue.bindings}
-    missing = [
-        alt.encode()
-        for spec in machine.specs
-        for alt in spec.alternatives
-        if alt.segments not in bound
-    ]
+    missing = [alt.encode() for alt in machine.patterns if alt.segments not in bound]
     if missing:
         raise BindingMismatch(
             f"machine {machine.name!r} expects patterns the queue "
@@ -201,111 +249,30 @@ def _check_bindings_cover(machine: TestMachine, queue: QueueHandle) -> None:
         )
 
 
-def _verdict(machine: TestMachine, elapsed: float) -> TestVerdict:
-    if machine.status is MachineStatus.PASSED:
-        return TestVerdict(
-            name=machine.name,
-            outcome="pass",
-            failedState=None,
-            missingPatterns=(),
-            elapsed=elapsed,
-            trace=tuple(machine.trace),
-        )
-    pending = machine.specs[machine.current]
-    return TestVerdict(
-        name=machine.name,
-        outcome="fail",
-        failedState=machine.states[machine.current],
-        missingPatterns=tuple(alt.encode() for alt in pending.alternatives),
-        elapsed=elapsed,
-        trace=tuple(machine.trace),
-        reason=machine.failureReason or "",
-    )
+def run(machine: TestMachine, queue: QueueHandle) -> TestVerdict:
+    """Drive a machine to a verdict by consuming a queue.
 
-
-def run(
-    machine: TestMachine,
-    queue: QueueHandle,
-    *,
-    wallclock: bool = False,
-    start_timestamp: int = 0,
-    check_bindings: bool = True,
-) -> TestVerdict:
-    """Drive a machine to a verdict by consuming a queue to completion.
-
-    In virtual-time mode (default) each state's deadline is maxWait ticks
-    after the timestamp that entered the state; an event stamped past the
-    deadline fails the machine even if it would have matched, and a closed,
-    drained queue fails the machine at its current state.  In wallclock mode
-    deadlines are real time at SECONDS_PER_TICK per tick.
+    Events are offered in FIFO order until the machine passes or fails, the
+    broker is closed and the queue drained, or (wallclock only) the pending
+    deadline passes with nothing delivered.  A verdict over a queue that
+    dropped events carries a note giving the count.
     """
-    if check_bindings:
-        _check_bindings_cover(machine, queue)
-    if wallclock:
-        return _run_wallclock(machine, queue)
-    return _run_virtual(machine, queue, start_timestamp)
-
-
-def _run_virtual(machine: TestMachine, queue: QueueHandle, start_timestamp: int) -> TestVerdict:
-    machine.start(start_timestamp)
-    entered = start_timestamp
-    last_seen = start_timestamp
+    _check_bindings_cover(machine, queue)
     while machine.status is MachineStatus.RUNNING:
-        deadline = entered + machine.specs[machine.current].maxWait * TICK_US
         try:
-            event = queue.consume(None)
+            event = queue.consume(machine.seconds_left())
         except QueueClosed:
-            machine.fail("event stream ended before the expected pattern")
-            last_seen = max(last_seen, entered)
             break
-        if event is None:  # pragma: no cover - blocking consume returns or raises
-            continue
-        last_seen = event.timestamp
-        if event.timestamp > deadline:
-            machine.trace.append(event)
-            machine.fail(
-                f"waited past {machine.specs[machine.current].maxWait} ticks"
-            )
-            last_seen = deadline
+        if event is None:  # wallclock deadline passed
             break
-        before = machine.current
-        machine.step(event)
-        if machine.current != before:
-            entered = event.timestamp
-    elapsed = (last_seen - start_timestamp) / TICK_US
-    return _verdict(machine, elapsed)
-
-
-def _run_wallclock(machine: TestMachine, queue: QueueHandle) -> TestVerdict:
-    started = time.monotonic()
-    machine.start(0)
-    while machine.status is MachineStatus.RUNNING:
-        budget = machine.specs[machine.current].maxWait * SECONDS_PER_TICK
-        entered = time.monotonic()
-        advanced = False
-        while not advanced:
-            remaining = budget - (time.monotonic() - entered)
-            if remaining <= 0:
-                machine.fail(
-                    f"waited past {machine.specs[machine.current].maxWait} ticks"
-                )
-                break
-            try:
-                event = queue.consume(remaining)
-            except QueueClosed:
-                machine.fail("event stream ended before the expected pattern")
-                break
-            if event is None:
-                machine.fail(
-                    f"waited past {machine.specs[machine.current].maxWait} ticks"
-                )
-                break
-            before = machine.current
-            machine.step(event)
-            advanced = machine.current != before
-            if machine.status is not MachineStatus.RUNNING:
-                break
-    return _verdict(machine, time.monotonic() - started)
+        machine.offer(event)
+    verdict = machine.finish()
+    dropped = queue.stats().dropped
+    if dropped:
+        verdict = replace(verdict, annotations=verdict.annotations + (
+            f"queue {queue.name!r} dropped {dropped} events; the verdict saw an incomplete stream",
+        ))
+    return verdict
 
 
 def merge_timeline(*event_streams) -> list[LogEvent]:
@@ -321,12 +288,6 @@ def merge_timeline(*event_streams) -> list[LogEvent]:
     return merged
 
 
-def format_summary(verdict: TestVerdict) -> str:
-    """One line per machine: name, outcome, failed state, elapsed."""
-    state = verdict.failedState if verdict.failedState else "-"
-    return f"{verdict.name} {verdict.outcome} {state} {verdict.elapsed:.2f}"
-
-
 def format_report(verdict: TestVerdict) -> str:
     """Multi-line human report used by the command-line harness."""
     lines = [f"test {verdict.name}: {verdict.outcome.upper()}"]
@@ -340,27 +301,6 @@ def format_report(verdict: TestVerdict) -> str:
     for note in verdict.annotations:
         lines.append(f"  note: {note}")
     return "\n".join(lines)
-
-
-class VerdictCollector:
-    """Thread-safe verdict sink for machines running on worker threads."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._verdicts: list[TestVerdict] = []
-
-    def add(self, verdict: TestVerdict) -> None:
-        with self._lock:
-            self._verdicts.append(verdict)
-
-    def results(self) -> list[TestVerdict]:
-        with self._lock:
-            return list(self._verdicts)
-
-    @property
-    def all_passed(self) -> bool:
-        with self._lock:
-            return all(v.passed for v in self._verdicts)
 
 
 def load_test_plan(path) -> list[TestCase]:

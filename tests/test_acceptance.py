@@ -203,6 +203,7 @@ def test_criterion_08_verdicts_agree_with_subsequence_oracle():
             ),
         )
         machine = compile_machine(case)
+        inline = compile_machine(case)
         events = [
             make_log_event(
                 rng.choice(alphabet), rng.choice(alphabet), rng.choice(alphabet),
@@ -218,10 +219,14 @@ def test_criterion_08_verdicts_agree_with_subsequence_oracle():
                 if alt not in bindings:
                     bindings.append(alt)
         queue = broker.declare_queue("fuzz", bindings + ["#"])
+        broker.subscribe("fuzz-inline", bindings + ["#"], inline.offer)
         for event in events:
             broker.publish(event)
         broker.close()
         verdict = run_machine(machine, queue)
+        inline_verdict = inline.finish()
+        for field in ("outcome", "failedState", "elapsed", "trace"):
+            assert getattr(inline_verdict, field) == getattr(verdict, field), field
 
         keys = [".".join(e.key_segments()) for e in events]
         passed, fired = oracle_run_machine(pattern_lists, keys, oracle_matches)
@@ -232,8 +237,9 @@ def test_criterion_08_verdicts_agree_with_subsequence_oracle():
         checked += 1
     assert failures_seen > 100  # the fuzz must actually exercise failure paths
     print(
-        f"criterion 8 PASS: run() agreed with the subsequence oracle on {checked} "
-        f"random plans ({failures_seen} failing cases localized identically)"
+        f"criterion 8 PASS: run() and the inline subscriber agreed with the "
+        f"subsequence oracle on {checked} random plans ({failures_seen} failing "
+        "cases localized identically)"
     )
 
 

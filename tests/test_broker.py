@@ -1,4 +1,5 @@
 import itertools
+import sys
 import threading
 
 import pytest
@@ -8,6 +9,7 @@ from masharness.broker import (
     Broker,
     DuplicateQueue,
     QueueClosed,
+    QueueStats,
     matches,
 )
 from masharness.logmodel import (
@@ -263,6 +265,95 @@ class TestRouteMemo:
         qs = broker.stats().queues["q"]
         assert qs.matched == MEMO_SIZE + 101
         assert qs.matched == qs.delivered + qs.dropped + qs.buffered
+
+
+class TestSubscribe:
+    def test_delivers_matching_events_in_publish_order(self):
+        broker = Broker()
+        got = []
+        broker.subscribe("s", ["*.node1.#", "*.*.ping.#"], got.append)
+        sent = [
+            event(action=action, agentName=name, clock=broker.clock)
+            for action, name in [("ping", "node2"), ("pong", "node1"), ("pong", "node2"),
+                                 ("ping", "node1"), ("pong", "node3")]
+        ]
+        receipts = [broker.publish(ev) for ev in sent]
+        assert got == [sent[0], sent[1], sent[3]]  # once each, even when both bind
+        assert [r.matched for r in receipts] == [1, 1, 0, 1, 0]
+
+    def test_stats_count_every_match_as_delivered(self):
+        broker = Broker()
+        broker.subscribe("s", ["lightContainer.#"], lambda ev: None)
+        queue = broker.declare_queue("q", ["#"], capacity=2)
+        for i in range(10):
+            broker.publish(event(action=f"a{i}", clock=broker.clock))
+        stats = broker.stats()
+        assert stats.queues["s"] == QueueStats(matched=10, delivered=10, dropped=0, buffered=0)
+        assert stats.queues["q"].dropped == 8
+        assert queue.stats() == stats.queues["q"]
+
+    def test_subscriber_declared_after_repeats_gets_the_next_publish(self):
+        broker = Broker()
+        broker.declare_queue("early", ["lightContainer.#"], capacity=8)
+        for _ in range(20):
+            broker.publish(event(clock=broker.clock))
+        got = []
+        broker.subscribe("late", ["*.node1.ping.#"], got.append)
+        receipt = broker.publish(event(clock=broker.clock, message="after"))
+        assert receipt.matched == 2
+        assert [ev.message for ev in got] == ["after"]
+
+    def test_name_shared_with_queues(self):
+        broker = Broker()
+        broker.declare_queue("q", ["#"])
+        with pytest.raises(DuplicateQueue):
+            broker.subscribe("q", ["#"], lambda ev: None)
+        broker.subscribe("s", ["#"], lambda ev: None)
+        with pytest.raises(DuplicateQueue):
+            broker.declare_queue("s", ["#"])
+
+    @pytest.mark.parametrize("patterns", [[], ["a..b"]])
+    def test_bad_patterns_are_rejected(self, patterns):
+        with pytest.raises(InvalidPattern):
+            Broker().subscribe("s", patterns, lambda ev: None)
+
+    def test_concurrent_publishers_lose_no_delivery(self):
+        broker = Broker()
+        seen = {"count": 0, "last": {}}
+        out_of_order = []
+
+        def deliver(ev):
+            seen["count"] += 1  # read-modify-write: a second caller at once would lose one
+            source, index = map(int, ev.message.split(":"))
+            if seen["last"].get(source, -1) >= index:
+                out_of_order.append(ev.message)
+            seen["last"][source] = index
+
+        broker.subscribe("s", ["#"], deliver)
+
+        def publish(source):
+            for i in range(500):
+                broker.publish(event(clock=broker.clock, message=f"{source}:{i}"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=publish, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen["count"] == 8 * 500 == broker.stats().queues["s"].delivered
+        assert out_of_order == []
+
+    def test_closed_broker_refuses_subscribers(self):
+        broker = Broker()
+        broker.close()
+        with pytest.raises(QueueClosed):
+            broker.subscribe("s", ["#"], lambda ev: None)
 
 
 class TestTap:

@@ -1,11 +1,14 @@
 import hashlib
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
+from masharness import cli
 from masharness.cli import USAGE_ERROR, data_path, main
+from masharness.evolution import evaluate_solution
 from masharness.logmodel import load_tap
 from masharness.neural import NetworkTopology, load_genome, save_genome
 from masharness.world import load_world_config, seeds_with_light_on_route
@@ -127,6 +130,18 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("header,genes", [("4 4 2", 30), ("3 4 3", 31)])
+    def test_genome_with_a_foreign_shape_exits_two(self, tmp_path, capsys, header, genes):
+        genome = tmp_path / "genome.txt"
+        genome.write_text(f"{header}\n" + "0.1\n" * genes)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["simulate", "--genome", str(genome), "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(genome) in captured.err
         assert captured.out == ""
 
     def test_oversized_grid_exits_two_quickly(self, tmp_path, capsys):
@@ -281,6 +296,37 @@ class TestTest:
         assert code == 0
         assert "VERDICT process-output PASS" in out
 
+    def test_machines_judge_inline_without_threads(self, tmp_path, capsys, monkeypatch):
+        def no_threads(thread):
+            raise AssertionError(f"thread {thread.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["test", "--manifest", manifest, "--tap", tap])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert sum(1 for line in out.splitlines() if line.startswith("VERDICT ")) == 7
+
+    def test_error_log_annotates_every_verdict(self, tmp_path, capsys, monkeypatch):
+        def evaluate_after_an_error(config, genes, topology, broker, **kwargs):
+            broker.publisher("OBSERVER", "observer01").log(
+                "evaluateSolution", "error", sourceUnit="Observer",
+                sourceOperation="evaluate", sourceLine=1, resource="simulationResults",
+                message="disk full",
+            )
+            return evaluate_solution(config, genes, topology, broker, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate_solution", evaluate_after_an_error)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["test", "--manifest", manifest, "--tap", tap])
+        out = capsys.readouterr().out
+        note = ("  note: error log: OBSERVER.observer01.evaluateSolution.error."
+                "Observer.evaluate.1.simulationResults disk full")
+        reports = out.split("test ")[1:]
+        assert code == 0
+        assert len(reports) == 7
+        assert all(note in report.splitlines() for report in reports)
+
     def test_non_utf8_plan_exits_two_naming_the_file(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_bytes(b"\xff\xfetest broken level=local sublevel=scenario\n")
@@ -373,23 +419,28 @@ class TestTimeline:
 
 
 #: sha256 of the taps these runs wrote before words, keys and routes were
-#: memoised; perfbench/refs.json records the same digests
+#: memoised (perfbench/refs.json records the same digests), and of their
+#: stdout before machines were stepped inline (exit 0 and exit 1)
 GOLDEN_TAPS = [
     (["--seed", "2"],
-     "5c0587c1f8c1a4b9a76ca9df906a30c64a1d808d24aebcb7a203c282a2aeed0e"),
+     "5c0587c1f8c1a4b9a76ca9df906a30c64a1d808d24aebcb7a203c282a2aeed0e",
+     "115cbdc59d80f414f85909013a5cd599a3e72e2e8ea2867e4b99a14fa304b42b"),
     (["--fault", "go-dark:node10", "--seed", "2"],
-     "c4b79ea33fd57428aeb1adb56910a30141bafe27aabef1e890e4c25600f7322d"),
+     "c4b79ea33fd57428aeb1adb56910a30141bafe27aabef1e890e4c25600f7322d",
+     "9a5e27ecf20f9a167e1d911d5e9bc2316130bab433638582a8596d428523ee6e"),
 ]
 
 
 class TestGoldenTaps:
-    @pytest.mark.parametrize("flags,digest", GOLDEN_TAPS, ids=["fault-free", "go-dark"])
-    def test_tap_bytes_are_unchanged(self, tmp_path, capsys, flags, digest):
+    @pytest.mark.parametrize("flags,digest,stdout_digest", GOLDEN_TAPS,
+                             ids=["fault-free", "go-dark"])
+    def test_tap_bytes_are_unchanged(self, tmp_path, capsys, flags, digest, stdout_digest):
         manifest, tap = out_paths(tmp_path)
         main(["test", *flags, "--tap", tap, "--manifest", manifest])
-        capsys.readouterr()
+        out = capsys.readouterr().out
         with open(tap, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
 class TestParser:

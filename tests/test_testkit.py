@@ -1,20 +1,20 @@
 import random
 import threading
+import time
 
 import pytest
 
 from masharness.broker import Broker, matches
 from masharness.logmodel import TICK_US, EventClock, LogEvent, make_log_event
 from masharness.testkit import (
+    SECONDS_PER_TICK,
     BindingMismatch,
     MachineStatus,
     ParseError,
     TestCase,
     TestkitError,
     TransitionSpec,
-    VerdictCollector,
     compile,
-    format_summary,
     load_test_plan,
     merge_timeline,
     run,
@@ -235,27 +235,102 @@ class TestRunVirtualTime:
 class TestRunWallclock:
     def test_passes_in_wallclock_mode(self):
         clock = EventClock()
-        machine = compile(case(spec("lightContainer.*.switchLightON.#")))
+        machine = compile(case(spec("lightContainer.*.switchLightON.#")), wallclock=True)
         broker = Broker()
-        queue = broker.declare_queue("q", ["lightContainer.#"])
+        queue = broker.declare_queue("q", ["lightContainer.*.switchLightON.#"])
 
         def publish_later():
             broker.publish(light_event("switchLightON", clock))
 
         timer = threading.Timer(0.02, publish_later)
         timer.start()
-        verdict = run(machine, queue, wallclock=True, check_bindings=False)
-        assert verdict.passed
+        verdict = run(machine, queue)
+        timer.join()
         broker.close()
+        assert verdict.passed
+        assert verdict.elapsed >= 1.0  # ticks, not seconds
 
     def test_times_out_in_wallclock_mode(self):
-        machine = compile(case(spec("lightContainer.*.switchLightON.#", maxWait=2)))
+        machine = compile(
+            case(spec("lightContainer.*.switchLightON.#", maxWait=2)), wallclock=True
+        )
         broker = Broker()
-        queue = broker.declare_queue("q", ["lightContainer.#"])
-        verdict = run(machine, queue, wallclock=True, check_bindings=False)
+        queue = broker.declare_queue("q", ["lightContainer.*.switchLightON.#"])
+        verdict = run(machine, queue)
+        broker.close()
         assert not verdict.passed
         assert verdict.failedState == "start"
+        assert verdict.reason == "waited past 2 ticks"
+        assert verdict.elapsed == pytest.approx(2.0)
+
+
+class TestOfferAndFinish:
+    def test_inline_subscriber_reaches_the_same_verdict_as_run(self):
+        clock = EventClock()
+        the_case = case(
+            spec("lightContainer.*.switchLightON.#"),
+            spec("lightContainer.*.detectLight.#", maxWait=3),
+        )
+        inline = compile(the_case)
+        broker = Broker()
+        broker.subscribe("inline", inline.patterns, inline.offer)
+        queue = broker.declare_queue("q", inline.patterns)
+        broker.publish(light_event("switchLightON", clock))
+        clock.advance_to(5 * TICK_US)
+        broker.publish(light_event("detectLight", clock))
         broker.close()
+        expected = run(compile(the_case), queue)
+        got = inline.finish()
+        assert got == expected
+        assert got.reason == "waited past 3 ticks"
+        assert got.elapsed == pytest.approx(3.0)
+
+    def test_finish_is_idempotent(self):
+        machine = compile(case(spec("lightContainer.*.switchLightON.#")))
+        first = machine.finish()
+        assert first.reason == "event stream ended before the expected pattern"
+        assert machine.finish() == first
+
+    def test_wallclock_offer_past_the_deadline_fails(self):
+        clock = EventClock()
+        machine = compile(
+            case(spec("lightContainer.*.switchLightON.#", maxWait=1)), wallclock=True
+        )
+        time.sleep(3 * SECONDS_PER_TICK)
+        machine.offer(light_event("switchLightON", clock))
+        verdict = machine.finish()
+        assert not verdict.passed
+        assert verdict.reason == "waited past 1 ticks"
+        assert len(verdict.trace) == 1
+
+    def test_wallclock_finish_before_the_deadline_ends_the_stream(self):
+        machine = compile(case(spec("lightContainer.#", maxWait=500)), wallclock=True)
+        verdict = machine.finish()
+        assert verdict.reason == "event stream ended before the expected pattern"
+        assert 0.0 <= verdict.elapsed < 500
+
+
+class TestDroppedEvents:
+    def test_verdict_over_a_lossy_queue_notes_the_drops(self):
+        clock = EventClock()
+        machine = compile(case(spec("lightContainer.*.switchLightON.#")))
+        broker = Broker()
+        queue = broker.declare_queue("small", machine.patterns, capacity=2)
+        for i in range(5):
+            broker.publish(light_event("switchLightON", clock, name=f"node{i + 1}"))
+        broker.close()
+        verdict = run(machine, queue)
+        assert verdict.passed
+        assert [e.agentName for e in verdict.trace] == ["node4"]
+        assert verdict.annotations == (
+            "queue 'small' dropped 3 events; the verdict saw an incomplete stream",
+        )
+
+    def test_lossless_queue_adds_no_note(self):
+        clock = EventClock()
+        machine = compile(case(spec("lightContainer.*.switchLightON.#")))
+        verdict = run_over(machine, [light_event("switchLightON", clock)])
+        assert verdict.annotations == ()
 
 
 class TestMergeTimeline:
@@ -282,25 +357,6 @@ class TestMergeTimeline:
         stream_b = [self.make(1, "b1"), self.make(2, "b2")]
         merged = merge_timeline(stream_a, stream_b)
         assert [e.action for e in merged] == ["a1", "b1", "a2", "b2"]
-
-
-class TestVerdictCollector:
-    def test_collects_from_threads(self):
-        collector = VerdictCollector()
-        clock = EventClock()
-
-        def work(i):
-            machine = compile(case(spec("lightContainer.#"), name=f"m{i}"))
-            verdict = run_over(machine, [light_event("x", clock)])
-            collector.add(verdict)
-
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(collector.results()) == 8
-        assert collector.all_passed
 
 
 class TestLoadTestPlan:
@@ -401,12 +457,3 @@ class TestSubsequenceOracleAgreement:
             assert verdict.passed == passed
             if not passed:
                 assert verdict.failedState == machine.states[fired]
-
-
-class TestFormatting:
-    def test_summary_line_shape(self):
-        clock = EventClock()
-        machine = compile(case(spec("lightContainer.*.switchLightON.#"), name="x"))
-        verdict = run_over(machine, [light_event("switchLightON", clock)])
-        line = format_summary(verdict)
-        assert line.startswith("x pass - ")
