@@ -16,22 +16,22 @@ import sys
 import time
 from dataclasses import replace
 from importlib import resources
+from operator import itemgetter
 
-from .broker import Broker, BrokerError, matches
+from .broker import Broker, BrokerError, _match
 from .evolution import (
     DEFAULT_ENERGY_TARGET,
     evaluate_solution,
     load_ga_config,
     run_observer,
 )
-from .logmodel import LogModelError, load_tap, parse_binding_pattern, routing_key
+from .logmodel import LogModelError, parse_binding_pattern, read_tap, routing_key
 from .neural import GenomeShapeMismatch, NetworkTopology, decode, load_genome, save_genome
 from .testkit import (
     TestkitError,
     compile as compile_machine,
     format_report,
     load_test_plan,
-    merge_timeline,
 )
 from .world import (
     WorldConfig,
@@ -185,7 +185,8 @@ def run_test_plan(
         machines = [compile_machine(case, wallclock=wallclock) for case in cases]
         for machine in machines:
             broker.subscribe(machine.name, machine.patterns, machine.offer)
-        broker.subscribe("error-monitor", ["*.*.*.error.#"], note_error)
+        # plan names are single tokens, so this name cannot collide with one
+        broker.subscribe("error monitor", ["*.*.*.error.#"], note_error)
         report, _ = evaluate_solution(
             world_config,
             genes,
@@ -249,11 +250,21 @@ def cmd_test(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    pattern = parse_binding_pattern(args.pattern)
-    events = load_tap(args.tap)
-    timeline = [e for e in merge_timeline(events) if matches(pattern, e)]
-    for event in timeline:
-        print(f"{event.timestamp}\t{routing_key(event).encode()}\t{event.message}")
+    pattern = parse_binding_pattern(args.pattern).segments
+    # each distinct key is matched once; a stable sort after the filter gives
+    # the order a sort before it would
+    wanted: dict[str, bool] = {}
+    timeline = []
+    for (key, _, key_text), timestamp, message in read_tap(args.tap):
+        keep = wanted.get(key_text)
+        if keep is None:
+            keep = wanted[key_text] = _match(pattern, key.segments)
+        if keep:
+            timeline.append((timestamp, key_text, message))
+    timeline.sort(key=itemgetter(0))
+    write = sys.stdout.write
+    for timestamp, key_text, message in timeline:
+        write(f"{timestamp}\t{key_text}\t{message}\n")
     write_manifest(
         args.manifest,
         "timeline",

@@ -13,6 +13,7 @@ one word and ``#`` for zero or more words.
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 MAX_KEY_BYTES = 255
@@ -298,50 +299,79 @@ def serialize_event(event: LogEvent) -> str:
     return f"{routing_key(event).encode()}\t{event.timestamp}\t{event.message}"
 
 
-def parse_event_line(line: str) -> LogEvent:
-    """Inverse of serialize_event.  Raises LogModelError on malformed input."""
+#: a tap key as read: (validated key, sourceLine, normalised key text)
+TapKey = tuple[RoutingKey, int, str]
+#: one tap line as read: (key, timestamp, message)
+TapRecord = tuple[TapKey, int, str]
+
+#: key texts a tap line carried before, so a repeated key skips every check
+_tap_keys = BoundedMemo()
+
+
+def parse_tap_line(line: str) -> TapRecord:
+    """Split one tap line into ``((key, sourceLine, keyText), timestamp, message)``.
+
+    ``keyText`` is the key re-encoded from its validated segments, so a line
+    tag ``007`` reads back as ``7``.  A key text seen before is answered from
+    a memo; only the timestamp is then still checked.  Raises LogModelError
+    on malformed input.
+    """
     line = line.rstrip("\n")
     parts = line.split("\t", 2)
     if len(parts) != 3:
         raise LogModelError(f"expected key<TAB>timestamp<TAB>message, got {line!r}")
     key_text, ts_text, message = parts
-    segments = key_text.split(".")
-    if len(segments) != 8:
-        raise LogModelError(f"routing key must have 8 segments, got {key_text!r}")
+    entry = _tap_keys.get(key_text)
+    if entry is None:
+        segments = key_text.split(".")
+        if len(segments) != 8:
+            raise LogModelError(f"routing key must have 8 segments, got {key_text!r}")
     try:
         timestamp = int(ts_text)
     except ValueError:
         raise LogModelError(f"bad timestamp {ts_text!r}") from None
-    try:
-        line_no = int(segments[6])
-    except ValueError:
-        raise LogModelError(f"bad sourceLine segment {segments[6]!r}") from None
-    event = LogEvent(
-        agentType=segments[0],
-        agentName=segments[1],
-        action=segments[2],
-        typeLog=segments[3],
-        sourceUnit=segments[4],
-        sourceOperation=segments[5],
-        sourceLine=line_no,
-        resource=segments[7],
-        timestamp=timestamp,
-        message=message,
-    )
-    if event.typeLog not in LOG_TYPES:
-        raise LogModelError(f"bad typeLog segment {segments[3]!r}")
-    routing_key(event)
-    return event
+    if entry is None:
+        try:
+            line_no = int(segments[6])
+        except ValueError:
+            raise LogModelError(f"bad sourceLine segment {segments[6]!r}") from None
+        if segments[3] not in LOG_TYPES:
+            raise LogModelError(f"bad typeLog segment {segments[3]!r}")
+        segments[6] = str(line_no)
+        segments = tuple(segments)
+        key = _keys.get(segments) or _keys.remember(segments, RoutingKey(segments))
+        entry = _tap_keys.remember(key_text, (key, line_no, key.encode()))
+    return entry, timestamp, message
+
+
+def read_tap(path) -> Iterator[TapRecord]:
+    """Yield ``parse_tap_line`` records for the non-blank lines of a tap file.
+
+    A malformed line raises its error class with the message prefixed by
+    ``tap <path> line <N>:``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                if raw.strip():
+                    yield parse_tap_line(raw)
+        except UnicodeDecodeError as exc:
+            raise LogModelError(f"tap {path} is not UTF-8 text: {exc.reason}") from None
+        except LogModelError as exc:
+            raise type(exc)(f"tap {path} line {lineno}: {exc}") from None
+
+
+def _event(entry: TapKey, timestamp: int, message: str) -> LogEvent:
+    key, line_no, _ = entry
+    s = key.segments
+    return LogEvent(s[0], s[1], s[2], s[3], s[4], s[5], line_no, s[7], timestamp, message)
+
+
+def parse_event_line(line: str) -> LogEvent:
+    """Inverse of serialize_event.  Raises LogModelError on malformed input."""
+    return _event(*parse_tap_line(line))
 
 
 def load_tap(path) -> list[LogEvent]:
     """Read a tap file written by the broker back into events."""
-    events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for raw in fh:
-                if raw.strip():
-                    events.append(parse_event_line(raw))
-        except UnicodeDecodeError as exc:
-            raise LogModelError(f"tap {path} is not UTF-8 text: {exc.reason}") from None
-    return events
+    return [_event(*record) for record in read_tap(path)]

@@ -311,8 +311,8 @@ def load_test_plan(path) -> list[TestCase]:
         test <name> level=<local|global> sublevel=<framework|scenario|learning|mas>
         expect <pattern>[|<pattern>...] within <N>ticks
 
-    ``within`` is optional and defaults to 500 ticks.  Raises ParseError
-    with the offending line number.
+    ``within`` is optional and defaults to 500 ticks.  Test names are
+    unique.  Raises ParseError with the offending line number.
     """
     cases: list[TestCase] = []
     name = None
@@ -320,6 +320,7 @@ def load_test_plan(path) -> list[TestCase]:
     sublevel = ""
     specs: list[TransitionSpec] = []
     header_line = 0
+    seen: set[str] = set()
 
     def flush(at_line: int):
         nonlocal name, specs
@@ -360,6 +361,9 @@ def load_test_plan(path) -> list[TestCase]:
                         "expected: test <name> level=<...> sublevel=<...>", lineno
                     )
                 name = tokens[1]
+                if name in seen:
+                    raise ParseError(f"duplicate test name {name!r}", lineno)
+                seen.add(name)
                 header_line = lineno
                 level = sublevel = ""
                 for tok in tokens[2:]:

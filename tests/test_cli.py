@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import subprocess
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from masharness import cli
 from masharness.cli import USAGE_ERROR, data_path, main
@@ -12,6 +17,7 @@ from masharness.evolution import evaluate_solution
 from masharness.logmodel import load_tap
 from masharness.neural import NetworkTopology, load_genome, save_genome
 from masharness.world import load_world_config, seeds_with_light_on_route
+from oracles import oracle_matches
 
 ALWAYS_ON_GENES = [0.0] * 24 + [5.0, 0.0]
 
@@ -337,6 +343,23 @@ class TestTest:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(plan) in err
 
+    def test_repeated_test_name_exits_two_naming_the_line(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("test a level=local sublevel=scenario\nexpect x.#\n"
+                        "test a level=local sublevel=scenario\nexpect y.#\n")
+        code = main(["test", "--plan", str(plan), "--manifest", str(tmp_path / "m.txt")])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err == "error: line 3: duplicate test name 'a'\n"
+
+    def test_a_test_named_like_the_error_monitor_runs(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("test error-monitor level=global sublevel=mas\n"
+                        "expect OBSERVER.*.calculateFitness.#\n")
+        code = main(["test", "--plan", str(plan), "--manifest", str(tmp_path / "m.txt")])
+        assert code == 0
+        assert "VERDICT error-monitor PASS" in capsys.readouterr().out
+
     def test_plan_parse_error_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("test broken level=local sublevel=scenario\nexpect\n")
@@ -406,6 +429,17 @@ class TestTimeline:
         assert code == USAGE_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_malformed_tap_line_exits_two_naming_the_file_and_line(self, tmp_path, capsys):
+        manifest, tap = self.make_tap(tmp_path, capsys)
+        good = len(Path(tap).read_text().splitlines())
+        with open(tap, "a") as fh:
+            fh.write("\nlightContainer.node1.x.info.U.op.1.r\tnotanint\tmsg\n")
+        code = main(["timeline", "#", "--tap", tap, "--manifest", manifest])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: tap {tap} line {good + 2}: bad timestamp 'notanint'\n"
+
     def test_non_utf8_tap_exits_two_naming_the_file(self, tmp_path, capsys):
         manifest, tap = self.make_tap(tmp_path, capsys)
         with open(tap, "ab") as fh:
@@ -441,6 +475,80 @@ class TestGoldenTaps:
         with open(tap, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+#: sha256 of ``timeline`` stdout over the tap of ``test --fault go-dark:node10
+#: --seed 2``, from before tap lines were parsed through a key memo
+#: (perfbench/refs.json records the same digests for ``tapseed=2``)
+GOLDEN_TIMELINES = {
+    "lightContainer.node10.#": "a776cb293629fe62f1bb8c9d536b48cd1031c11a524d4734ba297261f2c5b172",
+    "*.*.switchLightON.#": "616822785a55edc0801fc79a2d029f12ce93d3e9fb5c75a73a449ee3c08356cc",
+    "OBSERVER.#": "b21ff1abf8194750adf7786f9491314c3e3359808e303036684a4b0040652620",
+    "#": "4e79f7af5863f236230709bba67b6f304dbc4e9ebaa539afe4e56d6053c58bab",
+}
+
+
+@pytest.fixture(scope="module")
+def go_dark_tap(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("go-dark")
+    tap = str(tmp / "tap.log")
+    main(["test", "--fault", "go-dark:node10", "--seed", "2", "--tap", tap,
+          "--manifest", str(tmp / "m.txt")])
+    return tap
+
+
+class TestGoldenTimeline:
+    @pytest.mark.parametrize("pattern", list(GOLDEN_TIMELINES))
+    def test_stdout_is_unchanged(self, go_dark_tap, tmp_path, capsys, pattern):
+        capsys.readouterr()
+        code = main(["timeline", pattern, "--tap", go_dark_tap,
+                     "--manifest", str(tmp_path / "m.txt")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TIMELINES[pattern]
+
+
+TAP_KEYS = [
+    "lightContainer.node1.switchLightON.info.Light.actuate.7.lamp",
+    "lightContainer.node2.readLightSensor.info.Light.sense.007.lightSensor",
+    "lightContainer.node1.readLightSensor.warning.Light.sense.12.lightSensor",
+    "OBSERVER.observer.finishSimulation.info.Observer.run.3.world",
+    "AdaptiveAgent.agent1.connect.error.Agent.start.40.manager",
+]
+PATTERN_WORDS = ["*", "#", "lightContainer", "node1", "readLightSensor", "info",
+                 "7", "12", "error", "OBSERVER", "lamp"]
+
+
+def normalised(key):
+    segments = key.split(".")
+    segments[6] = str(int(segments[6]))
+    return ".".join(segments)
+
+
+class TestTimelineOracle:
+    @settings(max_examples=60, deadline=None)
+    @example([(TAP_KEYS[1], 3), (TAP_KEYS[0], 1), (TAP_KEYS[2], 3), (TAP_KEYS[1], 1)], "#")
+    @example([(TAP_KEYS[1], 2), (TAP_KEYS[0], 2), (TAP_KEYS[4], 0)], "*.*.*.*.#.7.*")
+    @given(
+        st.lists(st.tuples(st.sampled_from(TAP_KEYS), st.integers(0, 6)), max_size=30),
+        st.lists(st.sampled_from(PATTERN_WORDS), min_size=1, max_size=9).map(".".join),
+    )
+    def test_agrees_with_the_regex_oracle_and_a_stable_sort(self, records, pattern):
+        lines = [(ts, key, f"m{i}\tx") for i, (key, ts) in enumerate(records)]
+        expected = "".join(
+            f"{ts}\t{normalised(key)}\t{message}\n"
+            for ts, key, message in sorted(lines, key=lambda line: line[0])
+            if oracle_matches(pattern, normalised(key))
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            tap = Path(tmp) / "tap.log"
+            tap.write_text("".join(f"{key}\t{ts}\t{message}\n" for ts, key, message in lines))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["timeline", pattern, "--tap", str(tap),
+                             "--manifest", str(Path(tmp) / "m.txt")])
+        assert code == 0
+        assert out.getvalue() == expected
 
 
 class TestParser:

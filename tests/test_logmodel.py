@@ -1,17 +1,24 @@
 import pytest
 from hypothesis import example, given, strategies as st
 
+from masharness import logmodel
 from masharness.logmodel import (
+    LOG_TYPES,
     MAX_KEY_BYTES,
+    MEMO_SIZE,
     EventClock,
     InvalidPattern,
     InvalidTag,
     KeyTooLong,
     LogEvent,
+    LogModelError,
+    load_tap,
     make_log_event,
     parse_binding_pattern,
     parse_event_line,
+    parse_tap_line,
     _check_word,
+    read_tap,
     routing_key,
     serialize_event,
 )
@@ -226,3 +233,134 @@ class TestWordMemo:
         event = LogEvent("t", ["n"], "a", "info", "U", "op", 1, "r", timestamp=0)
         with pytest.raises(InvalidTag):
             routing_key(event)
+
+
+def reference_parse_event_line(line):
+    """The tap line parser as written before it had a key memo."""
+    line = line.rstrip("\n")
+    parts = line.split("\t", 2)
+    if len(parts) != 3:
+        raise LogModelError(f"expected key<TAB>timestamp<TAB>message, got {line!r}")
+    key_text, ts_text, message = parts
+    segments = key_text.split(".")
+    if len(segments) != 8:
+        raise LogModelError(f"routing key must have 8 segments, got {key_text!r}")
+    try:
+        timestamp = int(ts_text)
+    except ValueError:
+        raise LogModelError(f"bad timestamp {ts_text!r}") from None
+    try:
+        line_no = int(segments[6])
+    except ValueError:
+        raise LogModelError(f"bad sourceLine segment {segments[6]!r}") from None
+    event = LogEvent(
+        agentType=segments[0],
+        agentName=segments[1],
+        action=segments[2],
+        typeLog=segments[3],
+        sourceUnit=segments[4],
+        sourceOperation=segments[5],
+        sourceLine=line_no,
+        resource=segments[7],
+        timestamp=timestamp,
+        message=message,
+    )
+    if event.typeLog not in LOG_TYPES:
+        raise LogModelError(f"bad typeLog segment {segments[3]!r}")
+    routing_key(event)
+    return event
+
+
+def parsed(parse, line):
+    try:
+        return ("accepted", parse(line))
+    except Exception as exc:
+        return (type(exc), str(exc))
+
+
+KEY_WORDS = st.text(alphabet="abcXYZ09_-", min_size=1, max_size=8)
+BAD_WORDS = st.sampled_from(["a b", "x\u00a0y", "*", "#", "n*", "#x", "", "\u3000"])
+LINE_TAGS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["007", "0", "\u0663", "\uff17", "-1", " 12", "1_0", "4x", ""]),
+)
+TIMESTAMPS = st.one_of(
+    st.integers(0, 2**40).map(str),
+    st.sampled_from(["notanint", "", "+5", " 7 ", "1_000", "\u0663", "1.5", "0x10"]),
+)
+TYPE_LOGS = st.one_of(st.sampled_from(LOG_TYPES), st.sampled_from(["fatal", "INFO", ""]))
+
+
+@st.composite
+def tap_lines(draw):
+    """A line built from a valid key, with some of its parts made malformed."""
+    words = draw(st.lists(KEY_WORDS, min_size=8, max_size=8))
+    words[3] = draw(TYPE_LOGS)
+    words[6] = draw(LINE_TAGS)
+    for i in draw(st.lists(st.sampled_from([0, 1, 2, 4, 5, 7]), max_size=2)):
+        words[i] = draw(BAD_WORDS)
+    if draw(st.booleans()):
+        words[1] = "n" * draw(st.integers(230, MAX_KEY_BYTES))
+    count = draw(st.sampled_from([8, 8, 8, 7, 9]))
+    words = (words + ["extra"])[:count]
+    message = draw(st.text(alphabet="ab .*#\t=", max_size=12))
+    fields = [".".join(words), draw(TIMESTAMPS), message][: draw(st.sampled_from([3, 3, 3, 2]))]
+    return "\t".join(fields) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+class TestMemoisedTapParser:
+    @given(tap_lines())
+    @example("a.b.c.info.U.op.007.r\t5\tmsg")
+    @example("a.b.c.info.U.op.\u0663.r\t5\tmsg")
+    @example("a.b.c.info.U.op.42.r\tnotanint\tmsg")
+    @example("a.b.c.fatal.U.op.42.r\t1\tmsg")
+    @example("a.b.c.info.U.op.42\t1\tmsg")
+    @example("a.b.c.info.U.op.42.r.s\t1\tmsg")
+    @example("a.b c.c.info.U.op.42.r\t1\tmsg")
+    @example("a.*.c.info.U.op.42.r\t1\tmsg")
+    @example("a." + "n" * MAX_KEY_BYTES + ".c.info.U.op.42.r\t1\tmsg")
+    @example("a.b.c.info.U.op.42.r\t1\ta\tb\tc")
+    @example("a.b.c\tnotanint\tmsg")
+    def test_agrees_with_the_reference_on_first_and_repeat_calls(self, line):
+        expected = parsed(reference_parse_event_line, line)
+        assert parsed(parse_event_line, line) == expected
+        # the repeat call may be answered from the key memo
+        assert parsed(parse_event_line, line) == expected
+
+    def test_key_text_is_normalised(self):
+        (key, line_no, key_text), timestamp, message = parse_tap_line(
+            "a.b.c.info.U.op.007.r\t5\tm\n")
+        assert (line_no, key_text, timestamp, message) == (7, "a.b.c.info.U.op.7.r", 5, "m")
+        assert key is routing_key(parse_event_line("a.b.c.info.U.op.7.r\t1\tm"))
+
+    def test_memo_stays_within_its_bound(self):
+        for i in range(MEMO_SIZE + 100):
+            parse_tap_line(f"a.b.c.info.U.op.{i}.r\t{i}\tm")
+        assert 0 < len(logmodel._tap_keys) <= MEMO_SIZE
+
+
+class TestReadTap:
+    def test_skips_blank_lines(self, tmp_path):
+        tap = tmp_path / "t.log"
+        tap.write_text("a.b.c.info.U.op.1.r\t1\tm\n\n  \na.b.c.info.U.op.2.r\t2\tn\n")
+        assert [ts for _, ts, _ in read_tap(tap)] == [1, 2]
+        assert [e.sourceLine for e in load_tap(tap)] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "bad,error",
+        [
+            ("a.b.c.info.U.op.4.r\tnotanint\tm", LogModelError),
+            ("a.b.c.info.U.op.4\t1\tm", LogModelError),
+            ("a.b c.c.info.U.op.4.r\t1\tm", InvalidTag),
+            ("a." + "n" * MAX_KEY_BYTES + ".c.info.U.op.4.r\t1\tm", KeyTooLong),
+        ],
+    )
+    def test_errors_name_the_file_and_line(self, tmp_path, bad, error):
+        tap = tmp_path / "t.log"
+        tap.write_text(f"a.b.c.info.U.op.4.r\t1\tm\n\n{bad}\n")
+        message = parsed(parse_event_line, bad)[1]
+        for read in (load_tap, lambda path: list(read_tap(path))):
+            with pytest.raises(error) as err:
+                read(tap)
+            assert type(err.value) is error
+            assert str(err.value) == f"tap {tap} line 3: {message}"

@@ -406,6 +406,15 @@ class TestLoadTestPlan:
             load_test_plan(self.write(tmp_path, text))
         assert err.value.line == bad_line
 
+    def test_repeated_test_name_is_rejected_at_its_second_header(self, tmp_path):
+        text = ("test a level=local sublevel=scenario\nexpect x.#\n\n"
+                "test b level=local sublevel=scenario\nexpect y.#\n"
+                "test a level=local sublevel=mas\nexpect z.#\n")
+        with pytest.raises(ParseError) as err:
+            load_test_plan(self.write(tmp_path, text))
+        assert err.value.line == 6
+        assert "duplicate test name 'a'" in str(err.value)
+
     def test_shipped_plan_parses(self):
         from masharness.cli import data_path
 
