@@ -4,8 +4,9 @@ inline subscribers.
 A single broker lock makes publish linearizable: each published event is
 matched against every binding's patterns and handed (at most once per
 queue or subscriber) before the next publish is admitted.  The queues and
-subscribers a key matches are memoised per broker, so a repeated key is
-routed without scanning the bindings.  A subscriber's callback runs inside
+subscribers a key matches are memoised per broker by key text, so a
+repeated key costs one dict lookup; a new key walks one trie compiled from
+all bindings instead of scanning them.  A subscriber's callback runs inside
 ``publish``, in publish order, on the publishing thread.  Queue consumers
 block on per-queue conditions, so slow consumers never stall publishers; a
 full queue drops its oldest event instead.
@@ -27,10 +28,10 @@ from .logmodel import (
     InvalidPattern,
     LogEvent,
     RoutingKey,
-    make_log_event,
+    event_key,
+    keyed_event,
     parse_binding_pattern,
     routing_key,
-    serialize_event,
 )
 
 DEFAULT_CAPACITY = 65536
@@ -87,6 +88,79 @@ def matches(pattern: BindingPattern | str, key: RoutingKey | LogEvent | str) -> 
     if isinstance(key, str):
         key = RoutingKey(tuple(key.split(".")))
     return _match(pattern.segments, key.segments)
+
+
+class _TrieNode:
+    """One pattern prefix: its children by next word (``*`` and ``#``
+    included), the bindings that end here, and whether it was reached by
+    ``#`` (which may absorb further words)."""
+
+    __slots__ = ("index", "children", "ends", "absorbs")
+
+    def __init__(self, index: int, absorbs: bool):
+        self.index = index
+        self.children: dict[str, _TrieNode] = {}
+        self.ends: list[int] = []
+        self.absorbs = absorbs
+
+
+class _TopicTrie:
+    """All bindings of a broker as one trie over pattern words.
+
+    This is the topic-trie routing of RabbitMQ ("Very fast and scalable
+    topic routing", 2010).  A run of ``#`` is folded into one, and a walk
+    visits each (node, key position) pair at most once, so a key costs at
+    most nodes x (words + 1) steps however the patterns are written.
+    """
+
+    def __init__(self, targets):
+        self.targets = targets
+        self.nodes = [_TrieNode(0, False)]
+        for i, target in enumerate(targets):
+            for pattern in target.bindings:
+                node = self.nodes[0]
+                last = None
+                for word in pattern.segments:
+                    if word == HASH and last == HASH:
+                        continue
+                    last = word
+                    child = node.children.get(word)
+                    if child is None:
+                        child = _TrieNode(len(self.nodes), word == HASH)
+                        self.nodes.append(child)
+                        node.children[word] = child
+                    node = child
+                node.ends.append(i)
+
+    def route(self, key: tuple[str, ...]) -> tuple:
+        """The targets with a binding that matches ``key``, in declaration order."""
+        n = len(key)
+        found: set[int] = set()
+        seen: set[int] = set()
+        stack = [(self.nodes[0], 0)]
+        while stack:
+            node, pos = stack.pop()
+            visit = node.index * (n + 1) + pos
+            if visit in seen:
+                continue
+            seen.add(visit)
+            children = node.children
+            if node.absorbs and not children:  # a final # takes the rest of the key
+                found.update(node.ends)
+                continue
+            hash_child = children.get(HASH)
+            if hash_child is not None:  # # matching no word here
+                stack.append((hash_child, pos))
+            if pos == n:
+                found.update(node.ends)
+                continue
+            if node.absorbs:  # the # that led here takes one more word
+                stack.append((node, pos + 1))
+            for word in (key[pos], STAR):
+                child = children.get(word)
+                if child is not None:
+                    stack.append((child, pos + 1))
+        return tuple(self.targets[i] for i in sorted(found))
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +239,10 @@ class Broker:
         self._closed = False
         self._default_capacity = default_capacity
         self._tap = open(tap, "w", encoding="utf-8") if tap else None
-        # key segments -> the queues they match, in declaration order
+        # key text -> the queues it matches, in declaration order
         self._routes = BoundedMemo()
+        # every binding, compiled on the first route miss after a _bind
+        self._trie: _TopicTrie | None = None
 
     def declare_queue(self, name: str, patterns, capacity: int | None = None) -> QueueHandle:
         """Create a named queue bound to one or more patterns.
@@ -204,6 +280,7 @@ class Broker:
                 raise DuplicateQueue(f"queue {name!r} already declared")
             self._queues[name] = _Queue(name, parsed, capacity, self._lock, deliver)
             self._routes.clear()
+            self._trie = None
         return parsed
 
     def publish(self, event: LogEvent) -> PublishReceipt:
@@ -214,20 +291,20 @@ class Broker:
         reports the count.  A full queue drops its oldest buffered event
         first; subscribers are called before publish returns.
         """
-        key = routing_key(event).segments
+        key = event.key or routing_key(event)
+        text = key.text
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
             seq = self._published
             self._published += 1
-            route = self._routes.get(key)
+            route = self._routes.get(text)
             if route is None:
-                route = self._routes.remember(key, tuple(
-                    q for q in self._queues.values()
-                    if any(_match(b.segments, key) for b in q.bindings)
-                ))
+                if self._trie is None:
+                    self._trie = _TopicTrie(tuple(self._queues.values()))
+                route = self._routes.remember(text, self._trie.route(key.segments))
             if self._tap is not None:
-                self._tap.write(serialize_event(event) + "\n")
+                self._tap.write(f"{text}\t{event.timestamp}\t{event.message}\n")
             for q in route:
                 q.matched += 1
                 if q.deliver is not None:
@@ -239,7 +316,7 @@ class Broker:
                     q.dropped += 1
                 q.buffer.append(event)
                 q.cond.notify()
-        return PublishReceipt(sequence=seq, matched=len(route))
+        return PublishReceipt(seq, len(route))
 
     def consume(self, handle: QueueHandle, maxWait: float | None = None) -> LogEvent | None:
         """Pop the next event in FIFO order.
@@ -312,7 +389,11 @@ class Broker:
 
 
 class AgentPublisher:
-    """Publishing facade bound to one agent identity."""
+    """Publishing facade bound to one agent identity.
+
+    ``log`` checks a call site's tags once: later calls with the same tags
+    take the interned key from ``event_key`` and check only the message.
+    """
 
     def __init__(self, broker: Broker, agentType: str, agentName: str):
         self.broker = broker
@@ -330,7 +411,7 @@ class AgentPublisher:
         resource: str,
         message: str = "",
     ) -> PublishReceipt:
-        event = make_log_event(
+        key = event_key(
             self.agentType,
             self.agentName,
             action,
@@ -340,6 +421,6 @@ class AgentPublisher:
             sourceLine=sourceLine,
             resource=resource,
             message=message,
-            clock=self.broker.clock,
         )
-        return self.broker.publish(event)
+        broker = self.broker
+        return broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))

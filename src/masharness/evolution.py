@@ -16,7 +16,14 @@ from dataclasses import dataclass
 
 from .broker import AgentPublisher, Broker
 from .neural import GenomeShapeMismatch, NetworkTopology, decode
-from .world import EpisodeMetrics, InvalidConfig, WorldConfig, run_episode, run_episodes
+from .world import (
+    EpisodeMetrics,
+    InvalidConfig,
+    WorldConfig,
+    check_finite_fields,
+    run_episode,
+    run_episodes,
+)
 
 FITNESS_WEIGHT_PEOPLE = 1.0
 FITNESS_WEIGHT_TRIP = 0.6
@@ -44,6 +51,7 @@ class GAConfig:
     rngSeed: int = 1
 
     def __post_init__(self):
+        check_finite_fields(self, _FLOAT_KEYS)
         if self.populationSize < 1:
             raise InvalidConfig("populationSize must be positive")
         if self.generations < 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 MAX_KEY_BYTES = 255
 
@@ -124,7 +124,9 @@ class LogEvent:
     ``sourceUnit``/``sourceOperation``/``sourceLine`` identify the emitting
     call site (class, method, line).  ``timestamp`` is in microseconds on the
     run's virtual clock.  ``message`` is free text and the only field allowed
-    to contain dots.
+    to contain dots.  ``key`` carries the validated routing key of an event
+    made by ``make_log_event`` or ``keyed_event``; it is not a field of
+    equality, and ``routing_key`` fills it in for an event built otherwise.
     """
 
     agentType: str
@@ -137,6 +139,7 @@ class LogEvent:
     resource: str
     timestamp: int
     message: str = ""
+    key: RoutingKey | None = field(default=None, init=False, repr=False, compare=False)
 
     def key_segments(self) -> tuple[str, ...]:
         return (
@@ -171,8 +174,88 @@ def make_log_event(
     """Validate tags and stamp a new event from the given clock.
 
     ``typeLog`` is normalised to lower case and must be one of info,
-    warning, error.  Raises InvalidTag on any malformed tag.
+    warning, error.  Raises InvalidTag on any malformed tag and KeyTooLong
+    on an over-long key, before a timestamp is drawn.
     """
+    key = event_key(agentType, agentName, action, typeLog, sourceUnit=sourceUnit,
+                    sourceOperation=sourceOperation, sourceLine=sourceLine,
+                    resource=resource, message=message)
+    if clock is None:
+        clock = _module_clock
+    return keyed_event(key, clock.next_timestamp(), message)
+
+
+def _check_message(message) -> None:
+    if not isinstance(message, str):
+        raise InvalidTag(f"message must be a string, got {message!r}")
+    if "\n" in message or "\r" in message:
+        # the tab-separated tap line format must round-trip
+        raise InvalidTag("message may not contain newlines")
+
+
+@dataclass(frozen=True, slots=True)
+class RoutingKey:
+    """Encoded destination of one event: eight literal words."""
+
+    segments: tuple[str, ...]
+    #: the dotted form, joined once
+    text: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.segments:
+            raise InvalidTag("routing key needs at least one segment")
+        for seg in self.segments:
+            _check_word("key segment", seg)
+        text = ".".join(self.segments)
+        if len(text.encode("utf-8")) > MAX_KEY_BYTES:
+            raise KeyTooLong(f"routing key exceeds {MAX_KEY_BYTES} bytes")
+        object.__setattr__(self, "text", text)
+
+    def encode(self) -> str:
+        return self.text
+
+    def __str__(self) -> str:
+        return self.text
+
+
+#: validated routing keys by segment tuple
+_keys = BoundedMemo()
+
+#: an event's eight tags, sourceLine as an int, then the key they encode to
+EventKey = tuple[str, str, str, str, str, str, int, str, RoutingKey]
+
+#: interned event keys by the tag values they were asked for with
+_event_keys = BoundedMemo()
+
+
+def event_key(
+    agentType: str,
+    agentName: str,
+    action: str,
+    typeLog: str = "info",
+    *,
+    sourceUnit: str,
+    sourceOperation: str,
+    sourceLine: int,
+    resource: str,
+    message: str = "",
+) -> EventKey:
+    """Check an event's tags as make_log_event does and intern its key.
+
+    Tags asked for before are answered from a memo.  ``message`` is not part
+    of the key; it is checked where make_log_event always checked it, so
+    that every input raises the error it raised before.
+    """
+    tags = (agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
+            sourceLine, resource)
+    try:
+        # a bool sourceLine would equal an int one, and is rejected below
+        key = _event_keys.get(tags) if type(sourceLine) is int else None
+    except TypeError:  # an unhashable tag, which the checks below reject
+        key = None
+    if key is not None:
+        _check_message(message)
+        return key
     typeLog = typeLog.lower()
     if typeLog not in LOG_TYPES:
         raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {typeLog!r}")
@@ -184,69 +267,62 @@ def make_log_event(
     _check_word("resource", resource)
     if not isinstance(sourceLine, int) or isinstance(sourceLine, bool) or sourceLine < 0:
         raise InvalidTag(f"sourceLine must be a non-negative int, got {sourceLine!r}")
-    if not isinstance(message, str):
-        raise InvalidTag(f"message must be a string, got {message!r}")
-    if "\n" in message or "\r" in message:
-        # the tab-separated tap line format must round-trip
-        raise InvalidTag("message may not contain newlines")
-    if clock is None:
-        clock = _module_clock
-    event = LogEvent(
-        agentType=agentType,
-        agentName=agentName,
-        action=action,
-        typeLog=typeLog,
-        sourceUnit=sourceUnit,
-        sourceOperation=sourceOperation,
-        sourceLine=sourceLine,
-        resource=resource,
-        timestamp=clock.next_timestamp(),
-        message=message,
-    )
-    # an event whose key cannot be encoded is rejected at creation time
-    routing_key(event)
+    _check_message(message)
+    segments = (agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
+                str(sourceLine), resource)
+    key = _keys.get(segments) or _keys.remember(segments, RoutingKey(segments))
+    return _event_keys.remember(tags, segments[:6] + (sourceLine, resource, key))
+
+
+_new = object.__new__
+# slot setters: a frozen event is filled without its checked __setattr__
+(_set_agentType, _set_agentName, _set_action, _set_typeLog, _set_sourceUnit,
+ _set_sourceOperation, _set_sourceLine, _set_resource, _set_timestamp, _set_message,
+ _set_key) = (getattr(LogEvent, f.name).__set__ for f in fields(LogEvent))
+
+
+def keyed_event(key: EventKey, timestamp: int, message: str) -> LogEvent:
+    """Build the event of an interned key, checking nothing.
+
+    ``message`` must be a string without newlines, as make_log_event
+    requires; the event compares equal to the one make_log_event would
+    build from the same tags.
+    """
+    agentType, agentName, action, typeLog, sourceUnit, sourceOperation, line, resource, rkey = key
+    event = _new(LogEvent)
+    _set_agentType(event, agentType)
+    _set_agentName(event, agentName)
+    _set_action(event, action)
+    _set_typeLog(event, typeLog)
+    _set_sourceUnit(event, sourceUnit)
+    _set_sourceOperation(event, sourceOperation)
+    _set_sourceLine(event, line)
+    _set_resource(event, resource)
+    _set_timestamp(event, timestamp)
+    _set_message(event, message)
+    _set_key(event, rkey)
     return event
 
 
-@dataclass(frozen=True, slots=True)
-class RoutingKey:
-    """Encoded destination of one event: eight literal words."""
-
-    segments: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.segments:
-            raise InvalidTag("routing key needs at least one segment")
-        for seg in self.segments:
-            _check_word("key segment", seg)
-        if len(self.encode().encode("utf-8")) > MAX_KEY_BYTES:
-            raise KeyTooLong(f"routing key exceeds {MAX_KEY_BYTES} bytes")
-
-    def encode(self) -> str:
-        return ".".join(self.segments)
-
-    def __str__(self) -> str:
-        return self.encode()
-
-
-#: validated routing keys by segment tuple
-_keys = BoundedMemo()
-
-
 def routing_key(event: LogEvent) -> RoutingKey:
-    """Derive the eight-segment routing key of an event.
+    """The eight-segment routing key of an event.
 
-    Raises KeyTooLong if the dotted form exceeds MAX_KEY_BYTES bytes of
-    UTF-8, mirroring the transport limit of topic exchanges.  A key seen
-    before comes from a memo instead of being validated again.
+    An event carries its key from creation; for one built with
+    ``LogEvent(...)`` or ``dataclasses.replace`` the key is derived from
+    its tags, validated (a key seen before comes from a memo) and then
+    carried.  Raises KeyTooLong if the dotted form exceeds MAX_KEY_BYTES
+    bytes of UTF-8, mirroring the transport limit of topic exchanges.
     """
-    segments = event.key_segments()
-    try:
-        key = _keys.get(segments)
-    except TypeError:  # an unhashable tag, which RoutingKey rejects below
-        key = None
+    key = event.key
     if key is None:
-        key = _keys.remember(segments, RoutingKey(segments))
+        segments = event.key_segments()
+        try:
+            key = _keys.get(segments)
+        except TypeError:  # an unhashable tag, which RoutingKey rejects below
+            key = None
+        if key is None:
+            key = _keys.remember(segments, RoutingKey(segments))
+        _set_key(event, key)
     return key
 
 
@@ -296,7 +372,7 @@ def parse_binding_pattern(text: str) -> BindingPattern:
 
 def serialize_event(event: LogEvent) -> str:
     """Encode an event as one tap line: key, timestamp, message, tab-separated."""
-    return f"{routing_key(event).encode()}\t{event.timestamp}\t{event.message}"
+    return f"{routing_key(event).text}\t{event.timestamp}\t{event.message}"
 
 
 #: a tap key as read: (validated key, sourceLine, normalised key text)
@@ -326,15 +402,14 @@ def parse_tap_line(line: str) -> TapRecord:
         segments = key_text.split(".")
         if len(segments) != 8:
             raise LogModelError(f"routing key must have 8 segments, got {key_text!r}")
-    try:
-        timestamp = int(ts_text)
-    except ValueError:
-        raise LogModelError(f"bad timestamp {ts_text!r}") from None
+    # isdecimal() first: int() would also take a sign, spaces and underscores
+    if not ts_text.isdecimal():
+        raise LogModelError(f"bad timestamp {ts_text!r}")
+    timestamp = int(ts_text)
     if entry is None:
-        try:
-            line_no = int(segments[6])
-        except ValueError:
-            raise LogModelError(f"bad sourceLine segment {segments[6]!r}") from None
+        if not segments[6].isdecimal():
+            raise LogModelError(f"bad sourceLine segment {segments[6]!r}")
+        line_no = int(segments[6])
         if segments[3] not in LOG_TYPES:
             raise LogModelError(f"bad typeLog segment {segments[3]!r}")
         segments[6] = str(line_no)
@@ -364,7 +439,7 @@ def read_tap(path) -> Iterator[TapRecord]:
 def _event(entry: TapKey, timestamp: int, message: str) -> LogEvent:
     key, line_no, _ = entry
     s = key.segments
-    return LogEvent(s[0], s[1], s[2], s[3], s[4], s[5], line_no, s[7], timestamp, message)
+    return keyed_event((*s[:6], line_no, s[7], key), timestamp, message)
 
 
 def parse_event_line(line: str) -> LogEvent:

@@ -21,13 +21,14 @@ arrays and returns the same metrics bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .broker import Broker
-from .logmodel import TICK_US, make_log_event
+from .broker import Broker, PublishReceipt
+from .logmodel import TICK_US, EventKey, event_key, keyed_event
 from .neural import NeuralController, decode
 
 FAULT_GO_DARK = "go-dark"
@@ -43,6 +44,39 @@ FAULT_KINDS = (
 
 #: largest grid a WorldConfig accepts, in lights
 MAX_LIGHTS = 10_000
+
+#: stands for each light's own id in _LOG_SITES
+_LIGHT = None
+
+#: every logged action of the world, by (agentType, agent):
+#: action -> (sourceUnit, sourceOperation, sourceLine, resource)
+_LOG_SITES = {
+    ("MANAGER", "manager01"): {
+        "receiveMsgFromSmartThing": ("Manager", "handleSmartThing", 31, "smartThing"),
+        "createAdaptiveAgent": ("Manager", "createAgent", 38, "adaptiveAgent"),
+        "sendMsgToSmartThing": ("Manager", "handleSmartThing", 46, "smartThing"),
+    },
+    ("AdaptiveAgent", "lightsAgent"): {
+        "connect": ("AdaptiveAgent", "connect", 52, "system"),
+        "receiveInputDataFromSmartThing": ("AdaptiveAgent", "collectData", 61, "msgAdaptiveAgent"),
+        "useControllerToGetOutput": ("AdaptiveAgent", "makeDecision", 67, "neuralController"),
+        "sendOutputToSmartThing": ("AdaptiveAgent", "takeAction", 73, "msgSmartThing"),
+    },
+    ("lightContainer", _LIGHT): {
+        "receiveWirelessData": ("Light", "sense", 40, "wirelessReceiver"),
+        "readLightSensor": ("Light", "sense", 42, "lightSensor"),
+        "readMotionSensor": ("Light", "sense", 44, "motionSensor"),
+        "sendMsg": ("Light", "sense", 47, "msgAdaptiveAgent"),
+        "receiveNeuralNetworkCommand": ("Light", "act", 55, "neuralCommand"),
+        "switchLightON": ("Light", "act", 58, "lightActuator"),
+        "switchLightOFF": ("Light", "act", 58, "lightActuator"),
+        "sendWirelessData": ("Light", "act", 61, "wirelessTransmitter"),
+        "detectLight": ("Light", "act", 64, "lightSensor"),
+    },
+    ("lightContainer", "lights"): {
+        "finishSimulation": ("Simulation", "finish", 9, "simulation"),
+    },
+}
 
 
 class WorldError(Exception):
@@ -75,6 +109,7 @@ class WorldConfig:
     rngSeed: int = 1
 
     def __post_init__(self):
+        check_finite_fields(self, _FLOAT_FIELDS)
         if self.gridWidth < 1 or self.gridHeight < 1:
             raise InvalidConfig("grid dimensions must be positive")
         if self.gridWidth * self.gridHeight > MAX_LIGHTS:
@@ -99,6 +134,14 @@ class WorldConfig:
 
 _INT_FIELDS = ("gridWidth", "gridHeight", "wirelessRange", "numPeople", "maxTicks", "rngSeed")
 _FLOAT_FIELDS = ("ambientLight", "lightBrightness", "darkThreshold", "energyPerTickOn")
+
+
+def check_finite_fields(config, names) -> None:
+    """Raise InvalidConfig naming the first of ``names`` that is NaN or infinite."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise InvalidConfig(f"{name} must be a finite number, got {value}")
 
 
 def load_world_config(path) -> WorldConfig:
@@ -314,6 +357,8 @@ class WorldState:
         self.prev_emitting: set[tuple[int, int]] = set()
         self._neighbors: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self._wireless: dict[str, tuple[str, ...]] = {}
+        #: interned event keys by agent (a light's id or a _LOG_SITES name), then action
+        self.log_keys: dict[str, dict[str, EventKey]] = {}
 
     # -- naming ------------------------------------------------------------
 
@@ -324,23 +369,28 @@ class WorldState:
 
     # -- logging -----------------------------------------------------------
 
-    def publish(self, agentType, agentName, action, typeLog="info", *,
-                sourceUnit, sourceOperation, sourceLine, resource, message=""):
-        if self.broker is None:
+    def intern_log_keys(self) -> None:
+        """Check and intern the key of every log site, episode tag applied.
+
+        Keys are interned in first-publish order, so a bad episode tag
+        raises the error its first event raised.
+        """
+        for (agentType, agent), actions in _LOG_SITES.items():
+            for name in [light.id for light in self.lights] if agent is _LIGHT else [agent]:
+                self.log_keys[name] = {
+                    action: event_key(agentType, self.agent_name(name), action,
+                                      sourceUnit=unit, sourceOperation=operation,
+                                      sourceLine=line, resource=resource)
+                    for action, (unit, operation, line, resource) in actions.items()
+                }
+
+    def publish(self, agent: str, action: str, message: str) -> PublishReceipt | None:
+        """Publish one _LOG_SITES action of ``agent`` (a light's id or a site name)."""
+        broker = self.broker
+        if broker is None:
             return None
-        event = make_log_event(
-            agentType,
-            self.agent_name(agentName),
-            action,
-            typeLog,
-            sourceUnit=sourceUnit,
-            sourceOperation=sourceOperation,
-            sourceLine=sourceLine,
-            resource=resource,
-            message=message,
-            clock=self.broker.clock,
-        )
-        return self.broker.publish(event)
+        key = self.log_keys[agent][action]
+        return broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
 
     # -- geometry ----------------------------------------------------------
 
@@ -421,6 +471,7 @@ def init_world(
         inject_fault(world, spec)
 
     if world.broker is not None:
+        world.intern_log_keys()
         world.broker.clock.advance_to(0)
         for light in world.lights:
             _handshake(world, light)
@@ -429,32 +480,13 @@ def init_world(
 
 def _handshake(world: WorldState, light: Streetlight) -> None:
     """Manager bootstraps one light's controlling agent (five logs)."""
-    world.publish(
-        "MANAGER", "manager01", "receiveMsgFromSmartThing",
-        sourceUnit="Manager", sourceOperation="handleSmartThing", sourceLine=31,
-        resource="smartThing", message=f"thing={light.id}",
-    )
+    world.publish("manager01", "receiveMsgFromSmartThing", f"thing={light.id}")
     if FAULT_SKIP_HANDSHAKE not in light.faultFlags:
-        world.publish(
-            "MANAGER", "manager01", "createAdaptiveAgent",
-            sourceUnit="Manager", sourceOperation="createAgent", sourceLine=38,
-            resource="adaptiveAgent", message=f"controller for {light.id}",
-        )
-    world.publish(
-        "AdaptiveAgent", "lightsAgent", "connect",
-        sourceUnit="AdaptiveAgent", sourceOperation="connect", sourceLine=52,
-        resource="system", message=f"{light.id} joined",
-    )
-    world.publish(
-        "MANAGER", "manager01", "sendMsgToSmartThing",
-        sourceUnit="Manager", sourceOperation="handleSmartThing", sourceLine=46,
-        resource="smartThing", message=f"ack to {light.id}",
-    )
-    world.publish(
-        "AdaptiveAgent", "lightsAgent", "receiveInputDataFromSmartThing",
-        sourceUnit="AdaptiveAgent", sourceOperation="collectData", sourceLine=61,
-        resource="msgAdaptiveAgent", message=f"initial data from {light.id}",
-    )
+        world.publish("manager01", "createAdaptiveAgent", f"controller for {light.id}")
+    world.publish("lightsAgent", "connect", f"{light.id} joined")
+    world.publish("manager01", "sendMsgToSmartThing", f"ack to {light.id}")
+    world.publish("lightsAgent", "receiveInputDataFromSmartThing",
+                  f"initial data from {light.id}")
 
 
 def _fault_targets(spec: FaultSpec, lights: dict) -> list:
@@ -509,26 +541,11 @@ def sense(light: Streetlight, world: WorldState) -> SensorFrame:
     light.lastFrame = frame
 
     if world.broker is not None:
-        world.publish(
-            "lightContainer", light.id, "receiveWirelessData",
-            sourceUnit="Light", sourceOperation="sense", sourceLine=40,
-            resource="wirelessReceiver", message=f"in={frame.wirelessIn:.6f}",
-        )
-        world.publish(
-            "lightContainer", light.id, "readLightSensor",
-            sourceUnit="Light", sourceOperation="sense", sourceLine=42,
-            resource="lightSensor", message=f"level={frame.lightLevel:.6f}",
-        )
-        world.publish(
-            "lightContainer", light.id, "readMotionSensor",
-            sourceUnit="Light", sourceOperation="sense", sourceLine=44,
-            resource="motionSensor", message=f"motion={1 if frame.motionDetected else 0}",
-        )
-        world.publish(
-            "lightContainer", light.id, "sendMsg",
-            sourceUnit="Light", sourceOperation="sense", sourceLine=47,
-            resource="msgAdaptiveAgent", message=f"frame from {light.id}",
-        )
+        world.publish(light.id, "receiveWirelessData", f"in={frame.wirelessIn:.6f}")
+        world.publish(light.id, "readLightSensor", f"level={frame.lightLevel:.6f}")
+        world.publish(light.id, "readMotionSensor",
+                      f"motion={1 if frame.motionDetected else 0}")
+        world.publish(light.id, "sendMsg", f"frame from {light.id}")
     return frame
 
 
@@ -540,35 +557,17 @@ def actuate(light: Streetlight, decision, world: WorldState) -> None:
     light.outbox = 0.0 if FAULT_MUTE_WIRELESS in light.faultFlags else max(wireless, 0.0)
     if world.broker is None:
         return
-    world.publish(
-        "lightContainer", light.id, "receiveNeuralNetworkCommand",
-        sourceUnit="Light", sourceOperation="act", sourceLine=55,
-        resource="neuralCommand", message=f"led={led:.6f} wireless={wireless:.6f}",
-    )
+    world.publish(light.id, "receiveNeuralNetworkCommand",
+                  f"led={led:.6f} wireless={wireless:.6f}")
     if light.lightOn:
-        world.publish(
-            "lightContainer", light.id, "switchLightON",
-            sourceUnit="Light", sourceOperation="act", sourceLine=58,
-            resource="lightActuator", message="on",
-        )
+        world.publish(light.id, "switchLightON", "on")
     else:
-        world.publish(
-            "lightContainer", light.id, "switchLightOFF",
-            sourceUnit="Light", sourceOperation="act", sourceLine=58,
-            resource="lightActuator", message="off",
-        )
-    world.publish(
-        "lightContainer", light.id, "sendWirelessData",
-        sourceUnit="Light", sourceOperation="act", sourceLine=61,
-        resource="wirelessTransmitter", message=f"out={light.outbox:.6f}",
-    )
+        world.publish(light.id, "switchLightOFF", "off")
+    world.publish(light.id, "sendWirelessData", f"out={light.outbox:.6f}")
     if world.emitting(light):
         # own sensor confirms a brightness at or above the lamp's own output
-        world.publish(
-            "lightContainer", light.id, "detectLight",
-            sourceUnit="Light", sourceOperation="act", sourceLine=64,
-            resource="lightSensor", message=f"brightness={world.config.lightBrightness:.6f}",
-        )
+        world.publish(light.id, "detectLight",
+                      f"brightness={world.config.lightBrightness:.6f}")
 
 
 def move_people(world: WorldState) -> None:
@@ -631,24 +630,13 @@ def step_world(world: WorldState, controller) -> None:
 
     for light, frame, out in zip(world.lights, frames, outputs):
         if world.broker is not None:
-            world.publish(
-                "AdaptiveAgent", "lightsAgent", "receiveInputDataFromSmartThing",
-                sourceUnit="AdaptiveAgent", sourceOperation="collectData", sourceLine=61,
-                resource="msgAdaptiveAgent",
-                message=f"from {light.id} level={frame.lightLevel:.6f} "
-                        f"motion={1 if frame.motionDetected else 0} wireless={frame.wirelessIn:.6f}",
-            )
-            world.publish(
-                "AdaptiveAgent", "lightsAgent", "useControllerToGetOutput",
-                sourceUnit="AdaptiveAgent", sourceOperation="makeDecision", sourceLine=67,
-                resource="neuralController", message=f"deciding for {light.id}",
-            )
-            world.publish(
-                "AdaptiveAgent", "lightsAgent", "sendOutputToSmartThing",
-                sourceUnit="AdaptiveAgent", sourceOperation="takeAction", sourceLine=73,
-                resource="msgSmartThing",
-                message=f"to {light.id} led={out[0]:.6f} wireless={out[1]:.6f}",
-            )
+            world.publish("lightsAgent", "receiveInputDataFromSmartThing",
+                          f"from {light.id} level={frame.lightLevel:.6f} "
+                          f"motion={1 if frame.motionDetected else 0} "
+                          f"wireless={frame.wirelessIn:.6f}")
+            world.publish("lightsAgent", "useControllerToGetOutput", f"deciding for {light.id}")
+            world.publish("lightsAgent", "sendOutputToSmartThing",
+                          f"to {light.id} led={out[0]:.6f} wireless={out[1]:.6f}")
         actuate(light, out, world)
 
     move_people(world)
@@ -685,11 +673,7 @@ def run_episode(
         if config.numPeople > 0 and world.all_finished:
             break
     if world.all_finished:
-        world.publish(
-            "lightContainer", "lights", "finishSimulation",
-            sourceUnit="Simulation", sourceOperation="finish", sourceLine=9,
-            resource="simulation", message=f"tick={world.tick}",
-        )
+        world.publish("lights", "finishSimulation", f"tick={world.tick}")
     return world.metrics()
 
 

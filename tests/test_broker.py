@@ -1,6 +1,8 @@
+import dataclasses
 import itertools
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +12,21 @@ from masharness.broker import (
     DuplicateQueue,
     QueueClosed,
     QueueStats,
+    _match,
+    _TopicTrie,
     matches,
 )
 from masharness.logmodel import (
     MEMO_SIZE,
     EventClock,
     InvalidPattern,
+    InvalidTag,
     _keys,
     _valid_words,
     load_tap,
     make_log_event,
+    parse_binding_pattern,
+    routing_key,
 )
 
 from oracles import oracle_matches
@@ -265,6 +272,132 @@ class TestRouteMemo:
         qs = broker.stats().queues["q"]
         assert qs.matched == MEMO_SIZE + 101
         assert qs.matched == qs.delivered + qs.dropped + qs.buffered
+
+
+class Target:
+    """A stand-in queue for the trie: a name and its bindings."""
+
+    def __init__(self, name, patterns):
+        self.name = name
+        self.bindings = tuple(parse_binding_pattern(p) for p in patterns)
+
+
+def scan_route(targets, key):
+    """Routing as it was before the trie: every binding of every target."""
+    return tuple(t for t in targets if any(_match(b.segments, key) for b in t.bindings))
+
+
+TRIE_PATTERNS = st.lists(st.sampled_from(["a", "b", "c", "*", "#"]), min_size=1, max_size=8)
+
+
+class TestTopicTrie:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(TRIE_PATTERNS, min_size=1, max_size=3), min_size=1, max_size=8),
+        st.lists(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=8),
+                 min_size=1, max_size=10),
+    )
+    def test_routes_like_a_scan_of_every_binding(self, bindings, keys):
+        targets = [Target(f"t{i}", [".".join(p) for p in pats])
+                   for i, pats in enumerate(bindings)]
+        trie = _TopicTrie(targets)
+        for key in keys:
+            assert trie.route(tuple(key)) == scan_route(targets, tuple(key))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.lists(TRIE_PATTERNS, min_size=1, max_size=3)),
+                    min_size=1, max_size=8),
+           st.lists(st.sampled_from(["a", "b", "c"]), min_size=8, max_size=8))
+    def test_broker_delivers_in_declaration_order(self, bindings, words):
+        """Queues and subscribers mixed: each matching one gets the event once."""
+        broker = Broker()
+        got = []
+        targets = []
+        for i, (is_queue, pats) in enumerate(bindings):
+            patterns = [".".join(p) for p in pats]
+            targets.append(Target(f"t{i}", patterns))
+            if is_queue:
+                broker.declare_queue(f"t{i}", patterns)
+            else:
+                broker.subscribe(f"t{i}", patterns, lambda ev, name=f"t{i}": got.append(name))
+        words[3] = "info"
+        ev = make_log_event(*words[:4], sourceUnit=words[4], sourceOperation=words[5],
+                            sourceLine=1, resource=words[7], clock=broker.clock)
+        expected = scan_route(targets, routing_key(ev).segments)
+        assert broker.publish(ev).matched == len(expected)
+        assert got == [t.name for t, (is_queue, _) in zip(targets, bindings)
+                       if t in expected and not is_queue]
+        matched = {name for name, qs in broker.stats().queues.items() if qs.matched}
+        assert matched == {t.name for t in expected}
+
+    @pytest.mark.parametrize("pattern,expected", [
+        (".".join(["#"] * 127), 1),
+        (".".join(["#", "a"] * 63 + ["#"]), 0),
+    ])
+    def test_pathological_patterns_route_quickly(self, pattern, expected):
+        broker = Broker()
+        broker.subscribe("s", [pattern], lambda ev: None)
+        ev = make_log_event("a", "a", "a", sourceUnit="a", sourceOperation="a",
+                            sourceLine=1, resource="a", clock=broker.clock)
+        start = time.perf_counter()
+        receipt = broker.publish(ev)
+        assert time.perf_counter() - start < 0.2
+        assert receipt.matched == expected
+        # the longest key a pattern can face: 127 words, all of them ``a``
+        targets = [Target("t", [pattern])]
+        start = time.perf_counter()
+        assert _TopicTrie(targets).route(("a",) * 127) == tuple(targets)
+        assert time.perf_counter() - start < 0.5
+
+    def test_binding_declared_after_repeats_is_routed_on_the_next_publish(self):
+        broker = Broker()
+        got = []
+        broker.subscribe("first", ["*.node1.#"], lambda ev: got.append("first"))
+        for _ in range(20):
+            broker.publish(event(clock=broker.clock))
+        assert got == ["first"] * 20
+        got.clear()
+        broker.subscribe("second", ["#.lightActuator"], lambda ev: got.append("second"))
+        broker.subscribe("third", ["*.node2.#"], lambda ev: got.append("third"))
+        assert broker.publish(event(clock=broker.clock)).matched == 2
+        assert broker.publish(event(agentName="node2", clock=broker.clock)).matched == 2
+        assert got == ["first", "second", "second", "third"]
+
+
+class TestCarriedKey:
+    def test_replaced_event_routes_by_its_new_key(self):
+        broker = Broker()
+        got = []
+        broker.subscribe("pongs", ["*.*.pong.#"], got.append)
+        ping = event(clock=broker.clock)
+        pong = dataclasses.replace(ping, action="pong")
+        assert routing_key(ping).text.startswith("lightContainer.node1.ping.")
+        assert broker.publish(ping).matched == 0
+        assert broker.publish(pong).matched == 1
+        assert got == [pong]
+        assert routing_key(pong).text == "lightContainer.node1.pong.info.Light.act.7.lightActuator"
+
+    def test_publisher_events_equal_checked_ones(self):
+        broker = Broker()
+        got = []
+        broker.subscribe("s", ["#"], got.append)
+        pub = broker.publisher("lightContainer", "node1")
+        for message in ("one", "two"):
+            pub.log("ping", "INFO", sourceUnit="Light", sourceOperation="act", sourceLine=7,
+                    resource="lightActuator", message=message)
+        clock = EventClock()
+        assert got == [event(clock=clock, message="one"), event(clock=clock, message="two")]
+
+    @pytest.mark.parametrize("message", ["two\nlines", "cr\r", None])
+    def test_publisher_checks_every_message(self, message):
+        broker = Broker()
+        pub = broker.publisher("lightContainer", "node1")
+        pub.log("ping", sourceUnit="Light", sourceOperation="act", sourceLine=7,
+                resource="lightActuator", message="fine")
+        with pytest.raises(InvalidTag):
+            pub.log("ping", sourceUnit="Light", sourceOperation="act", sourceLine=7,
+                    resource="lightActuator", message=message)
+        assert broker.stats().published == 1
 
 
 class TestSubscribe:

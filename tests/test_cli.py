@@ -6,16 +6,19 @@ import sys
 import tempfile
 import threading
 import time
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from masharness import cli
+from masharness import cli, logmodel
 from masharness.cli import USAGE_ERROR, data_path, main
 from masharness.evolution import evaluate_solution
-from masharness.logmodel import load_tap
+from masharness.logmodel import RoutingKey, load_tap, read_tap
 from masharness.neural import NetworkTopology, load_genome, save_genome
+from masharness.testkit import load_test_plan
 from masharness.world import load_world_config, seeds_with_light_on_route
 from oracles import oracle_matches
 
@@ -161,6 +164,15 @@ class TestSimulate:
         assert err.startswith("error: ") and "lights" in err
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_config_float_exits_two(self, tmp_path, capsys, value):
+        manifest, tap = out_paths(tmp_path)
+        config = small_world(tmp_path, energyPerTickOn=value)
+        code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
+        err = capsys.readouterr().err
+        assert code == USAGE_ERROR
+        assert err == f"error: energyPerTickOn must be a finite number, got {value}\n"
+
     def test_bad_config_content_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("gridWidth=not-a-number\n")
@@ -223,6 +235,19 @@ class TestEvolve:
                      "--manifest", str(tmp_path / "m.txt")])
         assert code == USAGE_ERROR
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("name,value", [
+        ("mutationSigma", "nan"), ("mutationSigma", "inf"),
+        ("weightLimit", "nan"), ("weightLimit", "inf"),
+    ])
+    def test_non_finite_ga_float_exits_two(self, tmp_path, capsys, name, value):
+        code = main(["evolve", "--config", small_world(tmp_path),
+                     "--ga-config", self.ga_file(tmp_path, **{name: value}),
+                     "--genome", str(tmp_path / "g.txt"), "--manifest", str(tmp_path / "m.txt")])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: {name} must be a finite number, got {value}\n"
 
     def test_non_utf8_ga_config_exits_two_naming_the_file(self, tmp_path, capsys):
         bad = tmp_path / "ga.cfg"
@@ -440,6 +465,24 @@ class TestTimeline:
         assert captured.out == ""
         assert captured.err == f"error: tap {tap} line {good + 2}: bad timestamp 'notanint'\n"
 
+    @pytest.mark.parametrize("line,error", [
+        ("a.b.c.info.U.op.-1.r\t5\tm", "bad sourceLine segment '-1'"),
+        ("a.b.c.info.U.op.+3.r\t5\tm", "bad sourceLine segment '+3'"),
+        ("a.b.c.info.U.op.1.r\t+5\tm", "bad timestamp '+5'"),
+        ("a.b.c.info.U.op.1.r\t 7 \tm", "bad timestamp ' 7 '"),
+        ("a.b.c.info.U.op.1.r\t1_000\tm", "bad timestamp '1_000'"),
+    ])
+    def test_signed_spaced_or_grouped_numbers_exit_two(self, tmp_path, capsys, line, error):
+        manifest, tap = self.make_tap(tmp_path, capsys)
+        good = len(Path(tap).read_text().splitlines())
+        with open(tap, "a") as fh:
+            fh.write(line + "\n")
+        code = main(["timeline", "#", "--tap", tap, "--manifest", manifest])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: tap {tap} line {good + 1}: {error}\n"
+
     def test_non_utf8_tap_exits_two_naming_the_file(self, tmp_path, capsys):
         manifest, tap = self.make_tap(tmp_path, capsys)
         with open(tap, "ab") as fh:
@@ -475,6 +518,44 @@ class TestGoldenTaps:
         with open(tap, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+class TestKeyedPublishing:
+    """A run checks and builds each distinct key once, not once per event."""
+
+    def run(self, tap):
+        cases = load_test_plan(data_path("default_plan.txt"))
+        config = replace(load_world_config(data_path("world.cfg")), rngSeed=2)
+        topology, genes = load_genome(data_path("demo_genome.txt"))
+        cli.run_test_plan(cases, config, genes, topology, tap=str(tap))
+        return [key for (_, _, key), _, _ in read_tap(tap)]
+
+    def test_keys_are_built_once_and_words_checked_per_key(self, tmp_path, monkeypatch):
+        built = Counter()
+        post_init = RoutingKey.__post_init__
+
+        def counting_post_init(key):
+            built[key.segments] += 1
+            post_init(key)
+
+        checks = []
+        check_word = logmodel._check_word
+        monkeypatch.setattr(RoutingKey, "__post_init__", counting_post_init)
+        monkeypatch.setattr(logmodel, "_check_word",
+                            lambda name, value: checks.append(value) or check_word(name, value))
+        for memo in (logmodel._keys, logmodel._event_keys, logmodel._valid_words):
+            memo.clear()
+        keys = self.run(tmp_path / "cold.log")
+        distinct = set(keys)
+        assert (len(keys), len(distinct)) == (1961, 239)
+        assert built and max(built.values()) == 1
+        assert {".".join(segments) for segments in built} >= distinct
+
+        built.clear()
+        checks.clear()
+        assert self.run(tmp_path / "warm.log") == keys
+        assert not built
+        assert len(checks) <= len(distinct)
 
 
 #: sha256 of ``timeline`` stdout over the tap of ``test --fault go-dark:node10

@@ -157,6 +157,13 @@ class TestGAConfig:
         with pytest.raises(InvalidConfig):
             GAConfig(**kw)
 
+    @pytest.mark.parametrize("name", ["crossoverRate", "mutationRate", "mutationSigma",
+                                      "weightLimit", "energyTarget"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_are_rejected_by_name(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be a finite number"):
+            GAConfig(**{name: value})
+
     def test_single_member_population_is_allowed(self):
         c = GAConfig(populationSize=1, elitism=1)
         assert c.populationSize == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -18,6 +20,8 @@ from masharness.logmodel import (
     parse_event_line,
     parse_tap_line,
     _check_word,
+    event_key,
+    keyed_event,
     read_tap,
     routing_key,
     serialize_event,
@@ -236,7 +240,8 @@ class TestWordMemo:
 
 
 def reference_parse_event_line(line):
-    """The tap line parser as written before it had a key memo."""
+    """The tap line parser as written before it had a key memo, with its
+    numeric fields limited to decimal digits (no sign, space or underscore)."""
     line = line.rstrip("\n")
     parts = line.split("\t", 2)
     if len(parts) != 3:
@@ -245,14 +250,12 @@ def reference_parse_event_line(line):
     segments = key_text.split(".")
     if len(segments) != 8:
         raise LogModelError(f"routing key must have 8 segments, got {key_text!r}")
-    try:
-        timestamp = int(ts_text)
-    except ValueError:
-        raise LogModelError(f"bad timestamp {ts_text!r}") from None
-    try:
-        line_no = int(segments[6])
-    except ValueError:
-        raise LogModelError(f"bad sourceLine segment {segments[6]!r}") from None
+    if not ts_text.isdecimal():
+        raise LogModelError(f"bad timestamp {ts_text!r}")
+    timestamp = int(ts_text)
+    if not segments[6].isdecimal():
+        raise LogModelError(f"bad sourceLine segment {segments[6]!r}")
+    line_no = int(segments[6])
     event = LogEvent(
         agentType=segments[0],
         agentName=segments[1],
@@ -364,3 +367,114 @@ class TestReadTap:
                 read(tap)
             assert type(err.value) is error
             assert str(err.value) == f"tap {tap} line 3: {message}"
+
+
+    @pytest.mark.parametrize("bad,message", [
+        ("a.b.c.info.U.op.-1.r\t1\tm", "bad sourceLine segment '-1'"),
+        ("a.b.c.info.U.op.+3.r\t1\tm", "bad sourceLine segment '+3'"),
+        ("a.b.c.info.U.op.4.r\t+5\tm", "bad timestamp '+5'"),
+        ("a.b.c.info.U.op.4.r\t 7 \tm", "bad timestamp ' 7 '"),
+        ("a.b.c.info.U.op.4.r\t1_000\tm", "bad timestamp '1_000'"),
+        ("a.b.c.info.U.op.4.r\t-2\tm", "bad timestamp '-2'"),
+    ])
+    def test_numbers_are_decimal_digits_only(self, tmp_path, bad, message):
+        tap = tmp_path / "t.log"
+        tap.write_text(f"a.b.c.info.U.op.4.r\t1\tm\n{bad}\n")
+        with pytest.raises(LogModelError) as err:
+            load_tap(tap)
+        assert str(err.value) == f"tap {tap} line 2: {message}"
+
+    def test_leading_zeros_and_unicode_digits_still_read(self, tmp_path):
+        tap = tmp_path / "t.log"
+        tap.write_text("a.b.c.info.U.op.007.r\t0012\tm\na.b.c.info.U.op.\u0663.r\t\uff17\tn\n")
+        assert [(e.sourceLine, e.timestamp) for e in load_tap(tap)] == [(7, 12), (3, 7)]
+
+
+def reference_make_log_event(agentType, agentName, action, typeLog="info", *, sourceUnit,
+                             sourceOperation, sourceLine, resource, message="", clock):
+    """make_log_event as written before keys were interned."""
+    typeLog = typeLog.lower()
+    if typeLog not in LOG_TYPES:
+        raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {typeLog!r}")
+    for name, value in (("agentType", agentType), ("agentName", agentName), ("action", action),
+                        ("sourceUnit", sourceUnit), ("sourceOperation", sourceOperation),
+                        ("resource", resource)):
+        per_character_check(name, value)
+    if not isinstance(sourceLine, int) or isinstance(sourceLine, bool) or sourceLine < 0:
+        raise InvalidTag(f"sourceLine must be a non-negative int, got {sourceLine!r}")
+    if not isinstance(message, str):
+        raise InvalidTag(f"message must be a string, got {message!r}")
+    if "\n" in message or "\r" in message:
+        raise InvalidTag("message may not contain newlines")
+    event = LogEvent(agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
+                     sourceLine, resource, clock.next_timestamp(), message)
+    if len(".".join(event.key_segments()).encode("utf-8")) > MAX_KEY_BYTES:
+        raise KeyTooLong(f"routing key exceeds {MAX_KEY_BYTES} bytes")
+    return event
+
+
+TAG_WORDS = st.one_of(
+    st.sampled_from(["node10", "Light", "a", "a.b", "", "x y", "n*", "#", None, ["n"]]),
+    st.integers(230, 260).map(lambda n: "n" * n),
+)
+SOURCE_LINES = st.sampled_from([0, 42, -1, True, False, 1.0, "7", None])
+MESSAGES = st.sampled_from(["", "level=0.5", "a\tb", "two\nlines", "cr\r", None, 3])
+
+
+class TestEventKey:
+    @given(TAG_WORDS, TAG_WORDS, st.sampled_from(["info", "INFO", "Error", "fatal", ""]),
+           SOURCE_LINES, MESSAGES)
+    @example("node10", "Light", "info", True, "")
+    @example("node10", "Light", "info", 1, "")
+    def test_agrees_with_the_unmemoised_checks(self, name, unit, typeLog, line, message):
+        def make(build):
+            return build("lightContainer", name, "readLightSensor", typeLog,
+                         sourceUnit=unit, sourceOperation="sense", sourceLine=line,
+                         resource="lightSensor", message=message, clock=EventClock())
+
+        expected = outcome(lambda *_: make(reference_make_log_event), None, None)
+        assert outcome(lambda *_: make(make_log_event), None, None) == expected
+        # the repeat call is answered from the interned key
+        assert outcome(lambda *_: make(make_log_event), None, None) == expected
+
+    def test_keyed_event_equals_the_checked_event(self):
+        key = event_key("lightContainer", "node10", "readLightSensor", sourceUnit="Light",
+                        sourceOperation="sense", sourceLine=42, resource="lightSensor")
+        assert key is event_key("lightContainer", "node10", "readLightSensor",
+                                sourceUnit="Light", sourceOperation="sense", sourceLine=42,
+                                resource="lightSensor")
+        built = keyed_event(key, 0, "level=0.050000")
+        assert built == sample_event()
+        assert hash(built) == hash(sample_event())
+        assert built.key is routing_key(sample_event())
+
+
+class TestLogEventContract:
+    def test_equality_and_hash_cover_the_ten_fields_only(self):
+        checked = sample_event()
+        plain = LogEvent(*(getattr(checked, f.name) for f in dataclasses.fields(LogEvent)
+                           if f.init))
+        assert plain.key is None
+        assert plain == checked and hash(plain) == hash(checked)
+        assert repr(plain) == repr(checked)
+        assert plain != dataclasses.replace(checked, message="other")
+
+    @pytest.mark.parametrize("name", ["action", "timestamp", "key"])
+    def test_assignment_is_refused(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sample_event(), name, None)
+
+    def test_unvalidated_event_fails_when_routed(self):
+        event = LogEvent("t", "n.x", "a", "info", "U", "op", 1, "r", timestamp=0)
+        with pytest.raises(InvalidTag, match="may not contain '.'"):
+            routing_key(event)
+        assert event.key is None
+
+    def test_replace_drops_the_carried_key(self):
+        event = sample_event()
+        moved = dataclasses.replace(event, action="readMotionSensor")
+        assert moved.key is None
+        assert routing_key(moved).text == (
+            "lightContainer.node10.readMotionSensor.info.Light.sense.42.lightSensor")
+        assert moved.key is routing_key(moved)
+        assert routing_key(event).text.split(".")[2] == "readLightSensor"

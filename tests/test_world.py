@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masharness.broker import Broker, QueueClosed
-from masharness.logmodel import load_tap
+from masharness.logmodel import (
+    MAX_KEY_BYTES,
+    InvalidTag,
+    KeyTooLong,
+    load_tap,
+    make_log_event,
+)
 from masharness.neural import NetworkTopology, decode
 from masharness.world import (
     FAULT_GO_DARK,
@@ -115,6 +121,13 @@ class TestWorldConfig:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(InvalidConfig):
             cfg(**kw)
+
+    @pytest.mark.parametrize(
+        "name", ["ambientLight", "lightBrightness", "darkThreshold", "energyPerTickOn"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_are_rejected_by_name(self, name, value):
+        with pytest.raises(InvalidConfig, match=f"^{name} must be a finite number"):
+            cfg(**{name: value})
 
     def test_grid_size_is_bounded(self):
         assert cfg(gridWidth=100, gridHeight=MAX_LIGHTS // 100).gridWidth == 100
@@ -693,6 +706,55 @@ class TestRunEpisode:
         assert "node1" in on
         assert "node1" not in seen
         assert "node2" in seen
+
+
+def tap_records(path):
+    """(key, message) of every tap line, timestamps left out."""
+    return [(key, message) for key, _, message in
+            (line.split("\t", 2) for line in path.read_text().splitlines())]
+
+
+class TestInternedKeys:
+    def test_over_long_episode_tag_fails_in_init_world_before_any_tap_line(self, tmp_path):
+        plain = tmp_path / "plain.log"
+        with Broker(tap=str(plain)) as broker:
+            run_episode(cfg(maxTicks=1), ConstantController(1.0, 0.0), broker)
+        keys = [key for key, _ in tap_records(plain)]
+        longest = max(keys, key=len)
+        # the tag makes the longest key one byte too long, the first one not
+        tag = "t" * (MAX_KEY_BYTES - len(longest))
+        assert len(keys[0]) < len(longest)
+        tap = tmp_path / "tap.log"
+        with Broker(tap=str(tap)) as broker:
+            with pytest.raises(KeyTooLong) as err:
+                init_world(cfg(), broker, episode_tag=tag)
+        assert tap.read_text() == ""
+        agentType, agentName, action, typeLog, unit, operation, line, resource = longest.split(".")
+        with pytest.raises(KeyTooLong) as checked:
+            make_log_event(agentType, f"{agentName}@{tag}", action, typeLog, sourceUnit=unit,
+                           sourceOperation=operation, sourceLine=int(line), resource=resource)
+        assert str(err.value) == str(checked.value) == f"routing key exceeds {MAX_KEY_BYTES} bytes"
+        with Broker() as broker:
+            assert init_world(cfg(), broker, episode_tag=tag[1:]).log_keys
+
+    def test_bad_episode_tag_raises_the_first_events_error(self):
+        with Broker() as broker, pytest.raises(InvalidTag) as err:
+            init_world(cfg(), broker, episode_tag="a.b")
+        assert str(err.value) == "agentName may not contain '.': 'manager01@a.b'"
+
+    def test_skip_handshake_drops_the_same_event(self, tmp_path):
+        records = []
+        for faults in ((), (FaultSpec(FAULT_SKIP_HANDSHAKE, ("node3",)),)):
+            tap = tmp_path / f"tap{len(faults)}.log"
+            with Broker(tap=str(tap)) as broker:
+                run_episode(cfg(maxTicks=2), ConstantController(1.0, 0.0), broker, faults=faults)
+            records.append(tap_records(tap))
+        full, skipped = records
+        dropped = full.index((
+            "MANAGER.manager01.createAdaptiveAgent.info.Manager.createAgent.38.adaptiveAgent",
+            "controller for node3",
+        ))
+        assert skipped == full[:dropped] + full[dropped + 1:]
 
 
 class RandomController:
