@@ -42,21 +42,19 @@ from .testkit import (
     run,
 )
 from .world import (
+    ControllerBatch,
     EpisodeMetrics,
     FaultSpec,
     InvalidConfig,
-    Pedestrian,
-    SensorFrame,
-    Streetlight,
     UnknownFault,
     UnknownTarget,
     WorldConfig,
     init_world,
-    inject_fault,
     load_world_config,
     move_people,
     parse_fault_spec,
     run_episode,
+    run_episodes,
     sense,
     actuate,
     step_world,

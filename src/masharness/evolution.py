@@ -21,6 +21,7 @@ from .world import (
     InvalidConfig,
     WorldConfig,
     check_finite_fields,
+    load_config,
     run_episode,
     run_episodes,
 )
@@ -51,7 +52,7 @@ class GAConfig:
     rngSeed: int = 1
 
     def __post_init__(self):
-        check_finite_fields(self, _FLOAT_KEYS)
+        check_finite_fields(self)
         if self.populationSize < 1:
             raise InvalidConfig("populationSize must be positive")
         if self.generations < 0:
@@ -78,37 +79,9 @@ class GAConfig:
             raise InvalidConfig("energyTarget must be in (0,1]")
 
 
-_INT_KEYS = ("populationSize", "generations", "elitism", "tournamentSize", "hiddenCount", "rngSeed")
-_FLOAT_KEYS = ("crossoverRate", "mutationRate", "mutationSigma", "weightLimit", "energyTarget")
-
-
 def load_ga_config(path) -> GAConfig:
-    """Read a flat key=value GA config file; keys are the GAConfig fields."""
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise InvalidConfig(f"GA config {path} is not UTF-8 text: {exc.reason}") from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key in _INT_KEYS:
-                    values[key] = int(value)
-                elif key in _FLOAT_KEYS:
-                    values[key] = float(value)
-                else:
-                    raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-            except ValueError:
-                raise InvalidConfig(f"line {lineno}: bad value for {key}: {value!r}") from None
-    return GAConfig(**values)
+    """Read a GA config file; keys are the GAConfig fields."""
+    return load_config(GAConfig, path)
 
 
 @dataclass(slots=True)

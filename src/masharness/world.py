@@ -12,18 +12,20 @@ Each tick raises the event-clock floor by one tick's worth of microseconds,
 so ``timestamp // TICK_US`` recovers the tick an event was published on and
 test machines can measure timeouts in virtual time.
 
-Two engines run the same simulation.  With a broker attached, the world
-steps light by light (``init_world`` + ``step_world``), which gives every
-published event its exact place.  Silent episodes run on ``run_episodes``,
-which steps a whole batch of controllers at once on (controllers, lights)
-arrays and returns the same metrics bit for bit.
+One engine runs every episode.  ``init_world`` lays out the grid and the
+state of a batch of episodes as (episodes, lights) numpy arrays, and each
+``step_world`` tick runs ``sense``, the controllers, ``actuate`` and
+``move_people`` on the whole batch.  ``run_episodes`` steps a batch of
+silent episodes that way; ``run_episode`` steps a batch of one, and with a
+broker attached ``sense`` and ``actuate`` publish that episode's events,
+light by light, in a fixed order.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,6 +46,10 @@ FAULT_KINDS = (
 
 #: largest grid a WorldConfig accepts, in lights
 MAX_LIGHTS = 10_000
+#: most wireless links (light, peer) a WorldConfig may make, by the bound
+#: lights * min(lights - 1, 2r(r + 1)); each tick gathers one float per link
+#: and episode, so this caps that gather at 2 MB per episode
+MAX_WIRELESS_LINKS = 250_000
 
 #: stands for each light's own id in _LOG_SITES
 _LIGHT = None
@@ -109,15 +115,22 @@ class WorldConfig:
     rngSeed: int = 1
 
     def __post_init__(self):
-        check_finite_fields(self, _FLOAT_FIELDS)
-        if self.gridWidth < 1 or self.gridHeight < 1:
+        check_finite_fields(self)
+        w, h = self.gridWidth, self.gridHeight
+        if w < 1 or h < 1:
             raise InvalidConfig("grid dimensions must be positive")
-        if self.gridWidth * self.gridHeight > MAX_LIGHTS:
-            raise InvalidConfig(
-                f"grid {self.gridWidth}x{self.gridHeight} has more than {MAX_LIGHTS} lights"
-            )
+        lights = w * h
+        if lights > MAX_LIGHTS:
+            raise InvalidConfig(f"grid {w}x{h} has more than {MAX_LIGHTS} lights")
         if self.wirelessRange < 0:
             raise InvalidConfig("wirelessRange must be >= 0")
+        # a range beyond the longest distance on the grid acts as that distance
+        reach = min(self.wirelessRange, w + h - 2)
+        if lights * min(lights - 1, 2 * reach * (reach + 1)) > MAX_WIRELESS_LINKS:
+            raise InvalidConfig(
+                f"wirelessRange {self.wirelessRange} on grid {w}x{h} can make more than "
+                f"{MAX_WIRELESS_LINKS} wireless links"
+            )
         if self.numPeople < 0:
             raise InvalidConfig("numPeople must be >= 0")
         if self.maxTicks < 1:
@@ -132,52 +145,49 @@ class WorldConfig:
             raise InvalidConfig("energyPerTickOn must be positive")
 
 
-_INT_FIELDS = ("gridWidth", "gridHeight", "wirelessRange", "numPeople", "maxTicks", "rngSeed")
-_FLOAT_FIELDS = ("ambientLight", "lightBrightness", "darkThreshold", "energyPerTickOn")
+def check_finite_fields(config) -> None:
+    """Raise InvalidConfig naming the first float field of ``config`` that is NaN or infinite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(f.default) is float and not math.isfinite(value):
+            raise InvalidConfig(f"{f.name} must be a finite number, got {value}")
 
 
-def check_finite_fields(config, names) -> None:
-    """Raise InvalidConfig naming the first of ``names`` that is NaN or infinite."""
-    for name in names:
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise InvalidConfig(f"{name} must be a finite number, got {value}")
+def load_config(cls, path):
+    """Read a flat ``key=value`` file into ``cls``, a config dataclass.
 
-
-def load_world_config(path) -> WorldConfig:
-    """Read a flat key=value config file; keys are the WorldConfig fields."""
+    Keys are the field names of ``cls``, and a value is read as the type of
+    its field's default.  Blank lines and ``#`` comments are skipped, a key
+    given twice keeps its last value, and a key not given keeps its default.
+    Every error names the file, and the line where there is one.
+    """
+    kinds = {f.name: type(f.default) for f in fields(cls)}
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise InvalidConfig(f"config {path} is not UTF-8 text: {exc.reason}") from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidConfig(f"line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            try:
-                if key in _INT_FIELDS:
-                    values[key] = int(value)
-                elif key in _FLOAT_FIELDS:
-                    values[key] = float(value)
-                else:
-                    raise InvalidConfig(f"line {lineno}: unknown key {key!r}")
-            except ValueError:
-                raise InvalidConfig(f"line {lineno}: bad value for {key}: {value!r}") from None
-    return WorldConfig(**values)
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
+        where = f"config {path} line {lineno}"
+        if not sep:
+            raise InvalidConfig(f"{where}: expected key=value, got {line!r}")
+        if key not in kinds:
+            raise InvalidConfig(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = kinds[key](value)
+        except ValueError:
+            raise InvalidConfig(f"{where}: bad value for {key}: {value!r}") from None
+    return cls(**values)
 
 
-@dataclass(frozen=True, slots=True)
-class SensorFrame:
-    lightLevel: float
-    motionDetected: bool
-    wirelessIn: float
+def load_world_config(path) -> WorldConfig:
+    """Read a world config file; keys are the WorldConfig fields."""
+    return load_config(WorldConfig, path)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,30 +209,6 @@ def parse_fault_spec(text: str) -> FaultSpec:
     return FaultSpec(kind=kind, targets=targets)
 
 
-@dataclass(slots=True)
-class Streetlight:
-    id: str
-    position: tuple[int, int]
-    lightOn: bool = False
-    outbox: float = 0.0
-    faultFlags: set[str] = field(default_factory=set)
-    stuckLightLevel: float | None = None
-    lastFrame: SensorFrame | None = None
-
-
-@dataclass(slots=True)
-class Pedestrian:
-    id: str
-    route: tuple[tuple[int, int], ...]
-    positionIndex: int = 0
-    finished: bool = False
-    ticksMoving: int = 0
-
-    @property
-    def position(self) -> tuple[int, int]:
-        return self.route[self.positionIndex]
-
-
 @dataclass(frozen=True, slots=True)
 class EpisodeMetrics:
     pPeople: float
@@ -239,11 +225,11 @@ def _neighbour_indices(config: WorldConfig) -> tuple[list[tuple[int, ...]], list
     """Per light, in row-major order: its adjacent lights and its wireless peers.
 
     Lights are numbered row-major (``y * gridWidth + x``).  Adjacent lights
-    come in the order sense() adds their spill: (x-1,y), (x+1,y), (x,y-1),
-    (x,y+1), off-grid ones left out.  Wireless peers are every other light
-    within Manhattan distance wirelessRange, row-major, found by walking the
-    offsets |dx| + |dy| <= r clipped to the grid, so building both lists costs
-    O(lights * r^2) rather than a scan of all pairs.
+    come in the order (x-1,y), (x+1,y), (x,y-1), (x,y+1), off-grid ones left
+    out.  Wireless peers are every other light within Manhattan distance
+    wirelessRange, row-major, found by walking the offsets |dx| + |dy| <= r
+    clipped to the grid, so building both lists costs O(lights * min(r^2,
+    lights)) rather than a scan of all pairs.
     """
     w, h, r = config.gridWidth, config.gridHeight, config.wirelessRange
     adjacent, wireless = [], []
@@ -264,28 +250,6 @@ def _neighbour_indices(config: WorldConfig) -> tuple[list[tuple[int, ...]], list
                 )
             wireless.append(tuple(peers))
     return adjacent, wireless
-
-
-def _episode_metrics(config: WorldConfig, lights: int, finished: int, ticks_moving: int,
-                     on_ticks: int) -> EpisodeMetrics:
-    """Normalise an episode's integer counts; both engines report through here."""
-    if config.numPeople == 0:
-        p_people, p_trip = 1.0, 0.0
-    else:
-        p_people = finished / config.numPeople
-        p_trip = ticks_moving / (config.numPeople * config.maxTicks)
-    p_energy = on_ticks / (lights * config.maxTicks)
-    return EpisodeMetrics(pPeople=p_people, pTrip=min(p_trip, 1.0), pEnergy=min(p_energy, 1.0))
-
-
-def _border_positions(config: WorldConfig) -> list[tuple[int, int]]:
-    w, h = config.gridWidth, config.gridHeight
-    return [
-        (x, y)
-        for y in range(h)
-        for x in range(w)
-        if x == 0 or x == w - 1 or y == 0 or y == h - 1
-    ]
 
 
 def _staircase(start, end, rng: random.Random) -> tuple[tuple[int, int], ...]:
@@ -309,7 +273,8 @@ def build_routes(config: WorldConfig, rng: random.Random) -> list[tuple[tuple[in
     """Seeded border-to-border shortest-path routes, one per pedestrian."""
     if config.numPeople == 0:
         return []
-    border = _border_positions(config)
+    w, h = config.gridWidth, config.gridHeight
+    border = [(x, y) for y in range(h) for x in range(w) if x in (0, w - 1) or y in (0, h - 1)]
     if len(border) < 2:
         raise InvalidConfig("grid too small to route pedestrians between distinct border nodes")
     routes = []
@@ -340,32 +305,68 @@ def seeds_with_light_on_route(config: WorldConfig, light_id: str, count: int,
 
 
 class WorldState:
-    """Mutable simulation state plus the logging plumbing."""
+    """One world's layout, plus the state of a batch of its episodes.
 
-    def __init__(self, config: WorldConfig, broker: Broker | None, episode_tag: str | None):
+    Lights are numbered row-major (``y * gridWidth + x``).  Every per-light
+    episode array has one more column, a sentinel light that never radiates
+    and never transmits, and the index tables are padded with it.  Row r of
+    the episode arrays is episode ``live[r]``; an episode whose pedestrians
+    have all arrived leaves the batch, which keeps its metrics and drops its
+    row.  Routes are built before faults are checked, so a world that can
+    route no pedestrians raises that error first.
+    """
+
+    def __init__(self, config: WorldConfig, broker: Broker | None = None,
+                 episode_tag: str | None = None, *, faults=(), episodes: int = 1):
         self.config = config
         self.broker = broker
         self.episode_tag = episode_tag
         self.tick = 0
-        self.onTicks = 0  # integer count of light-on tick slots, for exact energy
-        self.lights: list[Streetlight] = []
-        self.lights_by_id: dict[str, Streetlight] = {}
-        self.light_at: dict[tuple[int, int], Streetlight] = {}
-        self.people: list[Pedestrian] = []
-        # previous-tick communication snapshots (wireless causality)
-        self.prev_outbox: dict[str, float] = {}
-        self.prev_emitting: set[tuple[int, int]] = set()
-        self._neighbors: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._wireless: dict[str, tuple[str, ...]] = {}
+        w = config.gridWidth
+        self.lights = lights = w * config.gridHeight
+        self.ids = [_node_id(config, (i % w, i // w)) for i in range(lights)]
+        routes = build_routes(config, random.Random(config.rngSeed))
+        self.faulty = _fault_masks(self.ids, faults)
         #: interned event keys by agent (a light's id or a _LOG_SITES name), then action
         self.log_keys: dict[str, dict[str, EventKey]] = {}
 
-    # -- naming ------------------------------------------------------------
+        sentinel = lights
+        adjacent, wireless = _neighbour_indices(config)
+        # own lamp first, then the adjacent ones
+        self.near = np.full((lights, 5), sentinel, dtype=np.intp)
+        # at least one sentinel column, so every maximum starts from 0.0
+        self.peers = np.full((lights, max(map(len, wireless)) + 1), sentinel, dtype=np.intp)
+        for i in range(lights):
+            self.near[i, : 1 + len(adjacent[i])] = (i, *adjacent[i])
+            self.peers[i, : len(wireless[i])] = wireless[i]
+        # a light sensor reads the ambient level plus lightBrightness once per
+        # radiating lamp it sees, added one by one; this table holds those sums
+        spill = [config.ambientLight]
+        for _ in range(5):
+            spill.append(spill[-1] + config.lightBrightness)
+        self.level_of = np.minimum(np.array(spill), 1.0)
+        # walking light is a node's own lamp over the ambient level
+        threshold = config.darkThreshold
+        self.lit_walkable = min(config.ambientLight + config.lightBrightness, 1.0) > threshold
+        self.dark_walkable = min(config.ambientLight, 1.0) > threshold
 
-    def agent_name(self, base: str) -> str:
-        if self.episode_tag:
-            return f"{base}@{self.episode_tag}"
-        return base
+        self.people = len(routes)
+        self.path = np.full((self.people, max(map(len, routes), default=0) + 1), sentinel,
+                            dtype=np.intp)
+        for n, route in enumerate(routes):
+            self.path[n, : len(route)] = [y * w + x for x, y in route]
+        self.last_step = np.array([len(r) - 1 for r in routes], dtype=np.intp)
+        self.person = np.arange(self.people)
+
+        self.live = np.arange(episodes)  # the episode of each row still running
+        self.radiating = np.zeros((episodes, lights + 1), dtype=bool)  # as of the last tick
+        self.outbox = np.zeros((episodes, lights + 1))  # as of the last tick
+        self.step = np.zeros((episodes, self.people), dtype=np.intp)
+        self.arrived = np.zeros((episodes, self.people), dtype=bool)
+        self.ticks_moving = np.zeros(episodes, dtype=np.int64)
+        self.on_ticks = np.zeros(episodes, dtype=np.int64)
+        self.stuck_level = None  # sensor-stuck lights' first readings, from the first sense
+        self.results: list[EpisodeMetrics | None] = [None] * episodes
 
     # -- logging -----------------------------------------------------------
 
@@ -375,10 +376,11 @@ class WorldState:
         Keys are interned in first-publish order, so a bad episode tag
         raises the error its first event raised.
         """
+        tag = f"@{self.episode_tag}" if self.episode_tag else ""
         for (agentType, agent), actions in _LOG_SITES.items():
-            for name in [light.id for light in self.lights] if agent is _LIGHT else [agent]:
+            for name in self.ids if agent is _LIGHT else [agent]:
                 self.log_keys[name] = {
-                    action: event_key(agentType, self.agent_name(name), action,
+                    action: event_key(agentType, name + tag, action,
                                       sourceUnit=unit, sourceOperation=operation,
                                       sourceLine=line, resource=resource)
                     for action, (unit, operation, line, resource) in actions.items()
@@ -392,48 +394,53 @@ class WorldState:
         key = self.log_keys[agent][action]
         return broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
 
-    # -- geometry ----------------------------------------------------------
+    # -- episodes ------------------------------------------------------------
 
-    def neighbors(self, position) -> tuple[tuple[int, int], ...]:
-        return self._neighbors[position]
+    def _row_metrics(self, row: int) -> EpisodeMetrics:
+        """The episode of one row, its counts normalised."""
+        c = self.config
+        if c.numPeople == 0:
+            p_people, p_trip = 1.0, 0.0
+        else:
+            p_people = int(self.arrived[row].sum()) / c.numPeople
+            p_trip = int(self.ticks_moving[row]) / (c.numPeople * c.maxTicks)
+        p_energy = int(self.on_ticks[row]) / (self.lights * c.maxTicks)
+        return EpisodeMetrics(pPeople=p_people, pTrip=min(p_trip, 1.0), pEnergy=min(p_energy, 1.0))
 
-    def wireless_neighbors(self, light: Streetlight) -> tuple[str, ...]:
-        return self._wireless[light.id]
+    def metrics(self) -> list[EpisodeMetrics]:
+        """Every episode's metrics: as it left the batch, or as it stands if still live."""
+        results = list(self.results)
+        for row, episode in enumerate(self.live):
+            results[episode] = self._row_metrics(row)
+        return results
 
-    # -- state queries -----------------------------------------------------
+    def retire_arrived(self) -> None:
+        """Drop the rows of episodes whose pedestrians have all arrived, keeping their metrics."""
+        done = self.arrived.all(axis=1)
+        if not self.people or not done.any():
+            return
+        for row in np.flatnonzero(done):
+            self.results[self.live[row]] = self._row_metrics(row)
+        keep = ~done
+        self.live, self.radiating, self.outbox, self.step, self.arrived = (
+            self.live[keep], self.radiating[keep], self.outbox[keep], self.step[keep],
+            self.arrived[keep])
+        self.ticks_moving, self.on_ticks, self.stuck_level = (
+            self.ticks_moving[keep], self.on_ticks[keep], self.stuck_level[keep])
 
-    @property
-    def all_finished(self) -> bool:
-        return all(p.finished for p in self.people)
 
-    @property
-    def energy(self) -> float:
-        return self.onTicks * self.config.energyPerTickOn
-
-    def emitting(self, light: Streetlight) -> bool:
-        """Whether the lamp is actually radiating right now."""
-        return light.lightOn and FAULT_GO_DARK not in light.faultFlags
-
-    def perceived_light(self, position) -> float:
-        """Light level governing pedestrian movement at a node.
-
-        Movement uses the node's own lamp only; sensor readings additionally
-        see adjacent lamps (see sense()).
-        """
-        level = self.config.ambientLight
-        lamp = self.light_at.get(position)
-        if lamp is not None and self.emitting(lamp):
-            level += self.config.lightBrightness
-        return min(level, 1.0)
-
-    def metrics(self) -> EpisodeMetrics:
-        return _episode_metrics(
-            self.config,
-            len(self.lights),
-            sum(1 for p in self.people if p.finished),
-            sum(p.ticksMoving for p in self.people),
-            self.onTicks,
-        )
+def _fault_masks(ids: list[str], faults) -> dict[str, np.ndarray]:
+    """Per fault kind, which lights have it, after checking each spec in turn."""
+    index = {light: i for i, light in enumerate(ids)}
+    faulty = {kind: np.zeros(len(ids), dtype=bool) for kind in FAULT_KINDS}
+    for spec in faults:
+        if spec.kind not in FAULT_KINDS:
+            raise UnknownFault(f"unknown fault kind {spec.kind!r}")
+        for target in spec.targets:
+            if target not in index:
+                raise UnknownTarget(f"no light named {target!r}")
+            faulty[spec.kind][index[target]] = True
+    return faulty
 
 
 def init_world(
@@ -442,152 +449,122 @@ def init_world(
     *,
     faults=(),
     episode_tag: str | None = None,
+    episodes: int = 1,
 ) -> WorldState:
-    """Build the grid, route the pedestrians, and run the Manager handshake.
+    """Build the grid and ``episodes`` episodes of it, then run the Manager handshake.
 
-    Faults given here are installed before the handshake so skip-handshake
-    can suppress the createAdaptiveAgent log; the other kinds behave exactly
-    as if injected right after initialization.
+    Faults are installed before the handshake so skip-handshake can suppress
+    the createAdaptiveAgent log.  With a broker attached, the world runs one
+    episode, and every event key is checked before the first is published.
     """
-    world = WorldState(config, broker, episode_tag)
-    w, h = config.gridWidth, config.gridHeight
-    for y in range(h):
-        for x in range(w):
-            light = Streetlight(id=_node_id(config, (x, y)), position=(x, y))
-            world.lights.append(light)
-            world.lights_by_id[light.id] = light
-            world.light_at[(x, y)] = light
-            world.prev_outbox[light.id] = 0.0
-    lights = world.lights
-    for light, adjacent, peers in zip(lights, *_neighbour_indices(config)):
-        world._neighbors[light.position] = tuple(lights[i].position for i in adjacent)
-        world._wireless[light.id] = tuple(lights[i].id for i in peers)
-
-    rng = random.Random(config.rngSeed)
-    for i, route in enumerate(build_routes(config, rng), start=1):
-        world.people.append(Pedestrian(id=f"person{i}", route=route))
-
-    for spec in faults:
-        inject_fault(world, spec)
-
-    if world.broker is not None:
+    if broker is not None and episodes != 1:
+        raise WorldError(f"a logged world runs one episode, not {episodes}")
+    world = WorldState(config, broker, episode_tag, faults=faults, episodes=episodes)
+    if broker is not None:
         world.intern_log_keys()
-        world.broker.clock.advance_to(0)
-        for light in world.lights:
-            _handshake(world, light)
+        broker.clock.advance_to(0)
+        # the Manager bootstraps each light's controlling agent
+        for light, skip in zip(world.ids, world.faulty[FAULT_SKIP_HANDSHAKE].tolist()):
+            world.publish("manager01", "receiveMsgFromSmartThing", f"thing={light}")
+            if not skip:
+                world.publish("manager01", "createAdaptiveAgent", f"controller for {light}")
+            world.publish("lightsAgent", "connect", f"{light} joined")
+            world.publish("manager01", "sendMsgToSmartThing", f"ack to {light}")
+            world.publish("lightsAgent", "receiveInputDataFromSmartThing",
+                          f"initial data from {light}")
     return world
 
 
-def _handshake(world: WorldState, light: Streetlight) -> None:
-    """Manager bootstraps one light's controlling agent (five logs)."""
-    world.publish("manager01", "receiveMsgFromSmartThing", f"thing={light.id}")
-    if FAULT_SKIP_HANDSHAKE not in light.faultFlags:
-        world.publish("manager01", "createAdaptiveAgent", f"controller for {light.id}")
-    world.publish("lightsAgent", "connect", f"{light.id} joined")
-    world.publish("manager01", "sendMsgToSmartThing", f"ack to {light.id}")
-    world.publish("lightsAgent", "receiveInputDataFromSmartThing",
-                  f"initial data from {light.id}")
+def sense(world: WorldState) -> np.ndarray:
+    """Read every live episode's sensors: (rows, lights, 3) controller inputs.
 
-
-def _fault_targets(spec: FaultSpec, lights: dict) -> list:
-    """The values ``lights`` maps the spec's targets to, after checking the spec."""
-    if spec.kind not in FAULT_KINDS:
-        raise UnknownFault(f"unknown fault kind {spec.kind!r}")
-    targets = []
-    for target in spec.targets:
-        light = lights.get(target)
-        if light is None:
-            raise UnknownTarget(f"no light named {target!r}")
-        targets.append(light)
-    return targets
-
-
-def inject_fault(world: WorldState, spec: FaultSpec) -> None:
-    """Install one fault kind on one or more lights."""
-    for light in _fault_targets(spec, world.lights_by_id):
-        light.faultFlags.add(spec.kind)
-
-
-def sense(light: Streetlight, world: WorldState) -> SensorFrame:
-    """Read one light's sensors and forward the frame to its agent.
-
-    wirelessIn is the strongest neighbor outbox from the previous tick, and
-    lightLevel sees the ambient level plus every radiating lamp at the node
-    or adjacent to it, so the reading is independent of actuation order
-    within the current tick.
+    A light's inputs are (lightLevel, motionDetected, wirelessIn).
+    lightLevel is the ambient level plus every lamp at the light or adjacent
+    to it that radiated last tick; a sensor-stuck light keeps its first
+    reading.  motionDetected is 1.0 while an unfinished pedestrian stands at
+    the light or adjacent to it.  wirelessIn is the strongest outbox of the
+    light's wireless peers from last tick, at least 0.0.  With a broker,
+    every light publishes its four readings, light by light.
     """
-    cfg = world.config
-    level = cfg.ambientLight
-    for pos in (light.position,) + world.neighbors(light.position):
-        if pos in world.prev_emitting:
-            level += cfg.lightBrightness
-    level = min(level, 1.0)
-    if FAULT_SENSOR_STUCK in light.faultFlags:
-        if light.stuckLightLevel is None:
-            light.stuckLightLevel = level
-        level = light.stuckLightLevel
-
-    motion = any(
-        not p.finished
-        and (p.position == light.position or p.position in world.neighbors(light.position))
-        for p in world.people
-    )
-
-    wireless = 0.0
-    for other_id in world.wireless_neighbors(light):
-        wireless = max(wireless, world.prev_outbox[other_id])
-
-    frame = SensorFrame(lightLevel=level, motionDetected=motion, wirelessIn=wireless)
-    light.lastFrame = frame
-
+    sentinel = world.lights
+    level = world.level_of[world.radiating[:, world.near].sum(axis=2)]
+    stuck = world.faulty[FAULT_SENSOR_STUCK]
+    if world.stuck_level is None:
+        world.stuck_level = level[:, stuck]
+    level[:, stuck] = world.stuck_level
+    at = world.path[world.person, world.step]
+    occupied = np.zeros_like(world.radiating)
+    occupied[np.arange(len(world.live))[:, None], np.where(world.arrived, sentinel, at)] = True
+    occupied[:, sentinel] = False
+    motion = occupied[:, world.near].any(axis=2)
+    # fmax skips a NaN outbox, as a running max() from 0.0 does
+    wireless = np.fmax.reduce(world.outbox[:, world.peers], axis=2)
+    inputs = np.stack((level, motion, wireless), axis=-1)
     if world.broker is not None:
-        world.publish(light.id, "receiveWirelessData", f"in={frame.wirelessIn:.6f}")
-        world.publish(light.id, "readLightSensor", f"level={frame.lightLevel:.6f}")
-        world.publish(light.id, "readMotionSensor",
-                      f"motion={1 if frame.motionDetected else 0}")
-        world.publish(light.id, "sendMsg", f"frame from {light.id}")
-    return frame
+        publish = world.publish
+        for light, (light_level, moving, received) in zip(world.ids, inputs[0].tolist()):
+            publish(light, "receiveWirelessData", f"in={received:.6f}")
+            publish(light, "readLightSensor", f"level={light_level:.6f}")
+            publish(light, "readMotionSensor", f"motion={moving:.0f}")
+            publish(light, "sendMsg", f"frame from {light}")
+    return inputs
 
 
-def actuate(light: Streetlight, decision, world: WorldState) -> None:
-    """Apply one controller output pair (led, wireless) to the hardware."""
-    led = float(decision[0])
-    wireless = float(decision[1])
-    light.lightOn = led > 0
-    light.outbox = 0.0 if FAULT_MUTE_WIRELESS in light.faultFlags else max(wireless, 0.0)
+def actuate(world: WorldState, inputs: np.ndarray, outputs: np.ndarray) -> None:
+    """Apply every live episode's (rows, lights, 2) controller outputs (led, wireless).
+
+    A lamp is on while its led output is positive, and radiates unless it
+    went dark; its outbox is the wireless output clamped at 0.0, or 0.0 on
+    a muted light.  With a broker, light by light, the agent logs the
+    readings ``inputs`` it decided on and its decision, then the light logs
+    what it did.
+    """
+    lights = world.lights
+    light_on = outputs[:, :, 0] > 0
+    world.radiating[:, :lights] = light_on & ~world.faulty[FAULT_GO_DARK]
+    muted = world.faulty[FAULT_MUTE_WIRELESS]
+    world.outbox[:, :lights] = np.where(muted, 0.0, np.maximum(outputs[:, :, 1], 0.0))
+    world.on_ticks += light_on.sum(axis=1)
     if world.broker is None:
         return
-    world.publish(light.id, "receiveNeuralNetworkCommand",
-                  f"led={led:.6f} wireless={wireless:.6f}")
-    if light.lightOn:
-        world.publish(light.id, "switchLightON", "on")
-    else:
-        world.publish(light.id, "switchLightOFF", "off")
-    world.publish(light.id, "sendWirelessData", f"out={light.outbox:.6f}")
-    if world.emitting(light):
-        # own sensor confirms a brightness at or above the lamp's own output
-        world.publish(light.id, "detectLight",
-                      f"brightness={world.config.lightBrightness:.6f}")
+    publish = world.publish
+    brightness = f"brightness={world.config.lightBrightness:.6f}"
+    for light, (level, motion, wireless), (led, out), mute, radiating in zip(
+            world.ids, inputs[0].tolist(), outputs[0].tolist(), muted.tolist(),
+            world.radiating[0].tolist()):
+        publish("lightsAgent", "receiveInputDataFromSmartThing",
+                f"from {light} level={level:.6f} motion={motion:.0f} wireless={wireless:.6f}")
+        publish("lightsAgent", "useControllerToGetOutput", f"deciding for {light}")
+        publish("lightsAgent", "sendOutputToSmartThing",
+                f"to {light} led={led:.6f} wireless={out:.6f}")
+        publish(light, "receiveNeuralNetworkCommand", f"led={led:.6f} wireless={out:.6f}")
+        if led > 0:
+            publish(light, "switchLightON", "on")
+        else:
+            publish(light, "switchLightOFF", "off")
+        # the log keeps max()'s sign: an output of -0.0 is reported as out=-0.000000
+        publish(light, "sendWirelessData", f"out={0.0 if mute else max(out, 0.0):.6f}")
+        if radiating:
+            # own sensor confirms a brightness at or above the lamp's own output
+            publish(light, "detectLight", brightness)
 
 
 def move_people(world: WorldState) -> None:
     """Advance every pedestrian that has light to walk by.
 
-    A pedestrian moves one node per tick iff the perceived light at both the
-    current and the next node clears darkThreshold; every unfinished
-    pedestrian pays one tick of trip time whether it moved or not.
+    A pedestrian moves one node per tick iff the lamp at both the current
+    and the next node radiates (or ambient light alone clears darkThreshold);
+    every unfinished pedestrian pays one tick of trip time whether it moved
+    or not.
     """
-    threshold = world.config.darkThreshold
-    for person in world.people:
-        if person.finished:
-            continue
-        person.ticksMoving += 1
-        here = person.position
-        nxt = person.route[person.positionIndex + 1]
-        if world.perceived_light(here) > threshold and world.perceived_light(nxt) > threshold:
-            person.positionIndex += 1
-            if person.positionIndex == len(person.route) - 1:
-                person.finished = True
+    walkable = np.where(world.radiating, world.lit_walkable, world.dark_walkable)
+    rows = np.arange(len(world.live))[:, None]
+    path, person, step = world.path, world.person, world.step
+    walking = ~world.arrived
+    moves = walking & walkable[rows, path[person, step]] & walkable[rows, path[person, step + 1]]
+    world.ticks_moving += walking.sum(axis=1)
+    world.step += moves
+    world.arrived |= world.step == world.last_step
 
 
 def _controller_outputs(controller, inputs: np.ndarray) -> np.ndarray:
@@ -607,43 +584,63 @@ def _controller_outputs(controller, inputs: np.ndarray) -> np.ndarray:
     return outputs
 
 
-def step_world(world: WorldState, controller) -> None:
-    """Run one tick: every light senses and acts, then pedestrians move.
+class ControllerBatch:
+    """One controller per episode of a world, asked for every live episode at once.
 
-    Sensor frames are computed against start-of-tick snapshots, so the
-    per-light ordering inside the tick cannot leak actuations into sensor
-    readings.  The controller is queried once for all lights (forward_batch
-    when available) to keep the arithmetic identical between silent and
-    logged runs.
+    Same-shaped NeuralControllers are evaluated with one stacked matmul per
+    layer, which gives the same bits as their forward_batch; any other
+    controller is queried on its own, in episode order.
+    """
+
+    def __init__(self, controllers):
+        self.controllers = controllers = list(controllers)
+        # stacked (W1T, B1, W2T, B2), shaped (P, 3, H), (P, 1, H), (P, H, 2) and
+        # (P, 1, 2), when every controller is a NeuralController of one 3-H-2 topology
+        self.networks = None
+        topology = getattr(controllers[0], "topology", None) if controllers else None
+        if (topology is not None and (topology.inputCount, topology.outputCount) == (3, 2)
+                and all(type(c) is NeuralController and c.topology == topology
+                        for c in controllers)):
+            self.networks = (
+                np.stack([c.w1.T for c in controllers]),
+                np.stack([c.b1 for c in controllers])[:, None, :],
+                np.stack([c.w2.T for c in controllers]),
+                np.stack([c.b2 for c in controllers])[:, None, :],
+            )
+        self._live = self._live_networks = None
+
+    def outputs(self, inputs: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """(rows, lights, 2) outputs for (rows, lights, 3) inputs; row r is episode live[r]."""
+        if self.networks is None:
+            return np.stack([_controller_outputs(self.controllers[episode], x)
+                             for episode, x in zip(live, inputs)])
+        if live is not self._live:
+            self._live, self._live_networks = live, tuple(a[live] for a in self.networks)
+        w1t, b1, w2t, b2 = self._live_networks
+        return np.tanh(np.matmul(np.tanh(np.matmul(inputs, w1t) + b1), w2t) + b2)
+
+
+def step_world(world: WorldState, controllers: ControllerBatch) -> None:
+    """Run one tick of every live episode: sense, decide, actuate, then pedestrians move.
+
+    Sensors read the end of the last tick, so nothing a lamp does this tick
+    reaches a sensor before the next one.  Episodes whose pedestrians have
+    all arrived then leave the batch.
     """
     world.tick += 1
     if world.broker is not None:
         world.broker.clock.advance_to(world.tick * TICK_US)
-
-    frames = [sense(light, world) for light in world.lights]
-
-    inputs = np.array(
-        [[f.lightLevel, 1.0 if f.motionDetected else 0.0, f.wirelessIn] for f in frames],
-        dtype=float,
-    )
-    outputs = _controller_outputs(controller, inputs)
-
-    for light, frame, out in zip(world.lights, frames, outputs):
-        if world.broker is not None:
-            world.publish("lightsAgent", "receiveInputDataFromSmartThing",
-                          f"from {light.id} level={frame.lightLevel:.6f} "
-                          f"motion={1 if frame.motionDetected else 0} "
-                          f"wireless={frame.wirelessIn:.6f}")
-            world.publish("lightsAgent", "useControllerToGetOutput", f"deciding for {light.id}")
-            world.publish("lightsAgent", "sendOutputToSmartThing",
-                          f"to {light.id} led={out[0]:.6f} wireless={out[1]:.6f}")
-        actuate(light, out, world)
-
+    inputs = sense(world)
+    actuate(world, inputs, controllers.outputs(inputs, world.live))
     move_people(world)
-    world.onTicks += sum(1 for l in world.lights if l.lightOn)
-    # end-of-tick snapshots feed the next tick's sensor frames
-    world.prev_emitting = {l.position for l in world.lights if world.emitting(l)}
-    world.prev_outbox = {l.id: l.outbox for l in world.lights}
+    world.retire_arrived()
+
+
+def _run(world: WorldState, controllers: ControllerBatch) -> list[EpisodeMetrics]:
+    """Step until every episode has ended, at maxTicks or once its pedestrians all arrived."""
+    while len(world.live) and world.tick < world.config.maxTicks:
+        step_world(world, controllers)
+    return world.metrics()
 
 
 def run_episode(
@@ -659,161 +656,27 @@ def run_episode(
     ``genome`` may be a flat gene sequence (decoded with the default
     topology) or any controller object.  The episode ends early when every
     pedestrian has finished; a world with no pedestrians always runs the
-    full maxTicks.  Without a broker the episode runs on run_episodes.
+    full maxTicks.  With a broker attached the episode publishes its events,
+    ending with finishSimulation if every pedestrian arrived.
     """
     if hasattr(genome, "forward") or hasattr(genome, "forward_batch") or callable(genome):
         controller = genome
     else:
         controller = decode(genome)
-    if broker is None:
-        return run_episodes(config, [controller], faults=faults)[0]
     world = init_world(config, broker, faults=faults, episode_tag=episode_tag)
-    for _ in range(config.maxTicks):
-        step_world(world, controller)
-        if config.numPeople > 0 and world.all_finished:
-            break
-    if world.all_finished:
+    metrics = _run(world, ControllerBatch([controller]))[0]
+    # every pedestrian arrived (and the episode left the batch), or there are none
+    if world.arrived.all():
         world.publish("lights", "finishSimulation", f"tick={world.tick}")
-    return world.metrics()
-
-
-def _stacked_networks(controllers: list) -> tuple[np.ndarray, ...] | None:
-    """Weights of same-shaped 3-H-2 NeuralControllers, stacked along a first axis.
-
-    Returns (W1T, B1, W2T, B2) shaped (P, 3, H), (P, 1, H), (P, H, 2) and
-    (P, 1, 2), or None when any controller is something else, which then
-    goes through _controller_outputs one by one.
-    """
-    topology = getattr(controllers[0], "topology", None)
-    if (topology is None or topology.inputCount != 3 or topology.outputCount != 2
-            or any(type(c) is not NeuralController or c.topology != topology
-                   for c in controllers)):
-        return None
-    return (
-        np.stack([c.w1.T for c in controllers]),
-        np.stack([c.b1 for c in controllers])[:, None, :],
-        np.stack([c.w2.T for c in controllers]),
-        np.stack([c.b2 for c in controllers])[:, None, :],
-    )
+    return metrics
 
 
 def run_episodes(config: WorldConfig, controllers, *, faults=()) -> list[EpisodeMetrics]:
     """Run one silent episode per controller, all at once, and report each one's metrics.
 
-    Every episode runs on the same world (routes from ``config.rngSeed``) with
-    the same faults, and gets exactly the EpisodeMetrics an ``init_world`` +
-    ``step_world`` loop without a broker gives its controller.  The state of
-    all P episodes lives in (P, lights + 1) arrays whose last column is a
-    sentinel light that never radiates and never transmits; index lists are
-    padded with it.  An episode whose pedestrians have all arrived stops like
-    run_episode's: its row is dropped and no longer changes.
-
-    Same-shaped NeuralControllers are evaluated with one stacked matmul per
-    layer, which gives the same bits as their forward_batch; any other
-    controller is queried on its own, in list order, as step_world does.
+    Every episode runs on the same world (routes from ``config.rngSeed``)
+    with the same faults, and gets exactly the EpisodeMetrics that
+    ``run_episode`` gives its controller.
     """
-    controllers = list(controllers)
-    lights = config.gridWidth * config.gridHeight
-    sentinel = lights
-    routes = build_routes(config, random.Random(config.rngSeed))
-    index = {_node_id(config, (i % config.gridWidth, i // config.gridWidth)): i
-             for i in range(lights)}
-    faulty = {kind: np.zeros(lights, dtype=bool) for kind in FAULT_KINDS}
-    for spec in faults:
-        for i in _fault_targets(spec, index):
-            faulty[spec.kind][i] = True
-    dark, stuck, mute = faulty[FAULT_GO_DARK], faulty[FAULT_SENSOR_STUCK], faulty[FAULT_MUTE_WIRELESS]
-    if not controllers:
-        return []
-
-    adjacent, wireless = _neighbour_indices(config)
-    # own lamp first, then the adjacent ones, as sense() looks at them
-    near = np.full((lights, 5), sentinel, dtype=np.intp)
-    # at least one sentinel column, so every maximum starts from 0.0 as sense() does
-    peers = np.full((lights, max(map(len, wireless)) + 1), sentinel, dtype=np.intp)
-    for i in range(lights):
-        near[i, : 1 + len(adjacent[i])] = (i, *adjacent[i])
-        peers[i, : len(wireless[i])] = wireless[i]
-    # sense() adds lightBrightness once per radiating lamp it sees, so its
-    # reading depends only on how many it sees; this table holds those sums,
-    # added in the same order
-    spill = [config.ambientLight]
-    for _ in range(5):
-        spill.append(spill[-1] + config.lightBrightness)
-    level_of = np.minimum(np.array(spill), 1.0)
-    threshold = config.darkThreshold
-    lit_walkable = min(config.ambientLight + config.lightBrightness, 1.0) > threshold
-    dark_walkable = min(config.ambientLight, 1.0) > threshold
-
-    people = len(routes)
-    path = np.full((people, max((len(r) for r in routes), default=0) + 1), sentinel, dtype=np.intp)
-    for n, route in enumerate(routes):
-        path[n, : len(route)] = [y * config.gridWidth + x for x, y in route]
-    last_step = np.array([len(r) - 1 for r in routes], dtype=np.intp)
-    person = np.arange(people)
-
-    p = len(controllers)
-    live = np.arange(p)  # the controller index of each row still running
-    radiating = np.zeros((p, lights + 1), dtype=bool)  # last tick's, column sentinel never lit
-    outbox = np.zeros((p, lights + 1))  # last tick's, column sentinel always 0.0
-    step = np.zeros((p, people), dtype=np.intp)
-    arrived = np.zeros((p, people), dtype=bool)
-    ticks_moving = np.zeros(p, dtype=np.int64)
-    on_ticks = np.zeros(p, dtype=np.int64)
-    stuck_level = None
-    networks = _stacked_networks(controllers)
-    results: list[EpisodeMetrics | None] = [None] * p
-
-    def finish(rows) -> None:
-        for r in rows:
-            results[live[r]] = _episode_metrics(
-                config, lights, int(arrived[r].sum()), int(ticks_moving[r]), int(on_ticks[r])
-            )
-
-    for _ in range(config.maxTicks):
-        rows = np.arange(len(live))[:, None]
-        level = level_of[radiating[:, near].sum(axis=2)]
-        if stuck_level is None:
-            stuck_level = level[:, stuck]  # sensor-stuck keeps its first reading
-        level[:, stuck] = stuck_level
-        at = path[person, step]
-        occupied = np.zeros_like(radiating)
-        occupied[rows, np.where(arrived, sentinel, at)] = True
-        occupied[:, sentinel] = False
-        motion = occupied[:, near].any(axis=2)
-        # fmax skips NaN, as sense()'s running max() does
-        wireless_in = np.fmax.reduce(outbox[:, peers], axis=2)
-        inputs = np.stack((level, motion, wireless_in), axis=-1)
-
-        if networks is not None:
-            w1t, b1, w2t, b2 = networks
-            outputs = np.tanh(np.matmul(np.tanh(np.matmul(inputs, w1t) + b1), w2t) + b2)
-        else:
-            outputs = np.stack([_controller_outputs(controllers[c], x)
-                                for c, x in zip(live, inputs)])
-        light_on = outputs[:, :, 0] > 0
-        radiating[:, :lights] = light_on & ~dark
-        outbox[:, :lights] = np.where(mute, 0.0, np.maximum(outputs[:, :, 1], 0.0))
-
-        walkable = np.where(radiating, lit_walkable, dark_walkable)
-        walking = ~arrived
-        moves = walking & walkable[rows, at] & walkable[rows, path[person, step + 1]]
-        ticks_moving += walking.sum(axis=1)
-        step += moves
-        arrived |= step == last_step
-        on_ticks += light_on.sum(axis=1)
-
-        if people:
-            done = arrived.all(axis=1)
-            if done.any():
-                finish(np.flatnonzero(done))
-                keep = ~done
-                live, radiating, outbox, step, arrived = (
-                    live[keep], radiating[keep], outbox[keep], step[keep], arrived[keep])
-                ticks_moving, on_ticks, stuck_level = ticks_moving[keep], on_ticks[keep], stuck_level[keep]
-                if networks is not None:
-                    networks = tuple(a[keep] for a in networks)
-                if not len(live):
-                    break
-    finish(range(len(live)))
-    return results
+    batch = ControllerBatch(controllers)
+    return _run(init_world(config, faults=faults, episodes=len(batch.controllers)), batch)

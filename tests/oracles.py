@@ -4,13 +4,21 @@ Each oracle deliberately uses a different algorithmic strategy than the
 production code: pattern matching via regex translation instead of a
 two-pointer walk, trace verdicts via brute-force subsequence search instead
 of an online state machine, and the network forward pass via hand-rolled
-loops instead of numpy.
+loops instead of numpy.  The reference world steps light by light over one object per
+light and per pedestrian, where masharness.world steps arrays.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import re
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from masharness import world
+from masharness.logmodel import TICK_US, make_log_event
 
 
 def regex_for_pattern(pattern: str) -> re.Pattern:
@@ -94,3 +102,240 @@ def oracle_forward(genes, inputs, hidden_count):
         math.tanh(sum(w * h for w, h in zip(row, hidden)) + b)
         for row, b in zip(w2, b2)
     ]
+
+
+# -- the reference world -----------------------------------------------------
+#
+# The streetlight world stepped light by light, with one object per light and
+# per pedestrian, neighbours found by scanning all pairs, and every event
+# built by make_log_event.  masharness.world steps the same simulation on
+# (episodes, lights) arrays; its taps and metrics must equal these.
+
+
+@dataclass(frozen=True, slots=True)
+class SensorFrame:
+    lightLevel: float
+    motionDetected: bool
+    wirelessIn: float
+
+
+@dataclass(slots=True)
+class Streetlight:
+    id: str
+    position: tuple[int, int]
+    lightOn: bool = False
+    outbox: float = 0.0
+    faultFlags: set[str] = field(default_factory=set)
+    stuckLightLevel: float | None = None
+    lastFrame: SensorFrame | None = None
+
+
+@dataclass(slots=True)
+class Pedestrian:
+    id: str
+    route: tuple[tuple[int, int], ...]
+    positionIndex: int = 0
+    finished: bool = False
+    ticksMoving: int = 0
+
+    @property
+    def position(self) -> tuple[int, int]:
+        return self.route[self.positionIndex]
+
+
+class OracleWorld:
+    """Mutable state of one reference episode."""
+
+    def __init__(self, config, broker, episode_tag):
+        self.config = config
+        self.broker = broker
+        self.episode_tag = episode_tag
+        self.tick = 0
+        self.onTicks = 0
+        self.lights: list[Streetlight] = []
+        self.lights_by_id: dict[str, Streetlight] = {}
+        self.light_at: dict[tuple[int, int], Streetlight] = {}
+        self.people: list[Pedestrian] = []
+        # end-of-last-tick snapshots, read by the next tick's sensors
+        self.prev_outbox: dict[str, float] = {}
+        self.prev_emitting: set[tuple[int, int]] = set()
+
+    def publish(self, agent: str, action: str, message: str) -> None:
+        if self.broker is None:
+            return
+        sites = world._LOG_SITES
+        for (agentType, name), actions in sites.items():
+            if action in actions and (name == agent or (name is None and agent in self.lights_by_id)):
+                unit, operation, line, resource = actions[action]
+                break
+        else:
+            raise KeyError((agent, action))
+        name = f"{agent}@{self.episode_tag}" if self.episode_tag else agent
+        self.broker.publish(make_log_event(
+            agentType, name, action, sourceUnit=unit, sourceOperation=operation,
+            sourceLine=line, resource=resource, message=message, clock=self.broker.clock))
+
+    def neighbors(self, position) -> list[tuple[int, int]]:
+        x, y = position
+        return [p for p in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)) if p in self.light_at]
+
+    def wireless_neighbors(self, light: Streetlight) -> list[str]:
+        (x, y), reach = light.position, self.config.wirelessRange
+        return [other.id for other in self.lights if other is not light
+                and abs(other.position[0] - x) + abs(other.position[1] - y) <= reach]
+
+    @property
+    def all_finished(self) -> bool:
+        return all(p.finished for p in self.people)
+
+    def emitting(self, light: Streetlight) -> bool:
+        return light.lightOn and world.FAULT_GO_DARK not in light.faultFlags
+
+    def perceived_light(self, position) -> float:
+        """Walking light at a node: its own lamp only."""
+        level = self.config.ambientLight
+        if self.emitting(self.light_at[position]):
+            level += self.config.lightBrightness
+        return min(level, 1.0)
+
+    def metrics(self):
+        c = self.config
+        if c.numPeople == 0:
+            p_people, p_trip = 1.0, 0.0
+        else:
+            p_people = sum(1 for p in self.people if p.finished) / c.numPeople
+            p_trip = sum(p.ticksMoving for p in self.people) / (c.numPeople * c.maxTicks)
+        p_energy = self.onTicks / (len(self.lights) * c.maxTicks)
+        return world.EpisodeMetrics(pPeople=p_people, pTrip=min(p_trip, 1.0),
+                                    pEnergy=min(p_energy, 1.0))
+
+
+def oracle_init_world(config, broker=None, *, faults=(), episode_tag=None) -> OracleWorld:
+    """Build the grid, route the pedestrians, install faults, run the handshake."""
+    w = OracleWorld(config, broker, episode_tag)
+    for y in range(config.gridHeight):
+        for x in range(config.gridWidth):
+            light = Streetlight(id=f"node{y * config.gridWidth + x + 1}", position=(x, y))
+            w.lights.append(light)
+            w.lights_by_id[light.id] = light
+            w.light_at[light.position] = light
+            w.prev_outbox[light.id] = 0.0
+    routes = world.build_routes(config, random.Random(config.rngSeed))
+    w.people = [Pedestrian(id=f"person{i}", route=r) for i, r in enumerate(routes, start=1)]
+    for spec in faults:
+        if spec.kind not in world.FAULT_KINDS:
+            raise world.UnknownFault(f"unknown fault kind {spec.kind!r}")
+        targets = []
+        for target in spec.targets:
+            if target not in w.lights_by_id:
+                raise world.UnknownTarget(f"no light named {target!r}")
+            targets.append(w.lights_by_id[target])
+        for light in targets:
+            light.faultFlags.add(spec.kind)
+    if broker is not None:
+        broker.clock.advance_to(0)
+        for light in w.lights:
+            w.publish("manager01", "receiveMsgFromSmartThing", f"thing={light.id}")
+            if world.FAULT_SKIP_HANDSHAKE not in light.faultFlags:
+                w.publish("manager01", "createAdaptiveAgent", f"controller for {light.id}")
+            w.publish("lightsAgent", "connect", f"{light.id} joined")
+            w.publish("manager01", "sendMsgToSmartThing", f"ack to {light.id}")
+            w.publish("lightsAgent", "receiveInputDataFromSmartThing",
+                      f"initial data from {light.id}")
+    return w
+
+
+def oracle_sense(light: Streetlight, w: OracleWorld) -> SensorFrame:
+    """Read one light's sensors against the end of the last tick and log them."""
+    cfg = w.config
+    level = cfg.ambientLight
+    for pos in [light.position] + w.neighbors(light.position):
+        if pos in w.prev_emitting:
+            level += cfg.lightBrightness
+    level = min(level, 1.0)
+    if world.FAULT_SENSOR_STUCK in light.faultFlags:
+        if light.stuckLightLevel is None:
+            light.stuckLightLevel = level
+        level = light.stuckLightLevel
+    seen = [light.position] + w.neighbors(light.position)
+    motion = any(not p.finished and p.position in seen for p in w.people)
+    wireless = 0.0
+    for other in w.wireless_neighbors(light):
+        wireless = max(wireless, w.prev_outbox[other])
+    frame = SensorFrame(lightLevel=level, motionDetected=motion, wirelessIn=wireless)
+    light.lastFrame = frame
+    w.publish(light.id, "receiveWirelessData", f"in={frame.wirelessIn:.6f}")
+    w.publish(light.id, "readLightSensor", f"level={frame.lightLevel:.6f}")
+    w.publish(light.id, "readMotionSensor", f"motion={1 if frame.motionDetected else 0}")
+    w.publish(light.id, "sendMsg", f"frame from {light.id}")
+    return frame
+
+
+def oracle_actuate(light: Streetlight, decision, w: OracleWorld) -> None:
+    """Apply one (led, wireless) controller output pair to one light and log it."""
+    led = float(decision[0])
+    wireless = float(decision[1])
+    light.lightOn = led > 0
+    light.outbox = 0.0 if world.FAULT_MUTE_WIRELESS in light.faultFlags else max(wireless, 0.0)
+    w.publish(light.id, "receiveNeuralNetworkCommand", f"led={led:.6f} wireless={wireless:.6f}")
+    if light.lightOn:
+        w.publish(light.id, "switchLightON", "on")
+    else:
+        w.publish(light.id, "switchLightOFF", "off")
+    w.publish(light.id, "sendWirelessData", f"out={light.outbox:.6f}")
+    if w.emitting(light):
+        w.publish(light.id, "detectLight", f"brightness={w.config.lightBrightness:.6f}")
+
+
+def oracle_move_people(w: OracleWorld) -> None:
+    """Move every unfinished pedestrian whose current and next nodes are lit."""
+    threshold = w.config.darkThreshold
+    for person in w.people:
+        if person.finished:
+            continue
+        person.ticksMoving += 1
+        nxt = person.route[person.positionIndex + 1]
+        if w.perceived_light(person.position) > threshold and w.perceived_light(nxt) > threshold:
+            person.positionIndex += 1
+            person.finished = person.positionIndex == len(person.route) - 1
+
+
+def _oracle_outputs(controller, inputs):
+    if hasattr(controller, "forward_batch"):
+        return [tuple(row) for row in controller.forward_batch(inputs)]
+    ask = controller.forward if hasattr(controller, "forward") else controller
+    return [tuple(ask(row)) for row in inputs]
+
+
+def oracle_step_world(w: OracleWorld, controller) -> None:
+    """One tick: every light senses, then light by light the agent decides and the light acts."""
+    w.tick += 1
+    if w.broker is not None:
+        w.broker.clock.advance_to(w.tick * TICK_US)
+    frames = [oracle_sense(light, w) for light in w.lights]
+    inputs = np.array([[f.lightLevel, 1.0 if f.motionDetected else 0.0, f.wirelessIn]
+                       for f in frames])
+    for light, frame, out in zip(w.lights, frames, _oracle_outputs(controller, inputs)):
+        w.publish("lightsAgent", "receiveInputDataFromSmartThing",
+                  f"from {light.id} level={frame.lightLevel:.6f} "
+                  f"motion={1 if frame.motionDetected else 0} wireless={frame.wirelessIn:.6f}")
+        w.publish("lightsAgent", "useControllerToGetOutput", f"deciding for {light.id}")
+        w.publish("lightsAgent", "sendOutputToSmartThing",
+                  f"to {light.id} led={out[0]:.6f} wireless={out[1]:.6f}")
+        oracle_actuate(light, out, w)
+    oracle_move_people(w)
+    w.onTicks += sum(1 for light in w.lights if light.lightOn)
+    w.prev_emitting = {light.position for light in w.lights if w.emitting(light)}
+    w.prev_outbox = {light.id: light.outbox for light in w.lights}
+
+
+def oracle_run_episode(config, controller, broker=None, *, faults=(), episode_tag=None):
+    """One reference episode, stopped early once every pedestrian has arrived."""
+    w = oracle_init_world(config, broker, faults=faults, episode_tag=episode_tag)
+    for _ in range(config.maxTicks):
+        oracle_step_world(w, controller)
+        if config.numPeople > 0 and w.all_finished:
+            break
+    if w.all_finished:
+        w.publish("lights", "finishSimulation", f"tick={w.tick}")
+    return w.metrics()

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -163,6 +164,16 @@ class TestSimulate:
         assert code == USAGE_ERROR
         assert err.startswith("error: ") and "lights" in err
         assert elapsed < 1.0
+
+    def test_wireless_range_spanning_a_large_grid_exits_two(self, tmp_path, capsys):
+        config = small_world(tmp_path, gridWidth=40, gridHeight=40, wirelessRange=80)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err == ("error: wirelessRange 80 on grid 40x40 can make more than "
+                                "250000 wireless links\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_config_float_exits_two(self, tmp_path, capsys, value):
@@ -644,6 +655,30 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["test"], ["evolve"], ["timeline"]])
+    def test_help_text_is_that_of_a_fresh_parser(self, capsys, argv):
+        assert main([*argv, "--help"]) == 0
+        printed = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args([*argv, "--help"])
+        assert printed == capsys.readouterr().out
+        assert "usage: masharness" in printed
+
+    def test_two_calls_in_a_row_print_the_same(self, tmp_path, capsys, monkeypatch):
+        manifest, tap = out_paths(tmp_path)
+        argv = ["simulate", "--config", small_world(tmp_path), "--manifest", manifest,
+                "--tap", tap]
+        outputs = []
+        for args in (argv, argv, ["frobnicate"], ["frobnicate"]):
+            outputs.append((main(args), capsys.readouterr()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert outputs[2] == outputs[3] and outputs[2][0] == USAGE_ERROR
+        # the parser is built once: a further run builds no help formatter
+        sizes = []
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: sizes.append(a) or (80, 24))
+        assert main(argv) == 0
+        assert sizes == []
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -42,3 +42,29 @@ def test_traced_run_writes_the_golden_tap(tmp_path, capsys):
     assert hashlib.sha256(tap.read_bytes()).hexdigest() == digest
     names = set(tracer.names)
     assert {"world.sense", "world.actuate", "world.publish", "broker.publish"} <= names
+
+
+def test_traced_evolve_counts_world_ticks(tmp_path, capsys):
+    ga = tmp_path / "ga.cfg"
+    ga.write_text("populationSize=6\ngenerations=2\nelitism=1\n")
+    genomes = []
+    module = load_tracer()
+    tracer = module.Tracer(masharness)
+    for traced in (False, True):
+        genome = tmp_path / f"genome-{traced}.txt"
+        argv = ["evolve", "--ga-config", str(ga), "--seed", "3", "--genome", str(genome),
+                "--manifest", str(tmp_path / "m.txt")]
+        if traced:
+            tracer.op = 0
+            tracer.install()
+        try:
+            assert main(argv) == 0
+        finally:
+            tracer.uninstall()
+        genomes.append(genome.read_bytes())
+    capsys.readouterr()
+    assert genomes[0] == genomes[1]
+    ticks, _ = module.layer_metrics(tracer, 1)["world.ticks"]
+    # each generation's batch and the winner's re-run step the world tick by tick
+    assert ticks >= 3
+    assert "world.step_world" in tracer.names

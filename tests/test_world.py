@@ -1,11 +1,16 @@
+import itertools
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from masharness.broker import Broker, QueueClosed
+from masharness.cli import data_path
+from masharness.evolution import GAConfig, load_ga_config
 from masharness.logmodel import (
     MAX_KEY_BYTES,
     InvalidTag,
@@ -21,10 +26,11 @@ from masharness.world import (
     FAULT_SENSOR_STUCK,
     FAULT_SKIP_HANDSHAKE,
     MAX_LIGHTS,
+    MAX_WIRELESS_LINKS,
+    ControllerBatch,
     EpisodeMetrics,
     FaultSpec,
     InvalidConfig,
-    Pedestrian,
     UnknownFault,
     UnknownTarget,
     WorldConfig,
@@ -32,7 +38,7 @@ from masharness.world import (
     actuate,
     build_routes,
     init_world,
-    inject_fault,
+    load_config,
     load_world_config,
     move_people,
     parse_fault_spec,
@@ -42,6 +48,8 @@ from masharness.world import (
     sense,
     step_world,
 )
+
+from oracles import oracle_init_world, oracle_run_episode
 
 
 def cfg(**kw):
@@ -72,16 +80,35 @@ class ConstantController:
 
 
 class ScriptedController:
-    """Plays back one preset (lights, 2) output matrix per tick."""
+    """Plays back one preset (lights, 2) output matrix per tick, recording each tick's inputs."""
 
     def __init__(self, frames):
         self.frames = [np.asarray(f, dtype=float) for f in frames]
-        self.calls = 0
+        self.seen = []
 
     def forward_batch(self, inputs):
-        out = self.frames[min(self.calls, len(self.frames) - 1)]
-        self.calls += 1
+        out = self.frames[min(len(self.seen), len(self.frames) - 1)]
+        self.seen.append(np.array(inputs))
         return out
+
+
+class RandomController:
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def forward_batch(self, inputs):
+        return self.rng.uniform(-1.0, 1.0, size=(len(inputs), 2))
+
+
+class ForwardController:
+    """Answers one light at a time."""
+
+    def forward(self, row):
+        return (row[2] - row[1], -row[0])
+
+
+def batch(controller):
+    return ControllerBatch([controller])
 
 
 def drain(queue):
@@ -94,6 +121,18 @@ def drain(queue):
         if ev is None:
             return events
         events.append(ev)
+
+
+def seed_with_routes(routes, **kw):
+    """The first world seed whose pedestrians walk exactly ``routes``."""
+    return next(seed for seed in itertools.count(1)
+                if build_routes(cfg(rngSeed=seed, **kw), random.Random(seed)) == routes)
+
+
+def tap_records(path):
+    """(key, message) of every tap line, timestamps left out."""
+    return [(key, message) for key, _, message in
+            (line.split("\t", 2) for line in path.read_text().splitlines())]
 
 
 class TestWorldConfig:
@@ -136,6 +175,30 @@ class TestWorldConfig:
         with pytest.raises(InvalidConfig, match="lights"):
             cfg(gridWidth=100_000, gridHeight=100_000)
 
+    def test_wireless_links_are_bounded(self):
+        with pytest.raises(InvalidConfig, match=f"more than {MAX_WIRELESS_LINKS} wireless links"):
+            cfg(gridWidth=40, gridHeight=40, wirelessRange=80)
+        # 10,000 lights with 4 peers each, and the largest range a 50x50 grid may have
+        assert cfg(gridWidth=100, gridHeight=100, wirelessRange=1).wirelessRange == 1
+        assert 2500 * 2 * 6 * 7 <= MAX_WIRELESS_LINKS < 2500 * 2 * 7 * 8
+        assert cfg(gridWidth=50, gridHeight=50, wirelessRange=6).wirelessRange == 6
+        with pytest.raises(InvalidConfig, match="wireless links"):
+            cfg(gridWidth=50, gridHeight=50, wirelessRange=7)
+        # a small grid may take any range: no light has more than lights - 1 peers
+        assert cfg(gridWidth=6, gridHeight=6, wirelessRange=10**9).wirelessRange == 10**9
+
+    def test_range_beyond_the_grid_acts_as_the_longest_distance(self):
+        far, longest = cfg(gridWidth=4, gridHeight=3, wirelessRange=10**9), cfg(
+            gridWidth=4, gridHeight=3, wirelessRange=5)
+        assert np.array_equal(init_world(far).peers, init_world(longest).peers)
+        relay = decode([0.0, 5.0, 5.0, -1.0, 5.0, 5.0, -1.0, -1.0], NetworkTopology(hiddenCount=1))
+        assert run_episodes(far, [relay]) == run_episodes(longest, [relay])
+
+    def test_a_10000_light_grid_with_range_1_runs(self):
+        c = cfg(gridWidth=100, gridHeight=100, wirelessRange=1, numPeople=5, maxTicks=3)
+        metrics = run_episode(c, ConstantController(1.0, 0.5))
+        assert metrics.pEnergy == 1.0 and metrics.pTrip > 0.0
+
     def test_load_rejects_non_utf8_naming_the_file(self, tmp_path):
         path = tmp_path / "world.cfg"
         path.write_bytes(b"\xff\xfegridWidth = 3\n")
@@ -174,6 +237,57 @@ class TestWorldConfig:
             load_world_config(path)
 
 
+CONFIG_KINDS = {
+    "world": (WorldConfig, load_world_config, "gridWidth", "ambientLight"),
+    "ga": (GAConfig, load_ga_config, "populationSize", "mutationSigma"),
+}
+
+
+class TestConfigLoader:
+    """One key=value loader reads both config kinds, driven by their fields."""
+
+    @pytest.mark.parametrize("kind", list(CONFIG_KINDS))
+    @pytest.mark.parametrize("text,line,error", [
+        ("# ok\n\n{int} 3\n", 3, "expected key=value, got '{int} 3'"),
+        ("{int}=3\nvibe = high\n", 2, "unknown key 'vibe'"),
+        ("{int} = 3.0\n", 1, "bad value for {int}: '3.0'"),
+        ("{float} = high\n", 1, "bad value for {float}: 'high'"),
+        (b"\xff\xfe{int}=3\n", None, "is not UTF-8 text: invalid start byte"),
+    ], ids=["no-equals", "unknown-key", "bad-int", "bad-float", "not-utf8"])
+    def test_each_error_names_the_file_and_line(self, tmp_path, kind, text, line, error):
+        cls, load, int_key, float_key = CONFIG_KINDS[kind]
+        path = tmp_path / f"{kind}.cfg"
+        if isinstance(text, bytes):
+            path.write_bytes(text.replace(b"{int}", int_key.encode()))
+        else:
+            path.write_text(text.format(int=int_key, float=float_key))
+        with pytest.raises(InvalidConfig) as info:
+            load(path)
+        where = f"config {path}" + (f" line {line}: " if line else " ")
+        assert str(info.value) == where + error.format(int=int_key, float=float_key)
+        with pytest.raises(InvalidConfig, match=re.escape(str(info.value))):
+            load_config(cls, path)
+
+    @pytest.mark.parametrize("kind", list(CONFIG_KINDS))
+    def test_values_are_read_as_their_field_type(self, tmp_path, kind):
+        cls, load, int_key, float_key = CONFIG_KINDS[kind]
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(f"  {float_key} = 1  \n# {int_key} = nope\n{int_key}=7\n{int_key} = 8\n")
+        config = load(path)
+        assert config == cls(**{float_key: 1.0, int_key: 8})  # the last value given wins
+        assert type(getattr(config, float_key)) is float and type(getattr(config, int_key)) is int
+
+    def test_shipped_configs_load_to_equal_objects(self):
+        assert load_world_config(data_path("world.cfg")) == WorldConfig(
+            gridWidth=5, gridHeight=5, wirelessRange=1, numPeople=5, maxTicks=200,
+            ambientLight=0.05, lightBrightness=0.8, darkThreshold=0.15, energyPerTickOn=1.0,
+            rngSeed=2)
+        assert load_ga_config(data_path("ga.cfg")) == GAConfig(
+            populationSize=40, generations=30, elitism=2, tournamentSize=3, crossoverRate=0.8,
+            mutationRate=0.05, mutationSigma=0.3, weightLimit=5.0, hiddenCount=4,
+            energyTarget=0.70, rngSeed=1)
+
+
 class TestFaultSpec:
     def test_parse_single_and_multiple_targets(self):
         assert parse_fault_spec("go-dark:node10") == FaultSpec("go-dark", ("node10",))
@@ -187,67 +301,57 @@ class TestFaultSpec:
             parse_fault_spec(text)
 
     def test_inject_unknown_target(self):
-        world = init_world(cfg())
-        with pytest.raises(UnknownTarget):
-            inject_fault(world, FaultSpec("go-dark", ("node99",)))
+        with pytest.raises(UnknownTarget, match="no light named 'node99'"):
+            init_world(cfg(), faults=[FaultSpec("go-dark", ("node99",))])
 
     def test_inject_unknown_kind(self):
-        world = init_world(cfg())
-        with pytest.raises(UnknownFault):
-            inject_fault(world, FaultSpec("flicker", ("node1",)))
+        with pytest.raises(UnknownFault, match="unknown fault kind 'flicker'"):
+            init_world(cfg(), faults=[FaultSpec("flicker", ("node1",))])
 
     def test_inject_sets_flags_on_all_targets(self):
-        world = init_world(cfg())
-        inject_fault(world, FaultSpec(FAULT_GO_DARK, ("node1", "node4")))
-        assert FAULT_GO_DARK in world.lights_by_id["node1"].faultFlags
-        assert FAULT_GO_DARK in world.lights_by_id["node4"].faultFlags
-        assert not world.lights_by_id["node2"].faultFlags
+        world = init_world(cfg(), faults=[FaultSpec(FAULT_GO_DARK, ("node1", "node4"))])
+        assert world.faulty[FAULT_GO_DARK].tolist() == [True, False, False, True]
+        assert not any(world.faulty[kind].any() for kind in FAULT_KINDS if kind != FAULT_GO_DARK)
 
 
 class TestGridAndRoutes:
     def test_node_ids_are_row_major(self):
         world = init_world(cfg(gridWidth=3, gridHeight=3))
-        assert [l.id for l in world.lights] == [f"node{i}" for i in range(1, 10)]
-        assert world.lights_by_id["node1"].position == (0, 0)
-        assert world.lights_by_id["node3"].position == (2, 0)
-        assert world.lights_by_id["node4"].position == (0, 1)
-        assert world.lights_by_id["node9"].position == (2, 2)
+        assert world.ids == [f"node{i}" for i in range(1, 10)]
+        # (x, y) is light y * gridWidth + x
+        assert [world.ids[y * 3 + x] for x, y in ((0, 0), (2, 0), (0, 1), (2, 2))] == [
+            "node1", "node3", "node4", "node9"]
 
     def test_node10_sits_at_4_1_on_default_grid(self):
         world = init_world(cfg(gridWidth=5, gridHeight=5))
-        assert world.lights_by_id["node10"].position == (4, 1)
+        assert world.ids[1 * 5 + 4] == "node10"
 
     def test_neighbor_counts(self):
         world = init_world(cfg(gridWidth=3, gridHeight=3))
-        assert len(world.neighbors((0, 0))) == 2
-        assert len(world.neighbors((1, 0))) == 3
-        assert len(world.neighbors((1, 1))) == 4
+        adjacent = (world.near < world.lights).sum(axis=1) - 1  # less the light itself
+        assert (adjacent[0], adjacent[1], adjacent[4]) == (2, 3, 4)
 
     def test_wireless_range_uses_manhattan_distance(self):
         world = init_world(cfg(gridWidth=3, gridHeight=3, wirelessRange=2))
-        center = world.lights_by_id["node5"]
-        assert set(world.wireless_neighbors(center)) == {
-            f"node{i}" for i in (1, 2, 3, 4, 6, 7, 8, 9)
-        }
+        center = [world.ids[j] for j in world.peers[4] if j < world.lights]
+        assert set(center) == {f"node{i}" for i in (1, 2, 3, 4, 6, 7, 8, 9)}
         zero = init_world(cfg(wirelessRange=0))
-        assert world.lights_by_id["node5"].id not in world.wireless_neighbors(center)
-        assert zero.wireless_neighbors(zero.lights_by_id["node1"]) == ()
+        assert (zero.peers == zero.lights).all()
 
     @pytest.mark.parametrize("width,height", [(1, 1), (1, 6), (4, 3), (6, 6)])
     @pytest.mark.parametrize("reach", [0, 1, 2, 5, 12])
     def test_neighbour_lists_match_an_all_pairs_scan(self, width, height, reach):
         world = init_world(cfg(gridWidth=width, gridHeight=height, wirelessRange=reach))
-        for light in world.lights:
-            x, y = light.position
-            assert world.wireless_neighbors(light) == tuple(
-                other.id for other in world.lights
-                if other is not light
-                and abs(other.position[0] - x) + abs(other.position[1] - y) <= reach
-            )
-            assert world.neighbors(light.position) == tuple(
+        position = [(i % width, i // width) for i in range(world.lights)]
+        for i, (x, y) in enumerate(position):
+            assert [j for j in world.peers[i] if j < world.lights] == [
+                j for j, (ox, oy) in enumerate(position)
+                if j != i and abs(ox - x) + abs(oy - y) <= reach
+            ]
+            assert [position[j] for j in world.near[i] if j < world.lights] == [(x, y)] + [
                 (nx, ny) for nx, ny in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1))
                 if 0 <= nx < width and 0 <= ny < height
-            )
+            ]
 
     def test_routes_are_seeded_border_to_border_shortest_paths(self):
         c = cfg(gridWidth=5, gridHeight=4, numPeople=6, rngSeed=9)
@@ -267,12 +371,15 @@ class TestGridAndRoutes:
             assert len(route) == manhattan + 1
             for (x1, y1), (x2, y2) in zip(route, route[1:]):
                 assert abs(x1 - x2) + abs(y1 - y2) == 1
+        world = init_world(c)
+        assert [world.path[n, : len(r)].tolist() for n, r in enumerate(routes)] == [
+            [y * 5 + x for x, y in route] for route in routes]
 
     def test_people_need_two_border_nodes(self):
         with pytest.raises(InvalidConfig):
             init_world(cfg(gridWidth=1, gridHeight=1, numPeople=1))
         world = init_world(cfg(gridWidth=1, gridHeight=1, numPeople=0))
-        assert world.people == []
+        assert world.people == 0
 
     def test_seeds_with_light_on_route(self):
         c = cfg(gridWidth=5, gridHeight=5, numPeople=5)
@@ -280,9 +387,9 @@ class TestGridAndRoutes:
         assert len(seeds) == 4
         assert seeds == sorted(set(seeds))
         for seed in seeds:
-            world = init_world(cfg(gridWidth=5, gridHeight=5, numPeople=5, rngSeed=seed))
-            visited = {pos for p in world.people for pos in p.route}
-            assert world.lights_by_id["node10"].position in visited
+            routes = build_routes(cfg(gridWidth=5, gridHeight=5, numPeople=5, rngSeed=seed),
+                                  random.Random(seed))
+            assert (4, 1) in {pos for route in routes for pos in route}
 
 
 class TestHandshake:
@@ -325,37 +432,44 @@ class TestHandshake:
     def test_silent_without_broker(self):
         world = init_world(cfg())
         assert world.broker is None
-        assert len(world.lights) == 4
+        assert world.lights == 4
+
+    def test_a_logged_world_runs_one_episode(self):
+        with Broker() as broker, pytest.raises(WorldError, match="one episode"):
+            init_world(cfg(), broker, episodes=2)
 
 
 class TestSense:
     def test_dark_idle_world(self):
-        world = init_world(cfg())
-        frame = sense(world.lights_by_id["node1"], world)
-        assert frame.lightLevel == cfg().ambientLight
-        assert frame.motionDetected is False
-        assert frame.wirelessIn == 0.0
-        assert world.lights_by_id["node1"].lastFrame == frame
+        inputs = sense(init_world(cfg()))
+        assert inputs.shape == (1, 4, 3)
+        assert inputs[0, 0].tolist() == [cfg().ambientLight, 0.0, 0.0]
 
     def test_motion_covers_own_and_adjacent_nodes(self):
-        world = init_world(cfg(gridWidth=3, gridHeight=3))
-        world.people.append(Pedestrian(id="p1", route=((1, 1), (2, 1))))
-        assert sense(world.lights_by_id["node5"], world).motionDetected is True  # own node
-        assert sense(world.lights_by_id["node4"], world).motionDetected is True  # adjacent
-        assert sense(world.lights_by_id["node1"], world).motionDetected is False  # diagonal
-        world.people[0].finished = True
-        assert sense(world.lights_by_id["node5"], world).motionDetected is False
+        # one pedestrian standing on node2 at (1, 0) of a 3x3 grid
+        kw = dict(gridWidth=3, gridHeight=3, numPeople=1)
+        seed = next(s for s in itertools.count(1)
+                    if build_routes(cfg(rngSeed=s, **kw), random.Random(s))[0][0] == (1, 0))
+        world = init_world(cfg(rngSeed=seed, **kw))
+        motion = sense(world)[0, :, 1]
+        assert motion[1] == 1.0  # own node
+        assert motion[[0, 2, 4]].tolist() == [1.0, 1.0, 1.0]  # adjacent
+        assert motion[[3, 5, 6, 7, 8]].tolist() == [0.0] * 5  # diagonal or farther
+        world.arrived[0, 0] = True
+        assert not sense(world)[0, :, 1].any()
 
     def test_light_level_sums_own_and_adjacent_spill(self):
         c = cfg(gridWidth=3, gridHeight=1, ambientLight=0.5, lightBrightness=0.3)
         world = init_world(c)
-        world.prev_emitting = {(1, 0)}
-        assert sense(world.lights_by_id["node1"], world).lightLevel == pytest.approx(0.8)
-        assert sense(world.lights_by_id["node2"], world).lightLevel == pytest.approx(0.8)
-        world.prev_emitting = {(0, 0), (1, 0)}
+        world.radiating[0, 1] = True
+        level = sense(world)[0, :, 0]
+        assert level[0] == pytest.approx(0.8)
+        assert level[1] == pytest.approx(0.8)
+        world.radiating[0, [0, 1]] = True
+        level = sense(world)[0, :, 0]
         # 0.5 + 0.3 + 0.3 clamps to 1.0
-        assert sense(world.lights_by_id["node1"], world).lightLevel == 1.0
-        assert sense(world.lights_by_id["node3"], world).lightLevel == pytest.approx(0.8)
+        assert level[0] == 1.0
+        assert level[2] == pytest.approx(0.8)
 
     def test_sensor_stuck_freezes_first_reading(self):
         world = init_world(
@@ -363,33 +477,37 @@ class TestSense:
             faults=[FaultSpec(FAULT_SENSOR_STUCK, ("node1",))],
         )
         ambient = world.config.ambientLight
-        assert sense(world.lights_by_id["node1"], world).lightLevel == ambient
-        world.prev_emitting = {(0, 0), (1, 0)}
-        assert sense(world.lights_by_id["node1"], world).lightLevel == ambient
-        assert sense(world.lights_by_id["node2"], world).lightLevel > ambient
+        assert sense(world)[0, 0, 0] == ambient
+        world.radiating[0, [0, 1]] = True
+        level = sense(world)[0, :, 0]
+        assert level[0] == ambient
+        assert level[1] > ambient
 
     def test_wireless_takes_strongest_neighbor_not_self(self):
         world = init_world(cfg(gridWidth=3, gridHeight=1, wirelessRange=1))
-        world.prev_outbox = {"node1": 0.3, "node2": 0.9, "node3": 0.7}
-        assert sense(world.lights_by_id["node2"], world).wirelessIn == 0.7
-        assert sense(world.lights_by_id["node1"], world).wirelessIn == 0.9
+        world.outbox[0, :3] = [0.3, 0.9, 0.7]
+        wireless = sense(world)[0, :, 2]
+        assert wireless[1] == 0.7
+        assert wireless[0] == 0.9
         wide = init_world(cfg(gridWidth=3, gridHeight=1, wirelessRange=2))
-        wide.prev_outbox = {"node1": 0.3, "node2": 0.9, "node3": 0.7}
-        assert sense(wide.lights_by_id["node1"], wide).wirelessIn == 0.9
+        wide.outbox[0, :3] = [0.3, 0.9, 0.7]
+        assert sense(wide)[0, 0, 2] == 0.9
 
     def test_publishes_four_logs_in_order(self, tmp_path):
         tap = tmp_path / "tap.log"
         with Broker(tap=str(tap)) as broker:
             world = init_world(cfg(), broker)
-            sense(world.lights_by_id["node3"], world)
-        events = load_tap(tap)[-4:]
-        assert [(e.agentName, e.action) for e in events] == [
+            sense(world)
+        events = load_tap(tap)[20:]
+        assert [e.agentName for e in events] == [f"node{i}" for i in range(1, 5) for _ in range(4)]
+        node3 = events[8:12]
+        assert [(e.agentName, e.action) for e in node3] == [
             ("node3", "receiveWirelessData"),
             ("node3", "readLightSensor"),
             ("node3", "readMotionSensor"),
             ("node3", "sendMsg"),
         ]
-        assert events[2].message == "motion=0"
+        assert node3[2].message == "motion=0"
         assert all(e.agentType == "lightContainer" for e in events)
 
 
@@ -398,16 +516,18 @@ class TestActuate:
         tap = tmp_path / "tap.log"
         with Broker(tap=str(tap)) as broker:
             world = init_world(cfg(), broker, faults=faults)
-            light = world.lights_by_id["node1"]
-            actuate(light, decision, world)
-        actions = [e.action for e in load_tap(tap) if e.tick == 0][-5:]
-        return world, light, actions
+            outputs = np.zeros((1, 4, 2))
+            outputs[0, 0] = decision
+            actuate(world, np.zeros((1, 4, 3)), outputs)
+        actions = [e.action for e in load_tap(tap) if e.tick == 0 and e.agentName == "node1"]
+        return world, actions
 
     def test_positive_led_switches_on_and_detects(self, tmp_path):
-        world, light, actions = self.run_actuate(tmp_path, (0.7, 0.2))
-        assert light.lightOn is True
-        assert light.outbox == pytest.approx(0.2)
-        assert actions[-4:] == [
+        world, actions = self.run_actuate(tmp_path, (0.7, 0.2))
+        assert world.radiating[0, 0]
+        assert world.on_ticks[0] == 1
+        assert world.outbox[0, 0] == pytest.approx(0.2)
+        assert actions == [
             "receiveNeuralNetworkCommand",
             "switchLightON",
             "sendWirelessData",
@@ -415,87 +535,84 @@ class TestActuate:
         ]
 
     def test_non_positive_led_switches_off(self, tmp_path):
-        world, light, actions = self.run_actuate(tmp_path, (-0.3, -0.5))
-        assert light.lightOn is False
-        assert light.outbox == 0.0  # negative broadcast clamps to silence
-        assert actions[-3:] == [
+        world, actions = self.run_actuate(tmp_path, (-0.3, -0.5))
+        assert not world.radiating[0, 0]
+        assert world.outbox[0, 0] == 0.0  # negative broadcast clamps to silence
+        assert actions == [
             "receiveNeuralNetworkCommand",
             "switchLightOFF",
             "sendWirelessData",
         ]
-        assert "detectLight" not in actions
 
     def test_zero_led_means_off(self, tmp_path):
-        world, light, actions = self.run_actuate(tmp_path, (0.0, 0.0))
-        assert light.lightOn is False
+        world, actions = self.run_actuate(tmp_path, (0.0, 0.0))
+        assert not world.radiating[0, 0]
+        assert world.on_ticks[0] == 0
 
     def test_go_dark_switches_on_without_detecting(self, tmp_path):
-        world, light, actions = self.run_actuate(
+        world, actions = self.run_actuate(
             tmp_path, (0.9, 0.0), faults=[FaultSpec(FAULT_GO_DARK, ("node1",))]
         )
-        assert light.lightOn is True
-        assert world.emitting(light) is False
+        assert world.on_ticks[0] == 1  # on, and burning energy
+        assert not world.radiating[0, 0]
         assert "switchLightON" in actions
         assert "detectLight" not in actions
 
     def test_mute_wireless_forces_silent_outbox(self, tmp_path):
-        world, light, actions = self.run_actuate(
+        world, actions = self.run_actuate(
             tmp_path, (0.9, 0.8), faults=[FaultSpec(FAULT_MUTE_WIRELESS, ("node1",))]
         )
-        assert light.outbox == 0.0
+        assert world.outbox[0, 0] == 0.0
         assert "sendWirelessData" in actions
 
 
 class TestMovement:
-    def walkway(self):
-        world = init_world(cfg(gridWidth=2, gridHeight=1))
-        person = Pedestrian(id="p1", route=((0, 0), (1, 0)))
-        world.people.append(person)
-        return world, person
+    def walkway(self, **kw):
+        kw = dict(gridWidth=2, gridHeight=1, numPeople=1, **kw)
+        world = init_world(cfg(rngSeed=seed_with_routes([((0, 0), (1, 0))], **kw), **kw))
+        return world
 
     def test_advances_when_both_ends_lit(self):
-        world, person = self.walkway()
-        for light in world.lights:
-            light.lightOn = True
+        world = self.walkway()
+        world.radiating[0, :2] = True
         move_people(world)
-        assert person.positionIndex == 1
-        assert person.finished is True
-        assert person.ticksMoving == 1
+        assert world.step[0, 0] == 1
+        assert world.arrived[0, 0]
+        assert world.ticks_moving[0] == 1
 
     def test_blocked_when_current_node_dark(self):
-        world, person = self.walkway()
-        world.lights_by_id["node2"].lightOn = True
+        world = self.walkway()
+        world.radiating[0, 1] = True
         move_people(world)
-        assert person.positionIndex == 0
-        assert person.ticksMoving == 1  # waiting still costs trip time
+        assert world.step[0, 0] == 0
+        assert world.ticks_moving[0] == 1  # waiting still costs trip time
 
     def test_blocked_when_next_node_dark(self):
-        world, person = self.walkway()
-        world.lights_by_id["node1"].lightOn = True
+        world = self.walkway()
+        world.radiating[0, 0] = True
         move_people(world)
-        assert person.positionIndex == 0
+        assert world.step[0, 0] == 0
 
     def test_go_dark_lamp_gives_no_walking_light(self):
-        world, person = self.walkway()
-        for light in world.lights:
-            light.lightOn = True
-        world.lights_by_id["node2"].faultFlags.add(FAULT_GO_DARK)
+        kw = dict(gridWidth=2, gridHeight=1, numPeople=1)
+        seed = seed_with_routes([((0, 0), (1, 0))], **kw)
+        world = init_world(cfg(rngSeed=seed, **kw),
+                           faults=[FaultSpec(FAULT_GO_DARK, ("node2",))])
+        actuate(world, np.zeros((1, 2, 3)), np.ones((1, 2, 2)))
         move_people(world)
-        assert person.positionIndex == 0
+        assert world.step[0, 0] == 0
 
     def test_finished_people_stop_accruing_trip_time(self):
-        world, person = self.walkway()
-        person.positionIndex = 1
-        person.finished = True
+        world = self.walkway()
+        world.step[0, 0] = 1
+        world.arrived[0, 0] = True
         move_people(world)
-        assert person.ticksMoving == 0
+        assert world.ticks_moving[0] == 0
 
     def test_bright_ambient_alone_is_enough(self):
-        world = init_world(cfg(gridWidth=2, gridHeight=1, ambientLight=0.5))
-        person = Pedestrian(id="p1", route=((0, 0), (1, 0)))
-        world.people.append(person)
+        world = self.walkway(ambientLight=0.5)
         move_people(world)
-        assert person.finished is True
+        assert world.arrived[0, 0]
 
 
 class TestStepWorld:
@@ -503,7 +620,7 @@ class TestStepWorld:
         tap = tmp_path / "tap.log"
         with Broker(tap=str(tap)) as broker:
             world = init_world(cfg(), broker)
-            step_world(world, ConstantController(1.0, 1.0))
+            step_world(world, batch(ConstantController(1.0, 1.0)))
         events = [e for e in load_tap(tap) if e.tick == 1]
         ids = [f"node{i}" for i in range(1, 5)]
         expected = []
@@ -531,7 +648,7 @@ class TestStepWorld:
         with Broker(tap=str(tap)) as broker:
             world = init_world(cfg(), broker)
             for _ in range(3):
-                step_world(world, ConstantController(1.0, 0.0))
+                step_world(world, batch(ConstantController(1.0, 0.0)))
         events = load_tap(tap)
         stamps = [e.timestamp for e in events]
         assert stamps == sorted(stamps) and len(set(stamps)) == len(stamps)
@@ -545,29 +662,29 @@ class TestStepWorld:
                 return np.zeros((len(inputs), 3))
 
         with pytest.raises(WorldError, match="controller"):
-            step_world(world, Wide())
+            step_world(world, batch(Wide()))
 
     def test_plain_callable_and_forward_objects_work(self):
         world = init_world(cfg())
-        step_world(world, lambda row: (1.0, 0.0))
-        assert all(l.lightOn for l in world.lights)
+        step_world(world, batch(lambda row: (1.0, 0.0)))
+        assert world.radiating[0, :4].all()
 
         class Single:
             def forward(self, row):
                 return (-1.0, 0.0)
 
-        step_world(world, Single())
-        assert not any(l.lightOn for l in world.lights)
+        step_world(world, batch(Single()))
+        assert not world.radiating.any()
 
     def test_energy_counts_on_ticks_exactly(self):
         world = init_world(cfg(energyPerTickOn=0.25))
-        on = ConstantController(1.0, 0.0)
-        off = ConstantController(-1.0, 0.0)
+        on = batch(ConstantController(1.0, 0.0))
+        off = batch(ConstantController(-1.0, 0.0))
         step_world(world, on)
         step_world(world, on)
         step_world(world, off)
-        assert world.onTicks == 8
-        assert world.energy == pytest.approx(2.0)
+        assert world.on_ticks[0] == 8
+        assert world.metrics()[0].pEnergy == 8 / (4 * 5)
 
     def test_wireless_arrives_one_tick_late(self):
         quiet = [[0.0, 0.0]] * 3
@@ -575,15 +692,14 @@ class TestStepWorld:
         script = ScriptedController(
             [[[0.0, 0.0], [0.0, 0.8], [0.0, 0.0]], quiet, quiet]
         )
-        step_world(world, script)
-        by_id = world.lights_by_id
-        assert by_id["node1"].lastFrame.wirelessIn == 0.0  # nothing sent yet
-        step_world(world, script)
-        assert by_id["node1"].lastFrame.wirelessIn == pytest.approx(0.8)
-        assert by_id["node3"].lastFrame.wirelessIn == pytest.approx(0.8)
-        assert by_id["node2"].lastFrame.wirelessIn == 0.0  # own broadcast excluded
-        step_world(world, script)
-        assert by_id["node1"].lastFrame.wirelessIn == 0.0  # decayed with the outbox
+        for _ in range(3):
+            step_world(world, batch(script))
+        first, second, third = (inputs[:, 2] for inputs in script.seen)
+        assert first[0] == 0.0  # nothing sent yet
+        assert second[0] == pytest.approx(0.8)
+        assert second[2] == pytest.approx(0.8)
+        assert second[1] == 0.0  # own broadcast excluded
+        assert third[0] == 0.0  # decayed with the outbox
 
     def test_spill_is_visible_one_tick_late(self):
         quiet = [[0.0, 0.0]] * 3
@@ -591,36 +707,48 @@ class TestStepWorld:
         script = ScriptedController(
             [[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], quiet]
         )
-        step_world(world, script)
+        step_world(world, batch(script))
+        step_world(world, batch(script))
         ambient = world.config.ambientLight
-        assert world.lights_by_id["node1"].lastFrame.lightLevel == ambient
-        step_world(world, script)
+        assert script.seen[0][0, 0] == ambient
         lit = ambient + world.config.lightBrightness
-        for lid in ("node1", "node2", "node3"):
-            assert world.lights_by_id[lid].lastFrame.lightLevel == pytest.approx(lit)
+        assert script.seen[1][:, 0] == pytest.approx([lit] * 3)
 
     def test_walking_light_is_own_lamp_only(self):
         # the middle lamp lights its sensor neighborhood but nobody else walks by it
-        world = init_world(cfg(gridWidth=3, gridHeight=1))
-        person = Pedestrian(id="p1", route=((0, 0), (1, 0), (2, 0)))
-        world.people.append(person)
+        kw = dict(gridWidth=3, gridHeight=1, numPeople=1)
+        world = init_world(cfg(rngSeed=seed_with_routes([((0, 0), (1, 0), (2, 0))], **kw), **kw))
         middle_only = ScriptedController([[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]])
         for _ in range(3):
-            step_world(world, middle_only)
-        assert person.positionIndex == 0
-        assert world.lights_by_id["node1"].lastFrame.lightLevel > world.config.darkThreshold
+            step_world(world, batch(middle_only))
+        assert world.step[0, 0] == 0
+        assert middle_only.seen[-1][0, 0] > world.config.darkThreshold
 
     def test_mute_wireless_starves_neighbors(self):
-        broadcast = ConstantController(-1.0, 1.0)
+        broadcast = ScriptedController([[[-1.0, 1.0]] * 3])
         world = init_world(
             cfg(gridWidth=3, gridHeight=1),
             faults=[FaultSpec(FAULT_MUTE_WIRELESS, ("node2",))],
         )
-        step_world(world, broadcast)
-        assert world.prev_outbox == {"node1": 1.0, "node2": 0.0, "node3": 1.0}
-        step_world(world, broadcast)
-        assert world.lights_by_id["node1"].lastFrame.wirelessIn == 0.0
-        assert world.lights_by_id["node2"].lastFrame.wirelessIn == 1.0
+        step_world(world, batch(broadcast))
+        assert world.outbox[0, :3].tolist() == [1.0, 0.0, 1.0]
+        step_world(world, batch(broadcast))
+        assert broadcast.seen[1][0, 2] == 0.0
+        assert broadcast.seen[1][1, 2] == 1.0
+
+    def test_batched_episodes_leave_the_batch_as_their_people_arrive(self):
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=30, rngSeed=5)
+        world = init_world(c, episodes=2)
+        controllers = ControllerBatch([ConstantController(1.0, 0.0),
+                                       ConstantController(-1.0, 0.0)])
+        while 0 in world.live:
+            step_world(world, controllers)
+        assert world.live.tolist() == [1]  # the dark episode strands its pedestrians
+        assert world.results[0].pPeople == 1.0 and world.results[1] is None
+        while world.tick < c.maxTicks:
+            step_world(world, controllers)
+        assert world.metrics() == [oracle_run_episode(c, ConstantController(1.0, 0.0)),
+                                   oracle_run_episode(c, ConstantController(-1.0, 0.0))]
 
 
 class TestRunEpisode:
@@ -708,12 +836,6 @@ class TestRunEpisode:
         assert "node2" in seen
 
 
-def tap_records(path):
-    """(key, message) of every tap line, timestamps left out."""
-    return [(key, message) for key, _, message in
-            (line.split("\t", 2) for line in path.read_text().splitlines())]
-
-
 class TestInternedKeys:
     def test_over_long_episode_tag_fails_in_init_world_before_any_tap_line(self, tmp_path):
         plain = tmp_path / "plain.log"
@@ -756,13 +878,23 @@ class TestInternedKeys:
         ))
         assert skipped == full[:dropped] + full[dropped + 1:]
 
-
-class RandomController:
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-
-    def forward_batch(self, inputs):
-        return self.rng.uniform(-1.0, 1.0, size=(len(inputs), 2))
+    @pytest.mark.parametrize("config,faults,tag,error", [
+        (cfg(gridWidth=1, gridHeight=1, numPeople=1), [FaultSpec("flicker", ("node1",))],
+         "a.b", InvalidConfig),
+        (cfg(), [FaultSpec("flicker", ("node1",))], "a.b", UnknownFault),
+        (cfg(), [FaultSpec(FAULT_GO_DARK, ("node9",))], "a.b", UnknownTarget),
+        (cfg(), [], "a.b", InvalidTag),
+    ], ids=["route", "fault-kind", "fault-target", "tag"])
+    def test_route_then_fault_then_tag_errors_before_any_tap_line(self, tmp_path, config,
+                                                                  faults, tag, error):
+        tap = tmp_path / "tap.log"
+        with Broker(tap=str(tap)) as broker, pytest.raises(error) as raised:
+            run_episode(config, ConstantController(1.0, 0.0), broker, faults=faults,
+                        episode_tag=tag)
+        assert tap.read_text() == ""
+        with Broker() as broker, pytest.raises(error, match=re.escape(str(raised.value))):
+            oracle_run_episode(config, ConstantController(1.0, 0.0), broker, faults=faults,
+                               episode_tag=tag)
 
 
 class TestInvariants:
@@ -771,19 +903,19 @@ class TestInvariants:
     def test_pedestrians_only_walk_forward(self, world_seed, ctrl_seed):
         c = cfg(gridWidth=3, gridHeight=3, numPeople=3, maxTicks=12, rngSeed=world_seed)
         world = init_world(c)
-        controller = RandomController(ctrl_seed)
-        on_ticks = 0
-        last_index = [0] * len(world.people)
+        controller = ScriptedController(RandomController(ctrl_seed).forward_batch(
+            np.zeros((9 * c.maxTicks, 3))).reshape(c.maxTicks, 9, 2))
         for _ in range(c.maxTicks):
-            was_finished = [p.finished for p in world.people]
-            step_world(world, controller)
-            on_ticks += sum(1 for l in world.lights if l.lightOn)
-            for i, p in enumerate(world.people):
-                assert last_index[i] <= p.positionIndex < len(p.route)
-                assert not (was_finished[i] and not p.finished)
-                assert p.ticksMoving <= world.tick
-                last_index[i] = p.positionIndex
-        assert world.onTicks == on_ticks
+            step, arrived = world.step.copy(), world.arrived.copy()
+            step_world(world, batch(controller))
+            if not len(world.live):  # every pedestrian arrived: the episode left the batch
+                assert world.results[0].pPeople == 1.0
+                break
+            assert (step <= world.step).all() and (world.step <= world.last_step).all()
+            assert not (arrived & ~world.arrived).any()
+            assert (world.ticks_moving <= world.tick * world.people).all()
+        on_ticks = sum(int((f[:, 0] > 0).sum()) for f in controller.frames[: world.tick])
+        assert world.metrics()[0].pEnergy == on_ticks / (9 * c.maxTicks)
 
     @given(world_seed=st.integers(0, 10_000), ctrl_seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
@@ -794,16 +926,6 @@ class TestInvariants:
             assert 0.0 <= value <= 1.0
 
 
-def scalar_episode(config, controller, faults=()):
-    """The light-by-light world without a broker, stopped as run_episode stops."""
-    world = init_world(config, faults=faults)
-    for _ in range(config.maxTicks):
-        step_world(world, controller)
-        if config.numPeople > 0 and world.all_finished:
-            break
-    return world.metrics()
-
-
 GENE = st.one_of(
     st.sampled_from([0.0, 5.0, -5.0]),
     st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False),
@@ -811,7 +933,7 @@ GENE = st.one_of(
 
 
 @st.composite
-def batched_worlds(draw):
+def worlds(draw, max_ticks=40):
     width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     lights = width * height
     config = WorldConfig(
@@ -820,7 +942,7 @@ def batched_worlds(draw):
         wirelessRange=draw(st.integers(0, 3)),
         # a single light has no second border node to route people to
         numPeople=draw(st.integers(0, 8)) if lights > 1 else 0,
-        maxTicks=draw(st.integers(1, 40)),
+        maxTicks=draw(st.integers(1, max_ticks)),
         ambientLight=draw(st.sampled_from([0.0, 0.05, 0.2])),
         rngSeed=draw(st.integers(0, 10_000)),
     )
@@ -829,13 +951,91 @@ def batched_worlds(draw):
             st.lists(st.integers(1, lights), min_size=1, max_size=3))))
         for kind in draw(st.lists(st.sampled_from(FAULT_KINDS), max_size=4))
     )
+    return config, faults
+
+
+def neural_controllers(draw, count):
     topology = NetworkTopology(hiddenCount=draw(st.integers(1, 5)))
-    count = draw(st.integers(1, 8))
     genomes = draw(st.lists(
         st.lists(GENE, min_size=topology.genomeLength, max_size=topology.genomeLength),
         min_size=count, max_size=count,
     ))
-    return config, faults, [decode(genes, topology) for genes in genomes]
+    return [decode(genes, topology) for genes in genomes]
+
+
+@st.composite
+def batched_worlds(draw):
+    config, faults = draw(worlds())
+    return config, faults, neural_controllers(draw, draw(st.integers(1, 8)))
+
+
+#: scripted outputs: signed zeros, values that round to 0.000000 either way, and NaN
+OUTPUT = st.sampled_from([-0.0, 0.0, 0.25, -0.3, 1.0, 4e-7, -4e-7, float("nan")])
+
+
+class Replay:
+    """A fresh controller per episode from one drawn recipe, so both worlds see the same one."""
+
+    def __init__(self, kind, lights, draw):
+        self.kind = kind
+        if kind == "neural":
+            self.network = neural_controllers(draw, 1)[0]
+        elif kind == "scripted":
+            self.frames = draw(st.lists(
+                st.lists(st.tuples(OUTPUT, OUTPUT), min_size=lights, max_size=lights),
+                min_size=1, max_size=6))
+
+    def __call__(self):
+        if self.kind == "neural":
+            return self.network
+        if self.kind == "scripted":
+            return ScriptedController(self.frames)
+        if self.kind == "forward":
+            return ForwardController()
+        return lambda row: (row[0] - 0.1, row[2] - row[1])
+
+    def __repr__(self):
+        return f"Replay({self.kind!r})"
+
+
+@st.composite
+def logged_worlds(draw):
+    config, faults = draw(worlds(max_ticks=20))
+    kind = draw(st.sampled_from(["neural", "scripted", "callable", "forward"]))
+    return config, faults, Replay(kind, config.gridWidth * config.gridHeight, draw), draw(
+        st.sampled_from([None, "ep3"]))
+
+
+def logged_episode(run, config, controller, faults, tag):
+    """Tap bytes and metrics of one logged episode run by ``run``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tap = Path(tmp) / "tap.log"
+        with Broker(tap=str(tap)) as broker:
+            metrics = run(config, controller, broker, faults=faults, episode_tag=tag)
+        return tap.read_bytes(), metrics
+
+
+class TestTapIdentity:
+    """A logged episode writes the reference world's tap, byte for byte."""
+
+    @given(case=logged_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_taps_and_metrics_equal_the_reference_world(self, case):
+        config, faults, replay, tag = case
+        tap, metrics = logged_episode(run_episode, config, replay(), faults, tag)
+        assert (tap, metrics) == logged_episode(oracle_run_episode, config, replay(), faults, tag)
+        assert metrics == run_episodes(config, [replay()], faults=faults)[0]
+
+    def test_a_negative_zero_wireless_command_is_logged_with_its_sign(self):
+        c = cfg(gridWidth=2, gridHeight=1, maxTicks=3)
+        script = [[[1.0, -0.0], [-1.0, 0.0]]]
+        faults = (FaultSpec(FAULT_MUTE_WIRELESS, ("node2",)),)
+        tap, metrics = logged_episode(run_episode, c, ScriptedController(script), faults, None)
+        assert (tap, metrics) == logged_episode(
+            oracle_run_episode, c, ScriptedController(script), faults, None)
+        messages = [line.split(b"\t")[2] for line in tap.splitlines() if b".sendWirelessData." in line]
+        assert messages == [b"out=-0.000000", b"out=0.000000"] * 3
+        assert b"in=-0.000000" not in tap
 
 
 class TestRunEpisodes:
@@ -844,7 +1044,7 @@ class TestRunEpisodes:
     def test_matches_the_light_by_light_world(self, case):
         config, faults, controllers = case
         batch = run_episodes(config, controllers, faults=faults)
-        assert batch == [scalar_episode(config, c, faults) for c in controllers]
+        assert batch == [oracle_run_episode(config, c, faults=faults) for c in controllers]
         with Broker() as broker:
             logged = run_episode(config, controllers[0], broker, faults=faults)
         assert batch[0] == logged
@@ -868,18 +1068,18 @@ class TestRunEpisodes:
         c = cfg(gridWidth=5, gridHeight=5, numPeople=2, maxTicks=30, rngSeed=8)
         wall = [FaultSpec(FAULT_MUTE_WIRELESS, ("node3", "node8", "node13", "node18", "node23"))]
         free, muted = run_episodes(c, [relay]), run_episodes(c, [relay], faults=wall)
-        assert free == [scalar_episode(c, relay)]
-        assert muted == [scalar_episode(c, relay, wall)]
+        assert free == [oracle_run_episode(c, relay)]
+        assert muted == [oracle_run_episode(c, relay, faults=wall)]
         assert muted[0].pEnergy < free[0].pEnergy
 
     def test_other_controllers_are_queried_one_by_one(self):
         c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=25, rngSeed=4)
         controllers = [ConstantController(1.0, 0.5), RandomController(2),
                        decode([0.5] * 26), lambda row: (row[0] - 0.1, row[2])]
-        expected = [scalar_episode(c, ConstantController(1.0, 0.5)),
-                    scalar_episode(c, RandomController(2)),
-                    scalar_episode(c, decode([0.5] * 26)),
-                    scalar_episode(c, lambda row: (row[0] - 0.1, row[2]))]
+        expected = [oracle_run_episode(c, ConstantController(1.0, 0.5)),
+                    oracle_run_episode(c, RandomController(2)),
+                    oracle_run_episode(c, decode([0.5] * 26)),
+                    oracle_run_episode(c, lambda row: (row[0] - 0.1, row[2]))]
         assert run_episodes(c, controllers) == expected
 
     def test_controller_shape_is_checked(self):
@@ -895,9 +1095,9 @@ class TestRunEpisodes:
         (FaultSpec(FAULT_GO_DARK, ("node1", "node99")), UnknownTarget),
     ])
     def test_fault_errors_match_the_light_by_light_world(self, spec, error):
-        with pytest.raises(error) as scalar:
-            init_world(cfg(), faults=[spec])
-        with pytest.raises(error, match=re.escape(str(scalar.value))):
+        with pytest.raises(error) as reference:
+            oracle_init_world(cfg(), faults=[spec])
+        with pytest.raises(error, match=re.escape(str(reference.value))):
             run_episodes(cfg(), [ConstantController(1.0, 0.0)], faults=[spec])
 
     def test_no_controllers_no_episodes(self):
