@@ -3,13 +3,16 @@ inline subscribers.
 
 A single broker lock makes publish linearizable: each published event is
 matched against every binding's patterns and handed (at most once per
-queue or subscriber) before the next publish is admitted.  The queues and
-subscribers a key matches are memoised per broker by key text, so a
-repeated key costs one dict lookup; a new key walks one trie compiled from
-all bindings instead of scanning them.  A subscriber's callback runs inside
-``publish``, in publish order, on the publishing thread.  Queue consumers
-block on per-queue conditions, so slow consumers never stall publishers; a
-full queue drops its oldest event instead.
+queue or subscriber) before the next publish is admitted.  A batch of
+interned keys and messages (``publish_batch``) is admitted as one, with one
+clock reservation and one tap write, and builds events only for bound keys.
+The queues and subscribers a key matches are memoised per broker by key
+text, so a repeated key costs one dict lookup; a new key is looked up in a
+table shared by every broker with equal binding lists, and only a key new
+to that table walks the trie compiled from them.  A subscriber's callback
+runs inside the publish, in publish order, on the publishing thread.  Queue
+consumers block on per-queue conditions, so slow consumers never stall
+publishers; a full queue drops its oldest event instead.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .logmodel import (
     BindingPattern,
     BoundedMemo,
     EventClock,
+    EventKey,
     InvalidPattern,
     LogEvent,
     RoutingKey,
@@ -105,7 +109,7 @@ class _TrieNode:
 
 
 class _TopicTrie:
-    """All bindings of a broker as one trie over pattern words.
+    """The binding lists of a broker's targets as one trie over pattern words.
 
     This is the topic-trie routing of RabbitMQ ("Very fast and scalable
     topic routing", 2010).  A run of ``#`` is folded into one, and a walk
@@ -113,11 +117,10 @@ class _TopicTrie:
     most nodes x (words + 1) steps however the patterns are written.
     """
 
-    def __init__(self, targets):
-        self.targets = targets
+    def __init__(self, bindings):
         self.nodes = [_TrieNode(0, False)]
-        for i, target in enumerate(targets):
-            for pattern in target.bindings:
+        for i, patterns in enumerate(bindings):
+            for pattern in patterns:
                 node = self.nodes[0]
                 last = None
                 for word in pattern.segments:
@@ -132,8 +135,8 @@ class _TopicTrie:
                     node = child
                 node.ends.append(i)
 
-    def route(self, key: tuple[str, ...]) -> tuple:
-        """The targets with a binding that matches ``key``, in declaration order."""
+    def route(self, key: tuple[str, ...]) -> tuple[int, ...]:
+        """The indices of the binding lists that match ``key``, in ascending order."""
         n = len(key)
         found: set[int] = set()
         seen: set[int] = set()
@@ -160,7 +163,26 @@ class _TopicTrie:
                 child = children.get(word)
                 if child is not None:
                     stack.append((child, pos + 1))
-        return tuple(self.targets[i] for i in sorted(found))
+        return tuple(sorted(found))
+
+
+#: (trie, key text -> matching target indices) by binding lists, shared across brokers
+_route_tables = BoundedMemo(64)
+
+
+def _deliver(route, event: LogEvent) -> None:
+    """Hand ``event`` to each queue and subscriber of ``route`` (under the broker lock)."""
+    for q in route:
+        q.matched += 1
+        if q.deliver is not None:
+            q.delivered += 1
+            q.deliver(event)
+            continue
+        if len(q.buffer) >= q.capacity:
+            q.buffer.popleft()
+            q.dropped += 1
+        q.buffer.append(event)
+        q.cond.notify()
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,8 +263,8 @@ class Broker:
         self._tap = open(tap, "w", encoding="utf-8") if tap else None
         # key text -> the queues it matches, in declaration order
         self._routes = BoundedMemo()
-        # every binding, compiled on the first route miss after a _bind
-        self._trie: _TopicTrie | None = None
+        # (trie, shared key table, queues), found on the first miss after a _bind
+        self._table = None
 
     def declare_queue(self, name: str, patterns, capacity: int | None = None) -> QueueHandle:
         """Create a named queue bound to one or more patterns.
@@ -280,8 +302,26 @@ class Broker:
                 raise DuplicateQueue(f"queue {name!r} already declared")
             self._queues[name] = _Queue(name, parsed, capacity, self._lock, deliver)
             self._routes.clear()
-            self._trie = None
+            self._table = None
         return parsed
+
+    def _route(self, key: RoutingKey) -> tuple[_Queue, ...]:
+        """The queues and subscribers ``key`` matches, in declaration order (under the lock)."""
+        text = key.text
+        route = self._routes.get(text)
+        if route is None:
+            if self._table is None:
+                queues = tuple(self._queues.values())
+                bindings = tuple(q.bindings for q in queues)
+                shared = _route_tables.get(bindings) or _route_tables.remember(
+                    bindings, (_TopicTrie(bindings), BoundedMemo()))
+                self._table = (*shared, queues)
+            trie, indices, queues = self._table
+            found = indices.get(text)
+            if found is None:
+                found = indices.remember(text, trie.route(key.segments))
+            route = self._routes.remember(text, tuple(queues[i] for i in found))
+        return route
 
     def publish(self, event: LogEvent) -> PublishReceipt:
         """Route one event to every queue and subscriber with a matching binding.
@@ -292,31 +332,45 @@ class Broker:
         first; subscribers are called before publish returns.
         """
         key = event.key or routing_key(event)
-        text = key.text
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
             seq = self._published
             self._published += 1
-            route = self._routes.get(text)
-            if route is None:
-                if self._trie is None:
-                    self._trie = _TopicTrie(tuple(self._queues.values()))
-                route = self._routes.remember(text, self._trie.route(key.segments))
+            route = self._route(key)
             if self._tap is not None:
-                self._tap.write(f"{text}\t{event.timestamp}\t{event.message}\n")
-            for q in route:
-                q.matched += 1
-                if q.deliver is not None:
-                    q.delivered += 1
-                    q.deliver(event)
-                    continue
-                if len(q.buffer) >= q.capacity:
-                    q.buffer.popleft()
-                    q.dropped += 1
-                q.buffer.append(event)
-                q.cond.notify()
+                self._tap.write(f"{key.text}\t{event.timestamp}\t{event.message}\n")
+            _deliver(route, event)
         return PublishReceipt(seq, len(route))
+
+    def publish_batch(self, batch: list[tuple[EventKey, str]]) -> None:
+        """Publish each ``(interned key, message)`` pair's event, in order, as one admission.
+
+        Taps, routing, delivery and stats are those of publishing the events
+        one by one, but the batch takes the lock and the clock once, writes
+        the tap once and builds only the events some binding matches.  A
+        closed broker raises QueueClosed before writing any; if a subscriber
+        raises, the tap lines up to and including its event are written first.
+        """
+        with self._lock:
+            if self._closed:
+                raise QueueClosed("broker is closed")
+            timestamp = self.clock.reserve(len(batch))
+            route_of = self._route
+            lines = []
+            line = lines.append
+            try:
+                for key, message in batch:
+                    routing = key[8]
+                    route = route_of(routing)
+                    line(f"{routing.text}\t{timestamp}\t{message}\n")
+                    if route:
+                        _deliver(route, keyed_event(key, timestamp, message))
+                    timestamp += 1
+            finally:
+                self._published += len(lines)
+                if self._tap is not None:
+                    self._tap.write("".join(lines))
 
     def consume(self, handle: QueueHandle, maxWait: float | None = None) -> LogEvent | None:
         """Pop the next event in FIFO order.

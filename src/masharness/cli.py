@@ -208,6 +208,9 @@ def run_test_plan(
 def cmd_test(args) -> int:
     plan_path = args.plan or data_path("default_plan.txt")
     cases = load_test_plan(plan_path)
+    if not cases:
+        # a plan without cases would run the episode and print no verdict
+        raise TestkitError(f"plan {plan_path} has no test cases")
     config = _load_world(args)
     topology, genes = _load_genome(args)
     faults = _parse_faults(args)
@@ -329,6 +332,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code else 0
     try:
+        # an unwritable manifest fails the run before it prints or writes anything
+        open(args.manifest, "a", encoding="utf-8").close()
         return args.func(args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

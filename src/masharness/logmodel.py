@@ -49,19 +49,20 @@ MEMO_SIZE = 4096
 
 
 class BoundedMemo(dict):
-    """A dict that empties itself rather than grow past MEMO_SIZE entries.
+    """A dict that empties itself rather than grow past ``size`` entries.
 
     Reads are plain dict lookups.  ``remember`` is the only way in and holds
     a lock, so concurrent fills cannot overshoot the bound.
     """
 
-    def __init__(self):
+    def __init__(self, size: int = MEMO_SIZE):
         super().__init__()
         self._lock = threading.Lock()
+        self._size = size
 
     def remember(self, key, value):
         with self._lock:
-            if len(self) >= MEMO_SIZE:
+            if len(self) >= self._size:
                 self.clear()
             self[key] = value
         return value
@@ -105,6 +106,13 @@ class EventClock:
         with self._lock:
             ts = self._next
             self._next = ts + 1
+            return ts
+
+    def reserve(self, count: int) -> int:
+        """Draw ``count`` consecutive timestamps at once; returns the first."""
+        with self._lock:
+            ts = self._next
+            self._next = ts + count
             return ts
 
     def advance_to(self, floor: int) -> None:

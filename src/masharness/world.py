@@ -17,8 +17,8 @@ state of a batch of episodes as (episodes, lights) numpy arrays, and each
 ``step_world`` tick runs ``sense``, the controllers, ``actuate`` and
 ``move_people`` on the whole batch.  ``run_episodes`` steps a batch of
 silent episodes that way; ``run_episode`` steps a batch of one, and with a
-broker attached ``sense`` and ``actuate`` publish that episode's events,
-light by light, in a fixed order.
+broker attached the handshake, ``sense``, ``actuate`` and finishSimulation
+each publish one broker batch of that episode's events, light by light.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .broker import Broker, PublishReceipt
-from .logmodel import TICK_US, EventKey, event_key, keyed_event
+from .broker import Broker
+from .logmodel import TICK_US, EventKey, event_key
 from .neural import NeuralController, decode
 
 FAULT_GO_DARK = "go-dark"
@@ -386,13 +386,9 @@ class WorldState:
                     for action, (unit, operation, line, resource) in actions.items()
                 }
 
-    def publish(self, agent: str, action: str, message: str) -> PublishReceipt | None:
-        """Publish one _LOG_SITES action of ``agent`` (a light's id or a site name)."""
-        broker = self.broker
-        if broker is None:
-            return None
-        key = self.log_keys[agent][action]
-        return broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
+    def publish(self, batch: list[tuple[EventKey, str]]) -> None:
+        """Publish ``(log_keys key, message)`` pairs as one batch of the attached broker."""
+        self.broker.publish_batch(batch)
 
     # -- episodes ------------------------------------------------------------
 
@@ -464,14 +460,16 @@ def init_world(
         world.intern_log_keys()
         broker.clock.advance_to(0)
         # the Manager bootstraps each light's controlling agent
+        manager, agent = world.log_keys["manager01"], world.log_keys["lightsAgent"]
+        batch = []
         for light, skip in zip(world.ids, world.faulty[FAULT_SKIP_HANDSHAKE].tolist()):
-            world.publish("manager01", "receiveMsgFromSmartThing", f"thing={light}")
+            batch.append((manager["receiveMsgFromSmartThing"], f"thing={light}"))
             if not skip:
-                world.publish("manager01", "createAdaptiveAgent", f"controller for {light}")
-            world.publish("lightsAgent", "connect", f"{light} joined")
-            world.publish("manager01", "sendMsgToSmartThing", f"ack to {light}")
-            world.publish("lightsAgent", "receiveInputDataFromSmartThing",
-                          f"initial data from {light}")
+                batch.append((manager["createAdaptiveAgent"], f"controller for {light}"))
+            batch += ((agent["connect"], f"{light} joined"),
+                      (manager["sendMsgToSmartThing"], f"ack to {light}"),
+                      (agent["receiveInputDataFromSmartThing"], f"initial data from {light}"))
+        world.publish(batch)
     return world
 
 
@@ -501,12 +499,15 @@ def sense(world: WorldState) -> np.ndarray:
     wireless = np.fmax.reduce(world.outbox[:, world.peers], axis=2)
     inputs = np.stack((level, motion, wireless), axis=-1)
     if world.broker is not None:
-        publish = world.publish
+        log_keys = world.log_keys
+        batch = []
         for light, (light_level, moving, received) in zip(world.ids, inputs[0].tolist()):
-            publish(light, "receiveWirelessData", f"in={received:.6f}")
-            publish(light, "readLightSensor", f"level={light_level:.6f}")
-            publish(light, "readMotionSensor", f"motion={moving:.0f}")
-            publish(light, "sendMsg", f"frame from {light}")
+            keys = log_keys[light]
+            batch += ((keys["receiveWirelessData"], f"in={received:.6f}"),
+                      (keys["readLightSensor"], f"level={light_level:.6f}"),
+                      (keys["readMotionSensor"], f"motion={moving:.0f}"),
+                      (keys["sendMsg"], f"frame from {light}"))
+        world.publish(batch)
     return inputs
 
 
@@ -527,26 +528,30 @@ def actuate(world: WorldState, inputs: np.ndarray, outputs: np.ndarray) -> None:
     world.on_ticks += light_on.sum(axis=1)
     if world.broker is None:
         return
-    publish = world.publish
+    log_keys = world.log_keys
+    agent = log_keys["lightsAgent"]
+    collect, decide, act = (agent["receiveInputDataFromSmartThing"],
+                            agent["useControllerToGetOutput"], agent["sendOutputToSmartThing"])
     brightness = f"brightness={world.config.lightBrightness:.6f}"
+    batch = []
     for light, (level, motion, wireless), (led, out), mute, radiating in zip(
             world.ids, inputs[0].tolist(), outputs[0].tolist(), muted.tolist(),
             world.radiating[0].tolist()):
-        publish("lightsAgent", "receiveInputDataFromSmartThing",
-                f"from {light} level={level:.6f} motion={motion:.0f} wireless={wireless:.6f}")
-        publish("lightsAgent", "useControllerToGetOutput", f"deciding for {light}")
-        publish("lightsAgent", "sendOutputToSmartThing",
-                f"to {light} led={led:.6f} wireless={out:.6f}")
-        publish(light, "receiveNeuralNetworkCommand", f"led={led:.6f} wireless={out:.6f}")
-        if led > 0:
-            publish(light, "switchLightON", "on")
-        else:
-            publish(light, "switchLightOFF", "off")
-        # the log keeps max()'s sign: an output of -0.0 is reported as out=-0.000000
-        publish(light, "sendWirelessData", f"out={0.0 if mute else max(out, 0.0):.6f}")
+        keys = log_keys[light]
+        batch += (
+            (collect,
+             f"from {light} level={level:.6f} motion={motion:.0f} wireless={wireless:.6f}"),
+            (decide, f"deciding for {light}"),
+            (act, f"to {light} led={led:.6f} wireless={out:.6f}"),
+            (keys["receiveNeuralNetworkCommand"], f"led={led:.6f} wireless={out:.6f}"),
+            (keys["switchLightON"], "on") if led > 0 else (keys["switchLightOFF"], "off"),
+            # the log keeps max()'s sign: an output of -0.0 is reported as out=-0.000000
+            (keys["sendWirelessData"], f"out={0.0 if mute else max(out, 0.0):.6f}"),
+        )
         if radiating:
             # own sensor confirms a brightness at or above the lamp's own output
-            publish(light, "detectLight", brightness)
+            batch.append((keys["detectLight"], brightness))
+    world.publish(batch)
 
 
 def move_people(world: WorldState) -> None:
@@ -666,8 +671,8 @@ def run_episode(
     world = init_world(config, broker, faults=faults, episode_tag=episode_tag)
     metrics = _run(world, ControllerBatch([controller]))[0]
     # every pedestrian arrived (and the episode left the batch), or there are none
-    if world.arrived.all():
-        world.publish("lights", "finishSimulation", f"tick={world.tick}")
+    if broker is not None and world.arrived.all():
+        world.publish([(world.log_keys["lights"]["finishSimulation"], f"tick={world.tick}")])
     return metrics
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import itertools
 import sys
+import tempfile
 import threading
 import time
 
@@ -23,6 +25,8 @@ from masharness.logmodel import (
     InvalidTag,
     _keys,
     _valid_words,
+    event_key,
+    keyed_event,
     load_tap,
     make_log_event,
     parse_binding_pattern,
@@ -300,9 +304,10 @@ class TestTopicTrie:
     def test_routes_like_a_scan_of_every_binding(self, bindings, keys):
         targets = [Target(f"t{i}", [".".join(p) for p in pats])
                    for i, pats in enumerate(bindings)]
-        trie = _TopicTrie(targets)
+        trie = _TopicTrie([t.bindings for t in targets])
         for key in keys:
-            assert trie.route(tuple(key)) == scan_route(targets, tuple(key))
+            route = tuple(targets[i] for i in trie.route(tuple(key)))
+            assert route == scan_route(targets, tuple(key))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.lists(TRIE_PATTERNS, min_size=1, max_size=3)),
@@ -346,7 +351,8 @@ class TestTopicTrie:
         # the longest key a pattern can face: 127 words, all of them ``a``
         targets = [Target("t", [pattern])]
         start = time.perf_counter()
-        assert _TopicTrie(targets).route(("a",) * 127) == tuple(targets)
+        route = _TopicTrie([t.bindings for t in targets]).route(("a",) * 127)
+        assert tuple(targets[i] for i in route) == tuple(targets)
         assert time.perf_counter() - start < 0.5
 
     def test_binding_declared_after_repeats_is_routed_on_the_next_publish(self):
@@ -362,6 +368,116 @@ class TestTopicTrie:
         assert broker.publish(event(clock=broker.clock)).matched == 2
         assert broker.publish(event(agentName="node2", clock=broker.clock)).matched == 2
         assert got == ["first", "second", "second", "third"]
+
+
+BATCH_WORDS = ["a", "b"]
+#: interned keys over a few words, so that bindings match some and miss others
+BATCH_KEYS = st.builds(
+    lambda words, typeLog, line: event_key(*words[:3], typeLog, sourceUnit=words[3],
+                                           sourceOperation=words[4], sourceLine=line,
+                                           resource=words[5]),
+    st.lists(st.sampled_from(BATCH_WORDS), min_size=6, max_size=6),
+    st.sampled_from(["info", "error"]), st.integers(0, 1))
+BATCH_ITEMS = st.lists(st.tuples(BATCH_KEYS, st.sampled_from(["", "m", "two words"])),
+                       max_size=12)
+#: (queue?, patterns, capacity) per binding
+BATCH_BINDINGS = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.lists(st.sampled_from([*BATCH_WORDS, "info", "*", "#"]),
+                                min_size=1, max_size=8).map(".".join),
+                       min_size=1, max_size=2),
+              st.integers(1, 3)),
+    min_size=1, max_size=4)
+
+
+class Boom(Exception):
+    pass
+
+
+def publish_items(bindings, items, batched, *, start=0, raise_at=None, closed=False):
+    """Publish ``items`` in one batch or one event at a time; returns what came out."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tap = f"{tmp}/tap.log"
+        broker = Broker(clock=EventClock(start), tap=tap)
+        delivered = []
+        handles = []
+
+        def deliver(name, event):
+            delivered.append((name, event, event.key))
+
+        def boom(event):
+            deliver("boom", event)
+            if sum(name == "boom" for name, _, _ in delivered) == raise_at:
+                raise Boom()
+
+        for i, (is_queue, patterns, capacity) in enumerate(bindings):
+            if is_queue:
+                handles.append(broker.declare_queue(f"t{i}", patterns, capacity=capacity))
+            else:
+                broker.subscribe(f"t{i}", patterns, functools.partial(deliver, f"t{i}"))
+        if raise_at is not None:
+            # every event reaches this subscriber last, and the raise_at-th one raises
+            broker.subscribe("boom", ["#"], boom)
+        if closed:
+            broker.close()
+        raised = None
+        try:
+            if batched:
+                broker.publish_batch(items)
+            else:
+                for key, message in items:
+                    broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
+        except (Boom, QueueClosed) as exc:
+            raised = exc
+        stats = broker.stats()
+        queued = [[(e, e.key) for e in iter(lambda h=h: h.consume(0.0), None)]
+                  for h in handles] if not closed else []
+        broker.close()
+        with open(tap, "rb") as fh:
+            tap_bytes = fh.read()
+        return dict(tap=tap_bytes, stats=stats, delivered=delivered, queued=queued,
+                    raised=type(raised), next_timestamp=broker.clock.next_timestamp())
+
+
+class TestPublishBatch:
+    """A batch is indistinguishable from publishing its events one by one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(BATCH_BINDINGS, BATCH_ITEMS, st.integers(0, 3))
+    def test_equals_one_publish_per_event(self, bindings, items, start):
+        batched = publish_items(bindings, items, True, start=start)
+        single = publish_items(bindings, items, False, start=start)
+        assert batched == single
+        assert batched["raised"] is type(None)
+        assert batched["next_timestamp"] == start + len(items)
+
+    @settings(max_examples=40, deadline=None)
+    @given(BATCH_BINDINGS, BATCH_ITEMS.filter(bool), st.integers(1, 12))
+    def test_a_raising_subscriber_keeps_the_tap_lines_up_to_its_event(self, bindings, items,
+                                                                       raise_at):
+        raise_at = min(raise_at, len(items))
+        batched = publish_items(bindings, items, True, raise_at=raise_at)
+        single = publish_items(bindings, items, False, raise_at=raise_at)
+        assert batched["raised"] is Boom
+        for field in ("tap", "stats", "delivered", "queued", "raised"):
+            assert batched[field] == single[field]
+        assert batched["tap"].count(b"\n") == raise_at
+
+    @settings(max_examples=20, deadline=None)
+    @given(BATCH_BINDINGS, BATCH_ITEMS.filter(bool))
+    def test_a_closed_broker_writes_nothing(self, bindings, items):
+        batched = publish_items(bindings, items, True, start=5, closed=True)
+        assert batched["raised"] is QueueClosed
+        assert (batched["tap"], batched["stats"].published) == (b"", 0)
+        assert batched["delivered"] == []
+        assert batched["next_timestamp"] == 5
+
+    def test_an_empty_batch_publishes_nothing(self):
+        broker = Broker()
+        broker.subscribe("s", ["#"], lambda event: None)
+        broker.publish_batch([])
+        assert broker.stats().published == 0
+        assert broker.clock.next_timestamp() == 0
 
 
 class TestCarriedKey:

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from masharness import cli, logmodel
+from masharness import broker as broker_module, cli, logmodel
+from masharness.broker import Broker
 from masharness.cli import USAGE_ERROR, data_path, main
 from masharness.evolution import evaluate_solution
 from masharness.logmodel import RoutingKey, load_tap, read_tap
@@ -396,6 +397,18 @@ class TestTest:
         assert code == 0
         assert "VERDICT error-monitor PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n"], ids=["empty", "comments"])
+    def test_plan_without_cases_exits_two_before_the_run(self, tmp_path, capsys, text):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(text)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["test", "--plan", str(plan), "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: plan {plan} has no test cases\n"
+        assert not Path(tap).exists()
+
     def test_plan_parse_error_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("test broken level=local sublevel=scenario\nexpect\n")
@@ -506,6 +519,35 @@ class TestTimeline:
         assert tap in captured.err
 
 
+class TestUnwritableManifest:
+    """A manifest that cannot be written fails the run before it prints or writes."""
+
+    @pytest.mark.parametrize("command", ["simulate", "evolve", "test", "timeline"])
+    def test_exits_two_before_any_output(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest-dir"
+        manifest.mkdir()
+        tap, genome = tmp_path / "tap.log", tmp_path / "winner.txt"
+        argv = {
+            "simulate": ["simulate", "--config", small_world(tmp_path), "--tap", str(tap)],
+            "evolve": ["evolve", "--config", small_world(tmp_path), "--ga-config",
+                       TestEvolve().ga_file(tmp_path), "--genome", str(genome),
+                       "--tap", str(tap)],
+            "test": ["test", "--config", small_world(tmp_path), "--tap", str(tap)],
+            "timeline": ["timeline", "#", "--tap", str(tap)],
+        }[command]
+        if command == "timeline":
+            tap.write_text("a.b.c.info.U.op.1.r\t4\tm\n")
+        code = main([*argv, "--manifest", str(manifest)])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(manifest) in captured.err
+        assert tap.exists() == (command == "timeline")
+        assert not genome.exists() and not Path(f"{genome}.history").exists()
+        assert list(manifest.iterdir()) == []
+
+
 #: sha256 of the taps these runs wrote before words, keys and routes were
 #: memoised (perfbench/refs.json records the same digests), and of their
 #: stdout before machines were stepped inline (exit 0 and exit 1)
@@ -531,15 +573,20 @@ class TestGoldenTaps:
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
 
 
+def run_default_plan(tap):
+    """Run the shipped plan on seed 2 through ``run_test_plan``; returns the tap's key texts."""
+    cases = load_test_plan(data_path("default_plan.txt"))
+    config = replace(load_world_config(data_path("world.cfg")), rngSeed=2)
+    topology, genes = load_genome(data_path("demo_genome.txt"))
+    cli.run_test_plan(cases, config, genes, topology, tap=str(tap))
+    return [key for (_, _, key), _, _ in read_tap(tap)]
+
+
 class TestKeyedPublishing:
     """A run checks and builds each distinct key once, not once per event."""
 
     def run(self, tap):
-        cases = load_test_plan(data_path("default_plan.txt"))
-        config = replace(load_world_config(data_path("world.cfg")), rngSeed=2)
-        topology, genes = load_genome(data_path("demo_genome.txt"))
-        cli.run_test_plan(cases, config, genes, topology, tap=str(tap))
-        return [key for (_, _, key), _, _ in read_tap(tap)]
+        return run_default_plan(tap)
 
     def test_keys_are_built_once_and_words_checked_per_key(self, tmp_path, monkeypatch):
         built = Counter()
@@ -567,6 +614,68 @@ class TestKeyedPublishing:
         assert self.run(tmp_path / "warm.log") == keys
         assert not built
         assert len(checks) <= len(distinct)
+
+
+class TestSharedRoutes:
+    """Brokers with equal binding lists share one route table, so only the
+    first of them walks the trie for a key."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        walked = []
+        route = broker_module._TopicTrie.route
+        monkeypatch.setattr(broker_module._TopicTrie, "route",
+                            lambda trie, key: walked.append(key) or route(trie, key))
+        return walked
+
+    def test_a_second_run_walks_no_trie(self, tmp_path, walks):
+        keys = run_default_plan(tmp_path / "first.log")
+        walks.clear()
+        assert run_default_plan(tmp_path / "second.log") == keys
+        assert walks == []
+        digest = hashlib.sha256((tmp_path / "second.log").read_bytes()).hexdigest()
+        assert digest == GOLDEN_TAPS[0][1]
+
+    @staticmethod
+    def broker_with(*bindings):
+        """A broker with one subscriber per binding: a pattern or a list of them."""
+        broker = Broker()
+        for i, patterns in enumerate(bindings):
+            patterns = [patterns] if isinstance(patterns, str) else patterns
+            broker.subscribe(f"s{i}", patterns, lambda event: None)
+        return broker
+
+    @staticmethod
+    def publish(broker, action):
+        event = logmodel.make_log_event("sharedRoutes", "node1", action, sourceUnit="U",
+                                        sourceOperation="op", sourceLine=1, resource="r",
+                                        clock=broker.clock)
+        return broker.publish(event).matched
+
+    def test_brokers_with_other_bindings_get_their_own_table(self, walks):
+        first = self.broker_with("sharedRoutes.#", "*.*.ping.#")
+        assert self.publish(first, "ping") == 2
+        assert len(walks) == 1
+        assert self.publish(self.broker_with("sharedRoutes.#", "*.*.ping.#"), "ping") == 2
+        assert len(walks) == 1
+        assert self.publish(self.broker_with("sharedRoutes.#"), "ping") == 1
+        assert self.publish(self.broker_with("*.*.ping.#", "sharedRoutes.#"), "ping") == 2
+        assert len(walks) == 3
+        # the same number of lists and first patterns, but another second pattern
+        assert self.publish(self.broker_with(["sharedRoutes.x.#", "*.*.ping.#"]), "ping") == 1
+        assert self.publish(self.broker_with(["sharedRoutes.x.#", "*.*.pong.#"]), "ping") == 0
+        assert len(walks) == 5
+
+    def test_a_broker_that_binds_after_publishing_gets_its_own_table(self, walks):
+        broker = self.broker_with("sharedRoutes.node1.#")
+        assert self.publish(broker, "pong") == 1
+        broker.subscribe("late", ["*.*.pong.#"], lambda event: None)
+        assert self.publish(broker, "pong") == 2
+        assert len(walks) == 2
+        # each binding list it had is now shared with a new broker
+        assert self.publish(self.broker_with("sharedRoutes.node1.#"), "pong") == 1
+        assert self.publish(self.broker_with("sharedRoutes.node1.#", "*.*.pong.#"), "pong") == 2
+        assert len(walks) == 2
 
 
 #: sha256 of ``timeline`` stdout over the tap of ``test --fault go-dark:node10
