@@ -32,6 +32,11 @@ FITNESS_WEIGHT_ENERGY = 0.4
 
 DEFAULT_ENERGY_TARGET = 0.70
 
+#: largest GAConfig population, scored as a batch of one row per genome
+MAX_POPULATION = 1_000
+#: most hidden neurons a GAConfig's controllers may have
+MAX_HIDDEN = 100
+
 
 class MetricsOutOfRange(ValueError):
     """An episode metric fell outside [0, 1]."""
@@ -53,8 +58,9 @@ class GAConfig:
 
     def __post_init__(self):
         check_finite_fields(self)
-        if self.populationSize < 1:
-            raise InvalidConfig("populationSize must be positive")
+        if not 1 <= self.populationSize <= MAX_POPULATION:
+            raise InvalidConfig(
+                f"populationSize must be in [1,{MAX_POPULATION}], got {self.populationSize}")
         if self.generations < 0:
             raise InvalidConfig("generations must be >= 0")
         if self.populationSize == 1:
@@ -73,8 +79,8 @@ class GAConfig:
             raise InvalidConfig("mutationSigma must be >= 0")
         if self.weightLimit <= 0:
             raise InvalidConfig("weightLimit must be positive")
-        if self.hiddenCount < 1:
-            raise InvalidConfig("hiddenCount must be positive")
+        if not 1 <= self.hiddenCount <= MAX_HIDDEN:
+            raise InvalidConfig(f"hiddenCount must be in [1,{MAX_HIDDEN}], got {self.hiddenCount}")
         if not 0.0 < self.energyTarget <= 1.0:
             raise InvalidConfig("energyTarget must be in (0,1]")
 

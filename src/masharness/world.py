@@ -19,6 +19,16 @@ state of a batch of episodes as (episodes, lights) numpy arrays, and each
 silent episodes that way; ``run_episode`` steps a batch of one, and with a
 broker attached the handshake, ``sense``, ``actuate`` and finishSimulation
 each publish one broker batch of that episode's events, light by light.
+
+A silent batch of NeuralControllers, which hold no state, ends an episode
+early once it repeats.  A row's state is ``radiating``, ``outbox`` (bit for
+bit) and ``step``, and every tick maps it to the next by the same function.
+So if the state after tick t equals the one after tick t - lag, the episode
+repeats with period lag up to maxTicks.  ``step`` never goes back, so no
+pedestrian moves in the cycle and arrivals are final; with R ticks left,
+each counter gains R // lag periods plus the first R % lag ticks of one,
+exact integers, so the metrics are those of stepping on.  Only the state
+saved every RECURRENCE_WINDOW ticks, from tick 0, is kept to compare with.
 """
 
 from __future__ import annotations
@@ -50,6 +60,15 @@ MAX_LIGHTS = 10_000
 #: lights * min(lights - 1, 2r(r + 1)); each tick gathers one float per link
 #: and episode, so this caps that gather at 2 MB per episode
 MAX_WIRELESS_LINKS = 250_000
+
+#: most pedestrians a WorldConfig accepts; each one's route is built at set-up
+MAX_PEOPLE = 10_000
+#: ticks between the saved states a silent batch of stateless controllers
+#: compares each tick's state with, so periods up to this long are caught
+RECURRENCE_WINDOW = 8
+#: the WorldState arrays with one row per live episode
+_ROW_ARRAYS = ("live", "radiating", "outbox", "step", "arrived", "ticks_moving", "on_ticks",
+               "saved", "counted")
 
 #: stands for each light's own id in _LOG_SITES
 _LIGHT = None
@@ -131,8 +150,8 @@ class WorldConfig:
                 f"wirelessRange {self.wirelessRange} on grid {w}x{h} can make more than "
                 f"{MAX_WIRELESS_LINKS} wireless links"
             )
-        if self.numPeople < 0:
-            raise InvalidConfig("numPeople must be >= 0")
+        if not 0 <= self.numPeople <= MAX_PEOPLE:
+            raise InvalidConfig(f"numPeople must be in [0,{MAX_PEOPLE}], got {self.numPeople}")
         if self.maxTicks < 1:
             raise InvalidConfig("maxTicks must be positive")
         for name in ("ambientLight", "lightBrightness", "darkThreshold"):
@@ -182,7 +201,10 @@ def load_config(cls, path):
             values[key] = kinds[key](value)
         except ValueError:
             raise InvalidConfig(f"{where}: bad value for {key}: {value!r}") from None
-    return cls(**values)
+    try:
+        return cls(**values)
+    except InvalidConfig as exc:
+        raise InvalidConfig(f"config {path}: {exc}") from None
 
 
 def load_world_config(path) -> WorldConfig:
@@ -332,10 +354,10 @@ class WorldState:
 
         sentinel = lights
         adjacent, wireless = _neighbour_indices(config)
-        # own lamp first, then the adjacent ones
-        self.near = np.full((lights, 5), sentinel, dtype=np.intp)
+        # own lamp first, then the adjacent ones; column-major, as a tick reads it transposed
+        self.near = np.full((lights, 5), sentinel, np.intp, "F")
         # at least one sentinel column, so every maximum starts from 0.0
-        self.peers = np.full((lights, max(map(len, wireless)) + 1), sentinel, dtype=np.intp)
+        self.peers = np.full((lights, max(map(len, wireless)) + 1), sentinel, np.intp, "F")
         for i in range(lights):
             self.near[i, : 1 + len(adjacent[i])] = (i, *adjacent[i])
             self.peers[i, : len(wireless[i])] = wireless[i]
@@ -365,8 +387,11 @@ class WorldState:
         self.arrived = np.zeros((episodes, self.people), dtype=bool)
         self.ticks_moving = np.zeros(episodes, dtype=np.int64)
         self.on_ticks = np.zeros(episodes, dtype=np.int64)
-        self.stuck_level = None  # sensor-stuck lights' first readings, from the first sense
         self.results: list[EpisodeMetrics | None] = [None] * episodes
+        self.inputs = np.empty((episodes, lights, 3))  # each tick's controller inputs
+        # each row's state as of saved_tick, and its counters on each tick since
+        self.saved, self.saved_tick = self._state(), 0
+        self.counted = np.zeros((episodes, 2, RECURRENCE_WINDOW + 1), dtype=np.int64)
 
     # -- logging -----------------------------------------------------------
 
@@ -410,19 +435,43 @@ class WorldState:
             results[episode] = self._row_metrics(row)
         return results
 
-    def retire_arrived(self) -> None:
-        """Drop the rows of episodes whose pedestrians have all arrived, keeping their metrics."""
-        done = self.arrived.all(axis=1)
-        if not self.people or not done.any():
-            return
+    def _leave(self, done: np.ndarray) -> None:
+        """Drop the rows marked ``done`` from the batch, keeping their episodes' metrics."""
         for row in np.flatnonzero(done):
             self.results[self.live[row]] = self._row_metrics(row)
         keep = ~done
-        self.live, self.radiating, self.outbox, self.step, self.arrived = (
-            self.live[keep], self.radiating[keep], self.outbox[keep], self.step[keep],
-            self.arrived[keep])
-        self.ticks_moving, self.on_ticks, self.stuck_level = (
-            self.ticks_moving[keep], self.on_ticks[keep], self.stuck_level[keep])
+        for name in _ROW_ARRAYS:
+            setattr(self, name, getattr(self, name)[keep])
+
+    def retire_arrived(self) -> None:
+        """Drop the rows of episodes whose pedestrians have all arrived, keeping their metrics."""
+        done = self.arrived.all(axis=1)
+        if self.people and done.any():
+            self._leave(done)
+
+    def _state(self) -> np.ndarray:
+        """Each row's state as bytes: radiating, then outbox bit for bit, then step."""
+        return np.concatenate((self.radiating.view(np.uint8), self.outbox.view(np.uint8),
+                               self.step.view(np.uint8)), axis=1)
+
+    def retire_periodic(self) -> None:
+        """Retire the rows back in their saved state, adding the counts of their ticks left."""
+        lag = self.tick - self.saved_tick
+        self.counted[:, 0, lag], self.counted[:, 1, lag] = self.on_ticks, self.ticks_moving
+        state = self._state()
+        same = (state == self.saved).all(axis=1)
+        if same.any():
+            left = self.config.maxTicks - self.tick
+            counted = self.counted[same]
+            gained = (left // lag) * (counted[:, :, lag] - counted[:, :, 0]) + (
+                counted[:, :, left % lag] - counted[:, :, 0])
+            self.on_ticks[same] += gained[:, 0]
+            self.ticks_moving[same] += gained[:, 1]
+            self._leave(same)
+            state = state[~same]
+        if lag == RECURRENCE_WINDOW:
+            self.saved, self.saved_tick = state, self.tick
+            self.counted[:, :, 0] = self.counted[:, :, lag]
 
 
 def _fault_masks(ids: list[str], faults) -> dict[str, np.ndarray]:
@@ -479,25 +528,22 @@ def sense(world: WorldState) -> np.ndarray:
     A light's inputs are (lightLevel, motionDetected, wirelessIn).
     lightLevel is the ambient level plus every lamp at the light or adjacent
     to it that radiated last tick; a sensor-stuck light keeps its first
-    reading.  motionDetected is 1.0 while an unfinished pedestrian stands at
-    the light or adjacent to it.  wirelessIn is the strongest outbox of the
-    light's wireless peers from last tick, at least 0.0.  With a broker,
-    every light publishes its four readings, light by light.
+    reading, taken while every lamp was dark.  motionDetected is 1.0 while
+    an unfinished pedestrian stands at the light or adjacent to it.
+    wirelessIn is the strongest outbox of its wireless peers from last tick,
+    at least 0.0.  With a broker, the lights publish their four readings in order.
     """
-    sentinel = world.lights
-    level = world.level_of[world.radiating[:, world.near].sum(axis=2)]
-    stuck = world.faulty[FAULT_SENSOR_STUCK]
-    if world.stuck_level is None:
-        world.stuck_level = level[:, stuck]
-    level[:, stuck] = world.stuck_level
+    sentinel, rows = world.lights, len(world.live)
+    inputs = world.inputs[:rows]
+    inputs[:, :, 0] = world.level_of[world.radiating[:, world.near.T].sum(axis=1)]
+    inputs[:, world.faulty[FAULT_SENSOR_STUCK], 0] = world.level_of[0]
     at = world.path[world.person, world.step]
     occupied = np.zeros_like(world.radiating)
-    occupied[np.arange(len(world.live))[:, None], np.where(world.arrived, sentinel, at)] = True
+    occupied[np.arange(rows)[:, None], np.where(world.arrived, sentinel, at)] = True
     occupied[:, sentinel] = False
-    motion = occupied[:, world.near].any(axis=2)
+    inputs[:, :, 1] = occupied[:, world.near.T].any(axis=1)
     # fmax skips a NaN outbox, as a running max() from 0.0 does
-    wireless = np.fmax.reduce(world.outbox[:, world.peers], axis=2)
-    inputs = np.stack((level, motion, wireless), axis=-1)
+    np.fmax.reduce(world.outbox[:, world.peers.T], axis=1, out=inputs[:, :, 2])
     if world.broker is not None:
         log_keys = world.log_keys
         batch = []
@@ -522,9 +568,10 @@ def actuate(world: WorldState, inputs: np.ndarray, outputs: np.ndarray) -> None:
     """
     lights = world.lights
     light_on = outputs[:, :, 0] > 0
-    world.radiating[:, :lights] = light_on & ~world.faulty[FAULT_GO_DARK]
+    np.logical_and(light_on, ~world.faulty[FAULT_GO_DARK], out=world.radiating[:, :lights])
     muted = world.faulty[FAULT_MUTE_WIRELESS]
-    world.outbox[:, :lights] = np.where(muted, 0.0, np.maximum(outputs[:, :, 1], 0.0))
+    np.maximum(outputs[:, :, 1], 0.0, out=world.outbox[:, :lights])
+    np.copyto(world.outbox[:, :lights], 0.0, where=muted)
     world.on_ticks += light_on.sum(axis=1)
     if world.broker is None:
         return
@@ -562,7 +609,9 @@ def move_people(world: WorldState) -> None:
     every unfinished pedestrian pays one tick of trip time whether it moved
     or not.
     """
-    walkable = np.where(world.radiating, world.lit_walkable, world.dark_walkable)
+    # a lamp only adds light: if it decides, a node is walkable while its lamp radiates
+    walkable = (world.radiating if world.lit_walkable and not world.dark_walkable
+                else np.full_like(world.radiating, world.lit_walkable))
     rows = np.arange(len(world.live))[:, None]
     path, person, step = world.path, world.person, world.step
     walking = ~world.arrived
@@ -594,7 +643,7 @@ class ControllerBatch:
 
     Same-shaped NeuralControllers are evaluated with one stacked matmul per
     layer, which gives the same bits as their forward_batch; any other
-    controller is queried on its own, in episode order.
+    controller is queried on its own, in episode order, with inputs it may keep.
     """
 
     def __init__(self, controllers):
@@ -617,12 +666,16 @@ class ControllerBatch:
     def outputs(self, inputs: np.ndarray, live: np.ndarray) -> np.ndarray:
         """(rows, lights, 2) outputs for (rows, lights, 3) inputs; row r is episode live[r]."""
         if self.networks is None:
-            return np.stack([_controller_outputs(self.controllers[episode], x)
+            return np.stack([_controller_outputs(self.controllers[episode], x.copy())
                              for episode, x in zip(live, inputs)])
         if live is not self._live:
             self._live, self._live_networks = live, tuple(a[live] for a in self.networks)
         w1t, b1, w2t, b2 = self._live_networks
-        return np.tanh(np.matmul(np.tanh(np.matmul(inputs, w1t) + b1), w2t) + b2)
+        hidden = np.matmul(inputs, w1t)
+        hidden += b1
+        outputs = np.matmul(np.tanh(hidden, out=hidden), w2t)
+        outputs += b2
+        return np.tanh(outputs, out=outputs)
 
 
 def step_world(world: WorldState, controllers: ControllerBatch) -> None:
@@ -642,9 +695,17 @@ def step_world(world: WorldState, controllers: ControllerBatch) -> None:
 
 
 def _run(world: WorldState, controllers: ControllerBatch) -> list[EpisodeMetrics]:
-    """Step until every episode has ended, at maxTicks or once its pedestrians all arrived."""
+    """Step until every episode has ended, at maxTicks or once its pedestrians all arrived.
+
+    A silent batch of NeuralControllers also ends an episode once its state
+    recurs, adding the exact counts of the ticks left (module docstring);
+    logged worlds and other controllers, which may hold state, step on.
+    """
+    periodic = world.broker is None and controllers.networks is not None
     while len(world.live) and world.tick < world.config.maxTicks:
         step_world(world, controllers)
+        if periodic:
+            world.retire_periodic()
     return world.metrics()
 
 
@@ -681,7 +742,8 @@ def run_episodes(config: WorldConfig, controllers, *, faults=()) -> list[Episode
 
     Every episode runs on the same world (routes from ``config.rngSeed``)
     with the same faults, and gets exactly the EpisodeMetrics that
-    ``run_episode`` gives its controller.
+    ``run_episode`` gives its controller, also when a batch of NeuralControllers
+    ends a repeating episode early.
     """
     batch = ControllerBatch(controllers)
     return _run(init_world(config, faults=faults, episodes=len(batch.controllers)), batch)

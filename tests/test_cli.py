@@ -172,8 +172,8 @@ class TestSimulate:
         code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
-        assert captured.err == ("error: wirelessRange 80 on grid 40x40 can make more than "
-                                "250000 wireless links\n")
+        assert captured.err == (f"error: config {config}: wirelessRange 80 on grid 40x40 can "
+                                "make more than 250000 wireless links\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -183,7 +183,8 @@ class TestSimulate:
         code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
         err = capsys.readouterr().err
         assert code == USAGE_ERROR
-        assert err == f"error: energyPerTickOn must be a finite number, got {value}\n"
+        assert err == (f"error: config {config}: energyPerTickOn must be a finite number, "
+                       f"got {value}\n")
 
     def test_bad_config_content_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -192,6 +193,18 @@ class TestSimulate:
         code = main(["simulate", "--config", str(bad), "--manifest", manifest, "--tap", tap])
         assert code == USAGE_ERROR
         assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,error", [
+        ("maxTicks", 0, "maxTicks must be positive"),
+        ("numPeople", 10_001, "numPeople must be in [0,10000], got 10001"),
+    ])
+    def test_range_error_names_the_config_file(self, tmp_path, capsys, key, value, error):
+        config = small_world(tmp_path, **{key: value})
+        manifest, tap = out_paths(tmp_path)
+        code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert (captured.out, captured.err) == ("", f"error: config {config}: {error}\n")
 
 
 class TestEvolve:
@@ -248,18 +261,30 @@ class TestEvolve:
         assert code == USAGE_ERROR
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("key,value,error", [
+        ("populationSize", 0, "populationSize must be in [1,1000], got 0"),
+        ("hiddenCount", 101, "hiddenCount must be in [1,100], got 101"),
+    ])
+    def test_range_error_names_the_ga_config_file(self, tmp_path, capsys, key, value, error):
+        ga = self.ga_file(tmp_path, **{key: value})
+        code = main(["evolve", "--config", small_world(tmp_path), "--ga-config", ga,
+                     "--genome", str(tmp_path / "g.txt"), "--manifest", str(tmp_path / "m.txt")])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert (captured.out, captured.err) == ("", f"error: config {ga}: {error}\n")
+
     @pytest.mark.parametrize("name,value", [
         ("mutationSigma", "nan"), ("mutationSigma", "inf"),
         ("weightLimit", "nan"), ("weightLimit", "inf"),
     ])
     def test_non_finite_ga_float_exits_two(self, tmp_path, capsys, name, value):
-        code = main(["evolve", "--config", small_world(tmp_path),
-                     "--ga-config", self.ga_file(tmp_path, **{name: value}),
+        ga = self.ga_file(tmp_path, **{name: value})
+        code = main(["evolve", "--config", small_world(tmp_path), "--ga-config", ga,
                      "--genome", str(tmp_path / "g.txt"), "--manifest", str(tmp_path / "m.txt")])
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
         assert captured.out == ""
-        assert captured.err == f"error: {name} must be a finite number, got {value}\n"
+        assert captured.err == f"error: config {ga}: {name} must be a finite number, got {value}\n"
 
     def test_non_utf8_ga_config_exits_two_naming_the_file(self, tmp_path, capsys):
         bad = tmp_path / "ga.cfg"

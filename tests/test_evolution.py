@@ -11,6 +11,8 @@ from masharness.cli import data_path, main
 from masharness.evolution import (
     DEFAULT_ENERGY_TARGET,
     FitnessReport,
+    MAX_HIDDEN,
+    MAX_POPULATION,
     GAConfig,
     GenerationStats,
     Genome,
@@ -163,6 +165,15 @@ class TestGAConfig:
     def test_non_finite_floats_are_rejected_by_name(self, name, value):
         with pytest.raises(InvalidConfig, match=f"^{name} must be a finite number"):
             GAConfig(**{name: value})
+
+    def test_population_and_hidden_layer_are_bounded(self):
+        assert GAConfig(populationSize=MAX_POPULATION, hiddenCount=MAX_HIDDEN).hiddenCount == 100
+        with pytest.raises(InvalidConfig, match=r"^populationSize must be in \[1,1000\]"):
+            GAConfig(populationSize=MAX_POPULATION + 1)
+        with pytest.raises(InvalidConfig, match=r"^hiddenCount must be in \[1,100\]"):
+            GAConfig(hiddenCount=MAX_HIDDEN + 1)
+        with pytest.raises(InvalidConfig, match="^populationSize"):
+            GAConfig(populationSize=10**12, hiddenCount=10**12)
 
     def test_single_member_population_is_allowed(self):
         c = GAConfig(populationSize=1, elitism=1)
@@ -548,3 +559,34 @@ def test_evolve_outputs_are_unchanged(tmp_path, capsys):
                            ("tap", tap))
     }
     assert digests == GOLDEN_EVOLVE
+
+
+#: sha256 of the genome, .history and stdout of the shipped 30-generation
+#: ``evolve --seed <n>``, recorded with every silent episode stepped to maxTicks
+GOLDEN_EVOLVE_SHIPPED = {
+    1: {
+        "genome": "278ee554e2bc3823d493311fe6524e089a5078cced19952963d395f5a5b2c147",
+        "history": "5336c375c8016c83ce3a7105a4c1dcddd0f68fdecc9d69159893fa25ba80b0be",
+        "stdout": "a24c5563b9d3141a34a4b464e56ebcd7c947869cd3576bcb655a35f62de7e0b2",
+    },
+    3: {
+        "genome": "5189f35703d0c058deadbfa5ec8ef3e4b8873812b32000c2919448bd8b879c15",
+        "history": "28958087b88950d3d34c3db8654b6b7bbaf1bdaa4fff1fea99630160d60d789a",
+        "stdout": "a24c5563b9d3141a34a4b464e56ebcd7c947869cd3576bcb655a35f62de7e0b2",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_EVOLVE_SHIPPED))
+def test_shipped_evolve_outputs_are_unchanged(tmp_path, capsys, seed):
+    genome = tmp_path / "genome.txt"
+    code = main(["evolve", "--seed", str(seed), "--genome", str(genome),
+                 "--manifest", str(tmp_path / "manifest.txt")])
+    stdout = capsys.readouterr().out
+    assert code == 0
+    digests = {
+        "genome": hashlib.sha256(genome.read_bytes()).hexdigest(),
+        "history": hashlib.sha256((tmp_path / "genome.txt.history").read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
+    }
+    assert digests == GOLDEN_EVOLVE_SHIPPED[seed]

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masharness import world as world_module
 from masharness.broker import Broker, QueueClosed
 from masharness.cli import data_path
 from masharness.evolution import GAConfig, load_ga_config
 from masharness.logmodel import (
     MAX_KEY_BYTES,
+    TICK_US,
     InvalidTag,
     KeyTooLong,
     load_tap,
@@ -26,6 +28,7 @@ from masharness.world import (
     FAULT_SENSOR_STUCK,
     FAULT_SKIP_HANDSHAKE,
     MAX_LIGHTS,
+    MAX_PEOPLE,
     MAX_WIRELESS_LINKS,
     ControllerBatch,
     EpisodeMetrics,
@@ -129,6 +132,18 @@ def seed_with_routes(routes, **kw):
                 if build_routes(cfg(rngSeed=seed, **kw), random.Random(seed)) == routes)
 
 
+def count_ticks(monkeypatch):
+    """The ticks that ``step_world`` runs from now on, one entry per call."""
+    ticks, step = [], world_module.step_world
+
+    def counting(world, controllers):
+        ticks.append(world.tick + 1)
+        step(world, controllers)
+
+    monkeypatch.setattr(world_module, "step_world", counting)
+    return ticks
+
+
 def tap_records(path):
     """(key, message) of every tap line, timestamps left out."""
     return [(key, message) for key, _, message in
@@ -186,6 +201,13 @@ class TestWorldConfig:
             cfg(gridWidth=50, gridHeight=50, wirelessRange=7)
         # a small grid may take any range: no light has more than lights - 1 peers
         assert cfg(gridWidth=6, gridHeight=6, wirelessRange=10**9).wirelessRange == 10**9
+
+    def test_people_are_bounded(self):
+        assert cfg(numPeople=MAX_PEOPLE).numPeople == 10_000
+        for people in (MAX_PEOPLE + 1, 10**12):
+            error = rf"^numPeople must be in \[0,10000\], got {people}$"
+            with pytest.raises(InvalidConfig, match=error):
+                cfg(numPeople=people)
 
     def test_range_beyond_the_grid_acts_as_the_longest_distance(self):
         far, longest = cfg(gridWidth=4, gridHeight=3, wirelessRange=10**9), cfg(
@@ -964,8 +986,8 @@ def neural_controllers(draw, count):
 
 
 @st.composite
-def batched_worlds(draw):
-    config, faults = draw(worlds())
+def batched_worlds(draw, max_ticks=40):
+    config, faults = draw(worlds(max_ticks))
     return config, faults, neural_controllers(draw, draw(st.integers(1, 8)))
 
 
@@ -1048,6 +1070,74 @@ class TestRunEpisodes:
         with Broker() as broker:
             logged = run_episode(config, controllers[0], broker, faults=faults)
         assert batch[0] == logged
+
+    @given(case=batched_worlds(max_ticks=300))
+    @settings(max_examples=20, deadline=None)
+    def test_long_episodes_match_the_light_by_light_world(self, case):
+        # long enough for stranded rows to repeat and retire before maxTicks
+        config, faults, controllers = case
+        batch = run_episodes(config, controllers, faults=faults)
+        assert batch == [oracle_run_episode(config, c, faults=faults) for c in controllers]
+        with Broker() as broker:
+            assert batch[0] == run_episode(config, controllers[0], broker, faults=faults)
+
+    def test_a_stranded_batch_stops_before_max_ticks(self, monkeypatch):
+        c = load_world_config(data_path("world.cfg"))
+        stranding = decode([-0.9, -0.03, -0.59, 0.98, -0.31, -0.66, -0.1, -0.39, 0.48, 0.29,
+                            0.18, 0.4, 0.35, 0.13, -0.82, -0.91, 0.81, -0.49, 0.92, -0.29,
+                            -0.84, 0.13, -0.35, -0.34, 0.4, 0.58])
+        dark = decode([0.0] * 26)  # every lamp stays off, so no pedestrian moves
+        ticks = count_ticks(monkeypatch)
+        metrics = run_episodes(c, [stranding])
+        assert metrics == [oracle_run_episode(c, stranding)]
+        assert metrics[0].pPeople == 0.2  # four of five pedestrians never arrive
+        # its state after tick 22 is the one after tick 16: the 178 ticks left are 29 periods
+        # of 6 ticks plus 4, and are counted, not stepped
+        assert len(ticks) == 22 < c.maxTicks
+        ticks.clear()
+        assert run_episodes(c, [dark]) == [oracle_run_episode(c, dark)]
+        assert len(ticks) == 1  # its state after tick 1 is the one it started from
+
+    def test_controllers_that_may_hold_state_are_asked_on_every_tick(self, monkeypatch):
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=40, rngSeed=4)
+        dark = decode([0.0] * 26)
+        off = [np.full((9, 2), -1.0)]  # every lamp off: both pedestrians are stranded
+        scripted = ScriptedController(off)
+        ticks = count_ticks(monkeypatch)
+        metrics = run_episodes(c, [dark, scripted, RandomController(5)])
+        assert len(ticks) == len(scripted.seen) == c.maxTicks
+        assert metrics == [oracle_run_episode(c, controller) for controller in (
+            dark, ScriptedController(off), RandomController(5))]
+        ticks.clear()
+        run_episodes(c, [ScriptedController(off)])
+        assert len(ticks) == c.maxTicks
+
+    def test_a_controller_may_keep_the_inputs_it_was_given(self):
+        class Keeper(ConstantController):
+            kept = []
+
+            def forward_batch(self, inputs):
+                self.kept.append(inputs)
+                return super().forward_batch(inputs)
+
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=6, rngSeed=4)
+        scripted = ScriptedController([np.tile((1.0, 0.5), (9, 1))])
+        run_episodes(c, [Keeper(1.0, 0.5)])
+        run_episodes(c, [scripted])
+        assert len(Keeper.kept) == len(scripted.seen) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(Keeper.kept, scripted.seen))
+        assert not np.array_equal(Keeper.kept[0], Keeper.kept[-1])
+
+    def test_a_logged_stranded_episode_senses_on_every_tick(self, tmp_path):
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=40, rngSeed=4)
+        tap = tmp_path / "tap.log"
+        with Broker(tap=str(tap)) as broker:
+            metrics = run_episode(c, decode([0.0] * 26), broker)
+        assert metrics.pPeople == 0.0
+        ticks = [int(ts) // TICK_US for key, ts, _ in
+                 (line.split("\t", 2) for line in tap.read_text().splitlines())
+                 if key.split(".")[2] == "readLightSensor"]
+        assert ticks == [tick for tick in range(1, c.maxTicks + 1) for _ in range(9)]
 
     def test_batch_size_does_not_change_a_genome_s_metrics(self):
         c = cfg(gridWidth=5, gridHeight=5, numPeople=5, maxTicks=200, rngSeed=3)
