@@ -10,7 +10,9 @@ The queues and subscribers a key matches are memoised per broker by key
 text, so a repeated key costs one dict lookup; a new key is looked up in a
 table shared by every broker with equal binding lists, and only a key new
 to that table walks the trie compiled from them.  A subscriber's callback
-runs inside the publish, in publish order, on the publishing thread.  Queue
+runs inside the publish, in publish order, on the publishing thread, and
+may return True once it wants no more events (as AMQP's ``basic.cancel``):
+it then leaves every route, so a key it alone bound builds no event.  Queue
 consumers block on per-queue conditions, so slow consumers never stall
 publishers; a full queue drops its oldest event instead.
 """
@@ -170,19 +172,26 @@ class _TopicTrie:
 _route_tables = BoundedMemo(64)
 
 
-def _deliver(route, event: LogEvent) -> None:
-    """Hand ``event`` to each queue and subscriber of ``route`` (under the broker lock)."""
+def _deliver(route, event: LogEvent) -> bool:
+    """Hand ``event`` to each queue and subscriber of ``route`` (under the broker lock).
+
+    Returns True if a subscriber answered True, which marks it done; the
+    caller then forgets the routes memoised with it.
+    """
+    retired = False
     for q in route:
         q.matched += 1
         if q.deliver is not None:
             q.delivered += 1
-            q.deliver(event)
+            if q.deliver(event) is True:
+                q.done = retired = True
             continue
         if len(q.buffer) >= q.capacity:
             q.buffer.popleft()
             q.dropped += 1
         q.buffer.append(event)
         q.cond.notify()
+    return retired
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,9 +236,10 @@ class QueueHandle:
 
 
 class _Queue:
-    """A declared queue, or a subscriber when ``deliver`` is set."""
+    """A declared queue, or a subscriber when ``deliver`` is set; ``done``
+    once the subscriber has asked for no more events."""
 
-    __slots__ = ("name", "bindings", "buffer", "capacity", "cond", "deliver",
+    __slots__ = ("name", "bindings", "buffer", "capacity", "cond", "deliver", "done",
                  "matched", "delivered", "dropped")
 
     def __init__(self, name, bindings, capacity, lock, deliver):
@@ -239,6 +249,7 @@ class _Queue:
         self.capacity = capacity
         self.cond = threading.Condition(lock)
         self.deliver = deliver
+        self.done = False
         self.matched = 0
         self.delivered = 0
         self.dropped = 0
@@ -261,7 +272,7 @@ class Broker:
         self._closed = False
         self._default_capacity = default_capacity
         self._tap = open(tap, "w", encoding="utf-8") if tap else None
-        # key text -> the queues it matches, in declaration order
+        # key text -> the queues and live subscribers it matches, in declaration order
         self._routes = BoundedMemo()
         # (trie, shared key table, queues), found on the first miss after a _bind
         self._table = None
@@ -283,8 +294,11 @@ class Broker:
 
         Events arrive in publish order, at most once each, with nothing
         buffered or dropped.  ``deliver`` runs under the broker lock and
-        must not call back into the broker.  Names share the queue
-        namespace; the errors are those of declare_queue.
+        must not call back into the broker.  When it returns True the
+        subscriber is done: it gets no further event, its ``matched`` and
+        ``delivered`` counts stop there, and a key no one else binds is no
+        longer built into an event.  Names share the queue namespace; the
+        errors are those of declare_queue.
         """
         self._bind(name, patterns, 0, deliver)
 
@@ -306,7 +320,11 @@ class Broker:
         return parsed
 
     def _route(self, key: RoutingKey) -> tuple[_Queue, ...]:
-        """The queues and subscribers ``key`` matches, in declaration order (under the lock)."""
+        """The queues and live subscribers ``key`` matches, in declaration order (under the lock).
+
+        Done subscribers are left out of the route memoised here, not out
+        of the table shared with other brokers.
+        """
         text = key.text
         route = self._routes.get(text)
         if route is None:
@@ -320,7 +338,8 @@ class Broker:
             found = indices.get(text)
             if found is None:
                 found = indices.remember(text, trie.route(key.segments))
-            route = self._routes.remember(text, tuple(queues[i] for i in found))
+            route = self._routes.remember(
+                text, tuple(queues[i] for i in found if not queues[i].done))
         return route
 
     def publish(self, event: LogEvent) -> PublishReceipt:
@@ -328,8 +347,9 @@ class Broker:
 
         An event is handed over at most once per queue or subscriber even if
         several of its bindings match.  Zero matches is legal; the receipt
-        reports the count.  A full queue drops its oldest buffered event
-        first; subscribers are called before publish returns.
+        reports the count, done subscribers left out.  A full queue drops its
+        oldest buffered event first; subscribers are called before publish
+        returns.
         """
         key = event.key or routing_key(event)
         with self._lock:
@@ -340,7 +360,8 @@ class Broker:
             route = self._route(key)
             if self._tap is not None:
                 self._tap.write(f"{key.text}\t{event.timestamp}\t{event.message}\n")
-            _deliver(route, event)
+            if _deliver(route, event):
+                self._routes.clear()
         return PublishReceipt(seq, len(route))
 
     def publish_batch(self, batch: list[tuple[EventKey, str]]) -> None:
@@ -356,16 +377,20 @@ class Broker:
             if self._closed:
                 raise QueueClosed("broker is closed")
             timestamp = self.clock.reserve(len(batch))
-            route_of = self._route
+            routes = self._routes
             lines = []
             line = lines.append
             try:
                 for key, message in batch:
                     routing = key[8]
-                    route = route_of(routing)
-                    line(f"{routing.text}\t{timestamp}\t{message}\n")
-                    if route:
-                        _deliver(route, keyed_event(key, timestamp, message))
+                    text = routing.text
+                    route = routes.get(text)
+                    if route is None:
+                        route = self._route(routing)
+                    line(f"{text}\t{timestamp}\t{message}\n")
+                    if route and _deliver(route, keyed_event(key, timestamp, message)):
+                        # the events left re-route without the done subscriber
+                        routes.clear()
                     timestamp += 1
             finally:
                 self._published += len(lines)
@@ -418,7 +443,8 @@ class Broker:
         """Consistent snapshot of broker counters.
 
         For every queue, matched == delivered + dropped + buffered; for a
-        subscriber, matched == delivered.
+        subscriber, matched == delivered, and a done subscriber's counts
+        stop at the event it returned True for.
         """
         with self._lock:
             queues = {

@@ -55,8 +55,9 @@ _USER_ERRORS = (
 )
 
 
+@functools.lru_cache(maxsize=8)  # four assets are shipped
 def data_path(name: str) -> str:
-    """Path of a packaged default asset (config, plan, demo genome)."""
+    """Path of a packaged default asset (config, plan, demo genome), looked up once per name."""
     return str(resources.files("masharness").joinpath("data", name))
 
 

@@ -36,6 +36,9 @@ DEFAULT_ENERGY_TARGET = 0.70
 MAX_POPULATION = 1_000
 #: most hidden neurons a GAConfig's controllers may have
 MAX_HIDDEN = 100
+#: most hidden activations (populationSize x lights x hiddenCount) the batch
+#: of a generation may compute each tick: 2**24 float64 values, 128 MB
+MAX_BATCH_ACTIVATIONS = 2 ** 24
 
 
 class MetricsOutOfRange(ValueError):
@@ -367,12 +370,21 @@ def run_observer(
     comparable and elite scores never go stale); a generation's unscored
     genomes run together in one run_episodes call.  After the last generation
     the best genome is re-run once with the full evaluation protocol.
-    Returns the best genome, per-generation stats, and the final report.
+    A world and GA config whose batch would exceed MAX_BATCH_ACTIVATIONS
+    raise InvalidConfig before anything runs.  Returns the best genome,
+    per-generation stats, and the final report.
     """
     if topology is None:
         topology = NetworkTopology(hiddenCount=ga_config.hiddenCount)
     if topology.genomeLength < 1:
         raise GenomeShapeMismatch("degenerate topology")
+    lights = world_config.gridWidth * world_config.gridHeight
+    activations = ga_config.populationSize * lights * topology.hiddenCount
+    if activations > MAX_BATCH_ACTIVATIONS:
+        raise InvalidConfig(
+            f"populationSize {ga_config.populationSize} x {lights} lights x hiddenCount "
+            f"{topology.hiddenCount} makes {activations} hidden activations a tick, "
+            f"more than {MAX_BATCH_ACTIVATIONS}")
     publisher = _observer(broker)
     rng = random.Random(ga_config.rngSeed)
 

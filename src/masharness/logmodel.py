@@ -363,17 +363,24 @@ class BindingPattern:
         return self.encode()
 
 
+#: patterns parse_binding_pattern accepted, by their text
+_patterns = BoundedMemo()
+
+
 def parse_binding_pattern(text: str) -> BindingPattern:
     """Parse the dotted text form of a binding pattern.
 
     Raises InvalidPattern for an empty string, an empty segment (leading,
     trailing, or doubled dot), a wildcard glued to other characters, or an
-    over-long pattern.
+    over-long pattern.  A text accepted before is answered from a memo.
     """
+    pattern = _patterns.get(text) if isinstance(text, str) else None
+    if pattern is not None:
+        return pattern
     if not isinstance(text, str) or not text:
         raise InvalidPattern("pattern must be a non-empty string")
     try:
-        return BindingPattern(tuple(text.split(".")))
+        return _patterns.remember(text, BindingPattern(tuple(text.split("."))))
     except InvalidTag as exc:
         raise InvalidPattern(str(exc)) from exc
 
@@ -413,11 +420,17 @@ def parse_tap_line(line: str) -> TapRecord:
     # isdecimal() first: int() would also take a sign, spaces and underscores
     if not ts_text.isdecimal():
         raise LogModelError(f"bad timestamp {ts_text!r}")
-    timestamp = int(ts_text)
+    try:
+        timestamp = int(ts_text)
+    except ValueError:  # more digits than int() reads
+        raise LogModelError(f"bad timestamp of {len(ts_text)} digits") from None
     if entry is None:
         if not segments[6].isdecimal():
             raise LogModelError(f"bad sourceLine segment {segments[6]!r}")
-        line_no = int(segments[6])
+        try:
+            line_no = int(segments[6])
+        except ValueError:
+            raise LogModelError(f"bad sourceLine segment of {len(segments[6])} digits") from None
         if segments[3] not in LOG_TYPES:
             raise LogModelError(f"bad typeLog segment {segments[3]!r}")
         segments[6] = str(line_no)

@@ -6,6 +6,9 @@ time; an event matching any alternative of that transition advances the
 machine, every other event is recorded and ignored (open world).  Events
 reach a machine one at a time through ``offer``, inline as a broker
 subscriber or from a queue by ``run``, and ``finish`` gives the verdict.
+``offer`` returns True once the machine has passed or failed, which an
+inline subscriber uses to leave the broker's routes: later events could
+not change the verdict.
 Deadlines are measured on the events' virtual clock by default, so a
 verdict is a pure function of the ordered events the machine's bindings
 match; wallclock mode exists for live runs.
@@ -30,6 +33,9 @@ LEVELS = ("local", "global")
 SUB_LEVELS = ("framework", "scenario", "learning", "mas")
 
 DEFAULT_MAX_WAIT_TICKS = 500
+#: longest wait a transition may have; its deadline, 10**15 microseconds past
+#: the time its state was entered, stays an exact float (below 2**53)
+MAX_WAIT_TICKS = 1_000_000_000
 #: wallclock seconds that stand in for one tick (500 ticks == 5 s)
 SECONDS_PER_TICK = 0.01
 
@@ -62,6 +68,9 @@ class TransitionSpec:
             raise TestkitError("transition needs at least one alternative")
         if self.maxWait <= 0:
             raise TestkitError(f"maxWait must be positive, got {self.maxWait}")
+        if self.maxWait > MAX_WAIT_TICKS:
+            raise TestkitError(
+                f"maxWait must be at most {MAX_WAIT_TICKS} ticks, got {self.maxWait}")
 
     def matches(self, event: LogEvent) -> bool:
         key = routing_key(event).segments
@@ -178,19 +187,24 @@ class TestMachine:
         self.failureReason = f"waited past {self.specs[self.current].maxWait} ticks"
         return True
 
-    def offer(self, event: LogEvent) -> None:
-        """Judge one event: a late one fails the machine, any other is stepped."""
+    def offer(self, event: LogEvent) -> bool:
+        """Judge one event: a late one fails the machine, any other is stepped.
+
+        Returns True from the event that ends ``RUNNING`` on, so that as a
+        broker subscriber the machine is done then.
+        """
         if self.status is not MachineStatus.RUNNING:
-            return
+            return True
         now = _wall_now() if self.wallclock else event.timestamp
         if self._fail_if_late(now):
             self.trace.append(event)
-            return
+            return True
         self._last = now
         before = self.current
         self.step(event)
         if self.current != before:
             self._entered = now
+        return self.status is not MachineStatus.RUNNING
 
     def seconds_left(self) -> float | None:
         """Real time to the pending deadline; None (no bound) in virtual time."""
@@ -311,8 +325,9 @@ def load_test_plan(path) -> list[TestCase]:
         test <name> level=<local|global> sublevel=<framework|scenario|learning|mas>
         expect <pattern>[|<pattern>...] within <N>ticks
 
-    ``within`` is optional and defaults to 500 ticks.  Test names are
-    unique.  Raises ParseError with the offending line number.
+    ``within`` is optional and defaults to 500 ticks; N is decimal digits,
+    at most MAX_WAIT_TICKS.  Test names are unique.  Raises ParseError
+    with the offending line number.
     """
     cases: list[TestCase] = []
     name = None
@@ -382,9 +397,16 @@ def load_test_plan(path) -> list[TestCase]:
                 max_wait = DEFAULT_MAX_WAIT_TICKS
                 if len(rest) >= 2 and rest[-2] == "within":
                     dur = rest[-1]
-                    if not dur.endswith("ticks") or not dur[: -len("ticks")].isdigit():
+                    count = dur[: -len("ticks")]
+                    # isdecimal(), not isdigit(): int() refuses digits such as '²'
+                    if not dur.endswith("ticks") or not count.isdecimal():
                         raise ParseError(f"bad duration {dur!r}, want <N>ticks", lineno)
-                    max_wait = int(dur[: -len("ticks")])
+                    # more digits than the bound has, perhaps more than int() reads
+                    digits = count.lstrip("0") or "0"
+                    if len(digits) > len(str(MAX_WAIT_TICKS)):
+                        raise ParseError(f"maxWait must be at most {MAX_WAIT_TICKS} ticks, "
+                                         f"got a number of {len(digits)} digits", lineno)
+                    max_wait = int(digits)
                     rest = rest[:-2]
                 if len(rest) != 1:
                     raise ParseError(

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .broker import Broker
-from .logmodel import TICK_US, EventKey, event_key
+from .logmodel import TICK_US, BoundedMemo, EventKey, event_key
 from .neural import NeuralController, decode
 
 FAULT_GO_DARK = "go-dark"
@@ -66,6 +66,12 @@ MAX_PEOPLE = 10_000
 #: ticks between the saved states a silent batch of stateless controllers
 #: compares each tick's state with, so periods up to this long are caught
 RECURRENCE_WINDOW = 8
+#: grid layouts (ids, near, peers) by (gridWidth, gridHeight, wirelessRange),
+#: about 1.5 MB for a 100x100 grid, shared by every world of the grid
+_layouts = BoundedMemo(4)
+#: log_keys tables by (gridWidth, gridHeight, episode_tag); a 100x100 grid's
+#: holds 90,008 keys in about 47 MB, so few are kept
+_log_key_tables = BoundedMemo(2)
 #: the WorldState arrays with one row per live episode
 _ROW_ARRAYS = ("live", "radiating", "outbox", "step", "arrived", "ticks_moving", "on_ticks",
                "saved", "counted")
@@ -274,6 +280,27 @@ def _neighbour_indices(config: WorldConfig) -> tuple[list[tuple[int, ...]], list
     return adjacent, wireless
 
 
+def _layout(config: WorldConfig) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """A grid's light ids and its read-only ``near`` and ``peers`` tables (WorldState)."""
+    grid = (config.gridWidth, config.gridHeight, config.wirelessRange)
+    layout = _layouts.get(grid)
+    if layout is not None:
+        return layout
+    w = config.gridWidth
+    lights = sentinel = w * config.gridHeight
+    ids = tuple(_node_id(config, (i % w, i // w)) for i in range(lights))
+    adjacent, wireless = _neighbour_indices(config)
+    # own lamp first, then the adjacent ones; column-major, as a tick reads it transposed
+    near = np.full((lights, 5), sentinel, np.intp, "F")
+    # at least one sentinel column, so every maximum starts from 0.0
+    peers = np.full((lights, max(map(len, wireless)) + 1), sentinel, np.intp, "F")
+    for i in range(lights):
+        near[i, : 1 + len(adjacent[i])] = (i, *adjacent[i])
+        peers[i, : len(wireless[i])] = wireless[i]
+    near.flags.writeable = peers.flags.writeable = False
+    return _layouts.remember(grid, (ids, near, peers))
+
+
 def _staircase(start, end, rng: random.Random) -> tuple[tuple[int, int], ...]:
     """Random monotone lattice path, one of the shortest routes start->end."""
     (x, y), (ex, ey) = start, end
@@ -331,7 +358,9 @@ class WorldState:
 
     Lights are numbered row-major (``y * gridWidth + x``).  Every per-light
     episode array has one more column, a sentinel light that never radiates
-    and never transmits, and the index tables are padded with it.  Row r of
+    and never transmits, and the index tables are padded with it.  The ids
+    and index tables (``near``, ``peers``) are built once per grid and shared,
+    read-only, by its worlds, as is the ``log_keys`` table.  Row r of
     the episode arrays is episode ``live[r]``; an episode whose pedestrians
     have all arrived leaves the batch, which keeps its metrics and drops its
     row.  Routes are built before faults are checked, so a world that can
@@ -345,22 +374,13 @@ class WorldState:
         self.episode_tag = episode_tag
         self.tick = 0
         w = config.gridWidth
-        self.lights = lights = w * config.gridHeight
-        self.ids = [_node_id(config, (i % w, i // w)) for i in range(lights)]
+        self.lights = lights = sentinel = w * config.gridHeight
+        self.ids, self.near, self.peers = _layout(config)
         routes = build_routes(config, random.Random(config.rngSeed))
         self.faulty = _fault_masks(self.ids, faults)
         #: interned event keys by agent (a light's id or a _LOG_SITES name), then action
         self.log_keys: dict[str, dict[str, EventKey]] = {}
 
-        sentinel = lights
-        adjacent, wireless = _neighbour_indices(config)
-        # own lamp first, then the adjacent ones; column-major, as a tick reads it transposed
-        self.near = np.full((lights, 5), sentinel, np.intp, "F")
-        # at least one sentinel column, so every maximum starts from 0.0
-        self.peers = np.full((lights, max(map(len, wireless)) + 1), sentinel, np.intp, "F")
-        for i in range(lights):
-            self.near[i, : 1 + len(adjacent[i])] = (i, *adjacent[i])
-            self.peers[i, : len(wireless[i])] = wireless[i]
         # a light sensor reads the ambient level plus lightBrightness once per
         # radiating lamp it sees, added one by one; this table holds those sums
         spill = [config.ambientLight]
@@ -399,17 +419,26 @@ class WorldState:
         """Check and intern the key of every log site, episode tag applied.
 
         Keys are interned in first-publish order, so a bad episode tag
-        raises the error its first event raised.
+        raises the error its first event raised.  The table is shared by
+        every world of the same grid and tag, and is only remembered once
+        every key in it has been checked.
         """
-        tag = f"@{self.episode_tag}" if self.episode_tag else ""
-        for (agentType, agent), actions in _LOG_SITES.items():
-            for name in self.ids if agent is _LIGHT else [agent]:
-                self.log_keys[name] = {
-                    action: event_key(agentType, name + tag, action,
-                                      sourceUnit=unit, sourceOperation=operation,
-                                      sourceLine=line, resource=resource)
-                    for action, (unit, operation, line, resource) in actions.items()
-                }
+        c = self.config
+        table_key = (c.gridWidth, c.gridHeight, self.episode_tag)
+        table = _log_key_tables.get(table_key)
+        if table is None:
+            tag = f"@{self.episode_tag}" if self.episode_tag else ""
+            table = {}
+            for (agentType, agent), actions in _LOG_SITES.items():
+                for name in self.ids if agent is _LIGHT else [agent]:
+                    table[name] = {
+                        action: event_key(agentType, name + tag, action,
+                                          sourceUnit=unit, sourceOperation=operation,
+                                          sourceLine=line, resource=resource)
+                        for action, (unit, operation, line, resource) in actions.items()
+                    }
+            _log_key_tables.remember(table_key, table)
+        self.log_keys = table
 
     def publish(self, batch: list[tuple[EventKey, str]]) -> None:
         """Publish ``(log_keys key, message)`` pairs as one batch of the attached broker."""
@@ -474,7 +503,7 @@ class WorldState:
             self.counted[:, :, 0] = self.counted[:, :, lag]
 
 
-def _fault_masks(ids: list[str], faults) -> dict[str, np.ndarray]:
+def _fault_masks(ids: tuple[str, ...], faults) -> dict[str, np.ndarray]:
     """Per fault kind, which lights have it, after checking each spec in turn."""
     index = {light: i for i, light in enumerate(ids)}
     faulty = {kind: np.zeros(len(ids), dtype=bool) for kind in FAULT_KINDS}

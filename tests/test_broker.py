@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masharness import broker as broker_module
 from masharness.broker import (
     Broker,
     DuplicateQueue,
@@ -394,16 +395,23 @@ class Boom(Exception):
     pass
 
 
-def publish_items(bindings, items, batched, *, start=0, raise_at=None, closed=False):
-    """Publish ``items`` in one batch or one event at a time; returns what came out."""
+def publish_items(bindings, items, batched, *, start=0, raise_at=None, closed=False,
+                  retire_at=()):
+    """Publish ``items`` in one batch or one event at a time; returns what came out.
+
+    Subscriber ``t<i>`` returns True at its ``retire_at[i]``-th event where
+    that is given, and None otherwise.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tap = f"{tmp}/tap.log"
         broker = Broker(clock=EventClock(start), tap=tap)
         delivered = []
         handles = []
 
-        def deliver(name, event):
+        def deliver(name, event, done_at=None):
             delivered.append((name, event, event.key))
+            if done_at is not None:
+                return sum(n == name for n, _, _ in delivered) == done_at
 
         def boom(event):
             deliver("boom", event)
@@ -414,7 +422,9 @@ def publish_items(bindings, items, batched, *, start=0, raise_at=None, closed=Fa
             if is_queue:
                 handles.append(broker.declare_queue(f"t{i}", patterns, capacity=capacity))
             else:
-                broker.subscribe(f"t{i}", patterns, functools.partial(deliver, f"t{i}"))
+                done_at = retire_at[i] if i < len(retire_at) else None
+                broker.subscribe(f"t{i}", patterns,
+                                 functools.partial(deliver, f"t{i}", done_at=done_at))
         if raise_at is not None:
             # every event reaches this subscriber last, and the raise_at-th one raises
             broker.subscribe("boom", ["#"], boom)
@@ -478,6 +488,79 @@ class TestPublishBatch:
         broker.publish_batch([])
         assert broker.stats().published == 0
         assert broker.clock.next_timestamp() == 0
+
+
+class TestRetiringSubscribers:
+    """A subscriber that returns True gets nothing more, and nothing else changes."""
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "one-by-one"])
+    @settings(max_examples=60, deadline=None)
+    # the last subscriber binds every key, so most examples retire one mid-stream
+    @given(bindings=BATCH_BINDINGS.map(lambda b: b + [(False, ["#"], 1)]), items=BATCH_ITEMS,
+           retire_at=st.lists(st.one_of(st.none(), st.integers(1, 4)), min_size=5, max_size=5))
+    def test_only_the_retired_subscribers_deliveries_end(self, batched, bindings, items,
+                                                         retire_at):
+        retiring = publish_items(bindings, items, batched, retire_at=retire_at)
+        plain = publish_items(bindings, items, batched)
+        for field in ("tap", "queued", "raised", "next_timestamp"):
+            assert retiring[field] == plain[field]
+        assert retiring["stats"].published == plain["stats"].published
+        retired = {f"t{i}": retire_at[i] for i, (is_queue, _, _) in enumerate(bindings)
+                   if not is_queue and retire_at[i] is not None}
+
+        def others(run):
+            return [d for d in run["delivered"] if d[0] not in retired]
+
+        assert others(retiring) == others(plain)
+        for name, k in retired.items():
+            got = [d for d in retiring["delivered"] if d[0] == name]
+            want = [d for d in plain["delivered"] if d[0] == name]
+            assert got == want[:k]
+            stats = retiring["stats"].queues[name]
+            assert stats == QueueStats(matched=len(got), delivered=len(got), dropped=0, buffered=0)
+        for name, stats in plain["stats"].queues.items():
+            if name not in retired:
+                assert retiring["stats"].queues[name] == stats
+
+    def test_a_key_bound_only_by_a_done_subscriber_builds_no_event(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(broker_module, "keyed_event",
+                            lambda *args: built.append(args) or keyed_event(*args))
+        broker = Broker()
+        got, kept = [], []
+        broker.subscribe("once", ["*.*.ping.#"], lambda event: got.append(event) or True)
+        broker.subscribe("pongs", ["*.*.pong.#"], kept.append)
+        key = event_key("lightContainer", "node1", "ping", sourceUnit="Light",
+                        sourceOperation="act", sourceLine=7, resource="lightActuator")
+        pong = event_key("lightContainer", "node1", "pong", sourceUnit="Light",
+                         sourceOperation="act", sourceLine=7, resource="lightActuator")
+        broker.publish_batch([(key, "a"), (key, "b"), (pong, "c"), (key, "d")])
+        assert [e.message for e in got] == ["a"]
+        assert [e.message for e in kept] == ["c"]
+        assert len(built) == 2
+        assert broker.publish(event(clock=broker.clock)).matched == 0
+        stats = broker.stats()
+        assert stats.published == 5
+        assert stats.queues["once"] == QueueStats(matched=1, delivered=1, dropped=0, buffered=0)
+
+    def test_only_true_means_done(self):
+        broker = Broker()
+        got = []
+        # a truthy answer that is not True, such as the event itself, keeps the subscriber
+        broker.subscribe("s", ["#"], lambda event: got.append(event) or event)
+        for _ in range(3):
+            assert broker.publish(event(clock=broker.clock)).matched == 1
+        assert len(got) == 3
+
+    def test_a_subscriber_declared_later_still_gets_events(self):
+        broker = Broker()
+        broker.subscribe("first", ["#"], lambda event: True)
+        assert broker.publish(event(clock=broker.clock)).matched == 1
+        got = []
+        broker.subscribe("late", ["#"], got.append)
+        assert broker.publish(event(clock=broker.clock, message="after")).matched == 1
+        assert [e.message for e in got] == ["after"]
+        assert broker.stats().queues["first"].delivered == 1
 
 
 class TestCarriedKey:

@@ -14,11 +14,17 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from masharness import broker as broker_module, cli, logmodel
+from masharness import broker as broker_module, cli, evolution, logmodel, world as world_module
 from masharness.broker import Broker
 from masharness.cli import USAGE_ERROR, data_path, main
-from masharness.evolution import evaluate_solution
-from masharness.logmodel import RoutingKey, load_tap, read_tap
+from masharness.evolution import (
+    MAX_BATCH_ACTIVATIONS,
+    MAX_HIDDEN,
+    MAX_POPULATION,
+    evaluate_solution,
+    load_ga_config,
+)
+from masharness.logmodel import BoundedMemo, RoutingKey, load_tap, read_tap
 from masharness.neural import NetworkTopology, load_genome, save_genome
 from masharness.testkit import load_test_plan
 from masharness.world import load_world_config, seeds_with_light_on_route
@@ -286,6 +292,30 @@ class TestEvolve:
         assert captured.out == ""
         assert captured.err == f"error: config {ga}: {name} must be a finite number, got {value}\n"
 
+    def test_a_batch_past_the_activation_bound_exits_two_before_it_runs(self, tmp_path,
+                                                                        capsys, monkeypatch):
+        # 1000 genomes x 10,000 lights x 100 hidden neurons would be an 8 GB hidden layer
+        config = small_world(tmp_path, gridWidth=100, gridHeight=100)
+        ga = self.ga_file(tmp_path, populationSize=1000, hiddenCount=100)
+        monkeypatch.setattr(evolution, "run_episodes", None)  # would fail if reached
+        code = main(["evolve", "--config", config, "--ga-config", ga,
+                     "--genome", str(tmp_path / "g.txt"), "--manifest", str(tmp_path / "m.txt")])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err == (
+            "error: populationSize 1000 x 10000 lights x hiddenCount 100 makes 1000000000 "
+            f"hidden activations a tick, more than {MAX_BATCH_ACTIVATIONS}\n")
+        assert not (tmp_path / "g.txt").exists()
+
+    def test_shipped_configs_are_within_the_activation_bound(self):
+        world = load_world_config(data_path("world.cfg"))
+        ga = load_ga_config(data_path("ga.cfg"))
+        lights = world.gridWidth * world.gridHeight
+        assert ga.populationSize * lights * ga.hiddenCount <= MAX_BATCH_ACTIVATIONS
+        # the largest population and hidden layer still run on the shipped grid
+        assert MAX_POPULATION * lights * MAX_HIDDEN <= MAX_BATCH_ACTIVATIONS
+
     def test_non_utf8_ga_config_exits_two_naming_the_file(self, tmp_path, capsys):
         bad = tmp_path / "ga.cfg"
         bad.write_bytes(b"\xff\xfepopulationSize=4\n")
@@ -434,6 +464,22 @@ class TestTest:
         assert captured.err == f"error: plan {plan} has no test cases\n"
         assert not Path(tap).exists()
 
+    @pytest.mark.parametrize("duration,flags", [
+        ("\u00b2ticks", []),
+        ("9" * 5000 + "ticks", []),
+        ("9" * 400 + "ticks", ["--wallclock"]),
+    ], ids=["superscript", "past-int-digit-limit", "wallclock-overflow"])
+    def test_bad_plan_duration_exits_two_at_its_line(self, tmp_path, capsys, duration, flags):
+        plan = tmp_path / "plan.txt"
+        plan.write_text(f"test t level=local sublevel=scenario\nexpect a.# within {duration}\n")
+        manifest, tap = out_paths(tmp_path)
+        code = main(["test", "--plan", str(plan), *flags, "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2: ") and captured.err.count("\n") == 1
+        assert not Path(tap).exists()
+
     def test_plan_parse_error_exits_two(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
         plan.write_text("test broken level=local sublevel=scenario\nexpect\n")
@@ -544,6 +590,18 @@ class TestTimeline:
         assert tap in captured.err
 
 
+class TestTimelineErrors:
+    def test_a_timestamp_past_the_int_digit_limit_exits_two(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        Path(tap).write_text("a.b.c.info.U.op.1.r\t4\tm\n"
+                             "a.b.c.info.U.op.1.r\t" + "7" * 5000 + "\tm\n")
+        code = main(["timeline", "#", "--tap", tap, "--manifest", manifest])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err == f"error: tap {tap} line 2: bad timestamp of 5000 digits\n"
+
+
 class TestUnwritableManifest:
     """A manifest that cannot be written fails the run before it prints or writes."""
 
@@ -626,7 +684,8 @@ class TestKeyedPublishing:
         monkeypatch.setattr(RoutingKey, "__post_init__", counting_post_init)
         monkeypatch.setattr(logmodel, "_check_word",
                             lambda name, value: checks.append(value) or check_word(name, value))
-        for memo in (logmodel._keys, logmodel._event_keys, logmodel._valid_words):
+        for memo in (logmodel._keys, logmodel._event_keys, logmodel._valid_words,
+                     world_module._log_key_tables):
             memo.clear()
         keys = self.run(tmp_path / "cold.log")
         distinct = set(keys)
@@ -641,12 +700,29 @@ class TestKeyedPublishing:
         assert len(checks) <= len(distinct)
 
 
+class TestRetiredMachines:
+    """A machine with its verdict leaves the broker's routes, so the events
+    that only finished machines bind are written to the tap but not built."""
+
+    def test_a_run_builds_only_the_events_running_machines_judge(self, tmp_path, monkeypatch):
+        built = []
+        monkeypatch.setattr(broker_module, "keyed_event",
+                            lambda *args: built.append(args) or logmodel.keyed_event(*args))
+        keys = run_default_plan(tmp_path / "tap.log")
+        assert len(keys) == 1961
+        assert len(built) <= 70
+        digest = hashlib.sha256((tmp_path / "tap.log").read_bytes()).hexdigest()
+        assert digest == GOLDEN_TAPS[0][1]
+
+
 class TestSharedRoutes:
     """Brokers with equal binding lists share one route table, so only the
     first of them walks the trie for a key."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
+        # a fresh shared memo, so the counts do not depend on what earlier tests left in it
+        monkeypatch.setattr(broker_module, "_route_tables", BoundedMemo(64))
         walked = []
         route = broker_module._TopicTrie.route
         monkeypatch.setattr(broker_module._TopicTrie, "route",

@@ -384,6 +384,18 @@ class TestReadTap:
             load_tap(tap)
         assert str(err.value) == f"tap {tap} line 2: {message}"
 
+    @pytest.mark.parametrize("bad,message", [
+        ("a.b.c.info.U.op.4.r\t" + "9" * 5000 + "\tm", "bad timestamp of 5000 digits"),
+        ("a.b.c.info.U.op." + "9" * 5000 + ".r\t1\tm", "bad sourceLine segment of 5000 digits"),
+    ], ids=["timestamp", "sourceLine"])
+    def test_numbers_past_the_int_digit_limit_are_named(self, tmp_path, bad, message):
+        tap = tmp_path / "t.log"
+        tap.write_text(f"a.b.c.info.U.op.4.r\t1\tm\n{bad}\n")
+        for read in (load_tap, lambda path: list(read_tap(path))):
+            with pytest.raises(LogModelError) as err:
+                read(tap)
+            assert str(err.value) == f"tap {tap} line 2: {message}"
+
     def test_leading_zeros_and_unicode_digits_still_read(self, tmp_path):
         tap = tmp_path / "t.log"
         tap.write_text("a.b.c.info.U.op.007.r\t0012\tm\na.b.c.info.U.op.\u0663.r\t\uff17\tn\n")

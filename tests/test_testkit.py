@@ -7,6 +7,7 @@ import pytest
 from masharness.broker import Broker, matches
 from masharness.logmodel import TICK_US, EventClock, LogEvent, make_log_event
 from masharness.testkit import (
+    MAX_WAIT_TICKS,
     SECONDS_PER_TICK,
     BindingMismatch,
     MachineStatus,
@@ -285,6 +286,27 @@ class TestOfferAndFinish:
         assert got.reason == "waited past 3 ticks"
         assert got.elapsed == pytest.approx(3.0)
 
+    def test_offer_answers_true_from_the_event_that_passes_the_machine(self):
+        clock = EventClock()
+        machine = compile(case(spec("lightContainer.*.switchLightON.#"),
+                               spec("lightContainer.*.detectLight.#")))
+        answers = [machine.offer(light_event(action, clock)) for action in (
+            "readMotionSensor", "switchLightON", "switchLightOFF", "detectLight",
+            "switchLightON", "readMotionSensor")]
+        assert answers == [False, False, False, True, True, True]
+        assert machine.finish().passed
+        assert len(machine.finish().trace) == 4
+
+    def test_offer_answers_true_from_the_late_event_that_fails_the_machine(self):
+        clock = EventClock()
+        machine = compile(case(spec("lightContainer.*.switchLightON.#", maxWait=2)))
+        assert machine.offer(light_event("readMotionSensor", clock)) is False
+        clock.advance_to(5 * TICK_US)
+        assert machine.offer(light_event("readMotionSensor", clock)) is True
+        assert machine.status is MachineStatus.FAILED
+        assert machine.offer(light_event("switchLightON", clock)) is True
+        assert machine.finish().reason == "waited past 2 ticks"
+
     def test_finish_is_idempotent(self):
         machine = compile(case(spec("lightContainer.*.switchLightON.#")))
         first = machine.finish()
@@ -405,6 +427,36 @@ class TestLoadTestPlan:
         with pytest.raises(ParseError) as err:
             load_test_plan(self.write(tmp_path, text))
         assert err.value.line == bad_line
+
+    @pytest.mark.parametrize("duration,message", [
+        ("\u00b2ticks", "bad duration '\u00b2ticks', want <N>ticks"),
+        ("1000000001ticks", f"maxWait must be at most {MAX_WAIT_TICKS} ticks, got 1000000001"),
+        ("9" * 11 + "ticks", f"maxWait must be at most {MAX_WAIT_TICKS} ticks, "
+                             "got a number of 11 digits"),
+        ("9" * 5000 + "ticks", f"maxWait must be at most {MAX_WAIT_TICKS} ticks, "
+                               "got a number of 5000 digits"),
+    ], ids=["superscript", "one-over", "eleven-digits", "past-int-digit-limit"])
+    def test_durations_are_decimal_and_bounded(self, tmp_path, duration, message):
+        text = f"test t level=local sublevel=scenario\nexpect a.#\nexpect b.# within {duration}\n"
+        with pytest.raises(ParseError) as err:
+            load_test_plan(self.write(tmp_path, text))
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: {message}"
+
+    def test_durations_up_to_the_bound_parse(self, tmp_path):
+        text = ("test t level=local sublevel=scenario\n"
+                f"expect a.# within {MAX_WAIT_TICKS}ticks\n"
+                f"expect b.# within {'0' * 5000}7ticks\n"
+                "expect c.# within \u0663ticks\n")
+        (parsed,) = load_test_plan(self.write(tmp_path, text))
+        waits = [s.maxWait for s in parsed.validationSequence]
+        assert waits == [MAX_WAIT_TICKS, 7, 3]
+
+    def test_wallclock_deadline_at_the_bound_is_finite(self):
+        machine = compile(case(spec("a.#", maxWait=MAX_WAIT_TICKS)), wallclock=True)
+        assert machine.seconds_left() == pytest.approx(MAX_WAIT_TICKS * SECONDS_PER_TICK, rel=1e-6)
+        with pytest.raises(TestkitError, match="maxWait must be at most"):
+            spec("a.#", maxWait=MAX_WAIT_TICKS + 1)
 
     def test_repeated_test_name_is_rejected_at_its_second_header(self, tmp_path):
         text = ("test a level=local sublevel=scenario\nexpect x.#\n\n"

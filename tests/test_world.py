@@ -339,7 +339,7 @@ class TestFaultSpec:
 class TestGridAndRoutes:
     def test_node_ids_are_row_major(self):
         world = init_world(cfg(gridWidth=3, gridHeight=3))
-        assert world.ids == [f"node{i}" for i in range(1, 10)]
+        assert world.ids == tuple(f"node{i}" for i in range(1, 10))
         # (x, y) is light y * gridWidth + x
         assert [world.ids[y * 3 + x] for x, y in ((0, 0), (2, 0), (0, 1), (2, 2))] == [
             "node1", "node3", "node4", "node9"]
@@ -886,6 +886,34 @@ class TestInternedKeys:
             init_world(cfg(), broker, episode_tag="a.b")
         assert str(err.value) == "agentName may not contain '.': 'manager01@a.b'"
 
+    @pytest.mark.parametrize("bad", ["first-key", "later-key"])
+    def test_a_bad_tag_raises_the_same_error_every_time(self, bad):
+        if bad == "first-key":
+            tag, error = "a.b", InvalidTag
+        else:
+            with Broker() as broker:
+                texts = [key[8].text for keys in init_world(cfg(), broker).log_keys.values()
+                         for key in keys.values()]
+            # the tag and its "@" make the longest key one byte too long, the first one not
+            tag, error = "t" * (MAX_KEY_BYTES - max(map(len, texts))), KeyTooLong
+            assert len(texts[0]) + 1 + len(tag) <= MAX_KEY_BYTES
+        messages = []
+        for _ in range(2):
+            with Broker() as broker, pytest.raises(error) as err:
+                init_world(cfg(), broker, episode_tag=tag)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert (2, 2, tag) not in world_module._log_key_tables
+
+    def test_worlds_of_one_grid_and_tag_share_one_key_table(self):
+        with Broker() as first, Broker() as second, Broker() as tagged:
+            keys = init_world(cfg(), first).log_keys
+            assert init_world(cfg(rngSeed=9, wirelessRange=2), second).log_keys is keys
+            other = init_world(cfg(), tagged, episode_tag="e1").log_keys
+        assert other is not keys
+        assert other["node1"]["readLightSensor"][1] == "node1@e1"
+        assert keys["node1"]["readLightSensor"][1] == "node1"
+
     def test_skip_handshake_drops_the_same_event(self, tmp_path):
         records = []
         for faults in ((), (FaultSpec(FAULT_SKIP_HANDSHAKE, ("node3",)),)):
@@ -917,6 +945,30 @@ class TestInternedKeys:
         with Broker() as broker, pytest.raises(error, match=re.escape(str(raised.value))):
             oracle_run_episode(config, ConstantController(1.0, 0.0), broker, faults=faults,
                                episode_tag=tag)
+
+
+class TestLayoutMemo:
+    def test_a_grid_is_laid_out_once_and_read_only(self):
+        first = init_world(cfg(gridWidth=4, gridHeight=3))
+        second = init_world(cfg(gridWidth=4, gridHeight=3, rngSeed=9, numPeople=2),
+                            episodes=3)
+        assert second.ids is first.ids
+        assert second.near is first.near and second.peers is first.peers
+        for table in (first.near, first.peers):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+        with pytest.raises(TypeError):
+            first.ids[0] = "node0"
+
+    def test_another_range_or_shape_gets_its_own_tables(self):
+        base = init_world(cfg(gridWidth=4, gridHeight=3))
+        wider = init_world(cfg(gridWidth=4, gridHeight=3, wirelessRange=2))
+        assert wider.peers is not base.peers and wider.peers.shape[1] > base.peers.shape[1]
+        assert np.array_equal(wider.near, base.near)
+        tall = init_world(cfg(gridWidth=3, gridHeight=4))
+        assert tall.ids == base.ids and tall.near is not base.near
+        assert not np.array_equal(tall.near, base.near)
 
 
 class TestInvariants:
