@@ -1,20 +1,28 @@
 """Observer-side learning: a genetic algorithm over controller genomes.
 
 The observer evaluates each genome with one silent episode on a fixed world
-seed (deterministic fitness), logs its protocol through the broker, and
-evolves the population by elitism, tournament selection, single-point
-crossover, and clamped Gaussian mutation.  Fitness rewards finished
-pedestrians and penalizes trip time and energy:
+seed (deterministic fitness) and evolves the population by elitism,
+tournament selection, single-point crossover, and clamped Gaussian
+mutation.  Fitness rewards finished pedestrians and penalizes trip time and
+energy:
 
     fitness = 1.0 * pPeople - 0.6 * pTrip - 0.4 * pEnergy
+
+``fitness`` and ``evolve_generation`` only compute; the observer logs.  Its
+13 log sites are declared once in ``_OBSERVER_SITES`` and their keys are
+interned once per process.  Each evaluation's protocol is built as a list of
+(action, message) pairs, the prologue before the episode and the results
+after it, and ``_publish`` sends each pair as one ``Broker.publish``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
-from .broker import AgentPublisher, Broker
+from .broker import Broker
+from .logmodel import EventKey, intern_sites, keyed_event
 from .neural import GenomeShapeMismatch, NetworkTopology, decode
 from .world import (
     EpisodeMetrics,
@@ -39,6 +47,24 @@ MAX_HIDDEN = 100
 #: most hidden activations (populationSize x lights x hiddenCount) the batch
 #: of a generation may compute each tick: 2**24 float64 values, 128 MB
 MAX_BATCH_ACTIVATIONS = 2 ** 24
+
+#: every logged action of the observer, agent OBSERVER.observer01:
+#: action -> (sourceUnit, sourceOperation, sourceLine, resource)
+_OBSERVER_SITES = {
+    "chooseAdaptationMethod": ("Observer", "adapt", 96, "adaptationMethod"),
+    "selectNeuralConfiguration": ("Observer", "adapt", 99, "neuralController"),
+    "useIndividualGenesToANN": ("Observer", "adapt", 103, "neuralController"),
+    "startExecutionWithControllerConfiguration": ("Observer", "evaluate", 110, "simulation"),
+    "readSimulationResults": ("Observer", "evaluate", 115, "simulationResults"),
+    "calculateEnergy": ("Observer", "evaluate", 120, "simulationResults"),
+    "calculatePeople": ("Observer", "evaluate", 123, "simulationResults"),
+    "calculateTripDuration": ("Observer", "evaluate", 126, "simulationResults"),
+    "achieveEnergyTarget": ("Observer", "evaluate", 130, "simulationResults"),
+    "achievePeopleTarget": ("Observer", "evaluate", 133, "simulationResults"),
+    "calculateFitness": ("Observer", "evaluate", 137, "simulationResults"),
+    "startGeneticAlgorithm": ("Observer", "evolve", 150, "population"),
+    "selectBestIndividuals": ("Observer", "evolve", 154, "population"),
+}
 
 
 class MetricsOutOfRange(ValueError):
@@ -72,8 +98,9 @@ class GAConfig:
                 raise InvalidConfig("populationSize 1 requires elitism 1")
         elif not 0 < self.elitism < self.populationSize:
             raise InvalidConfig("elitism must satisfy 0 < elitism < populationSize")
-        if self.tournamentSize < 1:
-            raise InvalidConfig("tournamentSize must be positive")
+        if not 1 <= self.tournamentSize <= MAX_POPULATION:
+            raise InvalidConfig(
+                f"tournamentSize must be in [1,{MAX_POPULATION}], got {self.tournamentSize}")
         for name in ("crossoverRate", "mutationRate"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -108,17 +135,8 @@ class FitnessReport:
     peopleTargetMet: bool
 
 
-def fitness(
-    metrics: EpisodeMetrics,
-    energy_target: float = DEFAULT_ENERGY_TARGET,
-    publisher: AgentPublisher | None = None,
-) -> FitnessReport:
-    """Score one episode and check both solution targets.
-
-    When a publisher is given, emits the evaluation log protocol: the three
-    calculate logs, the achieve logs for whichever targets were met, then
-    calculateFitness.
-    """
+def fitness(metrics: EpisodeMetrics, energy_target: float = DEFAULT_ENERGY_TARGET) -> FitnessReport:
+    """Score one episode and check both solution targets."""
     for name, value in (
         ("pPeople", metrics.pPeople),
         ("pTrip", metrics.pTrip),
@@ -131,47 +149,11 @@ def fitness(
         - FITNESS_WEIGHT_TRIP * metrics.pTrip
         - FITNESS_WEIGHT_ENERGY * metrics.pEnergy
     )
-    energy_met = metrics.pEnergy < energy_target
-    people_met = metrics.pPeople == 1.0
-    if publisher is not None:
-        publisher.log(
-            "calculateEnergy",
-            sourceUnit="Observer", sourceOperation="evaluate", sourceLine=120,
-            resource="simulationResults", message=f"energy={metrics.pEnergy:.6f}",
-        )
-        publisher.log(
-            "calculatePeople",
-            sourceUnit="Observer", sourceOperation="evaluate", sourceLine=123,
-            resource="simulationResults", message=f"people={metrics.pPeople:.6f}",
-        )
-        publisher.log(
-            "calculateTripDuration",
-            sourceUnit="Observer", sourceOperation="evaluate", sourceLine=126,
-            resource="simulationResults", message=f"trip={metrics.pTrip:.6f}",
-        )
-        if energy_met:
-            publisher.log(
-                "achieveEnergyTarget",
-                sourceUnit="Observer", sourceOperation="evaluate", sourceLine=130,
-                resource="simulationResults",
-                message=f"energy {metrics.pEnergy:.6f} < {energy_target:.2f}",
-            )
-        if people_met:
-            publisher.log(
-                "achievePeopleTarget",
-                sourceUnit="Observer", sourceOperation="evaluate", sourceLine=133,
-                resource="simulationResults", message="everyone finished",
-            )
-        publisher.log(
-            "calculateFitness",
-            sourceUnit="Observer", sourceOperation="evaluate", sourceLine=137,
-            resource="simulationResults", message=f"fitness={score:.6f}",
-        )
     return FitnessReport(
         metrics=metrics,
         fitness=score,
-        energyTargetMet=energy_met,
-        peopleTargetMet=people_met,
+        energyTargetMet=metrics.pEnergy < energy_target,
+        peopleTargetMet=metrics.pPeople == 1.0,
     )
 
 
@@ -219,25 +201,12 @@ def evolve_generation(
     evaluator,
     config: GAConfig,
     rng: random.Random,
-    publisher: AgentPublisher | None = None,
 ) -> list[Genome]:
     """Produce the next population: elites survive, offspring fill the rest."""
     for genome in population:
         if genome.fitness is None:
             evaluator(genome)
-    if publisher is not None:
-        publisher.log(
-            "startGeneticAlgorithm",
-            sourceUnit="Observer", sourceOperation="evolve", sourceLine=150,
-            resource="population", message=f"population={len(population)}",
-        )
     elite_idx = pick_elites(population, config.elitism)
-    if publisher is not None:
-        publisher.log(
-            "selectBestIndividuals",
-            sourceUnit="Observer", sourceOperation="evolve", sourceLine=154,
-            resource="population", message=f"elites={len(elite_idx)}",
-        )
     next_pop = [
         Genome(genes=population[i].genes, fitness=population[i].fitness,
                metrics=population[i].metrics)
@@ -276,53 +245,48 @@ class ObserverResult:
     finalReport: FitnessReport
 
 
-def _observer(broker: Broker | None) -> AgentPublisher | None:
+def _prologue(topology: NetworkTopology, world_config: WorldConfig) -> list[tuple[str, str]]:
+    """The (action, message) logs that open an evaluation, before its episode."""
+    return [
+        ("chooseAdaptationMethod", "neuroevolution"),
+        ("selectNeuralConfiguration",
+         f"topology={topology.inputCount}-{topology.hiddenCount}-{topology.outputCount}"),
+        ("useIndividualGenesToANN", f"genes={topology.genomeLength}"),
+        ("startExecutionWithControllerConfiguration", f"seed={world_config.rngSeed}"),
+    ]
+
+
+def _results(report: FitnessReport, energy_target: float) -> list[tuple[str, str]]:
+    """The (action, message) logs that close an evaluation, after its episode."""
+    m = report.metrics
+    logs = [
+        ("readSimulationResults",
+         f"pPeople={m.pPeople:.6f} pTrip={m.pTrip:.6f} pEnergy={m.pEnergy:.6f}"),
+        ("calculateEnergy", f"energy={m.pEnergy:.6f}"),
+        ("calculatePeople", f"people={m.pPeople:.6f}"),
+        ("calculateTripDuration", f"trip={m.pTrip:.6f}"),
+    ]
+    if report.energyTargetMet:
+        logs.append(("achieveEnergyTarget", f"energy {m.pEnergy:.6f} < {energy_target:.2f}"))
+    if report.peopleTargetMet:
+        logs.append(("achievePeopleTarget", "everyone finished"))
+    logs.append(("calculateFitness", f"fitness={report.fitness:.6f}"))
+    return logs
+
+
+@cache
+def _observer_keys() -> dict[str, EventKey]:
+    """The observer's interned event keys, by action; built once per process."""
+    return intern_sites("OBSERVER", "observer01", _OBSERVER_SITES)
+
+
+def _publish(broker: Broker | None, logs: list[tuple[str, str]]) -> None:
+    """Publish each (action, message) as an observer event, one Broker.publish each."""
     if broker is None:
-        return None
-    return broker.publisher("OBSERVER", "observer01")
-
-
-def _publish_evaluation_prologue(publisher: AgentPublisher | None, topology: NetworkTopology,
-                                 world_config: WorldConfig) -> None:
-    if publisher is None:
         return
-    publisher.log(
-        "chooseAdaptationMethod",
-        sourceUnit="Observer", sourceOperation="adapt", sourceLine=96,
-        resource="adaptationMethod", message="neuroevolution",
-    )
-    publisher.log(
-        "selectNeuralConfiguration",
-        sourceUnit="Observer", sourceOperation="adapt", sourceLine=99,
-        resource="neuralController",
-        message=f"topology={topology.inputCount}-{topology.hiddenCount}-{topology.outputCount}",
-    )
-    publisher.log(
-        "useIndividualGenesToANN",
-        sourceUnit="Observer", sourceOperation="adapt", sourceLine=103,
-        resource="neuralController", message=f"genes={topology.genomeLength}",
-    )
-    publisher.log(
-        "startExecutionWithControllerConfiguration",
-        sourceUnit="Observer", sourceOperation="evaluate", sourceLine=110,
-        resource="simulation", message=f"seed={world_config.rngSeed}",
-    )
-
-
-def _publish_results(publisher: AgentPublisher | None, metrics: EpisodeMetrics,
-                     energy_target: float) -> FitnessReport:
-    """Log readSimulationResults, then score the episode under the fitness protocol."""
-    if publisher is not None:
-        publisher.log(
-            "readSimulationResults",
-            sourceUnit="Observer", sourceOperation="evaluate", sourceLine=115,
-            resource="simulationResults",
-            message=(
-                f"pPeople={metrics.pPeople:.6f} pTrip={metrics.pTrip:.6f} "
-                f"pEnergy={metrics.pEnergy:.6f}"
-            ),
-        )
-    return fitness(metrics, energy_target, publisher)
+    keys, clock = _observer_keys(), broker.clock
+    for action, message in logs:
+        broker.publish(keyed_event(keys[action], clock.next_timestamp(), message))
 
 
 def evaluate_solution(
@@ -334,7 +298,6 @@ def evaluate_solution(
     faults=(),
     energy_target: float = DEFAULT_ENERGY_TARGET,
     world_logs: bool = True,
-    episode_tag: str | None = None,
 ) -> tuple[FitnessReport, EpisodeMetrics]:
     """Run one episode under the full observer evaluation protocol.
 
@@ -343,17 +306,12 @@ def evaluate_solution(
     whether the simulation itself publishes (test mode) or stays silent
     (learning mode).
     """
-    publisher = _observer(broker)
     controller = decode(genes, topology)
-    _publish_evaluation_prologue(publisher, topology, world_config)
-    metrics = run_episode(
-        world_config,
-        controller,
-        broker if world_logs else None,
-        faults=faults,
-        episode_tag=episode_tag,
-    )
-    return _publish_results(publisher, metrics, energy_target), metrics
+    _publish(broker, _prologue(topology, world_config))
+    metrics = run_episode(world_config, controller, broker if world_logs else None, faults=faults)
+    report = fitness(metrics, energy_target)
+    _publish(broker, _results(report, energy_target))
+    return report, metrics
 
 
 def run_observer(
@@ -385,8 +343,8 @@ def run_observer(
             f"populationSize {ga_config.populationSize} x {lights} lights x hiddenCount "
             f"{topology.hiddenCount} makes {activations} hidden activations a tick, "
             f"more than {MAX_BATCH_ACTIVATIONS}")
-    publisher = _observer(broker)
     rng = random.Random(ga_config.rngSeed)
+    prologue = _prologue(topology, world_config)
 
     def score(genomes: list[Genome]) -> None:
         # one batched silent episode for every unscored genome; the observer
@@ -394,8 +352,8 @@ def run_observer(
         unscored = [g for g in genomes if g.fitness is None]
         controllers = [decode(g.genes, topology) for g in unscored]
         for genome, metrics in zip(unscored, run_episodes(world_config, controllers)):
-            _publish_evaluation_prologue(publisher, topology, world_config)
-            report = _publish_results(publisher, metrics, ga_config.energyTarget)
+            report = fitness(metrics, ga_config.energyTarget)
+            _publish(broker, prologue + _results(report, ga_config.energyTarget))
             genome.fitness = report.fitness
             genome.metrics = metrics
 
@@ -419,9 +377,10 @@ def run_observer(
             if history_file is not None:
                 history_file.write(stats.line() + "\n")
             if generation < ga_config.generations:
+                _publish(broker, [("startGeneticAlgorithm", f"population={len(population)}"),
+                                  ("selectBestIndividuals", f"elites={ga_config.elitism}")])
                 population = evolve_generation(
-                    population, lambda genome: score([genome]), ga_config, rng, publisher
-                )
+                    population, lambda genome: score([genome]), ga_config, rng)
     finally:
         if history_file is not None:
             history_file.close()

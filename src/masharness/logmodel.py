@@ -282,6 +282,19 @@ def event_key(
     return _event_keys.remember(tags, segments[:6] + (sourceLine, resource, key))
 
 
+#: an agent's log sites: action -> (sourceUnit, sourceOperation, sourceLine, resource)
+LogSites = dict[str, tuple[str, str, int, str]]
+
+
+def intern_sites(agentType: str, agentName: str, sites: LogSites) -> dict[str, EventKey]:
+    """Intern the key of each of one agent's log sites, in the table's order."""
+    return {
+        action: event_key(agentType, agentName, action, sourceUnit=unit,
+                          sourceOperation=operation, sourceLine=line, resource=resource)
+        for action, (unit, operation, line, resource) in sites.items()
+    }
+
+
 _new = object.__new__
 # slot setters: a frozen event is filled without its checked __setattr__
 (_set_agentType, _set_agentName, _set_action, _set_typeLog, _set_sourceUnit,

@@ -45,10 +45,10 @@ class TestkitError(Exception):
 
 
 class ParseError(TestkitError):
-    """A test plan file is malformed.  Carries the 1-based line number."""
+    """A test plan file is malformed.  Names the file and carries the 1-based line number."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int, path):
+        super().__init__(f"plan {path} line {line}: {message}")
         self.line = line
 
 
@@ -327,7 +327,7 @@ def load_test_plan(path) -> list[TestCase]:
 
     ``within`` is optional and defaults to 500 ticks; N is decimal digits,
     at most MAX_WAIT_TICKS.  Test names are unique.  Raises ParseError
-    with the offending line number.
+    naming the plan file and the offending line number.
     """
     cases: list[TestCase] = []
     name = None
@@ -342,7 +342,7 @@ def load_test_plan(path) -> list[TestCase]:
         if name is None:
             return
         if not specs:
-            raise ParseError(f"test {name!r} has no expect lines", header_line)
+            raise ParseError(f"test {name!r} has no expect lines", header_line, path)
         try:
             cases.append(
                 TestCase(
@@ -353,7 +353,7 @@ def load_test_plan(path) -> list[TestCase]:
                 )
             )
         except TestkitError as exc:
-            raise ParseError(str(exc), header_line) from exc
+            raise ParseError(str(exc), header_line, path) from exc
         name = None
         specs = []
 
@@ -373,11 +373,10 @@ def load_test_plan(path) -> list[TestCase]:
                 flush(lineno)
                 if len(tokens) != 4:
                     raise ParseError(
-                        "expected: test <name> level=<...> sublevel=<...>", lineno
-                    )
+                        "expected: test <name> level=<...> sublevel=<...>", lineno, path)
                 name = tokens[1]
                 if name in seen:
-                    raise ParseError(f"duplicate test name {name!r}", lineno)
+                    raise ParseError(f"duplicate test name {name!r}", lineno, path)
                 seen.add(name)
                 header_line = lineno
                 level = sublevel = ""
@@ -387,12 +386,12 @@ def load_test_plan(path) -> list[TestCase]:
                     elif tok.startswith("sublevel="):
                         sublevel = tok[len("sublevel="):]
                     else:
-                        raise ParseError(f"unknown option {tok!r}", lineno)
+                        raise ParseError(f"unknown option {tok!r}", lineno, path)
                 if not level or not sublevel:
-                    raise ParseError("both level= and sublevel= are required", lineno)
+                    raise ParseError("both level= and sublevel= are required", lineno, path)
             elif tokens[0] == "expect":
                 if name is None:
-                    raise ParseError("expect before any test header", lineno)
+                    raise ParseError("expect before any test header", lineno, path)
                 rest = tokens[1:]
                 max_wait = DEFAULT_MAX_WAIT_TICKS
                 if len(rest) >= 2 and rest[-2] == "within":
@@ -400,27 +399,25 @@ def load_test_plan(path) -> list[TestCase]:
                     count = dur[: -len("ticks")]
                     # isdecimal(), not isdigit(): int() refuses digits such as '²'
                     if not dur.endswith("ticks") or not count.isdecimal():
-                        raise ParseError(f"bad duration {dur!r}, want <N>ticks", lineno)
+                        raise ParseError(f"bad duration {dur!r}, want <N>ticks", lineno, path)
                     # more digits than the bound has, perhaps more than int() reads
                     digits = count.lstrip("0") or "0"
                     if len(digits) > len(str(MAX_WAIT_TICKS)):
                         raise ParseError(f"maxWait must be at most {MAX_WAIT_TICKS} ticks, "
-                                         f"got a number of {len(digits)} digits", lineno)
+                                         f"got a number of {len(digits)} digits", lineno, path)
                     max_wait = int(digits)
                     rest = rest[:-2]
                 if len(rest) != 1:
                     raise ParseError(
-                        "expected: expect <pattern>[|<alt>...] [within <N>ticks]",
-                        lineno,
-                    )
+                        "expected: expect <pattern>[|<alt>...] [within <N>ticks]", lineno, path)
                 try:
                     alts = tuple(
                         parse_binding_pattern(p) for p in rest[0].split("|")
                     )
                     specs.append(TransitionSpec(alternatives=alts, maxWait=max_wait))
                 except (TestkitError, ValueError) as exc:
-                    raise ParseError(str(exc), lineno) from exc
+                    raise ParseError(str(exc), lineno, path) from exc
             else:
-                raise ParseError(f"unknown directive {tokens[0]!r}", lineno)
+                raise ParseError(f"unknown directive {tokens[0]!r}", lineno, path)
     flush(last_line)
     return cases

@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .broker import Broker
-from .logmodel import TICK_US, BoundedMemo, EventKey, event_key
+from .logmodel import TICK_US, BoundedMemo, EventKey, intern_sites
 from .neural import NeuralController, decode
 
 FAULT_GO_DARK = "go-dark"
@@ -428,15 +428,9 @@ class WorldState:
         table = _log_key_tables.get(table_key)
         if table is None:
             tag = f"@{self.episode_tag}" if self.episode_tag else ""
-            table = {}
-            for (agentType, agent), actions in _LOG_SITES.items():
-                for name in self.ids if agent is _LIGHT else [agent]:
-                    table[name] = {
-                        action: event_key(agentType, name + tag, action,
-                                          sourceUnit=unit, sourceOperation=operation,
-                                          sourceLine=line, resource=resource)
-                        for action, (unit, operation, line, resource) in actions.items()
-                    }
+            table = {name: intern_sites(agentType, name + tag, actions)
+                     for (agentType, agent), actions in _LOG_SITES.items()
+                     for name in (self.ids if agent is _LIGHT else [agent])}
             _log_key_tables.remember(table_key, table)
         self.log_keys = table
 

@@ -279,6 +279,17 @@ class TestEvolve:
         assert code == USAGE_ERROR
         assert (captured.out, captured.err) == ("", f"error: config {ga}: {error}\n")
 
+    def test_a_huge_tournament_exits_two_before_it_runs(self, tmp_path, capsys, monkeypatch):
+        # each parent's tournament would draw 10**10 contenders
+        ga = self.ga_file(tmp_path, tournamentSize=10 ** 10)
+        monkeypatch.setattr(evolution, "run_episodes", None)  # would fail if reached
+        code = main(["evolve", "--config", small_world(tmp_path), "--ga-config", ga,
+                     "--genome", str(tmp_path / "g.txt"), "--manifest", str(tmp_path / "m.txt")])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err == (f"error: config {ga}: "
+                                "tournamentSize must be in [1,1000], got 10000000000\n")
+
     @pytest.mark.parametrize("name,value", [
         ("mutationSigma", "nan"), ("mutationSigma", "inf"),
         ("weightLimit", "nan"), ("weightLimit", "inf"),
@@ -442,7 +453,7 @@ class TestTest:
         code = main(["test", "--plan", str(plan), "--manifest", str(tmp_path / "m.txt")])
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
-        assert captured.err == "error: line 3: duplicate test name 'a'\n"
+        assert captured.err == f"error: plan {plan} line 3: duplicate test name 'a'\n"
 
     def test_a_test_named_like_the_error_monitor_runs(self, tmp_path, capsys):
         plan = tmp_path / "plan.txt"
@@ -477,7 +488,8 @@ class TestTest:
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
         assert captured.out == ""
-        assert captured.err.startswith("error: line 2: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: plan {plan} line 2: ")
+        assert captured.err.count("\n") == 1
         assert not Path(tap).exists()
 
     def test_plan_parse_error_exits_two(self, tmp_path, capsys):
@@ -687,6 +699,7 @@ class TestKeyedPublishing:
         for memo in (logmodel._keys, logmodel._event_keys, logmodel._valid_words,
                      world_module._log_key_tables):
             memo.clear()
+        evolution._observer_keys.cache_clear()
         keys = self.run(tmp_path / "cold.log")
         distinct = set(keys)
         assert (len(keys), len(distinct)) == (1961, 239)

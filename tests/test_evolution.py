@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 
@@ -26,7 +27,7 @@ from masharness.evolution import (
     run_observer,
     tournament_select,
 )
-from masharness.logmodel import parse_binding_pattern
+from masharness.logmodel import load_tap, parse_binding_pattern
 from masharness.neural import NetworkTopology
 from masharness.testkit import MachineStatus, TestCase, TransitionSpec, compile, run
 from masharness.world import EpisodeMetrics, InvalidConfig, WorldConfig
@@ -117,14 +118,18 @@ class TestFitness:
             (metrics(0.5, 0.0, 0.9), []),
         ],
     )
-    def test_log_protocol_reports_only_met_targets(self, m, achieved):
+    def test_log_protocol_reports_only_met_targets(self, m, achieved, monkeypatch):
+        monkeypatch.setattr(evolution, "run_episode", lambda *args, **kwargs: m)
         with Broker() as broker:
             queue = broker.declare_queue("obs", ["OBSERVER.#"])
-            fitness(m, publisher=broker.publisher("OBSERVER", "observer01"))
+            report, _ = evaluate_solution(WorldConfig(), ALWAYS_ON_GENES, NetworkTopology(), broker)
             broker.close()
             actions = drain_actions(queue)
+        assert report == fitness(m)
         assert actions == (
-            ["calculateEnergy", "calculatePeople", "calculateTripDuration"]
+            ["chooseAdaptationMethod", "selectNeuralConfiguration", "useIndividualGenesToANN",
+             "startExecutionWithControllerConfiguration", "readSimulationResults",
+             "calculateEnergy", "calculatePeople", "calculateTripDuration"]
             + achieved
             + ["calculateFitness"]
         )
@@ -153,6 +158,7 @@ class TestGAConfig:
             dict(hiddenCount=0),
             dict(energyTarget=0.0),
             dict(energyTarget=1.5),
+            dict(tournamentSize=MAX_POPULATION + 1),
         ],
     )
     def test_rejects_bad_values(self, kw):
@@ -559,6 +565,42 @@ def test_evolve_outputs_are_unchanged(tmp_path, capsys):
                            ("tap", tap))
     }
     assert digests == GOLDEN_EVOLVE
+
+
+def test_scoring_and_breeding_take_no_logging_arguments():
+    # the observer logs around them; they only compute
+    assert list(inspect.signature(fitness).parameters) == ["metrics", "energy_target"]
+    assert list(inspect.signature(evolve_generation).parameters) == [
+        "population", "evaluator", "config", "rng"]
+    assert "episode_tag" not in inspect.signature(evaluate_solution).parameters
+
+
+def test_evolve_publishes_each_tap_line_once(tmp_path, capsys, monkeypatch):
+    # the observer's events go through Broker.publish one by one, never as a batch
+    calls = []
+    publish = Broker.publish
+
+    def counted(self, event):
+        calls.append(event.action)
+        return publish(self, event)
+
+    def no_batches(self, batch):
+        raise AssertionError("evolve published a batch")
+
+    monkeypatch.setattr(Broker, "publish", counted)
+    monkeypatch.setattr(Broker, "publish_batch", no_batches)
+    world, ga, tap = tmp_path / "world.cfg", tmp_path / "ga.cfg", tmp_path / "tap.log"
+    world.write_text("gridWidth=3\ngridHeight=3\nnumPeople=2\nmaxTicks=15\n")
+    ga.write_text("populationSize=3\ngenerations=2\nelitism=1\n")
+    code = main(["evolve", "--config", str(world), "--ga-config", str(ga),
+                 "--genome", str(tmp_path / "genome.txt"), "--tap", str(tap),
+                 "--manifest", str(tmp_path / "manifest.txt")])
+    capsys.readouterr()
+    assert code == 0
+    assert calls == [event.action for event in load_tap(tap)]
+    # three genomes, two offspring, the winner's confirmation, and one generation step
+    assert calls.count("calculateFitness") == 3 + 2 + 1
+    assert calls.count("startGeneticAlgorithm") == 1
 
 
 #: sha256 of the genome, .history and stdout of the shipped 30-generation

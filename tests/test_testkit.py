@@ -424,9 +424,11 @@ class TestLoadTestPlan:
         ],
     )
     def test_errors_carry_line_numbers(self, tmp_path, text, bad_line):
+        path = self.write(tmp_path, text)
         with pytest.raises(ParseError) as err:
-            load_test_plan(self.write(tmp_path, text))
+            load_test_plan(path)
         assert err.value.line == bad_line
+        assert str(err.value).startswith(f"plan {path} line {bad_line}: ")
 
     @pytest.mark.parametrize("duration,message", [
         ("\u00b2ticks", "bad duration '\u00b2ticks', want <N>ticks"),
@@ -438,10 +440,11 @@ class TestLoadTestPlan:
     ], ids=["superscript", "one-over", "eleven-digits", "past-int-digit-limit"])
     def test_durations_are_decimal_and_bounded(self, tmp_path, duration, message):
         text = f"test t level=local sublevel=scenario\nexpect a.#\nexpect b.# within {duration}\n"
+        path = self.write(tmp_path, text)
         with pytest.raises(ParseError) as err:
-            load_test_plan(self.write(tmp_path, text))
+            load_test_plan(path)
         assert err.value.line == 3
-        assert str(err.value) == f"line 3: {message}"
+        assert str(err.value) == f"plan {path} line 3: {message}"
 
     def test_durations_up_to_the_bound_parse(self, tmp_path):
         text = ("test t level=local sublevel=scenario\n"
