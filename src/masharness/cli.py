@@ -255,17 +255,11 @@ def cmd_test(args) -> int:
 
 
 def cmd_timeline(args) -> int:
+    """Print the tap lines whose key matches the pattern, stably sorted by timestamp."""
     pattern = parse_binding_pattern(args.pattern).segments
-    # each distinct key is matched once; a stable sort after the filter gives
-    # the order a sort before it would
-    wanted: dict[str, bool] = {}
-    timeline = []
-    for (key, _, key_text), timestamp, message in read_tap(args.tap):
-        keep = wanted.get(key_text)
-        if keep is None:
-            keep = wanted[key_text] = _match(pattern, key.segments)
-        if keep:
-            timeline.append((timestamp, key_text, message))
+    timeline = [(timestamp, key_text, message) for (_, _, key_text), timestamp, message
+                in read_tap(args.tap, lambda key: _match(pattern, key.segments))]
+    # a stable sort after the filter gives the order a sort before it would
     timeline.sort(key=itemgetter(0))
     write = sys.stdout.write
     for timestamp, key_text, message in timeline:

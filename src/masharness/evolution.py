@@ -198,14 +198,16 @@ def _mutate(genes: tuple[float, ...], config: GAConfig, rng: random.Random) -> t
 
 def evolve_generation(
     population: list[Genome],
-    evaluator,
     config: GAConfig,
     rng: random.Random,
 ) -> list[Genome]:
-    """Produce the next population: elites survive, offspring fill the rest."""
-    for genome in population:
+    """Produce the next population: elites survive, offspring fill the rest.
+
+    Every genome must be scored; the first without a fitness raises ValueError.
+    """
+    for i, genome in enumerate(population):
         if genome.fitness is None:
-            evaluator(genome)
+            raise ValueError(f"genome {i} of the population has no fitness")
     elite_idx = pick_elites(population, config.elitism)
     next_pop = [
         Genome(genes=population[i].genes, fitness=population[i].fitness,
@@ -379,8 +381,7 @@ def run_observer(
             if generation < ga_config.generations:
                 _publish(broker, [("startGeneticAlgorithm", f"population={len(population)}"),
                                   ("selectBestIndividuals", f"elites={ga_config.elitism}")])
-                population = evolve_generation(
-                    population, lambda genome: score([genome]), ga_config, rng)
+                population = evolve_generation(population, ga_config, rng)
     finally:
         if history_file is not None:
             history_file.close()

@@ -453,17 +453,45 @@ def parse_tap_line(line: str) -> TapRecord:
     return entry, timestamp, message
 
 
-def read_tap(path) -> Iterator[TapRecord]:
-    """Yield ``parse_tap_line`` records for the non-blank lines of a tap file.
+#: timestamp digits int() reads on any host; a longer one takes parse_tap_line's path
+_INLINE_TS_DIGITS = 18
 
-    A malformed line raises its error class with the message prefixed by
-    ``tap <path> line <N>:``.
+
+def read_tap(path, keep=None) -> Iterator[TapRecord]:
+    """Yield the ``parse_tap_line`` records of a tap file's non-blank lines.
+
+    ``keep``, a predicate on a RoutingKey asked once per distinct key text,
+    picks the records built; every line is checked either way.  A line of
+    three fields with a known key text and a timestamp of at most 18 digits
+    is checked inline, any other by ``parse_tap_line``.  A malformed line
+    raises its error class, prefixed by ``tap <path> line <N>:``.
     """
+    known = {}  # key text -> its TapKey if kept, else False
+
+    def decide(key_text: str, entry: TapKey):
+        if keep is not None and not keep(entry[0]):
+            entry = False
+        known[key_text] = entry
+        return entry
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, 1):
-                if raw.strip():
-                    yield parse_tap_line(raw)
+                parts = raw.split("\t", 2)
+                key_text = parts[0]
+                entry = known.get(key_text)
+                if entry is None and (entry := _tap_keys.get(key_text)) is not None:
+                    entry = decide(key_text, entry)
+                if (entry is not None and len(parts) == 3 and parts[1].isdecimal()
+                        and len(parts[1]) <= _INLINE_TS_DIGITS):
+                    if entry:
+                        yield entry, int(parts[1]), parts[2].rstrip("\n")
+                elif raw.strip():
+                    record = parse_tap_line(raw)
+                    if entry is None:
+                        entry = decide(key_text, record[0])
+                    if entry:
+                        yield record
         except UnicodeDecodeError as exc:
             raise LogModelError(f"tap {path} is not UTF-8 text: {exc.reason}") from None
         except LogModelError as exc:

@@ -866,6 +866,48 @@ class TestTimelineOracle:
         assert out.getvalue() == expected
 
 
+
+TAP_FRAGMENTS = st.sampled_from(
+    TAP_KEYS + ["a.b.c.fatal.U.op.1.r", "a.b c.c.info.U.op.1.r", "a.*.c.info.U.op.1.r",
+                "a.b.c", "", " ", "\t", "0", "007", "9" * 20, "-1", "x", "\r", "\n", "\r\n",
+                "\t\t", "é", "٣", "　"])
+RANDOM_TAPS = st.one_of(
+    st.binary(max_size=64),
+    st.lists(TAP_FRAGMENTS, max_size=24).map(lambda parts: "".join(parts).encode("utf-8")),
+    st.lists(st.tuples(st.sampled_from(TAP_KEYS), st.sampled_from(["1", "22", "+3", "", "x"]),
+                       st.text(alphabet="ab\t.", max_size=4)), max_size=6).map(
+        lambda lines: "".join(f"{k}\t{t}\t{m}\n" for k, t, m in lines).encode("utf-8")),
+)
+RANDOM_PATTERNS = st.one_of(
+    st.lists(st.sampled_from(PATTERN_WORDS), min_size=1, max_size=9).map(".".join),
+    # an argument starting with '-' is an option to argparse, which prints its own usage
+    st.text(alphabet="ab.*#- \t\né", max_size=12).filter(lambda p: not p.startswith("-")),
+)
+
+
+class TestTimelineContract:
+    @settings(max_examples=100, deadline=None)
+    @example(b"\xff\n", "#")
+    @example(b"a.b.c.info.U.op.1.r\t1\tm\n", "a..b")
+    @given(RANDOM_TAPS, RANDOM_PATTERNS)
+    def test_exit_code_and_stderr(self, data, pattern):
+        with tempfile.TemporaryDirectory() as tmp:
+            tap = Path(tmp) / "tap.log"
+            tap.write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["timeline", pattern, "--tap", str(tap),
+                             "--manifest", str(Path(tmp) / "m.txt")])
+        stderr = err.getvalue()
+        assert code in (0, USAGE_ERROR)
+        assert "Traceback" not in stderr
+        if code == 0:
+            assert stderr == ""
+        else:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert stderr.endswith("\n") and out.getvalue() == ""
+
+
 class TestParser:
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == USAGE_ERROR

@@ -246,14 +246,7 @@ class TestOperators:
         assert big.fitness == 0.9
 
     def evolve(self, population, config, seed=1):
-        calls = []
-
-        def evaluator(genome):
-            calls.append(genome)
-            genome.fitness = sum(genome.genes)
-
-        nxt = evolve_generation(population, evaluator, config, random.Random(seed))
-        return nxt, calls
+        return evolve_generation(population, config, random.Random(seed))
 
     def test_elites_survive_unchanged(self):
         population = [
@@ -262,8 +255,7 @@ class TestOperators:
             Genome(genes=(4.0, 5.0), fitness=0.1, metrics=metrics()),
         ]
         config = GAConfig(populationSize=3, elitism=2, mutationRate=0.0)
-        nxt, calls = self.evolve(population, config)
-        assert calls == []  # everyone was already scored
+        nxt = self.evolve(population, config)
         assert nxt[0].genes == (2.0, 3.0) and nxt[0].fitness == 0.9
         assert nxt[1].genes == (0.0, 1.0) and nxt[1].fitness == 0.4
         assert nxt[0] is not population[1]  # clones, not aliases
@@ -272,28 +264,28 @@ class TestOperators:
     def test_offspring_arrive_unscored(self):
         population = scored([0.5, 0.2, 0.8, 0.1])
         config = GAConfig(populationSize=4, elitism=1)
-        nxt, _ = self.evolve(population, config)
+        nxt = self.evolve(population, config)
         assert nxt[0].fitness is not None
         assert all(g.fitness is None for g in nxt[1:])
 
-    def test_unscored_parents_are_evaluated_first(self):
-        population = [Genome(genes=(0.1, 0.2)), Genome(genes=(0.3, 0.4))]
-        config = GAConfig(populationSize=2, elitism=1)
-        nxt, calls = self.evolve(population, config)
-        assert len(calls) == 2
-        assert all(g.fitness is not None for g in population)
+    def test_an_unscored_parent_is_an_error(self):
+        population = [Genome(genes=(0.1, 0.2), fitness=0.5), Genome(genes=(0.3, 0.4)),
+                      Genome(genes=(0.5, 0.6))]
+        config = GAConfig(populationSize=3, elitism=1)
+        with pytest.raises(ValueError, match=r"^genome 1 of the population has no fitness$"):
+            self.evolve(population, config)
 
     def test_no_variation_copies_tournament_winners(self):
         population = scored([0.5, 0.2, 0.8, 0.1])
         parent_genes = {g.genes for g in population}
         config = GAConfig(populationSize=4, elitism=1, crossoverRate=0.0, mutationRate=0.0)
-        nxt, _ = self.evolve(population, config)
+        nxt = self.evolve(population, config)
         assert all(g.genes in parent_genes for g in nxt)
 
     def test_crossover_of_identical_parents_is_identity(self):
         population = [Genome(genes=(1.0, 2.0, 3.0), fitness=0.5) for _ in range(4)]
         config = GAConfig(populationSize=4, elitism=1, crossoverRate=1.0, mutationRate=0.0)
-        nxt, _ = self.evolve(population, config)
+        nxt = self.evolve(population, config)
         assert all(g.genes == (1.0, 2.0, 3.0) for g in nxt)
 
     def test_zero_sigma_mutation_changes_nothing(self):
@@ -303,7 +295,7 @@ class TestOperators:
             populationSize=4, elitism=1, crossoverRate=0.0,
             mutationRate=1.0, mutationSigma=0.0,
         )
-        nxt, _ = self.evolve(population, config)
+        nxt = self.evolve(population, config)
         assert all(g.genes in parent_genes for g in nxt)
 
     def test_mutation_clamps_to_weight_limit(self):
@@ -312,7 +304,7 @@ class TestOperators:
             populationSize=4, elitism=1, crossoverRate=0.0,
             mutationRate=1.0, mutationSigma=1000.0, weightLimit=5.0,
         )
-        nxt, _ = self.evolve(population, config)
+        nxt = self.evolve(population, config)
         flat = [gene for g in nxt[1:] for gene in g.genes]
         assert all(-5.0 <= gene <= 5.0 for gene in flat)
         assert any(abs(gene) == 5.0 for gene in flat)  # sigma 1000 slams the rails
@@ -571,7 +563,7 @@ def test_scoring_and_breeding_take_no_logging_arguments():
     # the observer logs around them; they only compute
     assert list(inspect.signature(fitness).parameters) == ["metrics", "energy_target"]
     assert list(inspect.signature(evolve_generation).parameters) == [
-        "population", "evaluator", "config", "rng"]
+        "population", "config", "rng"]
     assert "episode_tag" not in inspect.signature(evaluate_solution).parameters
 
 

@@ -1,7 +1,8 @@
 import dataclasses
+import io
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from masharness import logmodel
 from masharness.logmodel import (
@@ -400,6 +401,136 @@ class TestReadTap:
         tap = tmp_path / "t.log"
         tap.write_text("a.b.c.info.U.op.007.r\t0012\tm\na.b.c.info.U.op.\u0663.r\t\uff17\tn\n")
         assert [(e.sourceLine, e.timestamp) for e in load_tap(tap)] == [(7, 12), (3, 7)]
+
+
+
+def reference_read_tap(path):
+    """The tap reader as written before it had an inline path: every non-blank
+    line goes through parse_tap_line, and nothing is filtered."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                if raw.strip():
+                    yield parse_tap_line(raw)
+        except UnicodeDecodeError as exc:
+            raise LogModelError(f"tap {path} is not UTF-8 text: {exc.reason}") from None
+        except LogModelError as exc:
+            raise type(exc)(f"tap {path} line {lineno}: {exc}") from None
+
+
+def read_all(records):
+    """The records an iterator yields, then the class and message of the error
+    that ends it (None if it ends cleanly)."""
+    got = []
+    try:
+        for record in records:
+            got.append(record)
+    except Exception as exc:
+        return got, (type(exc), str(exc))
+    return got, None
+
+
+AGENTS = ("a", "lightContainer", "OBSERVER")
+TAP_KEY_TEXTS = st.builds(
+    "{}.n.act.{}.U.op.{}.r".format,
+    st.sampled_from(AGENTS),
+    st.sampled_from(LOG_TYPES + ("fatal",)),
+    st.sampled_from(["1", "7", "007", "42", "٣", "７"]),
+)
+TAP_TIMESTAMPS = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.sampled_from(["9" * 18, "1" + "0" * 18, "9" * 5000, "0012", "７", "+5", "-2",
+                     " 7", "7 ", "1_0", "", "x"]),
+)
+TAP_MESSAGES = st.text(alphabet="ab .=#\t", max_size=8)
+
+
+@st.composite
+def tap_bytes(draw):
+    """A tap file: valid lines over a few repeated keys, mixed with malformed,
+    two-field and blank lines, LF/CRLF/CR ends and, sometimes, a non-UTF-8 tail."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["line", "line", "line", "two", "blank", "other"]))
+        if kind == "line":  # three fields, or four and more when the message holds tabs
+            text = f"{draw(TAP_KEY_TEXTS)}\t{draw(TAP_TIMESTAMPS)}\t{draw(TAP_MESSAGES)}"
+        elif kind == "two":
+            text = f"{draw(TAP_KEY_TEXTS)}\t{draw(TAP_TIMESTAMPS)}"
+        elif kind == "blank":
+            text = draw(st.sampled_from(["", " ", " \t \t ", "\t", "\t\t", "　"]))
+        else:
+            text = draw(tap_lines()).rstrip("\n")
+        lines.append(text + draw(st.sampled_from(["\n", "\n", "\r\n", "\r", ""])))
+    data = "".join(lines).encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        data += b"a.n.act.info.U.op.1.r\t1\t\xff\xfe\n"
+    return data
+
+
+@pytest.fixture(scope="module")
+def scratch_tap(tmp_path_factory):
+    return tmp_path_factory.mktemp("inline") / "t.log"
+
+
+class TestInlineTapReader:
+    @settings(max_examples=100, deadline=None)
+    @example(b"a.n.act.info.U.op.1.r\t" + b"9" * 19 + b"\tm\n", frozenset(AGENTS), True)
+    @example(b"a.n.act.info.U.op.1.r\t5\tm\r\na.n.act.info.U.op.1.r\t 6\tm\n", frozenset("a"), False)
+    @example(b"a.n.act.info.U.op.007.r\t5\tm\na.n.act.info.U.op.7.r\t6\ta\tb\n", frozenset(), True)
+    @example(b" \t \t \n\na.n.act.info.U.op.1.r\t5\n", frozenset(AGENTS), False)
+    @given(tap_bytes(), st.frozensets(st.sampled_from(AGENTS)), st.booleans())
+    def test_agrees_with_the_reference_reader(self, scratch_tap, data, agents, cold):
+        tap = scratch_tap
+        tap.write_bytes(data)
+        calls = []
+
+        def keep(key):
+            calls.append(key)
+            return key.segments[0] in agents
+
+        if cold:  # no key text of the tap is known before the readers run
+            logmodel._tap_keys.clear()
+            unfiltered, filtered = read_all(read_tap(tap)), read_all(read_tap(tap, keep))
+            expected = read_all(reference_read_tap(tap))
+        else:
+            expected = read_all(reference_read_tap(tap))
+            unfiltered, filtered = read_all(read_tap(tap)), read_all(read_tap(tap, keep))
+        assert unfiltered == expected
+        records, error = expected
+        assert filtered == ([r for r in records if r[0][0].segments[0] in agents], error)
+        # keep is asked once per distinct key text: of every line when the tap reads cleanly
+        key_texts = {raw.split("\t", 1)[0]
+                     for raw in io.StringIO(data.decode("utf-8", "replace"), newline=None)
+                     if raw.strip()}
+        assert len(calls) == len(key_texts) if error is None else len(calls) <= len(key_texts)
+
+    def test_keep_is_asked_once_per_key_text(self, tmp_path):
+        tap = tmp_path / "t.log"
+        tap.write_text("".join(f"a.b.c.info.U.op.{tag}.r\t{i}\tm\n"
+                               for i, tag in enumerate(["1", "2", "1", "007", "2", "7", "7"])))
+        asked = []
+        records = list(read_tap(tap, lambda key: asked.append(key.text) or key.segments[6] != "2"))
+        assert asked == ["a.b.c.info.U.op.1.r", "a.b.c.info.U.op.2.r", "a.b.c.info.U.op.7.r",
+                         "a.b.c.info.U.op.7.r"]  # 007 and 7 are two key texts
+        assert [ts for _, ts, _ in records] == [0, 2, 3, 5, 6]
+
+    def test_records_before_a_malformed_line_come_first(self, tmp_path):
+        tap = tmp_path / "t.log"
+        tap.write_text("a.b.c.info.U.op.1.r\t1\tm\na.b.c.info.U.op.2.r\t2\tn\n"
+                       "a.b.c.info.U.op.1.r\t+3\tm\n")
+        for keep in (None, lambda key: key.segments[6] == "2"):
+            records = read_tap(tap, keep)
+            assert next(records)[1] == (1 if keep is None else 2)
+            if keep is None:
+                assert next(records)[1] == 2
+            with pytest.raises(LogModelError, match=r"line 3: bad timestamp '\+3'$"):
+                next(records)
+
+    def test_unkept_lines_are_still_checked(self, tmp_path):
+        tap = tmp_path / "t.log"
+        tap.write_text("a.b.c.info.U.op.1.r\t1\tm\na.b.c.info.U.op.1.r\tx\tm\n")
+        with pytest.raises(LogModelError, match=r"line 2: bad timestamp 'x'$"):
+            list(read_tap(tap, lambda key: False))
 
 
 def reference_make_log_event(agentType, agentName, action, typeLog="info", *, sourceUnit,
