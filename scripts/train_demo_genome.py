@@ -6,8 +6,8 @@ end, then writes src/masharness/data/demo_genome.txt and pins the default
 world seed to one whose pedestrian routes cross node10.  A candidate is
 accepted only if:
 
-  * the final evaluation meets both solution targets (pEnergy < target,
-    pPeople == 1.0),
+  * the evaluation ``masharness test`` runs meets both solution targets
+    (pEnergy < DEFAULT_ENERGY_TARGET, pPeople == 1.0),
   * the shipped test plan passes fault-free on the default world,
   * with go-dark:node10 injected, on five route-critical seeds the
     switch-light-on machine fails exactly at switchLightON (missing
@@ -48,9 +48,8 @@ def by_name(verdicts):
     return {v.name: v for v in verdicts}
 
 
-def validate(genes, topology, world, cases, seeds, energy_target):
-    verdicts, report = run_test_plan(cases, world, genes, topology,
-                                     energy_target=energy_target)
+def validate(genes, topology, world, cases, seeds):
+    verdicts, report = run_test_plan(cases, world, genes, topology)
     if not (report.energyTargetMet and report.peopleTargetMet):
         return f"targets unmet: energy={report.metrics.pEnergy:.4f} people={report.metrics.pPeople:.4f}"
     failed = [v.name for v in verdicts if not v.passed]
@@ -61,7 +60,7 @@ def validate(genes, topology, world, cases, seeds, energy_target):
     for seed in seeds:
         faulted_world = replace(world, rngSeed=seed)
         verdicts, report = run_test_plan(cases, faulted_world, genes, topology,
-                                         faults=(fault,), energy_target=energy_target)
+                                         faults=(fault,))
         v = by_name(verdicts)
         switch = v["switch-light-on"]
         if switch.passed or switch.failedState != "switchLightON":
@@ -94,14 +93,14 @@ def main():
 
     for ga_seed in range(1, max_seeds + 1):
         started = time.time()
-        result = run_observer(world, replace(ga, rngSeed=ga_seed), topology)
+        result = run_observer(world, replace(ga, rngSeed=ga_seed))
         report = result.finalReport
         print(
             f"ga seed {ga_seed}: fitness={report.fitness:.6f} "
             f"pPeople={report.metrics.pPeople:.4f} pEnergy={report.metrics.pEnergy:.4f} "
             f"({time.time() - started:.1f}s)"
         )
-        problem = validate(result.best.genes, topology, world, cases, seeds, ga.energyTarget)
+        problem = validate(result.best.genes, topology, world, cases, seeds)
         if problem:
             print(f"  rejected: {problem}")
             continue

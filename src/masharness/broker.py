@@ -263,28 +263,24 @@ class Broker:
     fresh and only appended to afterwards.
     """
 
-    def __init__(self, clock: EventClock | None = None, tap: str | None = None,
-                 default_capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, clock: EventClock | None = None, tap: str | None = None):
         self.clock = clock if clock is not None else EventClock()
         self._lock = threading.Lock()
         self._queues: dict[str, _Queue] = {}
         self._published = 0
         self._closed = False
-        self._default_capacity = default_capacity
         self._tap = open(tap, "w", encoding="utf-8") if tap else None
         # key text -> the queues and live subscribers it matches, in declaration order
         self._routes = BoundedMemo()
         # (trie, shared key table, queues), found on the first miss after a _bind
         self._table = None
 
-    def declare_queue(self, name: str, patterns, capacity: int | None = None) -> QueueHandle:
+    def declare_queue(self, name: str, patterns, capacity: int = DEFAULT_CAPACITY) -> QueueHandle:
         """Create a named queue bound to one or more patterns.
 
         Raises DuplicateQueue on a name collision and InvalidPattern if the
         binding list is empty or contains a malformed pattern.
         """
-        if capacity is None:
-            capacity = self._default_capacity
         if capacity < 1:
             raise BrokerError(f"capacity must be positive, got {capacity}")
         return QueueHandle(self, name, self._bind(name, patterns, capacity, None))

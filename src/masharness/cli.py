@@ -20,12 +20,7 @@ from importlib import resources
 from operator import itemgetter
 
 from .broker import Broker, BrokerError, _match
-from .evolution import (
-    DEFAULT_ENERGY_TARGET,
-    evaluate_solution,
-    load_ga_config,
-    run_observer,
-)
+from .evolution import evaluate_solution, load_ga_config, run_observer
 from .logmodel import LogModelError, parse_binding_pattern, read_tap, routing_key
 from .neural import GenomeShapeMismatch, NetworkTopology, decode, load_genome, save_genome
 from .testkit import (
@@ -52,6 +47,7 @@ _USER_ERRORS = (
     GenomeShapeMismatch,
     BrokerError,
     OSError,
+    argparse.ArgumentError,
 )
 
 
@@ -125,13 +121,12 @@ def cmd_evolve(args) -> int:
         ga_config = replace(ga_config, rngSeed=args.seed)
     out_path = args.genome or "evolved_genome.txt"
     history_path = out_path + ".history"
-    topology = NetworkTopology(hiddenCount=ga_config.hiddenCount)
-    broker = Broker(tap=args.tap) if args.tap else Broker()
+    broker = Broker(tap=args.tap)
     try:
-        result = run_observer(config, ga_config, topology, broker, history_path=history_path)
+        result = run_observer(config, ga_config, broker, history_path=history_path)
     finally:
         broker.close()
-    save_genome(out_path, result.best.genes, topology)
+    save_genome(out_path, result.best.genes, NetworkTopology(hiddenCount=ga_config.hiddenCount))
     report = result.finalReport
     print(f"fitness={report.fitness:.6f}")
     print(f"pPeople={report.metrics.pPeople:.6f}")
@@ -165,7 +160,6 @@ def run_test_plan(
     *,
     wallclock: bool = False,
     tap: str | None = None,
-    energy_target: float | None = None,
 ):
     """Execute a parsed plan against one episode; returns (verdicts, report).
 
@@ -175,8 +169,6 @@ def run_test_plan(
     annotates every verdict with the error-level events it saw.  Verdicts
     are taken in plan order once the broker is closed.
     """
-    if energy_target is None:
-        energy_target = DEFAULT_ENERGY_TARGET
     broker = Broker(tap=tap)
     error_notes = []
 
@@ -195,7 +187,6 @@ def run_test_plan(
             topology,
             broker,
             faults=faults,
-            energy_target=energy_target,
             world_logs=True,
         )
     finally:
@@ -257,7 +248,7 @@ def cmd_test(args) -> int:
 def cmd_timeline(args) -> int:
     """Print the tap lines whose key matches the pattern, stably sorted by timestamp."""
     pattern = parse_binding_pattern(args.pattern).segments
-    timeline = [(timestamp, key_text, message) for (_, _, key_text), timestamp, message
+    timeline = [(timestamp, key[8].text, message) for key, timestamp, message
                 in read_tap(args.tap, lambda key: _match(pattern, key.segments))]
     # a stable sort after the filter gives the order a sort before it would
     timeline.sort(key=itemgetter(0))
@@ -272,14 +263,21 @@ def cmd_timeline(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ArgumentError, for ``main`` to print as one line."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="masharness",
         description="Run, evolve, and test the streetlight multi-agent system.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, ga=False, plan=False, tap_required=False):
+    def common(p, *, ga=False, plan=False):
         p.add_argument("--config", help="world config file (key=value)")
         p.add_argument("--genome", help="genome file")
         p.add_argument("--fault", action="append", metavar="KIND:ID[,ID...]",
@@ -292,8 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--plan", help="test plan file")
             p.add_argument("--wallclock", action="store_true",
                            help="real-time state timeouts instead of simulation ticks")
-        p.add_argument("--tap", required=tap_required,
-                       help="mirror all published events to this file")
+        p.add_argument("--tap", help="mirror all published events to this file")
 
     p_sim = sub.add_parser("simulate", help="run one logged episode")
     common(p_sim)
@@ -324,12 +321,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code else 0
-    try:
         # an unwritable manifest fails the run before it prints or writes anything
         open(args.manifest, "a", encoding="utf-8").close()
         return args.func(args)
+    except SystemExit:  # --help printed its text; a usage error raises ArgumentError
+        return 0
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

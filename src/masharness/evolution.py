@@ -23,7 +23,7 @@ from functools import cache
 
 from .broker import Broker
 from .logmodel import EventKey, intern_sites, keyed_event
-from .neural import GenomeShapeMismatch, NetworkTopology, decode
+from .neural import NetworkTopology, decode
 from .world import (
     EpisodeMetrics,
     InvalidConfig,
@@ -319,7 +319,6 @@ def evaluate_solution(
 def run_observer(
     world_config: WorldConfig,
     ga_config: GAConfig,
-    topology: NetworkTopology | None = None,
     broker: Broker | None = None,
     history_path: str | None = None,
 ) -> ObserverResult:
@@ -334,10 +333,7 @@ def run_observer(
     raise InvalidConfig before anything runs.  Returns the best genome,
     per-generation stats, and the final report.
     """
-    if topology is None:
-        topology = NetworkTopology(hiddenCount=ga_config.hiddenCount)
-    if topology.genomeLength < 1:
-        raise GenomeShapeMismatch("degenerate topology")
+    topology = NetworkTopology(hiddenCount=ga_config.hiddenCount)
     lights = world_config.gridWidth * world_config.gridHeight
     activations = ga_config.populationSize * lights * topology.hiddenCount
     if activations > MAX_BATCH_ACTIVATIONS:

@@ -403,22 +403,20 @@ def serialize_event(event: LogEvent) -> str:
     return f"{routing_key(event).text}\t{event.timestamp}\t{event.message}"
 
 
-#: a tap key as read: (validated key, sourceLine, normalised key text)
-TapKey = tuple[RoutingKey, int, str]
 #: one tap line as read: (key, timestamp, message)
-TapRecord = tuple[TapKey, int, str]
+TapRecord = tuple[EventKey, int, str]
 
-#: key texts a tap line carried before, so a repeated key skips every check
+#: event keys by the key text a tap line carried, so a repeated key skips every check
 _tap_keys = BoundedMemo()
 
 
 def parse_tap_line(line: str) -> TapRecord:
-    """Split one tap line into ``((key, sourceLine, keyText), timestamp, message)``.
+    """Split one tap line into ``(EventKey, timestamp, message)``.
 
-    ``keyText`` is the key re-encoded from its validated segments, so a line
-    tag ``007`` reads back as ``7``.  A key text seen before is answered from
-    a memo; only the timestamp is then still checked.  Raises LogModelError
-    on malformed input.
+    The key's RoutingKey is built from the validated segments, so a line tag
+    ``007`` reads back as ``7`` in its text.  A key text seen before is
+    answered from a memo; only the timestamp is then still checked.  Raises
+    LogModelError on malformed input.
     """
     line = line.rstrip("\n")
     parts = line.split("\t", 2)
@@ -449,7 +447,7 @@ def parse_tap_line(line: str) -> TapRecord:
         segments[6] = str(line_no)
         segments = tuple(segments)
         key = _keys.get(segments) or _keys.remember(segments, RoutingKey(segments))
-        entry = _tap_keys.remember(key_text, (key, line_no, key.encode()))
+        entry = _tap_keys.remember(key_text, (*segments[:6], line_no, segments[7], key))
     return entry, timestamp, message
 
 
@@ -466,10 +464,10 @@ def read_tap(path, keep=None) -> Iterator[TapRecord]:
     is checked inline, any other by ``parse_tap_line``.  A malformed line
     raises its error class, prefixed by ``tap <path> line <N>:``.
     """
-    known = {}  # key text -> its TapKey if kept, else False
+    known = {}  # key text -> its EventKey if kept, else False
 
-    def decide(key_text: str, entry: TapKey):
-        if keep is not None and not keep(entry[0]):
+    def decide(key_text: str, entry: EventKey):
+        if keep is not None and not keep(entry[8]):
             entry = False
         known[key_text] = entry
         return entry
@@ -498,17 +496,11 @@ def read_tap(path, keep=None) -> Iterator[TapRecord]:
             raise type(exc)(f"tap {path} line {lineno}: {exc}") from None
 
 
-def _event(entry: TapKey, timestamp: int, message: str) -> LogEvent:
-    key, line_no, _ = entry
-    s = key.segments
-    return keyed_event((*s[:6], line_no, s[7], key), timestamp, message)
-
-
 def parse_event_line(line: str) -> LogEvent:
     """Inverse of serialize_event.  Raises LogModelError on malformed input."""
-    return _event(*parse_tap_line(line))
+    return keyed_event(*parse_tap_line(line))
 
 
 def load_tap(path) -> list[LogEvent]:
     """Read a tap file written by the broker back into events."""
-    return [_event(*record) for record in read_tap(path)]
+    return [keyed_event(*record) for record in read_tap(path)]

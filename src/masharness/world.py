@@ -69,8 +69,8 @@ RECURRENCE_WINDOW = 8
 #: grid layouts (ids, near, peers) by (gridWidth, gridHeight, wirelessRange),
 #: about 1.5 MB for a 100x100 grid, shared by every world of the grid
 _layouts = BoundedMemo(4)
-#: log_keys tables by (gridWidth, gridHeight, episode_tag); a 100x100 grid's
-#: holds 90,008 keys in about 47 MB, so few are kept
+#: log_keys tables by (gridWidth, gridHeight); a 100x100 grid's holds
+#: 90,008 keys in about 47 MB, so few are kept
 _log_key_tables = BoundedMemo(2)
 #: the WorldState arrays with one row per live episode
 _ROW_ARRAYS = ("live", "radiating", "outbox", "step", "arrived", "ticks_moving", "on_ticks",
@@ -301,6 +301,19 @@ def _layout(config: WorldConfig) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
     return _layouts.remember(grid, (ids, near, peers))
 
 
+def _log_keys(config: WorldConfig) -> dict[str, dict[str, EventKey]]:
+    """A grid's interned event keys by agent (a light's id or a _LOG_SITES name), then action."""
+    grid = (config.gridWidth, config.gridHeight)
+    table = _log_key_tables.get(grid)
+    if table is not None:
+        return table
+    ids = _layout(config)[0]
+    return _log_key_tables.remember(grid, {
+        name: intern_sites(agentType, name, actions)
+        for (agentType, agent), actions in _LOG_SITES.items()
+        for name in (ids if agent is _LIGHT else [agent])})
+
+
 def _staircase(start, end, rng: random.Random) -> tuple[tuple[int, int], ...]:
     """Random monotone lattice path, one of the shortest routes start->end."""
     (x, y), (ex, ey) = start, end
@@ -360,26 +373,25 @@ class WorldState:
     episode array has one more column, a sentinel light that never radiates
     and never transmits, and the index tables are padded with it.  The ids
     and index tables (``near``, ``peers``) are built once per grid and shared,
-    read-only, by its worlds, as is the ``log_keys`` table.  Row r of
+    read-only, by its worlds, as is a logged world's ``log_keys``.  Row r of
     the episode arrays is episode ``live[r]``; an episode whose pedestrians
     have all arrived leaves the batch, which keeps its metrics and drops its
     row.  Routes are built before faults are checked, so a world that can
     route no pedestrians raises that error first.
     """
 
-    def __init__(self, config: WorldConfig, broker: Broker | None = None,
-                 episode_tag: str | None = None, *, faults=(), episodes: int = 1):
+    def __init__(self, config: WorldConfig, broker: Broker | None = None, *, faults=(),
+                 episodes: int = 1):
         self.config = config
         self.broker = broker
-        self.episode_tag = episode_tag
         self.tick = 0
         w = config.gridWidth
         self.lights = lights = sentinel = w * config.gridHeight
         self.ids, self.near, self.peers = _layout(config)
         routes = build_routes(config, random.Random(config.rngSeed))
         self.faulty = _fault_masks(self.ids, faults)
-        #: interned event keys by agent (a light's id or a _LOG_SITES name), then action
-        self.log_keys: dict[str, dict[str, EventKey]] = {}
+        #: a logged world's event keys, the grid's _log_keys table
+        self.log_keys = _log_keys(config) if broker is not None else {}
 
         # a light sensor reads the ambient level plus lightBrightness once per
         # radiating lamp it sees, added one by one; this table holds those sums
@@ -414,25 +426,6 @@ class WorldState:
         self.counted = np.zeros((episodes, 2, RECURRENCE_WINDOW + 1), dtype=np.int64)
 
     # -- logging -----------------------------------------------------------
-
-    def intern_log_keys(self) -> None:
-        """Check and intern the key of every log site, episode tag applied.
-
-        Keys are interned in first-publish order, so a bad episode tag
-        raises the error its first event raised.  The table is shared by
-        every world of the same grid and tag, and is only remembered once
-        every key in it has been checked.
-        """
-        c = self.config
-        table_key = (c.gridWidth, c.gridHeight, self.episode_tag)
-        table = _log_key_tables.get(table_key)
-        if table is None:
-            tag = f"@{self.episode_tag}" if self.episode_tag else ""
-            table = {name: intern_sites(agentType, name + tag, actions)
-                     for (agentType, agent), actions in _LOG_SITES.items()
-                     for name in (self.ids if agent is _LIGHT else [agent])}
-            _log_key_tables.remember(table_key, table)
-        self.log_keys = table
 
     def publish(self, batch: list[tuple[EventKey, str]]) -> None:
         """Publish ``(log_keys key, message)`` pairs as one batch of the attached broker."""
@@ -516,20 +509,19 @@ def init_world(
     broker: Broker | None = None,
     *,
     faults=(),
-    episode_tag: str | None = None,
     episodes: int = 1,
 ) -> WorldState:
     """Build the grid and ``episodes`` episodes of it, then run the Manager handshake.
 
     Faults are installed before the handshake so skip-handshake can suppress
     the createAdaptiveAgent log.  With a broker attached, the world runs one
-    episode, and every event key is checked before the first is published.
+    episode and publishes with its grid's event keys, checked when that
+    grid's table was first built.
     """
     if broker is not None and episodes != 1:
         raise WorldError(f"a logged world runs one episode, not {episodes}")
-    world = WorldState(config, broker, episode_tag, faults=faults, episodes=episodes)
+    world = WorldState(config, broker, faults=faults, episodes=episodes)
     if broker is not None:
-        world.intern_log_keys()
         broker.clock.advance_to(0)
         # the Manager bootstraps each light's controlling agent
         manager, agent = world.log_keys["manager01"], world.log_keys["lightsAgent"]
@@ -738,7 +730,6 @@ def run_episode(
     broker: Broker | None = None,
     *,
     faults=(),
-    episode_tag: str | None = None,
 ) -> EpisodeMetrics:
     """Run one full episode and report the normalized metrics.
 
@@ -752,7 +743,7 @@ def run_episode(
         controller = genome
     else:
         controller = decode(genome)
-    world = init_world(config, broker, faults=faults, episode_tag=episode_tag)
+    world = init_world(config, broker, faults=faults)
     metrics = _run(world, ControllerBatch([controller]))[0]
     # every pedestrian arrived (and the episode left the batch), or there are none
     if broker is not None and world.arrived.all():

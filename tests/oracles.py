@@ -146,10 +146,9 @@ class Pedestrian:
 class OracleWorld:
     """Mutable state of one reference episode."""
 
-    def __init__(self, config, broker, episode_tag):
+    def __init__(self, config, broker):
         self.config = config
         self.broker = broker
-        self.episode_tag = episode_tag
         self.tick = 0
         self.onTicks = 0
         self.lights: list[Streetlight] = []
@@ -170,9 +169,8 @@ class OracleWorld:
                 break
         else:
             raise KeyError((agent, action))
-        name = f"{agent}@{self.episode_tag}" if self.episode_tag else agent
         self.broker.publish(make_log_event(
-            agentType, name, action, sourceUnit=unit, sourceOperation=operation,
+            agentType, agent, action, sourceUnit=unit, sourceOperation=operation,
             sourceLine=line, resource=resource, message=message, clock=self.broker.clock))
 
     def neighbors(self, position) -> list[tuple[int, int]]:
@@ -210,9 +208,9 @@ class OracleWorld:
                                     pEnergy=min(p_energy, 1.0))
 
 
-def oracle_init_world(config, broker=None, *, faults=(), episode_tag=None) -> OracleWorld:
+def oracle_init_world(config, broker=None, *, faults=()) -> OracleWorld:
     """Build the grid, route the pedestrians, install faults, run the handshake."""
-    w = OracleWorld(config, broker, episode_tag)
+    w = OracleWorld(config, broker)
     for y in range(config.gridHeight):
         for x in range(config.gridWidth):
             light = Streetlight(id=f"node{y * config.gridWidth + x + 1}", position=(x, y))
@@ -329,9 +327,9 @@ def oracle_step_world(w: OracleWorld, controller) -> None:
     w.prev_outbox = {light.id: light.outbox for light in w.lights}
 
 
-def oracle_run_episode(config, controller, broker=None, *, faults=(), episode_tag=None):
+def oracle_run_episode(config, controller, broker=None, *, faults=()):
     """One reference episode, stopped early once every pedestrian has arrived."""
-    w = oracle_init_world(config, broker, faults=faults, episode_tag=episode_tag)
+    w = oracle_init_world(config, broker, faults=faults)
     for _ in range(config.maxTicks):
         oracle_step_world(w, controller)
         if config.numPeople > 0 and w.all_finished:

@@ -674,7 +674,7 @@ def run_default_plan(tap):
     config = replace(load_world_config(data_path("world.cfg")), rngSeed=2)
     topology, genes = load_genome(data_path("demo_genome.txt"))
     cli.run_test_plan(cases, config, genes, topology, tap=str(tap))
-    return [key for (_, _, key), _, _ in read_tap(tap)]
+    return [key[8].text for key, _, _ in read_tap(tap)]
 
 
 class TestKeyedPublishing:
@@ -880,8 +880,8 @@ RANDOM_TAPS = st.one_of(
 )
 RANDOM_PATTERNS = st.one_of(
     st.lists(st.sampled_from(PATTERN_WORDS), min_size=1, max_size=9).map(".".join),
-    # an argument starting with '-' is an option to argparse, which prints its own usage
-    st.text(alphabet="ab.*#- \t\né", max_size=12).filter(lambda p: not p.startswith("-")),
+    # one starting with '-' is read as an option, and fails as a usage error
+    st.text(alphabet="ab.*#- \t\né", max_size=12),
 )
 
 
@@ -889,6 +889,8 @@ class TestTimelineContract:
     @settings(max_examples=100, deadline=None)
     @example(b"\xff\n", "#")
     @example(b"a.b.c.info.U.op.1.r\t1\tm\n", "a..b")
+    @example(b"a.b.c.info.U.op.1.r\t1\tm\n", "-x.#")
+    @example(b"a.b.c.info.U.op.1.r\t1\tm\n", "--")
     @given(RANDOM_TAPS, RANDOM_PATTERNS)
     def test_exit_code_and_stderr(self, data, pattern):
         with tempfile.TemporaryDirectory() as tmp:
@@ -908,14 +910,29 @@ class TestTimelineContract:
             assert stderr.endswith("\n") and out.getvalue() == ""
 
 
+def assert_one_error_line(capsys):
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestParser:
     def test_no_arguments_is_a_usage_error(self, capsys):
         assert main([]) == USAGE_ERROR
-        capsys.readouterr()
+        assert_one_error_line(capsys)
 
     def test_unknown_command_is_a_usage_error(self, capsys):
         assert main(["frobnicate"]) == USAGE_ERROR
-        capsys.readouterr()
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [["simulate", "--seed", "x"],
+                                      ["timeline", "-x.#", "--tap", "t.log"]],
+                             ids=["bad-int", "dash-pattern"])
+    def test_a_bad_argument_is_a_usage_error(self, tmp_path, capsys, argv):
+        manifest = tmp_path / "m.txt"
+        assert main([*argv, "--manifest", str(manifest)]) == USAGE_ERROR
+        assert_one_error_line(capsys)
+        assert not manifest.exists()
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -332,10 +332,11 @@ class TestMemoisedTapParser:
         assert parsed(parse_event_line, line) == expected
 
     def test_key_text_is_normalised(self):
-        (key, line_no, key_text), timestamp, message = parse_tap_line(
-            "a.b.c.info.U.op.007.r\t5\tm\n")
-        assert (line_no, key_text, timestamp, message) == (7, "a.b.c.info.U.op.7.r", 5, "m")
-        assert key is routing_key(parse_event_line("a.b.c.info.U.op.7.r\t1\tm"))
+        key, timestamp, message = parse_tap_line("a.b.c.info.U.op.007.r\t5\tm\n")
+        assert (key[6], key[8].text, timestamp, message) == (7, "a.b.c.info.U.op.7.r", 5, "m")
+        assert key == event_key("a", "b", "c", sourceUnit="U", sourceOperation="op",
+                                sourceLine=7, resource="r")
+        assert key[8] is routing_key(parse_event_line("a.b.c.info.U.op.7.r\t1\tm"))
 
     def test_memo_stays_within_its_bound(self):
         for i in range(MEMO_SIZE + 100):
@@ -497,7 +498,7 @@ class TestInlineTapReader:
             unfiltered, filtered = read_all(read_tap(tap)), read_all(read_tap(tap, keep))
         assert unfiltered == expected
         records, error = expected
-        assert filtered == ([r for r in records if r[0][0].segments[0] in agents], error)
+        assert filtered == ([r for r in records if r[0][8].segments[0] in agents], error)
         # keep is asked once per distinct key text: of every line when the tap reads cleanly
         key_texts = {raw.split("\t", 1)[0]
                      for raw in io.StringIO(data.decode("utf-8", "replace"), newline=None)

@@ -12,14 +12,7 @@ from masharness import world as world_module
 from masharness.broker import Broker, QueueClosed
 from masharness.cli import data_path
 from masharness.evolution import GAConfig, load_ga_config
-from masharness.logmodel import (
-    MAX_KEY_BYTES,
-    TICK_US,
-    InvalidTag,
-    KeyTooLong,
-    load_tap,
-    make_log_event,
-)
+from masharness.logmodel import MAX_KEY_BYTES, TICK_US, intern_sites, load_tap
 from masharness.neural import NetworkTopology, decode
 from masharness.world import (
     FAULT_GO_DARK,
@@ -834,16 +827,6 @@ class TestRunEpisode:
             switched = len(drain(queue))
         assert switched == round(metrics.pEnergy * 4 * c.maxTicks)
 
-    def test_episode_tag_namespaces_agent_names(self, tmp_path):
-        tap = tmp_path / "tap.log"
-        with Broker(tap=str(tap)) as broker:
-            run_episode(cfg(maxTicks=2), ConstantController(1.0, 0.0), broker,
-                        episode_tag="ep3")
-        events = load_tap(tap)
-        assert events
-        assert all(e.agentName.endswith("@ep3") for e in events)
-        assert any(e.agentName == "node1@ep3" for e in events)
-
     def test_fault_specs_flow_through(self, tmp_path):
         tap = tmp_path / "tap.log"
         spec = parse_fault_spec("go-dark:node1")
@@ -859,60 +842,29 @@ class TestRunEpisode:
 
 
 class TestInternedKeys:
-    def test_over_long_episode_tag_fails_in_init_world_before_any_tap_line(self, tmp_path):
-        plain = tmp_path / "plain.log"
-        with Broker(tap=str(plain)) as broker:
-            run_episode(cfg(maxTicks=1), ConstantController(1.0, 0.0), broker)
-        keys = [key for key, _ in tap_records(plain)]
-        longest = max(keys, key=len)
-        # the tag makes the longest key one byte too long, the first one not
-        tag = "t" * (MAX_KEY_BYTES - len(longest))
-        assert len(keys[0]) < len(longest)
-        tap = tmp_path / "tap.log"
-        with Broker(tap=str(tap)) as broker:
-            with pytest.raises(KeyTooLong) as err:
-                init_world(cfg(), broker, episode_tag=tag)
-        assert tap.read_text() == ""
-        agentType, agentName, action, typeLog, unit, operation, line, resource = longest.split(".")
-        with pytest.raises(KeyTooLong) as checked:
-            make_log_event(agentType, f"{agentName}@{tag}", action, typeLog, sourceUnit=unit,
-                           sourceOperation=operation, sourceLine=int(line), resource=resource)
-        assert str(err.value) == str(checked.value) == f"routing key exceeds {MAX_KEY_BYTES} bytes"
-        with Broker() as broker:
-            assert init_world(cfg(), broker, episode_tag=tag[1:]).log_keys
-
-    def test_bad_episode_tag_raises_the_first_events_error(self):
-        with Broker() as broker, pytest.raises(InvalidTag) as err:
-            init_world(cfg(), broker, episode_tag="a.b")
-        assert str(err.value) == "agentName may not contain '.': 'manager01@a.b'"
-
-    @pytest.mark.parametrize("bad", ["first-key", "later-key"])
-    def test_a_bad_tag_raises_the_same_error_every_time(self, bad):
-        if bad == "first-key":
-            tag, error = "a.b", InvalidTag
-        else:
-            with Broker() as broker:
-                texts = [key[8].text for keys in init_world(cfg(), broker).log_keys.values()
-                         for key in keys.values()]
-            # the tag and its "@" make the longest key one byte too long, the first one not
-            tag, error = "t" * (MAX_KEY_BYTES - max(map(len, texts))), KeyTooLong
-            assert len(texts[0]) + 1 + len(tag) <= MAX_KEY_BYTES
-        messages = []
-        for _ in range(2):
-            with Broker() as broker, pytest.raises(error) as err:
-                init_world(cfg(), broker, episode_tag=tag)
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-        assert (2, 2, tag) not in world_module._log_key_tables
-
     def test_worlds_of_one_grid_and_tag_share_one_key_table(self):
-        with Broker() as first, Broker() as second, Broker() as tagged:
+        with Broker() as first, Broker() as second, Broker() as wider:
             keys = init_world(cfg(), first).log_keys
             assert init_world(cfg(rngSeed=9, wirelessRange=2), second).log_keys is keys
-            other = init_world(cfg(), tagged, episode_tag="e1").log_keys
+            other = init_world(cfg(gridWidth=3), wider).log_keys
         assert other is not keys
-        assert other["node1"]["readLightSensor"][1] == "node1@e1"
         assert keys["node1"]["readLightSensor"][1] == "node1"
+        assert set(other) - set(keys) == {"node5", "node6"}
+
+    def test_every_key_an_accepted_grid_logs_is_valid(self):
+        # the longest light id is that of the last light of the largest grid
+        with pytest.raises(InvalidConfig):
+            cfg(gridWidth=MAX_LIGHTS + 1, gridHeight=1)
+        widest = cfg(gridWidth=MAX_LIGHTS, gridHeight=1)
+        longest = world_module._node_id(widest, (MAX_LIGHTS - 1, 0))
+        assert longest == "node10000"
+        for (agentType, agent), actions in world_module._LOG_SITES.items():
+            # event_key, which intern_sites calls, raises on any invalid key
+            name = longest if agent is world_module._LIGHT else agent
+            keys = intern_sites(agentType, name, actions)
+            assert list(keys) == list(actions)
+            for key in keys.values():
+                assert len(key[8].text.encode("utf-8")) <= MAX_KEY_BYTES
 
     def test_skip_handshake_drops_the_same_event(self, tmp_path):
         records = []
@@ -928,23 +880,20 @@ class TestInternedKeys:
         ))
         assert skipped == full[:dropped] + full[dropped + 1:]
 
-    @pytest.mark.parametrize("config,faults,tag,error", [
+    @pytest.mark.parametrize("config,faults,error", [
         (cfg(gridWidth=1, gridHeight=1, numPeople=1), [FaultSpec("flicker", ("node1",))],
-         "a.b", InvalidConfig),
-        (cfg(), [FaultSpec("flicker", ("node1",))], "a.b", UnknownFault),
-        (cfg(), [FaultSpec(FAULT_GO_DARK, ("node9",))], "a.b", UnknownTarget),
-        (cfg(), [], "a.b", InvalidTag),
-    ], ids=["route", "fault-kind", "fault-target", "tag"])
+         InvalidConfig),
+        (cfg(), [FaultSpec("flicker", ("node1",))], UnknownFault),
+        (cfg(), [FaultSpec(FAULT_GO_DARK, ("node9",))], UnknownTarget),
+    ], ids=["route", "fault-kind", "fault-target"])
     def test_route_then_fault_then_tag_errors_before_any_tap_line(self, tmp_path, config,
-                                                                  faults, tag, error):
+                                                                  faults, error):
         tap = tmp_path / "tap.log"
         with Broker(tap=str(tap)) as broker, pytest.raises(error) as raised:
-            run_episode(config, ConstantController(1.0, 0.0), broker, faults=faults,
-                        episode_tag=tag)
+            run_episode(config, ConstantController(1.0, 0.0), broker, faults=faults)
         assert tap.read_text() == ""
         with Broker() as broker, pytest.raises(error, match=re.escape(str(raised.value))):
-            oracle_run_episode(config, ConstantController(1.0, 0.0), broker, faults=faults,
-                               episode_tag=tag)
+            oracle_run_episode(config, ConstantController(1.0, 0.0), broker, faults=faults)
 
 
 class TestLayoutMemo:
@@ -1076,16 +1025,15 @@ class Replay:
 def logged_worlds(draw):
     config, faults = draw(worlds(max_ticks=20))
     kind = draw(st.sampled_from(["neural", "scripted", "callable", "forward"]))
-    return config, faults, Replay(kind, config.gridWidth * config.gridHeight, draw), draw(
-        st.sampled_from([None, "ep3"]))
+    return config, faults, Replay(kind, config.gridWidth * config.gridHeight, draw)
 
 
-def logged_episode(run, config, controller, faults, tag):
+def logged_episode(run, config, controller, faults):
     """Tap bytes and metrics of one logged episode run by ``run``."""
     with tempfile.TemporaryDirectory() as tmp:
         tap = Path(tmp) / "tap.log"
         with Broker(tap=str(tap)) as broker:
-            metrics = run(config, controller, broker, faults=faults, episode_tag=tag)
+            metrics = run(config, controller, broker, faults=faults)
         return tap.read_bytes(), metrics
 
 
@@ -1095,18 +1043,18 @@ class TestTapIdentity:
     @given(case=logged_worlds())
     @settings(max_examples=40, deadline=None)
     def test_taps_and_metrics_equal_the_reference_world(self, case):
-        config, faults, replay, tag = case
-        tap, metrics = logged_episode(run_episode, config, replay(), faults, tag)
-        assert (tap, metrics) == logged_episode(oracle_run_episode, config, replay(), faults, tag)
+        config, faults, replay = case
+        tap, metrics = logged_episode(run_episode, config, replay(), faults)
+        assert (tap, metrics) == logged_episode(oracle_run_episode, config, replay(), faults)
         assert metrics == run_episodes(config, [replay()], faults=faults)[0]
 
     def test_a_negative_zero_wireless_command_is_logged_with_its_sign(self):
         c = cfg(gridWidth=2, gridHeight=1, maxTicks=3)
         script = [[[1.0, -0.0], [-1.0, 0.0]]]
         faults = (FaultSpec(FAULT_MUTE_WIRELESS, ("node2",)),)
-        tap, metrics = logged_episode(run_episode, c, ScriptedController(script), faults, None)
+        tap, metrics = logged_episode(run_episode, c, ScriptedController(script), faults)
         assert (tap, metrics) == logged_episode(
-            oracle_run_episode, c, ScriptedController(script), faults, None)
+            oracle_run_episode, c, ScriptedController(script), faults)
         messages = [line.split(b"\t")[2] for line in tap.splitlines() if b".sendWirelessData." in line]
         assert messages == [b"out=-0.000000", b"out=0.000000"] * 3
         assert b"in=-0.000000" not in tap
