@@ -74,6 +74,11 @@ def _parse_faults(args):
     return tuple(parse_fault_spec(text) for text in (args.fault or ()))
 
 
+def _stats_entries(stats: dict) -> dict:
+    """A run's counters as ``stats.<name>`` manifest entries."""
+    return {f"stats.{name}": value for name, value in stats.items()}
+
+
 def write_manifest(path: str, command: str, entries: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command: {command}\n")
@@ -89,8 +94,9 @@ def cmd_simulate(args) -> int:
     tap = args.tap or "tap.log"
     # one plain episode with full world logging; no observer protocol here
     broker = Broker(tap=tap)
+    stats = {}
     try:
-        metrics = run_episode(config, decode(genes, topology), broker, faults=faults)
+        metrics = run_episode(config, decode(genes, topology), broker, faults=faults, stats=stats)
     finally:
         broker.close()
     print(f"pPeople={metrics.pPeople:.6f}")
@@ -108,6 +114,7 @@ def cmd_simulate(args) -> int:
             "pPeople": f"{metrics.pPeople:.6f}",
             "pTrip": f"{metrics.pTrip:.6f}",
             "pEnergy": f"{metrics.pEnergy:.6f}",
+            **_stats_entries(stats),
         },
     )
     return 0
@@ -160,6 +167,7 @@ def run_test_plan(
     *,
     wallclock: bool = False,
     tap: str | None = None,
+    stats: dict | None = None,
 ):
     """Execute a parsed plan against one episode; returns (verdicts, report).
 
@@ -167,7 +175,8 @@ def run_test_plan(
     events inline, in publish order, while the episode runs under the
     observer evaluation protocol.  An error monitor on ``*.*.*.error.#``
     annotates every verdict with the error-level events it saw.  Verdicts
-    are taken in plan order once the broker is closed.
+    are taken in plan order once the broker is closed.  ``stats`` gets the
+    episode's tick counts (run_episode).
     """
     broker = Broker(tap=tap)
     error_notes = []
@@ -188,6 +197,7 @@ def run_test_plan(
             broker,
             faults=faults,
             world_logs=True,
+            stats=stats,
         )
     finally:
         broker.close()
@@ -206,6 +216,7 @@ def cmd_test(args) -> int:
     config = _load_world(args)
     topology, genes = _load_genome(args)
     faults = _parse_faults(args)
+    stats = {}
     verdicts, report = run_test_plan(
         cases,
         config,
@@ -214,6 +225,7 @@ def cmd_test(args) -> int:
         faults,
         wallclock=args.wallclock,
         tap=args.tap,
+        stats=stats,
     )
     for verdict in verdicts:
         print(format_report(verdict))
@@ -240,6 +252,7 @@ def cmd_test(args) -> int:
             "verdicts": " ".join(
                 f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in verdicts
             ),
+            **_stats_entries(stats),
         },
     )
     return 0 if all_passed else TEST_FAILURE

@@ -44,9 +44,6 @@ DEFAULT_ENERGY_TARGET = 0.70
 MAX_POPULATION = 1_000
 #: most hidden neurons a GAConfig's controllers may have
 MAX_HIDDEN = 100
-#: most hidden activations (populationSize x lights x hiddenCount) the batch
-#: of a generation may compute each tick: 2**24 float64 values, 128 MB
-MAX_BATCH_ACTIVATIONS = 2 ** 24
 
 #: every logged action of the observer, agent OBSERVER.observer01:
 #: action -> (sourceUnit, sourceOperation, sourceLine, resource)
@@ -300,17 +297,19 @@ def evaluate_solution(
     faults=(),
     energy_target: float = DEFAULT_ENERGY_TARGET,
     world_logs: bool = True,
+    stats: dict | None = None,
 ) -> tuple[FitnessReport, EpisodeMetrics]:
     """Run one episode under the full observer evaluation protocol.
 
     This is the global-evaluation sequence: prologue logs, the episode, then
     readSimulationResults and the fitness protocol.  ``world_logs`` controls
     whether the simulation itself publishes (test mode) or stays silent
-    (learning mode).
+    (learning mode).  ``stats`` gets the episode's tick counts (run_episode).
     """
     controller = decode(genes, topology)
     _publish(broker, _prologue(topology, world_config))
-    metrics = run_episode(world_config, controller, broker if world_logs else None, faults=faults)
+    metrics = run_episode(world_config, controller, broker if world_logs else None,
+                          faults=faults, stats=stats)
     report = fitness(metrics, energy_target)
     _publish(broker, _results(report, energy_target))
     return report, metrics
@@ -327,20 +326,12 @@ def run_observer(
     Every genome is scored with one silent episode on the world seed from
     ``world_config`` (fixed for the whole run, so fitness values stay
     comparable and elite scores never go stale); a generation's unscored
-    genomes run together in one run_episodes call.  After the last generation
-    the best genome is re-run once with the full evaluation protocol.
-    A world and GA config whose batch would exceed MAX_BATCH_ACTIVATIONS
-    raise InvalidConfig before anything runs.  Returns the best genome,
+    genomes run together in one run_episodes call, in chunks if its tick
+    would pass TICK_BYTES.  After the last generation the best genome is
+    re-run once with the full evaluation protocol.  Returns the best genome,
     per-generation stats, and the final report.
     """
     topology = NetworkTopology(hiddenCount=ga_config.hiddenCount)
-    lights = world_config.gridWidth * world_config.gridHeight
-    activations = ga_config.populationSize * lights * topology.hiddenCount
-    if activations > MAX_BATCH_ACTIVATIONS:
-        raise InvalidConfig(
-            f"populationSize {ga_config.populationSize} x {lights} lights x hiddenCount "
-            f"{topology.hiddenCount} makes {activations} hidden activations a tick, "
-            f"more than {MAX_BATCH_ACTIVATIONS}")
     rng = random.Random(ga_config.rngSeed)
     prologue = _prologue(topology, world_config)
 

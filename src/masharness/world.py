@@ -16,19 +16,25 @@ One engine runs every episode.  ``init_world`` lays out the grid and the
 state of a batch of episodes as (episodes, lights) numpy arrays, and each
 ``step_world`` tick runs ``sense``, the controllers, ``actuate`` and
 ``move_people`` on the whole batch.  ``run_episodes`` steps a batch of
-silent episodes that way; ``run_episode`` steps a batch of one, and with a
-broker attached the handshake, ``sense``, ``actuate`` and finishSimulation
-each publish one broker batch of that episode's events, light by light.
+silent episodes that way, in chunks of rows under TICK_BYTES;
+``run_episode`` steps a batch of one, and with a broker attached the
+handshake, ``sense``, ``actuate`` and finishSimulation each publish one
+broker batch of that episode's events, light by light.
 
-A silent batch of NeuralControllers, which hold no state, ends an episode
-early once it repeats.  A row's state is ``radiating``, ``outbox`` (bit for
-bit) and ``step``, and every tick maps it to the next by the same function.
-So if the state after tick t equals the one after tick t - lag, the episode
-repeats with period lag up to maxTicks.  ``step`` never goes back, so no
-pedestrian moves in the cycle and arrivals are final; with R ticks left,
-each counter gains R // lag periods plus the first R % lag ticks of one,
-exact integers, so the metrics are those of stepping on.  Only the state
-saved every RECURRENCE_WINDOW ticks, from tick 0, is kept to compare with.
+A batch of NeuralControllers, which hold no state, stops stepping an
+episode once it repeats.  A row's state is ``radiating``, ``outbox`` (bit
+for bit) and ``step``, and every tick maps it to the next by the same
+function.  So if the state after tick t equals the one after tick t - lag,
+the episode repeats with period lag up to maxTicks.  ``step`` never goes
+back, so no pedestrian moves in the cycle and arrivals are final; with R
+ticks left, each counter gains R // lag periods plus the first R % lag
+ticks of one, exact integers, so the metrics are those of stepping on.
+Only the state saved every RECURRENCE_WINDOW ticks, from tick 0, is kept
+to compare with.  A silent row then leaves the batch.  A logged world
+keeps the sense and actuate batches of its ticks since the saved state,
+from its first save on, and replays the period: each tick left raises the clock floor and
+publishes that tick's recorded batches again.  No sense or actuate message
+holds the tick number, so the events are those of stepping on.
 """
 
 from __future__ import annotations
@@ -63,9 +69,12 @@ MAX_WIRELESS_LINKS = 250_000
 
 #: most pedestrians a WorldConfig accepts; each one's route is built at set-up
 MAX_PEOPLE = 10_000
-#: ticks between the saved states a silent batch of stateless controllers
-#: compares each tick's state with, so periods up to this long are caught
+#: ticks between the saved states a batch of stateless controllers compares
+#: each tick's state with, so periods up to this long are caught
 RECURRENCE_WINDOW = 8
+#: bytes, about, that one tick's arrays of a silent batch may take; run_episodes
+#: steps a population whose rows would take more in chunks of rows under it
+TICK_BYTES = 2 ** 26
 #: grid layouts (ids, near, peers) by (gridWidth, gridHeight, wirelessRange),
 #: about 1.5 MB for a 100x100 grid, shared by every world of the grid
 _layouts = BoundedMemo(4)
@@ -424,12 +433,18 @@ class WorldState:
         # each row's state as of saved_tick, and its counters on each tick since
         self.saved, self.saved_tick = self._state(), 0
         self.counted = np.zeros((episodes, 2, RECURRENCE_WINDOW + 1), dtype=np.int64)
+        #: a logged world's batches since saved_tick, sense then actuate per
+        #: tick, once it has saved a state; None while nothing is recorded
+        self.period: list[list[tuple[EventKey, str]]] | None = None
+        self.ticks_replayed = 0
 
     # -- logging -----------------------------------------------------------
 
     def publish(self, batch: list[tuple[EventKey, str]]) -> None:
         """Publish ``(log_keys key, message)`` pairs as one batch of the attached broker."""
         self.broker.publish_batch(batch)
+        if self.period is not None:
+            self.period.append(batch)
 
     # -- episodes ------------------------------------------------------------
 
@@ -470,24 +485,48 @@ class WorldState:
         return np.concatenate((self.radiating.view(np.uint8), self.outbox.view(np.uint8),
                                self.step.view(np.uint8)), axis=1)
 
-    def retire_periodic(self) -> None:
-        """Retire the rows back in their saved state, adding the counts of their ticks left."""
+    def _recurred(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """This tick's lag from the saved state, each row's state, and which rows are back in it."""
         lag = self.tick - self.saved_tick
         self.counted[:, 0, lag], self.counted[:, 1, lag] = self.on_ticks, self.ticks_moving
         state = self._state()
-        same = (state == self.saved).all(axis=1)
-        if same.any():
+        return lag, state, (state == self.saved).all(axis=1)
+
+    def retire_periodic(self) -> None:
+        """End the rows back in their saved state at maxTicks, adding the counts of their ticks left.
+
+        A silent row leaves the batch; a logged world publishes its period's
+        batches again for each tick left.  It records them from its first
+        saved state on, so an episode that ends sooner keeps none.
+        """
+        lag, state, same = self._recurred()
+        if same.any() and (self.broker is None or self.period is not None):
             left = self.config.maxTicks - self.tick
             counted = self.counted[same]
             gained = (left // lag) * (counted[:, :, lag] - counted[:, :, 0]) + (
                 counted[:, :, left % lag] - counted[:, :, 0])
             self.on_ticks[same] += gained[:, 0]
             self.ticks_moving[same] += gained[:, 1]
+            if self.broker is not None:
+                self._replay(lag)
+                return
             self._leave(same)
             state = state[~same]
         if lag == RECURRENCE_WINDOW:
             self.saved, self.saved_tick = state, self.tick
             self.counted[:, :, 0] = self.counted[:, :, lag]
+            if self.broker is not None:
+                self.period = []
+
+    def _replay(self, lag: int) -> None:
+        """Publish the recorded ``lag`` ticks again, period after period, up to maxTicks."""
+        clock, publish, period = self.broker.clock, self.broker.publish_batch, self.period
+        for n, tick in enumerate(range(self.tick + 1, self.config.maxTicks + 1)):
+            clock.advance_to(tick * TICK_US)
+            publish(period[2 * (n % lag)])
+            publish(period[2 * (n % lag) + 1])
+        self.ticks_replayed = self.config.maxTicks - self.tick
+        self.tick = self.config.maxTicks
 
 
 def _fault_masks(ids: tuple[str, ...], faults) -> dict[str, np.ndarray]:
@@ -712,15 +751,18 @@ def step_world(world: WorldState, controllers: ControllerBatch) -> None:
 def _run(world: WorldState, controllers: ControllerBatch) -> list[EpisodeMetrics]:
     """Step until every episode has ended, at maxTicks or once its pedestrians all arrived.
 
-    A silent batch of NeuralControllers also ends an episode once its state
-    recurs, adding the exact counts of the ticks left (module docstring);
-    logged worlds and other controllers, which may hold state, step on.
+    A batch of NeuralControllers also ends an episode once its state recurs,
+    with the exact counts of the ticks left: a silent row leaves the batch,
+    and a logged world replays the recorded batches of its period up to
+    maxTicks (module docstring).  Other controllers, which may hold state,
+    step on.
     """
-    periodic = world.broker is None and controllers.networks is not None
+    periodic = controllers.networks is not None
     while len(world.live) and world.tick < world.config.maxTicks:
         step_world(world, controllers)
         if periodic:
             world.retire_periodic()
+    world.period = None
     return world.metrics()
 
 
@@ -730,6 +772,7 @@ def run_episode(
     broker: Broker | None = None,
     *,
     faults=(),
+    stats: dict | None = None,
 ) -> EpisodeMetrics:
     """Run one full episode and report the normalized metrics.
 
@@ -737,7 +780,10 @@ def run_episode(
     topology) or any controller object.  The episode ends early when every
     pedestrian has finished; a world with no pedestrians always runs the
     full maxTicks.  With a broker attached the episode publishes its events,
-    ending with finishSimulation if every pedestrian arrived.
+    ending with finishSimulation if every pedestrian arrived; a
+    NeuralController's episode publishes the ticks after its state recurs
+    by replaying its period's batches.  ``stats``, if given, gets the
+    ``ticks_stepped`` and ``ticks_replayed`` counts.
     """
     if hasattr(genome, "forward") or hasattr(genome, "forward_batch") or callable(genome):
         controller = genome
@@ -748,7 +794,22 @@ def run_episode(
     # every pedestrian arrived (and the episode left the batch), or there are none
     if broker is not None and world.arrived.all():
         world.publish([(world.log_keys["lights"]["finishSimulation"], f"tick={world.tick}")])
+    if stats is not None:
+        stats["ticks_stepped"] = world.tick - world.ticks_replayed
+        stats["ticks_replayed"] = world.ticks_replayed
     return metrics
+
+
+def _row_bytes(config: WorldConfig, controllers) -> int:
+    """About the bytes one episode's row takes in a tick's arrays.
+
+    That is a float per light for each input, output and hidden neuron, and
+    for each adjacent lamp and wireless peer it gathers.
+    """
+    _, near, peers = _layout(config)
+    hidden = max((c.topology.hiddenCount for c in controllers if type(c) is NeuralController),
+                 default=0)
+    return 8 * len(near) * (3 + 2 + hidden + near.shape[1] + peers.shape[1])
 
 
 def run_episodes(config: WorldConfig, controllers, *, faults=()) -> list[EpisodeMetrics]:
@@ -757,7 +818,14 @@ def run_episodes(config: WorldConfig, controllers, *, faults=()) -> list[Episode
     Every episode runs on the same world (routes from ``config.rngSeed``)
     with the same faults, and gets exactly the EpisodeMetrics that
     ``run_episode`` gives its controller, also when a batch of NeuralControllers
-    ends a repeating episode early.
+    ends a repeating episode early.  Episodes are independent, so a
+    population whose tick would take more than TICK_BYTES is stepped in
+    chunks of rows that take less, with the same results.
     """
-    batch = ControllerBatch(controllers)
-    return _run(init_world(config, faults=faults, episodes=len(batch.controllers)), batch)
+    controllers = list(controllers)
+    rows = max(1, TICK_BYTES // _row_bytes(config, controllers))
+    metrics = []
+    for start in range(0, len(controllers), rows):
+        batch = ControllerBatch(controllers[start:start + rows])
+        metrics += _run(init_world(config, faults=faults, episodes=len(batch.controllers)), batch)
+    return metrics

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import io
+import json
+import re
 import shutil
 import subprocess
 import sys
@@ -18,16 +20,20 @@ from masharness import broker as broker_module, cli, evolution, logmodel, world 
 from masharness.broker import Broker
 from masharness.cli import USAGE_ERROR, data_path, main
 from masharness.evolution import (
-    MAX_BATCH_ACTIVATIONS,
     MAX_HIDDEN,
     MAX_POPULATION,
     evaluate_solution,
     load_ga_config,
 )
 from masharness.logmodel import BoundedMemo, RoutingKey, load_tap, read_tap
-from masharness.neural import NetworkTopology, load_genome, save_genome
+from masharness.neural import NetworkTopology, decode, load_genome, save_genome
 from masharness.testkit import load_test_plan
-from masharness.world import load_world_config, seeds_with_light_on_route
+from masharness.world import (
+    TICK_BYTES,
+    EpisodeMetrics,
+    load_world_config,
+    seeds_with_light_on_route,
+)
 from oracles import oracle_matches
 
 ALWAYS_ON_GENES = [0.0] * 24 + [5.0, 0.0]
@@ -303,29 +309,32 @@ class TestEvolve:
         assert captured.out == ""
         assert captured.err == f"error: config {ga}: {name} must be a finite number, got {value}\n"
 
-    def test_a_batch_past_the_activation_bound_exits_two_before_it_runs(self, tmp_path,
-                                                                        capsys, monkeypatch):
-        # 1000 genomes x 10,000 lights x 100 hidden neurons would be an 8 GB hidden layer
+    def test_a_population_past_the_tick_budget_runs_in_chunks_under_it(self, tmp_path,
+                                                                        monkeypatch):
+        # 1000 genomes on 10,000 lights would gather 1.3 GB a tick as one batch
         config = small_world(tmp_path, gridWidth=100, gridHeight=100)
-        ga = self.ga_file(tmp_path, populationSize=1000, hiddenCount=100)
-        monkeypatch.setattr(evolution, "run_episodes", None)  # would fail if reached
+        ga = self.ga_file(tmp_path, populationSize=1000, hiddenCount=1, generations=1)
+        chunks = []
+
+        def run(world, controllers):  # records each batch instead of stepping it
+            rows = len(world.live)
+            chunks.append(rows * world_module._row_bytes(world.config, controllers.controllers))
+            return [EpisodeMetrics(pPeople=1.0, pTrip=0.0, pEnergy=0.0)] * rows
+
+        monkeypatch.setattr(world_module, "_run", run)
         code = main(["evolve", "--config", config, "--ga-config", ga,
                      "--genome", str(tmp_path / "g.txt"), "--manifest", str(tmp_path / "m.txt")])
-        captured = capsys.readouterr()
-        assert code == USAGE_ERROR
-        assert captured.out == ""
-        assert captured.err == (
-            "error: populationSize 1000 x 10000 lights x hiddenCount 100 makes 1000000000 "
-            f"hidden activations a tick, more than {MAX_BATCH_ACTIVATIONS}\n")
-        assert not (tmp_path / "g.txt").exists()
+        assert code == 0
+        assert len(chunks) > 10  # the population's chunks, then the winner's episode
+        assert max(chunks) <= TICK_BYTES
 
-    def test_shipped_configs_are_within_the_activation_bound(self):
+    def test_the_largest_population_on_the_shipped_grid_is_one_chunk(self):
         world = load_world_config(data_path("world.cfg"))
         ga = load_ga_config(data_path("ga.cfg"))
-        lights = world.gridWidth * world.gridHeight
-        assert ga.populationSize * lights * ga.hiddenCount <= MAX_BATCH_ACTIVATIONS
-        # the largest population and hidden layer still run on the shipped grid
-        assert MAX_POPULATION * lights * MAX_HIDDEN <= MAX_BATCH_ACTIVATIONS
+        topology = NetworkTopology(hiddenCount=MAX_HIDDEN)
+        row = world_module._row_bytes(world, [decode([0.0] * topology.genomeLength, topology)])
+        assert MAX_POPULATION * row <= TICK_BYTES
+        assert ga.populationSize <= MAX_POPULATION and ga.hiddenCount <= MAX_HIDDEN
 
     def test_non_utf8_ga_config_exits_two_naming_the_file(self, tmp_path, capsys):
         bad = tmp_path / "ga.cfg"
@@ -501,6 +510,46 @@ class TestTest:
         assert "line 2" in capsys.readouterr().err
 
 
+def manifest_ticks(path):
+    """A manifest's (ticks stepped, ticks replayed), its last lines before ``wallclock:``."""
+    lines = Path(path).read_text().splitlines()
+    assert lines[-1].startswith("wallclock: ")
+    (stepped, s), (replayed, r) = (line.split(": ") for line in lines[-3:-1])
+    assert (stepped, replayed) == ("stats.ticks_stepped", "stats.ticks_replayed")
+    return int(s), int(r)
+
+
+class TestManifestTicks:
+    def test_a_go_dark_run_replays_most_of_its_ticks(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        code = main(["test", "--fault", "go-dark:node10", "--seed", "2",
+                     "--manifest", manifest, "--tap", tap])
+        assert code == 1
+        stepped, replayed = manifest_ticks(manifest)
+        assert replayed >= 180
+        assert stepped + replayed == 200
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_a_fault_free_run_replays_no_tick(self, tmp_path, capsys, command):
+        manifest, tap = out_paths(tmp_path)
+        assert main([command, "--seed", "1", "--manifest", manifest, "--tap", tap]) == 0
+        stepped, replayed = manifest_ticks(manifest)
+        assert replayed == 0 < stepped
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_two_identical_runs_manifests_differ_only_in_wallclock(self, tmp_path, capsys,
+                                                                    command):
+        manifest, tap = out_paths(tmp_path)
+        texts = []
+        for _ in range(2):
+            main([command, "--fault", "go-dark:node10", "--seed", "3",
+                  "--manifest", manifest, "--tap", tap])
+            texts.append(Path(manifest).read_text().splitlines())
+        assert texts[0][:-1] == texts[1][:-1]
+        assert texts[0][-1].startswith("wallclock: ") and texts[1][-1].startswith("wallclock: ")
+        assert manifest_ticks(manifest)[1] > 0
+
+
 class TestTimeline:
     def make_tap(self, tmp_path, capsys):
         manifest, tap = out_paths(tmp_path)
@@ -666,6 +715,44 @@ class TestGoldenTaps:
         with open(tap, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == digest
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_digest
+
+
+#: the benchmark's recorded op outputs, read only
+REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs.json"
+#: the stdout lines a recorded op keeps as its metrics
+METRIC_LINE = re.compile(r"^(episode )?(fitness|pPeople|pTrip|pEnergy)=")
+
+
+def recorded_go_dark_ops():
+    refs = json.loads(REFS.read_text())["refs"]
+    return sorted((key, ref) for key, ref in refs.items() if key.startswith("test-go-dark:"))
+
+
+class TestRecordedGoDarkOps:
+    """Every go-dark op of the benchmark's main and held-out pools gives its recorded outputs."""
+
+    @pytest.mark.parametrize("key,ref", recorded_go_dark_ops(),
+                             ids=[key for key, _ in recorded_go_dark_ops()])
+    def test_outputs_equal_the_recording(self, tmp_path, key, ref):
+        manifest, tap = out_paths(tmp_path)
+        seed = key.removeprefix("test-go-dark:seed=")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["test", "--fault", "go-dark:node10", "--seed", seed,
+                         "--tap", tap, "--manifest", manifest])
+        lines = out.getvalue().splitlines()
+        data = Path(tap).read_bytes()
+        assert {
+            "verdicts": [line for line in lines if line.startswith("VERDICT ")],
+            "metrics": [line for line in lines if METRIC_LINE.match(line)],
+            "exit": code,
+            "stderr": err.getvalue(),
+            "tap_sha256": hashlib.sha256(data).hexdigest(),
+            "events": data.count(b"\n"),
+        } == ref
+
+    def test_both_pools_are_recorded(self):
+        assert len(recorded_go_dark_ops()) == 12
 
 
 def run_default_plan(tap):

@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from masharness.world import (
     MAX_LIGHTS,
     MAX_PEOPLE,
     MAX_WIRELESS_LINKS,
+    RECURRENCE_WINDOW,
     ControllerBatch,
     EpisodeMetrics,
     FaultSpec,
@@ -1037,6 +1041,23 @@ def logged_episode(run, config, controller, faults):
         return tap.read_bytes(), metrics
 
 
+@st.composite
+def stranded_worlds(draw):
+    """Long neural episodes on grids too dim to walk by, with dark lamps, so pedestrians strand."""
+    config, faults = draw(worlds())
+    lights = config.gridWidth * config.gridHeight
+    dark = FaultSpec(FAULT_GO_DARK, tuple(f"node{i}" for i in draw(
+        st.lists(st.integers(1, lights), min_size=1, max_size=3))))
+    config = replace(config, maxTicks=draw(st.integers(50, 300)),
+                     ambientLight=draw(st.sampled_from([0.0, 0.05])))
+    return config, faults + (dark,), neural_controllers(draw, 1)[0]
+
+
+#: a controller that strands four of the shipped world's five pedestrians
+STRANDING = [-0.9, -0.03, -0.59, 0.98, -0.31, -0.66, -0.1, -0.39, 0.48, 0.29, 0.18, 0.4, 0.35,
+             0.13, -0.82, -0.91, 0.81, -0.49, 0.92, -0.29, -0.84, 0.13, -0.35, -0.34, 0.4, 0.58]
+
+
 class TestTapIdentity:
     """A logged episode writes the reference world's tap, byte for byte."""
 
@@ -1047,6 +1068,44 @@ class TestTapIdentity:
         tap, metrics = logged_episode(run_episode, config, replay(), faults)
         assert (tap, metrics) == logged_episode(oracle_run_episode, config, replay(), faults)
         assert metrics == run_episodes(config, [replay()], faults=faults)[0]
+
+    @given(case=stranded_worlds())
+    @settings(max_examples=25, deadline=None)
+    def test_long_stranded_neural_episodes_equal_the_reference_world(self, case):
+        # their states recur, so the logged world replays the ticks the reference steps
+        config, faults, network = case
+        stats = {}
+        tap, metrics = logged_episode(functools.partial(run_episode, stats=stats),
+                                      config, network, faults)
+        assert (tap, metrics) == logged_episode(oracle_run_episode, config, network, faults)
+        assert stats["ticks_stepped"] + stats["ticks_replayed"] <= config.maxTicks
+
+    def test_a_stranded_episode_replays_its_period_within_the_window(self, monkeypatch):
+        c = replace(load_world_config(data_path("world.cfg")), maxTicks=300)
+        stranding, stats, recorded = decode(STRANDING), {}, []
+        step = world_module.step_world
+
+        def recording(world, controllers):
+            step(world, controllers)
+            recorded.append(len(world.period or ()))
+
+        monkeypatch.setattr(world_module, "step_world", recording)
+        tap, metrics = logged_episode(functools.partial(run_episode, stats=stats),
+                                      c, stranding, ())
+        assert (tap, metrics) == logged_episode(oracle_run_episode, c, stranding, ())
+        assert metrics.pPeople == 0.2
+        # its state after tick 22 is the one after tick 16: ticks 23-300 are replayed
+        assert stats == {"ticks_stepped": 22, "ticks_replayed": 278}
+        assert max(recorded) <= 2 * RECURRENCE_WINDOW  # a sense and an actuate batch a tick
+
+    def test_a_scripted_episode_replays_no_tick(self):
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=40, rngSeed=4)
+        off = [np.full((9, 2), -1.0)]  # every lamp off: its state recurs after one tick
+        stats = {}
+        tap, metrics = logged_episode(functools.partial(run_episode, stats=stats),
+                                      c, ScriptedController(off), ())
+        assert (tap, metrics) == logged_episode(oracle_run_episode, c, ScriptedController(off), ())
+        assert stats == {"ticks_stepped": c.maxTicks, "ticks_replayed": 0}
 
     def test_a_negative_zero_wireless_command_is_logged_with_its_sign(self):
         c = cfg(gridWidth=2, gridHeight=1, maxTicks=3)
@@ -1081,11 +1140,27 @@ class TestRunEpisodes:
         with Broker() as broker:
             assert batch[0] == run_episode(config, controllers[0], broker, faults=faults)
 
+    @given(case=batched_worlds(), rows=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_chunked_populations_get_the_unchunked_metrics(self, case, rows):
+        config, faults, controllers = case
+        whole, chunks = run_episodes(config, controllers, faults=faults), []
+        init = world_module.init_world
+
+        def counting(config, **kw):
+            chunks.append(kw["episodes"])
+            return init(config, **kw)
+
+        budget = rows * world_module._row_bytes(config, controllers)
+        with mock.patch.object(world_module, "TICK_BYTES", budget), \
+                mock.patch.object(world_module, "init_world", counting):
+            assert run_episodes(config, controllers, faults=faults) == whole
+        n = len(controllers)
+        assert chunks == [min(rows, n - start) for start in range(0, n, rows)]
+
     def test_a_stranded_batch_stops_before_max_ticks(self, monkeypatch):
         c = load_world_config(data_path("world.cfg"))
-        stranding = decode([-0.9, -0.03, -0.59, 0.98, -0.31, -0.66, -0.1, -0.39, 0.48, 0.29,
-                            0.18, 0.4, 0.35, 0.13, -0.82, -0.91, 0.81, -0.49, 0.92, -0.29,
-                            -0.84, 0.13, -0.35, -0.34, 0.4, 0.58])
+        stranding = decode(STRANDING)
         dark = decode([0.0] * 26)  # every lamp stays off, so no pedestrian moves
         ticks = count_ticks(monkeypatch)
         metrics = run_episodes(c, [stranding])
