@@ -6,15 +6,17 @@ matched against every binding's patterns and handed (at most once per
 queue or subscriber) before the next publish is admitted.  A batch of
 interned keys and messages (``publish_batch``) is admitted as one, with one
 clock reservation and one tap write, and builds events only for bound keys.
-The queues and subscribers a key matches are memoised per broker by key
-text, so a repeated key costs one dict lookup; a new key is looked up in a
-table shared by every broker with equal binding lists, and only a key new
-to that table walks the trie compiled from them.  A subscriber's callback
-runs inside the publish, in publish order, on the publishing thread, and
-may return True once it wants no more events (as AMQP's ``basic.cancel``):
-it then leaves every route, so a key it alone bound builds no event.  Queue
-consumers block on per-queue conditions, so slow consumers never stall
-publishers; a full queue drops its oldest event instead.
+A key's route class is the tuple of the targets (queues and subscribers)
+it matches.  A table shared by every broker with equal binding lists maps
+key text to class, and only a key new to that table walks the trie
+compiled from them.  Each broker keeps one list of live targets per class
+and memoises key text to that list, so a repeated key costs one dict
+lookup.  A subscriber's callback runs inside the publish, in publish order,
+on the publishing thread, and may return True once it wants no more events
+(as AMQP's ``basic.cancel``): it is then pruned from every class list in
+place, so a key it alone bound builds no event and no key is routed again.
+Queue consumers block on per-queue conditions, so slow consumers never
+stall publishers; a full queue drops its oldest event instead.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from dataclasses import dataclass
 
 from .logmodel import (
     HASH,
+    MEMO_SIZE,
     STAR,
     BindingPattern,
     BoundedMemo,
@@ -168,30 +171,34 @@ class _TopicTrie:
         return tuple(sorted(found))
 
 
-#: (trie, key text -> matching target indices) by binding lists, shared across brokers
+#: (trie, key text -> class, class -> itself) by binding lists, shared across brokers;
+#: a key's class is the ascending tuple of the target indices it matches, interned
 _route_tables = BoundedMemo(64)
 
 
-def _deliver(route, event: LogEvent) -> bool:
+def _deliver(route, event: LogEvent, prune) -> None:
     """Hand ``event`` to each queue and subscriber of ``route`` (under the broker lock).
 
-    Returns True if a subscriber answered True, which marks it done; the
-    caller then forgets the routes memoised with it.
+    A subscriber that answers True is done, and ``prune`` is called once
+    ``route`` has been walked, also when a later subscriber raises.
     """
     retired = False
-    for q in route:
-        q.matched += 1
-        if q.deliver is not None:
-            q.delivered += 1
-            if q.deliver(event) is True:
-                q.done = retired = True
-            continue
-        if len(q.buffer) >= q.capacity:
-            q.buffer.popleft()
-            q.dropped += 1
-        q.buffer.append(event)
-        q.cond.notify()
-    return retired
+    try:
+        for q in route:
+            q.matched += 1
+            if q.deliver is not None:
+                q.delivered += 1
+                if q.deliver(event) is True:
+                    q.done = retired = True
+                continue
+            if len(q.buffer) >= q.capacity:
+                q.buffer.popleft()
+                q.dropped += 1
+            q.buffer.append(event)
+            q.cond.notify()
+    finally:
+        if retired:
+            prune()
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,9 +277,11 @@ class Broker:
         self._published = 0
         self._closed = False
         self._tap = open(tap, "w", encoding="utf-8") if tap else None
-        # key text -> the queues and live subscribers it matches, in declaration order
+        # key text -> the list of its class in _classes
         self._routes = BoundedMemo()
-        # (trie, shared key table, queues), found on the first miss after a _bind
+        # class -> the queues and live subscribers of its indices, in declaration order
+        self._classes: dict[tuple[int, ...], list[_Queue]] = {}
+        # (trie, shared key table, shared classes, queues), found on the first miss after a _bind
         self._table = None
 
     def declare_queue(self, name: str, patterns, capacity: int = DEFAULT_CAPACITY) -> QueueHandle:
@@ -312,31 +321,61 @@ class Broker:
                 raise DuplicateQueue(f"queue {name!r} already declared")
             self._queues[name] = _Queue(name, parsed, capacity, self._lock, deliver)
             self._routes.clear()
+            self._classes.clear()
             self._table = None
         return parsed
 
-    def _route(self, key: RoutingKey) -> tuple[_Queue, ...]:
-        """The queues and live subscribers ``key`` matches, in declaration order (under the lock).
+    def _route(self, key: RoutingKey) -> list[_Queue]:
+        """The live queues and subscribers ``key`` matches, in declaration order (under the lock).
 
-        Done subscribers are left out of the route memoised here, not out
-        of the table shared with other brokers.
+        That is the list of the key's class, which _prune keeps free of done
+        subscribers; the table shared with other brokers is left as it is.
+        The first miss after a _bind takes that table and every route it holds.
         """
         text = key.text
         route = self._routes.get(text)
+        if route is None and self._table is None:
+            self._share()
+            route = self._routes.get(text)
         if route is None:
-            if self._table is None:
-                queues = tuple(self._queues.values())
-                bindings = tuple(q.bindings for q in queues)
-                shared = _route_tables.get(bindings) or _route_tables.remember(
-                    bindings, (_TopicTrie(bindings), BoundedMemo()))
-                self._table = (*shared, queues)
-            trie, indices, queues = self._table
+            trie, indices, interned, _ = self._table
             found = indices.get(text)
             if found is None:
-                found = indices.remember(text, trie.route(key.segments))
-            route = self._routes.remember(
-                text, tuple(queues[i] for i in found if not queues[i].done))
+                found = trie.route(key.segments)
+                found = interned.get(found) or interned.remember(found, found)
+                indices.remember(text, found)
+            route = self._routes.remember(text, self._class(found))
         return route
+
+    def _share(self) -> None:
+        """Find the table shared by brokers with these binding lists, and memoise its routes."""
+        queues = tuple(self._queues.values())
+        bindings = tuple(q.bindings for q in queues)
+        shared = _route_tables.get(bindings) or _route_tables.remember(
+            bindings, (_TopicTrie(bindings), BoundedMemo(), BoundedMemo()))
+        self._table = (*shared, queues)
+        # from a copy, as a broker on another thread may be adding keys; it
+        # holds at most MEMO_SIZE of them, the bound of _routes
+        for text, found in shared[1].copy().items():
+            self._routes[text] = self._class(found)
+
+    def _class(self, found: tuple[int, ...]) -> list[_Queue]:
+        """The list of live queues and subscribers of a class, made on its first use."""
+        classes = self._classes
+        route = classes.get(found)
+        if route is None:
+            if len(classes) >= MEMO_SIZE:
+                # a memoised route whose list left _classes would miss _prune
+                classes.clear()
+                self._routes.clear()
+            queues = self._table[3]
+            route = classes[found] = [queues[i] for i in found if not queues[i].done]
+        return route
+
+    def _prune(self) -> None:
+        """Drop done subscribers from every class list, in place, so memoised routes lose them too."""
+        for route in self._classes.values():
+            route[:] = [q for q in route if not q.done]
 
     def publish(self, event: LogEvent) -> PublishReceipt:
         """Route one event to every queue and subscriber with a matching binding.
@@ -354,11 +393,11 @@ class Broker:
             seq = self._published
             self._published += 1
             route = self._route(key)
+            matched = len(route)  # before _prune empties the list a retirement leaves
             if self._tap is not None:
                 self._tap.write(f"{key.text}\t{event.timestamp}\t{event.message}\n")
-            if _deliver(route, event):
-                self._routes.clear()
-        return PublishReceipt(seq, len(route))
+            _deliver(route, event, self._prune)
+        return PublishReceipt(seq, matched)
 
     def publish_batch(self, batch: list[tuple[EventKey, str]]) -> None:
         """Publish each ``(interned key, message)`` pair's event, in order, as one admission.
@@ -373,7 +412,7 @@ class Broker:
             if self._closed:
                 raise QueueClosed("broker is closed")
             timestamp = self.clock.reserve(len(batch))
-            routes = self._routes
+            routes, prune = self._routes, self._prune
             lines = []
             line = lines.append
             try:
@@ -384,9 +423,8 @@ class Broker:
                     if route is None:
                         route = self._route(routing)
                     line(f"{text}\t{timestamp}\t{message}\n")
-                    if route and _deliver(route, keyed_event(key, timestamp, message)):
-                        # the events left re-route without the done subscriber
-                        routes.clear()
+                    if route:
+                        _deliver(route, keyed_event(key, timestamp, message), prune)
                     timestamp += 1
             finally:
                 self._published += len(lines)

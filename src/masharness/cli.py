@@ -79,6 +79,13 @@ def _stats_entries(stats: dict) -> dict:
     return {f"stats.{name}": value for name, value in stats.items()}
 
 
+def _event_counts(broker: Broker) -> dict:
+    """A closed broker's events published, and delivered by all its queues and subscribers."""
+    counts = broker.stats()
+    return {"events_published": counts.published,
+            "events_delivered": sum(q.delivered for q in counts.queues.values())}
+
+
 def write_manifest(path: str, command: str, entries: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command: {command}\n")
@@ -99,6 +106,7 @@ def cmd_simulate(args) -> int:
         metrics = run_episode(config, decode(genes, topology), broker, faults=faults, stats=stats)
     finally:
         broker.close()
+    stats.update(_event_counts(broker))
     print(f"pPeople={metrics.pPeople:.6f}")
     print(f"pTrip={metrics.pTrip:.6f}")
     print(f"pEnergy={metrics.pEnergy:.6f}")
@@ -133,6 +141,7 @@ def cmd_evolve(args) -> int:
         result = run_observer(config, ga_config, broker, history_path=history_path)
     finally:
         broker.close()
+    stats = _event_counts(broker)
     save_genome(out_path, result.best.genes, NetworkTopology(hiddenCount=ga_config.hiddenCount))
     report = result.finalReport
     print(f"fitness={report.fitness:.6f}")
@@ -153,6 +162,7 @@ def cmd_evolve(args) -> int:
             "fitness": f"{report.fitness:.6f}",
             "energyTargetMet": report.energyTargetMet,
             "peopleTargetMet": report.peopleTargetMet,
+            **_stats_entries(stats),
         },
     )
     return 0
@@ -176,7 +186,7 @@ def run_test_plan(
     observer evaluation protocol.  An error monitor on ``*.*.*.error.#``
     annotates every verdict with the error-level events it saw.  Verdicts
     are taken in plan order once the broker is closed.  ``stats`` gets the
-    episode's tick counts (run_episode).
+    episode's tick counts (run_episode), then the broker's event counts.
     """
     broker = Broker(tap=tap)
     error_notes = []
@@ -201,6 +211,8 @@ def run_test_plan(
         )
     finally:
         broker.close()
+    if stats is not None:
+        stats.update(_event_counts(broker))
     verdicts = [machine.finish() for machine in machines]
     if error_notes:
         verdicts = [replace(v, annotations=tuple(error_notes)) for v in verdicts]

@@ -19,7 +19,11 @@ state of a batch of episodes as (episodes, lights) numpy arrays, and each
 silent episodes that way, in chunks of rows under TICK_BYTES;
 ``run_episode`` steps a batch of one, and with a broker attached the
 handshake, ``sense``, ``actuate`` and finishSimulation each publish one
-broker batch of that episode's events, light by light.
+broker batch of that episode's events, light by light.  A logged tick
+renders its messages from tables: a grid's interned keys and the
+``(key, message)`` pairs that hold no reading (``_GridLog``, once per
+grid), the ``brightness=`` and the few ``level=`` texts (once per world).
+Only the readings and outputs that vary are formatted each tick.
 
 A batch of NeuralControllers, which hold no state, stops stepping an
 episode once it repeats.  A row's state is ``radiating``, ``outbox`` (bit
@@ -78,9 +82,9 @@ TICK_BYTES = 2 ** 26
 #: grid layouts (ids, near, peers) by (gridWidth, gridHeight, wirelessRange),
 #: about 1.5 MB for a 100x100 grid, shared by every world of the grid
 _layouts = BoundedMemo(4)
-#: log_keys tables by (gridWidth, gridHeight); a 100x100 grid's holds
-#: 90,008 keys in about 47 MB, so few are kept
-_log_key_tables = BoundedMemo(2)
+#: _GridLog tables by (gridWidth, gridHeight); a 100x100 grid's holds
+#: 90,008 keys and its messages in about 62 MB, so few are kept
+_grid_logs = BoundedMemo(2)
 #: the WorldState arrays with one row per live episode
 _ROW_ARRAYS = ("live", "radiating", "outbox", "step", "arrived", "ticks_moving", "on_ticks",
                "saved", "counted")
@@ -310,17 +314,48 @@ def _layout(config: WorldConfig) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
     return _layouts.remember(grid, (ids, near, peers))
 
 
-def _log_keys(config: WorldConfig) -> dict[str, dict[str, EventKey]]:
-    """A grid's interned event keys by agent (a light's id or a _LOG_SITES name), then action."""
+class _GridLog:
+    """A grid's interned event keys, and the ``(key, message)`` pairs it logs that hold no reading.
+
+    ``keys`` maps an agent (a light's id or a _LOG_SITES name), then an
+    action, to its key.  Per light, in light order: ``sense`` holds
+    (receiveWirelessData key, readLightSensor key, the motion=0 and motion=1
+    pairs, the frame pair); ``act`` holds (light id, the deciding pair,
+    receiveNeuralNetworkCommand key, the off and on pairs, sendWirelessData
+    key, detectLight key).  ``handshake`` is the Manager's handshake batch,
+    five pairs per light.
+    """
+
+    def __init__(self, config: WorldConfig):
+        ids = _layout(config)[0]
+        self.keys = keys = {
+            name: intern_sites(agentType, name, actions)
+            for (agentType, agent), actions in _LOG_SITES.items()
+            for name in (ids if agent is _LIGHT else [agent])}
+        manager, agent = keys["manager01"], keys["lightsAgent"]
+        self.sense, self.act, self.handshake = [], [], []
+        for light in ids:
+            k = keys[light]
+            motion = k["readMotionSensor"]
+            self.sense.append((k["receiveWirelessData"], k["readLightSensor"],
+                               ((motion, "motion=0"), (motion, "motion=1")),
+                               (k["sendMsg"], f"frame from {light}")))
+            self.act.append((light, (agent["useControllerToGetOutput"], f"deciding for {light}"),
+                             k["receiveNeuralNetworkCommand"],
+                             ((k["switchLightOFF"], "off"), (k["switchLightON"], "on")),
+                             k["sendWirelessData"], k["detectLight"]))
+            self.handshake += (
+                (manager["receiveMsgFromSmartThing"], f"thing={light}"),
+                (manager["createAdaptiveAgent"], f"controller for {light}"),
+                (agent["connect"], f"{light} joined"),
+                (manager["sendMsgToSmartThing"], f"ack to {light}"),
+                (agent["receiveInputDataFromSmartThing"], f"initial data from {light}"))
+
+
+def _grid_log(config: WorldConfig) -> _GridLog:
+    """A grid's _GridLog, built once per grid."""
     grid = (config.gridWidth, config.gridHeight)
-    table = _log_key_tables.get(grid)
-    if table is not None:
-        return table
-    ids = _layout(config)[0]
-    return _log_key_tables.remember(grid, {
-        name: intern_sites(agentType, name, actions)
-        for (agentType, agent), actions in _LOG_SITES.items()
-        for name in (ids if agent is _LIGHT else [agent])})
+    return _grid_logs.get(grid) or _grid_logs.remember(grid, _GridLog(config))
 
 
 def _staircase(start, end, rng: random.Random) -> tuple[tuple[int, int], ...]:
@@ -382,7 +417,7 @@ class WorldState:
     episode array has one more column, a sentinel light that never radiates
     and never transmits, and the index tables are padded with it.  The ids
     and index tables (``near``, ``peers``) are built once per grid and shared,
-    read-only, by its worlds, as is a logged world's ``log_keys``.  Row r of
+    read-only, by its worlds, as is a logged world's ``log``.  Row r of
     the episode arrays is episode ``live[r]``; an episode whose pedestrians
     have all arrived leaves the batch, which keeps its metrics and drops its
     row.  Routes are built before faults are checked, so a world that can
@@ -399,8 +434,6 @@ class WorldState:
         self.ids, self.near, self.peers = _layout(config)
         routes = build_routes(config, random.Random(config.rngSeed))
         self.faulty = _fault_masks(self.ids, faults)
-        #: a logged world's event keys, the grid's _log_keys table
-        self.log_keys = _log_keys(config) if broker is not None else {}
 
         # a light sensor reads the ambient level plus lightBrightness once per
         # radiating lamp it sees, added one by one; this table holds those sums
@@ -408,6 +441,12 @@ class WorldState:
         for _ in range(5):
             spill.append(spill[-1] + config.lightBrightness)
         self.level_of = np.minimum(np.array(spill), 1.0)
+        if broker is not None:
+            #: a logged world's _GridLog, shared by the worlds of its grid
+            self.log = _grid_log(config)
+            # each light level's text; not zero's, as -0.0 == 0.0 but prints its sign
+            self.level_texts = {v: f"level={v:.6f}" for v in self.level_of.tolist() if v}
+            self.brightness = f"brightness={config.lightBrightness:.6f}"
         # walking light is a node's own lamp over the ambient level
         threshold = config.darkThreshold
         self.lit_walkable = min(config.ambientLight + config.lightBrightness, 1.0) > threshold
@@ -441,7 +480,7 @@ class WorldState:
     # -- logging -----------------------------------------------------------
 
     def publish(self, batch: list[tuple[EventKey, str]]) -> None:
-        """Publish ``(log_keys key, message)`` pairs as one batch of the attached broker."""
+        """Publish ``(log.keys key, message)`` pairs as one batch of the attached broker."""
         self.broker.publish_batch(batch)
         if self.period is not None:
             self.period.append(batch)
@@ -563,15 +602,12 @@ def init_world(
     if broker is not None:
         broker.clock.advance_to(0)
         # the Manager bootstraps each light's controlling agent
-        manager, agent = world.log_keys["manager01"], world.log_keys["lightsAgent"]
-        batch = []
-        for light, skip in zip(world.ids, world.faulty[FAULT_SKIP_HANDSHAKE].tolist()):
-            batch.append((manager["receiveMsgFromSmartThing"], f"thing={light}"))
-            if not skip:
-                batch.append((manager["createAdaptiveAgent"], f"controller for {light}"))
-            batch += ((agent["connect"], f"{light} joined"),
-                      (manager["sendMsgToSmartThing"], f"ack to {light}"),
-                      (agent["receiveInputDataFromSmartThing"], f"initial data from {light}"))
+        skips = world.faulty[FAULT_SKIP_HANDSHAKE]
+        batch = world.log.handshake
+        if skips.any():
+            # a skipped light's handshake has no createAdaptiveAgent, its second pair of five
+            skip = skips.tolist()
+            batch = [pair for n, pair in enumerate(batch) if n % 5 != 1 or not skip[n // 5]]
         world.publish(batch)
     return world
 
@@ -599,14 +635,13 @@ def sense(world: WorldState) -> np.ndarray:
     # fmax skips a NaN outbox, as a running max() from 0.0 does
     np.fmax.reduce(world.outbox[:, world.peers.T], axis=1, out=inputs[:, :, 2])
     if world.broker is not None:
-        log_keys = world.log_keys
+        levels = world.level_texts
         batch = []
-        for light, (light_level, moving, received) in zip(world.ids, inputs[0].tolist()):
-            keys = log_keys[light]
-            batch += ((keys["receiveWirelessData"], f"in={received:.6f}"),
-                      (keys["readLightSensor"], f"level={light_level:.6f}"),
-                      (keys["readMotionSensor"], f"motion={moving:.0f}"),
-                      (keys["sendMsg"], f"frame from {light}"))
+        for (received_key, level_key, motion, frame), (light_level, moving, received) in zip(
+                world.log.sense, inputs[0].tolist()):
+            batch += ((received_key, f"in={received:.6f}"),
+                      (level_key, levels.get(light_level) or f"level={light_level:.6f}"),
+                      motion[moving > 0.0], frame)
         world.publish(batch)
     return inputs
 
@@ -629,29 +664,28 @@ def actuate(world: WorldState, inputs: np.ndarray, outputs: np.ndarray) -> None:
     world.on_ticks += light_on.sum(axis=1)
     if world.broker is None:
         return
-    log_keys = world.log_keys
-    agent = log_keys["lightsAgent"]
-    collect, decide, act = (agent["receiveInputDataFromSmartThing"],
-                            agent["useControllerToGetOutput"], agent["sendOutputToSmartThing"])
-    brightness = f"brightness={world.config.lightBrightness:.6f}"
+    agent, levels = world.log.keys["lightsAgent"], world.level_texts
+    collect, act = agent["receiveInputDataFromSmartThing"], agent["sendOutputToSmartThing"]
     batch = []
-    for light, (level, motion, wireless), (led, out), mute, radiating in zip(
-            world.ids, inputs[0].tolist(), outputs[0].tolist(), muted.tolist(),
-            world.radiating[0].tolist()):
-        keys = log_keys[light]
+    for (light, decide, command_key, switch, send, detect), (level, motion, wireless), \
+            (led, out), mute, radiating in zip(world.log.act, inputs[0].tolist(),
+                                               outputs[0].tolist(), muted.tolist(),
+                                               world.radiating[0].tolist()):
+        level_text = levels.get(level) or f"level={level:.6f}"
+        out_text = f"{out:.6f}"
+        command = f"led={led:.6f} wireless={out_text}"
         batch += (
-            (collect,
-             f"from {light} level={level:.6f} motion={motion:.0f} wireless={wireless:.6f}"),
-            (decide, f"deciding for {light}"),
-            (act, f"to {light} led={led:.6f} wireless={out:.6f}"),
-            (keys["receiveNeuralNetworkCommand"], f"led={led:.6f} wireless={out:.6f}"),
-            (keys["switchLightON"], "on") if led > 0 else (keys["switchLightOFF"], "off"),
-            # the log keeps max()'s sign: an output of -0.0 is reported as out=-0.000000
-            (keys["sendWirelessData"], f"out={0.0 if mute else max(out, 0.0):.6f}"),
+            (collect, f"from {light} {level_text} motion={motion:.0f} wireless={wireless:.6f}"),
+            decide,
+            (act, f"to {light} {command}"),
+            (command_key, command),
+            switch[led > 0],
+            # as max(out, 0.0) logs it: -0.0 and NaN keep their text, a negative out is 0
+            (send, "out=0.000000" if mute or out < 0.0 else "out=" + out_text),
         )
         if radiating:
             # own sensor confirms a brightness at or above the lamp's own output
-            batch.append((keys["detectLight"], brightness))
+            batch.append((detect, world.brightness))
     world.publish(batch)
 
 
@@ -793,7 +827,7 @@ def run_episode(
     metrics = _run(world, ControllerBatch([controller]))[0]
     # every pedestrian arrived (and the episode left the batch), or there are none
     if broker is not None and world.arrived.all():
-        world.publish([(world.log_keys["lights"]["finishSimulation"], f"tick={world.tick}")])
+        world.publish([(world.log.keys["lights"]["finishSimulation"], f"tick={world.tick}")])
     if stats is not None:
         stats["ticks_stepped"] = world.tick - world.ticks_replayed
         stats["ticks_replayed"] = world.ticks_replayed

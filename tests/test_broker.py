@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -543,6 +544,28 @@ class TestRetiringSubscribers:
         assert stats.published == 5
         assert stats.queues["once"] == QueueStats(matched=1, delivered=1, dropped=0, buffered=0)
 
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "one-by-one"])
+    def test_a_subscriber_done_before_another_raises_is_done(self, batched):
+        broker = Broker()
+        got = []
+        broker.subscribe("once", ["#"], lambda event: got.append(event.message) or True)
+
+        def boom(event):
+            if event.message == "a":
+                raise Boom()
+
+        broker.subscribe("boom", ["#"], boom)
+        key = event_key("lightContainer", "node1", "ping", sourceUnit="Light",
+                        sourceOperation="act", sourceLine=7, resource="lightActuator")
+        for message in ("a", "b"):
+            with contextlib.suppress(Boom):
+                if batched:
+                    broker.publish_batch([(key, message)])
+                else:
+                    broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
+        assert got == ["a"]
+        assert broker.stats().queues["once"].delivered == 1
+
     def test_only_true_means_done(self):
         broker = Broker()
         got = []
@@ -561,6 +584,136 @@ class TestRetiringSubscribers:
         assert broker.publish(event(clock=broker.clock, message="after")).matched == 1
         assert [e.message for e in got] == ["after"]
         assert broker.stats().queues["first"].delivered == 1
+
+
+class ScanModel:
+    """The broker as a scan: each event is matched with ``_match`` against every
+    binding of every live target, in declaration order.
+
+    ``targets`` holds (name, is_queue, patterns, capacity, retire_after); a
+    subscriber is done once it has had ``retire_after`` events.
+    """
+
+    def __init__(self, targets):
+        self.targets = [dict(name=name, queue=is_queue, capacity=capacity, retire=retire,
+                             patterns=[tuple(p.split(".")) for p in patterns],
+                             got=[], buffer=[], matched=0, dropped=0, done=False)
+                        for name, is_queue, patterns, capacity, retire in targets]
+        self.tap = []
+        self.built = 0
+        self.timestamp = 0
+
+    def publish(self, key, message, *, batched):
+        """Publish one event; returns how many targets it matched."""
+        segments = key[8].segments
+        item = (self.timestamp, key[8].text, message)
+        self.tap.append("%s\t%d\t%s\n" % (key[8].text, self.timestamp, message))
+        self.timestamp += 1
+        route = [t for t in self.targets
+                 if not t["done"] and any(_match(p, segments) for p in t["patterns"])]
+        # a batch builds an event only for a matched key; publish is handed a built one
+        self.built += batched and bool(route)
+        for t in route:
+            t["matched"] += 1
+            if not t["queue"]:
+                t["got"].append(item)
+                t["done"] = len(t["got"]) == t["retire"]
+            elif len(t["buffer"]) < t["capacity"]:
+                t["buffer"].append(item)
+            else:
+                t["buffer"] = t["buffer"][1:] + [item]
+                t["dropped"] += 1
+        return len(route)
+
+    def stats(self):
+        return {t["name"]: QueueStats(matched=t["matched"],
+                                      delivered=0 if t["queue"] else len(t["got"]),
+                                      dropped=t["dropped"], buffered=len(t["buffer"]))
+                for t in self.targets}
+
+
+#: (name, queue?, patterns, capacity, retire after) per target
+MODEL_TARGETS = st.lists(
+    st.tuples(st.booleans(),
+              st.lists(st.lists(st.sampled_from([*BATCH_WORDS, "info", "*", "#"]),
+                                min_size=1, max_size=8).map(".".join),
+                       min_size=1, max_size=2),
+              st.integers(1, 3), st.one_of(st.none(), st.integers(1, 4))),
+    min_size=1, max_size=5,
+).map(lambda targets: [(f"t{i}", *t) for i, t in enumerate(targets)])
+#: (batched?, items) per call: one publish_batch, or one publish per item
+MODEL_CALLS = st.lists(st.tuples(st.booleans(), BATCH_ITEMS), max_size=5)
+
+
+def run_against_model(targets, calls):
+    """Run ``calls`` through a Broker and through ScanModel, check they agree; returns the model."""
+    model = ScanModel(targets)
+    got = {name: [] for name, *_ in targets}
+    built = []
+
+    def deliver(name, retire, event):
+        got[name].append((event.timestamp, event.key.text, event.message))
+        return len(got[name]) == retire
+
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(broker_module, "keyed_event",
+                      lambda *args: built.append(args) or keyed_event(*args))
+        broker = Broker(tap=f"{tmp}/tap.log")
+        handles = {}
+        for name, is_queue, patterns, capacity, retire in targets:
+            if is_queue:
+                handles[name] = broker.declare_queue(name, patterns, capacity=capacity)
+            else:
+                broker.subscribe(name, patterns, functools.partial(deliver, name, retire))
+        receipts, expected = [], []
+        for batched, items in calls:
+            if batched:
+                broker.publish_batch(items)
+            for key, message in items:
+                matched = model.publish(key, message, batched=batched)
+                if not batched:
+                    event = keyed_event(key, broker.clock.next_timestamp(), message)
+                    receipts.append(broker.publish(event).matched)
+                    expected.append(matched)
+        assert receipts == expected
+        assert broker.stats().queues == model.stats()
+        assert broker.stats().published == len(model.tap)
+        for t in model.targets:
+            if t["queue"]:
+                queued = iter(lambda h=handles[t["name"]]: h.consume(0.0), None)
+                assert [(e.timestamp, e.key.text, e.message) for e in queued] == t["buffer"]
+            else:
+                assert got[t["name"]] == t["got"]
+        broker.close()
+        with open(f"{tmp}/tap.log", encoding="utf-8") as fh:
+            assert fh.read() == "".join(model.tap)
+    assert len(built) == model.built
+    return model
+
+
+class TestScanModel:
+    """Routing by class, with retirements, equals a scan of every live binding."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(targets=MODEL_TARGETS, calls=MODEL_CALLS)
+    def test_publish_and_batches_equal_the_model(self, targets, calls):
+        run_against_model(targets, calls)
+
+    def test_a_retirement_in_the_middle_of_a_batch(self):
+        key = functools.partial(event_key, "lightContainer", sourceUnit="Light",
+                                sourceOperation="act", sourceLine=7, resource="lightActuator")
+        ping, pong = key("node1", "ping"), key("node2", "pong")
+        targets = [("twice", False, ["*.*.ping.#"], 1, 2), ("all", False, ["#"], 1, None),
+                   ("q", True, ["*.node1.#", "*.node2.#"], 2, None), ("once", False, ["#"], 1, 1)]
+        calls = [(False, [(pong, "a")]),
+                 (True, [(ping, "b"), (pong, "c"), (ping, "d"), (ping, "e"), (pong, "f")]),
+                 (False, [(ping, "g")])]
+        model = run_against_model(targets, calls)
+        twice, _, q, once = model.targets
+        # "twice" retires at the batch's third event, and no ping after it reaches it
+        assert [m for _, _, m in twice["got"]] == ["b", "d"]
+        assert [m for _, _, m in once["got"]] == ["a"]
+        assert [m for _, _, m in q["buffer"]] == ["f", "g"] and q["dropped"] == 5
 
 
 class TestCarriedKey:

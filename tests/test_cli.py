@@ -510,13 +510,21 @@ class TestTest:
         assert "line 2" in capsys.readouterr().err
 
 
-def manifest_ticks(path):
-    """A manifest's (ticks stepped, ticks replayed), its last lines before ``wallclock:``."""
+def manifest_stats(path):
+    """A manifest's ``stats.`` entries by name, checked to be its last lines before ``wallclock:``."""
     lines = Path(path).read_text().splitlines()
     assert lines[-1].startswith("wallclock: ")
-    (stepped, s), (replayed, r) = (line.split(": ") for line in lines[-3:-1])
-    assert (stepped, replayed) == ("stats.ticks_stepped", "stats.ticks_replayed")
-    return int(s), int(r)
+    entries = [line.split(": ") for line in lines[:-1]]
+    names = [name for name, _ in entries]
+    stats = [i for i, name in enumerate(names) if name.startswith("stats.")]
+    assert stats == list(range(len(names) - len(stats), len(names)))
+    return {name[len("stats."):]: int(value) for name, value in entries[stats[0]:]}
+
+
+def manifest_ticks(path):
+    """A manifest's (ticks stepped, ticks replayed)."""
+    stats = manifest_stats(path)
+    return stats["ticks_stepped"], stats["ticks_replayed"]
 
 
 class TestManifestTicks:
@@ -548,6 +556,43 @@ class TestManifestTicks:
         assert texts[0][:-1] == texts[1][:-1]
         assert texts[0][-1].startswith("wallclock: ") and texts[1][-1].startswith("wallclock: ")
         assert manifest_ticks(manifest)[1] > 0
+
+
+class TestManifestEventCounts:
+    """``stats.events_published`` and ``stats.events_delivered`` end every
+    test, simulate and evolve manifest, read from the closed broker."""
+
+    def test_a_default_test_run_counts_every_tap_line(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        assert main(["test", "--manifest", manifest, "--tap", tap]) == 0
+        stats = manifest_stats(manifest)
+        assert list(stats)[-2:] == ["events_published", "events_delivered"]
+        lines = Path(tap).read_bytes().count(b"\n")
+        assert stats["events_published"] == lines == 1961
+        # each machine and the error monitor get only the events they judge
+        assert 0 < stats["events_delivered"] < lines
+
+    def test_a_simulate_run_delivers_nothing(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        assert main(["simulate", "--seed", "1", "--manifest", manifest, "--tap", tap]) == 0
+        stats = manifest_stats(manifest)
+        assert stats["events_published"] == Path(tap).read_bytes().count(b"\n") > 0
+        assert stats["events_delivered"] == 0
+
+    def test_two_identical_evolve_runs_manifests_differ_only_in_wallclock(self, tmp_path,
+                                                                         capsys):
+        manifest, tap = out_paths(tmp_path)
+        argv = ["evolve", "--config", small_world(tmp_path),
+                "--ga-config", TestEvolve().ga_file(tmp_path, generations=1),
+                "--genome", str(tmp_path / "g.txt"), "--manifest", manifest, "--tap", tap]
+        texts = []
+        for _ in range(2):
+            assert main(argv) == 0
+            texts.append(Path(manifest).read_text().splitlines())
+        assert texts[0][:-1] == texts[1][:-1]
+        stats = manifest_stats(manifest)
+        assert list(stats) == ["events_published", "events_delivered"]
+        assert stats["events_published"] == Path(tap).read_bytes().count(b"\n") > 0
 
 
 class TestTimeline:
@@ -784,7 +829,7 @@ class TestKeyedPublishing:
         monkeypatch.setattr(logmodel, "_check_word",
                             lambda name, value: checks.append(value) or check_word(name, value))
         for memo in (logmodel._keys, logmodel._event_keys, logmodel._valid_words,
-                     world_module._log_key_tables):
+                     world_module._grid_logs):
             memo.clear()
         evolution._observer_keys.cache_clear()
         keys = self.run(tmp_path / "cold.log")
@@ -995,6 +1040,67 @@ class TestTimelineContract:
         else:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
             assert stderr.endswith("\n") and out.getvalue() == ""
+
+
+#: per WorldConfig key, drawn values that it accepts on its own, within a grid of
+#: 6x6 and 30 ticks, and values that it does not
+CONFIG_VALUES = {
+    "gridWidth": st.integers(1, 6), "gridHeight": st.integers(1, 6),
+    "wirelessRange": st.integers(0, 3), "numPeople": st.integers(0, 8),
+    "maxTicks": st.integers(1, 30), "rngSeed": st.integers(-5, 10**6),
+    "ambientLight": st.floats(0.0, 0.3), "lightBrightness": st.floats(0.3, 1.0),
+    "darkThreshold": st.floats(0.0, 0.3), "energyPerTickOn": st.floats(0.1, 2.0),
+}
+BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "1e400", "0", "7", "", "x"])
+GOOD_LINES = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: CONFIG_VALUES[key].map(lambda value: f"{key}={value}"))
+BAD_LINES = st.one_of(
+    st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+        lambda key: BAD_VALUES.map(lambda value: f"{key}={value}")),
+    st.sampled_from(["gridWidth", "=", "colour=red", "gridWidth=2.5", "ambientLight=0,5"]),
+    st.text(alphabet="a=#1. \té", max_size=10),
+)
+#: key=value lines, the accepted ones (and comments) first and at most one other at the end
+CONFIG_LINES = st.builds(
+    lambda good, bad: good + bad,
+    st.lists(st.one_of(GOOD_LINES, st.sampled_from(["", "# comment"])), max_size=6),
+    st.lists(BAD_LINES, max_size=1))
+FAULT_TEXTS = st.one_of(
+    st.tuples(st.sampled_from(world_module.FAULT_KINDS),
+              st.lists(st.integers(1, 36).map(lambda n: f"node{n}"), min_size=1, max_size=3)
+              ).map(lambda f: f"{f[0]}:{','.join(f[1])}"),
+    st.sampled_from(["melt:node1", "go-dark", "go-dark:", ":node1", "go-dark:,", "go-dark:node0",
+                     "go-dark:node01", "sensor-stuck:lights"]),
+    st.text(alphabet="go-dark:node1,é ", max_size=16),
+)
+
+
+class TestRunContract:
+    """``test`` and ``simulate`` on any fault text and world config: exit 0, 1 or
+    2, with 1 only from ``test``, and stderr empty or one ``error:`` line."""
+
+    @settings(max_examples=150, deadline=None)
+    @example("go-dark:node10", ["gridWidth=6", "gridHeight=6", "maxTicks=30"], "test")
+    @example("skip-handshake:node1", ["ambientLight=nan"], "simulate")
+    @example("mute-wireless:node2,node2", ["numPeople=0", "maxTicks=1"], "test")
+    @given(FAULT_TEXTS, CONFIG_LINES, st.sampled_from(["test", "simulate"]))
+    def test_exit_code_and_stderr(self, fault, lines, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "world.cfg"
+            config.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--fault", fault, "--config", str(config),
+                             "--tap", str(Path(tmp) / "tap.log"),
+                             "--manifest", str(Path(tmp) / "m.txt")])
+        stderr = err.getvalue()
+        assert code in ((0, 1, USAGE_ERROR) if command == "test" else (0, USAGE_ERROR))
+        assert "Traceback" not in stderr
+        if code == USAGE_ERROR:
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1
+            assert stderr.endswith("\n") and out.getvalue() == ""
+        else:
+            assert stderr == ""
 
 
 def assert_one_error_line(capsys):

@@ -848,9 +848,9 @@ class TestRunEpisode:
 class TestInternedKeys:
     def test_worlds_of_one_grid_and_tag_share_one_key_table(self):
         with Broker() as first, Broker() as second, Broker() as wider:
-            keys = init_world(cfg(), first).log_keys
-            assert init_world(cfg(rngSeed=9, wirelessRange=2), second).log_keys is keys
-            other = init_world(cfg(gridWidth=3), wider).log_keys
+            keys = init_world(cfg(), first).log.keys
+            assert init_world(cfg(rngSeed=9, wirelessRange=2), second).log.keys is keys
+            other = init_world(cfg(gridWidth=3), wider).log.keys
         assert other is not keys
         assert keys["node1"]["readLightSensor"][1] == "node1"
         assert set(other) - set(keys) == {"node5", "node6"}
