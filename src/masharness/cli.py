@@ -175,7 +175,6 @@ def run_test_plan(
     topology: NetworkTopology,
     faults=(),
     *,
-    wallclock: bool = False,
     tap: str | None = None,
     stats: dict | None = None,
 ):
@@ -195,7 +194,7 @@ def run_test_plan(
         error_notes.append(f"error log: {routing_key(event).encode()} {event.message}")
 
     try:
-        machines = [compile_machine(case, wallclock=wallclock) for case in cases]
+        machines = [compile_machine(case) for case in cases]
         for machine in machines:
             broker.subscribe(machine.name, machine.patterns, machine.offer)
         # plan names are single tokens, so this name cannot collide with one
@@ -235,7 +234,6 @@ def cmd_test(args) -> int:
         genes,
         topology,
         faults,
-        wallclock=args.wallclock,
         tap=args.tap,
         stats=stats,
     )
@@ -313,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ga-config", help="GA config file (key=value)")
         if plan:
             p.add_argument("--plan", help="test plan file")
-            p.add_argument("--wallclock", action="store_true",
-                           help="real-time state timeouts instead of simulation ticks")
         p.add_argument("--tap", help="mirror all published events to this file")
 
     p_sim = sub.add_parser("simulate", help="run one logged episode")

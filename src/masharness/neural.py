@@ -117,27 +117,26 @@ def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
 
 
 def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
-    """Inverse of save_genome.  Raises GenomeShapeMismatch on a bad file."""
+    """Inverse of save_genome.  Raises GenomeShapeMismatch, naming the file, on a bad one."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = [ln.strip() for ln in fh if ln.strip()]
         except UnicodeDecodeError as exc:
             raise GenomeShapeMismatch(f"genome {path} is not UTF-8 text: {exc.reason}") from None
     if not lines:
-        raise GenomeShapeMismatch("empty genome file")
+        raise GenomeShapeMismatch(f"genome {path}: empty genome file")
     header = lines[0].split()
     if len(header) != 3:
-        raise GenomeShapeMismatch(f"bad topology header {lines[0]!r}")
+        raise GenomeShapeMismatch(f"genome {path}: bad topology header {lines[0]!r}")
     try:
         topology = NetworkTopology(*(int(tok) for tok in header))
         genes = tuple(float(tok) for tok in lines[1:])
     except ValueError as exc:
-        raise GenomeShapeMismatch(str(exc)) from exc
+        raise GenomeShapeMismatch(f"genome {path}: {exc}") from None
     _check_controller_shape(topology, f"genome {path}")
     if len(genes) != topology.genomeLength:
-        raise GenomeShapeMismatch(
-            f"header promises {topology.genomeLength} genes, file has {len(genes)}"
-        )
+        raise GenomeShapeMismatch(f"genome {path}: header promises "
+                                  f"{topology.genomeLength} genes, file has {len(genes)}")
     if not all(math.isfinite(gene) for gene in genes):
         raise GenomeShapeMismatch(f"genome {path} has a gene that is not a finite number")
     return topology, genes

@@ -9,15 +9,13 @@ subscriber or from a queue by ``run``, and ``finish`` gives the verdict.
 ``offer`` returns True once the machine has passed or failed, which an
 inline subscriber uses to leave the broker's routes: later events could
 not change the verdict.
-Deadlines are measured on the events' virtual clock by default, so a
-verdict is a pure function of the ordered events the machine's bindings
-match; wallclock mode exists for live runs.
+Deadlines are measured on the events' virtual clock, so a verdict is a
+pure function of the ordered events the machine's bindings match.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, replace
 
 from .broker import QueueClosed, QueueHandle, _match
@@ -33,11 +31,8 @@ LEVELS = ("local", "global")
 SUB_LEVELS = ("framework", "scenario", "learning", "mas")
 
 DEFAULT_MAX_WAIT_TICKS = 500
-#: longest wait a transition may have; its deadline, 10**15 microseconds past
-#: the time its state was entered, stays an exact float (below 2**53)
+#: longest wait a transition may have
 MAX_WAIT_TICKS = 1_000_000_000
-#: wallclock seconds that stand in for one tick (500 ticks == 5 s)
-SECONDS_PER_TICK = 0.01
 
 
 class TestkitError(Exception):
@@ -121,7 +116,7 @@ class TestVerdict:
     outcome: str  # "pass" or "fail"
     failedState: str | None
     missingPatterns: tuple[str, ...]
-    elapsed: float  # ticks from the clock origin to the last event judged
+    elapsed: float  # ticks from time 0 to the last event judged
     trace: tuple[LogEvent, ...]
     reason: str = ""
     annotations: tuple[str, ...] = ()
@@ -138,13 +133,12 @@ class TestMachine:
     alternatives.  Reaching the last state is a pass.  Once passed or failed
     the machine is frozen and ignores further events.
 
-    Times are microseconds on one of two clocks: the offered event's
-    timestamp (virtual time, origin 0), or ``time.monotonic()`` at the offer
-    with SECONDS_PER_TICK per tick (wallclock, origin at compile time).  A
-    state's deadline is maxWait ticks after the time that entered it.
+    Times are the offered events' timestamps in microseconds (virtual time,
+    origin 0).  A state's deadline is maxWait ticks after the time that
+    entered it.
     """
 
-    def __init__(self, case: TestCase, *, wallclock: bool = False):
+    def __init__(self, case: TestCase):
         self.case = case
         self.specs = case.validationSequence
         self.states = ("start",) + tuple(spec.label() for spec in self.specs)
@@ -156,8 +150,7 @@ class TestMachine:
         self.status = MachineStatus.RUNNING
         self.trace: list[LogEvent] = []
         self.failureReason: str | None = None
-        self.wallclock = wallclock
-        self._origin = self._entered = self._last = _wall_now() if wallclock else 0
+        self._entered = self._last = 0
 
     @property
     def name(self) -> str:
@@ -175,10 +168,10 @@ class TestMachine:
                 self.status = MachineStatus.PASSED
         return self.status
 
-    def _deadline(self) -> float:
+    def _deadline(self) -> int:
         return self._entered + self.specs[self.current].maxWait * TICK_US
 
-    def _fail_if_late(self, now: float) -> bool:
+    def _fail_if_late(self, now: int) -> bool:
         """Fail at the pending deadline when ``now`` is past it."""
         if now <= self._deadline():
             return False
@@ -195,7 +188,7 @@ class TestMachine:
         """
         if self.status is not MachineStatus.RUNNING:
             return True
-        now = _wall_now() if self.wallclock else event.timestamp
+        now = event.timestamp
         if self._fail_if_late(now):
             self.trace.append(event)
             return True
@@ -206,16 +199,10 @@ class TestMachine:
             self._entered = now
         return self.status is not MachineStatus.RUNNING
 
-    def seconds_left(self) -> float | None:
-        """Real time to the pending deadline; None (no bound) in virtual time."""
-        if not self.wallclock:
-            return None
-        return max(0.0, (self._deadline() - _wall_now()) / _WALL_US_PER_SECOND)
-
     def finish(self) -> TestVerdict:
         """End of stream: a machine still running fails at its state."""
         if self.status is MachineStatus.RUNNING:
-            end = _wall_now() if self.wallclock else max(self._last, self._entered)
+            end = max(self._last, self._entered)
             if not self._fail_if_late(end):
                 self._last = end
                 self.status = MachineStatus.FAILED
@@ -227,23 +214,15 @@ class TestMachine:
             outcome="pass" if passed else "fail",
             failedState=None if passed else self.states[self.current],
             missingPatterns=tuple(alt.encode() for alt in pending),
-            elapsed=(self._last - self._origin) / TICK_US,
+            elapsed=self._last / TICK_US,
             trace=tuple(self.trace),
             reason=self.failureReason or "",
         )
 
 
-#: tick-time microseconds per wallclock second
-_WALL_US_PER_SECOND = TICK_US / SECONDS_PER_TICK
-
-
-def _wall_now() -> float:
-    return time.monotonic() * _WALL_US_PER_SECOND
-
-
-def compile(case: TestCase, *, wallclock: bool = False) -> TestMachine:  # noqa: A001 - domain verb
-    """Build the runnable state machine for a test case on the chosen clock."""
-    return TestMachine(case, wallclock=wallclock)
+def compile(case: TestCase) -> TestMachine:  # noqa: A001 - domain verb
+    """Build the runnable state machine for a test case."""
+    return TestMachine(case)
 
 
 def _check_bindings_cover(machine: TestMachine, queue: QueueHandle) -> None:
@@ -266,18 +245,15 @@ def _check_bindings_cover(machine: TestMachine, queue: QueueHandle) -> None:
 def run(machine: TestMachine, queue: QueueHandle) -> TestVerdict:
     """Drive a machine to a verdict by consuming a queue.
 
-    Events are offered in FIFO order until the machine passes or fails, the
-    broker is closed and the queue drained, or (wallclock only) the pending
-    deadline passes with nothing delivered.  A verdict over a queue that
+    Events are offered in FIFO order until the machine passes or fails, or
+    the broker is closed and the queue drained.  A verdict over a queue that
     dropped events carries a note giving the count.
     """
     _check_bindings_cover(machine, queue)
     while machine.status is MachineStatus.RUNNING:
         try:
-            event = queue.consume(machine.seconds_left())
+            event = queue.consume()
         except QueueClosed:
-            break
-        if event is None:  # wallclock deadline passed
             break
         machine.offer(event)
     verdict = machine.finish()

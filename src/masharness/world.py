@@ -792,10 +792,12 @@ def _run(world: WorldState, controllers: ControllerBatch) -> list[EpisodeMetrics
     step on.
     """
     periodic = controllers.networks is not None
-    while len(world.live) and world.tick < world.config.maxTicks:
-        step_world(world, controllers)
-        if periodic:
-            world.retire_periodic()
+    # huge finite weights overflow to inf (and inf - inf to nan): IEEE results, not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(world.live) and world.tick < world.config.maxTicks:
+            step_world(world, controllers)
+            if periodic:
+                world.retire_periodic()
     world.period = None
     return world.metrics()
 

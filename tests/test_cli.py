@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -59,6 +60,13 @@ def always_on_genome(tmp_path):
 
 def out_paths(tmp_path):
     return str(tmp_path / "manifest.txt"), str(tmp_path / "tap.log")
+
+
+def main_warning_free(argv):
+    """``main(argv)`` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
 
 
 class TestSimulate:
@@ -167,6 +175,32 @@ class TestSimulate:
         assert str(genome) in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text,message", [
+        ("3 1 2 extra\n" + "0.1\n" * 8, "bad topology header '3 1 2 extra'"),
+        ("3 1 2\n" + "0.1\n" * 9, "header promises 8 genes, file has 9"),
+        ("3.0 1 2\n" + "0.1\n" * 8, "invalid literal for int() with base 10: '3.0'"),
+        ("3 1 2\n0x10\n" + "0.1\n" * 7, "could not convert string to float: '0x10'"),
+        ("3 0 2\n" + "0.1\n" * 2, "all layer sizes must be positive"),
+    ], ids=["header-fields", "gene-count", "int-header", "hex-gene", "zero-layer"])
+    def test_genome_parse_error_names_the_file(self, tmp_path, capsys, text, message):
+        genome = tmp_path / "genome.txt"
+        genome.write_text(text)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["simulate", "--genome", str(genome), "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err == f"error: genome {genome}: {message}\n"
+        assert captured.out == ""
+
+    def test_huge_finite_genes_overflow_without_a_warning(self, tmp_path, capsys):
+        genome = tmp_path / "genome.txt"
+        genome.write_text("3 1 2\n" + "1e308\n" * 8)
+        manifest, tap = out_paths(tmp_path)
+        code = main_warning_free(["simulate", "--genome", str(genome),
+                                  "--manifest", manifest, "--tap", tap])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
     def test_oversized_grid_exits_two_quickly(self, tmp_path, capsys):
         config = small_world(tmp_path, gridWidth=100000, gridHeight=100000)
         manifest, tap = out_paths(tmp_path)
@@ -248,6 +282,16 @@ class TestEvolve:
         best_column = [float(line.split()[1]) for line in history]
         assert best_column == sorted(best_column)
         assert "command: evolve\n" in (tmp_path / "manifest.txt").read_text()
+
+    def test_huge_mutations_overflow_without_a_warning(self, tmp_path, capsys):
+        ga = self.ga_file(tmp_path, generations=2, mutationRate=1, mutationSigma=1e308,
+                          weightLimit=1e308)
+        code = main_warning_free([
+            "evolve", "--config", small_world(tmp_path), "--ga-config", ga,
+            "--genome", str(tmp_path / "winner.txt"), "--manifest", str(tmp_path / "m.txt"),
+        ])
+        assert code == 0
+        assert capsys.readouterr().err == ""
 
     def test_seed_override_changes_the_search(self, tmp_path, capsys):
         manifest = str(tmp_path / "manifest.txt")
@@ -397,22 +441,11 @@ class TestTest:
         assert "VERDICT never-happens FAIL switchLightON" in out
         assert "missing: lightContainer.node1.selfDestruct.#" in out
 
-    def test_wallclock_mode_passes_live_machines(self, tmp_path, capsys):
-        plan = tmp_path / "plan.txt"
-        plan.write_text(
-            "test process-output level=local sublevel=mas\n"
-            "expect AdaptiveAgent.*.useControllerToGetOutput.# within 200ticks\n"
-            "expect AdaptiveAgent.*.sendOutputToSmartThing.# within 200ticks\n"
-        )
+    def test_real_time_deadline_flag_is_gone(self, tmp_path, capsys):
         manifest, tap = out_paths(tmp_path)
-        code = main([
-            "test", "--plan", str(plan), "--config", small_world(tmp_path, numPeople=0, maxTicks=5),
-            "--genome", always_on_genome(tmp_path), "--wallclock",
-            "--manifest", manifest, "--tap", tap,
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "VERDICT process-output PASS" in out
+        assert main(["test", "--wallclock", "--manifest", manifest, "--tap", tap]) == USAGE_ERROR
+        assert_one_error_line(capsys)
+        assert not Path(tap).exists()
 
     def test_machines_judge_inline_without_threads(self, tmp_path, capsys, monkeypatch):
         def no_threads(thread):
@@ -484,16 +517,16 @@ class TestTest:
         assert captured.err == f"error: plan {plan} has no test cases\n"
         assert not Path(tap).exists()
 
-    @pytest.mark.parametrize("duration,flags", [
-        ("\u00b2ticks", []),
-        ("9" * 5000 + "ticks", []),
-        ("9" * 400 + "ticks", ["--wallclock"]),
-    ], ids=["superscript", "past-int-digit-limit", "wallclock-overflow"])
-    def test_bad_plan_duration_exits_two_at_its_line(self, tmp_path, capsys, duration, flags):
+    @pytest.mark.parametrize("duration", [
+        "\u00b2ticks",
+        "9" * 5000 + "ticks",
+        "9" * 400 + "ticks",
+    ], ids=["superscript", "past-int-digit-limit", "four-hundred-digits"])
+    def test_bad_plan_duration_exits_two_at_its_line(self, tmp_path, capsys, duration):
         plan = tmp_path / "plan.txt"
         plan.write_text(f"test t level=local sublevel=scenario\nexpect a.# within {duration}\n")
         manifest, tap = out_paths(tmp_path)
-        code = main(["test", "--plan", str(plan), *flags, "--manifest", manifest, "--tap", tap])
+        code = main(["test", "--plan", str(plan), "--manifest", manifest, "--tap", tap])
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
         assert captured.out == ""
@@ -1017,6 +1050,26 @@ RANDOM_PATTERNS = st.one_of(
 )
 
 
+def main_captured(argv):
+    """``main(argv)`` with stdout and stderr captured: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, out, err, codes):
+    """The exit code is one of ``codes`` and no traceback shows; a usage error
+    prints one ``error:`` line and nothing on stdout, any other exit nothing on stderr."""
+    assert code in codes
+    assert "Traceback" not in err
+    if code == USAGE_ERROR:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n") and out == ""
+    else:
+        assert err == ""
+
+
 class TestTimelineContract:
     @settings(max_examples=100, deadline=None)
     @example(b"\xff\n", "#")
@@ -1028,18 +1081,9 @@ class TestTimelineContract:
         with tempfile.TemporaryDirectory() as tmp:
             tap = Path(tmp) / "tap.log"
             tap.write_bytes(data)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["timeline", pattern, "--tap", str(tap),
-                             "--manifest", str(Path(tmp) / "m.txt")])
-        stderr = err.getvalue()
-        assert code in (0, USAGE_ERROR)
-        assert "Traceback" not in stderr
-        if code == 0:
-            assert stderr == ""
-        else:
-            assert stderr.startswith("error: ") and stderr.count("\n") == 1
-            assert stderr.endswith("\n") and out.getvalue() == ""
+            result = main_captured(["timeline", pattern, "--tap", str(tap),
+                                    "--manifest", str(Path(tmp) / "m.txt")])
+        assert_contract(*result, (0, USAGE_ERROR))
 
 
 #: per WorldConfig key, drawn values that it accepts on its own, within a grid of
@@ -1088,19 +1132,87 @@ class TestRunContract:
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "world.cfg"
             config.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--fault", fault, "--config", str(config),
-                             "--tap", str(Path(tmp) / "tap.log"),
-                             "--manifest", str(Path(tmp) / "m.txt")])
-        stderr = err.getvalue()
-        assert code in ((0, 1, USAGE_ERROR) if command == "test" else (0, USAGE_ERROR))
-        assert "Traceback" not in stderr
-        if code == USAGE_ERROR:
-            assert stderr.startswith("error: ") and stderr.count("\n") == 1
-            assert stderr.endswith("\n") and out.getvalue() == ""
-        else:
-            assert stderr == ""
+            result = main_captured([command, "--fault", fault, "--config", str(config),
+                                    "--tap", str(Path(tmp) / "tap.log"),
+                                    "--manifest", str(Path(tmp) / "m.txt")])
+        assert_contract(*result, (0, 1, USAGE_ERROR) if command == "test" else (0, USAGE_ERROR))
+
+
+#: per GAConfig key, drawn values that it accepts on its own; runs stay at most
+#: 4 genomes for 2 generations, as every drawn config starts from that
+GA_VALUES = {
+    "populationSize": st.integers(1, 4), "generations": st.integers(0, 2),
+    "elitism": st.integers(1, 3), "tournamentSize": st.integers(1, 4),
+    "crossoverRate": st.floats(0.0, 1.0), "mutationRate": st.floats(0.0, 1.0),
+    "mutationSigma": st.one_of(st.floats(0.0, 10.0), st.just(1e308)),
+    "weightLimit": st.one_of(st.floats(0.01, 10.0), st.just(1e308)),
+    "hiddenCount": st.integers(1, 8), "energyTarget": st.floats(0.01, 1.0),
+    "rngSeed": st.integers(-5, 10**6),
+}
+GA_BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "1e400", "1e308", "0",
+                                 "2.5", "", "x"])
+#: GA config lines: the size bound, accepted lines, and at most one other at the end
+GA_LINES = st.builds(
+    lambda good, bad: ["populationSize=4", "generations=2", *good, *bad],
+    st.lists(st.sampled_from(sorted(GA_VALUES)).flatmap(
+        lambda key: GA_VALUES[key].map(lambda value: f"{key}={value}")), max_size=6),
+    st.lists(st.one_of(
+        st.sampled_from(sorted(GA_VALUES)).flatmap(
+            lambda key: GA_BAD_VALUES.map(lambda value: f"{key}={value}")),
+        st.sampled_from(["populationSize", "=", "colour=red", "elitism=1.0",
+                         *(f"{key}={'9' * 30}" for key in ("populationSize", "elitism",
+                                                           "tournamentSize", "hiddenCount"))])),
+        max_size=1))
+GOOD_GENES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e308, -1e308, 5e-324]))
+BAD_GENES = st.sampled_from(["1e400", "nan", "-inf", "0x10", "1,5", "x", "1 2", "9" * 400])
+BAD_HEADERS = st.sampled_from(["3 4", "3 4 2 1", "4 4 2", "3 4 3", "3 0 2", "3 -1 2", "3.0 4 2",
+                               "x", "3 99999999999999999999 2", "\u0663 4 2"])
+#: genome file text for a 3-H-2 network: its header or another, then one gene
+#: fewer than it needs to one more, and at most one gene that is not a float
+GENOME_TEXTS = st.integers(1, 4).flatmap(lambda hidden: st.builds(
+    lambda header, genes, bad: "".join(f"{line}\n" for line in [header, *map(repr, genes), *bad]),
+    st.one_of(st.just(f"3 {hidden} 2"), BAD_HEADERS),
+    st.lists(GOOD_GENES, min_size=6 * hidden + 1, max_size=6 * hidden + 3),
+    st.lists(BAD_GENES, max_size=1)))
+
+
+class TestEvolveContract:
+    """``evolve`` on any GA config over a small world: exit 0 or 2, and stderr
+    empty or one ``error:`` line."""
+
+    @settings(max_examples=40, deadline=None)
+    @example(["populationSize=4", "generations=2", "mutationRate=1", "mutationSigma=1e308",
+              "weightLimit=1e308"])
+    @example(["populationSize=4", "generations=2", "populationSize=1", "elitism=1"])
+    @given(GA_LINES)
+    def test_exit_code_and_stderr(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            ga = Path(tmp) / "ga.cfg"
+            ga.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+            result = main_captured(["evolve", "--ga-config", str(ga),
+                                    "--config", small_world(Path(tmp)),
+                                    "--genome", str(Path(tmp) / "winner.txt"),
+                                    "--manifest", str(Path(tmp) / "m.txt")])
+        assert_contract(*result, (0, USAGE_ERROR))
+
+
+class TestGenomeContract:
+    """``test`` and ``simulate`` on any genome file: exit 0, 1 or 2, with 1 only
+    from ``test``, and stderr empty or one ``error:`` line."""
+
+    @settings(max_examples=60, deadline=None)
+    @example("3 1 2\n" + "1e308\n" * 8, "simulate")
+    @example("3 1 2\n" + "-1e308\n" * 8, "test")
+    @given(GENOME_TEXTS, st.sampled_from(["test", "simulate"]))
+    def test_exit_code_and_stderr(self, text, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            genome = Path(tmp) / "genome.txt"
+            genome.write_text(text, encoding="utf-8")
+            result = main_captured([command, "--genome", str(genome),
+                                    "--config", small_world(Path(tmp)),
+                                    "--tap", str(Path(tmp) / "tap.log"),
+                                    "--manifest", str(Path(tmp) / "m.txt")])
+        assert_contract(*result, (0, 1, USAGE_ERROR) if command == "test" else (0, USAGE_ERROR))
 
 
 def assert_one_error_line(capsys):

@@ -1,6 +1,4 @@
 import random
-import threading
-import time
 
 import pytest
 
@@ -8,7 +6,6 @@ from masharness.broker import Broker, matches
 from masharness.logmodel import TICK_US, EventClock, LogEvent, make_log_event
 from masharness.testkit import (
     MAX_WAIT_TICKS,
-    SECONDS_PER_TICK,
     BindingMismatch,
     MachineStatus,
     ParseError,
@@ -233,38 +230,6 @@ class TestRunVirtualTime:
         assert not verdict.passed  # empty stream, but no BindingMismatch
 
 
-class TestRunWallclock:
-    def test_passes_in_wallclock_mode(self):
-        clock = EventClock()
-        machine = compile(case(spec("lightContainer.*.switchLightON.#")), wallclock=True)
-        broker = Broker()
-        queue = broker.declare_queue("q", ["lightContainer.*.switchLightON.#"])
-
-        def publish_later():
-            broker.publish(light_event("switchLightON", clock))
-
-        timer = threading.Timer(0.02, publish_later)
-        timer.start()
-        verdict = run(machine, queue)
-        timer.join()
-        broker.close()
-        assert verdict.passed
-        assert verdict.elapsed >= 1.0  # ticks, not seconds
-
-    def test_times_out_in_wallclock_mode(self):
-        machine = compile(
-            case(spec("lightContainer.*.switchLightON.#", maxWait=2)), wallclock=True
-        )
-        broker = Broker()
-        queue = broker.declare_queue("q", ["lightContainer.*.switchLightON.#"])
-        verdict = run(machine, queue)
-        broker.close()
-        assert not verdict.passed
-        assert verdict.failedState == "start"
-        assert verdict.reason == "waited past 2 ticks"
-        assert verdict.elapsed == pytest.approx(2.0)
-
-
 class TestOfferAndFinish:
     def test_inline_subscriber_reaches_the_same_verdict_as_run(self):
         clock = EventClock()
@@ -312,25 +277,6 @@ class TestOfferAndFinish:
         first = machine.finish()
         assert first.reason == "event stream ended before the expected pattern"
         assert machine.finish() == first
-
-    def test_wallclock_offer_past_the_deadline_fails(self):
-        clock = EventClock()
-        machine = compile(
-            case(spec("lightContainer.*.switchLightON.#", maxWait=1)), wallclock=True
-        )
-        time.sleep(3 * SECONDS_PER_TICK)
-        machine.offer(light_event("switchLightON", clock))
-        verdict = machine.finish()
-        assert not verdict.passed
-        assert verdict.reason == "waited past 1 ticks"
-        assert len(verdict.trace) == 1
-
-    def test_wallclock_finish_before_the_deadline_ends_the_stream(self):
-        machine = compile(case(spec("lightContainer.#", maxWait=500)), wallclock=True)
-        verdict = machine.finish()
-        assert verdict.reason == "event stream ended before the expected pattern"
-        assert 0.0 <= verdict.elapsed < 500
-
 
 class TestDroppedEvents:
     def test_verdict_over_a_lossy_queue_notes_the_drops(self):
@@ -455,9 +401,16 @@ class TestLoadTestPlan:
         waits = [s.maxWait for s in parsed.validationSequence]
         assert waits == [MAX_WAIT_TICKS, 7, 3]
 
-    def test_wallclock_deadline_at_the_bound_is_finite(self):
-        machine = compile(case(spec("a.#", maxWait=MAX_WAIT_TICKS)), wallclock=True)
-        assert machine.seconds_left() == pytest.approx(MAX_WAIT_TICKS * SECONDS_PER_TICK, rel=1e-6)
+    def test_deadline_at_the_bound_is_exact(self):
+        deadline = MAX_WAIT_TICKS * TICK_US
+        for timestamp, status in ((deadline, MachineStatus.PASSED),
+                                  (deadline + 1, MachineStatus.FAILED)):
+            machine = compile(case(spec("lightContainer.*.switchLightON.#",
+                                        maxWait=MAX_WAIT_TICKS)))
+            machine.offer(light_event("switchLightON", EventClock(timestamp)))
+            assert machine.status is status
+        assert machine.finish().reason == f"waited past {MAX_WAIT_TICKS} ticks"
+        assert machine.finish().elapsed == MAX_WAIT_TICKS
         with pytest.raises(TestkitError, match="maxWait must be at most"):
             spec("a.#", maxWait=MAX_WAIT_TICKS + 1)
 
