@@ -8,12 +8,14 @@ interned keys and messages (``publish_batch``) is admitted as one, with one
 clock reservation and one tap write, and builds events only for bound keys.
 A key's route class is the tuple of the targets (queues and subscribers)
 it matches.  A table shared by every broker with equal binding lists maps
-key text to class, and only a key new to that table walks the trie
-compiled from them.  Each broker keeps one list of live targets per class
-and memoises key text to that list, so a repeated key costs one dict
-lookup.  A subscriber's callback runs inside the publish, in publish order,
-on the publishing thread, and may return True once it wants no more events
-(as AMQP's ``basic.cancel``): it is then pruned from every class list in
+key text to class, and only a key new to that table is matched against
+every binding, in declaration order.  Each broker keeps one list of live
+targets per class and memoises key text to that list, so a repeated key
+costs one dict lookup.  Both memos hold ROUTE_KEYS keys, more than the
+largest accepted grid logs, so a table matches each key once.  A
+subscriber's callback runs inside the publish, in publish order, on the
+publishing thread, and may return True once it wants no more events (as
+AMQP's ``basic.cancel``): it is then pruned from every class list in
 place, so a key it alone bound builds no event and no key is routed again.
 Queue consumers block on per-queue conditions, so slow consumers never
 stall publishers; a full queue drops its oldest event instead.
@@ -99,81 +101,19 @@ def matches(pattern: BindingPattern | str, key: RoutingKey | LogEvent | str) -> 
     return _match(pattern.segments, key.segments)
 
 
-class _TrieNode:
-    """One pattern prefix: its children by next word (``*`` and ``#``
-    included), the bindings that end here, and whether it was reached by
-    ``#`` (which may absorb further words)."""
+#: keys a route memo holds before it starts over: more than the largest
+#: accepted grid can log, 9 x MAX_LIGHTS + 8 world and 13 observer keys (90,021)
+ROUTE_KEYS = 2 ** 17
 
-    __slots__ = ("index", "children", "ends", "absorbs")
-
-    def __init__(self, index: int, absorbs: bool):
-        self.index = index
-        self.children: dict[str, _TrieNode] = {}
-        self.ends: list[int] = []
-        self.absorbs = absorbs
-
-
-class _TopicTrie:
-    """The binding lists of a broker's targets as one trie over pattern words.
-
-    This is the topic-trie routing of RabbitMQ ("Very fast and scalable
-    topic routing", 2010).  A run of ``#`` is folded into one, and a walk
-    visits each (node, key position) pair at most once, so a key costs at
-    most nodes x (words + 1) steps however the patterns are written.
-    """
-
-    def __init__(self, bindings):
-        self.nodes = [_TrieNode(0, False)]
-        for i, patterns in enumerate(bindings):
-            for pattern in patterns:
-                node = self.nodes[0]
-                last = None
-                for word in pattern.segments:
-                    if word == HASH and last == HASH:
-                        continue
-                    last = word
-                    child = node.children.get(word)
-                    if child is None:
-                        child = _TrieNode(len(self.nodes), word == HASH)
-                        self.nodes.append(child)
-                        node.children[word] = child
-                    node = child
-                node.ends.append(i)
-
-    def route(self, key: tuple[str, ...]) -> tuple[int, ...]:
-        """The indices of the binding lists that match ``key``, in ascending order."""
-        n = len(key)
-        found: set[int] = set()
-        seen: set[int] = set()
-        stack = [(self.nodes[0], 0)]
-        while stack:
-            node, pos = stack.pop()
-            visit = node.index * (n + 1) + pos
-            if visit in seen:
-                continue
-            seen.add(visit)
-            children = node.children
-            if node.absorbs and not children:  # a final # takes the rest of the key
-                found.update(node.ends)
-                continue
-            hash_child = children.get(HASH)
-            if hash_child is not None:  # # matching no word here
-                stack.append((hash_child, pos))
-            if pos == n:
-                found.update(node.ends)
-                continue
-            if node.absorbs:  # the # that led here takes one more word
-                stack.append((node, pos + 1))
-            for word in (key[pos], STAR):
-                child = children.get(word)
-                if child is not None:
-                    stack.append((child, pos + 1))
-        return tuple(sorted(found))
-
-
-#: (trie, key text -> class, class -> itself) by binding lists, shared across brokers;
-#: a key's class is the ascending tuple of the target indices it matches, interned
+#: key text -> class by binding lists, shared across brokers; a key's class is
+#: the ascending tuple of the target indices it matches
 _route_tables = BoundedMemo(64)
+
+
+def _scan(queues, key: tuple[str, ...]) -> tuple[int, ...]:
+    """The indices of the targets with a binding that matches ``key``, in declaration order."""
+    return tuple(i for i, q in enumerate(queues)
+                 if any(_match(pattern.segments, key) for pattern in q.bindings))
 
 
 def _deliver(route, event: LogEvent, prune) -> None:
@@ -278,10 +218,10 @@ class Broker:
         self._closed = False
         self._tap = open(tap, "w", encoding="utf-8") if tap else None
         # key text -> the list of its class in _classes
-        self._routes = BoundedMemo()
+        self._routes = BoundedMemo(ROUTE_KEYS)
         # class -> the queues and live subscribers of its indices, in declaration order
         self._classes: dict[tuple[int, ...], list[_Queue]] = {}
-        # (trie, shared key table, shared classes, queues), found on the first miss after a _bind
+        # (shared key table, queues), found on the first miss after a _bind
         self._table = None
 
     def declare_queue(self, name: str, patterns, capacity: int = DEFAULT_CAPACITY) -> QueueHandle:
@@ -330,7 +270,8 @@ class Broker:
 
         That is the list of the key's class, which _prune keeps free of done
         subscribers; the table shared with other brokers is left as it is.
-        The first miss after a _bind takes that table and every route it holds.
+        The first miss after a _bind takes that table and every route it holds;
+        a key new to it is scanned against every binding once.
         """
         text = key.text
         route = self._routes.get(text)
@@ -338,12 +279,10 @@ class Broker:
             self._share()
             route = self._routes.get(text)
         if route is None:
-            trie, indices, interned, _ = self._table
-            found = indices.get(text)
+            shared, queues = self._table
+            found = shared.get(text)
             if found is None:
-                found = trie.route(key.segments)
-                found = interned.get(found) or interned.remember(found, found)
-                indices.remember(text, found)
+                found = shared.remember(text, _scan(queues, key.segments))
             route = self._routes.remember(text, self._class(found))
         return route
 
@@ -351,12 +290,13 @@ class Broker:
         """Find the table shared by brokers with these binding lists, and memoise its routes."""
         queues = tuple(self._queues.values())
         bindings = tuple(q.bindings for q in queues)
-        shared = _route_tables.get(bindings) or _route_tables.remember(
-            bindings, (_TopicTrie(bindings), BoundedMemo(), BoundedMemo()))
-        self._table = (*shared, queues)
+        shared = _route_tables.get(bindings)
+        if shared is None:
+            shared = _route_tables.remember(bindings, BoundedMemo(ROUTE_KEYS))
+        self._table = (shared, queues)
         # from a copy, as a broker on another thread may be adding keys; it
-        # holds at most MEMO_SIZE of them, the bound of _routes
-        for text, found in shared[1].copy().items():
+        # holds at most ROUTE_KEYS of them, the bound of _routes
+        for text, found in shared.copy().items():
             self._routes[text] = self._class(found)
 
     def _class(self, found: tuple[int, ...]) -> list[_Queue]:
@@ -368,7 +308,7 @@ class Broker:
                 # a memoised route whose list left _classes would miss _prune
                 classes.clear()
                 self._routes.clear()
-            queues = self._table[3]
+            queues = self._table[1]
             route = classes[found] = [queues[i] for i in found if not queues[i].done]
         return route
 

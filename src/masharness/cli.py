@@ -303,8 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, *, ga=False, plan=False):
         p.add_argument("--config", help="world config file (key=value)")
         p.add_argument("--genome", help="genome file")
-        p.add_argument("--fault", action="append", metavar="KIND:ID[,ID...]",
-                       help="inject a fault (repeatable)")
+        if not ga:  # the observer's episodes run fault-free
+            p.add_argument("--fault", action="append", metavar="KIND:ID[,ID...]",
+                           help="inject a fault (repeatable)")
         p.add_argument("--seed", type=int, help="override the config RNG seed")
         p.add_argument("--manifest", default="manifest.txt", help="run manifest path")
         if ga:

@@ -42,6 +42,8 @@ DEFAULT_ENERGY_TARGET = 0.70
 
 #: largest GAConfig population, scored as a batch of one row per genome
 MAX_POPULATION = 1_000
+#: most generations a GAConfig may evolve; evolve prints nothing until the last
+MAX_GENERATIONS = 10_000
 #: most hidden neurons a GAConfig's controllers may have
 MAX_HIDDEN = 100
 
@@ -87,8 +89,9 @@ class GAConfig:
         if not 1 <= self.populationSize <= MAX_POPULATION:
             raise InvalidConfig(
                 f"populationSize must be in [1,{MAX_POPULATION}], got {self.populationSize}")
-        if self.generations < 0:
-            raise InvalidConfig("generations must be >= 0")
+        if not 0 <= self.generations <= MAX_GENERATIONS:
+            raise InvalidConfig(
+                f"generations must be in [0,{MAX_GENERATIONS}], got {self.generations}")
         if self.populationSize == 1:
             # degenerate single-elite population is allowed
             if self.elitism != 1:

@@ -73,6 +73,9 @@ MAX_WIRELESS_LINKS = 250_000
 
 #: most pedestrians a WorldConfig accepts; each one's route is built at set-up
 MAX_PEOPLE = 10_000
+#: longest episode a WorldConfig accepts, in ticks; a logged episode writes
+#: every tick's events to the tap
+MAX_TICKS = 100_000
 #: ticks between the saved states a batch of stateless controllers compares
 #: each tick's state with, so periods up to this long are caught
 RECURRENCE_WINDOW = 8
@@ -173,6 +176,8 @@ class WorldConfig:
             raise InvalidConfig(f"numPeople must be in [0,{MAX_PEOPLE}], got {self.numPeople}")
         if self.maxTicks < 1:
             raise InvalidConfig("maxTicks must be positive")
+        if self.maxTicks > MAX_TICKS:
+            raise InvalidConfig(f"maxTicks must be at most {MAX_TICKS}, got {self.maxTicks}")
         for name in ("ambientLight", "lightBrightness", "darkThreshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

@@ -10,21 +10,24 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masharness import broker as broker_module
+from masharness import broker as broker_module, world as world_module
 from masharness.broker import (
+    ROUTE_KEYS,
     Broker,
     DuplicateQueue,
     QueueClosed,
     QueueStats,
     _match,
-    _TopicTrie,
     matches,
 )
+from masharness.evolution import _OBSERVER_SITES
 from masharness.logmodel import (
     MEMO_SIZE,
+    BoundedMemo,
     EventClock,
     InvalidPattern,
     InvalidTag,
+    RoutingKey,
     _keys,
     _valid_words,
     event_key,
@@ -266,12 +269,17 @@ class TestRouteMemo:
         for qs in stats.queues.values():
             assert qs.matched == qs.delivered + qs.dropped + qs.buffered
 
-    def test_memos_stay_within_their_bound(self):
+    def test_memos_stay_within_their_bound(self, monkeypatch):
+        # a small route bound, and a fresh shared table made with it, so that
+        # a few thousand keys overflow both route memos
+        monkeypatch.setattr(broker_module, "ROUTE_KEYS", 64)
+        monkeypatch.setattr(broker_module, "_route_tables", BoundedMemo(64))
         broker = Broker()
         broker.declare_queue("q", ["*.node1.#"], capacity=16)
         for i in range(MEMO_SIZE + 100):
             broker.publish(event(action=f"bound{i}", clock=broker.clock))
-            assert len(broker._routes) <= MEMO_SIZE
+            assert len(broker._routes) <= broker_module.ROUTE_KEYS
+            assert len(broker._table[0]) <= broker_module.ROUTE_KEYS
             assert len(_keys) <= MEMO_SIZE
             assert len(_valid_words) <= MEMO_SIZE
         assert broker.publish(event(action="bound0", clock=broker.clock)).matched == 1
@@ -279,9 +287,17 @@ class TestRouteMemo:
         assert qs.matched == MEMO_SIZE + 101
         assert qs.matched == qs.delivered + qs.dropped + qs.buffered
 
+    def test_route_memos_hold_every_key_of_the_largest_grid(self):
+        sites = world_module._LOG_SITES
+        per_light = len(sites[("lightContainer", world_module._LIGHT)])
+        fixed = sum(len(actions) for (_, agent), actions in sites.items()
+                    if agent is not world_module._LIGHT)
+        assert (per_light, fixed, len(_OBSERVER_SITES)) == (9, 8, 13)
+        assert ROUTE_KEYS >= per_light * world_module.MAX_LIGHTS + fixed + len(_OBSERVER_SITES)
+
 
 class Target:
-    """A stand-in queue for the trie: a name and its bindings."""
+    """A stand-in target for the scan: a name and its bindings."""
 
     def __init__(self, name, patterns):
         self.name = name
@@ -289,30 +305,18 @@ class Target:
 
 
 def scan_route(targets, key):
-    """Routing as it was before the trie: every binding of every target."""
+    """Routing by a scan of every binding of every target."""
     return tuple(t for t in targets if any(_match(b.segments, key) for b in t.bindings))
 
 
-TRIE_PATTERNS = st.lists(st.sampled_from(["a", "b", "c", "*", "#"]), min_size=1, max_size=8)
+ROUTE_PATTERNS = st.lists(st.sampled_from(["a", "b", "c", "*", "#"]), min_size=1, max_size=8)
 
 
 class TestTopicTrie:
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.lists(TRIE_PATTERNS, min_size=1, max_size=3), min_size=1, max_size=8),
-        st.lists(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=8),
-                 min_size=1, max_size=10),
-    )
-    def test_routes_like_a_scan_of_every_binding(self, bindings, keys):
-        targets = [Target(f"t{i}", [".".join(p) for p in pats])
-                   for i, pats in enumerate(bindings)]
-        trie = _TopicTrie([t.bindings for t in targets])
-        for key in keys:
-            route = tuple(targets[i] for i in trie.route(tuple(key)))
-            assert route == scan_route(targets, tuple(key))
+    """A broker's routes equal a scan of every binding, however the patterns are written."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.booleans(), st.lists(TRIE_PATTERNS, min_size=1, max_size=3)),
+    @given(st.lists(st.tuples(st.booleans(), st.lists(ROUTE_PATTERNS, min_size=1, max_size=3)),
                     min_size=1, max_size=8),
            st.lists(st.sampled_from(["a", "b", "c"]), min_size=8, max_size=8))
     def test_broker_delivers_in_declaration_order(self, bindings, words):
@@ -350,12 +354,13 @@ class TestTopicTrie:
         receipt = broker.publish(ev)
         assert time.perf_counter() - start < 0.2
         assert receipt.matched == expected
-        # the longest key a pattern can face: 127 words, all of them ``a``
-        targets = [Target("t", [pattern])]
+        # the longest key a pattern can face, 127 words, all of them ``a``, is a route miss
+        key = RoutingKey(("a",) * 127)
         start = time.perf_counter()
-        route = _TopicTrie([t.bindings for t in targets]).route(("a",) * 127)
-        assert tuple(targets[i] for i in route) == tuple(targets)
+        with broker._lock:
+            route = broker._route(key)
         assert time.perf_counter() - start < 0.5
+        assert [q.name for q in route] == ["s"]
 
     def test_binding_declared_after_repeats_is_routed_on_the_next_publish(self):
         broker = Broker()

@@ -21,6 +21,7 @@ from masharness import broker as broker_module, cli, evolution, logmodel, world 
 from masharness.broker import Broker
 from masharness.cli import USAGE_ERROR, data_path, main
 from masharness.evolution import (
+    MAX_GENERATIONS,
     MAX_HIDDEN,
     MAX_POPULATION,
     evaluate_solution,
@@ -30,6 +31,7 @@ from masharness.logmodel import BoundedMemo, RoutingKey, load_tap, read_tap
 from masharness.neural import NetworkTopology, decode, load_genome, save_genome
 from masharness.testkit import load_test_plan
 from masharness.world import (
+    MAX_TICKS,
     TICK_BYTES,
     EpisodeMetrics,
     load_world_config,
@@ -242,6 +244,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("key,value,error", [
         ("maxTicks", 0, "maxTicks must be positive"),
+        ("maxTicks", 10 ** 12, f"maxTicks must be at most {MAX_TICKS}, got 1000000000000"),
         ("numPeople", 10_001, "numPeople must be in [0,10000], got 10001"),
     ])
     def test_range_error_names_the_config_file(self, tmp_path, capsys, key, value, error):
@@ -309,6 +312,16 @@ class TestEvolve:
         capsys.readouterr()
         assert genomes[0] != genomes[1]
 
+    def test_a_fault_is_a_usage_error(self, tmp_path, capsys):
+        # the observer's episodes run fault-free, so evolve takes no --fault
+        manifest = tmp_path / "m.txt"
+        code = main(["evolve", "--fault", "nonsense", "--config", small_world(tmp_path),
+                     "--ga-config", self.ga_file(tmp_path), "--genome", str(tmp_path / "g.txt"),
+                     "--manifest", str(manifest)])
+        assert code == USAGE_ERROR
+        assert_one_error_line(capsys)
+        assert not manifest.exists()
+
     def test_bad_ga_config_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "ga.cfg"
         bad.write_text("populationSize=0\n")
@@ -328,6 +341,18 @@ class TestEvolve:
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
         assert (captured.out, captured.err) == ("", f"error: config {ga}: {error}\n")
+
+    def test_a_huge_generation_count_exits_two_before_it_runs(self, tmp_path, capsys,
+                                                               monkeypatch):
+        generations = "9" * 30
+        ga = self.ga_file(tmp_path, generations=generations)
+        monkeypatch.setattr(evolution, "run_episodes", None)  # would fail if reached
+        code = main(["evolve", "--config", small_world(tmp_path), "--ga-config", ga,
+                     "--genome", str(tmp_path / "g.txt"), "--manifest", str(tmp_path / "m.txt")])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err == (f"error: config {ga}: generations must be in "
+                                f"[0,{MAX_GENERATIONS}], got {generations}\n")
 
     def test_a_huge_tournament_exits_two_before_it_runs(self, tmp_path, capsys, monkeypatch):
         # each parent's tournament would draw 10**10 contenders
@@ -895,25 +920,36 @@ class TestRetiredMachines:
 
 class TestSharedRoutes:
     """Brokers with equal binding lists share one route table, so only the
-    first of them walks the trie for a key."""
+    first of them scans the bindings for a key."""
 
     @pytest.fixture
-    def walks(self, monkeypatch):
+    def scans(self, monkeypatch):
         # a fresh shared memo, so the counts do not depend on what earlier tests left in it
         monkeypatch.setattr(broker_module, "_route_tables", BoundedMemo(64))
-        walked = []
-        route = broker_module._TopicTrie.route
-        monkeypatch.setattr(broker_module._TopicTrie, "route",
-                            lambda trie, key: walked.append(key) or route(trie, key))
-        return walked
+        scanned = []
+        scan = broker_module._scan
+        monkeypatch.setattr(broker_module, "_scan",
+                            lambda queues, key: scanned.append(key) or scan(queues, key))
+        return scanned
 
-    def test_a_second_run_walks_no_trie(self, tmp_path, walks):
+    def test_a_second_run_scans_no_key(self, tmp_path, scans):
         keys = run_default_plan(tmp_path / "first.log")
-        walks.clear()
+        scans.clear()
         assert run_default_plan(tmp_path / "second.log") == keys
-        assert walks == []
+        assert scans == []
         digest = hashlib.sha256((tmp_path / "second.log").read_bytes()).hexdigest()
         assert digest == GOLDEN_TAPS[0][1]
+
+    def test_a_grid_with_more_keys_than_a_memo_scans_each_key_once(self, tmp_path, scans):
+        # 24x24 lights log 9 keys each, 5,184 in all, more than MEMO_SIZE
+        config = small_world(tmp_path, gridWidth=24, gridHeight=24, numPeople=20, maxTicks=30)
+        manifest, tap = out_paths(tmp_path)
+        assert main(["test", "--config", config, "--tap", tap, "--manifest", manifest]) in (0, 1)
+        keys = {key[8].text for key, _, _ in read_tap(tap)}
+        assert len(keys) > logmodel.MEMO_SIZE
+        counts = Counter(".".join(key) for key in scans)
+        assert counts.keys() == keys
+        assert set(counts.values()) == {1}
 
     @staticmethod
     def broker_with(*bindings):
@@ -931,30 +967,30 @@ class TestSharedRoutes:
                                         clock=broker.clock)
         return broker.publish(event).matched
 
-    def test_brokers_with_other_bindings_get_their_own_table(self, walks):
+    def test_brokers_with_other_bindings_get_their_own_table(self, scans):
         first = self.broker_with("sharedRoutes.#", "*.*.ping.#")
         assert self.publish(first, "ping") == 2
-        assert len(walks) == 1
+        assert len(scans) == 1
         assert self.publish(self.broker_with("sharedRoutes.#", "*.*.ping.#"), "ping") == 2
-        assert len(walks) == 1
+        assert len(scans) == 1
         assert self.publish(self.broker_with("sharedRoutes.#"), "ping") == 1
         assert self.publish(self.broker_with("*.*.ping.#", "sharedRoutes.#"), "ping") == 2
-        assert len(walks) == 3
+        assert len(scans) == 3
         # the same number of lists and first patterns, but another second pattern
         assert self.publish(self.broker_with(["sharedRoutes.x.#", "*.*.ping.#"]), "ping") == 1
         assert self.publish(self.broker_with(["sharedRoutes.x.#", "*.*.pong.#"]), "ping") == 0
-        assert len(walks) == 5
+        assert len(scans) == 5
 
-    def test_a_broker_that_binds_after_publishing_gets_its_own_table(self, walks):
+    def test_a_broker_that_binds_after_publishing_gets_its_own_table(self, scans):
         broker = self.broker_with("sharedRoutes.node1.#")
         assert self.publish(broker, "pong") == 1
         broker.subscribe("late", ["*.*.pong.#"], lambda event: None)
         assert self.publish(broker, "pong") == 2
-        assert len(walks) == 2
+        assert len(scans) == 2
         # each binding list it had is now shared with a new broker
         assert self.publish(self.broker_with("sharedRoutes.node1.#"), "pong") == 1
         assert self.publish(self.broker_with("sharedRoutes.node1.#", "*.*.pong.#"), "pong") == 2
-        assert len(walks) == 2
+        assert len(scans) == 2
 
 
 #: sha256 of ``timeline`` stdout over the tap of ``test --fault go-dark:node10
@@ -1160,8 +1196,9 @@ GA_LINES = st.builds(
         st.sampled_from(sorted(GA_VALUES)).flatmap(
             lambda key: GA_BAD_VALUES.map(lambda value: f"{key}={value}")),
         st.sampled_from(["populationSize", "=", "colour=red", "elitism=1.0",
-                         *(f"{key}={'9' * 30}" for key in ("populationSize", "elitism",
-                                                           "tournamentSize", "hiddenCount"))])),
+                         *(f"{key}={'9' * 30}" for key in ("populationSize", "generations",
+                                                           "elitism", "tournamentSize",
+                                                           "hiddenCount"))])),
         max_size=1))
 GOOD_GENES = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([1e308, -1e308, 5e-324]))
 BAD_GENES = st.sampled_from(["1e400", "nan", "-inf", "0x10", "1,5", "x", "1 2", "9" * 400])

@@ -12,6 +12,7 @@ from masharness.cli import data_path, main
 from masharness.evolution import (
     DEFAULT_ENERGY_TARGET,
     FitnessReport,
+    MAX_GENERATIONS,
     MAX_HIDDEN,
     MAX_POPULATION,
     GAConfig,
@@ -159,6 +160,7 @@ class TestGAConfig:
             dict(energyTarget=0.0),
             dict(energyTarget=1.5),
             dict(tournamentSize=MAX_POPULATION + 1),
+            dict(generations=MAX_GENERATIONS + 1),
         ],
     )
     def test_rejects_bad_values(self, kw):

@@ -25,6 +25,7 @@ from masharness.world import (
     FAULT_SKIP_HANDSHAKE,
     MAX_LIGHTS,
     MAX_PEOPLE,
+    MAX_TICKS,
     MAX_WIRELESS_LINKS,
     RECURRENCE_WINDOW,
     ControllerBatch,
@@ -167,6 +168,7 @@ class TestWorldConfig:
             dict(darkThreshold=0.8, lightBrightness=0.8),
             dict(darkThreshold=0.9, lightBrightness=0.8),
             dict(energyPerTickOn=0.0),
+            dict(maxTicks=MAX_TICKS + 1),
         ],
     )
     def test_rejects_bad_values(self, kw):
