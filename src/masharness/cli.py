@@ -205,7 +205,6 @@ def run_test_plan(
             topology,
             broker,
             faults=faults,
-            world_logs=True,
             stats=stats,
         )
     finally:

@@ -1,9 +1,9 @@
 """Observer-side learning: a genetic algorithm over controller genomes.
 
-The observer evaluates each genome with one silent episode on a fixed world
-seed (deterministic fitness) and evolves the population by elitism,
+The observer scores each genome once, with one silent episode on a fixed
+world seed (deterministic fitness), and evolves the population by elitism,
 tournament selection, single-point crossover, and clamped Gaussian
-mutation.  Fitness rewards finished pedestrians and penalizes trip time and
+mutation; the winner's final evaluation is logged from its score, not re-run.  Fitness rewards finished pedestrians and penalizes trip time and
 energy:
 
     fitness = 1.0 * pPeople - 0.6 * pTrip - 0.4 * pEnergy
@@ -23,7 +23,7 @@ from functools import cache
 
 from .broker import Broker
 from .logmodel import EventKey, intern_sites, keyed_event
-from .neural import NetworkTopology, decode
+from .neural import INPUTS, OUTPUTS, NetworkTopology, decode
 from .world import (
     EpisodeMetrics,
     InvalidConfig,
@@ -252,7 +252,7 @@ def _prologue(topology: NetworkTopology, world_config: WorldConfig) -> list[tupl
     return [
         ("chooseAdaptationMethod", "neuroevolution"),
         ("selectNeuralConfiguration",
-         f"topology={topology.inputCount}-{topology.hiddenCount}-{topology.outputCount}"),
+         f"topology={INPUTS}-{topology.hiddenCount}-{OUTPUTS}"),
         ("useIndividualGenesToANN", f"genes={topology.genomeLength}"),
         ("startExecutionWithControllerConfiguration", f"seed={world_config.rngSeed}"),
     ]
@@ -298,23 +298,21 @@ def evaluate_solution(
     broker: Broker | None = None,
     *,
     faults=(),
-    energy_target: float = DEFAULT_ENERGY_TARGET,
-    world_logs: bool = True,
     stats: dict | None = None,
 ) -> tuple[FitnessReport, EpisodeMetrics]:
-    """Run one episode under the full observer evaluation protocol.
+    """Run one logged episode under the full observer evaluation protocol.
 
-    This is the global-evaluation sequence: prologue logs, the episode, then
-    readSimulationResults and the fitness protocol.  ``world_logs`` controls
-    whether the simulation itself publishes (test mode) or stays silent
-    (learning mode).  ``stats`` gets the episode's tick counts (run_episode).
+    This is the global-evaluation sequence a test plan judges: prologue
+    logs, the episode publishing to the same broker, then
+    readSimulationResults and the fitness protocol against
+    DEFAULT_ENERGY_TARGET.  ``stats`` gets the episode's tick counts
+    (run_episode).
     """
     controller = decode(genes, topology)
     _publish(broker, _prologue(topology, world_config))
-    metrics = run_episode(world_config, controller, broker if world_logs else None,
-                          faults=faults, stats=stats)
-    report = fitness(metrics, energy_target)
-    _publish(broker, _results(report, energy_target))
+    metrics = run_episode(world_config, controller, broker, faults=faults, stats=stats)
+    report = fitness(metrics)
+    _publish(broker, _results(report, DEFAULT_ENERGY_TARGET))
     return report, metrics
 
 
@@ -324,15 +322,15 @@ def run_observer(
     broker: Broker | None = None,
     history_path: str | None = None,
 ) -> ObserverResult:
-    """Evolve controllers for the world and re-evaluate the winner.
+    """Evolve controllers for the world and report the winner.
 
-    Every genome is scored with one silent episode on the world seed from
-    ``world_config`` (fixed for the whole run, so fitness values stay
-    comparable and elite scores never go stale); a generation's unscored
+    Every genome is scored once, with one silent episode on the world seed
+    from ``world_config`` (fixed for the whole run, so fitness values stay
+    comparable and elite scores never go stale); a population's unscored
     genomes run together in one run_episodes call, in chunks if its tick
-    would pass TICK_BYTES.  After the last generation the best genome is
-    re-run once with the full evaluation protocol.  Returns the best genome,
-    per-generation stats, and the final report.
+    would pass TICK_BYTES.  After the last generation the observer logs the
+    best genome's evaluation protocol once more, from the score it already
+    has.  Returns the best genome, per-generation stats, and the final report.
     """
     topology = NetworkTopology(hiddenCount=ga_config.hiddenCount)
     rng = random.Random(ga_config.rngSeed)
@@ -353,10 +351,8 @@ def run_observer(
     history: list[GenerationStats] = []
     history_file = open(history_path, "w", encoding="utf-8") if history_path else None
     try:
-        if ga_config.generations == 0:
-            score(population)
+        score(population)
         for generation in range(1, ga_config.generations + 1):
-            score(population)
             best_idx = pick_elites(population, 1)[0]
             stats = GenerationStats(
                 generation=generation,
@@ -372,17 +368,12 @@ def run_observer(
                 _publish(broker, [("startGeneticAlgorithm", f"population={len(population)}"),
                                   ("selectBestIndividuals", f"elites={ga_config.elitism}")])
                 population = evolve_generation(population, ga_config, rng)
+                score(population)
     finally:
         if history_file is not None:
             history_file.close()
 
     best = population[pick_elites(population, 1)[0]]
-    final_report, _ = evaluate_solution(
-        world_config,
-        best.genes,
-        topology,
-        broker,
-        energy_target=ga_config.energyTarget,
-        world_logs=False,
-    )
+    final_report = fitness(best.metrics, ga_config.energyTarget)
+    _publish(broker, prologue + _results(final_report, ga_config.energyTarget))
     return ObserverResult(best=best, history=tuple(history), finalReport=final_report)

@@ -2,9 +2,10 @@
 
 Topology is fixed-shape: three sensor inputs (light level, motion flag,
 wireless signal), one tanh hidden layer, two tanh outputs (LED command,
-wireless broadcast).  A genome is the concatenation of input-to-hidden
-weights (row-major per hidden neuron), hidden biases, hidden-to-output
-weights (row-major per output neuron), and output biases.
+wireless broadcast); only the hidden layer's width varies.  A genome is the
+concatenation of input-to-hidden weights (row-major per hidden neuron),
+hidden biases, hidden-to-output weights (row-major per output neuron), and
+output biases.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: a light controller maps 3 sensor inputs to 2 commands
+INPUTS = 3
+OUTPUTS = 2
+
 
 class GenomeShapeMismatch(ValueError):
     """Gene count does not fit the declared topology."""
@@ -21,17 +26,15 @@ class GenomeShapeMismatch(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class NetworkTopology:
-    inputCount: int = 3
     hiddenCount: int = 4
-    outputCount: int = 2
 
     def __post_init__(self):
-        if self.inputCount < 1 or self.hiddenCount < 1 or self.outputCount < 1:
-            raise ValueError("all layer sizes must be positive")
+        if self.hiddenCount < 1:
+            raise ValueError(f"hiddenCount must be positive, got {self.hiddenCount}")
 
     @property
     def genomeLength(self) -> int:
-        return (self.inputCount + 1) * self.hiddenCount + (self.hiddenCount + 1) * self.outputCount
+        return (INPUTS + 1) * self.hiddenCount + (self.hiddenCount + 1) * OUTPUTS
 
 
 class NeuralController:
@@ -44,59 +47,38 @@ class NeuralController:
         self.w2 = np.asarray(w2, dtype=float)
         self.b2 = np.asarray(b2, dtype=float)
 
-    def forward(self, inputs) -> tuple[float, ...]:
-        """Map one sensor triple to the output pair, both layers tanh."""
-        x = np.asarray(inputs, dtype=float)
-        if x.shape != (self.topology.inputCount,):
-            raise ValueError(
-                f"expected {self.topology.inputCount} inputs, got shape {x.shape}"
-            )
-        hidden = np.tanh(self.w1 @ x + self.b1)
-        out = np.tanh(self.w2 @ hidden + self.b2)
-        return tuple(float(v) for v in out)
-
     def forward_batch(self, inputs) -> np.ndarray:
-        """Vectorised forward pass over an (n, inputCount) array."""
+        """Map an (n, 3) array of sensor triples to (n, 2) outputs, both layers tanh."""
         x = np.asarray(inputs, dtype=float)
         hidden = np.tanh(x @ self.w1.T + self.b1)
         return np.tanh(hidden @ self.w2.T + self.b2)
 
 
-def _check_controller_shape(topology: NetworkTopology, what: str) -> None:
-    """A light controller maps 3 sensor inputs to 2 commands."""
-    if (topology.inputCount, topology.outputCount) != (3, 2):
-        raise GenomeShapeMismatch(
-            f"{what} declares topology {topology.inputCount}-{topology.hiddenCount}-"
-            f"{topology.outputCount}, but a light controller has 3 inputs and 2 outputs"
-        )
-
-
 def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
     """Unpack a flat gene sequence into a controller.
 
-    Raises GenomeShapeMismatch when the topology is not 3-H-2, the gene
-    count does not equal its genomeLength, or a gene is not finite.
+    Raises GenomeShapeMismatch when the gene count does not equal the
+    topology's genomeLength or a gene is not finite.
     """
     if topology is None:
         topology = NetworkTopology()
     g = np.asarray(genes, dtype=float)
-    n_in, n_h, n_out = topology.inputCount, topology.hiddenCount, topology.outputCount
+    n_h = topology.hiddenCount
     want = topology.genomeLength
-    _check_controller_shape(topology, "genome")
     if g.ndim != 1 or g.shape[0] != want:
         raise GenomeShapeMismatch(
-            f"topology {n_in}-{n_h}-{n_out} needs {want} genes, got {g.size}"
+            f"topology {INPUTS}-{n_h}-{OUTPUTS} needs {want} genes, got {g.size}"
         )
     if not np.isfinite(g).all():
         raise GenomeShapeMismatch("genes must be finite numbers")
     i = 0
-    w1 = g[i : i + n_h * n_in].reshape(n_h, n_in)
-    i += n_h * n_in
+    w1 = g[i : i + n_h * INPUTS].reshape(n_h, INPUTS)
+    i += n_h * INPUTS
     b1 = g[i : i + n_h]
     i += n_h
-    w2 = g[i : i + n_out * n_h].reshape(n_out, n_h)
-    i += n_out * n_h
-    b2 = g[i : i + n_out]
+    w2 = g[i : i + OUTPUTS * n_h].reshape(OUTPUTS, n_h)
+    i += OUTPUTS * n_h
+    b2 = g[i : i + OUTPUTS]
     return NeuralController(topology, w1, b1, w2, b2)
 
 
@@ -110,7 +92,7 @@ def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
             f"genome of {g.size} genes does not fit topology header"
         )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{topology.inputCount} {topology.hiddenCount} {topology.outputCount}\n")
+        fh.write(f"{INPUTS} {topology.hiddenCount} {OUTPUTS}\n")
         for gene in g:
             # repr of a python float round-trips the exact value
             fh.write(f"{float(gene)!r}\n")
@@ -129,11 +111,18 @@ def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
     if len(header) != 3:
         raise GenomeShapeMismatch(f"genome {path}: bad topology header {lines[0]!r}")
     try:
-        topology = NetworkTopology(*(int(tok) for tok in header))
+        n_in, n_h, n_out = sizes = [int(tok) for tok in header]
+        if min(sizes) < 1:
+            raise ValueError("all layer sizes must be positive")
         genes = tuple(float(tok) for tok in lines[1:])
     except ValueError as exc:
         raise GenomeShapeMismatch(f"genome {path}: {exc}") from None
-    _check_controller_shape(topology, f"genome {path}")
+    if (n_in, n_out) != (INPUTS, OUTPUTS):
+        raise GenomeShapeMismatch(
+            f"genome {path} declares topology {n_in}-{n_h}-{n_out}, "
+            f"but a light controller has {INPUTS} inputs and {OUTPUTS} outputs"
+        )
+    topology = NetworkTopology(hiddenCount=n_h)
     if len(genes) != topology.genomeLength:
         raise GenomeShapeMismatch(f"genome {path}: header promises "
                                   f"{topology.genomeLength} genes, file has {len(genes)}")

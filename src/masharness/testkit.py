@@ -313,7 +313,7 @@ def load_test_plan(path) -> list[TestCase]:
     header_line = 0
     seen: set[str] = set()
 
-    def flush(at_line: int):
+    def flush():
         nonlocal name, specs
         if name is None:
             return
@@ -333,20 +333,18 @@ def load_test_plan(path) -> list[TestCase]:
         name = None
         specs = []
 
-    last_line = 0
     with open(path, "r", encoding="utf-8") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
             raise TestkitError(f"plan {path} is not UTF-8 text: {exc.reason}") from None
         for lineno, raw in enumerate(lines, start=1):
-            last_line = lineno
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             tokens = line.split()
             if tokens[0] == "test":
-                flush(lineno)
+                flush()
                 if len(tokens) != 4:
                     raise ParseError(
                         "expected: test <name> level=<...> sublevel=<...>", lineno, path)
@@ -395,5 +393,5 @@ def load_test_plan(path) -> list[TestCase]:
                     raise ParseError(str(exc), lineno, path) from exc
             else:
                 raise ParseError(f"unknown directive {tokens[0]!r}", lineno, path)
-    flush(last_line)
+    flush()
     return cases

@@ -15,8 +15,9 @@ test machines can measure timeouts in virtual time.
 One engine runs every episode.  ``init_world`` lays out the grid and the
 state of a batch of episodes as (episodes, lights) numpy arrays, and each
 ``step_world`` tick runs ``sense``, the controllers, ``actuate`` and
-``move_people`` on the whole batch.  ``run_episodes`` steps a batch of
-silent episodes that way, in chunks of rows under TICK_BYTES;
+``move_people`` on the whole batch; each controller's ``forward_batch``
+answers for all lights of its episode at once.  ``run_episodes`` steps a
+batch of silent episodes that way, in chunks of rows under TICK_BYTES;
 ``run_episode`` steps a batch of one, and with a broker attached the
 handshake, ``sense``, ``actuate`` and finishSimulation each publish one
 broker batch of that episode's events, light by light.  A logged tick
@@ -51,7 +52,7 @@ import numpy as np
 
 from .broker import Broker
 from .logmodel import TICK_US, BoundedMemo, EventKey, intern_sites
-from .neural import NeuralController, decode
+from .neural import NeuralController
 
 FAULT_GO_DARK = "go-dark"
 FAULT_SENSOR_STUCK = "sensor-stuck"
@@ -715,17 +716,8 @@ def move_people(world: WorldState) -> None:
 
 
 def _controller_outputs(controller, inputs: np.ndarray) -> np.ndarray:
-    """Query one controller for all lights: (lights, 3) inputs -> (lights, 2) outputs.
-
-    forward_batch is used when available, then a per-row forward, then a
-    plain call per row.
-    """
-    if hasattr(controller, "forward_batch"):
-        outputs = np.asarray(controller.forward_batch(inputs), dtype=float)
-    elif hasattr(controller, "forward"):
-        outputs = np.array([controller.forward(row) for row in inputs], dtype=float)
-    else:
-        outputs = np.array([controller(row) for row in inputs], dtype=float)
+    """Ask one controller's forward_batch for all lights: (lights, 3) inputs -> (lights, 2) outputs."""
+    outputs = np.asarray(controller.forward_batch(inputs), dtype=float)
     if outputs.shape != (len(inputs), 2):
         raise WorldError(f"controller must yield (lights, 2) outputs, got {outputs.shape}")
     return outputs
@@ -742,12 +734,10 @@ class ControllerBatch:
     def __init__(self, controllers):
         self.controllers = controllers = list(controllers)
         # stacked (W1T, B1, W2T, B2), shaped (P, 3, H), (P, 1, H), (P, H, 2) and
-        # (P, 1, 2), when every controller is a NeuralController of one 3-H-2 topology
+        # (P, 1, 2), when every controller is a NeuralController of one topology
         self.networks = None
-        topology = getattr(controllers[0], "topology", None) if controllers else None
-        if (topology is not None and (topology.inputCount, topology.outputCount) == (3, 2)
-                and all(type(c) is NeuralController and c.topology == topology
-                        for c in controllers)):
+        if controllers and all(type(c) is NeuralController
+                               and c.topology == controllers[0].topology for c in controllers):
             self.networks = (
                 np.stack([c.w1.T for c in controllers]),
                 np.stack([c.b1 for c in controllers])[:, None, :],
@@ -809,7 +799,7 @@ def _run(world: WorldState, controllers: ControllerBatch) -> list[EpisodeMetrics
 
 def run_episode(
     config: WorldConfig,
-    genome,
+    controller,
     broker: Broker | None = None,
     *,
     faults=(),
@@ -817,19 +807,15 @@ def run_episode(
 ) -> EpisodeMetrics:
     """Run one full episode and report the normalized metrics.
 
-    ``genome`` may be a flat gene sequence (decoded with the default
-    topology) or any controller object.  The episode ends early when every
-    pedestrian has finished; a world with no pedestrians always runs the
-    full maxTicks.  With a broker attached the episode publishes its events,
-    ending with finishSimulation if every pedestrian arrived; a
+    ``controller`` is a NeuralController or any object whose ``forward_batch``
+    maps (lights, 3) inputs to (lights, 2) outputs.  The episode ends early
+    when every pedestrian has finished; a world with no pedestrians always
+    runs the full maxTicks.  With a broker attached the episode publishes its
+    events, ending with finishSimulation if every pedestrian arrived; a
     NeuralController's episode publishes the ticks after its state recurs
     by replaying its period's batches.  ``stats``, if given, gets the
     ``ticks_stepped`` and ``ticks_replayed`` counts.
     """
-    if hasattr(genome, "forward") or hasattr(genome, "forward_batch") or callable(genome):
-        controller = genome
-    else:
-        controller = decode(genome)
     world = init_world(config, broker, faults=faults)
     metrics = _run(world, ControllerBatch([controller]))[0]
     # every pedestrian arrived (and the episode left the batch), or there are none

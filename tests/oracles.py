@@ -299,10 +299,7 @@ def oracle_move_people(w: OracleWorld) -> None:
 
 
 def _oracle_outputs(controller, inputs):
-    if hasattr(controller, "forward_batch"):
-        return [tuple(row) for row in controller.forward_batch(inputs)]
-    ask = controller.forward if hasattr(controller, "forward") else controller
-    return [tuple(ask(row)) for row in inputs]
+    return [tuple(row) for row in controller.forward_batch(inputs)]
 
 
 def oracle_step_world(w: OracleWorld, controller) -> None:

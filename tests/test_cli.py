@@ -29,7 +29,7 @@ from masharness.evolution import (
 )
 from masharness.logmodel import BoundedMemo, RoutingKey, load_tap, read_tap
 from masharness.neural import NetworkTopology, decode, load_genome, save_genome
-from masharness.testkit import load_test_plan
+from masharness.testkit import MAX_WAIT_TICKS, load_test_plan
 from masharness.world import (
     MAX_TICKS,
     TICK_BYTES,
@@ -173,8 +173,8 @@ class TestSimulate:
         code = main(["simulate", "--genome", str(genome), "--manifest", manifest, "--tap", tap])
         captured = capsys.readouterr()
         assert code == USAGE_ERROR
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert str(genome) in captured.err
+        assert captured.err == (f"error: genome {genome} declares topology {header.replace(' ', '-')}"
+                                ", but a light controller has 3 inputs and 2 outputs\n")
         assert captured.out == ""
 
     @pytest.mark.parametrize("text,message", [
@@ -183,7 +183,10 @@ class TestSimulate:
         ("3.0 1 2\n" + "0.1\n" * 8, "invalid literal for int() with base 10: '3.0'"),
         ("3 1 2\n0x10\n" + "0.1\n" * 7, "could not convert string to float: '0x10'"),
         ("3 0 2\n" + "0.1\n" * 2, "all layer sizes must be positive"),
-    ], ids=["header-fields", "gene-count", "int-header", "hex-gene", "zero-layer"])
+        # a size below 1 is named before a foreign shape
+        ("0 4 5\n" + "0.1\n" * 2, "all layer sizes must be positive"),
+    ], ids=["header-fields", "gene-count", "int-header", "hex-gene", "zero-layer",
+            "zero-foreign-layer"])
     def test_genome_parse_error_names_the_file(self, tmp_path, capsys, text, message):
         genome = tmp_path / "genome.txt"
         genome.write_text(text)
@@ -1250,6 +1253,77 @@ class TestGenomeContract:
                                     "--tap", str(Path(tmp) / "tap.log"),
                                     "--manifest", str(Path(tmp) / "m.txt")])
         assert_contract(*result, (0, 1, USAGE_ERROR) if command == "test" else (0, USAGE_ERROR))
+
+
+#: binding patterns the plan parser accepts: ones the episode logs, one it never logs, wildcards
+PLAN_PATTERNS = st.sampled_from([
+    "OBSERVER.*.calculateFitness.#", "lightContainer.node1.switchLightON.#",
+    "AdaptiveAgent.*.useControllerToGetOutput.#", "lightContainer.lights.finishSimulation.#",
+    "MANAGER.nobody.neverLogged.#", "*.*.*.error.#", "#", "*"])
+#: accepted ``within`` durations, leading zeros and the bound included (None: no ``within``)
+PLAN_DURATIONS = st.sampled_from([None, "1ticks", "9ticks", "40ticks", "007ticks",
+                                  f"{MAX_WAIT_TICKS}ticks", f"{'0' * 40}1ticks"])
+
+
+def plan_expect(alternatives, within):
+    return f"expect {'|'.join(alternatives)}" + (f" within {within}" if within else "")
+
+
+#: test names drawn from few, so plans repeat them
+PLAN_NAMES = st.sampled_from(["a", "b", "switch-light-on", "é"])
+PLAN_CASES = st.lists(st.tuples(
+    st.builds(lambda name, level, sublevel: f"test {name} level={level} sublevel={sublevel}",
+              PLAN_NAMES, st.sampled_from(["local", "global"]),
+              st.sampled_from(["framework", "scenario", "learning", "mas"])),
+    st.lists(st.builds(plan_expect, st.lists(PLAN_PATTERNS, min_size=1, max_size=3),
+                       PLAN_DURATIONS), min_size=1, max_size=3)), max_size=3)
+PLAN_NOISE = st.lists(st.sampled_from(["", "   ", "# comment", "\t# indented comment"]),
+                      max_size=2)
+#: lines the plan parser refuses: empty or malformed alternatives, durations of
+#: 0 ticks, over the bound or misspelt, headers that miss, repeat or misname an option
+BAD_PLAN_LINES = st.one_of(
+    st.builds(plan_expect, st.lists(st.sampled_from(["", "a..b", "-x.#", "x.#.#", "é"]),
+                                    min_size=1, max_size=2).map(lambda bad: ["#", *bad]),
+              PLAN_DURATIONS),
+    st.builds(plan_expect, st.just(["#"]), st.sampled_from([
+        "0ticks", "0000ticks", f"{MAX_WAIT_TICKS + 1}ticks", f"{'9' * 40}ticks", "5tick",
+        "ticks", "-1ticks", "\u00b2ticks", "1e3ticks", "5 ticks"])),
+    st.sampled_from(["test a level=local", "test a sublevel=mas", "test a level=local level=global",
+                     "test a level=local sublevel=mas sublevel=mas", "test a level= sublevel=mas",
+                     "test a level=local colour=red", "test", "expect", "expect # within",
+                     "verify #"]))
+@st.composite
+def plan_texts(draw):
+    """Plan text: cases between noise, with at most one refused line at a drawn place."""
+    cases = draw(PLAN_CASES)
+    lines = [*draw(PLAN_NOISE), *(line for header, expects in cases for line in (header, *expects)),
+             *draw(PLAN_NOISE)]
+    for bad in draw(st.lists(BAD_PLAN_LINES, max_size=1)):
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    return "".join(f"{line}\n" for line in lines)
+
+
+class TestPlanContract:
+    """``test --plan`` on any plan text: exit 0, 1 or 2, and stderr empty or one
+    ``error:`` line."""
+
+    @settings(max_examples=200, deadline=None)
+    @example("")
+    @example("test a level=local sublevel=scenario\nexpect #|*| within 0ticks\n")
+    @example("test a level=local sublevel=mas\nexpect # within 007ticks\n"
+             "test a level=global sublevel=mas\nexpect # within 1ticks\n")
+    @example("# only a comment\n")
+    @example("test a level=local level=global\nexpect #\n")
+    @given(plan_texts())
+    def test_exit_code_and_stderr(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            plan = Path(tmp) / "plan.txt"
+            plan.write_text(text, encoding="utf-8")
+            result = main_captured(["test", "--plan", str(plan),
+                                    "--config", small_world(Path(tmp)),
+                                    "--tap", str(Path(tmp) / "tap.log"),
+                                    "--manifest", str(Path(tmp) / "m.txt")])
+        assert_contract(*result, (0, 1, USAGE_ERROR))
 
 
 def assert_one_error_line(capsys):

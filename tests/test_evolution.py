@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masharness import evolution
+from masharness import evolution, world as world_module
 from masharness.broker import Broker, QueueClosed
 from masharness.cli import data_path, main
 from masharness.evolution import (
@@ -328,6 +328,15 @@ def tiny_world(**kw):
     return WorldConfig(**base)
 
 
+def forbid_single_episodes(monkeypatch):
+    """Make run_episode raise, through the world module and the name evolution imported."""
+    def no_episode(*args, **kwargs):
+        raise AssertionError("the observer ran a single episode")
+
+    monkeypatch.setattr(evolution, "run_episode", no_episode)
+    monkeypatch.setattr(world_module, "run_episode", no_episode)
+
+
 def tiny_ga(**kw):
     base = dict(populationSize=4, generations=2, elitism=1, tournamentSize=2, rngSeed=5)
     base.update(kw)
@@ -369,29 +378,6 @@ class TestEvaluateSolution:
             "achievePeopleTarget",  # empty world vacuously delivers everyone
             "calculateFitness",
         ]
-
-    def test_world_logs_flag_silences_simulation_only(self):
-        with Broker() as broker:
-            everything = broker.declare_queue("all", ["#"])
-            evaluate_solution(
-                tiny_world(numPeople=0, maxTicks=3),
-                ALWAYS_ON_GENES,
-                NetworkTopology(),
-                broker,
-                world_logs=False,
-            )
-            broker.close()
-            events = []
-            while True:
-                try:
-                    ev = everything.consume(0.0)
-                except QueueClosed:
-                    break
-                if ev is None:
-                    break
-                events.append(ev)
-        assert events
-        assert {e.agentType for e in events} == {"OBSERVER"}
 
     def test_global_machine_passes_on_successful_run(self):
         patterns = [
@@ -435,7 +421,7 @@ class TestRunObserver:
 
     def test_episode_count_reflects_elite_caching(self):
         # gen 1 scores the full population, gen 2 only the offspring,
-        # plus one final confirmation episode for the winner
+        # plus the winner's final evaluation, logged from its score
         result, starts = self.count_evaluations(
             tiny_world(), tiny_ga(populationSize=3, generations=2, elitism=1)
         )
@@ -480,12 +466,15 @@ class TestRunObserver:
         assert a.history == b.history
         assert a.finalReport == b.finalReport
 
-    def test_final_report_confirms_cached_best_score(self):
-        # the confirmation episode reuses the training world seed, so the
-        # reported fitness must equal the cached one bit for bit
-        result = run_observer(tiny_world(), tiny_ga())
+    def test_final_report_confirms_cached_best_score(self, monkeypatch):
+        # the final report is the winner's cached score, taken with no
+        # further episode, so its fitness equals the cached one bit for bit
+        forbid_single_episodes(monkeypatch)
+        ga = tiny_ga(energyTarget=0.9)
+        result = run_observer(tiny_world(), ga)
         assert result.finalReport.fitness == result.best.fitness
-        assert result.finalReport.metrics == result.best.metrics
+        assert result.finalReport == fitness(result.best.metrics, ga.energyTarget)
+        assert result.finalReport.metrics is result.best.metrics
 
     def test_hidden_count_sets_genome_length(self):
         result = run_observer(tiny_world(), tiny_ga(generations=0, hiddenCount=2))
@@ -527,8 +516,8 @@ class TestRunObserver:
         result, starts = self.count_evaluations(
             tiny_world(), tiny_ga(populationSize=5, generations=3, elitism=2)
         )
-        # three generations (5, then 5 - 2 offspring twice), plus the final
-        # confirmation, which runs through evaluate_solution -> run_episode
+        # three generations (5, then 5 - 2 offspring twice); the winner's
+        # final evaluation is logged from its score, with no episode
         assert batches == [5, 3, 3]
         assert starts == 5 + 3 + 3 + 1
         assert len(result.history) == 3
@@ -543,7 +532,9 @@ GOLDEN_EVOLVE = {
 }
 
 
-def test_evolve_outputs_are_unchanged(tmp_path, capsys):
+def test_evolve_outputs_are_unchanged(tmp_path, capsys, monkeypatch):
+    # every genome is scored in a run_episodes batch, and the winner is not re-run
+    forbid_single_episodes(monkeypatch)
     with open(data_path("ga.cfg"), encoding="utf-8") as fh:
         lines = [ln for ln in fh if not ln.startswith("generations")]
     ga = tmp_path / "ga.cfg"
@@ -566,7 +557,8 @@ def test_scoring_and_breeding_take_no_logging_arguments():
     assert list(inspect.signature(fitness).parameters) == ["metrics", "energy_target"]
     assert list(inspect.signature(evolve_generation).parameters) == [
         "population", "config", "rng"]
-    assert "episode_tag" not in inspect.signature(evaluate_solution).parameters
+    assert list(inspect.signature(evaluate_solution).parameters) == [
+        "world_config", "genes", "topology", "broker", "faults", "stats"]
 
 
 def test_evolve_publishes_each_tap_line_once(tmp_path, capsys, monkeypatch):

@@ -16,6 +16,11 @@ from masharness.neural import (
 from oracles import oracle_forward
 
 
+def forward_one(controller, inputs):
+    """One sensor triple through forward_batch, as a tuple of floats."""
+    return tuple(float(v) for v in controller.forward_batch(np.array([inputs], dtype=float))[0])
+
+
 class TestTopology:
     def test_default_genome_length_is_26(self):
         assert NetworkTopology().genomeLength == 26
@@ -45,7 +50,7 @@ class TestDecode:
 
     def test_zero_genome_outputs_zero(self):
         controller = decode([0.0] * 26)
-        assert controller.forward([1.0, 0.0, 0.5]) == (0.0, 0.0)
+        assert forward_one(controller, [1.0, 0.0, 0.5]) == (0.0, 0.0)
 
     def test_gene_order_is_documented_layout(self):
         topo = NetworkTopology(hiddenCount=1)  # (3+1)*1 + (1+1)*2 = 8 genes
@@ -62,8 +67,8 @@ class TestDecode:
         topo = NetworkTopology(hiddenCount=1)
         genes = [0.0, 5.0, 0.0, 0.0, 5.0, -1.0, -2.0, 0.0]
         controller = decode(genes, topo)
-        led_on, _ = controller.forward([0.3, 1.0, 0.2])
-        led_off, _ = controller.forward([0.3, 0.0, 0.2])
+        led_on, _ = forward_one(controller, [0.3, 1.0, 0.2])
+        led_off, _ = forward_one(controller, [0.3, 0.0, 0.2])
         assert led_on > 0
         assert led_off < 0
 
@@ -75,7 +80,7 @@ class TestForward:
     )
     @settings(max_examples=200)
     def test_outputs_bounded(self, genes, inputs):
-        out = decode(genes).forward(inputs)
+        out = forward_one(decode(genes), inputs)
         assert len(out) == 2
         assert all(-1.0 <= v <= 1.0 for v in out)
 
@@ -86,7 +91,7 @@ class TestForward:
             topo = NetworkTopology(hiddenCount=hidden)
             genes = [rng.uniform(-5, 5) for _ in range(topo.genomeLength)]
             inputs = [rng.uniform(0, 1) for _ in range(3)]
-            got = decode(genes, topo).forward(inputs)
+            got = forward_one(decode(genes, topo), inputs)
             want = oracle_forward(genes, inputs, hidden)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -97,7 +102,7 @@ class TestForward:
         rows = [[rng.uniform(0, 1) for _ in range(3)] for _ in range(40)]
         batch = controller.forward_batch(np.array(rows))
         for row, out in zip(rows, batch):
-            assert controller.forward(row) == pytest.approx(tuple(out), abs=1e-12)
+            assert forward_one(controller, row) == pytest.approx(tuple(out), abs=1e-12)
 
     def test_finite_differences_match_analytic_jacobian(self):
         rng = random.Random(2)
@@ -114,12 +119,12 @@ class TestForward:
         for j in range(3):
             bumped = x.copy()
             bumped[j] += eps
-            numeric = (np.array(controller.forward(bumped)) - out) / eps
+            numeric = (np.array(forward_one(controller, bumped)) - out) / eps
             assert numeric == pytest.approx(jac[:, j], abs=1e-5)
 
     def test_wrong_input_arity_is_rejected(self):
         with pytest.raises(ValueError):
-            decode([0.0] * 26).forward([1.0, 2.0])
+            forward_one(decode([0.0] * 26), [1.0, 2.0])
 
 
 class TestGenomeFiles:

@@ -101,13 +101,6 @@ class RandomController:
         return self.rng.uniform(-1.0, 1.0, size=(len(inputs), 2))
 
 
-class ForwardController:
-    """Answers one light at a time."""
-
-    def forward(self, row):
-        return (row[2] - row[1], -row[0])
-
-
 def batch(controller):
     return ControllerBatch([controller])
 
@@ -685,18 +678,6 @@ class TestStepWorld:
         with pytest.raises(WorldError, match="controller"):
             step_world(world, batch(Wide()))
 
-    def test_plain_callable_and_forward_objects_work(self):
-        world = init_world(cfg())
-        step_world(world, batch(lambda row: (1.0, 0.0)))
-        assert world.radiating[0, :4].all()
-
-        class Single:
-            def forward(self, row):
-                return (-1.0, 0.0)
-
-        step_world(world, batch(Single()))
-        assert not world.radiating.any()
-
     def test_energy_counts_on_ticks_exactly(self):
         world = init_world(cfg(energyPerTickOn=0.25))
         on = batch(ConstantController(1.0, 0.0))
@@ -798,14 +779,14 @@ class TestRunEpisode:
         assert metrics.pEnergy < 1.0  # early stop cuts the burn short
 
     def test_zero_genome_keeps_lights_off(self):
-        metrics = run_episode(cfg(maxTicks=3), [0.0] * 26)
+        metrics = run_episode(cfg(maxTicks=3), decode([0.0] * 26))
         assert metrics.pEnergy == 0.0
 
     def test_deterministic_for_fixed_seed(self):
         c = cfg(gridWidth=4, gridHeight=3, numPeople=3, maxTicks=30, rngSeed=77)
         rng = np.random.default_rng(5)
         genes = rng.uniform(-1.0, 1.0, size=26).tolist()
-        assert run_episode(c, genes) == run_episode(c, genes)
+        assert run_episode(c, decode(genes)) == run_episode(c, decode(genes))
 
     def test_go_dark_on_route_blocks_arrival(self):
         c = cfg(gridWidth=5, gridHeight=5, numPeople=3, maxTicks=60)
@@ -1017,11 +998,7 @@ class Replay:
     def __call__(self):
         if self.kind == "neural":
             return self.network
-        if self.kind == "scripted":
-            return ScriptedController(self.frames)
-        if self.kind == "forward":
-            return ForwardController()
-        return lambda row: (row[0] - 0.1, row[2] - row[1])
+        return ScriptedController(self.frames)
 
     def __repr__(self):
         return f"Replay({self.kind!r})"
@@ -1030,7 +1007,7 @@ class Replay:
 @st.composite
 def logged_worlds(draw):
     config, faults = draw(worlds(max_ticks=20))
-    kind = draw(st.sampled_from(["neural", "scripted", "callable", "forward"]))
+    kind = draw(st.sampled_from(["neural", "scripted"]))
     return config, faults, Replay(kind, config.gridWidth * config.gridHeight, draw)
 
 
@@ -1241,12 +1218,17 @@ class TestRunEpisodes:
 
     def test_other_controllers_are_queried_one_by_one(self):
         c = cfg(gridWidth=3, gridHeight=3, numPeople=2, maxTicks=25, rngSeed=4)
+
+        class Relay:
+            def forward_batch(self, inputs):
+                return np.stack([inputs[:, 0] - 0.1, inputs[:, 2]], axis=1)
+
         controllers = [ConstantController(1.0, 0.5), RandomController(2),
-                       decode([0.5] * 26), lambda row: (row[0] - 0.1, row[2])]
+                       decode([0.5] * 26), Relay()]
         expected = [oracle_run_episode(c, ConstantController(1.0, 0.5)),
                     oracle_run_episode(c, RandomController(2)),
                     oracle_run_episode(c, decode([0.5] * 26)),
-                    oracle_run_episode(c, lambda row: (row[0] - 0.1, row[2]))]
+                    oracle_run_episode(c, Relay())]
         assert run_episodes(c, controllers) == expected
 
     def test_controller_shape_is_checked(self):
