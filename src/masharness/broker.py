@@ -332,11 +332,14 @@ class Broker:
                 raise QueueClosed("broker is closed")
             seq = self._published
             self._published += 1
-            route = self._route(key)
+            route = self._routes.get(key.text)
+            if route is None:
+                route = self._route(key)
             matched = len(route)  # before _prune empties the list a retirement leaves
             if self._tap is not None:
                 self._tap.write(f"{key.text}\t{event.timestamp}\t{event.message}\n")
-            _deliver(route, event, self._prune)
+            if route:
+                _deliver(route, event, self._prune)
         return PublishReceipt(seq, matched)
 
     def publish_batch(self, batch: list[tuple[EventKey, str]]) -> None:

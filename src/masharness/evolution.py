@@ -283,12 +283,16 @@ def _observer_keys() -> dict[str, EventKey]:
 
 
 def _publish(broker: Broker | None, logs: list[tuple[str, str]]) -> None:
-    """Publish each (action, message) as an observer event, one Broker.publish each."""
+    """Publish each (action, message) as an observer event, one Broker.publish each.
+
+    The events take consecutive timestamps, reserved from the clock at once.
+    """
     if broker is None:
         return
-    keys, clock = _observer_keys(), broker.clock
+    keys, timestamp = _observer_keys(), broker.clock.reserve(len(logs))
     for action, message in logs:
-        broker.publish(keyed_event(keys[action], clock.next_timestamp(), message))
+        broker.publish(keyed_event(keys[action], timestamp, message))
+        timestamp += 1
 
 
 def evaluate_solution(

@@ -26,18 +26,26 @@ renders its messages from tables: a grid's interned keys and the
 grid), the ``brightness=`` and the few ``level=`` texts (once per world).
 Only the readings and outputs that vary are formatted each tick.
 
+A silent tick computes only what its inputs need.  A fault kind that no
+light has costs it nothing, one flat index per pedestrian finds both its
+node and its next node, and arrivals are checked only on a tick where
+someone moved.  Each reading gathers light by light, every row of a light
+together.  The recurrence check below compares each row's state words as
+they stand, and a row that leaves the batch drops them as one array.
+
 A batch of NeuralControllers, which hold no state, stops stepping an
 episode once it repeats.  A row's state is ``radiating``, ``outbox`` (bit
-for bit) and ``step``, and every tick maps it to the next by the same
-function.  So if the state after tick t equals the one after tick t - lag,
-the episode repeats with period lag up to maxTicks.  ``step`` never goes
-back, so no pedestrian moves in the cycle and arrivals are final; with R
-ticks left, each counter gains R // lag periods plus the first R % lag
-ticks of one, exact integers, so the metrics are those of stepping on.
-Only the state saved every RECURRENCE_WINDOW ticks, from tick 0, is kept
-to compare with.  A silent row then leaves the batch.  A logged world
-keeps the sense and actuate batches of its ticks since the saved state,
-from its first save on, and replays the period: each tick left raises the clock floor and
+for bit) and ``step``, views of one run of 8-byte words per row
+(``state``), and every tick maps it to the next by the same function.  So
+if the state after tick t equals the one after tick t - lag, the episode
+repeats with period lag up to maxTicks.  ``step`` never goes back, so no
+pedestrian moves in the cycle and arrivals are final; with R ticks left,
+each counter gains R // lag periods plus the first R % lag ticks of one,
+exact integers, so the metrics are those of stepping on.  Only the state
+saved every RECURRENCE_WINDOW ticks, from tick 0, is kept to compare with.
+A silent row then leaves the batch.  A logged world keeps the sense and
+actuate batches of its ticks since the saved state, from its first save
+on, and replays the period: each tick left raises the clock floor and
 publishes that tick's recorded batches again.  No sense or actuate message
 holds the tick number, so the events are those of stepping on.
 """
@@ -74,6 +82,10 @@ MAX_WIRELESS_LINKS = 250_000
 
 #: most pedestrians a WorldConfig accepts; each one's route is built at set-up
 MAX_PEOPLE = 10_000
+#: most route nodes a WorldConfig's pedestrians may walk in all, by the bound
+#: numPeople * (gridWidth + gridHeight - 1) on a route's length; set-up builds
+#: and stores each node, and 100x100 with MAX_PEOPLE takes 1,990,000
+MAX_ROUTE_NODES = 2_000_000
 #: longest episode a WorldConfig accepts, in ticks; a logged episode writes
 #: every tick's events to the tap
 MAX_TICKS = 100_000
@@ -90,8 +102,7 @@ _layouts = BoundedMemo(4)
 #: 90,008 keys and its messages in about 62 MB, so few are kept
 _grid_logs = BoundedMemo(2)
 #: the WorldState arrays with one row per live episode
-_ROW_ARRAYS = ("live", "radiating", "outbox", "step", "arrived", "ticks_moving", "on_ticks",
-               "saved", "counted")
+_ROW_ARRAYS = ("live", "state", "arrived", "counts", "saved", "counted")
 
 #: stands for each light's own id in _LOG_SITES
 _LIGHT = None
@@ -175,6 +186,11 @@ class WorldConfig:
             )
         if not 0 <= self.numPeople <= MAX_PEOPLE:
             raise InvalidConfig(f"numPeople must be in [0,{MAX_PEOPLE}], got {self.numPeople}")
+        if self.numPeople * (w + h - 1) > MAX_ROUTE_NODES:
+            raise InvalidConfig(
+                f"numPeople {self.numPeople} on grid {w}x{h} can walk more than "
+                f"{MAX_ROUTE_NODES} route nodes"
+            )
         if self.maxTicks < 1:
             raise InvalidConfig("maxTicks must be positive")
         if self.maxTicks > MAX_TICKS:
@@ -422,12 +438,14 @@ class WorldState:
     Lights are numbered row-major (``y * gridWidth + x``).  Every per-light
     episode array has one more column, a sentinel light that never radiates
     and never transmits, and the index tables are padded with it.  The ids
-    and index tables (``near``, ``peers``) are built once per grid and shared,
-    read-only, by its worlds, as is a logged world's ``log``.  Row r of
-    the episode arrays is episode ``live[r]``; an episode whose pedestrians
-    have all arrived leaves the batch, which keeps its metrics and drops its
-    row.  Routes are built before faults are checked, so a world that can
-    route no pedestrians raises that error first.
+    and index tables (``near``, ``peers``) are built once per grid and
+    shared, read-only, by its worlds, as is a logged world's ``log``.
+    Row r of the episode arrays is episode ``live[r]``; an episode whose
+    pedestrians have all arrived leaves the batch, which keeps its metrics
+    and drops its row.  A row's ``outbox``, ``step`` and ``radiating`` are
+    views of its words in ``state``, and ``on_ticks`` and ``ticks_moving``
+    of its ``counts``.  Routes are built before faults are checked, so a
+    world that can route no pedestrians raises that error first.
     """
 
     def __init__(self, config: WorldConfig, broker: Broker | None = None, *, faults=(),
@@ -440,6 +458,8 @@ class WorldState:
         self.ids, self.near, self.peers = _layout(config)
         routes = build_routes(config, random.Random(config.rngSeed))
         self.faulty = _fault_masks(self.ids, faults)
+        #: the fault kinds some light has; a tick spends nothing on the others
+        self.fault_kinds = {kind for kind, lights_with in self.faulty.items() if lights_with.any()}
 
         # a light sensor reads the ambient level plus lightBrightness once per
         # radiating lamp it sees, added one by one; this table holds those sums
@@ -458,30 +478,46 @@ class WorldState:
         self.lit_walkable = min(config.ambientLight + config.lightBrightness, 1.0) > threshold
         self.dark_walkable = min(config.ambientLight, 1.0) > threshold
 
-        self.people = len(routes)
-        self.path = np.full((self.people, max(map(len, routes), default=0) + 1), sentinel,
+        self.people = people = len(routes)
+        self.path = np.full((people, max(map(len, routes), default=1) + 1), sentinel,
                             dtype=np.intp)
         for n, route in enumerate(routes):
             self.path[n, : len(route)] = [y * w + x for x, y in route]
         self.last_step = np.array([len(r) - 1 for r in routes], dtype=np.intp)
-        self.person = np.arange(self.people)
+        # a pedestrian's node is path_flat[base + step] and its next node
+        # path_next[base + step], the sentinel from its last step on
+        self.path_flat = self.path.reshape(-1)
+        self.path_next = self.path_flat[1:]
+        self.base = np.arange(people) * self.path.shape[1]
 
         self.live = np.arange(episodes)  # the episode of each row still running
-        self.radiating = np.zeros((episodes, lights + 1), dtype=bool)  # as of the last tick
-        self.outbox = np.zeros((episodes, lights + 1))  # as of the last tick
-        self.step = np.zeros((episodes, self.people), dtype=np.intp)
-        self.arrived = np.zeros((episodes, self.people), dtype=bool)
-        self.ticks_moving = np.zeros(episodes, dtype=np.int64)
-        self.on_ticks = np.zeros(episodes, dtype=np.int64)
+        # each row's state as a run of 8-byte words, laid out by _views
+        self.state = np.zeros((episodes, lights + 1 + people + (lights + 8) // 8), np.uint64)
+        self.arrived = np.zeros((episodes, people), dtype=bool)
+        self.counts = np.zeros((episodes, 2), dtype=np.int64)  # on_ticks, ticks_moving
         self.results: list[EpisodeMetrics | None] = [None] * episodes
         self.inputs = np.empty((episodes, lights, 3))  # each tick's controller inputs
-        # each row's state as of saved_tick, and its counters on each tick since
-        self.saved, self.saved_tick = self._state(), 0
+        # each row's state as of saved_tick, and its counts on each tick since
+        self.saved, self.saved_tick = self.state.copy(), 0
         self.counted = np.zeros((episodes, 2, RECURRENCE_WINDOW + 1), dtype=np.int64)
         #: a logged world's batches since saved_tick, sense then actuate per
         #: tick, once it has saved a state; None while nothing is recorded
         self.period: list[list[tuple[EventKey, str]]] | None = None
         self.ticks_replayed = 0
+        self._views()
+
+    def _views(self) -> None:
+        """Name the fields of each row's ``state`` and ``counts``, and index the live rows.
+
+        A row's words hold ``outbox`` (bit for bit), then ``step``, then
+        ``radiating`` a byte per light.
+        """
+        state, tail = self.state, self.lights + 1 + self.people
+        self.outbox = state[:, : self.lights + 1].view(np.float64)
+        self.step = state[:, self.lights + 1: tail].view(np.int64)
+        self.radiating = state.view(np.uint8)[:, 8 * tail: 8 * tail + self.lights + 1].view(bool)
+        self.on_ticks, self.ticks_moving = self.counts.T
+        self.rows = np.arange(len(state))[:, None]
 
     # -- logging -----------------------------------------------------------
 
@@ -515,27 +551,16 @@ class WorldState:
         """Drop the rows marked ``done`` from the batch, keeping their episodes' metrics."""
         for row in np.flatnonzero(done):
             self.results[self.live[row]] = self._row_metrics(row)
-        keep = ~done
+        keep = (~done).nonzero()[0]
         for name in _ROW_ARRAYS:
-            setattr(self, name, getattr(self, name)[keep])
+            setattr(self, name, getattr(self, name).take(keep, axis=0))
+        self._views()
 
     def retire_arrived(self) -> None:
         """Drop the rows of episodes whose pedestrians have all arrived, keeping their metrics."""
         done = self.arrived.all(axis=1)
         if self.people and done.any():
             self._leave(done)
-
-    def _state(self) -> np.ndarray:
-        """Each row's state as bytes: radiating, then outbox bit for bit, then step."""
-        return np.concatenate((self.radiating.view(np.uint8), self.outbox.view(np.uint8),
-                               self.step.view(np.uint8)), axis=1)
-
-    def _recurred(self) -> tuple[int, np.ndarray, np.ndarray]:
-        """This tick's lag from the saved state, each row's state, and which rows are back in it."""
-        lag = self.tick - self.saved_tick
-        self.counted[:, 0, lag], self.counted[:, 1, lag] = self.on_ticks, self.ticks_moving
-        state = self._state()
-        return lag, state, (state == self.saved).all(axis=1)
 
     def retire_periodic(self) -> None:
         """End the rows back in their saved state at maxTicks, adding the counts of their ticks left.
@@ -544,21 +569,20 @@ class WorldState:
         batches again for each tick left.  It records them from its first
         saved state on, so an episode that ends sooner keeps none.
         """
-        lag, state, same = self._recurred()
+        lag = self.tick - self.saved_tick
+        self.counted[:, :, lag] = self.counts
+        same = (self.state == self.saved).all(axis=1)
         if same.any() and (self.broker is None or self.period is not None):
             left = self.config.maxTicks - self.tick
             counted = self.counted[same]
-            gained = (left // lag) * (counted[:, :, lag] - counted[:, :, 0]) + (
+            self.counts[same] += (left // lag) * (counted[:, :, lag] - counted[:, :, 0]) + (
                 counted[:, :, left % lag] - counted[:, :, 0])
-            self.on_ticks[same] += gained[:, 0]
-            self.ticks_moving[same] += gained[:, 1]
             if self.broker is not None:
                 self._replay(lag)
                 return
             self._leave(same)
-            state = state[~same]
         if lag == RECURRENCE_WINDOW:
-            self.saved, self.saved_tick = state, self.tick
+            self.saved, self.saved_tick = self.state.copy(), self.tick
             self.counted[:, :, 0] = self.counted[:, :, lag]
             if self.broker is not None:
                 self.period = []
@@ -629,17 +653,21 @@ def sense(world: WorldState) -> np.ndarray:
     wirelessIn is the strongest outbox of its wireless peers from last tick,
     at least 0.0.  With a broker, the lights publish their four readings in order.
     """
-    sentinel, rows = world.lights, len(world.live)
-    inputs = world.inputs[:rows]
-    inputs[:, :, 0] = world.level_of[world.radiating[:, world.near.T].sum(axis=1)]
-    inputs[:, world.faulty[FAULT_SENSOR_STUCK], 0] = world.level_of[0]
-    at = world.path[world.person, world.step]
-    occupied = np.zeros_like(world.radiating)
-    occupied[np.arange(rows)[:, None], np.where(world.arrived, sentinel, at)] = True
-    occupied[:, sentinel] = False
-    inputs[:, :, 1] = occupied[:, world.near.T].any(axis=1)
+    lights = world.lights
+    inputs = world.inputs[: len(world.live)]
+    # each reading gathers light by light (.T, every row of a light together),
+    # so a take copies whole runs of rows and a reduction adds whole runs
+    inputs[:, :, 0] = world.level_of[world.radiating.T.take(world.near.T, axis=0).sum(axis=0)].T
+    if FAULT_SENSOR_STUCK in world.fault_kinds:
+        inputs[:, world.faulty[FAULT_SENSOR_STUCK], 0] = world.level_of[0]
+    # each unfinished pedestrian marks its node; a finished one marks a column
+    # past the sentinel, which no light sees
+    at = np.where(world.arrived, lights + 1, world.path_flat.take(world.base + world.step))
+    occupied = np.zeros((lights + 2, len(at)), dtype=bool)
+    occupied[at, world.rows] = True
+    inputs[:, :, 1] = occupied.take(world.near.T, axis=0).any(axis=0).T
     # fmax skips a NaN outbox, as a running max() from 0.0 does
-    np.fmax.reduce(world.outbox[:, world.peers.T], axis=1, out=inputs[:, :, 2])
+    inputs[:, :, 2] = np.fmax.reduce(world.outbox.T.take(world.peers.T, axis=0), axis=0).T
     if world.broker is not None:
         levels = world.level_texts
         batch = []
@@ -661,12 +689,16 @@ def actuate(world: WorldState, inputs: np.ndarray, outputs: np.ndarray) -> None:
     readings ``inputs`` it decided on and its decision, then the light logs
     what it did.
     """
-    lights = world.lights
-    light_on = outputs[:, :, 0] > 0
-    np.logical_and(light_on, ~world.faulty[FAULT_GO_DARK], out=world.radiating[:, :lights])
+    lights, kinds = world.lights, world.fault_kinds
+    if FAULT_GO_DARK in kinds:
+        light_on = outputs[:, :, 0] > 0
+        np.logical_and(light_on, ~world.faulty[FAULT_GO_DARK], out=world.radiating[:, :lights])
+    else:
+        light_on = np.greater(outputs[:, :, 0], 0, out=world.radiating[:, :lights])
     muted = world.faulty[FAULT_MUTE_WIRELESS]
     np.maximum(outputs[:, :, 1], 0.0, out=world.outbox[:, :lights])
-    np.copyto(world.outbox[:, :lights], 0.0, where=muted)
+    if FAULT_MUTE_WIRELESS in kinds:
+        np.copyto(world.outbox[:, :lights], 0.0, where=muted)
     world.on_ticks += light_on.sum(axis=1)
     if world.broker is None:
         return
@@ -695,24 +727,27 @@ def actuate(world: WorldState, inputs: np.ndarray, outputs: np.ndarray) -> None:
     world.publish(batch)
 
 
-def move_people(world: WorldState) -> None:
-    """Advance every pedestrian that has light to walk by.
+def move_people(world: WorldState) -> bool:
+    """Advance every pedestrian that has light to walk by; return whether one did.
 
     A pedestrian moves one node per tick iff the lamp at both the current
     and the next node radiates (or ambient light alone clears darkThreshold);
     every unfinished pedestrian pays one tick of trip time whether it moved
-    or not.
+    or not.  Arrivals can only change when someone moved, so only then are
+    they checked.
     """
     # a lamp only adds light: if it decides, a node is walkable while its lamp radiates
     walkable = (world.radiating if world.lit_walkable and not world.dark_walkable
                 else np.full_like(world.radiating, world.lit_walkable))
-    rows = np.arange(len(world.live))[:, None]
-    path, person, step = world.path, world.person, world.step
-    walking = ~world.arrived
-    moves = walking & walkable[rows, path[person, step]] & walkable[rows, path[person, step + 1]]
+    walking, index = ~world.arrived, world.base + world.step
+    moves = (walking & walkable[world.rows, world.path_flat.take(index)]
+             & walkable[world.rows, world.path_next.take(index)])
     world.ticks_moving += walking.sum(axis=1)
+    if not moves.any():
+        return False
     world.step += moves
     world.arrived |= world.step == world.last_step
+    return True
 
 
 def _controller_outputs(controller, inputs: np.ndarray) -> np.ndarray:
@@ -765,16 +800,16 @@ def step_world(world: WorldState, controllers: ControllerBatch) -> None:
     """Run one tick of every live episode: sense, decide, actuate, then pedestrians move.
 
     Sensors read the end of the last tick, so nothing a lamp does this tick
-    reaches a sensor before the next one.  Episodes whose pedestrians have
-    all arrived then leave the batch.
+    reaches a sensor before the next one.  If someone moved, episodes whose
+    pedestrians have all arrived then leave the batch.
     """
     world.tick += 1
     if world.broker is not None:
         world.broker.clock.advance_to(world.tick * TICK_US)
     inputs = sense(world)
     actuate(world, inputs, controllers.outputs(inputs, world.live))
-    move_people(world)
-    world.retire_arrived()
+    if move_people(world):
+        world.retire_arrived()
 
 
 def _run(world: WorldState, controllers: ControllerBatch) -> list[EpisodeMetrics]:
@@ -831,12 +866,17 @@ def _row_bytes(config: WorldConfig, controllers) -> int:
     """About the bytes one episode's row takes in a tick's arrays.
 
     That is a float per light for each input, output and hidden neuron, and
-    for each adjacent lamp and wireless peer it gathers.
+    for each adjacent lamp and wireless peer it gathers; and per pedestrian,
+    8 bytes for its step, its saved step and each of the six index arrays a
+    tick makes for it (flat index and node in sense and in move_people, its
+    masked node and next node), plus a byte for its arrived flag and each of
+    the six flags a tick makes of it.
     """
     _, near, peers = _layout(config)
     hidden = max((c.topology.hiddenCount for c in controllers if type(c) is NeuralController),
                  default=0)
-    return 8 * len(near) * (3 + 2 + hidden + near.shape[1] + peers.shape[1])
+    return (8 * len(near) * (3 + 2 + hidden + near.shape[1] + peers.shape[1])
+            + config.numPeople * (8 * (2 + 6) + 1 + 6))
 
 
 def run_episodes(config: WorldConfig, controllers, *, faults=()) -> list[EpisodeMetrics]:

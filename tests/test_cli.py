@@ -227,6 +227,16 @@ class TestSimulate:
                                 "make more than 250000 wireless links\n")
         assert captured.out == ""
 
+    def test_routes_too_long_in_all_exit_two(self, tmp_path, capsys):
+        config = small_world(tmp_path, gridWidth=1, gridHeight=2000, numPeople=2000)
+        manifest, tap = out_paths(tmp_path)
+        code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err == (f"error: config {config}: numPeople 2000 on grid 1x2000 can "
+                                "walk more than 2000000 route nodes\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_config_float_exits_two(self, tmp_path, capsys, value):
         manifest, tap = out_paths(tmp_path)

@@ -573,20 +573,42 @@ def test_evolve_publishes_each_tap_line_once(tmp_path, capsys, monkeypatch):
     def no_batches(self, batch):
         raise AssertionError("evolve published a batch")
 
+    # the events each observer log call publishes
+    sizes = []
+    publish_logs = evolution._publish
+
+    def sized(broker, logs):
+        sizes.append(len(logs))
+        return publish_logs(broker, logs)
+
     monkeypatch.setattr(Broker, "publish", counted)
     monkeypatch.setattr(Broker, "publish_batch", no_batches)
+    monkeypatch.setattr(evolution, "_publish", sized)
     world, ga, tap = tmp_path / "world.cfg", tmp_path / "ga.cfg", tmp_path / "tap.log"
+    manifest = tmp_path / "manifest.txt"
     world.write_text("gridWidth=3\ngridHeight=3\nnumPeople=2\nmaxTicks=15\n")
     ga.write_text("populationSize=3\ngenerations=2\nelitism=1\n")
     code = main(["evolve", "--config", str(world), "--ga-config", str(ga),
                  "--genome", str(tmp_path / "genome.txt"), "--tap", str(tap),
-                 "--manifest", str(tmp_path / "manifest.txt")])
+                 "--manifest", str(manifest)])
     capsys.readouterr()
     assert code == 0
-    assert calls == [event.action for event in load_tap(tap)]
+    events = load_tap(tap)
+    assert calls == [event.action for event in events]
     # three genomes, two offspring, the winner's confirmation, and one generation step
     assert calls.count("calculateFitness") == 3 + 2 + 1
     assert calls.count("startGeneticAlgorithm") == 1
+    # the manifest counts the events Broker.publish was called with
+    assert f"stats.events_published: {len(calls)}" in manifest.read_text().splitlines()
+    # timestamps strictly increase, and each log call's events take consecutive ones
+    stamps = [event.timestamp for event in events]
+    assert all(a < b for a, b in zip(stamps, stamps[1:]))
+    assert sum(sizes) == len(stamps) and all(sizes)
+    start = 0
+    for size in sizes:
+        group = stamps[start:start + size]
+        assert group == list(range(group[0], group[0] + size))
+        start += size
 
 
 #: sha256 of the genome, .history and stdout of the shipped 30-generation

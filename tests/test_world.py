@@ -25,6 +25,7 @@ from masharness.world import (
     FAULT_SKIP_HANDSHAKE,
     MAX_LIGHTS,
     MAX_PEOPLE,
+    MAX_ROUTE_NODES,
     MAX_TICKS,
     MAX_WIRELESS_LINKS,
     RECURRENCE_WINDOW,
@@ -193,6 +194,19 @@ class TestWorldConfig:
             cfg(gridWidth=50, gridHeight=50, wirelessRange=7)
         # a small grid may take any range: no light has more than lights - 1 peers
         assert cfg(gridWidth=6, gridHeight=6, wirelessRange=10**9).wirelessRange == 10**9
+
+    def test_route_nodes_are_bounded(self):
+        # routes are built at set-up, so people times the longest route is bounded
+        error = (rf"^numPeople 10000 on grid 1x10000 can walk more than {MAX_ROUTE_NODES} "
+                 r"route nodes$")
+        with pytest.raises(InvalidConfig, match=error):
+            cfg(gridWidth=1, gridHeight=10_000, numPeople=MAX_PEOPLE)
+        with pytest.raises(InvalidConfig, match="route nodes"):
+            cfg(gridWidth=1, gridHeight=2000, numPeople=2000)
+        # the largest square grid may hold the most people: routes of at most 199 nodes
+        assert cfg(gridWidth=100, gridHeight=100, numPeople=MAX_PEOPLE).numPeople == MAX_PEOPLE
+        assert MAX_PEOPLE * 199 <= MAX_ROUTE_NODES
+        assert cfg(gridWidth=1, gridHeight=1000, numPeople=1000).numPeople == 1000
 
     def test_people_are_bounded(self):
         assert cfg(numPeople=MAX_PEOPLE).numPeople == 10_000
@@ -1136,6 +1150,28 @@ class TestRunEpisodes:
             assert run_episodes(config, controllers, faults=faults) == whole
         n = len(controllers)
         assert chunks == [min(rows, n - start) for start in range(0, n, rows)]
+
+    def test_pedestrians_count_against_the_tick_budget(self):
+        # 2000 pedestrians on 9 lights: their arrays, not the lights', fill a row
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=2000, maxTicks=20, rngSeed=3)
+        controllers = [decode([random.Random(n).uniform(-1.0, 1.0) for _ in range(26)])
+                       for n in range(6)]
+        whole, chunks = run_episodes(c, controllers), []
+        init = world_module.init_world
+
+        def counting(config, **kw):
+            chunks.append(kw["episodes"])
+            return init(config, **kw)
+
+        budget = 2 * world_module._row_bytes(c, controllers) + 1
+        with mock.patch.object(world_module, "TICK_BYTES", budget), \
+                mock.patch.object(world_module, "init_world", counting):
+            assert run_episodes(c, controllers) == whole
+        assert chunks == [2, 2, 2]
+        # the lights' floats alone would take every row in one chunk; a row
+        # counts at least each pedestrian's step and arrived flag
+        assert 6 * 8 * 9 * (3 + 2 + 4 + 5 + 5) < budget
+        assert world_module._row_bytes(c, controllers) > c.numPeople * (8 + 1)
 
     def test_a_stranded_batch_stops_before_max_ticks(self, monkeypatch):
         c = load_world_config(data_path("world.cfg"))
