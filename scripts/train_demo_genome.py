@@ -39,7 +39,6 @@ maxTicks=200
 ambientLight=0.05
 lightBrightness=0.8
 darkThreshold=0.15
-energyPerTickOn=1.0
 rngSeed={seed}
 """
 

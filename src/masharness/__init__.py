@@ -24,7 +24,6 @@ from .broker import (
     Broker,
     BrokerStats,
     DuplicateQueue,
-    PublishReceipt,
     QueueClosed,
     QueueHandle,
     matches,

@@ -142,14 +142,6 @@ def _deliver(route, event: LogEvent, prune) -> None:
 
 
 @dataclass(frozen=True, slots=True)
-class PublishReceipt:
-    """Outcome of one publish: global sequence number and match count."""
-
-    sequence: int
-    matched: int
-
-
-@dataclass(frozen=True, slots=True)
 class QueueStats:
     matched: int
     delivered: int
@@ -317,20 +309,19 @@ class Broker:
         for route in self._classes.values():
             route[:] = [q for q in route if not q.done]
 
-    def publish(self, event: LogEvent) -> PublishReceipt:
+    def publish(self, event: LogEvent) -> int:
         """Route one event to every queue and subscriber with a matching binding.
 
-        An event is handed over at most once per queue or subscriber even if
-        several of its bindings match.  Zero matches is legal; the receipt
-        reports the count, done subscribers left out.  A full queue drops its
-        oldest buffered event first; subscribers are called before publish
-        returns.
+        Returns the number of queues and live subscribers it went to, each
+        handed it once however many of its bindings match; zero is legal.  A
+        full queue drops its oldest buffered event first; subscribers are
+        called before publish returns.  An event without a key is checked by
+        routing_key before its tap line is written.
         """
         key = event.key or routing_key(event)
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
-            seq = self._published
             self._published += 1
             route = self._routes.get(key.text)
             if route is None:
@@ -340,7 +331,7 @@ class Broker:
                 self._tap.write(f"{key.text}\t{event.timestamp}\t{event.message}\n")
             if route:
                 _deliver(route, event, self._prune)
-        return PublishReceipt(seq, matched)
+        return matched
 
     def publish_batch(self, batch: list[tuple[EventKey, str]]) -> None:
         """Publish each ``(interned key, message)`` pair's event, in order, as one admission.
@@ -450,6 +441,7 @@ class AgentPublisher:
 
     ``log`` checks a call site's tags once: later calls with the same tags
     take the interned key from ``event_key`` and check only the message.
+    It returns ``Broker.publish``'s count of queues and subscribers reached.
     """
 
     def __init__(self, broker: Broker, agentType: str, agentName: str):
@@ -467,7 +459,7 @@ class AgentPublisher:
         sourceLine: int,
         resource: str,
         message: str = "",
-    ) -> PublishReceipt:
+    ) -> int:
         key = event_key(
             self.agentType,
             self.agentName,

@@ -199,7 +199,7 @@ def run_test_plan(
             broker.subscribe(machine.name, machine.patterns, machine.offer)
         # plan names are single tokens, so this name cannot collide with one
         broker.subscribe("error monitor", ["*.*.*.error.#"], note_error)
-        report, _ = evaluate_solution(
+        report = evaluate_solution(
             world_config,
             genes,
             topology,

@@ -303,21 +303,21 @@ def evaluate_solution(
     *,
     faults=(),
     stats: dict | None = None,
-) -> tuple[FitnessReport, EpisodeMetrics]:
+) -> FitnessReport:
     """Run one logged episode under the full observer evaluation protocol.
 
     This is the global-evaluation sequence a test plan judges: prologue
     logs, the episode publishing to the same broker, then
     readSimulationResults and the fitness protocol against
-    DEFAULT_ENERGY_TARGET.  ``stats`` gets the episode's tick counts
+    DEFAULT_ENERGY_TARGET.  Returns the episode's FitnessReport, which
+    holds its metrics.  ``stats`` gets the episode's tick counts
     (run_episode).
     """
     controller = decode(genes, topology)
     _publish(broker, _prologue(topology, world_config))
-    metrics = run_episode(world_config, controller, broker, faults=faults, stats=stats)
-    report = fitness(metrics)
+    report = fitness(run_episode(world_config, controller, broker, faults=faults, stats=stats))
     _publish(broker, _results(report, DEFAULT_ENERGY_TARGET))
-    return report, metrics
+    return report
 
 
 def run_observer(

@@ -101,6 +101,8 @@ class EventClock:
     def __init__(self, start: int = 0):
         self._lock = threading.Lock()
         self._next = int(start)
+        if self._next < 0:
+            raise LogModelError(f"clock start must be >= 0, got {start!r}")
 
     def next_timestamp(self) -> int:
         with self._lock:
@@ -193,6 +195,11 @@ def make_log_event(
     return keyed_event(key, clock.next_timestamp(), message)
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InvalidTag(f"{name} must be a non-negative int, got {value!r}")
+
+
 def _check_message(message) -> None:
     if not isinstance(message, str):
         raise InvalidTag(f"message must be a string, got {message!r}")
@@ -273,8 +280,7 @@ def event_key(
     _check_word("sourceUnit", sourceUnit)
     _check_word("sourceOperation", sourceOperation)
     _check_word("resource", resource)
-    if not isinstance(sourceLine, int) or isinstance(sourceLine, bool) or sourceLine < 0:
-        raise InvalidTag(f"sourceLine must be a non-negative int, got {sourceLine!r}")
+    _check_count("sourceLine", sourceLine)
     _check_message(message)
     segments = (agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
                 str(sourceLine), resource)
@@ -330,12 +336,19 @@ def routing_key(event: LogEvent) -> RoutingKey:
 
     An event carries its key from creation; for one built with
     ``LogEvent(...)`` or ``dataclasses.replace`` the key is derived from
-    its tags, validated (a key seen before comes from a memo) and then
-    carried.  Raises KeyTooLong if the dotted form exceeds MAX_KEY_BYTES
-    bytes of UTF-8, mirroring the transport limit of topic exchanges.
+    its tags, checked as make_log_event checks them and with a non-negative
+    int timestamp (a key seen before comes from a memo), and then carried,
+    so the event's tap line reads back as an equal event.  Raises InvalidTag,
+    or KeyTooLong if the dotted form exceeds MAX_KEY_BYTES bytes of UTF-8,
+    mirroring the transport limit of topic exchanges.
     """
     key = event.key
     if key is None:
+        if event.typeLog not in LOG_TYPES:
+            raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {event.typeLog!r}")
+        _check_count("sourceLine", event.sourceLine)
+        _check_count("timestamp", event.timestamp)
+        _check_message(event.message)
         segments = event.key_segments()
         try:
             key = _keys.get(segments)

@@ -164,7 +164,6 @@ class WorldConfig:
     ambientLight: float = 0.05
     lightBrightness: float = 0.8
     darkThreshold: float = 0.15
-    energyPerTickOn: float = 1.0
     rngSeed: int = 1
 
     def __post_init__(self):
@@ -201,8 +200,6 @@ class WorldConfig:
                 raise InvalidConfig(f"{name} must be in [0,1], got {v}")
         if self.darkThreshold >= self.lightBrightness:
             raise InvalidConfig("darkThreshold must be below lightBrightness")
-        if self.energyPerTickOn <= 0:
-            raise InvalidConfig("energyPerTickOn must be positive")
 
 
 def check_finite_fields(config) -> None:
@@ -473,10 +470,9 @@ class WorldState:
             # each light level's text; not zero's, as -0.0 == 0.0 but prints its sign
             self.level_texts = {v: f"level={v:.6f}" for v in self.level_of.tolist() if v}
             self.brightness = f"brightness={config.lightBrightness:.6f}"
-        # walking light is a node's own lamp over the ambient level
-        threshold = config.darkThreshold
-        self.lit_walkable = min(config.ambientLight + config.lightBrightness, 1.0) > threshold
-        self.dark_walkable = min(config.ambientLight, 1.0) > threshold
+        # walking light is a node's own lamp over the ambient level; a radiating
+        # lamp always gives it, as darkThreshold < lightBrightness
+        self.dark_walkable = config.ambientLight > config.darkThreshold
 
         self.people = people = len(routes)
         self.path = np.full((people, max(map(len, routes), default=1) + 1), sentinel,
@@ -538,7 +534,7 @@ class WorldState:
             p_people = int(self.arrived[row].sum()) / c.numPeople
             p_trip = int(self.ticks_moving[row]) / (c.numPeople * c.maxTicks)
         p_energy = int(self.on_ticks[row]) / (self.lights * c.maxTicks)
-        return EpisodeMetrics(pPeople=p_people, pTrip=min(p_trip, 1.0), pEnergy=min(p_energy, 1.0))
+        return EpisodeMetrics(pPeople=p_people, pTrip=p_trip, pEnergy=p_energy)
 
     def metrics(self) -> list[EpisodeMetrics]:
         """Every episode's metrics: as it left the batch, or as it stands if still live."""
@@ -730,18 +726,17 @@ def actuate(world: WorldState, inputs: np.ndarray, outputs: np.ndarray) -> None:
 def move_people(world: WorldState) -> bool:
     """Advance every pedestrian that has light to walk by; return whether one did.
 
-    A pedestrian moves one node per tick iff the lamp at both the current
-    and the next node radiates (or ambient light alone clears darkThreshold);
-    every unfinished pedestrian pays one tick of trip time whether it moved
-    or not.  Arrivals can only change when someone moved, so only then are
-    they checked.
+    A pedestrian moves one node per tick iff ambient light alone clears
+    darkThreshold, or else the lamp at both the current and the next node
+    radiates; every unfinished pedestrian pays one tick of trip time
+    whether it moved or not.  Arrivals can only change when someone moved,
+    so only then are they checked.
     """
-    # a lamp only adds light: if it decides, a node is walkable while its lamp radiates
-    walkable = (world.radiating if world.lit_walkable and not world.dark_walkable
-                else np.full_like(world.radiating, world.lit_walkable))
-    walking, index = ~world.arrived, world.base + world.step
-    moves = (walking & walkable[world.rows, world.path_flat.take(index)]
-             & walkable[world.rows, world.path_next.take(index)])
+    walking = moves = ~world.arrived
+    if not world.dark_walkable:
+        radiating, index = world.radiating, world.base + world.step
+        moves = (walking & radiating[world.rows, world.path_flat.take(index)]
+                 & radiating[world.rows, world.path_next.take(index)])
     world.ticks_moving += walking.sum(axis=1)
     if not moves.any():
         return False

@@ -146,7 +146,7 @@ def test_criterion_06_elitism_keeps_best_fitness_monotone():
     world = WorldConfig(
         gridWidth=3, gridHeight=3, wirelessRange=1, numPeople=2, maxTicks=15,
         ambientLight=0.05, lightBrightness=0.8, darkThreshold=0.15,
-        energyPerTickOn=1.0, rngSeed=11,
+        rngSeed=11,
     )
     ga = GAConfig()  # default knobs: population 40, 30 generations, elitism 2
     for seed in range(1, 6):

@@ -27,6 +27,8 @@ from masharness.logmodel import (
     EventClock,
     InvalidPattern,
     InvalidTag,
+    LogEvent,
+    LogModelError,
     RoutingKey,
     _keys,
     _valid_words,
@@ -122,20 +124,21 @@ class TestPublish:
         broker.declare_queue("all", ["#"])
         broker.declare_queue("pings", ["lightContainer.*.ping.#"])
         broker.declare_queue("other", ["MANAGER.#"])
-        receipt = broker.publish(event(clock=broker.clock))
-        assert receipt.matched == 2
+        assert broker.publish(event(clock=broker.clock)) == 2
 
     def test_zero_matches_is_legal(self):
         broker = Broker()
         broker.declare_queue("other", ["MANAGER.#"])
-        receipt = broker.publish(event(clock=broker.clock))
-        assert receipt.matched == 0
+        assert broker.publish(event(clock=broker.clock)) == 0
         assert broker.stats().published == 1
 
     def test_sequence_numbers_increase(self):
         broker = Broker()
-        seqs = [broker.publish(event(clock=broker.clock)).sequence for _ in range(5)]
-        assert seqs == [0, 1, 2, 3, 4]
+        seqs = []
+        for _ in range(5):
+            broker.publish(event(clock=broker.clock))
+            seqs.append(broker.stats().published)
+        assert seqs == [1, 2, 3, 4, 5]
 
     def test_event_enqueued_once_despite_multiple_matching_bindings(self):
         broker = Broker()
@@ -260,8 +263,7 @@ class TestRouteMemo:
         for _ in range(20):
             broker.publish(event(clock=broker.clock))
         late = broker.declare_queue("late", ["*.node1.ping.#"])
-        receipt = broker.publish(event(clock=broker.clock, message="after"))
-        assert receipt.matched == 2
+        assert broker.publish(event(clock=broker.clock, message="after")) == 2
         assert late.consume(0.0).message == "after"
         assert late.consume(0.0) is None
         stats = broker.stats()
@@ -282,7 +284,7 @@ class TestRouteMemo:
             assert len(broker._table[0]) <= broker_module.ROUTE_KEYS
             assert len(_keys) <= MEMO_SIZE
             assert len(_valid_words) <= MEMO_SIZE
-        assert broker.publish(event(action="bound0", clock=broker.clock)).matched == 1
+        assert broker.publish(event(action="bound0", clock=broker.clock)) == 1
         qs = broker.stats().queues["q"]
         assert qs.matched == MEMO_SIZE + 101
         assert qs.matched == qs.delivered + qs.dropped + qs.buffered
@@ -312,7 +314,7 @@ def scan_route(targets, key):
 ROUTE_PATTERNS = st.lists(st.sampled_from(["a", "b", "c", "*", "#"]), min_size=1, max_size=8)
 
 
-class TestTopicTrie:
+class TestRoutesEqualScan:
     """A broker's routes equal a scan of every binding, however the patterns are written."""
 
     @settings(max_examples=100, deadline=None)
@@ -335,7 +337,7 @@ class TestTopicTrie:
         ev = make_log_event(*words[:4], sourceUnit=words[4], sourceOperation=words[5],
                             sourceLine=1, resource=words[7], clock=broker.clock)
         expected = scan_route(targets, routing_key(ev).segments)
-        assert broker.publish(ev).matched == len(expected)
+        assert broker.publish(ev) == len(expected)
         assert got == [t.name for t, (is_queue, _) in zip(targets, bindings)
                        if t in expected and not is_queue]
         matched = {name for name, qs in broker.stats().queues.items() if qs.matched}
@@ -351,9 +353,9 @@ class TestTopicTrie:
         ev = make_log_event("a", "a", "a", sourceUnit="a", sourceOperation="a",
                             sourceLine=1, resource="a", clock=broker.clock)
         start = time.perf_counter()
-        receipt = broker.publish(ev)
+        matched = broker.publish(ev)
         assert time.perf_counter() - start < 0.2
-        assert receipt.matched == expected
+        assert matched == expected
         # the longest key a pattern can face, 127 words, all of them ``a``, is a route miss
         key = RoutingKey(("a",) * 127)
         start = time.perf_counter()
@@ -372,8 +374,8 @@ class TestTopicTrie:
         got.clear()
         broker.subscribe("second", ["#.lightActuator"], lambda ev: got.append("second"))
         broker.subscribe("third", ["*.node2.#"], lambda ev: got.append("third"))
-        assert broker.publish(event(clock=broker.clock)).matched == 2
-        assert broker.publish(event(agentName="node2", clock=broker.clock)).matched == 2
+        assert broker.publish(event(clock=broker.clock)) == 2
+        assert broker.publish(event(agentName="node2", clock=broker.clock)) == 2
         assert got == ["first", "second", "second", "third"]
 
 
@@ -544,7 +546,7 @@ class TestRetiringSubscribers:
         assert [e.message for e in got] == ["a"]
         assert [e.message for e in kept] == ["c"]
         assert len(built) == 2
-        assert broker.publish(event(clock=broker.clock)).matched == 0
+        assert broker.publish(event(clock=broker.clock)) == 0
         stats = broker.stats()
         assert stats.published == 5
         assert stats.queues["once"] == QueueStats(matched=1, delivered=1, dropped=0, buffered=0)
@@ -577,16 +579,16 @@ class TestRetiringSubscribers:
         # a truthy answer that is not True, such as the event itself, keeps the subscriber
         broker.subscribe("s", ["#"], lambda event: got.append(event) or event)
         for _ in range(3):
-            assert broker.publish(event(clock=broker.clock)).matched == 1
+            assert broker.publish(event(clock=broker.clock)) == 1
         assert len(got) == 3
 
     def test_a_subscriber_declared_later_still_gets_events(self):
         broker = Broker()
         broker.subscribe("first", ["#"], lambda event: True)
-        assert broker.publish(event(clock=broker.clock)).matched == 1
+        assert broker.publish(event(clock=broker.clock)) == 1
         got = []
         broker.subscribe("late", ["#"], got.append)
-        assert broker.publish(event(clock=broker.clock, message="after")).matched == 1
+        assert broker.publish(event(clock=broker.clock, message="after")) == 1
         assert [e.message for e in got] == ["after"]
         assert broker.stats().queues["first"].delivered == 1
 
@@ -670,7 +672,7 @@ def run_against_model(targets, calls):
                 handles[name] = broker.declare_queue(name, patterns, capacity=capacity)
             else:
                 broker.subscribe(name, patterns, functools.partial(deliver, name, retire))
-        receipts, expected = [], []
+        counts, expected = [], []
         for batched, items in calls:
             if batched:
                 broker.publish_batch(items)
@@ -678,9 +680,9 @@ def run_against_model(targets, calls):
                 matched = model.publish(key, message, batched=batched)
                 if not batched:
                     event = keyed_event(key, broker.clock.next_timestamp(), message)
-                    receipts.append(broker.publish(event).matched)
+                    counts.append(broker.publish(event))
                     expected.append(matched)
-        assert receipts == expected
+        assert counts == expected
         assert broker.stats().queues == model.stats()
         assert broker.stats().published == len(model.tap)
         for t in model.targets:
@@ -729,8 +731,8 @@ class TestCarriedKey:
         ping = event(clock=broker.clock)
         pong = dataclasses.replace(ping, action="pong")
         assert routing_key(ping).text.startswith("lightContainer.node1.ping.")
-        assert broker.publish(ping).matched == 0
-        assert broker.publish(pong).matched == 1
+        assert broker.publish(ping) == 0
+        assert broker.publish(pong) == 1
         assert got == [pong]
         assert routing_key(pong).text == "lightContainer.node1.pong.info.Light.act.7.lightActuator"
 
@@ -767,9 +769,9 @@ class TestSubscribe:
             for action, name in [("ping", "node2"), ("pong", "node1"), ("pong", "node2"),
                                  ("ping", "node1"), ("pong", "node3")]
         ]
-        receipts = [broker.publish(ev) for ev in sent]
+        counts = [broker.publish(ev) for ev in sent]
         assert got == [sent[0], sent[1], sent[3]]  # once each, even when both bind
-        assert [r.matched for r in receipts] == [1, 1, 0, 1, 0]
+        assert counts == [1, 1, 0, 1, 0]
 
     def test_stats_count_every_match_as_delivered(self):
         broker = Broker()
@@ -789,8 +791,7 @@ class TestSubscribe:
             broker.publish(event(clock=broker.clock))
         got = []
         broker.subscribe("late", ["*.node1.ping.#"], got.append)
-        receipt = broker.publish(event(clock=broker.clock, message="after"))
-        assert receipt.matched == 2
+        assert broker.publish(event(clock=broker.clock, message="after")) == 2
         assert [ev.message for ev in got] == ["after"]
 
     def test_name_shared_with_queues(self):
@@ -846,6 +847,40 @@ class TestSubscribe:
             broker.subscribe("s", ["#"], lambda ev: None)
 
 
+TAP_WORDS = st.one_of(
+    st.text(st.characters(exclude_characters=".*#", exclude_categories=("Cs",)),
+            min_size=1, max_size=6).filter(lambda word: not any(c.isspace() for c in word)),
+    st.sampled_from(["node10", "007", "\x00", "\x7f"]),
+)
+TAP_MESSAGES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["a\tb\t", "\x0b\x0c\x1c", "\x85", "\u2028\u2029", " trailing  "]),
+)
+WORD_TAGS = ("agentType", "agentName", "action", "sourceUnit", "sourceOperation", "resource")
+#: values of each field that a tap line cannot carry, or not as the same value
+ODD_VALUES = {
+    **dict.fromkeys(WORD_TAGS, st.sampled_from(["a.b", "n*", "#", "x y", "\u2028", "", None,
+                                                "n" * 250])),
+    "typeLog": st.sampled_from(["INFO", "Error", "fatal", ""]),
+    "sourceLine": st.sampled_from([-1, True, 1.5, "7", None]),
+    "timestamp": st.sampled_from([-1, True, 2.0, "5", None]),
+    "message": st.sampled_from(["two\nlines", "cr\r", "\r\n", None]),
+}
+
+
+@st.composite
+def tap_events(draw):
+    """An event built with ``LogEvent(...)``, valid but for at most one odd field."""
+    fields = {name: draw(TAP_WORDS) for name in WORD_TAGS}
+    fields.update(typeLog=draw(st.sampled_from(["info", "warning", "error"])),
+                  sourceLine=draw(st.integers(0, 10**25)),
+                  timestamp=draw(st.integers(0, 10**25)), message=draw(TAP_MESSAGES))
+    odd = draw(st.one_of(st.none(), st.sampled_from(sorted(ODD_VALUES))))
+    if odd is not None:
+        fields[odd] = draw(ODD_VALUES[odd])
+    return LogEvent(**fields)
+
+
 class TestTap:
     def test_tap_mirrors_all_events_even_unrouted(self, tmp_path):
         tap = tmp_path / "events.tap"
@@ -856,6 +891,51 @@ class TestTap:
             broker.publish(ev)
         broker.close()
         assert load_tap(tap) == sent
+
+    @pytest.mark.parametrize("change,error", [
+        (dict(message="two\nlines"), "message may not contain newlines"),
+        (dict(message="cr\r"), "message may not contain newlines"),
+        (dict(timestamp=1.5), "timestamp must be a non-negative int, got 1.5"),
+        (dict(timestamp=True), "timestamp must be a non-negative int, got True"),
+        (dict(timestamp=-1), "timestamp must be a non-negative int, got -1"),
+        (dict(typeLog="INFO"), "typeLog must be one of ('info', 'warning', 'error'), got 'INFO'"),
+        (dict(typeLog="fatal"), "typeLog must be one of ('info', 'warning', 'error'), got 'fatal'"),
+        (dict(sourceLine=-1), "sourceLine must be a non-negative int, got -1"),
+    ], ids=["newline", "carriage-return", "float-timestamp", "bool-timestamp",
+            "negative-timestamp", "upper-case-typeLog", "unknown-typeLog", "negative-sourceLine"])
+    @pytest.mark.parametrize("build", ["init", "replace"])
+    def test_unreadable_event_raises_before_its_tap_line(self, tmp_path, change, error, build):
+        tap = tmp_path / "events.tap"
+        broker = Broker(tap=str(tap))
+        sent = event(clock=broker.clock)
+        if build == "replace":
+            bad = dataclasses.replace(sent, **change)
+        else:
+            tags = {f.name: getattr(sent, f.name) for f in dataclasses.fields(LogEvent) if f.init}
+            bad = LogEvent(**{**tags, **change})
+        with pytest.raises(InvalidTag) as err:
+            broker.publish(bad)
+        assert str(err.value) == error
+        assert bad.key is None
+        broker.publish(sent)
+        broker.close()
+        assert broker.stats().published == 1
+        assert load_tap(tap) == [sent]
+
+    @settings(max_examples=300, deadline=None)
+    @given(tap_events())
+    def test_every_accepted_event_reads_back_equal(self, sent):
+        with tempfile.TemporaryDirectory() as tmp:
+            tap = f"{tmp}/tap.log"
+            with Broker(tap=tap) as broker:
+                try:
+                    broker.publish(sent)
+                except LogModelError:
+                    accepted = []
+                else:
+                    accepted = [sent]
+            assert broker.stats().published == len(accepted)
+            assert load_tap(tap) == accepted
 
 
 class TestAgentPublisher:

@@ -46,7 +46,7 @@ def small_world(tmp_path, **overrides):
     values = dict(
         gridWidth=3, gridHeight=3, wirelessRange=1, numPeople=2, maxTicks=15,
         ambientLight=0.05, lightBrightness=0.8, darkThreshold=0.15,
-        energyPerTickOn=1.0, rngSeed=4,
+        rngSeed=4,
     )
     values.update(overrides)
     path = tmp_path / "world.cfg"
@@ -240,12 +240,23 @@ class TestSimulate:
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_config_float_exits_two(self, tmp_path, capsys, value):
         manifest, tap = out_paths(tmp_path)
-        config = small_world(tmp_path, energyPerTickOn=value)
+        config = small_world(tmp_path, lightBrightness=value)
         code = main(["simulate", "--config", config, "--manifest", manifest, "--tap", tap])
         err = capsys.readouterr().err
         assert code == USAGE_ERROR
-        assert err == (f"error: config {config}: energyPerTickOn must be a finite number, "
+        assert err == (f"error: config {config}: lightBrightness must be a finite number, "
                        f"got {value}\n")
+
+    @pytest.mark.parametrize("command", ["simulate", "test"])
+    def test_energy_per_tick_key_is_unknown(self, tmp_path, capsys, command):
+        # pEnergy counts on-ticks, so the key had no effect and is gone
+        manifest, tap = out_paths(tmp_path)
+        config = small_world(tmp_path, energyPerTickOn=1.0)
+        code = main([command, "--config", config, "--manifest", manifest, "--tap", tap])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.err == f"error: config {config} line 10: unknown key 'energyPerTickOn'\n"
+        assert captured.out == ""
 
     def test_bad_config_content_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -978,7 +989,7 @@ class TestSharedRoutes:
         event = logmodel.make_log_event("sharedRoutes", "node1", action, sourceUnit="U",
                                         sourceOperation="op", sourceLine=1, resource="r",
                                         clock=broker.clock)
-        return broker.publish(event).matched
+        return broker.publish(event)
 
     def test_brokers_with_other_bindings_get_their_own_table(self, scans):
         first = self.broker_with("sharedRoutes.#", "*.*.ping.#")
@@ -1142,7 +1153,7 @@ CONFIG_VALUES = {
     "wirelessRange": st.integers(0, 3), "numPeople": st.integers(0, 8),
     "maxTicks": st.integers(1, 30), "rngSeed": st.integers(-5, 10**6),
     "ambientLight": st.floats(0.0, 0.3), "lightBrightness": st.floats(0.3, 1.0),
-    "darkThreshold": st.floats(0.0, 0.3), "energyPerTickOn": st.floats(0.1, 2.0),
+    "darkThreshold": st.floats(0.0, 0.3),
 }
 BAD_VALUES = st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "1e400", "0", "7", "", "x"])
 GOOD_LINES = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(

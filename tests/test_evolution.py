@@ -123,7 +123,7 @@ class TestFitness:
         monkeypatch.setattr(evolution, "run_episode", lambda *args, **kwargs: m)
         with Broker() as broker:
             queue = broker.declare_queue("obs", ["OBSERVER.#"])
-            report, _ = evaluate_solution(WorldConfig(), ALWAYS_ON_GENES, NetworkTopology(), broker)
+            report = evaluate_solution(WorldConfig(), ALWAYS_ON_GENES, NetworkTopology(), broker)
             broker.close()
             actions = drain_actions(queue)
         assert report == fitness(m)
@@ -322,7 +322,7 @@ def tiny_world(**kw):
     base = dict(
         gridWidth=3, gridHeight=3, wirelessRange=1, numPeople=2, maxTicks=15,
         ambientLight=0.05, lightBrightness=0.8, darkThreshold=0.15,
-        energyPerTickOn=1.0, rngSeed=3,
+        rngSeed=3,
     )
     base.update(kw)
     return WorldConfig(**base)
@@ -345,13 +345,13 @@ def tiny_ga(**kw):
 
 class TestEvaluateSolution:
     def test_returns_report_and_metrics(self):
-        report, m = evaluate_solution(
+        report = evaluate_solution(
             tiny_world(numPeople=0, maxTicks=5),
             ALWAYS_ON_GENES,
             NetworkTopology(),
         )
         assert isinstance(report, FitnessReport)
-        assert report.metrics == m
+        m = report.metrics
         assert m.pEnergy == 1.0
         assert report.fitness == pytest.approx(1.0 - 0.4)
 
@@ -400,7 +400,7 @@ class TestEvaluateSolution:
         world = tiny_world(gridWidth=5, gridHeight=5, numPeople=3, maxTicks=60, rngSeed=1)
         with Broker() as broker:
             queue = broker.declare_queue("machine", patterns)
-            report, _ = evaluate_solution(
+            report = evaluate_solution(
                 world, ALWAYS_ON_GENES, NetworkTopology(), broker
             )
             broker.close()

@@ -106,6 +106,11 @@ class TestEventClock:
         clock.advance_to(100)
         assert clock.next_timestamp() == 500
 
+    def test_start_below_zero_is_refused(self):
+        # a tap line's timestamp is decimal digits, so -3 would not read back
+        with pytest.raises(LogModelError, match="^clock start must be >= 0, got -3$"):
+            EventClock(-3)
+
     def test_tick_recovered_from_timestamp(self):
         clock = EventClock()
         clock.advance_to(3 * 1_000_000)

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from masharness import world as world_module
 from masharness.broker import Broker, QueueClosed
@@ -64,7 +64,6 @@ def cfg(**kw):
         ambientLight=0.05,
         lightBrightness=0.8,
         darkThreshold=0.15,
-        energyPerTickOn=1.0,
         rngSeed=1,
     )
     base.update(kw)
@@ -161,7 +160,6 @@ class TestWorldConfig:
             dict(lightBrightness=-0.1),
             dict(darkThreshold=0.8, lightBrightness=0.8),
             dict(darkThreshold=0.9, lightBrightness=0.8),
-            dict(energyPerTickOn=0.0),
             dict(maxTicks=MAX_TICKS + 1),
         ],
     )
@@ -170,7 +168,7 @@ class TestWorldConfig:
             cfg(**kw)
 
     @pytest.mark.parametrize(
-        "name", ["ambientLight", "lightBrightness", "darkThreshold", "energyPerTickOn"])
+        "name", ["ambientLight", "lightBrightness", "darkThreshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_floats_are_rejected_by_name(self, name, value):
         with pytest.raises(InvalidConfig, match=f"^{name} must be a finite number"):
@@ -308,8 +306,7 @@ class TestConfigLoader:
     def test_shipped_configs_load_to_equal_objects(self):
         assert load_world_config(data_path("world.cfg")) == WorldConfig(
             gridWidth=5, gridHeight=5, wirelessRange=1, numPeople=5, maxTicks=200,
-            ambientLight=0.05, lightBrightness=0.8, darkThreshold=0.15, energyPerTickOn=1.0,
-            rngSeed=2)
+            ambientLight=0.05, lightBrightness=0.8, darkThreshold=0.15, rngSeed=2)
         assert load_ga_config(data_path("ga.cfg")) == GAConfig(
             populationSize=40, generations=30, elitism=2, tournamentSize=3, crossoverRate=0.8,
             mutationRate=0.05, mutationSigma=0.3, weightLimit=5.0, hiddenCount=4,
@@ -642,6 +639,24 @@ class TestMovement:
         move_people(world)
         assert world.arrived[0, 0]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0, exclude_min=True).flatmap(
+        lambda brightness: st.tuples(st.just(brightness),
+                                     st.floats(0.0, brightness, exclude_max=True))))
+    @example(0.15, (0.8, 0.15))
+    @example(0.0, (5e-324, 0.0))
+    @example(1.0, (1.0, 0.999))
+    def test_radiating_lamps_light_every_valid_world(self, ambient, levels):
+        # darkThreshold < lightBrightness, so a lamp's own light always clears it
+        brightness, threshold = levels
+        kw = dict(ambientLight=ambient, lightBrightness=brightness, darkThreshold=threshold)
+        lit, dark = self.walkway(**kw), self.walkway(**kw)
+        lit.radiating[0, :2] = True
+        move_people(lit)
+        move_people(dark)
+        assert lit.step[0, 0] == 1
+        assert dark.step[0, 0] == (ambient > threshold)
+
 
 class TestStepWorld:
     def test_tick_log_layout(self, tmp_path):
@@ -693,7 +708,7 @@ class TestStepWorld:
             step_world(world, batch(Wide()))
 
     def test_energy_counts_on_ticks_exactly(self):
-        world = init_world(cfg(energyPerTickOn=0.25))
+        world = init_world(cfg())
         on = batch(ConstantController(1.0, 0.0))
         off = batch(ConstantController(-1.0, 0.0))
         step_world(world, on)
