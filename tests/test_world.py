@@ -160,6 +160,7 @@ class TestWorldConfig:
             dict(lightBrightness=-0.1),
             dict(darkThreshold=0.8, lightBrightness=0.8),
             dict(darkThreshold=0.9, lightBrightness=0.8),
+            dict(darkThreshold=-0.1),
             dict(maxTicks=MAX_TICKS + 1),
         ],
     )
