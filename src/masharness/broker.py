@@ -316,19 +316,19 @@ class Broker:
         handed it once however many of its bindings match; zero is legal.  A
         full queue drops its oldest buffered event first; subscribers are
         called before publish returns.  An event without a key is checked by
-        routing_key before its tap line is written.
+        routing_key before its tap line is written, and counted once it is.
         """
         key = event.key or routing_key(event)
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
-            self._published += 1
             route = self._routes.get(key.text)
             if route is None:
                 route = self._route(key)
             matched = len(route)  # before _prune empties the list a retirement leaves
             if self._tap is not None:
                 self._tap.write(f"{key.text}\t{event.timestamp}\t{event.message}\n")
+            self._published += 1
             if route:
                 _deliver(route, event, self._prune)
         return matched

@@ -25,6 +25,7 @@ from .broker import Broker
 from .logmodel import EventKey, intern_sites, keyed_event
 from .neural import INPUTS, OUTPUTS, NetworkTopology, decode
 from .world import (
+    ControllerBatch,
     EpisodeMetrics,
     InvalidConfig,
     WorldConfig,
@@ -344,8 +345,10 @@ def run_observer(
         # one batched silent episode for every unscored genome; the observer
         # then logs each evaluation in population order, as if run one by one
         unscored = [g for g in genomes if g.fitness is None]
-        controllers = [decode(g.genes, topology) for g in unscored]
-        for genome, metrics in zip(unscored, run_episodes(world_config, controllers)):
+        if not unscored:  # a population of one elite, scored in an earlier generation
+            return
+        batch = ControllerBatch.from_genes([g.genes for g in unscored], topology)
+        for genome, metrics in zip(unscored, run_episodes(world_config, batch)):
             report = fitness(metrics, ga_config.energyTarget)
             _publish(broker, prologue + _results(report, ga_config.energyTarget))
             genome.fitness = report.fitness

@@ -206,6 +206,8 @@ def _check_message(message) -> None:
     if "\n" in message or "\r" in message:
         # the tab-separated tap line format must round-trip
         raise InvalidTag("message may not contain newlines")
+    if not message.isascii() and any("\ud800" <= c <= "\udfff" for c in message):
+        raise InvalidTag(f"message must encode as UTF-8, got {message!r}")  # a lone surrogate
 
 
 @dataclass(frozen=True, slots=True)

@@ -47,11 +47,28 @@ class NeuralController:
         self.w2 = np.asarray(w2, dtype=float)
         self.b2 = np.asarray(b2, dtype=float)
 
+    def genes(self) -> np.ndarray:
+        """The flat genome this network decodes from."""
+        return np.concatenate([a.ravel() for a in (self.w1, self.b1, self.w2, self.b2)])
+
     def forward_batch(self, inputs) -> np.ndarray:
         """Map an (n, 3) array of sensor triples to (n, 2) outputs, both layers tanh."""
         x = np.asarray(inputs, dtype=float)
         hidden = np.tanh(x @ self.w1.T + self.b1)
         return np.tanh(hidden @ self.w2.T + self.b2)
+
+
+def _layers(genes, topology: NetworkTopology, ndim: int) -> list[np.ndarray]:
+    """Views of (w1, b1, w2, b2) in ``genes``: ``ndim`` axes, a genome per last-axis row."""
+    g, n_h, want = np.asarray(genes, dtype=float), topology.hiddenCount, topology.genomeLength
+    if g.ndim != ndim or g.shape[-1] != want:
+        raise GenomeShapeMismatch(f"topology {INPUTS}-{n_h}-{OUTPUTS} needs {want} genes, "
+                                  f"got {g.shape[-1] if g.ndim == ndim else g.size}")
+    if not np.isfinite(g).all():
+        raise GenomeShapeMismatch("genes must be finite numbers")
+    i, j, k = INPUTS * n_h, (INPUTS + 1) * n_h, (INPUTS + 1 + OUTPUTS) * n_h
+    return [g[..., :i].reshape(*g.shape[:-1], n_h, INPUTS), g[..., i:j],
+            g[..., j:k].reshape(*g.shape[:-1], OUTPUTS, n_h), g[..., k:]]
 
 
 def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
@@ -60,37 +77,27 @@ def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
     Raises GenomeShapeMismatch when the gene count does not equal the
     topology's genomeLength or a gene is not finite.
     """
-    if topology is None:
-        topology = NetworkTopology()
-    g = np.asarray(genes, dtype=float)
-    n_h = topology.hiddenCount
-    want = topology.genomeLength
-    if g.ndim != 1 or g.shape[0] != want:
-        raise GenomeShapeMismatch(
-            f"topology {INPUTS}-{n_h}-{OUTPUTS} needs {want} genes, got {g.size}"
-        )
-    if not np.isfinite(g).all():
-        raise GenomeShapeMismatch("genes must be finite numbers")
-    i = 0
-    w1 = g[i : i + n_h * INPUTS].reshape(n_h, INPUTS)
-    i += n_h * INPUTS
-    b1 = g[i : i + n_h]
-    i += n_h
-    w2 = g[i : i + OUTPUTS * n_h].reshape(OUTPUTS, n_h)
-    i += OUTPUTS * n_h
-    b2 = g[i : i + OUTPUTS]
-    return NeuralController(topology, w1, b1, w2, b2)
+    topology = topology or NetworkTopology()
+    return NeuralController(topology, *_layers(genes, topology, 1))
+
+
+def stack_layers(genes, topology: NetworkTopology) -> tuple[np.ndarray, ...]:
+    """Each row of a (P genomes, genes) matrix decoded, as layers stacked for one matmul each.
+
+    Returns C-contiguous (W1T, B1, W2T, B2), shaped (P, 3, H), (P, 1, H), (P, H, 2), (P, 1, 2),
+    weights transposed (a strided operand can change matmul's bits); refuses as decode does.
+    """
+    w1, b1, w2, b2 = _layers(genes, topology, 2)
+    return tuple(np.ascontiguousarray(a) for a in (
+        w1.swapaxes(1, 2), b1[:, None, :], w2.swapaxes(1, 2), b2[:, None, :]))
 
 
 def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
     """Write a genome file: topology header line, then one gene per line."""
     if topology is None:
         topology = NetworkTopology()
+    _layers(genes, topology, 1)  # refused as decode refuses it, so load_genome reads it back
     g = np.asarray(genes, dtype=float)
-    if g.shape != (topology.genomeLength,):
-        raise GenomeShapeMismatch(
-            f"genome of {g.size} genes does not fit topology header"
-        )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{INPUTS} {topology.hiddenCount} {OUTPUTS}\n")
         for gene in g:

@@ -26,12 +26,12 @@ renders its messages from tables: a grid's interned keys and the
 grid), the ``brightness=`` and the few ``level=`` texts (once per world).
 Only the readings and outputs that vary are formatted each tick.
 
-A silent tick computes only what its inputs need.  A fault kind that no
-light has costs it nothing, one flat index per pedestrian finds both its
-node and its next node, and arrivals are checked only on a tick where
-someone moved.  Each reading gathers light by light, every row of a light
-together.  The recurrence check below compares each row's state words as
-they stand, and a row that leaves the batch drops them as one array.
+A silent tick computes only what its inputs need: a fault kind no light
+has costs nothing, what it reads of the pedestrians (_walkers) is derived
+again, and arrivals checked, only after a move or a change of rows, and
+routes are built once per config.  Readings gather light by light, every
+row of a light together.  The recurrence check below compares each row's
+state words as they stand; a row leaving the batch drops them as one array.
 
 A batch of NeuralControllers, which hold no state, stops stepping an
 episode once it repeats.  A row's state is ``radiating``, ``outbox`` (bit
@@ -60,7 +60,7 @@ import numpy as np
 
 from .broker import Broker
 from .logmodel import TICK_US, BoundedMemo, EventKey, intern_sites
-from .neural import NeuralController
+from .neural import NeuralController, stack_layers
 
 FAULT_GO_DARK = "go-dark"
 FAULT_SENSOR_STUCK = "sensor-stuck"
@@ -98,6 +98,8 @@ TICK_BYTES = 2 ** 26
 #: grid layouts (ids, near, peers) by (gridWidth, gridHeight, wirelessRange),
 #: about 1.5 MB for a 100x100 grid, shared by every world of the grid
 _layouts = BoundedMemo(4)
+#: _route_arrays by (gridWidth, gridHeight, numPeople, rngSeed), up to 16 MB each
+_routes = BoundedMemo(4)
 #: _GridLog tables by (gridWidth, gridHeight); a 100x100 grid's holds
 #: 90,008 keys and its messages in about 62 MB, so few are kept
 _grid_logs = BoundedMemo(2)
@@ -429,6 +431,42 @@ def seeds_with_light_on_route(config: WorldConfig, light_id: str, count: int,
     return found
 
 
+def _route_arrays(config: WorldConfig) -> tuple[np.ndarray, ...]:
+    """A route config's read-only path, last_step, path_flat, path_next and base (WorldState)."""
+    key = (config.gridWidth, config.gridHeight, config.numPeople, config.rngSeed)
+    if (arrays := _routes.get(key)) is not None:
+        return arrays
+    routes, w = build_routes(config, random.Random(config.rngSeed)), config.gridWidth
+    path = np.full((len(routes), max(map(len, routes), default=1) + 1), w * config.gridHeight,
+                   dtype=np.intp)
+    for n, route in enumerate(routes):
+        path[n, : len(route)] = [y * w + x for x, y in route]
+    last_step = np.array([len(r) - 1 for r in routes], dtype=np.intp)
+    base = np.arange(len(routes)) * path.shape[1]
+    path.flags.writeable = last_step.flags.writeable = base.flags.writeable = False
+    return _routes.remember(key, (path, last_step, path.reshape(-1), path.reshape(-1)[1:], base))
+
+
+def _walkers(world: WorldState) -> tuple[np.ndarray, ...]:
+    """What a tick reads of the pedestrians, cached in ``world.walkers`` until marked stale.
+
+    Returns (at, ahead, motion, walking, count): per row and pedestrian, its
+    node (the sentinel once arrived), next node and whether it walks; per
+    row, each light's motion reading and how many walk.
+    """
+    if world.walkers is not None:
+        return world.walkers
+    lights, walking, index = world.lights, ~world.arrived, world.base + world.step
+    at = np.where(walking, world.path_flat.take(index), lights)
+    # each walking pedestrian marks its node; a finished one the sentinel, cleared after
+    occupied = np.zeros((lights + 1, len(at)), dtype=bool)
+    occupied[at, world.rows] = True
+    occupied[lights] = False
+    motion = occupied.take(world.near.T, axis=0).any(axis=0).T
+    world.walkers = (at, world.path_next.take(index), motion, walking, walking.sum(axis=1))
+    return world.walkers
+
+
 class WorldState:
     """One world's layout, plus the state of a batch of its episodes.
 
@@ -441,8 +479,9 @@ class WorldState:
     pedestrians have all arrived leaves the batch, which keeps its metrics
     and drops its row.  A row's ``outbox``, ``step`` and ``radiating`` are
     views of its words in ``state``, and ``on_ticks`` and ``ticks_moving``
-    of its ``counts``.  Routes are built before faults are checked, so a
-    world that can route no pedestrians raises that error first.
+    of its ``counts``.  ``walkers`` caches _walkers; ``move_people`` and
+    ``_leave`` mark it stale (None).  Routes are built before faults are
+    checked, so a world that can route no pedestrians raises that first.
     """
 
     def __init__(self, config: WorldConfig, broker: Broker | None = None, *, faults=(),
@@ -450,10 +489,9 @@ class WorldState:
         self.config = config
         self.broker = broker
         self.tick = 0
-        w = config.gridWidth
-        self.lights = lights = sentinel = w * config.gridHeight
+        self.lights = lights = config.gridWidth * config.gridHeight
         self.ids, self.near, self.peers = _layout(config)
-        routes = build_routes(config, random.Random(config.rngSeed))
+        self.path, self.last_step, self.path_flat, self.path_next, self.base = _route_arrays(config)
         self.faulty = _fault_masks(self.ids, faults)
         #: the fault kinds some light has; a tick spends nothing on the others
         self.fault_kinds = {kind for kind, lights_with in self.faulty.items() if lights_with.any()}
@@ -474,18 +512,7 @@ class WorldState:
         # lamp always gives it, as darkThreshold < lightBrightness
         self.dark_walkable = config.ambientLight > config.darkThreshold
 
-        self.people = people = len(routes)
-        self.path = np.full((people, max(map(len, routes), default=1) + 1), sentinel,
-                            dtype=np.intp)
-        for n, route in enumerate(routes):
-            self.path[n, : len(route)] = [y * w + x for x, y in route]
-        self.last_step = np.array([len(r) - 1 for r in routes], dtype=np.intp)
-        # a pedestrian's node is path_flat[base + step] and its next node
-        # path_next[base + step], the sentinel from its last step on
-        self.path_flat = self.path.reshape(-1)
-        self.path_next = self.path_flat[1:]
-        self.base = np.arange(people) * self.path.shape[1]
-
+        self.people = people = len(self.path)
         self.live = np.arange(episodes)  # the episode of each row still running
         # each row's state as a run of 8-byte words, laid out by _views
         self.state = np.zeros((episodes, lights + 1 + people + (lights + 8) // 8), np.uint64)
@@ -514,6 +541,7 @@ class WorldState:
         self.radiating = state.view(np.uint8)[:, 8 * tail: 8 * tail + self.lights + 1].view(bool)
         self.on_ticks, self.ticks_moving = self.counts.T
         self.rows = np.arange(len(state))[:, None]
+        self.walkers = None
 
     # -- logging -----------------------------------------------------------
 
@@ -551,12 +579,6 @@ class WorldState:
         for name in _ROW_ARRAYS:
             setattr(self, name, getattr(self, name).take(keep, axis=0))
         self._views()
-
-    def retire_arrived(self) -> None:
-        """Drop the rows of episodes whose pedestrians have all arrived, keeping their metrics."""
-        done = self.arrived.all(axis=1)
-        if self.people and done.any():
-            self._leave(done)
 
     def retire_periodic(self) -> None:
         """End the rows back in their saved state at maxTicks, adding the counts of their ticks left.
@@ -649,19 +671,13 @@ def sense(world: WorldState) -> np.ndarray:
     wirelessIn is the strongest outbox of its wireless peers from last tick,
     at least 0.0.  With a broker, the lights publish their four readings in order.
     """
-    lights = world.lights
     inputs = world.inputs[: len(world.live)]
     # each reading gathers light by light (.T, every row of a light together),
     # so a take copies whole runs of rows and a reduction adds whole runs
     inputs[:, :, 0] = world.level_of[world.radiating.T.take(world.near.T, axis=0).sum(axis=0)].T
     if FAULT_SENSOR_STUCK in world.fault_kinds:
         inputs[:, world.faulty[FAULT_SENSOR_STUCK], 0] = world.level_of[0]
-    # each unfinished pedestrian marks its node; a finished one marks a column
-    # past the sentinel, which no light sees
-    at = np.where(world.arrived, lights + 1, world.path_flat.take(world.base + world.step))
-    occupied = np.zeros((lights + 2, len(at)), dtype=bool)
-    occupied[at, world.rows] = True
-    inputs[:, :, 1] = occupied.take(world.near.T, axis=0).any(axis=0).T
+    inputs[:, :, 1] = _walkers(world)[2]
     # fmax skips a NaN outbox, as a running max() from 0.0 does
     inputs[:, :, 2] = np.fmax.reduce(world.outbox.T.take(world.peers.T, axis=0), axis=0).T
     if world.broker is not None:
@@ -730,18 +746,18 @@ def move_people(world: WorldState) -> bool:
     darkThreshold, or else the lamp at both the current and the next node
     radiates; every unfinished pedestrian pays one tick of trip time
     whether it moved or not.  Arrivals can only change when someone moved,
-    so only then are they checked.
+    so only then are they checked, and the world's walkers marked stale.
     """
-    walking = moves = ~world.arrived
+    at, ahead, _, moves, count = _walkers(world)
     if not world.dark_walkable:
-        radiating, index = world.radiating, world.base + world.step
-        moves = (walking & radiating[world.rows, world.path_flat.take(index)]
-                 & radiating[world.rows, world.path_next.take(index)])
-    world.ticks_moving += walking.sum(axis=1)
+        # a finished pedestrian stands at the sentinel, which never radiates
+        moves = world.radiating[world.rows, at] & world.radiating[world.rows, ahead]
+    world.ticks_moving += count
     if not moves.any():
         return False
     world.step += moves
     world.arrived |= world.step == world.last_step
+    world.walkers = None
     return True
 
 
@@ -756,25 +772,35 @@ def _controller_outputs(controller, inputs: np.ndarray) -> np.ndarray:
 class ControllerBatch:
     """One controller per episode of a world, asked for every live episode at once.
 
-    Same-shaped NeuralControllers are evaluated with one stacked matmul per
-    layer, which gives the same bits as their forward_batch; any other
-    controller is queried on its own, in episode order, with inputs it may keep.
+    NeuralControllers of one topology, or a gene matrix (from_genes), run
+    one stacked matmul per layer, which gives the same bits as their forward_batch;
+    any other controller is queried on its own, in episode order, with inputs it may keep.
     """
 
     def __init__(self, controllers):
         self.controllers = controllers = list(controllers)
-        # stacked (W1T, B1, W2T, B2), shaped (P, 3, H), (P, 1, H), (P, H, 2) and
-        # (P, 1, 2), when every controller is a NeuralController of one topology
+        #: stack_layers of every controller's genes, if each is a NeuralController of one topology
         self.networks = None
         if controllers and all(type(c) is NeuralController
                                and c.topology == controllers[0].topology for c in controllers):
-            self.networks = (
-                np.stack([c.w1.T for c in controllers]),
-                np.stack([c.b1 for c in controllers])[:, None, :],
-                np.stack([c.w2.T for c in controllers]),
-                np.stack([c.b2 for c in controllers])[:, None, :],
-            )
+            self.networks = stack_layers([c.genes() for c in controllers], controllers[0].topology)
         self._live = self._live_networks = None
+
+    @classmethod
+    def from_genes(cls, genes, topology) -> ControllerBatch:
+        """The batch of the NeuralControllers decoding each row of ``genes``, none of them built."""
+        batch = cls(())
+        batch.networks = stack_layers(genes, topology)
+        return batch
+
+    def __len__(self) -> int:
+        return len(self.controllers) if self.networks is None else len(self.networks[0])
+
+    def __getitem__(self, rows: slice) -> ControllerBatch:
+        chunk = ControllerBatch(())  # the episodes ``rows``, sharing the stacked layers
+        chunk.controllers = self.controllers[rows]
+        chunk.networks = self.networks and tuple(a[rows] for a in self.networks)
+        return chunk
 
     def outputs(self, inputs: np.ndarray, live: np.ndarray) -> np.ndarray:
         """(rows, lights, 2) outputs for (rows, lights, 3) inputs; row r is episode live[r]."""
@@ -803,8 +829,8 @@ def step_world(world: WorldState, controllers: ControllerBatch) -> None:
         world.broker.clock.advance_to(world.tick * TICK_US)
     inputs = sense(world)
     actuate(world, inputs, controllers.outputs(inputs, world.live))
-    if move_people(world):
-        world.retire_arrived()
+    if move_people(world) and (done := world.arrived.all(axis=1)).any():
+        world._leave(done)
 
 
 def _run(world: WorldState, controllers: ControllerBatch) -> list[EpisodeMetrics]:
@@ -858,18 +884,18 @@ def run_episode(
 
 
 def _row_bytes(config: WorldConfig, controllers) -> int:
-    """About the bytes one episode's row takes in a tick's arrays.
+    """About the bytes one episode's row takes in a tick's arrays, for a ControllerBatch or a list.
 
-    That is a float per light for each input, output and hidden neuron, and
-    for each adjacent lamp and wireless peer it gathers; and per pedestrian,
-    8 bytes for its step, its saved step and each of the six index arrays a
-    tick makes for it (flat index and node in sense and in move_people, its
-    masked node and next node), plus a byte for its arrived flag and each of
-    the six flags a tick makes of it.
+    That is a float per light for each input, output and stacked hidden
+    neuron, and for each adjacent lamp and wireless peer it gathers; and per
+    pedestrian, 8 bytes for its step, its saved step and each of the six
+    index arrays a tick keeps or makes for it (in _walkers and move_people),
+    plus a byte for its arrived flag and each of the six flags a tick makes.
     """
     _, near, peers = _layout(config)
-    hidden = max((c.topology.hiddenCount for c in controllers if type(c) is NeuralController),
-                 default=0)
+    networks = (controllers if isinstance(controllers, ControllerBatch)
+                else ControllerBatch(controllers)).networks
+    hidden = 0 if networks is None else networks[0].shape[2]
     return (8 * len(near) * (3 + 2 + hidden + near.shape[1] + peers.shape[1])
             + config.numPeople * (8 * (2 + 6) + 1 + 6))
 
@@ -880,14 +906,16 @@ def run_episodes(config: WorldConfig, controllers, *, faults=()) -> list[Episode
     Every episode runs on the same world (routes from ``config.rngSeed``)
     with the same faults, and gets exactly the EpisodeMetrics that
     ``run_episode`` gives its controller, also when a batch of NeuralControllers
-    ends a repeating episode early.  Episodes are independent, so a
-    population whose tick would take more than TICK_BYTES is stepped in
-    chunks of rows that take less, with the same results.
+    ends a repeating episode early.  ``controllers`` is a list or a
+    ControllerBatch.  Episodes are independent, so a population whose tick
+    would take more than TICK_BYTES is stepped in chunks of rows that take
+    less, with the same results and one stacking of the layers.
     """
-    controllers = list(controllers)
+    if not isinstance(controllers, ControllerBatch):
+        controllers = ControllerBatch(controllers)
     rows = max(1, TICK_BYTES // _row_bytes(config, controllers))
     metrics = []
     for start in range(0, len(controllers), rows):
-        batch = ControllerBatch(controllers[start:start + rows])
-        metrics += _run(init_world(config, faults=faults, episodes=len(batch.controllers)), batch)
+        batch = controllers[start:start + rows]
+        metrics += _run(init_world(config, faults=faults, episodes=len(batch)), batch)
     return metrics

@@ -895,13 +895,14 @@ class TestTap:
     @pytest.mark.parametrize("change,error", [
         (dict(message="two\nlines"), "message may not contain newlines"),
         (dict(message="cr\r"), "message may not contain newlines"),
+        (dict(message="x\ud800"), "message must encode as UTF-8, got 'x\\ud800'"),
         (dict(timestamp=1.5), "timestamp must be a non-negative int, got 1.5"),
         (dict(timestamp=True), "timestamp must be a non-negative int, got True"),
         (dict(timestamp=-1), "timestamp must be a non-negative int, got -1"),
         (dict(typeLog="INFO"), "typeLog must be one of ('info', 'warning', 'error'), got 'INFO'"),
         (dict(typeLog="fatal"), "typeLog must be one of ('info', 'warning', 'error'), got 'fatal'"),
         (dict(sourceLine=-1), "sourceLine must be a non-negative int, got -1"),
-    ], ids=["newline", "carriage-return", "float-timestamp", "bool-timestamp",
+    ], ids=["newline", "carriage-return", "lone-surrogate", "float-timestamp", "bool-timestamp",
             "negative-timestamp", "upper-case-typeLog", "unknown-typeLog", "negative-sourceLine"])
     @pytest.mark.parametrize("build", ["init", "replace"])
     def test_unreadable_event_raises_before_its_tap_line(self, tmp_path, change, error, build):
@@ -920,6 +921,20 @@ class TestTap:
         broker.publish(sent)
         broker.close()
         assert broker.stats().published == 1
+        assert load_tap(tap) == [sent]
+
+    def test_an_event_whose_line_cannot_be_written_is_not_counted(self, tmp_path):
+        # a timestamp too long to print passes the checks, and its line raises
+        tap, got = tmp_path / "events.tap", []
+        broker = Broker(tap=str(tap))
+        broker.subscribe("all", ["#"], got.append)
+        sent = event(clock=broker.clock)
+        with pytest.raises(ValueError):
+            broker.publish(dataclasses.replace(sent, timestamp=10 ** 5000))
+        assert broker.stats().published == 0 and got == []
+        broker.publish(sent)
+        broker.close()
+        assert broker.stats().published == 1 and got == [sent]
         assert load_tap(tap) == [sent]
 
     @settings(max_examples=300, deadline=None)

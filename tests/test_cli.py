@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import masharness
 from masharness import broker as broker_module, cli, evolution, logmodel, world as world_module
 from masharness.broker import Broker
 from masharness.cli import USAGE_ERROR, data_path, main
@@ -411,7 +413,7 @@ class TestEvolve:
 
         def run(world, controllers):  # records each batch instead of stepping it
             rows = len(world.live)
-            chunks.append(rows * world_module._row_bytes(world.config, controllers.controllers))
+            chunks.append(rows * world_module._row_bytes(world.config, controllers))
             return [EpisodeMetrics(pPeople=1.0, pTrip=0.0, pEnergy=0.0)] * rows
 
         monkeypatch.setattr(world_module, "_run", run)
@@ -1400,9 +1402,11 @@ class TestParser:
         assert sizes == []
 
     def test_module_entry_point(self):
+        # the child imports the package this process imported, as pytest.ini's path finds it
+        source = os.path.dirname(os.path.dirname(masharness.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "masharness.cli", "--help"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": source},
         )
         assert proc.returncode == 0
         assert "timeline" in proc.stdout

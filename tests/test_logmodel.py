@@ -76,6 +76,11 @@ class TestMakeLogEvent:
         with pytest.raises(InvalidTag):
             sample_event(message="two\nlines")
 
+    def test_message_that_does_not_encode_as_utf8_is_rejected(self):
+        with pytest.raises(InvalidTag, match="must encode as UTF-8"):
+            sample_event(message="x\ud800")
+        assert sample_event(message="caf\u00e9 \U0001f4a1").message == "caf\u00e9 \U0001f4a1"
+
     def test_message_may_contain_dots_and_wildcard_characters(self):
         event = sample_event(message="energy=0.42 vs #target *really*")
         assert "0.42" in event.message

@@ -11,7 +11,9 @@ from masharness.neural import (
     decode,
     load_genome,
     save_genome,
+    stack_layers,
 )
+from masharness.world import ControllerBatch
 
 from oracles import oracle_forward
 
@@ -47,6 +49,10 @@ class TestDecode:
         genes[7] = bad
         with pytest.raises(GenomeShapeMismatch, match="finite"):
             decode(genes)
+
+    def test_a_controller_gives_back_its_genes(self):
+        genes = [float(n) for n in range(26)]
+        assert decode(genes).genes().tolist() == genes
 
     def test_zero_genome_outputs_zero(self):
         controller = decode([0.0] * 26)
@@ -177,3 +183,40 @@ class TestGenomeFiles:
     def test_save_rejects_mismatched_genome(self, tmp_path):
         with pytest.raises(GenomeShapeMismatch):
             save_genome(tmp_path / "g.txt", [0.0] * 10, NetworkTopology())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_save_refuses_a_genome_load_would_refuse(self, tmp_path, bad):
+        with pytest.raises(GenomeShapeMismatch, match="finite"):
+            save_genome(tmp_path / "g.txt", [0.0] * 25 + [bad], NetworkTopology())
+        assert not (tmp_path / "g.txt").exists()
+
+
+class TestGeneMatrix:
+    @pytest.mark.parametrize("genome,matrix", [
+        ([0.0] * 25, [[0.0] * 25] * 3),
+        ([0.0] * 27, [[0.0] * 27]),
+        ([0.0] * 26 * 2, [0.0] * 26 * 2),  # flat, not one genome per row
+        ([0.0, math.nan] * 13, [[0.0] * 26, [0.0, math.nan] * 13]),
+        ([math.inf] * 26, [[math.inf] * 26]),
+    ], ids=["short", "long", "flat", "nan", "inf"])
+    def test_a_bad_matrix_is_refused_as_decode_refuses_its_genome(self, genome, matrix):
+        with pytest.raises(GenomeShapeMismatch) as reference:
+            decode(genome)
+        for stack in (stack_layers, ControllerBatch.from_genes):
+            with pytest.raises(GenomeShapeMismatch) as refused:
+                stack(matrix, NetworkTopology())
+            assert str(refused.value) == str(reference.value)
+
+    def test_stacked_layers_are_each_genome_s_decoded_layers(self):
+        topology = NetworkTopology(hiddenCount=3)
+        rng = random.Random(4)
+        genomes = [[rng.uniform(-5.0, 5.0) for _ in range(topology.genomeLength)]
+                   for _ in range(5)]
+        w1t, b1, w2t, b2 = stack_layers(genomes, topology)
+        for p, genes in enumerate(genomes):
+            controller = decode(genes, topology)
+            assert np.array_equal(w1t[p], controller.w1.T)
+            assert np.array_equal(b1[p, 0], controller.b1)
+            assert np.array_equal(w2t[p], controller.w2.T)
+            assert np.array_equal(b2[p, 0], controller.b2)
+        assert all(a.flags.c_contiguous for a in (w1t, b1, w2t, b2))

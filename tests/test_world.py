@@ -15,7 +15,7 @@ from masharness import world as world_module
 from masharness.broker import Broker, QueueClosed
 from masharness.cli import data_path
 from masharness.evolution import GAConfig, load_ga_config
-from masharness.logmodel import MAX_KEY_BYTES, TICK_US, intern_sites, load_tap
+from masharness.logmodel import MAX_KEY_BYTES, TICK_US, BoundedMemo, intern_sites, load_tap
 from masharness.neural import NetworkTopology, decode
 from masharness.world import (
     FAULT_GO_DARK,
@@ -482,6 +482,7 @@ class TestSense:
         assert motion[[0, 2, 4]].tolist() == [1.0, 1.0, 1.0]  # adjacent
         assert motion[[3, 5, 6, 7, 8]].tolist() == [0.0] * 5  # diagonal or farther
         world.arrived[0, 0] = True
+        world.walkers = None  # written outside move_people, so marked stale by hand
         assert not sense(world)[0, :, 1].any()
 
     def test_light_level_sums_own_and_adjacent_spill(self):
@@ -927,6 +928,16 @@ class TestLayoutMemo:
         with pytest.raises(TypeError):
             first.ids[0] = "node0"
 
+    def test_a_route_config_is_routed_once_and_read_only(self):
+        first = init_world(cfg(gridWidth=4, gridHeight=3, numPeople=3, rngSeed=7))
+        second = init_world(cfg(gridWidth=4, gridHeight=3, numPeople=3, rngSeed=7,
+                                maxTicks=9, ambientLight=0.5), episodes=2)
+        other = init_world(cfg(gridWidth=4, gridHeight=3, numPeople=3, rngSeed=8))
+        assert second.path is first.path and second.base is first.base
+        assert other.path is not first.path
+        for array in (first.path, first.last_step, first.path_flat, first.path_next, first.base):
+            assert not array.flags.writeable
+
     def test_another_range_or_shape_gets_its_own_tables(self):
         base = init_world(cfg(gridWidth=4, gridHeight=3))
         wider = init_world(cfg(gridWidth=4, gridHeight=3, wirelessRange=2))
@@ -1128,6 +1139,16 @@ class TestTapIdentity:
         assert b"in=-0.000000" not in tap
 
 
+@st.composite
+def gene_matrices(draw):
+    config, faults = draw(worlds(max_ticks=60))
+    topology = NetworkTopology(hiddenCount=draw(st.integers(1, 5)))
+    length = topology.genomeLength
+    genomes = draw(st.lists(st.lists(GENE, min_size=length, max_size=length),
+                            min_size=1, max_size=8))
+    return config, faults, topology, genomes
+
+
 class TestRunEpisodes:
     @given(case=batched_worlds())
     @settings(max_examples=60, deadline=None)
@@ -1166,6 +1187,40 @@ class TestRunEpisodes:
             assert run_episodes(config, controllers, faults=faults) == whole
         n = len(controllers)
         assert chunks == [min(rows, n - start) for start in range(0, n, rows)]
+
+    def test_chunks_share_one_build_of_the_routes(self, monkeypatch):
+        c = cfg(gridWidth=3, gridHeight=3, numPeople=4, maxTicks=20, rngSeed=6)
+        controllers = [decode([random.Random(n).uniform(-1.0, 1.0) for _ in range(26)])
+                       for n in range(8)]
+        whole, chunks, built = run_episodes(c, controllers), [], []
+        init, build = world_module.init_world, world_module.build_routes
+
+        def counting(config, **kw):
+            chunks.append(kw["episodes"])
+            return init(config, **kw)
+
+        monkeypatch.setattr(world_module, "_routes", BoundedMemo(4))
+        monkeypatch.setattr(world_module, "build_routes",
+                            lambda *args: built.append(args) or build(*args))
+        budget = 2 * world_module._row_bytes(c, controllers)
+        with mock.patch.object(world_module, "TICK_BYTES", budget), \
+                mock.patch.object(world_module, "init_world", counting):
+            assert run_episodes(c, controllers) == whole
+        assert chunks == [2, 2, 2, 2]
+        assert len(built) == 1
+
+    @given(case=gene_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_a_gene_matrix_gets_the_metrics_of_its_decoded_controllers(self, case):
+        config, faults, topology, genomes = case
+        controllers = [decode(genes, topology) for genes in genomes]
+        matrix = ControllerBatch.from_genes(genomes, topology)
+        for stacked, decoded in zip(matrix.networks, ControllerBatch(controllers).networks):
+            assert stacked.flags.c_contiguous and decoded.flags.c_contiguous
+            assert stacked.tobytes() == decoded.tobytes()
+        assert len(matrix) == len(genomes) and matrix.controllers == []
+        assert (run_episodes(config, matrix, faults=faults)
+                == run_episodes(config, controllers, faults=faults))
 
     def test_pedestrians_count_against_the_tick_budget(self):
         # 2000 pedestrians on 9 lights: their arrays, not the lights', fill a row
@@ -1303,3 +1358,53 @@ class TestRunEpisodes:
 
     def test_no_controllers_no_episodes(self):
         assert run_episodes(cfg(), []) == []
+
+
+def fresh_walkers(world):
+    """(at, ahead, motion, walking, count) of the live rows, from step, arrived and the routes."""
+    c = world.config
+    w, lights = c.gridWidth, world.lights
+    routes = build_routes(c, random.Random(c.rngSeed))
+    rows = len(world.live)
+    at = np.full((rows, world.people), lights)
+    ahead = np.full((rows, world.people), lights)
+    motion = np.zeros((rows, lights), dtype=bool)
+    for r in range(rows):
+        for n, route in enumerate(routes):
+            step = int(world.step[r, n])
+            assert world.arrived[r, n] == (step == len(route) - 1)
+            if step + 1 < len(route):
+                x, y = route[step + 1]
+                ahead[r, n] = y * w + x
+            if world.arrived[r, n]:
+                continue
+            x, y = route[step]
+            at[r, n] = y * w + x
+            for light in range(lights):
+                motion[r, light] |= abs(light % w - x) + abs(light // w - y) <= 1
+    return at, ahead, motion, ~world.arrived, (~world.arrived).sum(axis=1)
+
+
+class TestWalkers:
+    @given(width=st.integers(2, 5), height=st.integers(1, 5), people=st.integers(1, 6),
+           seed=st.integers(0, 10_000), genes=st.lists(GENE, min_size=8, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_the_cached_walkers_are_those_of_the_state(self, width, height, people, seed,
+                                                       genes):
+        config = cfg(gridWidth=width, gridHeight=height, numPeople=people, maxTicks=40,
+                     rngSeed=seed)
+        topology = NetworkTopology(hiddenCount=1)
+        # every lamp on, so everyone walks and arrives; every lamp off, so the
+        # state recurs at once; and a drawn genome
+        lit, dark = [0.0] * 6 + [5.0, 0.0], [0.0] * 8
+        controllers = ControllerBatch([decode(g, topology) for g in (lit, dark, genes)])
+        world = init_world(config, episodes=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(world.live) and world.tick < config.maxTicks:
+                step_world(world, controllers)
+                world.retire_periodic()
+                for cached, fresh in zip(world_module._walkers(world), fresh_walkers(world)):
+                    assert np.array_equal(cached, fresh)
+        # the lit episode left on arrival, the dark one on recurrence
+        assert world.results[0] is not None and world.results[0].pPeople == 1.0
+        assert world.results[1] is not None and world.results[1].pPeople == 0.0
