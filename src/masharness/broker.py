@@ -4,7 +4,7 @@ inline subscribers.
 A single broker lock makes publish linearizable: each published event is
 matched against every binding's patterns and handed (at most once per
 queue or subscriber) before the next publish is admitted.  A batch of
-interned keys and messages (``publish_batch``) is admitted as one, with one
+interned keys and messages (``_publish_batch``) is admitted as one, with one
 clock reservation and one tap write, and builds events only for bound keys.
 A key's route class is the tuple of the targets (queues and subscribers)
 it matches.  A table shared by every broker with equal binding lists maps
@@ -35,12 +35,11 @@ from .logmodel import (
     BindingPattern,
     BoundedMemo,
     EventClock,
-    EventKey,
     InvalidPattern,
     LogEvent,
     RoutingKey,
-    event_key,
     keyed_event,
+    make_log_event,
     parse_binding_pattern,
     routing_key,
 )
@@ -333,37 +332,41 @@ class Broker:
                 _deliver(route, event, self._prune)
         return matched
 
-    def publish_batch(self, batch: list[tuple[EventKey, str]]) -> None:
+    def _publish_batch(self, batch: list[tuple[RoutingKey, str]]) -> None:
         """Publish each ``(interned key, message)`` pair's event, in order, as one admission.
 
         Taps, routing, delivery and stats are those of publishing the events
         one by one, but the batch takes the lock and the clock once, writes
-        the tap once and builds only the events some binding matches.  A
-        closed broker raises QueueClosed before writing any; if a subscriber
-        raises, the tap lines up to and including its event are written first.
+        the tap once and builds only the events some binding matches.  The
+        callers (WorldState.publish, _replay) take messages from their own
+        format tables, so none is checked.  A closed broker raises QueueClosed
+        before writing any; if a subscriber raises, or a message does not encode
+        for the tap, the lines before its event (and a subscriber's own) are
+        written and counted first.
         """
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
             timestamp = self.clock.reserve(len(batch))
-            routes, prune = self._routes, self._prune
+            routes, prune, tap = self._routes, self._prune, self._tap
             lines = []
             line = lines.append
             try:
                 for key, message in batch:
-                    routing = key[8]
-                    text = routing.text
+                    text = key.text
                     route = routes.get(text)
                     if route is None:
-                        route = self._route(routing)
+                        route = self._route(key)
+                    if tap is not None and not message.isascii():
+                        message.encode("utf-8")  # a lone surrogate raises here
                     line(f"{text}\t{timestamp}\t{message}\n")
                     if route:
                         _deliver(route, keyed_event(key, timestamp, message), prune)
                     timestamp += 1
             finally:
+                if tap is not None:
+                    tap.write("".join(lines))
                 self._published += len(lines)
-                if self._tap is not None:
-                    self._tap.write("".join(lines))
 
     def consume(self, handle: QueueHandle, maxWait: float | None = None) -> LogEvent | None:
         """Pop the next event in FIFO order.
@@ -439,8 +442,8 @@ class Broker:
 class AgentPublisher:
     """Publishing facade bound to one agent identity.
 
-    ``log`` checks a call site's tags once: later calls with the same tags
-    take the interned key from ``event_key`` and check only the message.
+    ``log`` is make_log_event on the broker's clock, then Broker.publish: a
+    call site's tags are checked once, later calls check only the message.
     It returns ``Broker.publish``'s count of queues and subscribers reached.
     """
 
@@ -460,16 +463,7 @@ class AgentPublisher:
         resource: str,
         message: str = "",
     ) -> int:
-        key = event_key(
-            self.agentType,
-            self.agentName,
-            action,
-            typeLog,
-            sourceUnit=sourceUnit,
-            sourceOperation=sourceOperation,
-            sourceLine=sourceLine,
-            resource=resource,
-            message=message,
-        )
-        broker = self.broker
-        return broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
+        return self.broker.publish(make_log_event(
+            self.agentType, self.agentName, action, typeLog, sourceUnit=sourceUnit,
+            sourceOperation=sourceOperation, sourceLine=sourceLine, resource=resource,
+            message=message, clock=self.broker.clock))

@@ -270,7 +270,7 @@ def cmd_test(args) -> int:
 def cmd_timeline(args) -> int:
     """Print the tap lines whose key matches the pattern, stably sorted by timestamp."""
     pattern = parse_binding_pattern(args.pattern).segments
-    timeline = [(timestamp, key[8].text, message) for key, timestamp, message
+    timeline = [(timestamp, key.text, message) for key, timestamp, message
                 in read_tap(args.tap, lambda key: _match(pattern, key.segments))]
     # a stable sort after the filter gives the order a sort before it would
     timeline.sort(key=itemgetter(0))

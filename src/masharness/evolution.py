@@ -3,7 +3,8 @@
 The observer scores each genome once, with one silent episode on a fixed
 world seed (deterministic fitness), and evolves the population by elitism,
 tournament selection, single-point crossover, and clamped Gaussian
-mutation; the winner's final evaluation is logged from its score, not re-run.  Fitness rewards finished pedestrians and penalizes trip time and
+mutation; the winner's final evaluation is logged from its score, not
+re-run.  Fitness rewards finished pedestrians and penalizes trip time and
 energy:
 
     fitness = 1.0 * pPeople - 0.6 * pTrip - 0.4 * pEnergy
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .broker import Broker
-from .logmodel import EventKey, intern_sites, keyed_event
+from .logmodel import RoutingKey, intern_sites, keyed_event
 from .neural import INPUTS, OUTPUTS, NetworkTopology, decode
 from .world import (
     ControllerBatch,
@@ -278,7 +279,7 @@ def _results(report: FitnessReport, energy_target: float) -> list[tuple[str, str
 
 
 @cache
-def _observer_keys() -> dict[str, EventKey]:
+def _observer_keys() -> dict[str, RoutingKey]:
     """The observer's interned event keys, by action; built once per process."""
     return intern_sites("OBSERVER", "observer01", _OBSERVER_SITES)
 

@@ -217,6 +217,8 @@ class RoutingKey:
     segments: tuple[str, ...]
     #: the dotted form, joined once
     text: str = field(init=False, repr=False, compare=False)
+    #: its events' sourceLine: the seventh of eight words as an int, if that word is decimal
+    line: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.segments:
@@ -227,6 +229,8 @@ class RoutingKey:
         if len(text.encode("utf-8")) > MAX_KEY_BYTES:
             raise KeyTooLong(f"routing key exceeds {MAX_KEY_BYTES} bytes")
         object.__setattr__(self, "text", text)
+        line = self.segments[6] if len(self.segments) == 8 else ""
+        object.__setattr__(self, "line", int(line) if line.isdecimal() else None)
 
     def encode(self) -> str:
         return self.text
@@ -237,9 +241,6 @@ class RoutingKey:
 
 #: validated routing keys by segment tuple
 _keys = BoundedMemo()
-
-#: an event's eight tags, sourceLine as an int, then the key they encode to
-EventKey = tuple[str, str, str, str, str, str, int, str, RoutingKey]
 
 #: interned event keys by the tag values they were asked for with
 _event_keys = BoundedMemo()
@@ -256,7 +257,7 @@ def event_key(
     sourceLine: int,
     resource: str,
     message: str = "",
-) -> EventKey:
+) -> RoutingKey:
     """Check an event's tags as make_log_event does and intern its key.
 
     Tags asked for before are answered from a memo.  ``message`` is not part
@@ -287,14 +288,14 @@ def event_key(
     segments = (agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
                 str(sourceLine), resource)
     key = _keys.get(segments) or _keys.remember(segments, RoutingKey(segments))
-    return _event_keys.remember(tags, segments[:6] + (sourceLine, resource, key))
+    return _event_keys.remember(tags, key)
 
 
 #: an agent's log sites: action -> (sourceUnit, sourceOperation, sourceLine, resource)
 LogSites = dict[str, tuple[str, str, int, str]]
 
 
-def intern_sites(agentType: str, agentName: str, sites: LogSites) -> dict[str, EventKey]:
+def intern_sites(agentType: str, agentName: str, sites: LogSites) -> dict[str, RoutingKey]:
     """Intern the key of each of one agent's log sites, in the table's order."""
     return {
         action: event_key(agentType, agentName, action, sourceUnit=unit,
@@ -310,14 +311,14 @@ _new = object.__new__
  _set_key) = (getattr(LogEvent, f.name).__set__ for f in fields(LogEvent))
 
 
-def keyed_event(key: EventKey, timestamp: int, message: str) -> LogEvent:
+def keyed_event(key: RoutingKey, timestamp: int, message: str) -> LogEvent:
     """Build the event of an interned key, checking nothing.
 
-    ``message`` must be a string without newlines, as make_log_event
-    requires; the event compares equal to the one make_log_event would
-    build from the same tags.
+    ``key`` comes from event_key or parse_tap_line, and ``message`` must be
+    a string without newlines, as make_log_event requires; the event
+    compares equal to the one make_log_event would build from the same tags.
     """
-    agentType, agentName, action, typeLog, sourceUnit, sourceOperation, line, resource, rkey = key
+    agentType, agentName, action, typeLog, sourceUnit, sourceOperation, _, resource = key.segments
     event = _new(LogEvent)
     _set_agentType(event, agentType)
     _set_agentName(event, agentName)
@@ -325,11 +326,11 @@ def keyed_event(key: EventKey, timestamp: int, message: str) -> LogEvent:
     _set_typeLog(event, typeLog)
     _set_sourceUnit(event, sourceUnit)
     _set_sourceOperation(event, sourceOperation)
-    _set_sourceLine(event, line)
+    _set_sourceLine(event, key.line)
     _set_resource(event, resource)
     _set_timestamp(event, timestamp)
     _set_message(event, message)
-    _set_key(event, rkey)
+    _set_key(event, key)
     return event
 
 
@@ -419,17 +420,17 @@ def serialize_event(event: LogEvent) -> str:
 
 
 #: one tap line as read: (key, timestamp, message)
-TapRecord = tuple[EventKey, int, str]
+TapRecord = tuple[RoutingKey, int, str]
 
-#: event keys by the key text a tap line carried, so a repeated key skips every check
+#: keys by the key text a tap line carried, so a repeated key skips every check
 _tap_keys = BoundedMemo()
 
 
 def parse_tap_line(line: str) -> TapRecord:
-    """Split one tap line into ``(EventKey, timestamp, message)``.
+    """Split one tap line into ``(RoutingKey, timestamp, message)``.
 
-    The key's RoutingKey is built from the validated segments, so a line tag
-    ``007`` reads back as ``7`` in its text.  A key text seen before is
+    The key is built from the validated segments, so a line tag ``007``
+    reads back as ``7`` in its text.  A key text seen before is
     answered from a memo; only the timestamp is then still checked.  Raises
     LogModelError on malformed input.
     """
@@ -438,8 +439,8 @@ def parse_tap_line(line: str) -> TapRecord:
     if len(parts) != 3:
         raise LogModelError(f"expected key<TAB>timestamp<TAB>message, got {line!r}")
     key_text, ts_text, message = parts
-    entry = _tap_keys.get(key_text)
-    if entry is None:
+    key = _tap_keys.get(key_text)
+    if key is None:
         segments = key_text.split(".")
         if len(segments) != 8:
             raise LogModelError(f"routing key must have 8 segments, got {key_text!r}")
@@ -450,20 +451,19 @@ def parse_tap_line(line: str) -> TapRecord:
         timestamp = int(ts_text)
     except ValueError:  # more digits than int() reads
         raise LogModelError(f"bad timestamp of {len(ts_text)} digits") from None
-    if entry is None:
+    if key is None:
         if not segments[6].isdecimal():
             raise LogModelError(f"bad sourceLine segment {segments[6]!r}")
         try:
-            line_no = int(segments[6])
+            segments[6] = str(int(segments[6]))
         except ValueError:
             raise LogModelError(f"bad sourceLine segment of {len(segments[6])} digits") from None
         if segments[3] not in LOG_TYPES:
             raise LogModelError(f"bad typeLog segment {segments[3]!r}")
-        segments[6] = str(line_no)
         segments = tuple(segments)
         key = _keys.get(segments) or _keys.remember(segments, RoutingKey(segments))
-        entry = _tap_keys.remember(key_text, (*segments[:6], line_no, segments[7], key))
-    return entry, timestamp, message
+        _tap_keys.remember(key_text, key)
+    return key, timestamp, message
 
 
 #: timestamp digits int() reads on any host; a longer one takes parse_tap_line's path
@@ -479,10 +479,10 @@ def read_tap(path, keep=None) -> Iterator[TapRecord]:
     is checked inline, any other by ``parse_tap_line``.  A malformed line
     raises its error class, prefixed by ``tap <path> line <N>:``.
     """
-    known = {}  # key text -> its EventKey if kept, else False
+    known = {}  # key text -> its RoutingKey if kept, else False
 
-    def decide(key_text: str, entry: EventKey):
-        if keep is not None and not keep(entry[8]):
+    def decide(key_text: str, entry: RoutingKey):
+        if keep is not None and not keep(entry):
             entry = False
         known[key_text] = entry
         return entry

@@ -38,18 +38,11 @@ class NetworkTopology:
 
 
 class NeuralController:
-    """Decoded network; stateless between calls."""
+    """Decoded network, stateless between calls: w1, b1, w2 and b2 are views into ``genes``."""
 
-    def __init__(self, topology: NetworkTopology, w1, b1, w2, b2):
+    def __init__(self, topology: NetworkTopology, genes):
         self.topology = topology
-        self.w1 = np.asarray(w1, dtype=float)
-        self.b1 = np.asarray(b1, dtype=float)
-        self.w2 = np.asarray(w2, dtype=float)
-        self.b2 = np.asarray(b2, dtype=float)
-
-    def genes(self) -> np.ndarray:
-        """The flat genome this network decodes from."""
-        return np.concatenate([a.ravel() for a in (self.w1, self.b1, self.w2, self.b2)])
+        self.genes, self.w1, self.b1, self.w2, self.b2 = _layers(genes, topology, 1)
 
     def forward_batch(self, inputs) -> np.ndarray:
         """Map an (n, 3) array of sensor triples to (n, 2) outputs, both layers tanh."""
@@ -59,7 +52,7 @@ class NeuralController:
 
 
 def _layers(genes, topology: NetworkTopology, ndim: int) -> list[np.ndarray]:
-    """Views of (w1, b1, w2, b2) in ``genes``: ``ndim`` axes, a genome per last-axis row."""
+    """``genes`` as floats, ``ndim`` axes and a genome per last-axis row, then w1, b1, w2, b2."""
     g, n_h, want = np.asarray(genes, dtype=float), topology.hiddenCount, topology.genomeLength
     if g.ndim != ndim or g.shape[-1] != want:
         raise GenomeShapeMismatch(f"topology {INPUTS}-{n_h}-{OUTPUTS} needs {want} genes, "
@@ -67,7 +60,7 @@ def _layers(genes, topology: NetworkTopology, ndim: int) -> list[np.ndarray]:
     if not np.isfinite(g).all():
         raise GenomeShapeMismatch("genes must be finite numbers")
     i, j, k = INPUTS * n_h, (INPUTS + 1) * n_h, (INPUTS + 1 + OUTPUTS) * n_h
-    return [g[..., :i].reshape(*g.shape[:-1], n_h, INPUTS), g[..., i:j],
+    return [g, g[..., :i].reshape(*g.shape[:-1], n_h, INPUTS), g[..., i:j],
             g[..., j:k].reshape(*g.shape[:-1], OUTPUTS, n_h), g[..., k:]]
 
 
@@ -77,8 +70,7 @@ def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
     Raises GenomeShapeMismatch when the gene count does not equal the
     topology's genomeLength or a gene is not finite.
     """
-    topology = topology or NetworkTopology()
-    return NeuralController(topology, *_layers(genes, topology, 1))
+    return NeuralController(topology or NetworkTopology(), genes)
 
 
 def stack_layers(genes, topology: NetworkTopology) -> tuple[np.ndarray, ...]:
@@ -87,7 +79,7 @@ def stack_layers(genes, topology: NetworkTopology) -> tuple[np.ndarray, ...]:
     Returns C-contiguous (W1T, B1, W2T, B2), shaped (P, 3, H), (P, 1, H), (P, H, 2), (P, 1, 2),
     weights transposed (a strided operand can change matmul's bits); refuses as decode does.
     """
-    w1, b1, w2, b2 = _layers(genes, topology, 2)
+    _, w1, b1, w2, b2 = _layers(genes, topology, 2)
     return tuple(np.ascontiguousarray(a) for a in (
         w1.swapaxes(1, 2), b1[:, None, :], w2.swapaxes(1, 2), b2[:, None, :]))
 
@@ -96,8 +88,7 @@ def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
     """Write a genome file: topology header line, then one gene per line."""
     if topology is None:
         topology = NetworkTopology()
-    _layers(genes, topology, 1)  # refused as decode refuses it, so load_genome reads it back
-    g = np.asarray(genes, dtype=float)
+    g = _layers(genes, topology, 1)[0]  # refused as decode refuses it, so load_genome reads it
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{INPUTS} {topology.hiddenCount} {OUTPUTS}\n")
         for gene in g:

@@ -59,7 +59,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .broker import Broker
-from .logmodel import TICK_US, BoundedMemo, EventKey, intern_sites
+from .logmodel import TICK_US, BoundedMemo, RoutingKey, intern_sites
 from .neural import NeuralController, stack_layers
 
 FAULT_GO_DARK = "go-dark"
@@ -525,7 +525,7 @@ class WorldState:
         self.counted = np.zeros((episodes, 2, RECURRENCE_WINDOW + 1), dtype=np.int64)
         #: a logged world's batches since saved_tick, sense then actuate per
         #: tick, once it has saved a state; None while nothing is recorded
-        self.period: list[list[tuple[EventKey, str]]] | None = None
+        self.period: list[list[tuple[RoutingKey, str]]] | None = None
         self.ticks_replayed = 0
         self._views()
 
@@ -545,9 +545,9 @@ class WorldState:
 
     # -- logging -----------------------------------------------------------
 
-    def publish(self, batch: list[tuple[EventKey, str]]) -> None:
+    def publish(self, batch: list[tuple[RoutingKey, str]]) -> None:
         """Publish ``(log.keys key, message)`` pairs as one batch of the attached broker."""
-        self.broker.publish_batch(batch)
+        self.broker._publish_batch(batch)
         if self.period is not None:
             self.period.append(batch)
 
@@ -607,7 +607,7 @@ class WorldState:
 
     def _replay(self, lag: int) -> None:
         """Publish the recorded ``lag`` ticks again, period after period, up to maxTicks."""
-        clock, publish, period = self.broker.clock, self.broker.publish_batch, self.period
+        clock, publish, period = self.broker.clock, self.broker._publish_batch, self.period
         for n, tick in enumerate(range(self.tick + 1, self.config.maxTicks + 1)):
             clock.advance_to(tick * TICK_US)
             publish(period[2 * (n % lag)])
@@ -783,7 +783,7 @@ class ControllerBatch:
         self.networks = None
         if controllers and all(type(c) is NeuralController
                                and c.topology == controllers[0].topology for c in controllers):
-            self.networks = stack_layers([c.genes() for c in controllers], controllers[0].topology)
+            self.networks = stack_layers([c.genes for c in controllers], controllers[0].topology)
         self._live = self._live_networks = None
 
     @classmethod

@@ -441,7 +441,7 @@ def publish_items(bindings, items, batched, *, start=0, raise_at=None, closed=Fa
         raised = None
         try:
             if batched:
-                broker.publish_batch(items)
+                broker._publish_batch(items)
             else:
                 for key, message in items:
                     broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
@@ -493,9 +493,30 @@ class TestPublishBatch:
     def test_an_empty_batch_publishes_nothing(self):
         broker = Broker()
         broker.subscribe("s", ["#"], lambda event: None)
-        broker.publish_batch([])
+        broker._publish_batch([])
         assert broker.stats().published == 0
         assert broker.clock.next_timestamp() == 0
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batch", "one-by-one"])
+    def test_counts_and_delivers_only_the_tap_lines_it_wrote(self, tmp_path, batched):
+        # a lone surrogate does not encode, so its tap line cannot be written
+        tap = tmp_path / "tap.log"
+        broker = Broker(tap=str(tap))
+        got = []
+        broker.subscribe("all", ["#"], got.append)
+        key = event_key("lightContainer", "node1", "ping", sourceUnit="Light",
+                        sourceOperation="act", sourceLine=7, resource="lightActuator")
+        items = [(key, "ok"), (key, "x\ud800"), (key, "after")]
+        with pytest.raises(UnicodeEncodeError):
+            if batched:
+                broker._publish_batch(items)
+            else:
+                for _, message in items:
+                    broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
+        broker.close()
+        assert [e.message for e in load_tap(tap)] == ["ok"]
+        assert [e.message for e in got] == ["ok"]
+        assert broker.stats().published == 1
 
 
 class TestRetiringSubscribers:
@@ -542,7 +563,7 @@ class TestRetiringSubscribers:
                         sourceOperation="act", sourceLine=7, resource="lightActuator")
         pong = event_key("lightContainer", "node1", "pong", sourceUnit="Light",
                          sourceOperation="act", sourceLine=7, resource="lightActuator")
-        broker.publish_batch([(key, "a"), (key, "b"), (pong, "c"), (key, "d")])
+        broker._publish_batch([(key, "a"), (key, "b"), (pong, "c"), (key, "d")])
         assert [e.message for e in got] == ["a"]
         assert [e.message for e in kept] == ["c"]
         assert len(built) == 2
@@ -567,7 +588,7 @@ class TestRetiringSubscribers:
         for message in ("a", "b"):
             with contextlib.suppress(Boom):
                 if batched:
-                    broker.publish_batch([(key, message)])
+                    broker._publish_batch([(key, message)])
                 else:
                     broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
         assert got == ["a"]
@@ -612,9 +633,9 @@ class ScanModel:
 
     def publish(self, key, message, *, batched):
         """Publish one event; returns how many targets it matched."""
-        segments = key[8].segments
-        item = (self.timestamp, key[8].text, message)
-        self.tap.append("%s\t%d\t%s\n" % (key[8].text, self.timestamp, message))
+        segments = key.segments
+        item = (self.timestamp, key.text, message)
+        self.tap.append("%s\t%d\t%s\n" % (key.text, self.timestamp, message))
         self.timestamp += 1
         route = [t for t in self.targets
                  if not t["done"] and any(_match(p, segments) for p in t["patterns"])]
@@ -648,7 +669,7 @@ MODEL_TARGETS = st.lists(
               st.integers(1, 3), st.one_of(st.none(), st.integers(1, 4))),
     min_size=1, max_size=5,
 ).map(lambda targets: [(f"t{i}", *t) for i, t in enumerate(targets)])
-#: (batched?, items) per call: one publish_batch, or one publish per item
+#: (batched?, items) per call: one _publish_batch, or one publish per item
 MODEL_CALLS = st.lists(st.tuples(st.booleans(), BATCH_ITEMS), max_size=5)
 
 
@@ -675,7 +696,7 @@ def run_against_model(targets, calls):
         counts, expected = [], []
         for batched, items in calls:
             if batched:
-                broker.publish_batch(items)
+                broker._publish_batch(items)
             for key, message in items:
                 matched = model.publish(key, message, batched=batched)
                 if not batched:

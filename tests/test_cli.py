@@ -890,7 +890,7 @@ def run_default_plan(tap):
     config = replace(load_world_config(data_path("world.cfg")), rngSeed=2)
     topology, genes = load_genome(data_path("demo_genome.txt"))
     cli.run_test_plan(cases, config, genes, topology, tap=str(tap))
-    return [key[8].text for key, _, _ in read_tap(tap)]
+    return [key.text for key, _, _ in read_tap(tap)]
 
 
 class TestKeyedPublishing:
@@ -971,7 +971,7 @@ class TestSharedRoutes:
         config = small_world(tmp_path, gridWidth=24, gridHeight=24, numPeople=20, maxTicks=30)
         manifest, tap = out_paths(tmp_path)
         assert main(["test", "--config", config, "--tap", tap, "--manifest", manifest]) in (0, 1)
-        keys = {key[8].text for key, _, _ in read_tap(tap)}
+        keys = {key.text for key, _, _ in read_tap(tap)}
         assert len(keys) > logmodel.MEMO_SIZE
         counts = Counter(".".join(key) for key in scans)
         assert counts.keys() == keys

@@ -582,7 +582,7 @@ def test_evolve_publishes_each_tap_line_once(tmp_path, capsys, monkeypatch):
         return publish_logs(broker, logs)
 
     monkeypatch.setattr(Broker, "publish", counted)
-    monkeypatch.setattr(Broker, "publish_batch", no_batches)
+    monkeypatch.setattr(Broker, "_publish_batch", no_batches)
     monkeypatch.setattr(evolution, "_publish", sized)
     world, ga, tap = tmp_path / "world.cfg", tmp_path / "ga.cfg", tmp_path / "tap.log"
     manifest = tmp_path / "manifest.txt"

@@ -343,10 +343,10 @@ class TestMemoisedTapParser:
 
     def test_key_text_is_normalised(self):
         key, timestamp, message = parse_tap_line("a.b.c.info.U.op.007.r\t5\tm\n")
-        assert (key[6], key[8].text, timestamp, message) == (7, "a.b.c.info.U.op.7.r", 5, "m")
+        assert (key.line, key.text, timestamp, message) == (7, "a.b.c.info.U.op.7.r", 5, "m")
         assert key == event_key("a", "b", "c", sourceUnit="U", sourceOperation="op",
                                 sourceLine=7, resource="r")
-        assert key[8] is routing_key(parse_event_line("a.b.c.info.U.op.7.r\t1\tm"))
+        assert key is routing_key(parse_event_line("a.b.c.info.U.op.7.r\t1\tm"))
 
     def test_memo_stays_within_its_bound(self):
         for i in range(MEMO_SIZE + 100):
@@ -508,7 +508,7 @@ class TestInlineTapReader:
             unfiltered, filtered = read_all(read_tap(tap)), read_all(read_tap(tap, keep))
         assert unfiltered == expected
         records, error = expected
-        assert filtered == ([r for r in records if r[0][8].segments[0] in agents], error)
+        assert filtered == ([r for r in records if r[0].segments[0] in agents], error)
         # keep is asked once per distinct key text: of every line when the tap reads cleanly
         key_texts = {raw.split("\t", 1)[0]
                      for raw in io.StringIO(data.decode("utf-8", "replace"), newline=None)
@@ -601,6 +601,38 @@ class TestEventKey:
         assert built == sample_event()
         assert hash(built) == hash(sample_event())
         assert built.key is routing_key(sample_event())
+
+
+#: key words: ASCII, accented, and digits that are decimal but not ASCII
+KEY_WORDS = st.text(alphabet="ab_-9\u00e9\u0663", min_size=1, max_size=5)
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+class TestKeyedEventFromKeys:
+    """An interned key carries every tag of its events, sourceLine included."""
+
+    @given(words=st.lists(KEY_WORDS, min_size=6, max_size=6),
+           typeLog=st.sampled_from(["info", "WARNING", "Error"]), line=st.integers(0, 10 ** 12),
+           zeros=st.integers(0, 2), arabic=st.booleans(), timestamp=st.integers(0, 2 ** 63),
+           message=st.sampled_from(["", "m", "a\tb", "\u00e9"]))
+    def test_a_key_builds_the_event_make_log_event_builds(self, words, typeLog, line, zeros,
+                                                         arabic, timestamp, message):
+        agentType, agentName, action, unit, operation, resource = words
+        tags = dict(sourceUnit=unit, sourceOperation=operation, sourceLine=line,
+                    resource=resource)
+        expected = make_log_event(agentType, agentName, action, typeLog, **tags,
+                                  message=message, clock=EventClock(timestamp))
+        key = event_key(agentType, agentName, action, typeLog, **tags)
+        # a tap may spell the line with leading zeros or other decimal digits
+        written = "0" * zeros + str(line)
+        segments = [*key.segments[:6], written.translate(ARABIC_INDIC) if arabic else written,
+                    resource]
+        tapped = parse_tap_line(f"{'.'.join(segments)}\t{timestamp}\t{message}")[0]
+        for k in (key, tapped):
+            assert k.line == int(k.segments[6]) == line
+            built = keyed_event(k, timestamp, message)
+            assert built == expected
+            assert built.key == expected.key
 
 
 class TestLogEventContract:

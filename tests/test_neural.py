@@ -52,7 +52,16 @@ class TestDecode:
 
     def test_a_controller_gives_back_its_genes(self):
         genes = [float(n) for n in range(26)]
-        assert decode(genes).genes().tolist() == genes
+        assert decode(genes).genes.tolist() == genes
+
+    def test_the_layers_are_views_of_the_genes(self):
+        controller = decode(np.arange(26.0))
+        layers = (controller.w1, controller.b1, controller.w2, controller.b2)
+        assert [a.shape for a in layers] == [(4, 3), (4,), (2, 4), (2,)]
+        for layer in layers:
+            assert np.shares_memory(layer, controller.genes)
+            assert layer.flags.c_contiguous
+        assert np.concatenate([a.ravel() for a in layers]).tolist() == controller.genes.tolist()
 
     def test_zero_genome_outputs_zero(self):
         controller = decode([0.0] * 26)

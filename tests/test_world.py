@@ -866,7 +866,7 @@ class TestInternedKeys:
             assert init_world(cfg(rngSeed=9, wirelessRange=2), second).log.keys is keys
             other = init_world(cfg(gridWidth=3), wider).log.keys
         assert other is not keys
-        assert keys["node1"]["readLightSensor"][1] == "node1"
+        assert keys["node1"]["readLightSensor"].segments[1] == "node1"
         assert set(other) - set(keys) == {"node5", "node6"}
 
     def test_every_key_an_accepted_grid_logs_is_valid(self):
@@ -882,7 +882,7 @@ class TestInternedKeys:
             keys = intern_sites(agentType, name, actions)
             assert list(keys) == list(actions)
             for key in keys.values():
-                assert len(key[8].text.encode("utf-8")) <= MAX_KEY_BYTES
+                assert len(key.text.encode("utf-8")) <= MAX_KEY_BYTES
 
     def test_skip_handshake_drops_the_same_event(self, tmp_path):
         records = []
