@@ -41,7 +41,6 @@ from .logmodel import (
     keyed_event,
     make_log_event,
     parse_binding_pattern,
-    routing_key,
 )
 
 DEFAULT_CAPACITY = 65536
@@ -94,7 +93,7 @@ def matches(pattern: BindingPattern | str, key: RoutingKey | LogEvent | str) -> 
     if isinstance(pattern, str):
         pattern = parse_binding_pattern(pattern)
     if isinstance(key, LogEvent):
-        key = routing_key(key)
+        key = key.key
     if isinstance(key, str):
         key = RoutingKey(tuple(key.split(".")))
     return _match(pattern.segments, key.segments)
@@ -314,10 +313,10 @@ class Broker:
         Returns the number of queues and live subscribers it went to, each
         handed it once however many of its bindings match; zero is legal.  A
         full queue drops its oldest buffered event first; subscribers are
-        called before publish returns.  An event without a key is checked by
-        routing_key before its tap line is written, and counted once it is.
+        called before publish returns.  The event was checked when it was
+        built; it is counted once its tap line is written.
         """
-        key = event.key or routing_key(event)
+        key = event.key
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")

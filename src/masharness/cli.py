@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .broker import Broker, BrokerError, _match
 from .evolution import evaluate_solution, load_ga_config, run_observer
-from .logmodel import LogModelError, parse_binding_pattern, read_tap, routing_key
+from .logmodel import LogModelError, parse_binding_pattern, read_tap
 from .neural import GenomeShapeMismatch, NetworkTopology, decode, load_genome, save_genome
 from .testkit import (
     TestkitError,
@@ -57,17 +57,9 @@ def data_path(name: str) -> str:
     return str(resources.files("masharness").joinpath("data", name))
 
 
-def _load_world(args) -> WorldConfig:
-    path = args.config or data_path("world.cfg")
+def _load_world(path: str, seed: int | None) -> WorldConfig:
     config = load_world_config(path)
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, rngSeed=args.seed)
-    return config
-
-
-def _load_genome(args):
-    path = args.genome or data_path("demo_genome.txt")
-    return load_genome(path)
+    return config if seed is None else replace(config, rngSeed=seed)
 
 
 def _parse_faults(args):
@@ -95,8 +87,11 @@ def write_manifest(path: str, command: str, entries: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    config = _load_world(args)
-    topology, genes = _load_genome(args)
+    # an empty --config or --genome names the packaged default, as no flag does
+    config_path = args.config or data_path("world.cfg")
+    genome_path = args.genome or data_path("demo_genome.txt")
+    config = _load_world(config_path, args.seed)
+    topology, genes = load_genome(genome_path)
     faults = _parse_faults(args)
     tap = args.tap or "tap.log"
     # one plain episode with full world logging; no observer protocol here
@@ -114,8 +109,8 @@ def cmd_simulate(args) -> int:
         args.manifest,
         "simulate",
         {
-            "config": args.config or data_path("world.cfg"),
-            "genome": args.genome or data_path("demo_genome.txt"),
+            "config": config_path,
+            "genome": genome_path,
             "seed": config.rngSeed,
             "faults": ",".join(args.fault or ()) or "-",
             "tap": tap,
@@ -129,7 +124,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    config = load_world_config(args.config or data_path("world.cfg"))
+    config_path = args.config or data_path("world.cfg")
+    config = load_world_config(config_path)
     ga_path = args.ga_config or data_path("ga.cfg")
     ga_config = load_ga_config(ga_path)
     if args.seed is not None:
@@ -154,7 +150,7 @@ def cmd_evolve(args) -> int:
         args.manifest,
         "evolve",
         {
-            "config": args.config or data_path("world.cfg"),
+            "config": config_path,
             "gaConfig": ga_path,
             "seed": ga_config.rngSeed,
             "genomeOut": out_path,
@@ -191,7 +187,7 @@ def run_test_plan(
     error_notes = []
 
     def note_error(event):
-        error_notes.append(f"error log: {routing_key(event).encode()} {event.message}")
+        error_notes.append(f"error log: {event.key.text} {event.message}")
 
     try:
         machines = [compile_machine(case) for case in cases]
@@ -223,8 +219,10 @@ def cmd_test(args) -> int:
     if not cases:
         # a plan without cases would run the episode and print no verdict
         raise TestkitError(f"plan {plan_path} has no test cases")
-    config = _load_world(args)
-    topology, genes = _load_genome(args)
+    config_path = args.config or data_path("world.cfg")
+    genome_path = args.genome or data_path("demo_genome.txt")
+    config = _load_world(config_path, args.seed)
+    topology, genes = load_genome(genome_path)
     faults = _parse_faults(args)
     stats = {}
     verdicts, report = run_test_plan(
@@ -253,8 +251,8 @@ def cmd_test(args) -> int:
         "test",
         {
             "plan": plan_path,
-            "config": args.config or data_path("world.cfg"),
-            "genome": args.genome or data_path("demo_genome.txt"),
+            "config": config_path,
+            "genome": genome_path,
             "seed": config.rngSeed,
             "faults": ",".join(args.fault or ()) or "-",
             "tap": args.tap or "-",

@@ -24,7 +24,7 @@ from functools import cache
 
 from .broker import Broker
 from .logmodel import RoutingKey, intern_sites, keyed_event
-from .neural import INPUTS, OUTPUTS, NetworkTopology, decode
+from .neural import INPUTS, MAX_HIDDEN, OUTPUTS, NetworkTopology, decode
 from .world import (
     ControllerBatch,
     EpisodeMetrics,
@@ -46,8 +46,6 @@ DEFAULT_ENERGY_TARGET = 0.70
 MAX_POPULATION = 1_000
 #: most generations a GAConfig may evolve; evolve prints nothing until the last
 MAX_GENERATIONS = 10_000
-#: most hidden neurons a GAConfig's controllers may have
-MAX_HIDDEN = 100
 
 #: every logged action of the observer, agent OBSERVER.observer01:
 #: action -> (sourceUnit, sourceOperation, sourceLine, resource)

@@ -127,41 +127,46 @@ class EventClock:
 _module_clock = EventClock()
 
 
+def _word(index: int) -> property:
+    """A read-only tag of an event: one word of its key."""
+    return property(lambda event: event.key.segments[index])
+
+
 @dataclass(frozen=True, slots=True)
 class LogEvent:
-    """One annotated log record.
+    """One annotated log record: an event key, a timestamp and a message.
 
-    ``sourceUnit``/``sourceOperation``/``sourceLine`` identify the emitting
-    call site (class, method, line).  ``timestamp`` is in microseconds on the
-    run's virtual clock.  ``message`` is free text and the only field allowed
-    to contain dots.  ``key`` carries the validated routing key of an event
-    made by ``make_log_event`` or ``keyed_event``; it is not a field of
-    equality, and ``routing_key`` fills it in for an event built otherwise.
+    The eight routed tags are read-only views of ``key``; ``sourceUnit``,
+    ``sourceOperation`` and ``sourceLine`` name the emitting call site.
+    ``timestamp`` is in microseconds on the run's virtual clock; ``message``
+    is free text, dots allowed.  An event is checked once, when built, so its
+    tap line reads back as an equal event; make_log_event builds one from tags.
     """
 
-    agentType: str
-    agentName: str
-    action: str
-    typeLog: str
-    sourceUnit: str
-    sourceOperation: str
-    sourceLine: int
-    resource: str
+    key: RoutingKey
     timestamp: int
     message: str = ""
-    key: RoutingKey | None = field(default=None, init=False, repr=False, compare=False)
 
-    def key_segments(self) -> tuple[str, ...]:
-        return (
-            self.agentType,
-            self.agentName,
-            self.action,
-            self.typeLog,
-            self.sourceUnit,
-            self.sourceOperation,
-            str(self.sourceLine),
-            self.resource,
-        )
+    def __post_init__(self):
+        key = self.key
+        if not isinstance(key, RoutingKey) or len(key.segments) != 8:
+            raise InvalidTag(f"key must be a RoutingKey of 8 words, got {key!r}")
+        if key.segments[3] not in LOG_TYPES:
+            raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {key.segments[3]!r}")
+        # key.line is None for a word that is not decimal, and str(None) is "None"
+        if key.line is None or str(key.line) != key.segments[6]:
+            raise InvalidTag(f"sourceLine word must be canonical decimal, got {key.segments[6]!r}")
+        _check_count("timestamp", self.timestamp)
+        _check_message(self.message)
+
+    agentType = _word(0)
+    agentName = _word(1)
+    action = _word(2)
+    typeLog = _word(3)
+    sourceUnit = _word(4)
+    sourceOperation = _word(5)
+    resource = _word(7)
+    sourceLine = property(lambda event: event.key.line)
 
     @property
     def tick(self) -> int:
@@ -221,8 +226,9 @@ class RoutingKey:
     line: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.segments:
-            raise InvalidTag("routing key needs at least one segment")
+        if type(self.segments) is not tuple or not self.segments:
+            # a list would leave the key unhashable and unequal to the one its text reads back as
+            raise InvalidTag(f"routing key needs a tuple of segments, got {self.segments!r}")
         for seg in self.segments:
             _check_word("key segment", seg)
         text = ".".join(self.segments)
@@ -305,62 +311,28 @@ def intern_sites(agentType: str, agentName: str, sites: LogSites) -> dict[str, R
 
 
 _new = object.__new__
-# slot setters: a frozen event is filled without its checked __setattr__
-(_set_agentType, _set_agentName, _set_action, _set_typeLog, _set_sourceUnit,
- _set_sourceOperation, _set_sourceLine, _set_resource, _set_timestamp, _set_message,
- _set_key) = (getattr(LogEvent, f.name).__set__ for f in fields(LogEvent))
+# slot setters: a frozen event is filled without its checked __init__
+_set_key, _set_timestamp, _set_message = (getattr(LogEvent, f.name).__set__
+                                          for f in fields(LogEvent))
 
 
 def keyed_event(key: RoutingKey, timestamp: int, message: str) -> LogEvent:
     """Build the event of an interned key, checking nothing.
 
-    ``key`` comes from event_key or parse_tap_line, and ``message`` must be
-    a string without newlines, as make_log_event requires; the event
-    compares equal to the one make_log_event would build from the same tags.
+    ``key`` comes from event_key or parse_tap_line, ``timestamp`` is a
+    non-negative int and ``message`` a string without newlines, as
+    LogEvent checks them; the event equals the one LogEvent would build.
     """
-    agentType, agentName, action, typeLog, sourceUnit, sourceOperation, _, resource = key.segments
     event = _new(LogEvent)
-    _set_agentType(event, agentType)
-    _set_agentName(event, agentName)
-    _set_action(event, action)
-    _set_typeLog(event, typeLog)
-    _set_sourceUnit(event, sourceUnit)
-    _set_sourceOperation(event, sourceOperation)
-    _set_sourceLine(event, key.line)
-    _set_resource(event, resource)
+    _set_key(event, key)
     _set_timestamp(event, timestamp)
     _set_message(event, message)
-    _set_key(event, key)
     return event
 
 
 def routing_key(event: LogEvent) -> RoutingKey:
-    """The eight-segment routing key of an event.
-
-    An event carries its key from creation; for one built with
-    ``LogEvent(...)`` or ``dataclasses.replace`` the key is derived from
-    its tags, checked as make_log_event checks them and with a non-negative
-    int timestamp (a key seen before comes from a memo), and then carried,
-    so the event's tap line reads back as an equal event.  Raises InvalidTag,
-    or KeyTooLong if the dotted form exceeds MAX_KEY_BYTES bytes of UTF-8,
-    mirroring the transport limit of topic exchanges.
-    """
-    key = event.key
-    if key is None:
-        if event.typeLog not in LOG_TYPES:
-            raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {event.typeLog!r}")
-        _check_count("sourceLine", event.sourceLine)
-        _check_count("timestamp", event.timestamp)
-        _check_message(event.message)
-        segments = event.key_segments()
-        try:
-            key = _keys.get(segments)
-        except TypeError:  # an unhashable tag, which RoutingKey rejects below
-            key = None
-        if key is None:
-            key = _keys.remember(segments, RoutingKey(segments))
-        _set_key(event, key)
-    return key
+    """The eight-segment routing key of an event, which the event is built with."""
+    return event.key
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,7 +388,7 @@ def parse_binding_pattern(text: str) -> BindingPattern:
 
 def serialize_event(event: LogEvent) -> str:
     """Encode an event as one tap line: key, timestamp, message, tab-separated."""
-    return f"{routing_key(event).text}\t{event.timestamp}\t{event.message}"
+    return f"{event.key.text}\t{event.timestamp}\t{event.message}"
 
 
 #: one tap line as read: (key, timestamp, message)

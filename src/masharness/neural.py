@@ -18,6 +18,8 @@ import numpy as np
 #: a light controller maps 3 sensor inputs to 2 commands
 INPUTS = 3
 OUTPUTS = 2
+#: most hidden neurons a controller may have
+MAX_HIDDEN = 100
 
 
 class GenomeShapeMismatch(ValueError):
@@ -31,6 +33,8 @@ class NetworkTopology:
     def __post_init__(self):
         if self.hiddenCount < 1:
             raise ValueError(f"hiddenCount must be positive, got {self.hiddenCount}")
+        if self.hiddenCount > MAX_HIDDEN:
+            raise ValueError(f"hiddenCount must be at most {MAX_HIDDEN}, got {self.hiddenCount}")
 
     @property
     def genomeLength(self) -> int:
@@ -112,6 +116,7 @@ def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
         n_in, n_h, n_out = sizes = [int(tok) for tok in header]
         if min(sizes) < 1:
             raise ValueError("all layer sizes must be positive")
+        topology = NetworkTopology(hiddenCount=n_h)
         genes = tuple(float(tok) for tok in lines[1:])
     except ValueError as exc:
         raise GenomeShapeMismatch(f"genome {path}: {exc}") from None
@@ -120,7 +125,6 @@ def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
             f"genome {path} declares topology {n_in}-{n_h}-{n_out}, "
             f"but a light controller has {INPUTS} inputs and {OUTPUTS} outputs"
         )
-    topology = NetworkTopology(hiddenCount=n_h)
     if len(genes) != topology.genomeLength:
         raise GenomeShapeMismatch(f"genome {path}: header promises "
                                   f"{topology.genomeLength} genes, file has {len(genes)}")

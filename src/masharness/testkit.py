@@ -24,7 +24,6 @@ from .logmodel import (
     BindingPattern,
     LogEvent,
     parse_binding_pattern,
-    routing_key,
 )
 
 LEVELS = ("local", "global")
@@ -68,7 +67,7 @@ class TransitionSpec:
                 f"maxWait must be at most {MAX_WAIT_TICKS} ticks, got {self.maxWait}")
 
     def matches(self, event: LogEvent) -> bool:
-        key = routing_key(event).segments
+        key = event.key.segments
         return any(_match(alt.segments, key) for alt in self.alternatives)
 
     def label(self) -> str:

@@ -204,13 +204,14 @@ def test_criterion_08_verdicts_agree_with_subsequence_oracle():
         )
         machine = compile_machine(case)
         inline = compile_machine(case)
+        # agentType, agentName, action, resource: the words of each event's key
+        drawn = [tuple(rng.choice(alphabet) for _ in range(4)) for _ in range(rng.randint(0, 12))]
         events = [
             make_log_event(
-                rng.choice(alphabet), rng.choice(alphabet), rng.choice(alphabet),
-                "info", sourceUnit="U", sourceOperation="op", sourceLine=1,
-                resource=rng.choice(alphabet), clock=clock,
+                agentType, agentName, action, "info", sourceUnit="U", sourceOperation="op",
+                sourceLine=1, resource=resource, clock=clock,
             )
-            for _ in range(rng.randint(0, 12))
+            for agentType, agentName, action, resource in drawn
         ]
         broker = Broker()
         bindings = []
@@ -228,7 +229,7 @@ def test_criterion_08_verdicts_agree_with_subsequence_oracle():
         for field in ("outcome", "failedState", "elapsed", "trace"):
             assert getattr(inline_verdict, field) == getattr(verdict, field), field
 
-        keys = [".".join(e.key_segments()) for e in events]
+        keys = [f"{t}.{n}.{a}.info.U.op.1.{r}" for t, n, a, r in drawn]
         passed, fired = oracle_run_machine(pattern_lists, keys, oracle_matches)
         assert verdict.passed == passed
         if not passed:

@@ -750,7 +750,9 @@ class TestCarriedKey:
         got = []
         broker.subscribe("pongs", ["*.*.pong.#"], got.append)
         ping = event(clock=broker.clock)
-        pong = dataclasses.replace(ping, action="pong")
+        pong = dataclasses.replace(ping, key=event_key(
+            "lightContainer", "node1", "pong", sourceUnit="Light", sourceOperation="act",
+            sourceLine=7, resource="lightActuator"))
         assert routing_key(ping).text.startswith("lightContainer.node1.ping.")
         assert broker.publish(ping) == 0
         assert broker.publish(pong) == 1
@@ -877,13 +879,17 @@ TAP_MESSAGES = st.one_of(
     st.text(max_size=12),
     st.sampled_from(["a\tb\t", "\x0b\x0c\x1c", "\x85", "\u2028\u2029", " trailing  "]),
 )
+#: the tags of a key, in its word order
+TAGS = ("agentType", "agentName", "action", "typeLog", "sourceUnit", "sourceOperation",
+        "sourceLine", "resource")
 WORD_TAGS = ("agentType", "agentName", "action", "sourceUnit", "sourceOperation", "resource")
-#: values of each field that a tap line cannot carry, or not as the same value
+#: values of each field that a tap line cannot carry, or not as the same value; a
+#: tag is its word of the key
 ODD_VALUES = {
     **dict.fromkeys(WORD_TAGS, st.sampled_from(["a.b", "n*", "#", "x y", "\u2028", "", None,
                                                 "n" * 250])),
     "typeLog": st.sampled_from(["INFO", "Error", "fatal", ""]),
-    "sourceLine": st.sampled_from([-1, True, 1.5, "7", None]),
+    "sourceLine": st.sampled_from(["-1", "True", "1.5", "007", "\u0663", "None"]),
     "timestamp": st.sampled_from([-1, True, 2.0, "5", None]),
     "message": st.sampled_from(["two\nlines", "cr\r", "\r\n", None]),
 }
@@ -891,15 +897,16 @@ ODD_VALUES = {
 
 @st.composite
 def tap_events(draw):
-    """An event built with ``LogEvent(...)``, valid but for at most one odd field."""
+    """The arguments of ``LogEvent(...)`` as key words, timestamp and message, valid but
+    for at most one odd field."""
     fields = {name: draw(TAP_WORDS) for name in WORD_TAGS}
     fields.update(typeLog=draw(st.sampled_from(["info", "warning", "error"])),
-                  sourceLine=draw(st.integers(0, 10**25)),
+                  sourceLine=str(draw(st.integers(0, 10**25))),
                   timestamp=draw(st.integers(0, 10**25)), message=draw(TAP_MESSAGES))
     odd = draw(st.one_of(st.none(), st.sampled_from(sorted(ODD_VALUES))))
     if odd is not None:
         fields[odd] = draw(ODD_VALUES[odd])
-    return LogEvent(**fields)
+    return tuple(fields[name] for name in TAGS), fields["timestamp"], fields["message"]
 
 
 class TestTap:
@@ -922,23 +929,29 @@ class TestTap:
         (dict(timestamp=-1), "timestamp must be a non-negative int, got -1"),
         (dict(typeLog="INFO"), "typeLog must be one of ('info', 'warning', 'error'), got 'INFO'"),
         (dict(typeLog="fatal"), "typeLog must be one of ('info', 'warning', 'error'), got 'fatal'"),
-        (dict(sourceLine=-1), "sourceLine must be a non-negative int, got -1"),
+        (dict(sourceLine=-1), "sourceLine word must be canonical decimal, got '-1'"),
     ], ids=["newline", "carriage-return", "lone-surrogate", "float-timestamp", "bool-timestamp",
             "negative-timestamp", "upper-case-typeLog", "unknown-typeLog", "negative-sourceLine"])
     @pytest.mark.parametrize("build", ["init", "replace"])
     def test_unreadable_event_raises_before_its_tap_line(self, tmp_path, change, error, build):
+        # an event is checked when it is built, so the odd one never reaches the broker
         tap = tmp_path / "events.tap"
         broker = Broker(tap=str(tap))
         sent = event(clock=broker.clock)
-        if build == "replace":
-            bad = dataclasses.replace(sent, **change)
-        else:
-            tags = {f.name: getattr(sent, f.name) for f in dataclasses.fields(LogEvent) if f.init}
-            bad = LogEvent(**{**tags, **change})
+        words = list(sent.key.segments)
+        for name, value in change.items():
+            if name in TAGS:
+                words[TAGS.index(name)] = str(value)
+        fields = {name: value for name, value in change.items() if name not in TAGS}
+        if words != list(sent.key.segments):
+            fields["key"] = RoutingKey(tuple(words))
         with pytest.raises(InvalidTag) as err:
-            broker.publish(bad)
+            if build == "replace":
+                dataclasses.replace(sent, **fields)
+            else:
+                LogEvent(**{"key": sent.key, "timestamp": sent.timestamp,
+                            "message": sent.message, **fields})
         assert str(err.value) == error
-        assert bad.key is None
         broker.publish(sent)
         broker.close()
         assert broker.stats().published == 1
@@ -961,15 +974,17 @@ class TestTap:
     @settings(max_examples=300, deadline=None)
     @given(tap_events())
     def test_every_accepted_event_reads_back_equal(self, sent):
+        words, timestamp, message = sent
         with tempfile.TemporaryDirectory() as tmp:
             tap = f"{tmp}/tap.log"
             with Broker(tap=tap) as broker:
                 try:
-                    broker.publish(sent)
+                    built = LogEvent(RoutingKey(words), timestamp, message)
                 except LogModelError:
                     accepted = []
                 else:
-                    accepted = [sent]
+                    broker.publish(built)
+                    accepted = [built]
             assert broker.stats().published == len(accepted)
             assert load_tap(tap) == accepted
 

@@ -120,6 +120,19 @@ class TestSimulate:
         assert code == 0
         assert "seed: 42\n" in (tmp_path / "manifest.txt").read_text()
 
+    @pytest.mark.parametrize("command", ["simulate", "test"])
+    def test_empty_asset_names_mean_the_packaged_defaults(self, tmp_path, capsys, command):
+        runs = []
+        for flags in ([], ["--config", "", "--genome", ""]):
+            manifest, tap = str(tmp_path / f"m{len(flags)}.txt"), str(tmp_path / f"t{len(flags)}")
+            assert main([command, *flags, "--manifest", manifest, "--tap", tap]) == 0
+            lines = open(manifest, encoding="utf-8").read().splitlines()
+            runs.append((capsys.readouterr().out, open(tap, "rb").read(),
+                         [ln for ln in lines if not ln.startswith(("tap:", "wallclock:"))]))
+        assert runs[0] == runs[1]
+        assert f"config: {data_path('world.cfg')}" in runs[0][2]
+        assert f"genome: {data_path('demo_genome.txt')}" in runs[0][2]
+
     def test_repeated_runs_write_identical_taps(self, tmp_path, capsys):
         manifest, _ = out_paths(tmp_path)
         tap_a = str(tmp_path / "a.log")
@@ -187,8 +200,10 @@ class TestSimulate:
         ("3 0 2\n" + "0.1\n" * 2, "all layer sizes must be positive"),
         # a size below 1 is named before a foreign shape
         ("0 4 5\n" + "0.1\n" * 2, "all layer sizes must be positive"),
+        # the hidden layer has GAConfig's bound, before a gene is read
+        ("3 101 2\n" + "0.1\n" * 608, "hiddenCount must be at most 100, got 101"),
     ], ids=["header-fields", "gene-count", "int-header", "hex-gene", "zero-layer",
-            "zero-foreign-layer"])
+            "zero-foreign-layer", "hidden-bound"])
     def test_genome_parse_error_names_the_file(self, tmp_path, capsys, text, message):
         genome = tmp_path / "genome.txt"
         genome.write_text(text)

@@ -15,6 +15,7 @@ from masharness.logmodel import (
     KeyTooLong,
     LogEvent,
     LogModelError,
+    RoutingKey,
     load_tap,
     make_log_event,
     parse_binding_pattern,
@@ -245,9 +246,11 @@ class TestWordMemo:
         assert routing_key(sample_event()) is routing_key(sample_event())
 
     def test_unhashable_tag_is_an_invalid_tag(self):
-        event = LogEvent("t", ["n"], "a", "info", "U", "op", 1, "r", timestamp=0)
         with pytest.raises(InvalidTag):
-            routing_key(event)
+            event_key("t", ["n"], "a", sourceUnit="U", sourceOperation="op", sourceLine=1,
+                      resource="r")
+        with pytest.raises(InvalidTag):
+            LogEvent(RoutingKey(("t", ["n"], "a", "info", "U", "op", "1", "r")), timestamp=0)
 
 
 def reference_parse_event_line(line):
@@ -266,23 +269,10 @@ def reference_parse_event_line(line):
     timestamp = int(ts_text)
     if not segments[6].isdecimal():
         raise LogModelError(f"bad sourceLine segment {segments[6]!r}")
-    line_no = int(segments[6])
-    event = LogEvent(
-        agentType=segments[0],
-        agentName=segments[1],
-        action=segments[2],
-        typeLog=segments[3],
-        sourceUnit=segments[4],
-        sourceOperation=segments[5],
-        sourceLine=line_no,
-        resource=segments[7],
-        timestamp=timestamp,
-        message=message,
-    )
-    if event.typeLog not in LOG_TYPES:
+    segments[6] = str(int(segments[6]))
+    if segments[3] not in LOG_TYPES:
         raise LogModelError(f"bad typeLog segment {segments[3]!r}")
-    routing_key(event)
-    return event
+    return LogEvent(RoutingKey(tuple(segments)), timestamp, message)
 
 
 def parsed(parse, line):
@@ -560,11 +550,11 @@ def reference_make_log_event(agentType, agentName, action, typeLog="info", *, so
         raise InvalidTag(f"message must be a string, got {message!r}")
     if "\n" in message or "\r" in message:
         raise InvalidTag("message may not contain newlines")
-    event = LogEvent(agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
-                     sourceLine, resource, clock.next_timestamp(), message)
-    if len(".".join(event.key_segments()).encode("utf-8")) > MAX_KEY_BYTES:
+    segments = (agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
+                str(sourceLine), resource)
+    if len(".".join(segments).encode("utf-8")) > MAX_KEY_BYTES:
         raise KeyTooLong(f"routing key exceeds {MAX_KEY_BYTES} bytes")
-    return event
+    return LogEvent(RoutingKey(segments), clock.next_timestamp(), message)
 
 
 TAG_WORDS = st.one_of(
@@ -635,32 +625,91 @@ class TestKeyedEventFromKeys:
             assert built.key == expected.key
 
 
+#: the words of a key LogEvent may or may not take: ASCII and accented
+#: words, and line words with leading zeros, Arabic-Indic digits or none
+EVENT_WORDS = st.one_of(st.text(alphabet="ab_-9\u00e9", min_size=1, max_size=4),
+                        st.sampled_from(["INFO", "info", "007", "7", "\u0663", "None"]))
+
+
+@st.composite
+def built_events(draw):
+    """The arguments of one LogEvent(...): a key of 8 words or not, a timestamp, a message."""
+    words = draw(st.lists(EVENT_WORDS, min_size=7, max_size=9))
+    if len(words) == 8 and draw(st.booleans()):  # else a valid typeLog and line are rare
+        words[3] = draw(st.sampled_from(LOG_TYPES + ("INFO",)))
+        words[6] = draw(st.one_of(st.integers(0, 10 ** 6).map(str),
+                                  st.sampled_from(["007", "\u0663", "None"])))
+    timestamp = draw(st.one_of(st.integers(0, 2 ** 63), st.sampled_from([-1, True, 1.5, "5"])))
+    message = draw(st.sampled_from(["", "m", "a\tb", "\u00e9", "two\nlines", "x\ud800", None]))
+    return RoutingKey(tuple(words)), timestamp, message
+
+
 class TestLogEventContract:
+    @settings(max_examples=300, deadline=None)
+    @example((RoutingKey(("a", "b", "c", "info", "U", "op", "None", "r")), 0, ""))
+    @example((RoutingKey(("a", "b", "c", "info", "U", "op", "007", "r")), 0, ""))
+    @example((RoutingKey(("a", "b", "c", "info", "U", "op", "\u0663", "r")), 0, ""))
+    @example((RoutingKey(("a", "b", "c", "INFO", "U", "op", "7", "r")), 0, ""))
+    @example((RoutingKey(("a", "b", "c", "info", "U", "op", "7", "r")), 5, "a\tb"))
+    @given(built_events())
+    def test_a_built_event_is_refused_or_reads_back(self, scratch_tap, args):
+        key, timestamp, message = args
+        try:
+            event = LogEvent(key, timestamp, message)
+        except InvalidTag:
+            return
+        # a None line word is refused: key.line is then None, and str(None) is that word
+        assert key.segments[6] != "None"
+        scratch_tap.write_text(serialize_event(event) + "\n", encoding="utf-8")
+        (read,) = load_tap(scratch_tap)
+        assert read == event and hash(read) == hash(event)
+        assert (read.sourceLine, read.typeLog) == (int(key.segments[6]), key.segments[3])
+
     def test_equality_and_hash_cover_the_ten_fields_only(self):
+        # the eight routed tags through the key, then timestamp and message
         checked = sample_event()
-        plain = LogEvent(*(getattr(checked, f.name) for f in dataclasses.fields(LogEvent)
-                           if f.init))
-        assert plain.key is None
+        assert [f.name for f in dataclasses.fields(LogEvent)] == ["key", "timestamp", "message"]
+        plain = LogEvent(RoutingKey(tuple(checked.key.text.split("."))), checked.timestamp,
+                         checked.message)
+        assert plain.key is not checked.key
         assert plain == checked and hash(plain) == hash(checked)
         assert repr(plain) == repr(checked)
         assert plain != dataclasses.replace(checked, message="other")
+        assert plain != dataclasses.replace(checked, timestamp=checked.timestamp + 1)
+        assert plain != sample_event(sourceLine=43)
 
     @pytest.mark.parametrize("name", ["action", "timestamp", "key"])
     def test_assignment_is_refused(self, name):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(sample_event(), name, None)
+        event = sample_event()
+        # a tag is a property of the key with no setter; CPython 3.11's __setattr__ of a frozen
+        # slots dataclass refuses a name that is not a field with TypeError, not FrozenInstanceError
+        refusal = (dataclasses.FrozenInstanceError if name in ("timestamp", "key")
+                   else (AttributeError, TypeError))
+        with pytest.raises(refusal):
+            setattr(event, name, None)
+        assert event == sample_event() and event.action == "readLightSensor"
 
     def test_unvalidated_event_fails_when_routed(self):
-        event = LogEvent("t", "n.x", "a", "info", "U", "op", 1, "r", timestamp=0)
+        # an event is checked when it is built, so one that could not be routed never exists
         with pytest.raises(InvalidTag, match="may not contain '.'"):
-            routing_key(event)
-        assert event.key is None
+            LogEvent(RoutingKey(("t", "n.x", "a", "info", "U", "op", "1", "r")), timestamp=0)
+        with pytest.raises(InvalidTag, match="^key must be a RoutingKey of 8 words, got"):
+            LogEvent(RoutingKey(("t", "n", "a", "info", "U", "op", "1")), timestamp=0)
+        with pytest.raises(InvalidTag, match="^key must be a RoutingKey of 8 words, got"):
+            LogEvent("t.n.a.info.U.op.1.r", timestamp=0)
+        with pytest.raises(InvalidTag, match="^routing key needs a tuple of segments, got"):
+            LogEvent(RoutingKey(["t", "n", "a", "info", "U", "op", "1", "r"]), timestamp=0)
 
     def test_replace_drops_the_carried_key(self):
+        # re-keying replaces the key itself; a tag is not a field of replace
         event = sample_event()
-        moved = dataclasses.replace(event, action="readMotionSensor")
-        assert moved.key is None
+        with pytest.raises(TypeError):
+            dataclasses.replace(event, action="readMotionSensor")
+        moved = dataclasses.replace(event, key=event_key(
+            "lightContainer", "node10", "readMotionSensor", sourceUnit="Light",
+            sourceOperation="sense", sourceLine=42, resource="lightSensor"))
         assert routing_key(moved).text == (
             "lightContainer.node10.readMotionSensor.info.Light.sense.42.lightSensor")
-        assert moved.key is routing_key(moved)
+        assert (moved.action, moved.timestamp, moved.message) == (
+            "readMotionSensor", event.timestamp, event.message)
         assert routing_key(event).text.split(".")[2] == "readLightSensor"

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masharness import evolution
 from masharness.neural import (
+    MAX_HIDDEN,
     GenomeShapeMismatch,
     NetworkTopology,
     decode,
@@ -34,6 +36,11 @@ class TestTopology:
     def test_degenerate_layer_sizes_are_rejected(self):
         with pytest.raises(ValueError):
             NetworkTopology(hiddenCount=0)
+        # one bound for every topology, GAConfig's included
+        assert evolution.MAX_HIDDEN is MAX_HIDDEN == 100
+        assert NetworkTopology(hiddenCount=MAX_HIDDEN).genomeLength == 602
+        with pytest.raises(ValueError, match="^hiddenCount must be at most 100, got 101$"):
+            NetworkTopology(hiddenCount=MAX_HIDDEN + 1)
 
 
 class TestDecode:

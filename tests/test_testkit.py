@@ -3,7 +3,7 @@ import random
 import pytest
 
 from masharness.broker import Broker, matches
-from masharness.logmodel import TICK_US, EventClock, LogEvent, make_log_event
+from masharness.logmodel import TICK_US, EventClock, LogEvent, RoutingKey, make_log_event
 from masharness.testkit import (
     MAX_WAIT_TICKS,
     BindingMismatch,
@@ -303,17 +303,7 @@ class TestDroppedEvents:
 
 class TestMergeTimeline:
     def make(self, ts, action):
-        return LogEvent(
-            agentType="t",
-            agentName="n",
-            action=action,
-            typeLog="info",
-            sourceUnit="U",
-            sourceOperation="op",
-            sourceLine=1,
-            resource="r",
-            timestamp=ts,
-        )
+        return LogEvent(RoutingKey(("t", "n", action, "info", "U", "op", "1", "r")), timestamp=ts)
 
     def test_sorted_by_timestamp(self):
         events = [self.make(5, "a"), self.make(1, "b"), self.make(3, "c")]
@@ -442,17 +432,11 @@ class TestSubsequenceOracleAgreement:
         return ".".join(segs)
 
     def random_key_event(self, rng, clock):
-        return make_log_event(
-            rng.choice(self.ALPHA),
-            rng.choice(self.ALPHA),
-            rng.choice(self.ALPHA),
-            "info",
-            sourceUnit="U",
-            sourceOperation="op",
-            sourceLine=1,
-            resource=rng.choice(self.ALPHA),
-            clock=clock,
-        )
+        """An event of random words, and the key text its words make."""
+        agentType, agentName, action, resource = (rng.choice(self.ALPHA) for _ in range(4))
+        event = make_log_event(agentType, agentName, action, "info", sourceUnit="U",
+                               sourceOperation="op", sourceLine=1, resource=resource, clock=clock)
+        return event, f"{agentType}.{agentName}.{action}.info.U.op.1.{resource}"
 
     def test_run_agrees_with_brute_force_oracle(self):
         rng = random.Random(20240817)
@@ -466,10 +450,11 @@ class TestSubsequenceOracleAgreement:
                 pattern_lists.append(alts)
                 specs.append(spec(*alts))
             machine = compile(case(*specs))
-            events = [self.random_key_event(rng, clock) for _ in range(rng.randint(0, 12))]
+            drawn = [self.random_key_event(rng, clock) for _ in range(rng.randint(0, 12))]
+            events = [event for event, _ in drawn]
             verdict = run_over(machine, events)
 
-            keys = [".".join(e.key_segments()) for e in events]
+            keys = [key for _, key in drawn]
             passed, fired = oracle_run_machine(pattern_lists, keys, oracle_matches)
             assert verdict.passed == passed
             if not passed:
