@@ -40,6 +40,7 @@ from .logmodel import (
     RoutingKey,
     keyed_event,
     make_log_event,
+    open_output,
     parse_binding_pattern,
 )
 
@@ -196,8 +197,8 @@ class Broker:
     """Topic exchange for LogEvents.
 
     ``tap`` names a file that mirrors every published event (one serialized
-    line each, including events that matched no queue).  The file is created
-    fresh and only appended to afterwards.
+    line each, including events that matched no queue).  The file is written
+    from its start and cut to the written length by ``close`` (open_output).
     """
 
     def __init__(self, clock: EventClock | None = None, tap: str | None = None):
@@ -206,7 +207,7 @@ class Broker:
         self._queues: dict[str, _Queue] = {}
         self._published = 0
         self._closed = False
-        self._tap = open(tap, "w", encoding="utf-8") if tap else None
+        self._tap = open_output(tap) if tap else None
         # key text -> the list of its class in _classes
         self._routes = BoundedMemo(ROUTE_KEYS)
         # class -> the queues and live subscribers of its indices, in declaration order

@@ -17,11 +17,12 @@ import sys
 import time
 from dataclasses import replace
 from importlib import resources
-from operator import itemgetter
+from itertools import islice
+from operator import le
 
 from .broker import Broker, BrokerError, _match
 from .evolution import evaluate_solution, load_ga_config, run_observer
-from .logmodel import LogModelError, parse_binding_pattern, read_tap
+from .logmodel import LogModelError, open_output, parse_binding_pattern, read_tap
 from .neural import GenomeShapeMismatch, NetworkTopology, decode, load_genome, save_genome
 from .testkit import (
     TestkitError,
@@ -79,7 +80,7 @@ def _event_counts(broker: Broker) -> dict:
 
 
 def write_manifest(path: str, command: str, entries: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(f"command: {command}\n")
         for key, value in entries.items():
             fh.write(f"{key}: {value}\n")
@@ -268,18 +269,19 @@ def cmd_test(args) -> int:
 def cmd_timeline(args) -> int:
     """Print the tap lines whose key matches the pattern, stably sorted by timestamp."""
     pattern = parse_binding_pattern(args.pattern).segments
-    timeline = [(timestamp, key.text, message) for key, timestamp, message
-                in read_tap(args.tap, lambda key: _match(pattern, key.segments))]
-    # a stable sort after the filter gives the order a sort before it would
-    timeline.sort(key=itemgetter(0))
-    write = sys.stdout.write
-    for timestamp, key_text, message in timeline:
-        write(f"{timestamp}\t{key_text}\t{message}\n")
-    write_manifest(
-        args.manifest,
-        "timeline",
-        {"tap": args.tap, "pattern": args.pattern, "events": len(timeline)},
-    )
+    stamps, lines = [], []
+    for key, timestamp, message in read_tap(args.tap, lambda key: _match(pattern, key.segments)):
+        stamps.append(timestamp)
+        lines.append(f"{timestamp}\t{key.text}\t{message}\n")
+    # a broker's tap is in timestamp order; a stable sort after the filter
+    # gives the order a sort before it would
+    if not all(map(le, stamps, islice(stamps, 1, None))):
+        lines = [lines[i] for i in sorted(range(len(lines)), key=stamps.__getitem__)]
+    sys.stdout.writelines(lines)
+    count = len(lines)
+    del stamps, lines  # freed first, so the manifest's buffers do not raise the peak RSS
+    write_manifest(args.manifest, "timeline",
+                   {"tap": args.tap, "pattern": args.pattern, "events": count})
     return 0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .broker import Broker
-from .logmodel import RoutingKey, intern_sites, keyed_event
+from .logmodel import RoutingKey, intern_sites, keyed_event, open_output
 from .neural import INPUTS, MAX_HIDDEN, OUTPUTS, NetworkTopology, decode
 from .world import (
     ControllerBatch,
@@ -355,7 +355,7 @@ def run_observer(
 
     population = initial_population(ga_config, topology, rng)
     history: list[GenerationStats] = []
-    history_file = open(history_path, "w", encoding="utf-8") if history_path else None
+    history_file = open_output(history_path) if history_path else None
     try:
         score(population)
         for generation in range(1, ga_config.generations + 1):

@@ -12,6 +12,9 @@ one word and ``#`` for zero or more words.
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
@@ -25,6 +28,9 @@ HASH = "#"
 
 #: microseconds of virtual time per simulation tick
 TICK_US = 1_000_000
+
+#: timestamps are below this bound, so every one prints and reads back
+TIMESTAMP_LIMIT = 2 ** 63
 
 
 class LogModelError(ValueError):
@@ -103,6 +109,8 @@ class EventClock:
         self._next = int(start)
         if self._next < 0:
             raise LogModelError(f"clock start must be >= 0, got {start!r}")
+        if self._next >= TIMESTAMP_LIMIT:
+            raise LogModelError("clock start must be below 2**63")
 
     def next_timestamp(self) -> int:
         with self._lock:
@@ -157,6 +165,8 @@ class LogEvent:
         if key.line is None or str(key.line) != key.segments[6]:
             raise InvalidTag(f"sourceLine word must be canonical decimal, got {key.segments[6]!r}")
         _check_count("timestamp", self.timestamp)
+        if self.timestamp >= TIMESTAMP_LIMIT:
+            raise InvalidTag("timestamp must be below 2**63")
         _check_message(self.message)
 
     agentType = _word(0)
@@ -391,6 +401,45 @@ def serialize_event(event: LogEvent) -> str:
     return f"{event.key.text}\t{event.timestamp}\t{event.message}"
 
 
+def _in_place(path, flags: int) -> int:
+    """``open``'s opener for mode "w" without O_TRUNC, so an old file is written over."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+class _Output(io.TextIOWrapper):
+    """A text file written over an old one's bytes, and cut to the written length on close."""
+
+    def close(self) -> None:
+        if self.closed:
+            return
+        try:
+            self.flush()
+        finally:
+            try:
+                fd = self.fileno()
+                info = os.fstat(fd)
+                if stat.S_ISREG(info.st_mode):  # a pipe or a tty has no position to cut at
+                    end = os.lseek(fd, 0, os.SEEK_CUR)
+                    if info.st_size > end:
+                        os.ftruncate(fd, end)
+            finally:
+                super().close()
+
+
+def open_output(path) -> io.TextIOWrapper:
+    """Open ``path`` for UTF-8 text writing as ``open(path, "w")`` does, but without truncating.
+
+    A regular file is cut to the length written when the file is closed, also
+    when a write or the flush raised, so a run that unwinds leaves exactly the
+    new bytes.  On ext4 this skips what truncating on open costs: freeing the
+    old blocks, and the flush on close that ``auto_da_alloc`` arms after a
+    truncation.  Any other path (``/dev/null``, a tty, a pipe) is written as a
+    stream.  The name, permissions, symlink-following and errors are open's.
+    """
+    buffer = open(path, "wb", opener=_in_place)
+    return _Output(buffer, encoding="utf-8", line_buffering=buffer.isatty())
+
+
 #: one tap line as read: (key, timestamp, message)
 TapRecord = tuple[RoutingKey, int, str]
 
@@ -423,6 +472,8 @@ def parse_tap_line(line: str) -> TapRecord:
         timestamp = int(ts_text)
     except ValueError:  # more digits than int() reads
         raise LogModelError(f"bad timestamp of {len(ts_text)} digits") from None
+    if timestamp >= TIMESTAMP_LIMIT:
+        raise LogModelError(f"bad timestamp of {len(ts_text)} digits, not below 2**63")
     if key is None:
         if not segments[6].isdecimal():
             raise LogModelError(f"bad sourceLine segment {segments[6]!r}")

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .logmodel import open_output
+
 #: a light controller maps 3 sensor inputs to 2 commands
 INPUTS = 3
 OUTPUTS = 2
@@ -93,7 +95,7 @@ def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
     if topology is None:
         topology = NetworkTopology()
     g = _layers(genes, topology, 1)[0]  # refused as decode refuses it, so load_genome reads it
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.write(f"{INPUTS} {topology.hiddenCount} {OUTPUTS}\n")
         for gene in g:
             # repr of a python float round-trips the exact value

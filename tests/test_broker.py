@@ -927,11 +927,14 @@ class TestTap:
         (dict(timestamp=1.5), "timestamp must be a non-negative int, got 1.5"),
         (dict(timestamp=True), "timestamp must be a non-negative int, got True"),
         (dict(timestamp=-1), "timestamp must be a non-negative int, got -1"),
+        (dict(timestamp=2 ** 63), "timestamp must be below 2**63"),
+        (dict(timestamp=10 ** 5000), "timestamp must be below 2**63"),
         (dict(typeLog="INFO"), "typeLog must be one of ('info', 'warning', 'error'), got 'INFO'"),
         (dict(typeLog="fatal"), "typeLog must be one of ('info', 'warning', 'error'), got 'fatal'"),
         (dict(sourceLine=-1), "sourceLine word must be canonical decimal, got '-1'"),
     ], ids=["newline", "carriage-return", "lone-surrogate", "float-timestamp", "bool-timestamp",
-            "negative-timestamp", "upper-case-typeLog", "unknown-typeLog", "negative-sourceLine"])
+            "negative-timestamp", "2**63-timestamp", "huge-timestamp", "upper-case-typeLog",
+            "unknown-typeLog", "negative-sourceLine"])
     @pytest.mark.parametrize("build", ["init", "replace"])
     def test_unreadable_event_raises_before_its_tap_line(self, tmp_path, change, error, build):
         # an event is checked when it is built, so the odd one never reaches the broker
@@ -957,19 +960,25 @@ class TestTap:
         assert broker.stats().published == 1
         assert load_tap(tap) == [sent]
 
-    def test_an_event_whose_line_cannot_be_written_is_not_counted(self, tmp_path):
-        # a timestamp too long to print passes the checks, and its line raises
-        tap, got = tmp_path / "events.tap", []
-        broker = Broker(tap=str(tap))
-        broker.subscribe("all", ["#"], got.append)
-        sent = event(clock=broker.clock)
-        with pytest.raises(ValueError):
-            broker.publish(dataclasses.replace(sent, timestamp=10 ** 5000))
-        assert broker.stats().published == 0 and got == []
-        broker.publish(sent)
-        broker.close()
-        assert broker.stats().published == 1 and got == [sent]
-        assert load_tap(tap) == [sent]
+    def test_a_subscriber_raising_mid_batch_cuts_a_longer_old_tap(self, tmp_path):
+        # the tap is written over the old file and cut to length as the error unwinds
+        key = event_key("lightContainer", "node1", "ping", sourceUnit="Light",
+                        sourceOperation="act", sourceLine=7, resource="lightActuator")
+
+        def boom(event):
+            if event.message == "c":
+                raise Boom()
+
+        taps = []
+        for old in ("", "x" * 100_000 + "\n"):
+            tap = tmp_path / f"{len(taps)}.tap"
+            tap.write_text(old)
+            with pytest.raises(Boom), Broker(tap=str(tap)) as broker:
+                broker.subscribe("boom", ["#"], boom)
+                broker._publish_batch([(key, message) for message in "abcde"])
+            taps.append(tap.read_bytes())
+        assert taps[1] == taps[0]
+        assert [e.message for e in load_tap(tmp_path / "1.tap")] == ["a", "b", "c"]
 
     @settings(max_examples=300, deadline=None)
     @given(tap_events())

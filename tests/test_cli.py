@@ -126,8 +126,8 @@ class TestSimulate:
         for flags in ([], ["--config", "", "--genome", ""]):
             manifest, tap = str(tmp_path / f"m{len(flags)}.txt"), str(tmp_path / f"t{len(flags)}")
             assert main([command, *flags, "--manifest", manifest, "--tap", tap]) == 0
-            lines = open(manifest, encoding="utf-8").read().splitlines()
-            runs.append((capsys.readouterr().out, open(tap, "rb").read(),
+            lines = Path(manifest).read_text(encoding="utf-8").splitlines()
+            runs.append((capsys.readouterr().out, Path(tap).read_bytes(),
                          [ln for ln in lines if not ln.startswith(("tap:", "wallclock:"))]))
         assert runs[0] == runs[1]
         assert f"config: {data_path('world.cfg')}" in runs[0][2]
@@ -806,16 +806,24 @@ class TestTimelineErrors:
         assert captured.out == ""
         assert captured.err == f"error: tap {tap} line 2: bad timestamp of 5000 digits\n"
 
+    def test_a_timestamp_of_2_to_the_63_exits_two(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        Path(tap).write_text(f"a.b.c.info.U.op.1.r\t{2 ** 63 - 1}\tm\n"
+                             f"a.b.c.info.U.op.1.r\t{2 ** 63}\tm\n")
+        code = main(["timeline", "#", "--tap", tap, "--manifest", manifest])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err == (f"error: tap {tap} line 2: bad timestamp of 19 digits, "
+                                "not below 2**63\n")
+
 
 class TestUnwritableManifest:
     """A manifest that cannot be written fails the run before it prints or writes."""
 
-    @pytest.mark.parametrize("command", ["simulate", "evolve", "test", "timeline"])
-    def test_exits_two_before_any_output(self, tmp_path, capsys, command):
-        manifest = tmp_path / "manifest-dir"
-        manifest.mkdir()
-        tap, genome = tmp_path / "tap.log", tmp_path / "winner.txt"
-        argv = {
+    @staticmethod
+    def argv(tmp_path, command, tap, genome):
+        return {
             "simulate": ["simulate", "--config", small_world(tmp_path), "--tap", str(tap)],
             "evolve": ["evolve", "--config", small_world(tmp_path), "--ga-config",
                        TestEvolve().ga_file(tmp_path), "--genome", str(genome),
@@ -823,6 +831,13 @@ class TestUnwritableManifest:
             "test": ["test", "--config", small_world(tmp_path), "--tap", str(tap)],
             "timeline": ["timeline", "#", "--tap", str(tap)],
         }[command]
+
+    @pytest.mark.parametrize("command", ["simulate", "evolve", "test", "timeline"])
+    def test_exits_two_before_any_output(self, tmp_path, capsys, command):
+        manifest = tmp_path / "manifest-dir"
+        manifest.mkdir()
+        tap, genome = tmp_path / "tap.log", tmp_path / "winner.txt"
+        argv = self.argv(tmp_path, command, tap, genome)
         if command == "timeline":
             tap.write_text("a.b.c.info.U.op.1.r\t4\tm\n")
         code = main([*argv, "--manifest", str(manifest)])
@@ -834,6 +849,21 @@ class TestUnwritableManifest:
         assert tap.exists() == (command == "timeline")
         assert not genome.exists() and not Path(f"{genome}.history").exists()
         assert list(manifest.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "evolve", "test"])
+    def test_leaves_old_outputs_as_they_were(self, tmp_path, capsys, command):
+        # outputs are written over in place, so none may be opened before the check
+        manifest = tmp_path / "manifest-dir"
+        manifest.mkdir()
+        tap, genome = tmp_path / "tap.log", tmp_path / "winner.txt"
+        outputs = [tap, genome, Path(f"{genome}.history")]
+        for path in outputs:
+            path.write_text(f"old {path.name}\n" * 100)
+        code = main([*self.argv(tmp_path, command, tap, genome), "--manifest", str(manifest)])
+        capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert [path.read_text() for path in outputs] == [f"old {path.name}\n" * 100
+                                                          for path in outputs]
 
 
 #: sha256 of the taps these runs wrote before words, keys and routes were
@@ -1063,6 +1093,54 @@ class TestGoldenTimeline:
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TIMELINES[pattern]
+
+
+def without_wallclock(data: bytes) -> bytes:
+    """A manifest's bytes without its wallclock line, the one line two runs may differ in."""
+    return b"".join(ln for ln in data.splitlines(keepends=True)
+                    if not ln.startswith(b"wallclock: "))
+
+
+class TestInPlaceOutputs:
+    """Outputs are written over old files and cut to the written length when closed."""
+
+    @pytest.mark.parametrize("command", ["simulate", "test", "evolve"])
+    def test_a_run_over_longer_files_writes_what_a_fresh_run_writes(
+            self, go_dark_tap, tmp_path, capsys, command):
+        tap, manifest, genome = (tmp_path / name for name in ("tap.log", "m.txt", "winner.txt"))
+        argv = [command, "--tap", str(tap), "--manifest", str(manifest)]
+        outputs = [tap, manifest]
+        if command == "evolve":
+            argv += ["--config", small_world(tmp_path), "--ga-config",
+                     TestEvolve().ga_file(tmp_path), "--genome", str(genome)]
+            outputs += [genome, Path(f"{genome}.history")]
+        runs = []
+        for old in (None, go_dark_tap):
+            for path in outputs if old else ():
+                shutil.copyfile(old, path)
+            assert main(argv) == 0
+            runs.append((capsys.readouterr().out,
+                         [without_wallclock(path.read_bytes()) for path in outputs]))
+        assert runs[1] == runs[0]
+        assert all(len(data) < os.path.getsize(go_dark_tap) for data in runs[0][1])
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["test", "--fault", "go-dark:node10", "--seed", "2"],
+        ["timeline", "*.node10.#"],
+    ], ids=["simulate", "test-failing", "timeline"])
+    def test_dev_null_outputs_exit_as_regular_files_do(self, go_dark_tap, tmp_path, capsys,
+                                                         argv):
+        runs = []
+        for tap, manifest in ((tmp_path / "tap.log", tmp_path / "m.txt"),
+                              ("/dev/null", "/dev/null")):
+            if argv[0] == "timeline":
+                tap = go_dark_tap
+            code = main([*argv, "--tap", str(tap), "--manifest", str(manifest)])
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        assert runs[1] == runs[0]
+        assert runs[0][0] == (1 if argv[0] == "test" else 0)
 
 
 TAP_KEYS = [

@@ -1,5 +1,7 @@
 import dataclasses
 import io
+import os
+import stat
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +20,7 @@ from masharness.logmodel import (
     RoutingKey,
     load_tap,
     make_log_event,
+    open_output,
     parse_binding_pattern,
     parse_event_line,
     parse_tap_line,
@@ -116,6 +119,12 @@ class TestEventClock:
         # a tap line's timestamp is decimal digits, so -3 would not read back
         with pytest.raises(LogModelError, match="^clock start must be >= 0, got -3$"):
             EventClock(-3)
+
+    def test_start_of_2_to_the_63_is_refused(self):
+        assert EventClock(2 ** 63 - 1).next_timestamp() == 2 ** 63 - 1
+        for start in (2 ** 63, 10 ** 5000):
+            with pytest.raises(LogModelError, match=r"^clock start must be below 2\*\*63$"):
+                EventClock(start)
 
     def test_tick_recovered_from_timestamp(self):
         clock = EventClock()
@@ -267,6 +276,8 @@ def reference_parse_event_line(line):
     if not ts_text.isdecimal():
         raise LogModelError(f"bad timestamp {ts_text!r}")
     timestamp = int(ts_text)
+    if timestamp >= 2 ** 63:
+        raise LogModelError(f"bad timestamp of {len(ts_text)} digits, not below 2**63")
     if not segments[6].isdecimal():
         raise LogModelError(f"bad sourceLine segment {segments[6]!r}")
     segments[6] = str(int(segments[6]))
@@ -317,6 +328,8 @@ class TestMemoisedTapParser:
     @example("a.b.c.info.U.op.007.r\t5\tmsg")
     @example("a.b.c.info.U.op.\u0663.r\t5\tmsg")
     @example("a.b.c.info.U.op.42.r\tnotanint\tmsg")
+    @example("a.b.c.info.U.op.42.r\t9223372036854775807\tmsg")
+    @example("a.b.c.info.U.op.42.r\t9223372036854775808\tmsg")
     @example("a.b.c.fatal.U.op.42.r\t1\tmsg")
     @example("a.b.c.info.U.op.42\t1\tmsg")
     @example("a.b.c.info.U.op.42.r.s\t1\tmsg")
@@ -603,7 +616,7 @@ class TestKeyedEventFromKeys:
 
     @given(words=st.lists(KEY_WORDS, min_size=6, max_size=6),
            typeLog=st.sampled_from(["info", "WARNING", "Error"]), line=st.integers(0, 10 ** 12),
-           zeros=st.integers(0, 2), arabic=st.booleans(), timestamp=st.integers(0, 2 ** 63),
+           zeros=st.integers(0, 2), arabic=st.booleans(), timestamp=st.integers(0, 2 ** 63 - 1),
            message=st.sampled_from(["", "m", "a\tb", "\u00e9"]))
     def test_a_key_builds_the_event_make_log_event_builds(self, words, typeLog, line, zeros,
                                                          arabic, timestamp, message):
@@ -713,3 +726,44 @@ class TestLogEventContract:
         assert (moved.action, moved.timestamp, moved.message) == (
             "readMotionSensor", event.timestamp, event.message)
         assert routing_key(event).text.split(".")[2] == "readLightSensor"
+
+
+class TestOpenOutput:
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_an_error_still_cuts_the_old_file(self, tmp_path, monkeypatch, fails):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n" * 1000)
+        if fails == "flush":
+            def flush(fh):  # the bytes reach the file, then the flush reports an error
+                io.TextIOWrapper.flush(fh)
+                raise OSError("flush failed")
+
+            monkeypatch.setattr(logmodel._Output, "flush", flush)
+        with pytest.raises((UnicodeEncodeError, OSError)), open_output(path) as fh:
+            fh.write("new\n")
+            if fails == "write":
+                fh.write("x\ud800")
+        assert path.read_bytes() == b"new\n"
+
+    def test_links_and_mode_are_kept(self, tmp_path):
+        # the file is written over in place, not replaced by a new one
+        path, hard, soft = tmp_path / "out.txt", tmp_path / "hard.txt", tmp_path / "soft.txt"
+        path.write_text("old\n" * 1000)
+        path.chmod(0o600)
+        os.link(path, hard)
+        soft.symlink_to(path)
+        with open_output(soft) as fh:
+            fh.write("new\n")
+        assert hard.read_bytes() == b"new\n" and soft.is_symlink()
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_a_fifo_is_written_as_a_stream(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with open_output(fifo) as fh:
+                fh.write("line\n")
+            assert os.read(reader, 100) == b"line\n"
+        finally:
+            os.close(reader)
