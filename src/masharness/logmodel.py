@@ -417,11 +417,8 @@ class _Output(io.TextIOWrapper):
         finally:
             try:
                 fd = self.fileno()
-                info = os.fstat(fd)
-                if stat.S_ISREG(info.st_mode):  # a pipe or a tty has no position to cut at
-                    end = os.lseek(fd, 0, os.SEEK_CUR)
-                    if info.st_size > end:
-                        os.ftruncate(fd, end)
+                if stat.S_ISREG(os.fstat(fd).st_mode):  # a pipe or a tty has no position to cut at
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
             finally:
                 super().close()
 
