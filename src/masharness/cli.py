@@ -58,13 +58,20 @@ def data_path(name: str) -> str:
     return str(resources.files("masharness").joinpath("data", name))
 
 
-def _load_world(path: str, seed: int | None) -> WorldConfig:
-    config = load_world_config(path)
-    return config if seed is None else replace(config, rngSeed=seed)
+def _episode_inputs(args):
+    """``simulate``'s and ``test``'s (config, topology, genes, faults, manifest entries).
 
-
-def _parse_faults(args):
-    return tuple(parse_fault_spec(text) for text in (args.fault or ()))
+    An empty --config or --genome names the packaged default, as no flag does."""
+    config_path = args.config or data_path("world.cfg")
+    genome_path = args.genome or data_path("demo_genome.txt")
+    config = load_world_config(config_path)
+    if args.seed is not None:
+        config = replace(config, rngSeed=args.seed)
+    topology, genes = load_genome(genome_path)
+    faults = tuple(parse_fault_spec(text) for text in args.fault or ())
+    entries = {"config": config_path, "genome": genome_path, "seed": config.rngSeed,
+               "faults": ",".join(args.fault or ()) or "-"}
+    return config, topology, genes, faults, entries
 
 
 def _stats_entries(stats: dict) -> dict:
@@ -88,12 +95,7 @@ def write_manifest(path: str, command: str, entries: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    # an empty --config or --genome names the packaged default, as no flag does
-    config_path = args.config or data_path("world.cfg")
-    genome_path = args.genome or data_path("demo_genome.txt")
-    config = _load_world(config_path, args.seed)
-    topology, genes = load_genome(genome_path)
-    faults = _parse_faults(args)
+    config, topology, genes, faults, inputs = _episode_inputs(args)
     tap = args.tap or "tap.log"
     # one plain episode with full world logging; no observer protocol here
     broker = Broker(tap=tap)
@@ -110,10 +112,7 @@ def cmd_simulate(args) -> int:
         args.manifest,
         "simulate",
         {
-            "config": config_path,
-            "genome": genome_path,
-            "seed": config.rngSeed,
-            "faults": ",".join(args.fault or ()) or "-",
+            **inputs,
             "tap": tap,
             "pPeople": f"{metrics.pPeople:.6f}",
             "pTrip": f"{metrics.pTrip:.6f}",
@@ -220,11 +219,7 @@ def cmd_test(args) -> int:
     if not cases:
         # a plan without cases would run the episode and print no verdict
         raise TestkitError(f"plan {plan_path} has no test cases")
-    config_path = args.config or data_path("world.cfg")
-    genome_path = args.genome or data_path("demo_genome.txt")
-    config = _load_world(config_path, args.seed)
-    topology, genes = load_genome(genome_path)
-    faults = _parse_faults(args)
+    config, topology, genes, faults, inputs = _episode_inputs(args)
     stats = {}
     verdicts, report = run_test_plan(
         cases,
@@ -252,10 +247,7 @@ def cmd_test(args) -> int:
         "test",
         {
             "plan": plan_path,
-            "config": config_path,
-            "genome": genome_path,
-            "seed": config.rngSeed,
-            "faults": ",".join(args.fault or ()) or "-",
+            **inputs,
             "tap": args.tap or "-",
             "verdicts": " ".join(
                 f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in verdicts

@@ -77,13 +77,24 @@ class BoundedMemo(dict):
 #: words that passed _check_word, so a repeated word skips the scan
 _valid_words = BoundedMemo()
 
+#: an int at least this far from zero has more digits than a key has bytes; an error
+#: message shows it by its size, as str() may refuse an int of more than 640 digits
+_LONG_INT = 10 ** MAX_KEY_BYTES
+
+
+def _shown(value) -> str:
+    """``repr(value)`` for an error message, or the size of a long int."""
+    if isinstance(value, int) and not -_LONG_INT < value < _LONG_INT:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
 
 def _check_word(name: str, value: str) -> str:
     """Validate a single routing-key word (one tag value)."""
     if type(value) is str and value in _valid_words:
         return value
     if not isinstance(value, str) or not value:
-        raise InvalidTag(f"{name} must be a non-empty string, got {value!r}")
+        raise InvalidTag(f"{name} must be a non-empty string, got {_shown(value)}")
     if "." in value:
         raise InvalidTag(f"{name} may not contain '.': {value!r}")
     if STAR in value or HASH in value:
@@ -108,20 +119,23 @@ class EventClock:
         self._lock = threading.Lock()
         self._next = int(start)
         if self._next < 0:
-            raise LogModelError(f"clock start must be >= 0, got {start!r}")
+            raise LogModelError(f"clock start must be >= 0, got {_shown(start)}")
         if self._next >= TIMESTAMP_LIMIT:
             raise LogModelError("clock start must be below 2**63")
 
     def next_timestamp(self) -> int:
-        with self._lock:
-            ts = self._next
-            self._next = ts + 1
-            return ts
+        return self.reserve(1)
 
     def reserve(self, count: int) -> int:
-        """Draw ``count`` consecutive timestamps at once; returns the first."""
+        """Draw ``count`` consecutive timestamps at once; returns the first.
+
+        Raises LogModelError, and leaves the clock as it was, if the last of
+        them would not be below 2**63.
+        """
         with self._lock:
             ts = self._next
+            if ts + count > TIMESTAMP_LIMIT:
+                raise LogModelError("timestamps must be below 2**63")
             self._next = ts + count
             return ts
 
@@ -131,8 +145,6 @@ class EventClock:
             if floor > self._next:
                 self._next = int(floor)
 
-
-_module_clock = EventClock()
 
 
 def _word(index: int) -> property:
@@ -158,7 +170,7 @@ class LogEvent:
     def __post_init__(self):
         key = self.key
         if not isinstance(key, RoutingKey) or len(key.segments) != 8:
-            raise InvalidTag(f"key must be a RoutingKey of 8 words, got {key!r}")
+            raise InvalidTag(f"key must be a RoutingKey of 8 words, got {_shown(key)}")
         if key.segments[3] not in LOG_TYPES:
             raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {key.segments[3]!r}")
         # key.line is None for a word that is not decimal, and str(None) is "None"
@@ -194,30 +206,29 @@ def make_log_event(
     sourceLine: int,
     resource: str,
     message: str = "",
-    clock: EventClock | None = None,
+    clock: EventClock,
 ) -> LogEvent:
-    """Validate tags and stamp a new event from the given clock.
+    """Validate tags and stamp a new event from ``clock``.
 
     ``typeLog`` is normalised to lower case and must be one of info,
     warning, error.  Raises InvalidTag on any malformed tag and KeyTooLong
-    on an over-long key, before a timestamp is drawn.
+    on an over-long key, before a timestamp is drawn, and LogModelError if
+    the clock has no timestamp below 2**63 left.
     """
     key = event_key(agentType, agentName, action, typeLog, sourceUnit=sourceUnit,
                     sourceOperation=sourceOperation, sourceLine=sourceLine,
                     resource=resource, message=message)
-    if clock is None:
-        clock = _module_clock
     return keyed_event(key, clock.next_timestamp(), message)
 
 
 def _check_count(name: str, value) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise InvalidTag(f"{name} must be a non-negative int, got {value!r}")
+        raise InvalidTag(f"{name} must be a non-negative int, got {_shown(value)}")
 
 
 def _check_message(message) -> None:
     if not isinstance(message, str):
-        raise InvalidTag(f"message must be a string, got {message!r}")
+        raise InvalidTag(f"message must be a string, got {_shown(message)}")
     if "\n" in message or "\r" in message:
         # the tab-separated tap line format must round-trip
         raise InvalidTag("message may not contain newlines")
@@ -238,7 +249,7 @@ class RoutingKey:
     def __post_init__(self):
         if type(self.segments) is not tuple or not self.segments:
             # a list would leave the key unhashable and unequal to the one its text reads back as
-            raise InvalidTag(f"routing key needs a tuple of segments, got {self.segments!r}")
+            raise InvalidTag(f"routing key needs a tuple of segments, got {_shown(self.segments)}")
         for seg in self.segments:
             _check_word("key segment", seg)
         text = ".".join(self.segments)
@@ -255,7 +266,7 @@ class RoutingKey:
         return self.text
 
 
-#: validated routing keys by segment tuple
+#: event keys event_key and parse_tap_line interned, by key text and by a tap's alias text (007)
 _keys = BoundedMemo()
 
 #: interned event keys by the tag values they were asked for with
@@ -290,20 +301,22 @@ def event_key(
     if key is not None:
         _check_message(message)
         return key
-    typeLog = typeLog.lower()
-    if typeLog not in LOG_TYPES:
-        raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {typeLog!r}")
+    if not isinstance(typeLog, str) or (typeLog := typeLog.lower()) not in LOG_TYPES:
+        raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {_shown(typeLog)}")
     _check_word("agentType", agentType)
     _check_word("agentName", agentName)
     _check_word("action", action)
     _check_word("sourceUnit", sourceUnit)
     _check_word("sourceOperation", sourceOperation)
     _check_word("resource", resource)
+    if isinstance(sourceLine, int) and not -_LONG_INT < sourceLine < _LONG_INT:
+        raise KeyTooLong(f"routing key exceeds {MAX_KEY_BYTES} bytes")  # str() may refuse it
     _check_count("sourceLine", sourceLine)
     _check_message(message)
     segments = (agentType, agentName, action, typeLog, sourceUnit, sourceOperation,
                 str(sourceLine), resource)
-    key = _keys.get(segments) or _keys.remember(segments, RoutingKey(segments))
+    text = ".".join(segments)
+    key = _keys.get(text) or _keys.remember(text, RoutingKey(segments))
     return _event_keys.remember(tags, key)
 
 
@@ -440,24 +453,21 @@ def open_output(path) -> io.TextIOWrapper:
 #: one tap line as read: (key, timestamp, message)
 TapRecord = tuple[RoutingKey, int, str]
 
-#: keys by the key text a tap line carried, so a repeated key skips every check
-_tap_keys = BoundedMemo()
-
 
 def parse_tap_line(line: str) -> TapRecord:
     """Split one tap line into ``(RoutingKey, timestamp, message)``.
 
     The key is built from the validated segments, so a line tag ``007``
-    reads back as ``7`` in its text.  A key text seen before is
-    answered from a memo; only the timestamp is then still checked.  Raises
-    LogModelError on malformed input.
+    reads back as ``7`` in its text.  A key text interned before, here or
+    by event_key, is answered from the key table; only the timestamp is
+    then still checked.  Raises LogModelError on malformed input.
     """
     line = line.rstrip("\n")
     parts = line.split("\t", 2)
     if len(parts) != 3:
         raise LogModelError(f"expected key<TAB>timestamp<TAB>message, got {line!r}")
     key_text, ts_text, message = parts
-    key = _tap_keys.get(key_text)
+    key = _keys.get(key_text)
     if key is None:
         segments = key_text.split(".")
         if len(segments) != 8:
@@ -480,9 +490,10 @@ def parse_tap_line(line: str) -> TapRecord:
             raise LogModelError(f"bad sourceLine segment of {len(segments[6])} digits") from None
         if segments[3] not in LOG_TYPES:
             raise LogModelError(f"bad typeLog segment {segments[3]!r}")
-        segments = tuple(segments)
-        key = _keys.get(segments) or _keys.remember(segments, RoutingKey(segments))
-        _tap_keys.remember(key_text, key)
+        text = ".".join(segments)  # looked up only now, so only a checked key enters the table
+        key = _keys.get(text) or _keys.remember(text, RoutingKey(tuple(segments)))
+        if text != key_text:  # an alias, such as a line word 007
+            _keys.remember(key_text, key)
     return key, timestamp, message
 
 
@@ -513,7 +524,7 @@ def read_tap(path, keep=None) -> Iterator[TapRecord]:
                 parts = raw.split("\t", 2)
                 key_text = parts[0]
                 entry = known.get(key_text)
-                if entry is None and (entry := _tap_keys.get(key_text)) is not None:
+                if entry is None and (entry := _keys.get(key_text)) is not None:
                     entry = decide(key_text, entry)
                 if (entry is not None and len(parts) == 3 and parts[1].isdecimal()
                         and len(parts[1]) <= _INLINE_TS_DIGITS):

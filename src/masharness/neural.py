@@ -51,10 +51,9 @@ class NeuralController:
         self.genes, self.w1, self.b1, self.w2, self.b2 = _layers(genes, topology, 1)
 
     def forward_batch(self, inputs) -> np.ndarray:
-        """Map an (n, 3) array of sensor triples to (n, 2) outputs, both layers tanh."""
-        x = np.asarray(inputs, dtype=float)
-        hidden = np.tanh(x @ self.w1.T + self.b1)
-        return np.tanh(hidden @ self.w2.T + self.b2)
+        """Map an (n, 3) array of sensor triples to (n, 2) outputs: stacked_outputs of one."""
+        x = np.ascontiguousarray(inputs, dtype=float)
+        return stacked_outputs(stack_layers(self.genes[None], self.topology), x[None])[0]
 
 
 def _layers(genes, topology: NetworkTopology, ndim: int) -> list[np.ndarray]:
@@ -88,6 +87,18 @@ def stack_layers(genes, topology: NetworkTopology) -> tuple[np.ndarray, ...]:
     _, w1, b1, w2, b2 = _layers(genes, topology, 2)
     return tuple(np.ascontiguousarray(a) for a in (
         w1.swapaxes(1, 2), b1[:, None, :], w2.swapaxes(1, 2), b2[:, None, :]))
+
+
+def stacked_outputs(networks: tuple[np.ndarray, ...], inputs: np.ndarray) -> np.ndarray:
+    """(P, n, 2) tanh outputs of stack_layers' P networks for (P, n, 3) inputs, a matmul a layer.
+
+    A row's bits do not depend on the rows stacked with it, so a controller has its batch row's."""
+    w1t, b1, w2t, b2 = networks
+    hidden = np.matmul(inputs, w1t)
+    hidden += b1
+    outputs = np.matmul(np.tanh(hidden, out=hidden), w2t)
+    outputs += b2
+    return np.tanh(outputs, out=outputs)
 
 
 def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:

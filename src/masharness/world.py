@@ -60,7 +60,7 @@ import numpy as np
 
 from .broker import Broker
 from .logmodel import TICK_US, BoundedMemo, RoutingKey, intern_sites
-from .neural import NeuralController, stack_layers
+from .neural import NeuralController, stack_layers, stacked_outputs
 
 FAULT_GO_DARK = "go-dark"
 FAULT_SENSOR_STUCK = "sensor-stuck"
@@ -772,8 +772,8 @@ def _controller_outputs(controller, inputs: np.ndarray) -> np.ndarray:
 class ControllerBatch:
     """One controller per episode of a world, asked for every live episode at once.
 
-    NeuralControllers of one topology, or a gene matrix (from_genes), run
-    one stacked matmul per layer, which gives the same bits as their forward_batch;
+    NeuralControllers of one topology, or a gene matrix (from_genes), run stacked_outputs,
+    which their forward_batch runs on a stack of one, so a row has its controller's bits;
     any other controller is queried on its own, in episode order, with inputs it may keep.
     """
 
@@ -809,12 +809,7 @@ class ControllerBatch:
                              for episode, x in zip(live, inputs)])
         if live is not self._live:
             self._live, self._live_networks = live, tuple(a[live] for a in self.networks)
-        w1t, b1, w2t, b2 = self._live_networks
-        hidden = np.matmul(inputs, w1t)
-        hidden += b1
-        outputs = np.matmul(np.tanh(hidden, out=hidden), w2t)
-        outputs += b2
-        return np.tanh(outputs, out=outputs)
+        return stacked_outputs(self._live_networks, inputs)
 
 
 def step_world(world: WorldState, controllers: ControllerBatch) -> None:

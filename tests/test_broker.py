@@ -10,11 +10,12 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masharness import broker as broker_module, world as world_module
+from masharness import broker as broker_module, evolution, world as world_module
 from masharness.broker import (
     ROUTE_KEYS,
     Broker,
     DuplicateQueue,
+    BrokerError,
     QueueClosed,
     QueueStats,
     _match,
@@ -43,7 +44,7 @@ from masharness.logmodel import (
 from oracles import oracle_matches
 
 
-def event(action="ping", agentName="node1", typeLog="info", clock=None, message=""):
+def event(action="ping", agentName="node1", typeLog="info", *, clock, message=""):
     return make_log_event(
         "lightContainer",
         agentName,
@@ -54,7 +55,7 @@ def event(action="ping", agentName="node1", typeLog="info", clock=None, message=
         sourceLine=7,
         resource="lightActuator",
         message=message,
-        clock=clock or EventClock(),
+        clock=clock,
     )
 
 
@@ -82,7 +83,7 @@ class TestMatches:
         assert matches(pattern, key) is expected
 
     def test_string_and_parsed_inputs_agree(self):
-        ev = event(action="connectToSystem")
+        ev = event(action="connectToSystem", clock=EventClock())
         from masharness.logmodel import parse_binding_pattern, routing_key
 
         pattern = parse_binding_pattern("lightContainer.#")
@@ -116,6 +117,12 @@ class TestDeclareQueue:
     def test_malformed_pattern_is_rejected(self):
         with pytest.raises(InvalidPattern):
             Broker().declare_queue("q", ["a..b"])
+
+    def test_a_queue_needs_room_for_an_event(self):
+        broker = Broker()
+        with pytest.raises(BrokerError, match="^capacity must be positive, got 0$"):
+            broker.declare_queue("q", ["#"], capacity=0)
+        assert broker.stats().queues == {}
 
 
 class TestPublish:
@@ -170,7 +177,7 @@ class TestPublish:
         broker = Broker()
         broker.close()
         with pytest.raises(QueueClosed):
-            broker.publish(event())
+            broker.publish(event(clock=broker.clock))
 
 
 class TestConsume:
@@ -288,6 +295,32 @@ class TestRouteMemo:
         qs = broker.stats().queues["q"]
         assert qs.matched == MEMO_SIZE + 101
         assert qs.matched == qs.delivered + qs.dropped + qs.buffered
+
+    def test_class_lists_start_over_at_their_bound(self, monkeypatch):
+        # two classes at most: a class new past them empties the class lists and the
+        # routes memoised to them, so a retirement still reaches every route in use
+        monkeypatch.setattr(broker_module, "MEMO_SIZE", 2)
+        monkeypatch.setattr(broker_module, "_route_tables", BoundedMemo(64))
+        broker = Broker()
+        got = {"one": [], "two": []}
+
+        def one(event):  # done after its third event
+            got["one"].append(event.message)
+            return len(got["one"]) == 3
+
+        broker.subscribe("one", ["*.n1.#", "*.n3.#"], one)
+        broker.subscribe("two", ["*.n2.#", "*.n3.#"], lambda e: got["two"].append(e.message))
+        keys = {name: event_key("a", name, "x", sourceUnit="U", sourceOperation="op",
+                                sourceLine=1, resource="r") for name in ("n0", "n1", "n2", "n3")}
+        # classes: n0 (), n1 (one), n2 (two), n3 (one, two)
+        sent = ["n0", "n1", "n2", "n3", "n1", "n3", "n1", "n3", "n2", "n1"]
+        for name in sent:
+            broker._publish_batch([(keys[name], name)])
+            assert len(broker._classes) <= 2
+        assert got == {"one": ["n1", "n3", "n1"], "two": ["n2", "n3", "n3", "n3", "n2"]}
+        stats = broker.stats()
+        assert stats.published == len(sent)
+        assert (stats.queues["one"].delivered, stats.queues["two"].delivered) == (3, 5)
 
     def test_route_memos_hold_every_key_of_the_largest_grid(self):
         sites = world_module._LOG_SITES
@@ -927,13 +960,17 @@ class TestTap:
         (dict(timestamp=1.5), "timestamp must be a non-negative int, got 1.5"),
         (dict(timestamp=True), "timestamp must be a non-negative int, got True"),
         (dict(timestamp=-1), "timestamp must be a non-negative int, got -1"),
+        (dict(timestamp=-10 ** 5000),
+         "timestamp must be a non-negative int, got an int of 16610 bits"),
+        (dict(message=10 ** 5000), "message must be a string, got an int of 16610 bits"),
         (dict(timestamp=2 ** 63), "timestamp must be below 2**63"),
         (dict(timestamp=10 ** 5000), "timestamp must be below 2**63"),
         (dict(typeLog="INFO"), "typeLog must be one of ('info', 'warning', 'error'), got 'INFO'"),
         (dict(typeLog="fatal"), "typeLog must be one of ('info', 'warning', 'error'), got 'fatal'"),
         (dict(sourceLine=-1), "sourceLine word must be canonical decimal, got '-1'"),
     ], ids=["newline", "carriage-return", "lone-surrogate", "float-timestamp", "bool-timestamp",
-            "negative-timestamp", "2**63-timestamp", "huge-timestamp", "upper-case-typeLog",
+            "negative-timestamp", "huge-negative-timestamp", "huge-int-message",
+            "2**63-timestamp", "huge-timestamp", "upper-case-typeLog",
             "unknown-typeLog", "negative-sourceLine"])
     @pytest.mark.parametrize("build", ["init", "replace"])
     def test_unreadable_event_raises_before_its_tap_line(self, tmp_path, change, error, build):
@@ -979,6 +1016,27 @@ class TestTap:
             taps.append(tap.read_bytes())
         assert taps[1] == taps[0]
         assert [e.message for e in load_tap(tmp_path / "1.tap")] == ["a", "b", "c"]
+
+    def test_no_timestamp_past_2_to_the_63_is_published(self, tmp_path):
+        # each publishing path refuses before it writes, counts or delivers anything
+        tap = tmp_path / "t.log"
+        key = event_key("lightContainer", "node1", "ping", sourceUnit="Light",
+                        sourceOperation="act", sourceLine=7, resource="lightActuator")
+        got = []
+        refused = pytest.raises(LogModelError, match=r"^timestamps must be below 2\*\*63$")
+        with Broker(clock=EventClock(2 ** 63 - 2), tap=str(tap)) as broker:
+            broker.subscribe("all", ["#"], got.append)
+            with refused:
+                broker._publish_batch([(key, message) for message in "abc"])
+            broker._publish_batch([(key, message) for message in "ab"])
+            with refused:
+                broker.publisher("a", "b").log("x", sourceUnit="U", sourceOperation="op",
+                                               sourceLine=1, resource="r", message="m")
+            with refused:
+                evolution._publish(broker, [("calculateFitness", "fitness=0.5")])
+        assert broker.stats().published == 2
+        assert [(e.timestamp, e.message) for e in got] == [(2 ** 63 - 2, "a"), (2 ** 63 - 1, "b")]
+        assert load_tap(tap) == got
 
     @settings(max_examples=300, deadline=None)
     @given(tap_events())

@@ -11,6 +11,7 @@ from masharness.logmodel import (
     LOG_TYPES,
     MAX_KEY_BYTES,
     MEMO_SIZE,
+    BindingPattern,
     EventClock,
     InvalidPattern,
     InvalidTag,
@@ -119,6 +120,21 @@ class TestEventClock:
         # a tap line's timestamp is decimal digits, so -3 would not read back
         with pytest.raises(LogModelError, match="^clock start must be >= 0, got -3$"):
             EventClock(-3)
+        # an int too long to print is shown by its size
+        with pytest.raises(LogModelError, match="^clock start must be >= 0, got an int of 16610 "):
+            EventClock(-10 ** 5000)
+
+    def test_no_timestamp_reaches_2_to_the_63(self):
+        # a tap line's timestamp must be below 2**63 to read back
+        clock = EventClock()
+        clock.advance_to(2 ** 63)
+        with pytest.raises(LogModelError, match=r"^timestamps must be below 2\*\*63$"):
+            clock.next_timestamp()
+        clock = EventClock(2 ** 63 - 1)
+        with pytest.raises(LogModelError, match=r"^timestamps must be below 2\*\*63$"):
+            clock.reserve(2)
+        # the refused draw left the clock as it was
+        assert clock.reserve(1) == 2 ** 63 - 1
 
     def test_start_of_2_to_the_63_is_refused(self):
         assert EventClock(2 ** 63 - 1).next_timestamp() == 2 ** 63 - 1
@@ -154,6 +170,11 @@ class TestBindingPatternParsing:
     def test_over_long_pattern_is_rejected(self):
         with pytest.raises(InvalidPattern):
             parse_binding_pattern(".".join(["seg"] * 80))
+
+    def test_a_pattern_of_no_segments_is_rejected(self):
+        # parse_binding_pattern never builds one: "".split(".") is [""]
+        with pytest.raises(InvalidPattern, match="^pattern needs at least one segment$"):
+            BindingPattern(())
 
     @given(
         st.lists(
@@ -354,7 +375,7 @@ class TestMemoisedTapParser:
     def test_memo_stays_within_its_bound(self):
         for i in range(MEMO_SIZE + 100):
             parse_tap_line(f"a.b.c.info.U.op.{i}.r\t{i}\tm")
-        assert 0 < len(logmodel._tap_keys) <= MEMO_SIZE
+        assert 0 < len(logmodel._keys) <= MEMO_SIZE
 
 
 class TestReadTap:
@@ -503,7 +524,7 @@ class TestInlineTapReader:
             return key.segments[0] in agents
 
         if cold:  # no key text of the tap is known before the readers run
-            logmodel._tap_keys.clear()
+            logmodel._keys.clear()
             unfiltered, filtered = read_all(read_tap(tap)), read_all(read_tap(tap, keep))
             expected = read_all(reference_read_tap(tap))
         else:
@@ -550,13 +571,17 @@ class TestInlineTapReader:
 def reference_make_log_event(agentType, agentName, action, typeLog="info", *, sourceUnit,
                              sourceOperation, sourceLine, resource, message="", clock):
     """make_log_event as written before keys were interned."""
+    if not isinstance(typeLog, str) or typeLog.lower() not in LOG_TYPES:
+        shown = typeLog.lower() if isinstance(typeLog, str) else typeLog
+        raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {shown!r}")
     typeLog = typeLog.lower()
-    if typeLog not in LOG_TYPES:
-        raise InvalidTag(f"typeLog must be one of {LOG_TYPES}, got {typeLog!r}")
     for name, value in (("agentType", agentType), ("agentName", agentName), ("action", action),
                         ("sourceUnit", sourceUnit), ("sourceOperation", sourceOperation),
                         ("resource", resource)):
         per_character_check(name, value)
+    if isinstance(sourceLine, int) and abs(sourceLine) >= 10 ** MAX_KEY_BYTES:
+        # more digits than a key has bytes, and more than str() may print
+        raise KeyTooLong(f"routing key exceeds {MAX_KEY_BYTES} bytes")
     if not isinstance(sourceLine, int) or isinstance(sourceLine, bool) or sourceLine < 0:
         raise InvalidTag(f"sourceLine must be a non-negative int, got {sourceLine!r}")
     if not isinstance(message, str):
@@ -574,12 +599,12 @@ TAG_WORDS = st.one_of(
     st.sampled_from(["node10", "Light", "a", "a.b", "", "x y", "n*", "#", None, ["n"]]),
     st.integers(230, 260).map(lambda n: "n" * n),
 )
-SOURCE_LINES = st.sampled_from([0, 42, -1, True, False, 1.0, "7", None])
+SOURCE_LINES = st.sampled_from([0, 42, -1, True, False, 1.0, "7", None, 10 ** 5000, -10 ** 5000])
 MESSAGES = st.sampled_from(["", "level=0.5", "a\tb", "two\nlines", "cr\r", None, 3])
 
 
 class TestEventKey:
-    @given(TAG_WORDS, TAG_WORDS, st.sampled_from(["info", "INFO", "Error", "fatal", ""]),
+    @given(TAG_WORDS, TAG_WORDS, st.sampled_from(["info", "INFO", "Error", "fatal", "", None, 5]),
            SOURCE_LINES, MESSAGES)
     @example("node10", "Light", "info", True, "")
     @example("node10", "Light", "info", 1, "")
@@ -593,6 +618,14 @@ class TestEventKey:
         assert outcome(lambda *_: make(make_log_event), None, None) == expected
         # the repeat call is answered from the interned key
         assert outcome(lambda *_: make(make_log_event), None, None) == expected
+
+    @pytest.mark.parametrize("build,error", [
+        (lambda: sample_event(agentName=10 ** 5000), "agentName must be a non-empty string"),
+        (lambda: RoutingKey(10 ** 5000), "routing key needs a tuple of segments"),
+    ], ids=["word", "segments"])
+    def test_an_int_too_long_to_print_is_shown_by_its_size(self, build, error):
+        with pytest.raises(InvalidTag, match=f"^{error}, got an int of 16610 bits$"):
+            build()
 
     def test_keyed_event_equals_the_checked_event(self):
         key = event_key("lightContainer", "node10", "readLightSensor", sourceUnit="Light",
@@ -756,6 +789,15 @@ class TestOpenOutput:
             fh.write("new\n")
         assert hard.read_bytes() == b"new\n" and soft.is_symlink()
         assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_a_second_close_does_nothing(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n" * 1000)
+        fh = open_output(path)
+        fh.write("new\n")
+        fh.close()
+        fh.close()
+        assert fh.closed and path.read_bytes() == b"new\n"
 
     def test_a_fifo_is_written_as_a_stream(self, tmp_path):
         fifo = tmp_path / "fifo"

@@ -65,6 +65,10 @@ class TestCaseValidation:
         with pytest.raises(TestkitError):
             spec("a.#", maxWait=0)
 
+    def test_transition_requires_an_alternative(self):
+        with pytest.raises(TestkitError, match="^transition needs at least one alternative$"):
+            TransitionSpec(alternatives=())
+
 
 class TestCompile:
     def test_states_are_start_plus_one_per_transition(self):
@@ -365,6 +369,13 @@ class TestLoadTestPlan:
             load_test_plan(path)
         assert err.value.line == bad_line
         assert str(err.value).startswith(f"plan {path} line {bad_line}: ")
+
+    def test_an_unknown_header_option_is_named(self, tmp_path):
+        # its header also lacks sublevel=, so only the message shows which check refused it
+        path = self.write(tmp_path, "# colours\ntest t level=local color=red\nexpect a.#\n")
+        with pytest.raises(ParseError) as err:
+            load_test_plan(path)
+        assert str(err.value) == f"plan {path} line 2: unknown option 'color=red'"
 
     @pytest.mark.parametrize("duration,message", [
         ("\u00b2ticks", "bad duration '\u00b2ticks', want <N>ticks"),

@@ -321,7 +321,7 @@ class TestFaultSpec:
         assert spec.kind == FAULT_MUTE_WIRELESS
         assert spec.targets == ("node1", "node2", "node3")
 
-    @pytest.mark.parametrize("text", ["go-dark", "go-dark:", "flicker:node1", ":node1"])
+    @pytest.mark.parametrize("text", ["go-dark", "go-dark:", "go-dark:,", "flicker:node1", ":node1"])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(UnknownFault):
             parse_fault_spec(text)
@@ -1020,6 +1020,28 @@ def batched_worlds(draw, max_ticks=40):
     return config, faults, neural_controllers(draw, draw(st.integers(1, 8)))
 
 
+#: a 3-2-2 genome whose led sum cancels exactly on zero inputs; two matmul
+#: kernels can round it to either sign, which switches a lamp on a dark world
+CANCELLING = decode([0.0] * 6 + [5.0, 5.0, 5.0, -5.0, 0.0, 0.0, 0.0, 0.0],
+                    NetworkTopology(hiddenCount=2))
+DARK_LIGHT = WorldConfig(gridWidth=1, gridHeight=1, wirelessRange=0, numPeople=0, maxTicks=1,
+                         ambientLight=0.0, rngSeed=0)
+
+#: sensor readings: dark and bright, motion flags, and any wireless level
+READING = st.one_of(st.sampled_from([0.0, 1.0, 0.05]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def batch_rows(draw):
+    """Controllers of one topology, the live episodes of a tick, and its (rows, lights, 3) inputs."""
+    controllers = neural_controllers(draw, draw(st.integers(1, 8)))
+    live = np.array(sorted(draw(st.sets(st.integers(0, len(controllers) - 1), min_size=1))))
+    lights = draw(st.integers(1, 6))
+    inputs = draw(st.lists(READING, min_size=3 * lights * len(live),
+                           max_size=3 * lights * len(live)))
+    return controllers, live, np.array(inputs).reshape(len(live), lights, 3)
+
+
 #: scripted outputs: signed zeros, values that round to 0.000000 either way, and NaN
 OUTPUT = st.sampled_from([-0.0, 0.0, 0.25, -0.3, 1.0, 4e-7, -4e-7, float("nan")])
 
@@ -1152,6 +1174,7 @@ def gene_matrices(draw):
 class TestRunEpisodes:
     @given(case=batched_worlds())
     @settings(max_examples=60, deadline=None)
+    @example(case=(DARK_LIGHT, (), [CANCELLING]))
     def test_matches_the_light_by_light_world(self, case):
         config, faults, controllers = case
         batch = run_episodes(config, controllers, faults=faults)
@@ -1221,6 +1244,16 @@ class TestRunEpisodes:
         assert len(matrix) == len(genomes) and matrix.controllers == []
         assert (run_episodes(config, matrix, faults=faults)
                 == run_episodes(config, controllers, faults=faults))
+
+    @given(case=batch_rows())
+    @settings(max_examples=100, deadline=None)
+    @example(case=([CANCELLING], np.array([0]), np.zeros((1, 1, 3))))
+    def test_a_controller_gives_the_bits_of_its_batch_row(self, case):
+        controllers, live, inputs = case
+        batch = ControllerBatch(controllers).outputs(inputs, live)
+        for row, episode in enumerate(live):
+            alone = controllers[episode].forward_batch(inputs[row])
+            assert np.array_equal(alone.view(np.int64), batch[row].view(np.int64))
 
     def test_pedestrians_count_against_the_tick_budget(self):
         # 2000 pedestrians on 9 lights: their arrays, not the lights', fill a row
