@@ -23,10 +23,11 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from masharness.cli import data_path, run_test_plan
-from masharness.evolution import load_ga_config, run_observer
+from masharness.broker import Broker
+from masharness.cli import data_path
+from masharness.evolution import evaluate_solution, load_ga_config, run_observer
 from masharness.neural import NetworkTopology, save_genome
-from masharness.testkit import load_test_plan
+from masharness.testkit import judge, load_test_plan
 from masharness.world import FaultSpec, load_world_config, seeds_with_light_on_route
 
 WORLD_CFG_TEMPLATE = """\
@@ -47,8 +48,16 @@ def by_name(verdicts):
     return {v.name: v for v in verdicts}
 
 
+def run_plan(cases, world, genes, topology, faults=()):
+    """The plan's verdicts and the fitness report of one ``masharness test`` episode."""
+    with Broker() as broker:
+        finish = judge(cases, broker)
+        report = evaluate_solution(world, genes, topology, broker, faults=faults)
+    return finish(), report
+
+
 def validate(genes, topology, world, cases, seeds):
-    verdicts, report = run_test_plan(cases, world, genes, topology)
+    verdicts, report = run_plan(cases, world, genes, topology)
     if not (report.energyTargetMet and report.peopleTargetMet):
         return f"targets unmet: energy={report.metrics.pEnergy:.4f} people={report.metrics.pPeople:.4f}"
     failed = [v.name for v in verdicts if not v.passed]
@@ -58,8 +67,7 @@ def validate(genes, topology, world, cases, seeds):
     fault = FaultSpec("go-dark", ("node10",))
     for seed in seeds:
         faulted_world = replace(world, rngSeed=seed)
-        verdicts, report = run_test_plan(cases, faulted_world, genes, topology,
-                                         faults=(fault,))
+        verdicts, report = run_plan(cases, faulted_world, genes, topology, faults=(fault,))
         v = by_name(verdicts)
         switch = v["switch-light-on"]
         if switch.passed or switch.failedState != "switchLightON":

@@ -36,6 +36,7 @@ from .testkit import (
     TestVerdict,
     TransitionSpec,
     compile,
+    judge,
     load_test_plan,
     merge_timeline,
     run,

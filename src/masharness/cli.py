@@ -26,12 +26,11 @@ from .logmodel import LogModelError, open_output, parse_binding_pattern, read_ta
 from .neural import GenomeShapeMismatch, NetworkTopology, decode, load_genome, save_genome
 from .testkit import (
     TestkitError,
-    compile as compile_machine,
     format_report,
+    judge,
     load_test_plan,
 )
 from .world import (
-    WorldConfig,
     WorldError,
     load_world_config,
     parse_fault_spec,
@@ -164,55 +163,6 @@ def cmd_evolve(args) -> int:
     return 0
 
 
-def run_test_plan(
-    cases,
-    world_config: WorldConfig,
-    genes,
-    topology: NetworkTopology,
-    faults=(),
-    *,
-    tap: str | None = None,
-    stats: dict | None = None,
-):
-    """Execute a parsed plan against one episode; returns (verdicts, report).
-
-    Each case's machine subscribes to the union of its patterns and judges
-    events inline, in publish order, while the episode runs under the
-    observer evaluation protocol.  An error monitor on ``*.*.*.error.#``
-    annotates every verdict with the error-level events it saw.  Verdicts
-    are taken in plan order once the broker is closed.  ``stats`` gets the
-    episode's tick counts (run_episode), then the broker's event counts.
-    """
-    broker = Broker(tap=tap)
-    error_notes = []
-
-    def note_error(event):
-        error_notes.append(f"error log: {event.key.text} {event.message}")
-
-    try:
-        machines = [compile_machine(case) for case in cases]
-        for machine in machines:
-            broker.subscribe(machine.name, machine.patterns, machine.offer)
-        # plan names are single tokens, so this name cannot collide with one
-        broker.subscribe("error monitor", ["*.*.*.error.#"], note_error)
-        report = evaluate_solution(
-            world_config,
-            genes,
-            topology,
-            broker,
-            faults=faults,
-            stats=stats,
-        )
-    finally:
-        broker.close()
-    if stats is not None:
-        stats.update(_event_counts(broker))
-    verdicts = [machine.finish() for machine in machines]
-    if error_notes:
-        verdicts = [replace(v, annotations=tuple(error_notes)) for v in verdicts]
-    return verdicts, report
-
-
 def cmd_test(args) -> int:
     plan_path = args.plan or data_path("default_plan.txt")
     cases = load_test_plan(plan_path)
@@ -220,16 +170,15 @@ def cmd_test(args) -> int:
         # a plan without cases would run the episode and print no verdict
         raise TestkitError(f"plan {plan_path} has no test cases")
     config, topology, genes, faults, inputs = _episode_inputs(args)
+    broker = Broker(tap=args.tap)
     stats = {}
-    verdicts, report = run_test_plan(
-        cases,
-        config,
-        genes,
-        topology,
-        faults,
-        tap=args.tap,
-        stats=stats,
-    )
+    try:
+        finish = judge(cases, broker)
+        report = evaluate_solution(config, genes, topology, broker, faults=faults, stats=stats)
+    finally:
+        broker.close()
+    stats.update(_event_counts(broker))
+    verdicts = finish()
     for verdict in verdicts:
         print(format_report(verdict))
     print(

@@ -129,9 +129,11 @@ class EventClock:
     def reserve(self, count: int) -> int:
         """Draw ``count`` consecutive timestamps at once; returns the first.
 
-        Raises LogModelError, and leaves the clock as it was, if the last of
-        them would not be below 2**63.
+        Raises LogModelError, and leaves the clock as it was, if ``count`` is
+        not an int >= 0 or the last of them would not be below 2**63.
         """
+        if type(count) is not int or count < 0:
+            raise LogModelError(f"count must be an int >= 0, got {_shown(count)}")
         with self._lock:
             ts = self._next
             if ts + count > TIMESTAMP_LIMIT:
@@ -368,6 +370,8 @@ class BindingPattern:
         if not self.segments:
             raise InvalidPattern("pattern needs at least one segment")
         for seg in self.segments:
+            if type(seg) is not str:
+                raise InvalidPattern(f"pattern segment must be a string, got {_shown(seg)}")
             if seg in (STAR, HASH):
                 continue
             if not seg:

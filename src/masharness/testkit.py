@@ -3,7 +3,7 @@
 A test case lists the log patterns an execution must produce, in order.  The
 compiled machine starts in ``start`` and owns one pending transition at a
 time; an event matching any alternative of that transition advances the
-machine, every other event is recorded and ignored (open world).  Events
+machine, every other event is counted and ignored (open world).  Events
 reach a machine one at a time through ``offer``, inline as a broker
 subscriber or from a queue by ``run``, and ``finish`` gives the verdict.
 ``offer`` returns True once the machine has passed or failed, which an
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from .broker import QueueClosed, QueueHandle, _match
+from .broker import Broker, QueueClosed, QueueHandle, _match
 from .logmodel import (
     TICK_US,
     BindingPattern,
@@ -116,7 +116,7 @@ class TestVerdict:
     failedState: str | None
     missingPatterns: tuple[str, ...]
     elapsed: float  # ticks from time 0 to the last event judged
-    trace: tuple[LogEvent, ...]
+    seen: int  # events the machine was shown up to its verdict
     reason: str = ""
     annotations: tuple[str, ...] = ()
 
@@ -147,7 +147,7 @@ class TestMachine:
         ))
         self.current = 0
         self.status = MachineStatus.RUNNING
-        self.trace: list[LogEvent] = []
+        self.seen = 0
         self.failureReason: str | None = None
         self._entered = self._last = 0
 
@@ -159,7 +159,7 @@ class TestMachine:
         """Feed one event: advance on a match, ignore anything else."""
         if self.status is not MachineStatus.RUNNING:
             return self.status
-        self.trace.append(event)
+        self.seen += 1
         spec = self.specs[self.current]
         if spec.matches(event):
             self.current += 1
@@ -189,7 +189,7 @@ class TestMachine:
             return True
         now = event.timestamp
         if self._fail_if_late(now):
-            self.trace.append(event)
+            self.seen += 1
             return True
         self._last = now
         before = self.current
@@ -214,7 +214,7 @@ class TestMachine:
             failedState=None if passed else self.states[self.current],
             missingPatterns=tuple(alt.encode() for alt in pending),
             elapsed=self._last / TICK_US,
-            trace=tuple(self.trace),
+            seen=self.seen,
             reason=self.failureReason or "",
         )
 
@@ -264,6 +264,29 @@ def run(machine: TestMachine, queue: QueueHandle) -> TestVerdict:
     return verdict
 
 
+def judge(cases, broker: Broker):
+    """Subscribe one machine per case, and an error monitor, to ``broker``.
+
+    Each machine subscribes to the union of its patterns and judges events
+    inline, in publish order.  The error monitor on ``*.*.*.error.#`` notes
+    every error-level event.  Returns a function that, once the broker is
+    closed, gives the verdicts in plan order, each annotated with the notes.
+    """
+    machines = [TestMachine(case) for case in cases]
+    for machine in machines:
+        broker.subscribe(machine.name, machine.patterns, machine.offer)
+    notes = []
+    # plan names are single tokens, so this name cannot collide with one
+    broker.subscribe("error monitor", ["*.*.*.error.#"],
+                     lambda event: notes.append(f"error log: {event.key.text} {event.message}"))
+
+    def verdicts() -> list[TestVerdict]:
+        found = [machine.finish() for machine in machines]
+        return [replace(v, annotations=tuple(notes)) for v in found] if notes else found
+
+    return verdicts
+
+
 def merge_timeline(*event_streams) -> list[LogEvent]:
     """Merge per-queue traces into one timeline ordered by timestamp.
 
@@ -286,7 +309,7 @@ def format_report(verdict: TestVerdict) -> str:
         if verdict.reason:
             lines.append(f"  reason: {verdict.reason}")
     lines.append(f"  elapsed: {verdict.elapsed:.2f}")
-    lines.append(f"  events seen: {len(verdict.trace)}")
+    lines.append(f"  events seen: {verdict.seen}")
     for note in verdict.annotations:
         lines.append(f"  note: {note}")
     return "\n".join(lines)

@@ -260,6 +260,8 @@ class FaultSpec:
 
 def parse_fault_spec(text: str) -> FaultSpec:
     """Parse ``<kind>:<lightId>[,<lightId>...]`` fault syntax."""
+    if type(text) is not str:
+        raise UnknownFault(f"fault spec must be a string, got {type(text).__name__}")
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise UnknownFault(f"expected <kind>:<lightId>[,...], got {text!r}")

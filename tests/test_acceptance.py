@@ -226,7 +226,7 @@ def test_criterion_08_verdicts_agree_with_subsequence_oracle():
         broker.close()
         verdict = run_machine(machine, queue)
         inline_verdict = inline.finish()
-        for field in ("outcome", "failedState", "elapsed", "trace"):
+        for field in ("outcome", "failedState", "elapsed", "seen"):
             assert getattr(inline_verdict, field) == getattr(verdict, field), field
 
         keys = [f"{t}.{n}.{a}.info.U.op.1.{r}" for t, n, a, r in drawn]

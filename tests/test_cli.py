@@ -31,7 +31,7 @@ from masharness.evolution import (
 )
 from masharness.logmodel import BoundedMemo, RoutingKey, load_tap, read_tap
 from masharness.neural import NetworkTopology, decode, load_genome, save_genome
-from masharness.testkit import MAX_WAIT_TICKS, load_test_plan
+from masharness.testkit import MAX_WAIT_TICKS, judge, load_test_plan
 from masharness.world import (
     MAX_TICKS,
     TICK_BYTES,
@@ -930,11 +930,13 @@ class TestRecordedGoDarkOps:
 
 
 def run_default_plan(tap):
-    """Run the shipped plan on seed 2 through ``run_test_plan``; returns the tap's key texts."""
+    """Run the shipped plan on seed 2 as ``masharness test`` does; returns the tap's key texts."""
     cases = load_test_plan(data_path("default_plan.txt"))
     config = replace(load_world_config(data_path("world.cfg")), rngSeed=2)
     topology, genes = load_genome(data_path("demo_genome.txt"))
-    cli.run_test_plan(cases, config, genes, topology, tap=str(tap))
+    with Broker(tap=str(tap)) as broker:
+        judge(cases, broker)
+        evaluate_solution(config, genes, topology, broker)
     return [key.text for key, _, _ in read_tap(tap)]
 
 

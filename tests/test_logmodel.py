@@ -136,6 +136,18 @@ class TestEventClock:
         # the refused draw left the clock as it was
         assert clock.reserve(1) == 2 ** 63 - 1
 
+    @pytest.mark.parametrize("count", [-5, 1.5, True])
+    def test_a_count_that_is_not_an_int_from_zero_is_refused(self, count):
+        # a negative count would move the clock back and repeat timestamps;
+        # a float one would make later timestamps floats
+        clock = EventClock(10)
+        with pytest.raises(LogModelError, match=f"^count must be an int >= 0, got {count!r}$"):
+            clock.reserve(count)
+        # the refused draw left the clock as it was
+        assert clock.reserve(0) == 10
+        assert clock.next_timestamp() == 10
+        assert clock.next_timestamp() == 11
+
     def test_start_of_2_to_the_63_is_refused(self):
         assert EventClock(2 ** 63 - 1).next_timestamp() == 2 ** 63 - 1
         for start in (2 ** 63, 10 ** 5000):
@@ -175,6 +187,11 @@ class TestBindingPatternParsing:
         # parse_binding_pattern never builds one: "".split(".") is [""]
         with pytest.raises(InvalidPattern, match="^pattern needs at least one segment$"):
             BindingPattern(())
+
+    @pytest.mark.parametrize("segments", [(5,), ("a", None)], ids=["int", "none"])
+    def test_a_segment_that_is_not_a_string_is_rejected(self, segments):
+        with pytest.raises(InvalidPattern, match="^pattern segment must be a string, got "):
+            BindingPattern(segments)
 
     @given(
         st.lists(

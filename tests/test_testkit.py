@@ -13,6 +13,7 @@ from masharness.testkit import (
     TestkitError,
     TransitionSpec,
     compile,
+    judge,
     load_test_plan,
     merge_timeline,
     run,
@@ -111,7 +112,7 @@ class TestStep:
         status = machine.step(light_event("switchLightOFF", clock))
         assert status is MachineStatus.RUNNING
         assert machine.current == 0
-        assert len(machine.trace) == 1
+        assert machine.seen == 1
 
     def test_any_alternative_advances(self):
         clock = EventClock()
@@ -129,10 +130,10 @@ class TestStep:
         clock = EventClock()
         machine = compile(case(spec("lightContainer.#")))
         machine.step(light_event("a", clock))
-        trace_len = len(machine.trace)
+        seen = machine.seen
         machine.step(light_event("b", clock))
         assert machine.status is MachineStatus.PASSED
-        assert len(machine.trace) == trace_len
+        assert machine.seen == seen
 
 
 def run_over(machine, events, *, close=True):
@@ -169,7 +170,7 @@ class TestRunVirtualTime:
         assert verdict.passed
         assert verdict.failedState is None
         assert verdict.missingPatterns == ()
-        assert len(verdict.trace) == 3
+        assert verdict.seen == 3
 
     def test_stream_end_fails_at_current_state(self):
         clock = EventClock()
@@ -264,7 +265,7 @@ class TestOfferAndFinish:
             "switchLightON", "readMotionSensor")]
         assert answers == [False, False, False, True, True, True]
         assert machine.finish().passed
-        assert len(machine.finish().trace) == 4
+        assert machine.finish().seen == 4
 
     def test_offer_answers_true_from_the_late_event_that_fails_the_machine(self):
         clock = EventClock()
@@ -288,12 +289,15 @@ class TestDroppedEvents:
         machine = compile(case(spec("lightContainer.*.switchLightON.#")))
         broker = Broker()
         queue = broker.declare_queue("small", machine.patterns, capacity=2)
-        for i in range(5):
-            broker.publish(light_event("switchLightON", clock, name=f"node{i + 1}"))
+        events = [light_event("switchLightON", clock, name=f"node{i + 1}") for i in range(5)]
+        for event in events:
+            broker.publish(event)
         broker.close()
         verdict = run(machine, queue)
         assert verdict.passed
-        assert [e.agentName for e in verdict.trace] == ["node4"]
+        # the queue kept node4's and node5's events, and node4's passed the machine
+        assert verdict.seen == 1
+        assert verdict.elapsed == events[3].timestamp / TICK_US
         assert verdict.annotations == (
             "queue 'small' dropped 3 events; the verdict saw an incomplete stream",
         )
@@ -303,6 +307,32 @@ class TestDroppedEvents:
         machine = compile(case(spec("lightContainer.*.switchLightON.#")))
         verdict = run_over(machine, [light_event("switchLightON", clock)])
         assert verdict.annotations == ()
+
+
+class TestJudge:
+    def test_verdicts_come_in_plan_order_with_the_error_notes_and_their_counts(self):
+        broker = Broker()
+        finish = judge([
+            case(spec("lightContainer.*.switchLightON.#"), name="switch-on"),
+            case(spec("lightContainer.node10.#"), spec("lightContainer.*.detectLight.#"),
+                 name="detect"),
+        ], broker)
+        lamp = broker.publisher("lightContainer", "node10")
+        for action, typeLog, message in (("readMotionSensor", "info", ""),
+                                         ("switchLightON", "info", ""),
+                                         ("switchLightON", "error", "bulb hot"),
+                                         ("switchLightOFF", "info", "")):
+            lamp.log(action, typeLog, sourceUnit="Light", sourceOperation="act",
+                     sourceLine=58, resource="lightActuator", message=message)
+        broker.close()
+        verdicts = finish()
+        assert [(v.name, v.outcome) for v in verdicts] == [("switch-on", "pass"), ("detect", "fail")]
+        note = "error log: lightContainer.node10.switchLightON.error.Light.act.58.lightActuator bulb hot"
+        assert all(v.annotations == (note,) for v in verdicts)
+        delivered = {name: q.delivered for name, q in broker.stats().queues.items()}
+        # switch-on is done at the first event it binds; detect is shown all four
+        assert [v.seen for v in verdicts] == [delivered[v.name] for v in verdicts] == [1, 4]
+        assert delivered["error monitor"] == 1
 
 
 class TestMergeTimeline:

@@ -321,7 +321,7 @@ class TestFaultSpec:
         assert spec.kind == FAULT_MUTE_WIRELESS
         assert spec.targets == ("node1", "node2", "node3")
 
-    @pytest.mark.parametrize("text", ["go-dark", "go-dark:", "go-dark:,", "flicker:node1", ":node1"])
+    @pytest.mark.parametrize("text", ["go-dark", "go-dark:", "go-dark:,", "flicker:node1", ":node1", 5])
     def test_parse_rejects_malformed(self, text):
         with pytest.raises(UnknownFault):
             parse_fault_spec(text)
