@@ -19,12 +19,13 @@ Usage: python3 scripts/train_demo_genome.py [max_ga_seeds]
 """
 
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
 
 from masharness.broker import Broker
-from masharness.cli import data_path
+from masharness.cli import data_path, main as cli_main
 from masharness.evolution import evaluate_solution, load_ga_config, run_observer
 from masharness.neural import NetworkTopology, save_genome
 from masharness.testkit import judge, load_test_plan
@@ -87,6 +88,13 @@ def validate(genes, topology, world, cases, seeds):
     return None
 
 
+def check_with_cli():
+    """Exit code of ``masharness test`` on the shipped assets; its outputs go to a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return cli_main(["test", "--manifest", str(Path(tmp, "manifest.txt")),
+                         "--tap", str(Path(tmp, "tap.log"))])
+
+
 def main():
     max_seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 5
     base = load_world_config(data_path("world.cfg"))
@@ -118,9 +126,7 @@ def main():
         cfg_path.write_text(WORLD_CFG_TEMPLATE.format(seed=seeds[0]), encoding="utf-8")
         print(f"  accepted: wrote {genome_path} and pinned world seed {seeds[0]}")
 
-        from masharness.cli import main as cli_main
-        code = cli_main(["test", "--manifest", "/tmp/train_manifest.txt",
-                         "--tap", "/tmp/train_tap.log"])
+        code = check_with_cli()
         print(f"  masharness test exit code: {code}")
         return 0 if code == 0 else 1
 

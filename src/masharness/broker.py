@@ -378,16 +378,12 @@ class Broker:
         """
         q = self._queues[handle.name]
         with q.cond:
-            if maxWait is None:
-                while not q.buffer and not self._closed:
-                    q.cond.wait()
-            else:
-                deadline = time.monotonic() + maxWait
-                while not q.buffer and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    q.cond.wait(remaining)
+            deadline = None if maxWait is None else time.monotonic() + maxWait
+            while not q.buffer and not self._closed:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return None
+                q.cond.wait(remaining)
             if q.buffer:
                 q.delivered += 1
                 return q.buffer.popleft()

@@ -131,11 +131,10 @@ def cmd_evolve(args) -> int:
         ga_config = replace(ga_config, rngSeed=args.seed)
     out_path = args.genome or "evolved_genome.txt"
     history_path = out_path + ".history"
-    broker = Broker(tap=args.tap)
-    try:
-        result = run_observer(config, ga_config, broker, history_path=history_path)
-    finally:
-        broker.close()
+    # opened before the GA runs, so an unwritable history path fails before any GA work
+    with Broker(tap=args.tap) as broker, open_output(history_path) as history:
+        result = run_observer(config, ga_config, broker)
+        history.writelines(generation.line() + "\n" for generation in result.history)
     stats = _event_counts(broker)
     save_genome(out_path, result.best.genes, NetworkTopology(hiddenCount=ga_config.hiddenCount))
     report = result.finalReport

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .broker import Broker
-from .logmodel import RoutingKey, intern_sites, keyed_event, open_output
+from .logmodel import RoutingKey, intern_sites, keyed_event
 from .neural import INPUTS, MAX_HIDDEN, OUTPUTS, NetworkTopology, decode
 from .world import (
     ControllerBatch,
@@ -324,7 +324,6 @@ def run_observer(
     world_config: WorldConfig,
     ga_config: GAConfig,
     broker: Broker | None = None,
-    history_path: str | None = None,
 ) -> ObserverResult:
     """Evolve controllers for the world and report the winner.
 
@@ -355,29 +354,21 @@ def run_observer(
 
     population = initial_population(ga_config, topology, rng)
     history: list[GenerationStats] = []
-    history_file = open_output(history_path) if history_path else None
-    try:
-        score(population)
-        for generation in range(1, ga_config.generations + 1):
-            best_idx = pick_elites(population, 1)[0]
-            stats = GenerationStats(
-                generation=generation,
-                best=population[best_idx].fitness,
-                mean=sum(g.fitness for g in population) / len(population),
-                bestEnergy=population[best_idx].metrics.pEnergy,
-                bestPeople=population[best_idx].metrics.pPeople,
-            )
-            history.append(stats)
-            if history_file is not None:
-                history_file.write(stats.line() + "\n")
-            if generation < ga_config.generations:
-                _publish(broker, [("startGeneticAlgorithm", f"population={len(population)}"),
-                                  ("selectBestIndividuals", f"elites={ga_config.elitism}")])
-                population = evolve_generation(population, ga_config, rng)
-                score(population)
-    finally:
-        if history_file is not None:
-            history_file.close()
+    score(population)
+    for generation in range(1, ga_config.generations + 1):
+        best_idx = pick_elites(population, 1)[0]
+        history.append(GenerationStats(
+            generation=generation,
+            best=population[best_idx].fitness,
+            mean=sum(g.fitness for g in population) / len(population),
+            bestEnergy=population[best_idx].metrics.pEnergy,
+            bestPeople=population[best_idx].metrics.pPeople,
+        ))
+        if generation < ga_config.generations:
+            _publish(broker, [("startGeneticAlgorithm", f"population={len(population)}"),
+                              ("selectBestIndividuals", f"elites={ga_config.elitism}")])
+            population = evolve_generation(population, ga_config, rng)
+            score(population)
 
     best = population[pick_elites(population, 1)[0]]
     final_report = fitness(best.metrics, ga_config.energyTarget)

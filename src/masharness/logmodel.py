@@ -116,12 +116,14 @@ class EventClock:
     """
 
     def __init__(self, start: int = 0):
-        self._lock = threading.Lock()
-        self._next = int(start)
-        if self._next < 0:
+        if type(start) is not int:
+            raise LogModelError(f"clock start must be an int, got {_shown(start)}")
+        if start < 0:
             raise LogModelError(f"clock start must be >= 0, got {_shown(start)}")
-        if self._next >= TIMESTAMP_LIMIT:
+        if start >= TIMESTAMP_LIMIT:
             raise LogModelError("clock start must be below 2**63")
+        self._lock = threading.Lock()
+        self._next = start
 
     def next_timestamp(self) -> int:
         return self.reserve(1)
@@ -142,10 +144,15 @@ class EventClock:
             return ts
 
     def advance_to(self, floor: int) -> None:
-        """Raise the clock so the next timestamp is at least ``floor``."""
+        """Raise the clock so the next timestamp is at least ``floor``.
+
+        Raises LogModelError, and leaves the clock as it was, if ``floor`` is not an int.
+        """
+        if type(floor) is not int:
+            raise LogModelError(f"floor must be an int, got {_shown(floor)}")
         with self._lock:
             if floor > self._next:
-                self._next = int(floor)
+                self._next = floor
 
 
 

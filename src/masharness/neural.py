@@ -33,6 +33,8 @@ class NetworkTopology:
     hiddenCount: int = 4
 
     def __post_init__(self):
+        if type(self.hiddenCount) is not int:
+            raise ValueError(f"hiddenCount must be int, not {type(self.hiddenCount).__name__}")
         if self.hiddenCount < 1:
             raise ValueError(f"hiddenCount must be positive, got {self.hiddenCount}")
         if self.hiddenCount > MAX_HIDDEN:

@@ -89,6 +89,9 @@ MAX_ROUTE_NODES = 2_000_000
 #: longest episode a WorldConfig accepts, in ticks; a logged episode writes
 #: every tick's events to the tap
 MAX_TICKS = 100_000
+#: bound on a config int's size: str() refuses an int of more than 4,300
+#: digits, so an error message could not show it, and no config file holds one
+_CONFIG_INT_LIMIT = 10 ** 4300
 #: ticks between the saved states a batch of stateless controllers compares
 #: each tick's state with, so periods up to this long are caught
 RECURRENCE_WINDOW = 8
@@ -205,10 +208,17 @@ class WorldConfig:
 
 
 def check_finite_fields(config) -> None:
-    """Raise InvalidConfig naming the first float field of ``config`` that is NaN or infinite."""
+    """Raise InvalidConfig naming the first field of ``config`` not of its default's type.
+
+    An int field takes an int of at most 4,300 digits; a float field takes
+    such an int or a finite float.  A bool is neither."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if type(f.default) is float and not math.isfinite(value):
+        value, kind = getattr(config, f.name), type(f.default)
+        if type(value) is not kind and (kind is int or type(value) is not int):
+            raise InvalidConfig(f"{f.name} must be {kind.__name__}, not {type(value).__name__}")
+        if type(value) is int and not -_CONFIG_INT_LIMIT < value < _CONFIG_INT_LIMIT:
+            raise InvalidConfig(f"{f.name} must have at most 4300 digits")
+        if type(value) is float and not math.isfinite(value):
             raise InvalidConfig(f"{f.name} must be a finite number, got {value}")
 
 
@@ -398,15 +408,15 @@ def _staircase(start, end, rng: random.Random) -> tuple[tuple[int, int], ...]:
     return tuple(route)
 
 
-def build_routes(config: WorldConfig, rng: random.Random) -> list[tuple[tuple[int, int], ...]]:
-    """Seeded border-to-border shortest-path routes, one per pedestrian."""
+def build_routes(config: WorldConfig) -> list[tuple[tuple[int, int], ...]]:
+    """Border-to-border shortest-path routes, one per pedestrian, seeded by ``config.rngSeed``."""
     if config.numPeople == 0:
         return []
     w, h = config.gridWidth, config.gridHeight
     border = [(x, y) for y in range(h) for x in range(w) if x in (0, w - 1) or y in (0, h - 1)]
     if len(border) < 2:
         raise InvalidConfig("grid too small to route pedestrians between distinct border nodes")
-    routes = []
+    routes, rng = [], random.Random(config.rngSeed)
     for _ in range(config.numPeople):
         start, end = rng.sample(border, 2)
         routes.append(_staircase(start, end, rng))
@@ -422,8 +432,7 @@ def seeds_with_light_on_route(config: WorldConfig, light_id: str, count: int,
     found = []
     seed = start_seed
     while len(found) < count:
-        rng = random.Random(seed)
-        routes = build_routes(replace(config, rngSeed=seed), rng)
+        routes = build_routes(replace(config, rngSeed=seed))
         ids = {_node_id(config, pos) for route in routes for pos in route}
         if light_id in ids:
             found.append(seed)
@@ -438,7 +447,7 @@ def _route_arrays(config: WorldConfig) -> tuple[np.ndarray, ...]:
     key = (config.gridWidth, config.gridHeight, config.numPeople, config.rngSeed)
     if (arrays := _routes.get(key)) is not None:
         return arrays
-    routes, w = build_routes(config, random.Random(config.rngSeed)), config.gridWidth
+    routes, w = build_routes(config), config.gridWidth
     path = np.full((len(routes), max(map(len, routes), default=1) + 1), w * config.gridHeight,
                    dtype=np.intp)
     for n, route in enumerate(routes):

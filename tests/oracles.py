@@ -11,7 +11,6 @@ light and per pedestrian, where masharness.world steps arrays.
 from __future__ import annotations
 
 import math
-import random
 import re
 from dataclasses import dataclass, field
 
@@ -218,7 +217,7 @@ def oracle_init_world(config, broker=None, *, faults=()) -> OracleWorld:
             w.lights_by_id[light.id] = light
             w.light_at[light.position] = light
             w.prev_outbox[light.id] = 0.0
-    routes = world.build_routes(config, random.Random(config.rngSeed))
+    routes = world.build_routes(config)
     w.people = [Pedestrian(id=f"person{i}", route=r) for i, r in enumerate(routes, start=1)]
     for spec in faults:
         if spec.kind not in world.FAULT_KINDS:

@@ -327,6 +327,21 @@ class TestEvolve:
         assert best_column == sorted(best_column)
         assert "command: evolve\n" in (tmp_path / "manifest.txt").read_text()
 
+    def test_a_history_path_that_is_a_directory_fails_before_the_ga(
+            self, tmp_path, capsys, monkeypatch):
+        (tmp_path / "winner.txt.history").mkdir()
+        monkeypatch.setattr(cli, "run_observer", lambda *args: pytest.fail("the GA ran"))
+        code = main([
+            "evolve", "--config", small_world(tmp_path), "--ga-config", self.ga_file(tmp_path),
+            "--genome", str(tmp_path / "winner.txt"), "--manifest", str(tmp_path / "m.txt"),
+        ])
+        captured = capsys.readouterr()
+        assert code == USAGE_ERROR
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "winner.txt.history" in captured.err
+        assert not (tmp_path / "winner.txt").exists()
+
     def test_huge_mutations_overflow_without_a_warning(self, tmp_path, capsys):
         ga = self.ga_file(tmp_path, generations=2, mutationRate=1, mutationSigma=1e308,
                           weightLimit=1e308)

@@ -174,6 +174,16 @@ class TestGAConfig:
         with pytest.raises(InvalidConfig, match=f"^{name} must be a finite number"):
             GAConfig(**{name: value})
 
+    @pytest.mark.parametrize("kw,message", [
+        # None would seed the GA from the OS
+        (dict(rngSeed=None), "rngSeed must be int, not NoneType"),
+        (dict(populationSize=2.5), "populationSize must be int, not float"),
+        (dict(generations=-10 ** 5000), "generations must have at most 4300 digits"),
+    ])
+    def test_a_field_takes_its_declared_type(self, kw, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            GAConfig(**kw)
+
     def test_population_and_hidden_layer_are_bounded(self):
         assert GAConfig(populationSize=MAX_POPULATION, hiddenCount=MAX_HIDDEN).hiddenCount == 100
         with pytest.raises(InvalidConfig, match=r"^populationSize must be in \[1,1000\]"):
@@ -447,11 +457,21 @@ class TestRunObserver:
         assert len(result.history) == 2
         assert result.best.fitness is not None
 
-    def test_history_file_matches_returned_stats(self, tmp_path):
-        path = tmp_path / "history.txt"
-        result = run_observer(tiny_world(), tiny_ga(generations=3), history_path=str(path))
-        lines = path.read_text().splitlines()
-        assert lines == [stats.line() for stats in result.history]
+    def test_history_file_matches_returned_stats(self, tmp_path, capsys):
+        # evolve writes the .history file from the history run_observer returns
+        world, ga = tiny_world(), tiny_ga(generations=3)
+        files = {}
+        for name, config in (("world.cfg", world), ("ga.cfg", ga)):
+            files[name] = tmp_path / name
+            files[name].write_text("".join(f"{f}={getattr(config, f)}\n"
+                                           for f in config.__dataclass_fields__))
+        genome = tmp_path / "genome.txt"
+        assert main(["evolve", "--config", str(files["world.cfg"]),
+                     "--ga-config", str(files["ga.cfg"]), "--genome", str(genome),
+                     "--manifest", str(tmp_path / "manifest.txt")]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "genome.txt.history").read_text().splitlines()
+        assert lines == [stats.line() for stats in run_observer(world, ga).history]
         assert len(lines) == 3
 
     def test_best_fitness_never_degrades_across_generations(self):
@@ -559,6 +579,9 @@ def test_scoring_and_breeding_take_no_logging_arguments():
         "population", "config", "rng"]
     assert list(inspect.signature(evaluate_solution).parameters) == [
         "world_config", "genes", "topology", "broker", "faults", "stats"]
+    # the observer returns its history and writes no file; evolve writes it
+    assert list(inspect.signature(run_observer).parameters) == [
+        "world_config", "ga_config", "broker"]
 
 
 def test_evolve_publishes_each_tap_line_once(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import os
+import re
 import stat
 
 import pytest
@@ -153,6 +154,23 @@ class TestEventClock:
         for start in (2 ** 63, 10 ** 5000):
             with pytest.raises(LogModelError, match=r"^clock start must be below 2\*\*63$"):
                 EventClock(start)
+
+    @pytest.mark.parametrize("start", [2.9, True, None, "9"])
+    def test_a_start_that_is_not_an_int_is_refused(self, start):
+        # EventClock(2.9) started at 2, EventClock(True) at 1
+        message = f"clock start must be an int, got {start!r}"
+        with pytest.raises(LogModelError, match=f"^{re.escape(message)}$"):
+            EventClock(start)
+
+    @pytest.mark.parametrize("floor", [2.5, None, "9", True])
+    def test_a_floor_that_is_not_an_int_is_refused(self, floor):
+        # advance_to(2.5) left the next timestamp at 2, below the floor
+        clock = EventClock(1)
+        message = f"floor must be an int, got {floor!r}"
+        with pytest.raises(LogModelError, match=f"^{re.escape(message)}$"):
+            clock.advance_to(floor)
+        # the refused floor left the clock as it was
+        assert clock.next_timestamp() == 1
 
     def test_tick_recovered_from_timestamp(self):
         clock = EventClock()

@@ -33,6 +33,12 @@ class TestTopology:
     def test_genome_length_formula(self, hidden, expected):
         assert NetworkTopology(hiddenCount=hidden).genomeLength == expected
 
+    @pytest.mark.parametrize("hidden,name", [("4", "str"), (1.5, "float"), (True, "bool")])
+    def test_a_hidden_count_that_is_not_an_int_is_refused(self, hidden, name):
+        # 1.5 hidden units would ask decode for 11.0 genes
+        with pytest.raises(ValueError, match=f"^hiddenCount must be int, not {name}$"):
+            NetworkTopology(hiddenCount=hidden)
+
     def test_degenerate_layer_sizes_are_rejected(self):
         with pytest.raises(ValueError):
             NetworkTopology(hiddenCount=0)

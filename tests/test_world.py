@@ -1,4 +1,5 @@
 import functools
+import inspect
 import itertools
 import random
 import re
@@ -120,7 +121,7 @@ def drain(queue):
 def seed_with_routes(routes, **kw):
     """The first world seed whose pedestrians walk exactly ``routes``."""
     return next(seed for seed in itertools.count(1)
-                if build_routes(cfg(rngSeed=seed, **kw), random.Random(seed)) == routes)
+                if build_routes(cfg(rngSeed=seed, **kw)) == routes)
 
 
 def count_ticks(monkeypatch):
@@ -174,6 +175,21 @@ class TestWorldConfig:
     def test_non_finite_floats_are_rejected_by_name(self, name, value):
         with pytest.raises(InvalidConfig, match=f"^{name} must be a finite number"):
             cfg(**{name: value})
+
+    @pytest.mark.parametrize("kw,message", [
+        # None would seed routes from the OS and cache them under the key None
+        (dict(rngSeed=None), "rngSeed must be int, not NoneType"),
+        (dict(gridWidth=5.0), "gridWidth must be int, not float"),
+        (dict(gridWidth=True), "gridWidth must be int, not bool"),
+        (dict(ambientLight="x"), "ambientLight must be float, not str"),
+        # str() refuses an int this long, so a range message could not show it
+        (dict(gridWidth=10 ** 5000), "gridWidth must have at most 4300 digits"),
+    ])
+    def test_a_field_takes_its_declared_type(self, kw, message):
+        with pytest.raises(InvalidConfig, match=f"^{message}$"):
+            cfg(**kw)
+        # a float field takes an int, as a config file's value would read
+        assert cfg(ambientLight=0).ambientLight == 0
 
     def test_grid_size_is_bounded(self):
         assert cfg(gridWidth=100, gridHeight=MAX_LIGHTS // 100).gridWidth == 100
@@ -381,8 +397,8 @@ class TestGridAndRoutes:
 
     def test_routes_are_seeded_border_to_border_shortest_paths(self):
         c = cfg(gridWidth=5, gridHeight=4, numPeople=6, rngSeed=9)
-        routes = build_routes(c, random.Random(9))
-        again = build_routes(c, random.Random(9))
+        routes = build_routes(c)
+        again = build_routes(c)
         assert routes == again
         border = {
             (x, y)
@@ -401,6 +417,9 @@ class TestGridAndRoutes:
         assert [world.path[n, : len(r)].tolist() for n, r in enumerate(routes)] == [
             [y * 5 + x for x, y in route] for route in routes]
 
+    def test_routes_are_seeded_by_their_config_alone(self):
+        assert list(inspect.signature(build_routes).parameters) == ["config"]
+
     def test_people_need_two_border_nodes(self):
         with pytest.raises(InvalidConfig):
             init_world(cfg(gridWidth=1, gridHeight=1, numPeople=1))
@@ -413,8 +432,7 @@ class TestGridAndRoutes:
         assert len(seeds) == 4
         assert seeds == sorted(set(seeds))
         for seed in seeds:
-            routes = build_routes(cfg(gridWidth=5, gridHeight=5, numPeople=5, rngSeed=seed),
-                                  random.Random(seed))
+            routes = build_routes(cfg(gridWidth=5, gridHeight=5, numPeople=5, rngSeed=seed))
             assert (4, 1) in {pos for route in routes for pos in route}
 
 
@@ -475,7 +493,7 @@ class TestSense:
         # one pedestrian standing on node2 at (1, 0) of a 3x3 grid
         kw = dict(gridWidth=3, gridHeight=3, numPeople=1)
         seed = next(s for s in itertools.count(1)
-                    if build_routes(cfg(rngSeed=s, **kw), random.Random(s))[0][0] == (1, 0))
+                    if build_routes(cfg(rngSeed=s, **kw))[0][0] == (1, 0))
         world = init_world(cfg(rngSeed=seed, **kw))
         motion = sense(world)[0, :, 1]
         assert motion[1] == 1.0  # own node
@@ -1397,7 +1415,7 @@ def fresh_walkers(world):
     """(at, ahead, motion, walking, count) of the live rows, from step, arrived and the routes."""
     c = world.config
     w, lights = c.gridWidth, world.lights
-    routes = build_routes(c, random.Random(c.rngSeed))
+    routes = build_routes(c)
     rows = len(world.live)
     at = np.full((rows, world.people), lights)
     ahead = np.full((rows, world.people), lights)
