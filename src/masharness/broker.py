@@ -38,6 +38,7 @@ from .logmodel import (
     InvalidPattern,
     LogEvent,
     RoutingKey,
+    _shown,
     keyed_event,
     make_log_event,
     open_output,
@@ -221,8 +222,10 @@ class Broker:
         Raises DuplicateQueue on a name collision and InvalidPattern if the
         binding list is empty or contains a malformed pattern.
         """
+        if type(capacity) is not int:
+            raise BrokerError(f"capacity must be an int, got {_shown(capacity)}")
         if capacity < 1:
-            raise BrokerError(f"capacity must be positive, got {capacity}")
+            raise BrokerError(f"capacity must be positive, got {_shown(capacity)}")
         return QueueHandle(self, name, self._bind(name, patterns, capacity, None))
 
     def subscribe(self, name: str, patterns, deliver) -> None:

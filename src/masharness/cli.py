@@ -97,12 +97,9 @@ def cmd_simulate(args) -> int:
     config, topology, genes, faults, inputs = _episode_inputs(args)
     tap = args.tap or "tap.log"
     # one plain episode with full world logging; no observer protocol here
-    broker = Broker(tap=tap)
     stats = {}
-    try:
+    with Broker(tap=tap) as broker:
         metrics = run_episode(config, decode(genes, topology), broker, faults=faults, stats=stats)
-    finally:
-        broker.close()
     stats.update(_event_counts(broker))
     print(f"pPeople={metrics.pPeople:.6f}")
     print(f"pTrip={metrics.pTrip:.6f}")
@@ -169,13 +166,10 @@ def cmd_test(args) -> int:
         # a plan without cases would run the episode and print no verdict
         raise TestkitError(f"plan {plan_path} has no test cases")
     config, topology, genes, faults, inputs = _episode_inputs(args)
-    broker = Broker(tap=args.tap)
     stats = {}
-    try:
+    with Broker(tap=args.tap) as broker:
         finish = judge(cases, broker)
         report = evaluate_solution(config, genes, topology, broker, faults=faults, stats=stats)
-    finally:
-        broker.close()
     stats.update(_event_counts(broker))
     verdicts = finish()
     for verdict in verdicts:

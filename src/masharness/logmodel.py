@@ -275,7 +275,7 @@ class RoutingKey:
         return self.text
 
 
-#: event keys event_key and parse_tap_line interned, by key text and by a tap's alias text (007)
+#: event keys event_key and parse_tap_line interned, by key text
 _keys = BoundedMemo()
 
 #: interned event keys by the tag values they were asked for with
@@ -503,8 +503,6 @@ def parse_tap_line(line: str) -> TapRecord:
             raise LogModelError(f"bad typeLog segment {segments[3]!r}")
         text = ".".join(segments)  # looked up only now, so only a checked key enters the table
         key = _keys.get(text) or _keys.remember(text, RoutingKey(tuple(segments)))
-        if text != key_text:  # an alias, such as a line word 007
-            _keys.remember(key_text, key)
     return key, timestamp, message
 
 

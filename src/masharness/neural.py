@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmodel import open_output
+from .logmodel import _shown, open_output
 
 #: a light controller maps 3 sensor inputs to 2 commands
 INPUTS = 3
@@ -36,9 +36,10 @@ class NetworkTopology:
         if type(self.hiddenCount) is not int:
             raise ValueError(f"hiddenCount must be int, not {type(self.hiddenCount).__name__}")
         if self.hiddenCount < 1:
-            raise ValueError(f"hiddenCount must be positive, got {self.hiddenCount}")
+            raise ValueError(f"hiddenCount must be positive, got {_shown(self.hiddenCount)}")
         if self.hiddenCount > MAX_HIDDEN:
-            raise ValueError(f"hiddenCount must be at most {MAX_HIDDEN}, got {self.hiddenCount}")
+            raise ValueError(
+                f"hiddenCount must be at most {MAX_HIDDEN}, got {_shown(self.hiddenCount)}")
 
     @property
     def genomeLength(self) -> int:

@@ -10,7 +10,10 @@ subscriber or from a queue by ``run``, and ``finish`` gives the verdict.
 inline subscriber uses to leave the broker's routes: later events could
 not change the verdict.
 Deadlines are measured on the events' virtual clock, so a verdict is a
-pure function of the ordered events the machine's bindings match.
+pure function of the ordered events the machine's bindings match.  A
+machine fails for lateness only when an event arrives past its pending
+deadline; at the end of the stream a running machine fails with "event
+stream ended before the expected pattern".
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .logmodel import (
     TICK_US,
     BindingPattern,
     LogEvent,
+    _shown,
     parse_binding_pattern,
 )
 
@@ -58,13 +62,18 @@ class TransitionSpec:
     maxWait: int = DEFAULT_MAX_WAIT_TICKS
 
     def __post_init__(self):
+        if type(self.alternatives) is not tuple or not all(
+                isinstance(alt, BindingPattern) for alt in self.alternatives):
+            raise TestkitError("alternatives must be a tuple of BindingPatterns")
         if not self.alternatives:
             raise TestkitError("transition needs at least one alternative")
+        if type(self.maxWait) is not int:
+            raise TestkitError(f"maxWait must be an int, got {_shown(self.maxWait)}")
         if self.maxWait <= 0:
-            raise TestkitError(f"maxWait must be positive, got {self.maxWait}")
+            raise TestkitError(f"maxWait must be positive, got {_shown(self.maxWait)}")
         if self.maxWait > MAX_WAIT_TICKS:
             raise TestkitError(
-                f"maxWait must be at most {MAX_WAIT_TICKS} ticks, got {self.maxWait}")
+                f"maxWait must be at most {MAX_WAIT_TICKS} ticks, got {_shown(self.maxWait)}")
 
     def matches(self, event: LogEvent) -> bool:
         key = event.key.segments
@@ -91,12 +100,18 @@ class TestCase:
     validationSequence: tuple[TransitionSpec, ...]
 
     def __post_init__(self):
+        if type(self.functionName) is not str or not self.functionName:
+            raise TestkitError(
+                f"functionName must be a non-empty str, got {_shown(self.functionName)}")
         if self.level not in LEVELS:
-            raise TestkitError(f"level must be one of {LEVELS}, got {self.level!r}")
+            raise TestkitError(f"level must be one of {LEVELS}, got {_shown(self.level)}")
         if self.subLevel not in SUB_LEVELS:
             raise TestkitError(
-                f"subLevel must be one of {SUB_LEVELS}, got {self.subLevel!r}"
+                f"subLevel must be one of {SUB_LEVELS}, got {_shown(self.subLevel)}"
             )
+        if type(self.validationSequence) is not tuple or not all(
+                isinstance(spec, TransitionSpec) for spec in self.validationSequence):
+            raise TestkitError("validationSequence must be a tuple of TransitionSpecs")
         if not self.validationSequence:
             raise TestkitError("validationSequence may not be empty")
 
@@ -138,7 +153,7 @@ class TestMachine:
     """
 
     def __init__(self, case: TestCase):
-        self.case = case
+        self.name = case.functionName
         self.specs = case.validationSequence
         self.states = ("start",) + tuple(spec.label() for spec in self.specs)
         #: every pattern of every transition, once each, in plan order
@@ -150,10 +165,6 @@ class TestMachine:
         self.seen = 0
         self.failureReason: str | None = None
         self._entered = self._last = 0
-
-    @property
-    def name(self) -> str:
-        return self.case.functionName
 
     def step(self, event: LogEvent) -> MachineStatus:
         """Feed one event: advance on a match, ignore anything else."""
@@ -167,18 +178,6 @@ class TestMachine:
                 self.status = MachineStatus.PASSED
         return self.status
 
-    def _deadline(self) -> int:
-        return self._entered + self.specs[self.current].maxWait * TICK_US
-
-    def _fail_if_late(self, now: int) -> bool:
-        """Fail at the pending deadline when ``now`` is past it."""
-        if now <= self._deadline():
-            return False
-        self._last = self._deadline()
-        self.status = MachineStatus.FAILED
-        self.failureReason = f"waited past {self.specs[self.current].maxWait} ticks"
-        return True
-
     def offer(self, event: LogEvent) -> bool:
         """Judge one event: a late one fails the machine, any other is stepped.
 
@@ -188,8 +187,13 @@ class TestMachine:
         if self.status is not MachineStatus.RUNNING:
             return True
         now = event.timestamp
-        if self._fail_if_late(now):
+        wait = self.specs[self.current].maxWait
+        deadline = self._entered + wait * TICK_US
+        if now > deadline:
+            self._last = deadline
             self.seen += 1
+            self.status = MachineStatus.FAILED
+            self.failureReason = f"waited past {wait} ticks"
             return True
         self._last = now
         before = self.current
@@ -199,13 +203,14 @@ class TestMachine:
         return self.status is not MachineStatus.RUNNING
 
     def finish(self) -> TestVerdict:
-        """End of stream: a machine still running fails at its state."""
+        """End of stream: a machine still running fails at its state.
+
+        It cannot be late here: ``offer`` keeps ``_last`` and ``_entered`` at
+        or before the pending deadline, and a step only moves that later."""
         if self.status is MachineStatus.RUNNING:
-            end = max(self._last, self._entered)
-            if not self._fail_if_late(end):
-                self._last = end
-                self.status = MachineStatus.FAILED
-                self.failureReason = "event stream ended before the expected pattern"
+            self._last = max(self._last, self._entered)
+            self.status = MachineStatus.FAILED
+            self.failureReason = "event stream ended before the expected pattern"
         passed = self.status is MachineStatus.PASSED
         pending = () if passed else self.specs[self.current].alternatives
         return TestVerdict(

@@ -52,14 +52,13 @@ holds the tick number, so the events are those of stepping on.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .broker import Broker
-from .logmodel import TICK_US, BoundedMemo, RoutingKey, intern_sites
+from .logmodel import TICK_US, BoundedMemo, RoutingKey, _shown, intern_sites
 from .neural import NeuralController, stack_layers, stacked_outputs
 
 FAULT_GO_DARK = "go-dark"
@@ -92,6 +91,9 @@ MAX_TICKS = 100_000
 #: bound on a config int's size: str() refuses an int of more than 4,300
 #: digits, so an error message could not show it, and no config file holds one
 _CONFIG_INT_LIMIT = 10 ** 4300
+#: bound on a float field: float() refuses an int this far from zero, every
+#: finite float is nearer, and NaN compares false with it
+_FLOAT_INT_LIMIT = 2 ** 1024 - 2 ** 970
 #: ticks between the saved states a batch of stateless controllers compares
 #: each tick's state with, so periods up to this long are caught
 RECURRENCE_WINDOW = 8
@@ -211,15 +213,15 @@ def check_finite_fields(config) -> None:
     """Raise InvalidConfig naming the first field of ``config`` not of its default's type.
 
     An int field takes an int of at most 4,300 digits; a float field takes
-    such an int or a finite float.  A bool is neither."""
+    a finite float or an int that float() can convert.  A bool is neither."""
     for f in fields(config):
         value, kind = getattr(config, f.name), type(f.default)
         if type(value) is not kind and (kind is int or type(value) is not int):
             raise InvalidConfig(f"{f.name} must be {kind.__name__}, not {type(value).__name__}")
         if type(value) is int and not -_CONFIG_INT_LIMIT < value < _CONFIG_INT_LIMIT:
             raise InvalidConfig(f"{f.name} must have at most 4300 digits")
-        if type(value) is float and not math.isfinite(value):
-            raise InvalidConfig(f"{f.name} must be a finite number, got {value}")
+        if kind is float and not -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT:
+            raise InvalidConfig(f"{f.name} must be a finite number, got {_shown(value)}")
 
 
 def load_config(cls, path):
@@ -659,7 +661,6 @@ def init_world(
         raise WorldError(f"a logged world runs one episode, not {episodes}")
     world = WorldState(config, broker, faults=faults, episodes=episodes)
     if broker is not None:
-        broker.clock.advance_to(0)
         # the Manager bootstraps each light's controlling agent
         skips = world.faulty[FAULT_SKIP_HANDSHAKE]
         batch = world.log.handshake

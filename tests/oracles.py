@@ -18,6 +18,7 @@ import numpy as np
 
 from masharness import world
 from masharness.logmodel import TICK_US, make_log_event
+from masharness.testkit import TestVerdict
 
 
 def regex_for_pattern(pattern: str) -> re.Pattern:
@@ -76,6 +77,53 @@ def oracle_run_machine(pattern_lists, trace_keys, matcher):
             return False, fired
         fired += 1
     return True, fired
+
+
+def oracle_offer_verdict(case, events) -> TestVerdict:
+    """The verdict of offering ``events`` in turn to a machine for ``case``, then finishing.
+
+    Written as one loop over the events, with the end-of-stream lateness
+    check the machine's ``finish`` once made: a machine still running at
+    the end is late if the later of its last judged time and its state's
+    entry time is past the pending deadline, and only otherwise fails with
+    the stream-end reason.  Patterns match through ``oracle_matches``.
+    """
+    specs = case.validationSequence
+    current = seen = entered = last = 0
+    outcome, reason = None, ""
+
+    def late(now):
+        nonlocal last, outcome, reason
+        wait = specs[current].maxWait
+        if now <= entered + wait * TICK_US:
+            return False
+        last, outcome, reason = entered + wait * TICK_US, "fail", f"waited past {wait} ticks"
+        return True
+
+    for event in events:
+        if outcome is not None:
+            break
+        seen += 1
+        if late(event.timestamp):
+            break
+        last = event.timestamp
+        if any(oracle_matches(alt.encode(), event.key.text) for alt in specs[current].alternatives):
+            current, entered = current + 1, event.timestamp
+            if current == len(specs):
+                outcome = "pass"
+    if outcome is None and not late(max(last, entered)):
+        last, outcome, reason = max(last, entered), "fail", \
+            "event stream ended before the expected pattern"
+    passed = outcome == "pass"
+    return TestVerdict(
+        name=case.functionName,
+        outcome=outcome,
+        failedState=None if passed else "start" if current == 0 else specs[current - 1].label(),
+        missingPatterns=() if passed else tuple(alt.encode() for alt in specs[current].alternatives),
+        elapsed=last / TICK_US,
+        seen=seen,
+        reason=reason,
+    )
 
 
 def oracle_forward(genes, inputs, hidden_count):

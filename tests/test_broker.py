@@ -124,6 +124,19 @@ class TestDeclareQueue:
             broker.declare_queue("q", ["#"], capacity=0)
         assert broker.stats().queues == {}
 
+    @pytest.mark.parametrize("capacity,shown", [
+        ("10", "'10'"), (None, "None"), (2.5, "2.5"), (True, "True"),
+    ])
+    def test_a_capacity_that_is_not_an_int_is_refused(self, capacity, shown):
+        broker = Broker()
+        with pytest.raises(BrokerError, match=f"^capacity must be an int, got {shown}$"):
+            broker.declare_queue("q", ["#"], capacity=capacity)
+        assert broker.stats().queues == {}
+
+    def test_a_capacity_too_long_to_print_is_shown_by_its_size(self):
+        with pytest.raises(BrokerError, match="^capacity must be positive, got an int of 16610 bits$"):
+            Broker().declare_queue("q", ["#"], capacity=-10 ** 5000)
+
 
 class TestPublish:
     def test_receipt_counts_matching_queues(self):

@@ -184,6 +184,21 @@ class TestGAConfig:
         with pytest.raises(InvalidConfig, match=f"^{message}$"):
             GAConfig(**kw)
 
+    @pytest.mark.parametrize("kw,name", [
+        (dict(mutationRate=1.0, mutationSigma=10 ** 400), "mutationSigma"),
+        (dict(weightLimit=10 ** 400, mutationSigma=1e308), "weightLimit"),
+        (dict(weightLimit=-10 ** 400), "weightLimit"),
+        (dict(mutationSigma=2 ** 1024 - 2 ** 970), "mutationSigma"),
+    ])
+    def test_an_int_past_the_float_range_is_refused(self, kw, name):
+        # run_observer would raise OverflowError converting it to a float
+        with pytest.raises(InvalidConfig, match=f"^{name} must be a finite number, got an int of"):
+            GAConfig(**kw)
+
+    def test_the_largest_int_a_float_holds_is_accepted(self):
+        largest = 2 ** 1024 - 2 ** 970 - 1
+        assert float(GAConfig(mutationSigma=largest).mutationSigma) == 1.7976931348623157e308
+
     def test_population_and_hidden_layer_are_bounded(self):
         assert GAConfig(populationSize=MAX_POPULATION, hiddenCount=MAX_HIDDEN).hiddenCount == 100
         with pytest.raises(InvalidConfig, match=r"^populationSize must be in \[1,1000\]"):

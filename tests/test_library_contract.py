@@ -2,17 +2,21 @@
 
 A property test in the style of QuickCheck (Claessen and Hughes, ICFP 2000):
 every field of ``WorldConfig`` and ``GAConfig``, ``NetworkTopology``'s
-``hiddenCount``, and ``EventClock``'s start, ``reserve`` and ``advance_to``
-are drawn from values the CLI never passes.
+``hiddenCount``, ``EventClock``'s start, ``reserve`` and ``advance_to``,
+``TransitionSpec``'s alternatives and ``maxWait``, ``TestCase``'s
+``functionName`` and ``declare_queue``'s ``capacity`` are drawn from values
+the CLI never passes.
 """
 
 from dataclasses import fields
 
 from hypothesis import given, settings, strategies as st
 
+from masharness.broker import Broker, BrokerError
 from masharness.evolution import GAConfig
-from masharness.logmodel import TIMESTAMP_LIMIT, EventClock, LogModelError
+from masharness.logmodel import TIMESTAMP_LIMIT, EventClock, LogModelError, parse_binding_pattern
 from masharness.neural import NetworkTopology
+from masharness.testkit import TestCase, TestkitError, TransitionSpec
 from masharness.world import InvalidConfig, WorldConfig
 
 ODD = st.one_of(
@@ -43,6 +47,9 @@ def config_values(cls):
     return st.fixed_dictionaries({}, optional={f.name: ODD for f in fields(cls)})
 
 
+#: a transition's alternatives: odd values, or a tuple of patterns a call would take
+ALTERNATIVES = st.one_of(ODD, st.just((parse_binding_pattern("a.#"),)))
+
 CLOCK_CALLS = st.lists(st.tuples(st.sampled_from(["reserve", "advance_to"]), ANY), max_size=6)
 
 
@@ -66,3 +73,15 @@ def test_a_call_returns_or_raises_its_module_s_error(world, ga, hidden, start, c
             if ts is not None and n:
                 assert type(ts) is int and end <= ts and ts + n <= TIMESTAMP_LIMIT
                 end = ts + n
+
+
+@settings(max_examples=200, deadline=None)
+@given(alternatives=ALTERNATIVES, wait=ANY, name=st.one_of(ODD, st.just("n")), capacity=ANY)
+def test_a_plan_or_queue_call_returns_or_raises_its_module_s_error(
+        alternatives, wait, name, capacity):
+    transition = returns_or_raises(TestkitError, TransitionSpec, alternatives, wait)
+    if transition is not None:
+        assert type(transition.maxWait) is int and transition.maxWait >= 1
+        returns_or_raises(TestkitError, TestCase, name, "local", "scenario", (transition,))
+    queue = returns_or_raises(BrokerError, Broker().declare_queue, "q", ["#"], capacity)
+    assert queue is None or type(capacity) is int and capacity >= 1

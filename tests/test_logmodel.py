@@ -467,6 +467,14 @@ class TestReadTap:
                 read(tap)
             assert str(err.value) == f"tap {tap} line 2: {message}"
 
+    def test_the_key_table_holds_canonical_texts_only(self, tmp_path):
+        tap = tmp_path / "t.log"
+        tap.write_text("a.b.c.info.U.op.007.r\t1\tm\na.b.c.info.U.op.007.r\t2\tm\n"
+                       "a.b.c.info.U.op.\u0663.r\t3\tm\na.b.c.info.U.op.7.r\t4\tm\n")
+        assert [key.text for key, _, _ in read_tap(tap)] == ["a.b.c.info.U.op.7.r"] * 2 + [
+            "a.b.c.info.U.op.3.r", "a.b.c.info.U.op.7.r"]
+        assert all(text == key.text for text, key in logmodel._keys.items())
+
     def test_leading_zeros_and_unicode_digits_still_read(self, tmp_path):
         tap = tmp_path / "t.log"
         tap.write_text("a.b.c.info.U.op.007.r\t0012\tm\na.b.c.info.U.op.\u0663.r\t\uff17\tn\n")

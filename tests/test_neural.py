@@ -48,6 +48,14 @@ class TestTopology:
         with pytest.raises(ValueError, match="^hiddenCount must be at most 100, got 101$"):
             NetworkTopology(hiddenCount=MAX_HIDDEN + 1)
 
+    @pytest.mark.parametrize("hidden,message", [
+        (10 ** 5000, "at most 100, got an int of 16610 bits"),
+        (-10 ** 5000, "positive, got an int of 16610 bits"),
+    ], ids=["huge", "huge-negative"])
+    def test_a_hidden_count_too_long_to_print_is_shown_by_its_size(self, hidden, message):
+        with pytest.raises(ValueError, match=f"^hiddenCount must be {message}$"):
+            NetworkTopology(hiddenCount=hidden)
+
 
 class TestDecode:
     def test_wrong_gene_count_is_rejected(self):

@@ -1,9 +1,19 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from masharness.broker import Broker, matches
-from masharness.logmodel import TICK_US, EventClock, LogEvent, RoutingKey, make_log_event
+from masharness.logmodel import (
+    TICK_US,
+    EventClock,
+    LogEvent,
+    RoutingKey,
+    event_key,
+    keyed_event,
+    make_log_event,
+)
 from masharness.testkit import (
     MAX_WAIT_TICKS,
     BindingMismatch,
@@ -20,7 +30,7 @@ from masharness.testkit import (
 )
 from masharness.logmodel import parse_binding_pattern
 
-from oracles import oracle_matches, oracle_run_machine
+from oracles import oracle_matches, oracle_offer_verdict, oracle_run_machine
 
 
 def spec(*patterns, maxWait=500):
@@ -69,6 +79,36 @@ class TestCaseValidation:
     def test_transition_requires_an_alternative(self):
         with pytest.raises(TestkitError, match="^transition needs at least one alternative$"):
             TransitionSpec(alternatives=())
+
+    @pytest.mark.parametrize("wait,message", [
+        (2.5, "must be an int, got 2.5"),
+        (True, "must be an int, got True"),
+        (float("nan"), "must be an int, got nan"),
+        ("5", "must be an int, got '5'"),
+        (None, "must be an int, got None"),
+        (10 ** 5000, f"must be at most {MAX_WAIT_TICKS} ticks, got an int of 16610 bits"),
+    ], ids=["float", "bool", "nan", "str", "none", "huge"])
+    def test_a_wait_is_an_int(self, wait, message):
+        with pytest.raises(TestkitError, match=f"^maxWait {re.escape(message)}$"):
+            spec("a.#", maxWait=wait)
+
+    @pytest.mark.parametrize("alternatives", [("a.#",), [parse_binding_pattern("a.#")]],
+                             ids=["str", "list"])
+    def test_an_alternative_is_a_binding_pattern(self, alternatives):
+        with pytest.raises(TestkitError, match="^alternatives must be a tuple of BindingPatterns$"):
+            TransitionSpec(alternatives)
+
+    @pytest.mark.parametrize("steps", [("x",), [spec("a.#")]], ids=["str", "list"])
+    def test_a_step_is_a_transition(self, steps):
+        with pytest.raises(TestkitError,
+                           match="^validationSequence must be a tuple of TransitionSpecs$"):
+            TestCase("n", "local", "scenario", steps)
+
+    @pytest.mark.parametrize("name,shown", [(5, "5"), ("", "''"), (None, "None")])
+    def test_a_name_is_a_non_empty_string(self, name, shown):
+        with pytest.raises(TestkitError,
+                           match=f"^functionName must be a non-empty str, got {shown}$"):
+            case(spec("a.#"), name=name)
 
 
 class TestCompile:
@@ -282,6 +322,57 @@ class TestOfferAndFinish:
         first = machine.finish()
         assert first.reason == "event stream ended before the expected pattern"
         assert machine.finish() == first
+
+#: key words an event of the lateness property draws from, and the patterns over them
+LATE_WORDS = ("a", "b")
+LATE_PATTERNS = ("#", "a.#", "b.#", "*.n.a.#", "*.n.b.#", "a.*.b.#")
+
+
+def late_event(agent, action, timestamp):
+    key = event_key(agent, "n", action, sourceUnit="U", sourceOperation="op",
+                    sourceLine=1, resource="r")
+    return keyed_event(key, timestamp, "m")
+
+
+#: timestamps on and between tick boundaries, so deadlines are hit exactly
+LATE_TIMES = st.one_of(st.integers(0, 25).map(lambda t: t * TICK_US),
+                       st.integers(0, 25 * TICK_US))
+
+
+class TestLateness:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        plan=st.lists(st.tuples(st.lists(st.sampled_from(LATE_PATTERNS), min_size=1, max_size=2),
+                                st.integers(1, 5)), min_size=1, max_size=4),
+        drawn=st.lists(st.tuples(st.sampled_from(LATE_WORDS), st.sampled_from(LATE_WORDS),
+                                 LATE_TIMES), max_size=12),
+        in_order=st.booleans(),
+    )
+    def test_finish_is_never_late_and_agrees_with_the_oracle(self, plan, drawn, in_order):
+        the_case = case(*(spec(*alts, maxWait=wait) for alts, wait in plan))
+        if in_order:
+            drawn = sorted(drawn, key=lambda d: d[2])
+        events = [late_event(*d) for d in drawn]
+        machine = compile(the_case)
+        for event in events:
+            machine.offer(event)
+        verdict = machine.finish()
+        if verdict.reason == "event stream ended before the expected pattern":
+            deadline = machine._entered + machine.specs[machine.current].maxWait * TICK_US
+            assert machine._last <= deadline
+            assert verdict.elapsed == machine._last / TICK_US
+        assert verdict == oracle_offer_verdict(the_case, events)
+
+    def test_an_out_of_order_entry_sets_elapsed(self):
+        # the last event judged is older than the one that entered the pending state
+        machine = compile(case(spec("a.#"), spec("b.#", maxWait=3)))
+        for event in (late_event("b", "a", 5 * TICK_US), late_event("a", "a", 2 * TICK_US),
+                      late_event("a", "b", 1 * TICK_US)):
+            machine.offer(event)
+        verdict = machine.finish()
+        assert (verdict.reason, verdict.elapsed, verdict.seen) == (
+            "event stream ended before the expected pattern", 2.0, 3)
+
 
 class TestDroppedEvents:
     def test_verdict_over_a_lossy_queue_notes_the_drops(self):

@@ -184,6 +184,8 @@ class TestWorldConfig:
         (dict(ambientLight="x"), "ambientLight must be float, not str"),
         # str() refuses an int this long, so a range message could not show it
         (dict(gridWidth=10 ** 5000), "gridWidth must have at most 4300 digits"),
+        # no float holds this int, so the field would raise OverflowError where it is used
+        (dict(ambientLight=10 ** 400), "ambientLight must be a finite number, got an int of 1329 bits"),
     ])
     def test_a_field_takes_its_declared_type(self, kw, message):
         with pytest.raises(InvalidConfig, match=f"^{message}$"):
