@@ -7,6 +7,8 @@ neuroevolution observer that trains the light controllers; and a CLI tying
 it all together.
 """
 
+from importlib import import_module as _import_module
+
 from .logmodel import (
     BindingPattern,
     EventClock,
@@ -41,43 +43,32 @@ from .testkit import (
     merge_timeline,
     run,
 )
-from .world import (
-    ControllerBatch,
-    EpisodeMetrics,
-    FaultSpec,
-    InvalidConfig,
-    UnknownFault,
-    UnknownTarget,
-    WorldConfig,
-    init_world,
-    load_world_config,
-    move_people,
-    parse_fault_spec,
-    run_episode,
-    run_episodes,
-    sense,
-    actuate,
-    step_world,
-)
-from .neural import (
-    GenomeShapeMismatch,
-    NetworkTopology,
-    NeuralController,
-    decode,
-    load_genome,
-    save_genome,
-)
-from .evolution import (
-    FitnessReport,
-    GAConfig,
-    Genome,
-    MetricsOutOfRange,
-    ObserverResult,
-    evaluate_solution,
-    evolve_generation,
-    fitness,
-    load_ga_config,
-    run_observer,
-)
+
+#: the numpy half, served on first use (PEP 562): each submodule and the names
+#: the package exports from it, so a command that needs none of it loads no numpy
+_LAZY = {name: module for module, names in (
+    ("world", "ControllerBatch EpisodeMetrics FaultSpec InvalidConfig UnknownFault UnknownTarget "
+              "WorldConfig init_world load_world_config move_people parse_fault_spec run_episode "
+              "run_episodes sense actuate step_world"),
+    ("neural", "GenomeShapeMismatch NetworkTopology NeuralController decode load_genome "
+               "save_genome"),
+    ("evolution", "FitnessReport GAConfig Genome MetricsOutOfRange ObserverResult "
+                  "evaluate_solution evolve_generation fitness load_ga_config run_observer"),
+) for name in (module, *names.split())}
+
+#: ``from masharness import *`` gives every name the package exports, both halves
+__all__ = [*(name for name in globals() if not name.startswith("_")), *_LAZY]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # world first, as an eager import had it: compiled before its own numpy
+    # import runs, world.py does not raise a process's peak memory
+    _import_module(".world", __name__)
+    loaded = _import_module(f".{module}", __name__)
+    return loaded if name == module else getattr(loaded, name)
+
 
 __version__ = "0.1.0"

@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .logmodel import (
@@ -219,8 +220,9 @@ class Broker:
     def declare_queue(self, name: str, patterns, capacity: int = DEFAULT_CAPACITY) -> QueueHandle:
         """Create a named queue bound to one or more patterns.
 
-        Raises DuplicateQueue on a name collision and InvalidPattern if the
-        binding list is empty or contains a malformed pattern.
+        Raises DuplicateQueue on a name collision, BrokerError if the name is
+        not a str, and InvalidPattern if ``patterns`` is a str or not iterable, is
+        empty, or contains a malformed pattern.
         """
         if type(capacity) is not int:
             raise BrokerError(f"capacity must be an int, got {_shown(capacity)}")
@@ -237,11 +239,19 @@ class Broker:
         subscriber is done: it gets no further event, its ``matched`` and
         ``delivered`` counts stop there, and a key no one else binds is no
         longer built into an event.  Names share the queue namespace; the
-        errors are those of declare_queue.
+        errors are those of declare_queue, and BrokerError if ``deliver`` is
+        not callable.
         """
+        if not callable(deliver):
+            raise BrokerError(f"deliver must be callable, got {_shown(deliver)}")
         self._bind(name, patterns, 0, deliver)
 
     def _bind(self, name, patterns, capacity, deliver) -> tuple[BindingPattern, ...]:
+        if not isinstance(name, str):
+            raise BrokerError(f"queue name must be a str, got {_shown(name)}")
+        # a str is iterable too, but its characters are no binding list
+        if isinstance(patterns, str) or not isinstance(patterns, Iterable):
+            raise InvalidPattern(f"binding patterns must be a list, got {_shown(patterns)}")
         parsed = tuple(
             p if isinstance(p, BindingPattern) else parse_binding_pattern(p)
             for p in patterns

@@ -7,6 +7,11 @@ the manifest is the only output containing wall-clock time, so repeated
 runs with the same flags produce byte-identical taps and reports.  ``test``
 steps its machines inline as broker subscribers on the publishing thread,
 so it starts no threads.
+
+Importing this module loads ``logmodel``, ``broker`` and ``testkit``, and no
+numpy.  ``timeline`` runs on those alone.  ``simulate``, ``test`` and
+``evolve`` import ``world`` and ``neural`` (and so numpy) when they run, and
+``test`` and ``evolve`` also ``evolution``.
 """
 
 from __future__ import annotations
@@ -21,34 +26,21 @@ from itertools import islice
 from operator import le
 
 from .broker import Broker, BrokerError, _match
-from .evolution import evaluate_solution, load_ga_config, run_observer
 from .logmodel import LogModelError, open_output, parse_binding_pattern, read_tap
-from .neural import GenomeShapeMismatch, NetworkTopology, decode, load_genome, save_genome
-from .testkit import (
-    TestkitError,
-    format_report,
-    judge,
-    load_test_plan,
-)
-from .world import (
-    WorldError,
-    load_world_config,
-    parse_fault_spec,
-    run_episode,
-)
+from .testkit import TestkitError, format_report, judge, load_test_plan
 
 USAGE_ERROR = 2
 TEST_FAILURE = 1
 
-_USER_ERRORS = (
-    WorldError,
-    TestkitError,
-    LogModelError,
-    GenomeShapeMismatch,
-    BrokerError,
-    OSError,
-    argparse.ArgumentError,
-)
+_USER_ERRORS = (TestkitError, LogModelError, BrokerError, OSError, argparse.ArgumentError)
+#: the numpy half's user errors, by module: neither is raised before its module loads
+_LAZY_USER_ERRORS = {"masharness.world": "WorldError", "masharness.neural": "GenomeShapeMismatch"}
+
+
+def _user_errors() -> tuple[type[Exception], ...]:
+    """The errors ``main`` reports as one line, the numpy half's from loaded modules only."""
+    return _USER_ERRORS + tuple(getattr(sys.modules[module], name) for module, name
+                                in _LAZY_USER_ERRORS.items() if module in sys.modules)
 
 
 @functools.lru_cache(maxsize=8)  # four assets are shipped
@@ -60,7 +52,12 @@ def data_path(name: str) -> str:
 def _episode_inputs(args):
     """``simulate``'s and ``test``'s (config, topology, genes, faults, manifest entries).
 
-    An empty --config or --genome names the packaged default, as no flag does."""
+    An empty --config or --genome names the packaged default, as no flag does.
+    It imports world before neural, as every command does, so that world.py
+    is compiled before numpy is loaded and does not raise the peak memory."""
+    from .world import load_world_config, parse_fault_spec
+    from .neural import load_genome
+
     config_path = args.config or data_path("world.cfg")
     genome_path = args.genome or data_path("demo_genome.txt")
     config = load_world_config(config_path)
@@ -94,6 +91,9 @@ def write_manifest(path: str, command: str, entries: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .world import run_episode
+    from .neural import decode
+
     config, topology, genes, faults, inputs = _episode_inputs(args)
     tap = args.tap or "tap.log"
     # one plain episode with full world logging; no observer protocol here
@@ -120,6 +120,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
+    from .world import load_world_config
+    from .neural import NetworkTopology, save_genome
+    from .evolution import load_ga_config, run_observer
+
     config_path = args.config or data_path("world.cfg")
     config = load_world_config(config_path)
     ga_path = args.ga_config or data_path("ga.cfg")
@@ -166,6 +170,8 @@ def cmd_test(args) -> int:
         # a plan without cases would run the episode and print no verdict
         raise TestkitError(f"plan {plan_path} has no test cases")
     config, topology, genes, faults, inputs = _episode_inputs(args)
+    from .evolution import evaluate_solution  # after _episode_inputs imports world
+
     stats = {}
     with Broker(tap=args.tap) as broker:
         finish = judge(cases, broker)
@@ -281,7 +287,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:  # --help printed its text; a usage error raises ArgumentError
         return 0
-    except _USER_ERRORS as exc:
+    except _user_errors() as exc:  # evaluated once an exception reaches it
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -137,6 +137,20 @@ class TestDeclareQueue:
         with pytest.raises(BrokerError, match="^capacity must be positive, got an int of 16610 bits$"):
             Broker().declare_queue("q", ["#"], capacity=-10 ** 5000)
 
+    @pytest.mark.parametrize("name,shown", [(5, "5"), (["u"], r"\['u'\]"), (None, "None")])
+    def test_a_name_that_is_not_a_str_is_refused(self, name, shown):
+        broker = Broker()
+        with pytest.raises(BrokerError, match=f"^queue name must be a str, got {shown}$"):
+            broker.declare_queue(name, ["#"])
+        assert broker.stats().queues == {}
+
+    @pytest.mark.parametrize("patterns", ["ab", "a.#", None, 5])
+    def test_a_pattern_list_that_is_a_str_or_not_iterable_is_refused(self, patterns):
+        broker = Broker()
+        with pytest.raises(InvalidPattern, match="^binding patterns must be a list, got "):
+            broker.declare_queue("x", patterns)
+        assert broker.stats().queues == {}
+
 
 class TestPublish:
     def test_receipt_counts_matching_queues(self):
@@ -872,10 +886,18 @@ class TestSubscribe:
         with pytest.raises(DuplicateQueue):
             broker.declare_queue("s", ["#"])
 
-    @pytest.mark.parametrize("patterns", [[], ["a..b"]])
+    @pytest.mark.parametrize("patterns", [[], ["a..b"], "ab"])
     def test_bad_patterns_are_rejected(self, patterns):
         with pytest.raises(InvalidPattern):
             Broker().subscribe("s", patterns, lambda ev: None)
+
+    @pytest.mark.parametrize("deliver,shown", [(None, "None"), (5, "5")])
+    def test_a_deliver_that_is_not_callable_is_refused_before_binding(self, deliver, shown):
+        broker = Broker()
+        with pytest.raises(BrokerError, match=f"^deliver must be callable, got {shown}$"):
+            broker.subscribe("s", ["#"], deliver)
+        assert broker.stats().queues == {}
+        assert broker.publish(event(clock=broker.clock)) == 0
 
     def test_concurrent_publishers_lose_no_delivery(self):
         broker = Broker()

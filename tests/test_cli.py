@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -330,7 +331,7 @@ class TestEvolve:
     def test_a_history_path_that_is_a_directory_fails_before_the_ga(
             self, tmp_path, capsys, monkeypatch):
         (tmp_path / "winner.txt.history").mkdir()
-        monkeypatch.setattr(cli, "run_observer", lambda *args: pytest.fail("the GA ran"))
+        monkeypatch.setattr(evolution, "run_observer", lambda *args: pytest.fail("the GA ran"))
         code = main([
             "evolve", "--config", small_world(tmp_path), "--ga-config", self.ga_file(tmp_path),
             "--genome", str(tmp_path / "winner.txt"), "--manifest", str(tmp_path / "m.txt"),
@@ -548,7 +549,7 @@ class TestTest:
             )
             return evaluate_solution(config, genes, topology, broker, **kwargs)
 
-        monkeypatch.setattr(cli, "evaluate_solution", evaluate_after_an_error)
+        monkeypatch.setattr(evolution, "evaluate_solution", evaluate_after_an_error)
         manifest, tap = out_paths(tmp_path)
         code = main(["test", "--manifest", manifest, "--tap", tap])
         out = capsys.readouterr().out
@@ -1110,6 +1111,115 @@ class TestGoldenTimeline:
         out = capsys.readouterr().out
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TIMELINES[pattern]
+
+
+#: what only simulate, test and evolve need, in the order they start to import
+#: it: world.py is compiled before numpy is imported, as an eager import had it
+NUMPY_HALF = ["masharness.world", "numpy", "masharness.neural", "masharness.evolution"]
+
+#: every name masharness/__init__.py exports, by the module that defines it
+EXPORTS = {
+    "logmodel": "BindingPattern EventClock InvalidPattern InvalidTag KeyTooLong LogEvent "
+                "RoutingKey make_log_event parse_binding_pattern routing_key",
+    "broker": "AgentPublisher Broker BrokerStats DuplicateQueue QueueClosed QueueHandle matches",
+    "testkit": "BindingMismatch ParseError TestCase TestMachine TestVerdict TransitionSpec "
+               "compile judge load_test_plan merge_timeline run",
+    "world": "ControllerBatch EpisodeMetrics FaultSpec InvalidConfig UnknownFault UnknownTarget "
+             "WorldConfig init_world load_world_config move_people parse_fault_spec "
+             "run_episode run_episodes sense actuate step_world",
+    "neural": "GenomeShapeMismatch NetworkTopology NeuralController decode load_genome "
+              "save_genome",
+    "evolution": "FitnessReport GAConfig Genome MetricsOutOfRange ObserverResult "
+                 "evaluate_solution evolve_generation fitness load_ga_config run_observer",
+}
+
+
+def fresh_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` run in a new interpreter on the package this process imported."""
+    source = os.path.dirname(os.path.dirname(masharness.__file__))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": source})
+
+
+#: runs ``main(argv)`` in a fresh process, then prints the numpy half's
+#: modules in the order their imports started (the ``import`` audit event)
+LOADED_BY_MAIN = (
+    f"import sys; half = {NUMPY_HALF!r}; started = []; "
+    "sys.addaudithook(lambda event, args: event == 'import' and args[0] in half "
+    "and started.append(args[0])); "
+    "from masharness.cli import main; code = main(sys.argv[1:]); "
+    "print(started, file=sys.stderr); sys.exit(code)"
+)
+
+
+class TestColdStart:
+    """A CLI process loads numpy only for the commands that run it."""
+
+    @pytest.mark.parametrize("module", ["masharness", "masharness.cli"])
+    def test_an_import_loads_no_numpy(self, module):
+        proc = fresh_python(f"import sys, {module}; "
+                            f"print([m for m in sys.modules if m in {NUMPY_HALF!r}])")
+        assert proc.returncode == 0 and proc.stdout == b"[]\n"
+
+    @pytest.mark.parametrize("pattern", ["lightContainer.node10.#", "#"])
+    def test_timeline_prints_the_same_bytes_with_numpy_blocked(
+            self, go_dark_tap, tmp_path, pattern):
+        argv = ["timeline", pattern, "--tap", go_dark_tap, "--manifest", str(tmp_path / "m.txt")]
+        blocked = fresh_python("import sys; sys.modules['numpy'] = None; " + LOADED_BY_MAIN,
+                               *argv)
+        unblocked = fresh_python(LOADED_BY_MAIN, *argv)
+        assert blocked.returncode == unblocked.returncode == 0
+        assert blocked.stderr == unblocked.stderr == b"[]\n"
+        assert blocked.stdout == unblocked.stdout
+        assert hashlib.sha256(blocked.stdout).hexdigest() == GOLDEN_TIMELINES[pattern]
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["simulate", "--genome", "missing.txt"], NUMPY_HALF[:3]),
+        (["test", "--tap", "."], NUMPY_HALF),  # a directory: refused once the episode is set up
+        (["evolve", "--ga-config", "missing.cfg"], NUMPY_HALF),
+    ], ids=["simulate", "test", "evolve"])
+    def test_a_command_imports_world_first(self, tmp_path, argv, loaded):
+        proc = fresh_python(LOADED_BY_MAIN, *argv, "--manifest", "m.txt", cwd=tmp_path)
+        assert proc.returncode == USAGE_ERROR
+        error, modules = proc.stderr.decode().splitlines()
+        assert error.startswith("error: ")
+        assert modules == repr(loaded)
+
+    @pytest.mark.parametrize("argv,error", [
+        (["test", "--config", "world.cfg"], "error: config world.cfg: grid dimensions"),
+        (["simulate", "--genome", "genome.txt"], "error: genome genome.txt: header promises"),
+    ], ids=["world-config", "genome"])
+    def test_a_numpy_half_error_exits_two_in_a_fresh_process(self, tmp_path, argv, error):
+        (tmp_path / "world.cfg").write_text("gridWidth=0\n")
+        (tmp_path / "genome.txt").write_text("3 4 2\n1.0\n")
+        proc = fresh_python("import sys; from masharness.cli import main; "
+                            "sys.exit(main(sys.argv[1:]))", *argv, "--manifest", "m.txt",
+                            cwd=tmp_path)
+        assert proc.returncode == USAGE_ERROR
+        assert proc.stdout == b""
+        assert proc.stderr.decode().startswith(error) and proc.stderr.count(b"\n") == 1
+
+    def test_every_export_is_its_module_s_object(self):
+        for module, names in EXPORTS.items():
+            defining = importlib.import_module(f"masharness.{module}")
+            assert getattr(masharness, module) is defining
+            for name in names.split():
+                namespace = {}
+                exec(f"from masharness import {name}", namespace)
+                assert getattr(masharness, name) is namespace[name] is getattr(defining, name)
+
+    def test_a_star_import_gives_every_export_and_submodule(self):
+        namespace = {}
+        exec("from masharness import *", namespace)
+        del namespace["__builtins__"]
+        expected = {name for names in EXPORTS.values() for name in names.split()} | set(EXPORTS)
+        assert set(namespace) == expected
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+            masharness.nothing
+        with pytest.raises(ImportError):
+            exec("from masharness import nothing", {})
 
 
 def without_wallclock(data: bytes) -> bytes:

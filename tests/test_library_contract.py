@@ -4,8 +4,8 @@ A property test in the style of QuickCheck (Claessen and Hughes, ICFP 2000):
 every field of ``WorldConfig`` and ``GAConfig``, ``NetworkTopology``'s
 ``hiddenCount``, ``EventClock``'s start, ``reserve`` and ``advance_to``,
 ``TransitionSpec``'s alternatives and ``maxWait``, ``TestCase``'s
-``functionName`` and ``declare_queue``'s ``capacity`` are drawn from values
-the CLI never passes.
+``functionName``, and ``declare_queue``'s and ``subscribe``'s name, pattern
+list, ``capacity`` and ``deliver`` are drawn from values the CLI never passes.
 """
 
 from dataclasses import fields
@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from masharness.broker import Broker, BrokerError
 from masharness.evolution import GAConfig
-from masharness.logmodel import TIMESTAMP_LIMIT, EventClock, LogModelError, parse_binding_pattern
+from masharness.logmodel import (
+    TIMESTAMP_LIMIT,
+    EventClock,
+    InvalidPattern,
+    LogModelError,
+    parse_binding_pattern,
+)
 from masharness.neural import NetworkTopology
 from masharness.testkit import TestCase, TestkitError, TransitionSpec
 from masharness.world import InvalidConfig, WorldConfig
@@ -76,12 +82,26 @@ def test_a_call_returns_or_raises_its_module_s_error(world, ga, hidden, start, c
 
 
 @settings(max_examples=200, deadline=None)
-@given(alternatives=ALTERNATIVES, wait=ANY, name=st.one_of(ODD, st.just("n")), capacity=ANY)
+@given(alternatives=ALTERNATIVES, wait=ANY, name=st.one_of(ODD, st.just("n")), capacity=ANY,
+       queue=st.one_of(ODD, st.just("q")), patterns=st.one_of(ODD, st.just(["#"])),
+       deliver=st.one_of(ODD, st.just(lambda event: None)))
 def test_a_plan_or_queue_call_returns_or_raises_its_module_s_error(
-        alternatives, wait, name, capacity):
+        alternatives, wait, name, capacity, queue, patterns, deliver):
     transition = returns_or_raises(TestkitError, TransitionSpec, alternatives, wait)
     if transition is not None:
         assert type(transition.maxWait) is int and transition.maxWait >= 1
         returns_or_raises(TestkitError, TestCase, name, "local", "scenario", (transition,))
-    queue = returns_or_raises(BrokerError, Broker().declare_queue, "q", ["#"], capacity)
-    assert queue is None or type(capacity) is int and capacity >= 1
+    queues, subscribers = Broker(), Broker()
+    handle = returns_or_raises((BrokerError, InvalidPattern), queues.declare_queue,
+                               queue, patterns, capacity)
+    assert handle is None or type(capacity) is int and capacity >= 1 and isinstance(queue, str)
+    try:
+        subscribers.subscribe(queue, patterns, deliver)
+    except (BrokerError, InvalidPattern):
+        pass
+    else:
+        assert callable(deliver) and isinstance(queue, str)
+    # whatever was bound, a publish routes without an error
+    for broker in (queues, subscribers):
+        assert broker.publisher("A", "a1").log(
+            "act", sourceUnit="U", sourceOperation="o", sourceLine=1, resource="r") in (0, 1)
