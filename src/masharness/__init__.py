@@ -64,11 +64,17 @@ def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # world first, as an eager import had it: compiled before its own numpy
-    # import runs, world.py does not raise a process's peak memory
-    _import_module(".world", __name__)
-    loaded = _import_module(f".{module}", __name__)
+    if module not in globals():  # an imported submodule is bound here
+        # world first, as an eager import had it: compiled before its own numpy
+        # import runs, world.py does not raise a process's peak memory
+        _import_module(".world", __name__)
+        _import_module(f".{module}", __name__)
+    loaded = globals()[module]
     return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
 
 
 __version__ = "0.1.0"

@@ -52,11 +52,8 @@ def data_path(name: str) -> str:
 def _episode_inputs(args):
     """``simulate``'s and ``test``'s (config, topology, genes, faults, manifest entries).
 
-    An empty --config or --genome names the packaged default, as no flag does.
-    It imports world before neural, as every command does, so that world.py
-    is compiled before numpy is loaded and does not raise the peak memory."""
-    from .world import load_world_config, parse_fault_spec
-    from .neural import load_genome
+    An empty --config or --genome names the packaged default, as no flag does."""
+    from . import load_genome, load_world_config, parse_fault_spec
 
     config_path = args.config or data_path("world.cfg")
     genome_path = args.genome or data_path("demo_genome.txt")
@@ -91,8 +88,7 @@ def write_manifest(path: str, command: str, entries: dict) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from .world import run_episode
-    from .neural import decode
+    from . import decode, run_episode
 
     config, topology, genes, faults, inputs = _episode_inputs(args)
     tap = args.tap or "tap.log"
@@ -120,9 +116,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    from .world import load_world_config
-    from .neural import NetworkTopology, save_genome
-    from .evolution import load_ga_config, run_observer
+    from . import NetworkTopology, load_ga_config, load_world_config, run_observer, save_genome
 
     config_path = args.config or data_path("world.cfg")
     config = load_world_config(config_path)
@@ -164,14 +158,14 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from . import evaluate_solution
+
     plan_path = args.plan or data_path("default_plan.txt")
     cases = load_test_plan(plan_path)
     if not cases:
         # a plan without cases would run the episode and print no verdict
         raise TestkitError(f"plan {plan_path} has no test cases")
     config, topology, genes, faults, inputs = _episode_inputs(args)
-    from .evolution import evaluate_solution  # after _episode_inputs imports world
-
     stats = {}
     with Broker(tap=args.tap) as broker:
         finish = judge(cases, broker)

@@ -1142,11 +1142,12 @@ def fresh_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess
 
 
 #: runs ``main(argv)`` in a fresh process, then prints the numpy half's
-#: modules in the order their imports started (the ``import`` audit event)
+#: modules in the order the import system first looked them up (a finder
+#: ahead of the others that records the name and finds nothing)
 LOADED_BY_MAIN = (
     f"import sys; half = {NUMPY_HALF!r}; started = []; "
-    "sys.addaudithook(lambda event, args: event == 'import' and args[0] in half "
-    "and started.append(args[0])); "
+    "sys.meta_path.insert(0, type('Seen', (), {'find_spec': staticmethod("
+    "lambda name, *args: started.append(name) if name in half else None)})); "
     "from masharness.cli import main; code = main(sys.argv[1:]); "
     "print(started, file=sys.stderr); sys.exit(code)"
 )
@@ -1207,6 +1208,14 @@ class TestColdStart:
                 namespace = {}
                 exec(f"from masharness import {name}", namespace)
                 assert getattr(masharness, name) is namespace[name] is getattr(defining, name)
+
+    def test_dir_lists_every_export_before_it_is_loaded(self):
+        proc = fresh_python(f"import sys, masharness; names = set(dir(masharness)); "
+                            f"print(sorted(m for m in sys.modules if m in {NUMPY_HALF!r})); "
+                            f"print(sorted({{*masharness.__all__, '__version__'}} - names))")
+        assert proc.returncode == 0 and proc.stdout == b"[]\n[]\n"
+        expected = {name for names in EXPORTS.values() for name in names.split()} | set(EXPORTS)
+        assert set(masharness.__all__) == expected
 
     def test_a_star_import_gives_every_export_and_submodule(self):
         namespace = {}

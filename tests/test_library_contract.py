@@ -91,10 +91,11 @@ def test_a_plan_or_queue_call_returns_or_raises_its_module_s_error(
     if transition is not None:
         assert type(transition.maxWait) is int and transition.maxWait >= 1
         returns_or_raises(TestkitError, TestCase, name, "local", "scenario", (transition,))
+    handle = returns_or_raises(BrokerError, Broker().declare_queue, "q", ["#"], capacity)
+    assert handle is None or type(capacity) is int and capacity >= 1
     queues, subscribers = Broker(), Broker()
-    handle = returns_or_raises((BrokerError, InvalidPattern), queues.declare_queue,
-                               queue, patterns, capacity)
-    assert handle is None or type(capacity) is int and capacity >= 1 and isinstance(queue, str)
+    handle = returns_or_raises((BrokerError, InvalidPattern), queues.declare_queue, queue, patterns)
+    assert handle is None or isinstance(queue, str)
     try:
         subscribers.subscribe(queue, patterns, deliver)
     except (BrokerError, InvalidPattern):
