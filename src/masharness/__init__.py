@@ -30,23 +30,13 @@ from .broker import (
     QueueHandle,
     matches,
 )
-from .testkit import (
-    BindingMismatch,
-    ParseError,
-    TestCase,
-    TestMachine,
-    TestVerdict,
-    TransitionSpec,
-    compile,
-    judge,
-    load_test_plan,
-    merge_timeline,
-    run,
-)
 
-#: the numpy half, served on first use (PEP 562): each submodule and the names
-#: the package exports from it, so a command that needs none of it loads no numpy
+#: ``testkit`` and the numpy half, served on first use (PEP 562): each submodule
+#: and the names the package exports from it, so a command that needs none of
+#: it loads no numpy, and ``timeline`` no test machines
 _LAZY = {name: module for module, names in (
+    ("testkit", "BindingMismatch ParseError TestCase TestMachine TestVerdict TransitionSpec "
+                "compile judge load_test_plan merge_timeline run"),
     ("world", "ControllerBatch EpisodeMetrics FaultSpec InvalidConfig UnknownFault UnknownTarget "
               "WorldConfig init_world load_world_config move_people parse_fault_spec run_episode "
               "run_episodes sense actuate step_world"),
@@ -56,7 +46,7 @@ _LAZY = {name: module for module, names in (
                   "evaluate_solution evolve_generation fitness load_ga_config run_observer"),
 ) for name in (module, *names.split())}
 
-#: ``from masharness import *`` gives every name the package exports, both halves
+#: ``from masharness import *`` gives every name the package exports, eager or lazy
 __all__ = [*(name for name in globals() if not name.startswith("_")), *_LAZY]
 
 
@@ -65,9 +55,10 @@ def __getattr__(name: str):
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     if module not in globals():  # an imported submodule is bound here
-        # world first, as an eager import had it: compiled before its own numpy
-        # import runs, world.py does not raise a process's peak memory
-        _import_module(".world", __name__)
+        # the numpy half's world first, as an eager import had it: compiled before
+        # its own numpy import runs, world.py does not raise a process's peak memory
+        if module != "testkit":
+            _import_module(".world", __name__)
         _import_module(f".{module}", __name__)
     loaded = globals()[module]
     return loaded if name == module else getattr(loaded, name)

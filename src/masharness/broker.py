@@ -19,6 +19,19 @@ AMQP's ``basic.cancel``): it is then pruned from every class list in
 place, so a key it alone bound builds no event and no key is routed again.
 Queue consumers block on per-queue conditions, so slow consumers never
 stall publishers; a full queue drops its oldest event instead.
+
+A batch published again (``_publish_again``, a logged world's replayed
+period) goes by a plan that the caller keeps per batch.  Its first use
+fills it with the offset of the batch's first timestamp in its tick, the
+events some target binds with their class lists and, with a tap, the tap
+text cut around the tick digits: the first key and tab, then each event's
+offset in six digits, tab, message, newline and the next key and tab.  A
+publish at the same offset writes ``str(tick).join`` of those pieces and
+builds only the planned events whose class list is still non-empty.  A
+_bind, or class lists that start over, drop every plan; a new offset plans
+again; a batch on tick 0, whose stamps have no padded digits, or whose
+offset would carry into the tick digits takes _publish_batch's loop.  A
+broker with no tap formats no line, on any path: it counts them.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ from .logmodel import (
     HASH,
     MEMO_SIZE,
     STAR,
+    TICK_US,
     BindingPattern,
     BoundedMemo,
     EventClock,
@@ -216,6 +230,7 @@ class Broker:
         self._classes: dict[tuple[int, ...], list[_Queue]] = {}
         # (shared key table, queues), found on the first miss after a _bind
         self._table = None
+        self._epoch = 0  # counts the times the class lists started over
 
     def declare_queue(self, name: str, patterns, capacity: int = DEFAULT_CAPACITY) -> QueueHandle:
         """Create a named queue bound to one or more patterns.
@@ -267,6 +282,7 @@ class Broker:
             self._routes.clear()
             self._classes.clear()
             self._table = None
+            self._epoch += 1
         return parsed
 
     def _route(self, key: RoutingKey) -> list[_Queue]:
@@ -312,6 +328,7 @@ class Broker:
                 # a memoised route whose list left _classes would miss _prune
                 classes.clear()
                 self._routes.clear()
+                self._epoch += 1
             queues = self._table[1]
             route = classes[found] = [queues[i] for i in found if not queues[i].done]
         return route
@@ -351,8 +368,8 @@ class Broker:
         Taps, routing, delivery and stats are those of publishing the events
         one by one, but the batch takes the lock and the clock once, writes
         the tap once and builds only the events some binding matches.  The
-        callers (WorldState.publish, _replay) take messages from their own
-        format tables, so none is checked.  A closed broker raises QueueClosed
+        caller (WorldState.publish) takes messages from its own format
+        tables, so none is checked.  A closed broker raises QueueClosed
         before writing any; if a subscriber raises, or a message does not encode
         for the tap, the lines before its event (and a subscriber's own) are
         written and counted first.
@@ -360,26 +377,73 @@ class Broker:
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
-            timestamp = self.clock.reserve(len(batch))
-            routes, prune, tap = self._routes, self._prune, self._tap
-            lines = []
-            line = lines.append
-            try:
-                for key, message in batch:
-                    text = key.text
-                    route = routes.get(text)
-                    if route is None:
-                        route = self._route(key)
-                    if tap is not None and not message.isascii():
-                        message.encode("utf-8")  # a lone surrogate raises here
-                    line(f"{text}\t{timestamp}\t{message}\n")
-                    if route:
-                        _deliver(route, keyed_event(key, timestamp, message), prune)
-                    timestamp += 1
-            finally:
+            self._publish_each(batch, self.clock.reserve(len(batch)))
+
+    def _publish_each(self, batch, timestamp: int) -> None:
+        """_publish_batch's loop from ``timestamp``, under the lock: a line per event, if tapped."""
+        routes, prune, tap = self._routes, self._prune, self._tap
+        lines = []
+        line = lines.append
+        stamp = timestamp
+        try:
+            for key, message in batch:
+                text = key.text
+                route = routes.get(text)
+                if route is None:
+                    route = self._route(key)
                 if tap is not None:
-                    tap.write("".join(lines))
-                self._published += len(lines)
+                    if not message.isascii():
+                        message.encode("utf-8")  # a lone surrogate raises here
+                    line(f"{text}\t{stamp}\t{message}\n")
+                stamp += 1
+                if route:
+                    _deliver(route, keyed_event(key, stamp - 1, message), prune)
+        finally:
+            if tap is not None:
+                tap.write("".join(lines))
+            self._published += stamp - timestamp
+
+    def _publish_again(self, batch: list[tuple[RoutingKey, str]], plan: list) -> None:
+        """Publish a batch _publish_batch published before, as _publish_batch would.
+
+        ``plan`` is the caller's list for ``batch``, empty at first, filled on
+        first use and kept while the class lists and the offset are (see the
+        module docstring).  The messages were encoded for the tap when first
+        published, so a plan checks none of them again.
+        """
+        with self._lock:
+            if self._closed:
+                raise QueueClosed("broker is closed")
+            timestamp = self.clock.reserve(len(batch))
+            tick, offset = divmod(timestamp, TICK_US)
+            if not tick or offset + len(batch) > TICK_US:  # tick 0's stamps or a carry
+                return self._publish_each(batch, timestamp)
+            if plan[:2] != [self._epoch, offset]:
+                epoch, pieces, text = self._epoch, [], ""  # the epoch before routing
+                routed = [(i, key, message, route) for i, (key, message) in enumerate(batch)
+                          if (route := self._route(key))]
+                if self._tap is not None:
+                    for i, (key, message) in enumerate(batch, offset):
+                        pieces.append(f"{text}{key.text}\t")
+                        text = f"{i:06d}\t{message}\n"
+                    pieces.append(text)
+                plan[:] = [epoch, offset, pieces, routed]
+            epoch, _, pieces, routed = plan
+            if epoch != self._epoch:  # the class lists started over while planning
+                return self._publish_each(batch, timestamp)
+            prune, end = self._prune, len(batch)
+            try:
+                for i, key, message, route in routed:
+                    if route:
+                        end = i + 1  # the lines up to this event, should it raise
+                        _deliver(route, keyed_event(key, timestamp + i, message), prune)
+                end = len(batch)
+            finally:
+                if self._tap is not None:
+                    if end < len(batch):  # the lines up to the raise, less the next key
+                        pieces = [*pieces[:end], pieces[end][:-len(batch[end][0].text) - 1]]
+                    self._tap.write(str(tick).join(pieces))
+                self._published += end
 
     def consume(self, handle: QueueHandle, maxWait: float | None = None) -> LogEvent | None:
         """Pop the next event in FIFO order.

@@ -8,10 +8,10 @@ runs with the same flags produce byte-identical taps and reports.  ``test``
 steps its machines inline as broker subscribers on the publishing thread,
 so it starts no threads.
 
-Importing this module loads ``logmodel``, ``broker`` and ``testkit``, and no
-numpy.  ``timeline`` runs on those alone.  ``simulate``, ``test`` and
-``evolve`` import ``world`` and ``neural`` (and so numpy) when they run, and
-``test`` and ``evolve`` also ``evolution``.
+Importing this module loads ``logmodel`` and ``broker``, and no numpy.
+``timeline`` runs on those alone.  ``simulate``, ``test`` and ``evolve``
+import ``world`` and ``neural`` (and so numpy) when they run, ``test`` and
+``evolve`` also ``evolution``, and ``test`` first ``testkit``.
 """
 
 from __future__ import annotations
@@ -27,18 +27,18 @@ from operator import le
 
 from .broker import Broker, BrokerError, _match
 from .logmodel import LogModelError, open_output, parse_binding_pattern, read_tap
-from .testkit import TestkitError, format_report, judge, load_test_plan
 
 USAGE_ERROR = 2
 TEST_FAILURE = 1
 
-_USER_ERRORS = (TestkitError, LogModelError, BrokerError, OSError, argparse.ArgumentError)
-#: the numpy half's user errors, by module: neither is raised before its module loads
-_LAZY_USER_ERRORS = {"masharness.world": "WorldError", "masharness.neural": "GenomeShapeMismatch"}
+_USER_ERRORS = (LogModelError, BrokerError, OSError, argparse.ArgumentError)
+#: the lazily loaded modules' user errors, by module: none is raised before its module loads
+_LAZY_USER_ERRORS = {"masharness.testkit": "TestkitError", "masharness.world": "WorldError",
+                     "masharness.neural": "GenomeShapeMismatch"}
 
 
 def _user_errors() -> tuple[type[Exception], ...]:
-    """The errors ``main`` reports as one line, the numpy half's from loaded modules only."""
+    """The errors ``main`` reports as one line, the lazy modules' from loaded modules only."""
     return _USER_ERRORS + tuple(getattr(sys.modules[module], name) for module, name
                                 in _LAZY_USER_ERRORS.items() if module in sys.modules)
 
@@ -158,6 +158,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_test(args) -> int:
+    # testkit before numpy loads, so that compiling it does not raise the peak RSS
+    from .testkit import TestkitError, format_report, judge, load_test_plan
     from . import evaluate_solution
 
     plan_path = args.plan or data_path("default_plan.txt")

@@ -47,7 +47,11 @@ A silent row then leaves the batch.  A logged world keeps the sense and
 actuate batches of its ticks since the saved state, from its first save
 on, and replays the period: each tick left raises the clock floor and
 publishes that tick's recorded batches again.  No sense or actuate message
-holds the tick number, so the events are those of stepping on.
+holds the tick number, so the events are those of stepping on, and a line
+differs from its recorded one only in the tick digits of its timestamp.
+So each batch is replayed by a plan made on its first replay
+(Broker._publish_again): the tap text is written in one join around the
+tick digits, and only the events a live target binds are built.
 """
 
 from __future__ import annotations
@@ -620,11 +624,12 @@ class WorldState:
 
     def _replay(self, lag: int) -> None:
         """Publish the recorded ``lag`` ticks again, period after period, up to maxTicks."""
-        clock, publish, period = self.broker.clock, self.broker._publish_batch, self.period
+        clock, again, period = self.broker.clock, self.broker._publish_again, self.period
+        plans = [[] for _ in period]  # each batch's Broker._publish_again plan
         for n, tick in enumerate(range(self.tick + 1, self.config.maxTicks + 1)):
             clock.advance_to(tick * TICK_US)
-            publish(period[2 * (n % lag)])
-            publish(period[2 * (n % lag) + 1])
+            for i in (2 * (n % lag), 2 * (n % lag) + 1):
+                again(period[i], plans[i])
         self.ticks_replayed = self.config.maxTicks - self.tick
         self.tick = self.config.maxTicks
 

@@ -24,6 +24,7 @@ from masharness.broker import (
 from masharness.evolution import _OBSERVER_SITES
 from masharness.logmodel import (
     MEMO_SIZE,
+    TICK_US,
     BoundedMemo,
     EventClock,
     InvalidPattern,
@@ -464,15 +465,18 @@ class Boom(Exception):
 
 
 def publish_items(bindings, items, batched, *, start=0, raise_at=None, closed=False,
-                  retire_at=()):
+                  retire_at=(), again=(), tapped=True):
     """Publish ``items`` in one batch or one event at a time; returns what came out.
 
     Subscriber ``t<i>`` returns True at its ``retire_at[i]``-th event where
-    that is given, and None otherwise.
+    that is given, and None otherwise.  For each floor in ``again`` the
+    clock is raised to it and ``items`` published once more, a batch through
+    ``_publish_again`` with one plan kept across floors.  With ``tapped``
+    false the broker has no tap, and ``tap`` comes out as None.
     """
     with tempfile.TemporaryDirectory() as tmp:
         tap = f"{tmp}/tap.log"
-        broker = Broker(clock=EventClock(start), tap=tap)
+        broker = Broker(clock=EventClock(start), tap=tap if tapped else None)
         delivered = []
         handles = []
 
@@ -499,20 +503,28 @@ def publish_items(bindings, items, batched, *, start=0, raise_at=None, closed=Fa
         if closed:
             broker.close()
         raised = None
+        plan = []
         try:
-            if batched:
-                broker._publish_batch(items)
-            else:
-                for key, message in items:
-                    broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
+            for floor in (None, *again):
+                if floor is not None:
+                    broker.clock.advance_to(floor)
+                if batched and floor is None:
+                    broker._publish_batch(items)
+                elif batched:
+                    broker._publish_again(items, plan)
+                else:
+                    for key, message in items:
+                        broker.publish(keyed_event(key, broker.clock.next_timestamp(), message))
         except (Boom, QueueClosed) as exc:
             raised = exc
         stats = broker.stats()
         queued = [[(e, e.key) for e in iter(lambda h=h: h.consume(0.0), None)]
                   for h in handles] if not closed else []
         broker.close()
-        with open(tap, "rb") as fh:
-            tap_bytes = fh.read()
+        tap_bytes = None
+        if tapped:
+            with open(tap, "rb") as fh:
+                tap_bytes = fh.read()
         return dict(tap=tap_bytes, stats=stats, delivered=delivered, queued=queued,
                     raised=type(raised), next_timestamp=broker.clock.next_timestamp())
 
@@ -577,6 +589,173 @@ class TestPublishBatch:
         assert [e.message for e in load_tap(tap)] == ["ok"]
         assert [e.message for e in got] == ["ok"]
         assert broker.stats().published == 1
+
+
+#: clock floors to publish a batch again at: tick 0, where stamps are not padded,
+#: offsets 0-3 of ticks 1-3, and the last offsets of a tick, where a batch of
+#: up to 12 events carries into the next tick's digits
+AGAIN_FLOORS = st.lists(
+    st.builds(lambda tick, offset: tick * TICK_US + offset, st.integers(0, 3),
+              st.one_of(st.integers(0, 3), st.integers(TICK_US - 12, TICK_US - 1))),
+    min_size=1, max_size=4)
+
+
+class TestNoTap:
+    """A broker with no tap formats no line and counts, routes and delivers as a tapped one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(BATCH_BINDINGS, BATCH_ITEMS, st.one_of(st.none(), st.integers(1, 12)),
+           st.booleans(), st.lists(st.integers(1, 3).map(TICK_US.__mul__), max_size=2))
+    def test_equals_a_tapped_broker(self, bindings, items, raise_at, batched, again):
+        tapped = publish_items(bindings, items, batched, raise_at=raise_at, again=again)
+        untapped = publish_items(bindings, items, batched, raise_at=raise_at, again=again,
+                                 tapped=False)
+        assert untapped["tap"] is None
+        for field in ("stats", "delivered", "queued", "raised", "next_timestamp"):
+            assert untapped[field] == tapped[field]
+        # with a raise, published counts the lines up to and including its event
+        assert tapped["stats"].published == tapped["tap"].count(b"\n")
+
+    def test_formats_no_line(self):
+        class Message(str):
+            def __format__(self, spec):
+                raise AssertionError("formatted a tap line")
+
+        key = event_key("lightContainer", "node1", "ping", sourceUnit="Light",
+                        sourceOperation="act", sourceLine=7, resource="lightActuator")
+        broker = Broker()
+        broker._publish_batch([(key, Message("a")), (key, Message("b"))])
+        broker.clock.advance_to(TICK_US)
+        broker._publish_again([(key, Message("a"))], [])
+        assert broker.stats().published == 3
+
+
+class TestPublishAgain:
+    """A batch published again through its plan is the batch published through _publish_batch."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(BATCH_BINDINGS, BATCH_ITEMS, AGAIN_FLOORS, st.one_of(st.none(), st.integers(1, 40)),
+           st.booleans(), st.lists(st.one_of(st.none(), st.integers(1, 20)), max_size=4))
+    def test_equals_one_publish_per_event(self, bindings, items, floors, raise_at, tapped,
+                                          retire_at):
+        kwargs = dict(again=floors, raise_at=raise_at, tapped=tapped, retire_at=retire_at)
+        again = publish_items(bindings, items, True, **kwargs)
+        single = publish_items(bindings, items, False, **kwargs)
+        if again["raised"] is Boom:  # a batch has drawn its timestamps, one by one has not
+            del again["next_timestamp"], single["next_timestamp"]
+        assert again == single
+
+    @pytest.mark.parametrize("tapped", [True, False], ids=["tap", "no-tap"])
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_a_subscriber_raising_mid_replay_keeps_the_lines_through_its_event(
+            self, tmp_path, at, tapped):
+        tap = tmp_path / "tap.log"
+        pings = [(ping_key(f"node{i}"), f"m{i}") for i in range(5)]
+        # the third publish, the second from the plan, raises at event ``at``
+        stamp = 3 * TICK_US + 7 + at
+
+        def boom(event):
+            if event.timestamp == stamp:
+                raise Boom()
+
+        broker = Broker(tap=str(tap) if tapped else None)
+        broker.subscribe("boom", ["*.node0.#", "*.node2.#", "*.node4.#"], boom)
+        plan = []
+        broker._publish_batch(pings)
+        for tick in (2, 3):
+            broker.clock.advance_to(tick * TICK_US + 7)
+            with contextlib.suppress(Boom):
+                broker._publish_again(pings, plan)
+        broker.close()
+        published = 10 + at + 1
+        assert broker.stats().published == published
+        assert broker.stats().queues["boom"].delivered == 3 + 3 + at // 2 + 1
+        if tapped:
+            stamps = [e.timestamp for e in load_tap(tap)]
+            assert len(stamps) == published and stamps[-1] == stamp
+            assert stamps[5:] == [2 * TICK_US + 7 + i for i in range(5)] + list(
+                range(3 * TICK_US + 7, stamp + 1))
+
+    @pytest.mark.parametrize("floor", [0, 5, 2 * TICK_US - 3, 2 * TICK_US - 1],
+                             ids=["tick-0", "tick-0-offset", "carry-by-2", "carry-by-4"])
+    def test_a_batch_on_tick_0_or_carrying_takes_the_batch_loop(self, tmp_path, floor):
+        pings = [(ping_key(f"node{i}"), f"m{i}") for i in range(5)]
+        taps = []
+        for name in ("again", "batch"):
+            tap = tmp_path / f"{name}.log"
+            plan = []
+            with Broker(clock=EventClock(floor), tap=str(tap)) as broker:
+                if name == "again":
+                    broker._publish_again(pings, plan)
+                else:
+                    broker._publish_batch(pings)
+            assert plan == []
+            taps.append(tap.read_text())
+        assert taps[0] == taps[1] == "".join(
+            f"{key.text}\t{floor + i}\t{message}\n" for i, (key, message) in enumerate(pings))
+
+    def test_a_retirement_mid_replay_empties_the_planned_route(self):
+        pings = [(ping_key("node1"), "a"), (ping_key("node1"), "b")]
+        broker = Broker()
+        got = []
+        broker.subscribe("thrice", ["*.node1.#"], lambda event: got.append(event) or len(got) == 3)
+        broker._publish_batch(pings)
+        plan = []
+        for tick in (1, 2):
+            broker.clock.advance_to(tick * TICK_US)
+            broker._publish_again(pings, plan)
+        assert [(e.timestamp, e.message) for e in got] == [(0, "a"), (1, "b"), (TICK_US, "a")]
+        assert broker.stats().queues["thrice"].delivered == 3
+        assert broker.stats().published == 6
+
+    def test_a_subscribe_between_replays_drops_the_plan(self):
+        pings = [(ping_key("node1"), "a"), (ping_key("node2"), "b")]
+        broker = Broker()
+        early = []
+        broker.subscribe("early", ["*.node1.#"], early.append)
+        plan = []
+        broker._publish_batch(pings)
+        broker.clock.advance_to(TICK_US)
+        broker._publish_again(pings, plan)
+        epoch = plan[0]
+        late = []
+        broker.subscribe("late", ["#"], late.append)
+        broker.clock.advance_to(2 * TICK_US)
+        broker._publish_again(pings, plan)
+        assert plan[0] != epoch
+        assert [(e.timestamp, e.message) for e in late] == [(2 * TICK_US, "a"),
+                                                             (2 * TICK_US + 1, "b")]
+        assert [e.timestamp for e in early] == [0, TICK_US, 2 * TICK_US]
+
+    def test_class_lists_started_over_while_planning_take_the_batch_loop(self, monkeypatch):
+        # three classes, two kept: planning the batch empties the class lists, so a
+        # retirement would miss the plan's first lists; the batch loop routes it instead
+        monkeypatch.setattr(broker_module, "MEMO_SIZE", 2)
+        pings = [(ping_key(f"node{i}"), f"m{i}") for i in (1, 2, 3)]
+        runs = []
+        for again in (True, False):
+            broker = Broker()
+            got = []
+            broker.subscribe("once", ["#"], lambda event: got.append(("once", event)) or True)
+            for i in (1, 2, 3):
+                broker.subscribe(f"s{i}", [f"*.node{i}.#"],
+                                 functools.partial(lambda name, event: got.append((name, event)),
+                                                   f"s{i}"))
+            plan = []
+            for tick in (1, 2):
+                broker.clock.advance_to(tick * TICK_US)
+                if again:
+                    broker._publish_again(pings, plan)
+                else:
+                    broker._publish_batch(pings)
+            runs.append(([(name, e.timestamp) for name, e in got], broker.stats()))
+        assert runs[0] == runs[1]
+        assert [name for name, _ in runs[0][0]] == ["once", "s1", "s2", "s3", "s1", "s2", "s3"]
+
+
+def ping_key(agentName: str) -> RoutingKey:
+    return event_key("lightContainer", agentName, "ping", sourceUnit="Light",
+                     sourceOperation="act", sourceLine=7, resource="lightActuator")
 
 
 class TestRetiringSubscribers:

@@ -1,10 +1,10 @@
-"""A stateful model of one tapped Broker.
+"""A stateful model of one Broker, with a tap and without one.
 
 Each rule is one broker call made on the broker and on a plain model of it.
 After every step the tap, read back through load_tap, holds exactly the
-events the model accepted, ``stats().published`` is the tap's line count,
-and every queue's and subscriber's counters, buffer and deliveries are the
-model's.  Routes in the model come from the regex oracle, not the trie.
+events the model accepted, ``stats().published`` is their count, and every
+queue's and subscriber's counters, buffer and deliveries are the model's.
+Routes in the model come from the regex oracle, not the broker's scan.
 """
 
 import tempfile
@@ -13,7 +13,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from masharness.broker import Broker, DuplicateQueue, QueueClosed
-from masharness.logmodel import InvalidTag, event_key, load_tap
+from masharness.logmodel import TICK_US, InvalidTag, event_key, load_tap
 
 from oracles import oracle_matches
 
@@ -66,11 +66,14 @@ def tags_kwargs(tags):
 
 
 class BrokerModel(RuleBasedStateMachine):
+    tapped = True
+
     def __init__(self):
         super().__init__()
         self.dir = tempfile.TemporaryDirectory()
         self.tap = f"{self.dir.name}/tap.log"
-        self.broker = Broker(tap=self.tap)
+        self.broker = Broker(tap=self.tap if self.tapped else None)
+        self.batches = []  # (batch, plan) of each batch whose messages all encode
         self.targets: dict[str, Target] = {}  # in declaration order
         self.handles = {}
         self.got = {}  # subscriber name -> the events its callback was handed
@@ -182,9 +185,37 @@ class BrokerModel(RuleBasedStateMachine):
             raised = None
         expected, end = None, self.timestamp + len(batch)
         for key, message in batch:
-            if message == "x\ud800":
+            if message == "x\ud800" and self.tapped:  # only a tap line must encode
                 expected = UnicodeEncodeError
                 break
+            if self.accept(key.text, message)[1]:
+                expected = Boom
+                break
+        self.timestamp = end
+        assert raised is expected
+        if all(message != "x\ud800" for _, message in batch):
+            self.batches.append((batch, []))
+
+    @precondition(lambda self: self.batches)
+    # floors on tick 0, at the start of a tick, and where a batch carries into the next
+    @rule(data=st.data(), tick=st.integers(0, 4),
+          offset=st.one_of(st.integers(0, 2), st.integers(TICK_US - 5, TICK_US - 1)))
+    def publish_again(self, data, tick, offset):
+        batch, plan = data.draw(st.sampled_from(self.batches))
+        floor = tick * TICK_US + offset
+        self.broker.clock.advance_to(floor)
+        self.timestamp = max(self.timestamp, floor)
+        try:
+            self.broker._publish_again(batch, plan)
+        except QueueClosed:
+            assert self.closed
+            return
+        except Boom:
+            raised = Boom
+        else:
+            raised = None
+        expected, end = None, self.timestamp + len(batch)
+        for key, message in batch:
             if self.accept(key.text, message)[1]:
                 expected = Boom
                 break
@@ -217,12 +248,13 @@ class BrokerModel(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_the_model(self):
-        if self.broker._tap is not None:
-            self.broker._tap.flush()
-        tap = [(e.key.text, e.timestamp, e.message) for e in load_tap(self.tap)]
-        assert tap == self.accepted
+        if self.tapped:
+            if self.broker._tap is not None:
+                self.broker._tap.flush()
+            tap = [(e.key.text, e.timestamp, e.message) for e in load_tap(self.tap)]
+            assert tap == self.accepted
         stats = self.broker.stats()
-        assert stats.published == len(tap)
+        assert stats.published == len(self.accepted)
         assert {name: (s.matched, s.delivered, s.dropped, s.buffered)
                 for name, s in stats.queues.items()} == {
                     name: t.counts() for name, t in self.targets.items()}
@@ -233,5 +265,11 @@ class BrokerModel(RuleBasedStateMachine):
         self.timestamp += 1
 
 
-BrokerModel.TestCase.settings = settings(max_examples=50, stateful_step_count=25, deadline=None)
+class UntappedBrokerModel(BrokerModel):
+    tapped = False
+
+
 TestBrokerModel = BrokerModel.TestCase
+TestUntappedBrokerModel = UntappedBrokerModel.TestCase
+TestBrokerModel.settings = TestUntappedBrokerModel.settings = settings(
+    max_examples=50, stateful_step_count=25, deadline=None)

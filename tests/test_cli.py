@@ -1116,6 +1116,8 @@ class TestGoldenTimeline:
 #: what only simulate, test and evolve need, in the order they start to import
 #: it: world.py is compiled before numpy is imported, as an eager import had it
 NUMPY_HALF = ["masharness.world", "numpy", "masharness.neural", "masharness.evolution"]
+#: what a CLI process loads only for the commands that run it: test machines and the numpy half
+LAZY_MODULES = ["masharness.testkit", *NUMPY_HALF]
 
 #: every name masharness/__init__.py exports, by the module that defines it
 EXPORTS = {
@@ -1141,11 +1143,11 @@ def fresh_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess
                           env={**os.environ, "PYTHONPATH": source})
 
 
-#: runs ``main(argv)`` in a fresh process, then prints the numpy half's
-#: modules in the order the import system first looked them up (a finder
-#: ahead of the others that records the name and finds nothing)
+#: runs ``main(argv)`` in a fresh process, then prints the lazy modules in
+#: the order the import system first looked them up (a finder ahead of the
+#: others that records the name and finds nothing)
 LOADED_BY_MAIN = (
-    f"import sys; half = {NUMPY_HALF!r}; started = []; "
+    f"import sys; half = {LAZY_MODULES!r}; started = []; "
     "sys.meta_path.insert(0, type('Seen', (), {'find_spec': staticmethod("
     "lambda name, *args: started.append(name) if name in half else None)})); "
     "from masharness.cli import main; code = main(sys.argv[1:]); "
@@ -1154,12 +1156,12 @@ LOADED_BY_MAIN = (
 
 
 class TestColdStart:
-    """A CLI process loads numpy only for the commands that run it."""
+    """A CLI process loads numpy and testkit only for the commands that run them."""
 
     @pytest.mark.parametrize("module", ["masharness", "masharness.cli"])
     def test_an_import_loads_no_numpy(self, module):
         proc = fresh_python(f"import sys, {module}; "
-                            f"print([m for m in sys.modules if m in {NUMPY_HALF!r}])")
+                            f"print([m for m in sys.modules if m in {LAZY_MODULES!r}])")
         assert proc.returncode == 0 and proc.stdout == b"[]\n"
 
     @pytest.mark.parametrize("pattern", ["lightContainer.node10.#", "#"])
@@ -1176,7 +1178,8 @@ class TestColdStart:
 
     @pytest.mark.parametrize("argv,loaded", [
         (["simulate", "--genome", "missing.txt"], NUMPY_HALF[:3]),
-        (["test", "--tap", "."], NUMPY_HALF),  # a directory: refused once the episode is set up
+        # a directory: refused once the episode is set up; testkit compiles before numpy loads
+        (["test", "--tap", "."], LAZY_MODULES),
         (["evolve", "--ga-config", "missing.cfg"], NUMPY_HALF),
     ], ids=["simulate", "test", "evolve"])
     def test_a_command_imports_world_first(self, tmp_path, argv, loaded):
@@ -1211,7 +1214,7 @@ class TestColdStart:
 
     def test_dir_lists_every_export_before_it_is_loaded(self):
         proc = fresh_python(f"import sys, masharness; names = set(dir(masharness)); "
-                            f"print(sorted(m for m in sys.modules if m in {NUMPY_HALF!r})); "
+                            f"print(sorted(m for m in sys.modules if m in {LAZY_MODULES!r})); "
                             f"print(sorted({{*masharness.__all__, '__version__'}} - names))")
         assert proc.returncode == 0 and proc.stdout == b"[]\n[]\n"
         expected = {name for names in EXPORTS.values() for name in names.split()} | set(EXPORTS)
