@@ -10,7 +10,9 @@ and at the end of the session prints one line for each ``if`` or
 ``while`` taken only one way, each ``for`` never entered and each
 ``except`` never taken.  A header that spans several lines counts the
 arcs from every one of its lines.  A frame's entry and exit are marked
-by the negated first line of its code object.
+by the negated first line of its code object.  Each file is read when its
+first frame is traced, and judged on that source, so an edit made while
+the suite runs does not shift the lines its arcs are reported against.
 
 It sees statements only: not conditional expressions, ``and``/``or``,
 comprehension filters or a one-line ``if x: y``.  It uses the standard
@@ -32,12 +34,17 @@ _PREFIX = f"{ROOT}/"
 #: file path -> {(from line, to line)}
 ARCS: dict[str, set[tuple[int, int]]] = defaultdict(set)
 
+#: file path -> its source when its first frame was traced
+SOURCES: dict[str, str] = {}
+
 
 def _trace(frame, event, arg):
     """Global trace function: a local tracer for each frame of a file under ROOT."""
     code = frame.f_code
     if not code.co_filename.startswith(_PREFIX):
         return None
+    if code.co_filename not in SOURCES:
+        SOURCES[code.co_filename] = Path(code.co_filename).read_text(encoding="utf-8")
     arcs, edge = ARCS[code.co_filename], -code.co_firstlineno
     last = edge
 
@@ -107,10 +114,21 @@ def pytest_configure(config):
     threading.settrace(_trace)
 
 
+def report(root: Path = ROOT) -> list[str]:
+    """``<file>:<line>: <finding>`` for each one-sided branch of each file under ``root``."""
+    lines = []
+    for path in sorted(root.rglob("*.py")):
+        source = SOURCES.get(str(path))
+        if source is None:  # never traced
+            source = path.read_text(encoding="utf-8")
+        for line, finding in one_sided(source, ARCS[str(path)]):
+            lines.append(f"{path.relative_to(root)}:{line}: {finding}")
+    return lines
+
+
 def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
     threading.settrace(None)
     terminalreporter.section("one-sided branches in src/masharness")
-    for path in sorted(ROOT.rglob("*.py")):
-        for line, finding in one_sided(path.read_text(encoding="utf-8"), ARCS[str(path)]):
-            terminalreporter.write_line(f"{path.relative_to(ROOT)}:{line}: {finding}")
+    for line in report():
+        terminalreporter.write_line(line)

@@ -16,6 +16,7 @@ from .logmodel import (
     InvalidTag,
     KeyTooLong,
     LogEvent,
+    MasharnessError,
     RoutingKey,
     make_log_event,
     parse_binding_pattern,

@@ -51,7 +51,9 @@ from .logmodel import (
     BoundedMemo,
     EventClock,
     InvalidPattern,
+    InvalidTag,
     LogEvent,
+    MasharnessError,
     RoutingKey,
     _shown,
     keyed_event,
@@ -63,7 +65,7 @@ from .logmodel import (
 DEFAULT_CAPACITY = 65536
 
 
-class BrokerError(Exception):
+class BrokerError(MasharnessError):
     """Base class for broker usage errors."""
 
 
@@ -106,13 +108,19 @@ def _match(pattern: tuple[str, ...], key: tuple[str, ...]) -> bool:
 
 
 def matches(pattern: BindingPattern | str, key: RoutingKey | LogEvent | str) -> bool:
-    """Decide whether a binding pattern matches a routing key."""
+    """Decide whether a binding pattern matches a routing key.
+
+    Raises InvalidPattern for a pattern, and InvalidTag for a key, of another type."""
     if isinstance(pattern, str):
         pattern = parse_binding_pattern(pattern)
+    elif not isinstance(pattern, BindingPattern):
+        raise InvalidPattern(f"pattern must be a BindingPattern or str, got {_shown(pattern)}")
     if isinstance(key, LogEvent):
         key = key.key
-    if isinstance(key, str):
+    elif isinstance(key, str):
         key = RoutingKey(tuple(key.split(".")))
+    elif not isinstance(key, RoutingKey):
+        raise InvalidTag(f"key must be a RoutingKey, LogEvent or str, got {_shown(key)}")
     return _match(pattern.segments, key.segments)
 
 

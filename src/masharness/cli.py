@@ -25,22 +25,13 @@ from importlib import resources
 from itertools import islice
 from operator import le
 
-from .broker import Broker, BrokerError, _match
-from .logmodel import LogModelError, open_output, parse_binding_pattern, read_tap
+from .broker import Broker, _match
+from .logmodel import MasharnessError, open_output, parse_binding_pattern, read_tap
 
 USAGE_ERROR = 2
 TEST_FAILURE = 1
 
-_USER_ERRORS = (LogModelError, BrokerError, OSError, argparse.ArgumentError)
-#: the lazily loaded modules' user errors, by module: none is raised before its module loads
-_LAZY_USER_ERRORS = {"masharness.testkit": "TestkitError", "masharness.world": "WorldError",
-                     "masharness.neural": "GenomeShapeMismatch"}
-
-
-def _user_errors() -> tuple[type[Exception], ...]:
-    """The errors ``main`` reports as one line, the lazy modules' from loaded modules only."""
-    return _USER_ERRORS + tuple(getattr(sys.modules[module], name) for module, name
-                                in _LAZY_USER_ERRORS.items() if module in sys.modules)
+_USER_ERRORS = (MasharnessError, OSError, argparse.ArgumentError)
 
 
 @functools.lru_cache(maxsize=8)  # four assets are shipped
@@ -159,14 +150,14 @@ def cmd_evolve(args) -> int:
 
 def cmd_test(args) -> int:
     # testkit before numpy loads, so that compiling it does not raise the peak RSS
-    from .testkit import TestkitError, format_report, judge, load_test_plan
+    from .testkit import format_report, judge, load_test_plan
     from . import evaluate_solution
 
     plan_path = args.plan or data_path("default_plan.txt")
     cases = load_test_plan(plan_path)
     if not cases:
         # a plan without cases would run the episode and print no verdict
-        raise TestkitError(f"plan {plan_path} has no test cases")
+        raise MasharnessError(f"plan {plan_path} has no test cases")
     config, topology, genes, faults, inputs = _episode_inputs(args)
     stats = {}
     with Broker(tap=args.tap) as broker:
@@ -283,7 +274,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:  # --help printed its text; a usage error raises ArgumentError
         return 0
-    except _user_errors() as exc:  # evaluated once an exception reaches it
+    except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

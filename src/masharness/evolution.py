@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .broker import Broker
-from .logmodel import RoutingKey, intern_sites, keyed_event
+from .logmodel import MasharnessError, RoutingKey, intern_sites, keyed_event
 from .neural import INPUTS, MAX_HIDDEN, OUTPUTS, NetworkTopology, decode
 from .world import (
     ControllerBatch,
@@ -67,7 +67,11 @@ _OBSERVER_SITES = {
 
 
 class MetricsOutOfRange(ValueError):
-    """An episode metric fell outside [0, 1]."""
+    """An episode metric fell outside [0, 1]: a fault of the program, not of its input."""
+
+
+class UnscoredGenome(MasharnessError, ValueError):
+    """A population handed to evolve_generation holds a genome without a fitness."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,11 +207,11 @@ def evolve_generation(
 ) -> list[Genome]:
     """Produce the next population: elites survive, offspring fill the rest.
 
-    Every genome must be scored; the first without a fitness raises ValueError.
+    Every genome must be scored; the first without a fitness raises UnscoredGenome.
     """
     for i, genome in enumerate(population):
         if genome.fitness is None:
-            raise ValueError(f"genome {i} of the population has no fitness")
+            raise UnscoredGenome(f"genome {i} of the population has no fitness")
     elite_idx = pick_elites(population, config.elitism)
     next_pop = [
         Genome(genes=population[i].genes, fitness=population[i].fitness,

@@ -33,7 +33,11 @@ TICK_US = 1_000_000
 TIMESTAMP_LIMIT = 2 ** 63
 
 
-class LogModelError(ValueError):
+class MasharnessError(Exception):
+    """Base class of every error the package raises for input it refuses."""
+
+
+class LogModelError(MasharnessError, ValueError):
     """Base class for log event and pattern validation errors."""
 
 
@@ -425,6 +429,23 @@ def serialize_event(event: LogEvent) -> str:
     return f"{event.key.text}\t{event.timestamp}\t{event.message}"
 
 
+def _file_name(path, error: type[MasharnessError], what: str):
+    """``path`` if it names a file, else ``error``: ``open`` takes a bool or an int as an fd."""
+    if not isinstance(path, (str, bytes, os.PathLike)) or "\0" in os.fsdecode(path):
+        raise error(f"{what} path must be a str, bytes or os.PathLike without NUL, "
+                    f"got {_shown(path)}")
+    return path
+
+
+def read_lines(path, error: type[MasharnessError], what: str) -> list[str]:
+    """A UTF-8 text file's lines; one that does not decode raises ``error``, naming the file."""
+    with open(_file_name(path, error, what), "r", encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise error(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+
+
 def _in_place(path, flags: int) -> int:
     """``open``'s opener for mode "w" without O_TRUNC, so an old file is written over."""
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
@@ -457,7 +478,7 @@ def open_output(path) -> io.TextIOWrapper:
     truncation.  Any other path (``/dev/null``, a tty, a pipe) is written as a
     stream.  The name, permissions, symlink-following and errors are open's.
     """
-    buffer = open(path, "wb", opener=_in_place)
+    buffer = open(_file_name(path, LogModelError, "output"), "wb", opener=_in_place)
     return _Output(buffer, encoding="utf-8", line_buffering=buffer.isatty())
 
 
@@ -527,7 +548,7 @@ def read_tap(path, keep=None) -> Iterator[TapRecord]:
         known[key_text] = entry
         return entry
 
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_file_name(path, LogModelError, "tap"), "r", encoding="utf-8") as fh:
         try:
             for lineno, raw in enumerate(fh, 1):
                 parts = raw.split("\t", 2)

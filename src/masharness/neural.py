@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmodel import _shown, open_output
+from .logmodel import MasharnessError, _shown, open_output, read_lines
 
 #: a light controller maps 3 sensor inputs to 2 commands
 INPUTS = 3
@@ -24,7 +24,7 @@ OUTPUTS = 2
 MAX_HIDDEN = 100
 
 
-class GenomeShapeMismatch(ValueError):
+class GenomeShapeMismatch(MasharnessError, ValueError):
     """Gene count does not fit the declared topology."""
 
 
@@ -33,13 +33,14 @@ class NetworkTopology:
     hiddenCount: int = 4
 
     def __post_init__(self):
-        if type(self.hiddenCount) is not int:
-            raise ValueError(f"hiddenCount must be int, not {type(self.hiddenCount).__name__}")
-        if self.hiddenCount < 1:
-            raise ValueError(f"hiddenCount must be positive, got {_shown(self.hiddenCount)}")
-        if self.hiddenCount > MAX_HIDDEN:
-            raise ValueError(
-                f"hiddenCount must be at most {MAX_HIDDEN}, got {_shown(self.hiddenCount)}")
+        hidden = self.hiddenCount
+        if type(hidden) is not int:
+            raise GenomeShapeMismatch(f"hiddenCount must be int, not {type(hidden).__name__}")
+        if hidden < 1:
+            raise GenomeShapeMismatch(f"hiddenCount must be positive, got {_shown(hidden)}")
+        if hidden > MAX_HIDDEN:
+            raise GenomeShapeMismatch(
+                f"hiddenCount must be at most {MAX_HIDDEN}, got {_shown(hidden)}")
 
     @property
     def genomeLength(self) -> int:
@@ -61,7 +62,13 @@ class NeuralController:
 
 def _layers(genes, topology: NetworkTopology, ndim: int) -> list[np.ndarray]:
     """``genes`` as floats, ``ndim`` axes and a genome per last-axis row, then w1, b1, w2, b2."""
-    g, n_h, want = np.asarray(genes, dtype=float), topology.hiddenCount, topology.genomeLength
+    if not isinstance(topology, NetworkTopology):
+        raise GenomeShapeMismatch(f"topology must be a NetworkTopology, got {_shown(topology)}")
+    try:
+        g = np.asarray(genes, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a str, a complex, a ragged list, a huge int
+        raise GenomeShapeMismatch("genes must be finite numbers") from None
+    n_h, want = topology.hiddenCount, topology.genomeLength
     if g.ndim != ndim or g.shape[-1] != want:
         raise GenomeShapeMismatch(f"topology {INPUTS}-{n_h}-{OUTPUTS} needs {want} genes, "
                                   f"got {g.shape[-1] if g.ndim == ndim else g.size}")
@@ -76,7 +83,8 @@ def decode(genes, topology: NetworkTopology | None = None) -> NeuralController:
     """Unpack a flat gene sequence into a controller.
 
     Raises GenomeShapeMismatch when the gene count does not equal the
-    topology's genomeLength or a gene is not finite.
+    topology's genomeLength, a gene is not a finite number or the topology
+    is not a NetworkTopology.
     """
     return NeuralController(topology or NetworkTopology(), genes)
 
@@ -118,11 +126,7 @@ def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
 
 def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
     """Inverse of save_genome.  Raises GenomeShapeMismatch, naming the file, on a bad one."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        except UnicodeDecodeError as exc:
-            raise GenomeShapeMismatch(f"genome {path} is not UTF-8 text: {exc.reason}") from None
+    lines = [ln.strip() for ln in read_lines(path, GenomeShapeMismatch, "genome") if ln.strip()]
     if not lines:
         raise GenomeShapeMismatch(f"genome {path}: empty genome file")
     header = lines[0].split()
@@ -131,7 +135,7 @@ def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
     try:
         n_in, n_h, n_out = sizes = [int(tok) for tok in header]
         if min(sizes) < 1:
-            raise ValueError("all layer sizes must be positive")
+            raise GenomeShapeMismatch("all layer sizes must be positive")
         topology = NetworkTopology(hiddenCount=n_h)
         genes = tuple(float(tok) for tok in lines[1:])
     except ValueError as exc:

@@ -26,8 +26,10 @@ from .logmodel import (
     TICK_US,
     BindingPattern,
     LogEvent,
+    MasharnessError,
     _shown,
     parse_binding_pattern,
+    read_lines,
 )
 
 LEVELS = ("local", "global")
@@ -38,7 +40,7 @@ DEFAULT_MAX_WAIT_TICKS = 500
 MAX_WAIT_TICKS = 1_000_000_000
 
 
-class TestkitError(Exception):
+class TestkitError(MasharnessError):
     """Base class for test-plan and machine errors."""
 
 
@@ -360,65 +362,60 @@ def load_test_plan(path) -> list[TestCase]:
         name = None
         specs = []
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise TestkitError(f"plan {path} is not UTF-8 text: {exc.reason}") from None
-        for lineno, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if tokens[0] == "test":
-                flush()
-                if len(tokens) != 4:
-                    raise ParseError(
-                        "expected: test <name> level=<...> sublevel=<...>", lineno, path)
-                name = tokens[1]
-                if name in seen:
-                    raise ParseError(f"duplicate test name {name!r}", lineno, path)
-                seen.add(name)
-                header_line = lineno
-                level = sublevel = ""
-                for tok in tokens[2:]:
-                    if tok.startswith("level="):
-                        level = tok[len("level="):]
-                    elif tok.startswith("sublevel="):
-                        sublevel = tok[len("sublevel="):]
-                    else:
-                        raise ParseError(f"unknown option {tok!r}", lineno, path)
-                if not level or not sublevel:
-                    raise ParseError("both level= and sublevel= are required", lineno, path)
-            elif tokens[0] == "expect":
-                if name is None:
-                    raise ParseError("expect before any test header", lineno, path)
-                rest = tokens[1:]
-                max_wait = DEFAULT_MAX_WAIT_TICKS
-                if len(rest) >= 2 and rest[-2] == "within":
-                    dur = rest[-1]
-                    count = dur[: -len("ticks")]
-                    # isdecimal(), not isdigit(): int() refuses digits such as '²'
-                    if not dur.endswith("ticks") or not count.isdecimal():
-                        raise ParseError(f"bad duration {dur!r}, want <N>ticks", lineno, path)
-                    # more digits than the bound has, perhaps more than int() reads
-                    digits = count.lstrip("0") or "0"
-                    if len(digits) > len(str(MAX_WAIT_TICKS)):
-                        raise ParseError(f"maxWait must be at most {MAX_WAIT_TICKS} ticks, "
-                                         f"got a number of {len(digits)} digits", lineno, path)
-                    max_wait = int(digits)
-                    rest = rest[:-2]
-                if len(rest) != 1:
-                    raise ParseError(
-                        "expected: expect <pattern>[|<alt>...] [within <N>ticks]", lineno, path)
-                try:
-                    alts = tuple(
-                        parse_binding_pattern(p) for p in rest[0].split("|")
-                    )
-                    specs.append(TransitionSpec(alternatives=alts, maxWait=max_wait))
-                except (TestkitError, ValueError) as exc:
-                    raise ParseError(str(exc), lineno, path) from exc
-            else:
-                raise ParseError(f"unknown directive {tokens[0]!r}", lineno, path)
+    for lineno, raw in enumerate(read_lines(path, TestkitError, "plan"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if tokens[0] == "test":
+            flush()
+            if len(tokens) != 4:
+                raise ParseError(
+                    "expected: test <name> level=<...> sublevel=<...>", lineno, path)
+            name = tokens[1]
+            if name in seen:
+                raise ParseError(f"duplicate test name {name!r}", lineno, path)
+            seen.add(name)
+            header_line = lineno
+            level = sublevel = ""
+            for tok in tokens[2:]:
+                if tok.startswith("level="):
+                    level = tok[len("level="):]
+                elif tok.startswith("sublevel="):
+                    sublevel = tok[len("sublevel="):]
+                else:
+                    raise ParseError(f"unknown option {tok!r}", lineno, path)
+            if not level or not sublevel:
+                raise ParseError("both level= and sublevel= are required", lineno, path)
+        elif tokens[0] == "expect":
+            if name is None:
+                raise ParseError("expect before any test header", lineno, path)
+            rest = tokens[1:]
+            max_wait = DEFAULT_MAX_WAIT_TICKS
+            if len(rest) >= 2 and rest[-2] == "within":
+                dur = rest[-1]
+                count = dur[: -len("ticks")]
+                # isdecimal(), not isdigit(): int() refuses digits such as '²'
+                if not dur.endswith("ticks") or not count.isdecimal():
+                    raise ParseError(f"bad duration {dur!r}, want <N>ticks", lineno, path)
+                # more digits than the bound has, perhaps more than int() reads
+                digits = count.lstrip("0") or "0"
+                if len(digits) > len(str(MAX_WAIT_TICKS)):
+                    raise ParseError(f"maxWait must be at most {MAX_WAIT_TICKS} ticks, "
+                                     f"got a number of {len(digits)} digits", lineno, path)
+                max_wait = int(digits)
+                rest = rest[:-2]
+            if len(rest) != 1:
+                raise ParseError(
+                    "expected: expect <pattern>[|<alt>...] [within <N>ticks]", lineno, path)
+            try:
+                alts = tuple(
+                    parse_binding_pattern(p) for p in rest[0].split("|")
+                )
+                specs.append(TransitionSpec(alternatives=alts, maxWait=max_wait))
+            except MasharnessError as exc:
+                raise ParseError(str(exc), lineno, path) from exc
+        else:
+            raise ParseError(f"unknown directive {tokens[0]!r}", lineno, path)
     flush()
     return cases

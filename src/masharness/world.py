@@ -62,7 +62,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .broker import Broker
-from .logmodel import TICK_US, BoundedMemo, RoutingKey, _shown, intern_sites
+from .logmodel import (TICK_US, BoundedMemo, MasharnessError, RoutingKey, _shown, intern_sites,
+                       read_lines)
 from .neural import NeuralController, stack_layers, stacked_outputs
 
 FAULT_GO_DARK = "go-dark"
@@ -149,7 +150,7 @@ _LOG_SITES = {
 }
 
 
-class WorldError(Exception):
+class WorldError(MasharnessError):
     """Base class for simulation errors."""
 
 
@@ -238,12 +239,7 @@ def load_config(cls, path):
     """
     kinds = {f.name: type(f.default) for f in fields(cls)}
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = fh.readlines()
-        except UnicodeDecodeError as exc:
-            raise InvalidConfig(f"config {path} is not UTF-8 text: {exc.reason}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_lines(path, InvalidConfig, "config"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

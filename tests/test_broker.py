@@ -103,6 +103,16 @@ class TestMatches:
         key = ".".join(key_segs)
         assert matches(pattern, key) == oracle_matches(pattern, key)
 
+    @pytest.mark.parametrize("pattern", [5, None, ("a", "#"), b"a.#"])
+    def test_a_pattern_of_another_type_is_an_invalid_pattern(self, pattern):
+        with pytest.raises(InvalidPattern, match="^pattern must be a BindingPattern or str, got "):
+            matches(pattern, "a.b")
+
+    @pytest.mark.parametrize("key", [5, None, ("a", "b"), b"a.b"])
+    def test_a_key_of_another_type_is_an_invalid_tag(self, key):
+        with pytest.raises(InvalidTag, match="^key must be a RoutingKey, LogEvent or str, got "):
+            matches("a.#", key)
+
 
 class TestDeclareQueue:
     def test_duplicate_name_is_rejected(self):

@@ -1122,7 +1122,7 @@ LAZY_MODULES = ["masharness.testkit", *NUMPY_HALF]
 #: every name masharness/__init__.py exports, by the module that defines it
 EXPORTS = {
     "logmodel": "BindingPattern EventClock InvalidPattern InvalidTag KeyTooLong LogEvent "
-                "RoutingKey make_log_event parse_binding_pattern routing_key",
+                "MasharnessError RoutingKey make_log_event parse_binding_pattern routing_key",
     "broker": "AgentPublisher Broker BrokerStats DuplicateQueue QueueClosed QueueHandle matches",
     "testkit": "BindingMismatch ParseError TestCase TestMachine TestVerdict TransitionSpec "
                "compile judge load_test_plan merge_timeline run",
@@ -1238,6 +1238,47 @@ def without_wallclock(data: bytes) -> bytes:
     """A manifest's bytes without its wallclock line, the one line two runs may differ in."""
     return b"".join(ln for ln in data.splitlines(keepends=True)
                     if not ln.startswith(b"wallclock: "))
+
+
+#: calls every reader and writer of a file name with fd 1 (True and 1) and with a
+#: descriptor open on the file named by argv[1], then prints to stdout
+DESCRIPTOR_PATHS = """
+import os, sys
+import masharness as m
+from masharness.logmodel import load_tap, open_output, read_tap
+fd = os.open(sys.argv[1], os.O_RDWR)
+calls = {
+    "load_world_config": m.load_world_config, "load_ga_config": m.load_ga_config,
+    "load_genome": m.load_genome, "load_test_plan": m.load_test_plan, "load_tap": load_tap,
+    "read_tap": lambda path: next(read_tap(path)), "open_output": open_output,
+    "tap": lambda path: m.Broker(tap=path).close(),
+    "save_genome": lambda path: m.save_genome(path, [0.0] * 26),
+}
+for name, call in calls.items():
+    for path in (True, 1, fd):
+        try:
+            call(path)
+        except m.MasharnessError as exc:
+            print(name, type(exc).__name__, exc, file=sys.stderr)
+        else:
+            print(name, path, "was not refused", file=sys.stderr)
+print("stdout is open")
+"""
+
+
+class TestDescriptorPaths:
+    """A path ``open`` would take as a file descriptor is refused before anything is opened."""
+
+    def test_no_descriptor_is_read_closed_or_cut(self, tmp_path):
+        kept = tmp_path / "kept.txt"
+        kept.write_bytes(b"3 4 2\nold bytes\n")
+        proc = fresh_python(DESCRIPTOR_PATHS, str(kept))
+        assert proc.returncode == 0 and proc.stdout == b"stdout is open\n"
+        refusals = proc.stderr.decode().splitlines()
+        assert len(refusals) == 9 * 3
+        assert all(re.fullmatch(r"\w+ \w+ \w+ path must be a str, bytes or os\.PathLike "
+                                r"without NUL, got (True|\d+)", line) for line in refusals), refusals
+        assert kept.read_bytes() == b"3 4 2\nold bytes\n"
 
 
 class TestInPlaceOutputs:

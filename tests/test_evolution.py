@@ -19,6 +19,7 @@ from masharness.evolution import (
     GenerationStats,
     Genome,
     MetricsOutOfRange,
+    UnscoredGenome,
     evaluate_solution,
     evolve_generation,
     fitness,
@@ -300,6 +301,8 @@ class TestOperators:
                       Genome(genes=(0.5, 0.6))]
         config = GAConfig(populationSize=3, elitism=1)
         with pytest.raises(ValueError, match=r"^genome 1 of the population has no fitness$"):
+            self.evolve(population, config)
+        with pytest.raises(UnscoredGenome):
             self.evolve(population, config)
 
     def test_no_variation_copies_tournament_winners(self):

@@ -42,6 +42,9 @@ class TestTopology:
     def test_degenerate_layer_sizes_are_rejected(self):
         with pytest.raises(ValueError):
             NetworkTopology(hiddenCount=0)
+        # the refusal is the genome's error, so a library caller catches one class
+        with pytest.raises(GenomeShapeMismatch, match="^hiddenCount must be positive, got 0$"):
+            NetworkTopology(hiddenCount=0)
         # one bound for every topology, GAConfig's included
         assert evolution.MAX_HIDDEN is MAX_HIDDEN == 100
         assert NetworkTopology(hiddenCount=MAX_HIDDEN).genomeLength == 602
@@ -70,6 +73,18 @@ class TestDecode:
         genes[7] = bad
         with pytest.raises(GenomeShapeMismatch, match="finite"):
             decode(genes)
+
+    @pytest.mark.parametrize("genes", [["x"] * 26, [1j] * 26, [10 ** 400] * 26,
+                                       [[0.0], [0.0, 1.0]], object()],
+                             ids=["str", "complex", "huge-int", "ragged", "object"])
+    def test_genes_that_are_not_numbers_are_rejected(self, genes):
+        with pytest.raises(GenomeShapeMismatch, match="^genes must be finite numbers$"):
+            decode(genes)
+
+    @pytest.mark.parametrize("topology", [4, "3 4 2", (4,)])
+    def test_a_topology_of_another_type_is_rejected(self, topology):
+        with pytest.raises(GenomeShapeMismatch, match="^topology must be a NetworkTopology, got "):
+            decode([0.0] * 26, topology)
 
     def test_a_controller_gives_back_its_genes(self):
         genes = [float(n) for n in range(26)]

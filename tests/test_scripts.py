@@ -1,6 +1,7 @@
 """The dev scripts under scripts/ import and run against the library as it is."""
 
 import importlib.util
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -84,3 +85,24 @@ def test_the_branch_report_names_each_one_sided_branch():
     # leaving another scope is not a way past the if at 15
     assert one_sided(BRANCHY, both - {(15, -1)} | {(15, -7)}) == [(15, "if never false")]
     assert one_sided(BRANCHY, both - {(6, 8), (8, 6)}) == [(6, "while never true")]
+
+
+def test_the_branch_report_judges_a_file_on_the_source_it_traced(tmp_path):
+    branch_arcs = load_script("branch_arcs")
+    branch_arcs._PREFIX = f"{tmp_path}/"
+    path = tmp_path / "branchy.py"
+    path.write_text(BRANCHY, encoding="utf-8")
+    namespace = {}
+    exec(compile(BRANCHY, str(path), "exec"), namespace)
+    previous = sys.gettrace()
+    sys.settrace(branch_arcs._trace)
+    try:
+        namespace["f"]([])
+    finally:
+        sys.settrace(previous)
+    # two lines put above the code while the run goes on move none of its findings
+    path.write_text("# one\n# two\n" + BRANCHY, encoding="utf-8")
+    assert branch_arcs.report(tmp_path) == [
+        "branchy.py:2: if never true", "branchy.py:4: for never entered",
+        "branchy.py:6: while never true", "branchy.py:11: except never taken",
+        "branchy.py:15: if never false"]
