@@ -6,19 +6,20 @@ matched against every binding's patterns and handed (at most once per
 queue or subscriber) before the next publish is admitted.  A batch of
 interned keys and messages (``_publish_batch``) is admitted as one, with one
 clock reservation and one tap write, and builds events only for bound keys.
-A key's route class is the tuple of the targets (queues and subscribers)
-it matches.  A table shared by every broker with equal binding lists maps
-key text to class, and only a key new to that table is matched against
-every binding, in declaration order.  Each broker keeps one list of live
-targets per class and memoises key text to that list, so a repeated key
-costs one dict lookup.  Both memos hold ROUTE_KEYS keys, more than the
-largest accepted grid logs, so a table matches each key once.  A
-subscriber's callback runs inside the publish, in publish order, on the
-publishing thread, and may return True once it wants no more events (as
-AMQP's ``basic.cancel``): it is then pruned from every class list in
-place, so a key it alone bound builds no event and no key is routed again.
-Queue consumers block on per-queue conditions, so slow consumers never
-stall publishers; a full queue drops its oldest event instead.
+A key's route class is the set of the targets (queues and subscribers) it
+matches, as an int with bit i set for target i.  A table shared by every
+broker with equal binding lists maps key text to class, and only a key new
+to that table is matched against every binding, in declaration order.
+Each broker keeps one list of live targets per class, so a repeated key
+costs two dict lookups.  The table holds ROUTE_KEYS keys, more than the
+largest accepted grid logs, so it matches each key once.  Every target is
+handed an event the same way: a subscriber's callback runs inside the
+publish, in publish order, on the publishing thread, and may return True
+once it wants no more events (as AMQP's ``basic.cancel``): it is then
+pruned from every class list in place, so a key it alone bound builds no
+event and no key is routed again.  A queue's callback buffers the event,
+dropping its oldest one when full, and its consumers block on per-queue
+conditions, so slow consumers never stall publishers.
 
 A batch published again (``_publish_again``, a logged world's replayed
 period) goes by a plan that the caller keeps per batch.  Its first use
@@ -124,19 +125,19 @@ def matches(pattern: BindingPattern | str, key: RoutingKey | LogEvent | str) -> 
     return _match(pattern.segments, key.segments)
 
 
-#: keys a route memo holds before it starts over: more than the largest
+#: keys a shared route table holds before it starts over: more than the largest
 #: accepted grid can log, 9 x MAX_LIGHTS + 8 world and 13 observer keys (90,021)
 ROUTE_KEYS = 2 ** 17
 
 #: key text -> class by binding lists, shared across brokers; a key's class is
-#: the ascending tuple of the target indices it matches
+#: the int whose bit i is set when it matches target i
 _route_tables = BoundedMemo(64)
 
 
-def _scan(queues, key: tuple[str, ...]) -> tuple[int, ...]:
-    """The indices of the targets with a binding that matches ``key``, in declaration order."""
-    return tuple(i for i, q in enumerate(queues)
-                 if any(_match(pattern.segments, key) for pattern in q.bindings))
+def _scan(queues, key: tuple[str, ...]) -> int:
+    """The class of ``key``: bit i is set when target i has a binding that matches it."""
+    return sum(1 << i for i, q in enumerate(queues)
+               if any(_match(pattern.segments, key) for pattern in q.bindings))
 
 
 def _deliver(route, event: LogEvent, prune) -> None:
@@ -149,16 +150,8 @@ def _deliver(route, event: LogEvent, prune) -> None:
     try:
         for q in route:
             q.matched += 1
-            if q.deliver is not None:
-                q.delivered += 1
-                if q.deliver(event) is True:
-                    q.done = retired = True
-                continue
-            if len(q.buffer) >= q.capacity:
-                q.buffer.popleft()
-                q.dropped += 1
-            q.buffer.append(event)
-            q.cond.notify()
+            if q.deliver(event) is True:
+                q.done = retired = True
     finally:
         if retired:
             prune()
@@ -198,11 +191,11 @@ class QueueHandle:
 
 
 class _Queue:
-    """A declared queue, or a subscriber when ``deliver`` is set; ``done``
-    once the subscriber has asked for no more events."""
+    """A subscriber, or a declared queue whose ``deliver`` is its own
+    ``_buffer``; ``done`` once a subscriber has asked for no more events."""
 
     __slots__ = ("name", "bindings", "buffer", "capacity", "cond", "deliver", "done",
-                 "matched", "delivered", "dropped")
+                 "matched", "dropped")
 
     def __init__(self, name, bindings, capacity, lock, deliver):
         self.name = name
@@ -210,11 +203,18 @@ class _Queue:
         self.buffer: deque[LogEvent] = deque()
         self.capacity = capacity
         self.cond = threading.Condition(lock)
-        self.deliver = deliver
+        self.deliver = deliver if deliver is not None else self._buffer
         self.done = False
         self.matched = 0
-        self.delivered = 0
         self.dropped = 0
+
+    def _buffer(self, event: LogEvent) -> None:
+        """Append ``event``, dropping the oldest one first when full, and wake a consumer."""
+        if len(self.buffer) >= self.capacity:
+            self.buffer.popleft()
+            self.dropped += 1
+        self.buffer.append(event)
+        self.cond.notify()
 
 
 class Broker:
@@ -222,22 +222,28 @@ class Broker:
 
     ``tap`` names a file that mirrors every published event (one serialized
     line each, including events that matched no queue).  The file is written
-    from its start and cut to the written length by ``close`` (open_output).
+    from its start and cut to the written length by ``close`` (open_output);
+    only None means no tap.  ``clock`` must be an EventClock, or None for a
+    new one; BrokerError otherwise.
     """
 
     def __init__(self, clock: EventClock | None = None, tap: str | None = None):
-        self.clock = clock if clock is not None else EventClock()
+        if clock is None:
+            clock = EventClock()
+        elif not isinstance(clock, EventClock):
+            raise BrokerError(f"clock must be an EventClock, got {_shown(clock)}")
+        self.clock = clock
         self._lock = threading.Lock()
         self._queues: dict[str, _Queue] = {}
         self._published = 0
         self._closed = False
-        self._tap = open_output(tap) if tap else None
-        # key text -> the list of its class in _classes
-        self._routes = BoundedMemo(ROUTE_KEYS)
+        self._tap = open_output(tap) if tap is not None else None
+        # key text -> class, shared by brokers with these binding lists and
+        # taken with the targets on the first route after a _bind
+        self._keys: dict[str, int] = {}
+        self._targets: tuple[_Queue, ...] | None = None
         # class -> the queues and live subscribers of its indices, in declaration order
-        self._classes: dict[tuple[int, ...], list[_Queue]] = {}
-        # (shared key table, queues), found on the first miss after a _bind
-        self._table = None
+        self._classes: dict[int, list[_Queue]] = {}
         self._epoch = 0  # counts the times the class lists started over
 
     def declare_queue(self, name: str, patterns, capacity: int = DEFAULT_CAPACITY) -> QueueHandle:
@@ -287,9 +293,8 @@ class Broker:
             if name in self._queues:
                 raise DuplicateQueue(f"queue {name!r} already declared")
             self._queues[name] = _Queue(name, parsed, capacity, self._lock, deliver)
-            self._routes.clear()
+            self._keys, self._targets = {}, None
             self._classes.clear()
-            self._table = None
             self._epoch += 1
         return parsed
 
@@ -298,51 +303,33 @@ class Broker:
 
         That is the list of the key's class, which _prune keeps free of done
         subscribers; the table shared with other brokers is left as it is.
-        The first miss after a _bind takes that table and every route it holds;
-        a key new to it is scanned against every binding once.
+        The first route after a _bind takes that table; a key new to it is
+        scanned against every binding once, and a class new to the broker
+        gets its list.
         """
-        text = key.text
-        route = self._routes.get(text)
-        if route is None and self._table is None:
-            self._share()
-            route = self._routes.get(text)
-        if route is None:
-            shared, queues = self._table
-            found = shared.get(text)
-            if found is None:
-                found = shared.remember(text, _scan(queues, key.segments))
-            route = self._routes.remember(text, self._class(found))
-        return route
-
-    def _share(self) -> None:
-        """Find the table shared by brokers with these binding lists, and memoise its routes."""
-        queues = tuple(self._queues.values())
-        bindings = tuple(q.bindings for q in queues)
-        shared = _route_tables.get(bindings)
-        if shared is None:
-            shared = _route_tables.remember(bindings, BoundedMemo(ROUTE_KEYS))
-        self._table = (shared, queues)
-        # from a copy, as a broker on another thread may be adding keys; it
-        # holds at most ROUTE_KEYS of them, the bound of _routes
-        for text, found in shared.copy().items():
-            self._routes[text] = self._class(found)
-
-    def _class(self, found: tuple[int, ...]) -> list[_Queue]:
-        """The list of live queues and subscribers of a class, made on its first use."""
+        queues = self._targets
+        if queues is None:
+            queues = self._targets = tuple(self._queues.values())
+            bindings = tuple(q.bindings for q in queues)
+            self._keys = _route_tables.get(bindings)
+            if self._keys is None:
+                self._keys = _route_tables.remember(bindings, BoundedMemo(ROUTE_KEYS))
+        found = self._keys.get(key.text)
+        if found is None:
+            found = self._keys.remember(key.text, _scan(queues, key.segments))
         classes = self._classes
         route = classes.get(found)
         if route is None:
             if len(classes) >= MEMO_SIZE:
-                # a memoised route whose list left _classes would miss _prune
+                # a planned route whose list left _classes would miss _prune
                 classes.clear()
-                self._routes.clear()
                 self._epoch += 1
-            queues = self._table[1]
-            route = classes[found] = [queues[i] for i in found if not queues[i].done]
+            route = classes[found] = [q for i, q in enumerate(queues)
+                                      if found >> i & 1 and not q.done]
         return route
 
     def _prune(self) -> None:
-        """Drop done subscribers from every class list, in place, so memoised routes lose them too."""
+        """Drop done subscribers from every class list, in place, so plans lose them too."""
         for route in self._classes.values():
             route[:] = [q for q in route if not q.done]
 
@@ -359,7 +346,7 @@ class Broker:
         with self._lock:
             if self._closed:
                 raise QueueClosed("broker is closed")
-            route = self._routes.get(key.text)
+            route = self._classes.get(self._keys.get(key.text))
             if route is None:
                 route = self._route(key)
             matched = len(route)  # before _prune empties the list a retirement leaves
@@ -389,16 +376,17 @@ class Broker:
 
     def _publish_each(self, batch, timestamp: int) -> None:
         """_publish_batch's loop from ``timestamp``, under the lock: a line per event, if tapped."""
-        routes, prune, tap = self._routes, self._prune, self._tap
+        keys, classes, prune, tap = self._keys, self._classes, self._prune, self._tap
         lines = []
         line = lines.append
         stamp = timestamp
         try:
             for key, message in batch:
                 text = key.text
-                route = routes.get(text)
+                route = classes.get(keys.get(text))
                 if route is None:
                     route = self._route(key)
+                    keys = self._keys
                 if tap is not None:
                     if not message.isascii():
                         message.encode("utf-8")  # a lone surrogate raises here
@@ -459,18 +447,27 @@ class Broker:
         Blocks up to ``maxWait`` seconds (forever when None) and returns
         None on timeout.  Raises QueueClosed once the broker is closed and
         the queue has been drained; buffered events remain consumable after
-        close.
+        close.  Raises BrokerError for a handle of another broker, and for a
+        ``maxWait`` that is not an int or float, is NaN or is above
+        threading.TIMEOUT_MAX.
         """
+        if not isinstance(handle, QueueHandle) or handle._broker is not self:
+            raise BrokerError(f"handle must be a queue of this broker, got {_shown(handle)}")
+        if maxWait is not None and (isinstance(maxWait, bool)
+                                    or not isinstance(maxWait, (int, float))
+                                    or not maxWait <= threading.TIMEOUT_MAX):  # NaN too
+            raise BrokerError(f"maxWait must be None or at most {threading.TIMEOUT_MAX} seconds, "
+                              f"got {_shown(maxWait)}")
         q = self._queues[handle.name]
         with q.cond:
-            deadline = None if maxWait is None else time.monotonic() + maxWait
+            # at least 0, as an int far below it does not add to a float
+            deadline = None if maxWait is None else time.monotonic() + max(maxWait, 0)
             while not q.buffer and not self._closed:
                 remaining = None if deadline is None else deadline - time.monotonic()
                 if remaining is not None and remaining <= 0:
                     return None
                 q.cond.wait(remaining)
             if q.buffer:
-                q.delivered += 1
                 return q.buffer.popleft()
             raise QueueClosed(f"queue {handle.name!r} is closed and drained")
 
@@ -502,7 +499,7 @@ class Broker:
             queues = {
                 q.name: QueueStats(
                     matched=q.matched,
-                    delivered=q.delivered,
+                    delivered=q.matched - q.dropped - len(q.buffer),
                     dropped=q.dropped,
                     buffered=len(q.buffer),
                 )

@@ -118,7 +118,7 @@ def cmd_evolve(args) -> int:
     out_path = args.genome or "evolved_genome.txt"
     history_path = out_path + ".history"
     # opened before the GA runs, so an unwritable history path fails before any GA work
-    with Broker(tap=args.tap) as broker, open_output(history_path) as history:
+    with Broker(tap=args.tap or None) as broker, open_output(history_path) as history:
         result = run_observer(config, ga_config, broker)
         history.writelines(generation.line() + "\n" for generation in result.history)
     stats = _event_counts(broker)
@@ -160,7 +160,7 @@ def cmd_test(args) -> int:
         raise MasharnessError(f"plan {plan_path} has no test cases")
     config, topology, genes, faults, inputs = _episode_inputs(args)
     stats = {}
-    with Broker(tap=args.tap) as broker:
+    with Broker(tap=args.tap or None) as broker:
         finish = judge(cases, broker)
         report = evaluate_solution(config, genes, topology, broker, faults=faults, stats=stats)
     stats.update(_event_counts(broker))

@@ -266,6 +266,50 @@ class TestConsume:
         thread.join(timeout=5)
         assert outcome == ["closed"]
 
+    @pytest.mark.parametrize("wait", [float("nan"), float("inf"), 1e300, 10 ** 400,
+                                      threading.TIMEOUT_MAX * 2, "1", True, b"1", [1]],
+                             ids=["nan", "inf", "1e300", "10**400", "2*TIMEOUT_MAX", "str",
+                                  "True", "bytes", "list"])
+    def test_a_wait_it_cannot_wait_on_is_refused(self, wait):
+        # in a daemon thread, so that a call that waits forever fails the test, not the run
+        broker = Broker()
+        q = broker.declare_queue("q", ["#"])
+        outcome = []
+
+        def consumer():
+            try:
+                outcome.append(q.consume(wait))
+            except Exception as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=consumer, daemon=True)
+        try:
+            thread.start()
+            thread.join(timeout=5)
+            assert len(outcome) == 1 and type(outcome[0]) is BrokerError
+            assert "maxWait must be None or at most" in str(outcome[0])
+        finally:
+            broker.close()  # wakes a consumer still waiting
+            thread.join(timeout=5)
+
+    @pytest.mark.parametrize("wait", [0, 0.0, -0.0, -1, -1e300, -10 ** 400, float("-inf")],
+                             ids=["0", "0.0", "-0.0", "-1", "-1e300", "-10**400", "-inf"])
+    def test_a_wait_of_zero_or_below_returns_none_on_an_empty_queue(self, wait):
+        broker = Broker()
+        q = broker.declare_queue("q", ["#"])
+        assert q.consume(wait) is None
+        ev = event(clock=broker.clock)
+        broker.publish(ev)
+        assert q.consume(wait) == ev
+
+    def test_a_handle_of_another_broker_is_refused(self):
+        other = Broker().declare_queue("q", ["#"])
+        broker = Broker()
+        broker.declare_queue("q", ["#"])
+        for handle in (other, "q", None):
+            with pytest.raises(BrokerError, match="handle must be a queue of this broker"):
+                broker.consume(handle, 0)
+
 
 class TestStats:
     def test_counter_identity_per_queue(self):
@@ -318,15 +362,16 @@ class TestRouteMemo:
 
     def test_memos_stay_within_their_bound(self, monkeypatch):
         # a small route bound, and a fresh shared table made with it, so that
-        # a few thousand keys overflow both route memos
+        # a few thousand keys overflow the broker's shared table
         monkeypatch.setattr(broker_module, "ROUTE_KEYS", 64)
         monkeypatch.setattr(broker_module, "_route_tables", BoundedMemo(64))
         broker = Broker()
         broker.declare_queue("q", ["*.node1.#"], capacity=16)
         for i in range(MEMO_SIZE + 100):
             broker.publish(event(action=f"bound{i}", clock=broker.clock))
-            assert len(broker._routes) <= broker_module.ROUTE_KEYS
-            assert len(broker._table[0]) <= broker_module.ROUTE_KEYS
+            assert broker._keys is broker_module._route_tables[(broker._targets[0].bindings,)]
+            assert len(broker._keys) <= broker_module.ROUTE_KEYS
+            assert len(broker._classes) <= MEMO_SIZE
             assert len(_keys) <= MEMO_SIZE
             assert len(_valid_words) <= MEMO_SIZE
         assert broker.publish(event(action="bound0", clock=broker.clock)) == 1
@@ -1045,6 +1090,19 @@ class TestSubscribe:
         assert got == [sent[0], sent[1], sent[3]]  # once each, even when both bind
         assert counts == [1, 1, 0, 1, 0]
 
+    def test_a_false_callable_is_a_subscriber(self):
+        class Falsy(list):  # an empty list is false, and this one is callable
+            __call__ = list.append
+
+        broker = Broker()
+        got = Falsy()
+        broker.subscribe("s", ["#"], got)
+        ev = event(clock=broker.clock)
+        assert broker.publish(ev) == 1
+        assert got == [ev]
+        assert broker.stats().queues["s"] == QueueStats(matched=1, delivered=1, dropped=0,
+                                                        buffered=0)
+
     def test_stats_count_every_match_as_delivered(self):
         broker = Broker()
         broker.subscribe("s", ["lightContainer.#"], lambda ev: None)
@@ -1164,6 +1222,22 @@ def tap_events(draw):
     if odd is not None:
         fields[odd] = draw(ODD_VALUES[odd])
     return tuple(fields[name] for name in TAGS), fields["timestamp"], fields["message"]
+
+
+class TestBrokerArguments:
+    @pytest.mark.parametrize("clock", [5, 0, "clock", EventClock, object()],
+                             ids=["5", "0", "str", "the class", "object"])
+    def test_a_clock_that_is_not_an_event_clock_is_refused(self, clock):
+        with pytest.raises(BrokerError, match="clock must be an EventClock"):
+            Broker(clock=clock)
+
+    @pytest.mark.parametrize("tap", [0, 0.0, False, 1, True])
+    def test_only_none_means_no_tap(self, tap):
+        with pytest.raises(LogModelError, match="output path must be a str, bytes or os.PathLike"):
+            Broker(tap=tap)
+        with Broker(tap=None) as broker:
+            broker.publish(event(clock=broker.clock))
+        assert broker.stats().published == 1
 
 
 class TestTap:

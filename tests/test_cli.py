@@ -473,6 +473,25 @@ class TestEvolve:
         assert str(bad) in err
 
 
+class TestEmptyTap:
+    """``--tap ""`` on ``test`` and ``evolve`` is no tap, as leaving the flag out is."""
+
+    @pytest.mark.parametrize("command", ["test", "evolve"])
+    def test_an_empty_tap_runs_with_no_tap(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--manifest", "manifest.txt"]
+        if command == "evolve":
+            argv += ["--config", small_world(tmp_path), "--genome", "winner.txt",
+                     "--ga-config", TestEvolve().ga_file(tmp_path, generations=1)]
+        runs = []
+        for tap in ([], ["--tap", ""]):
+            assert main(argv + tap) in (0, 1)
+            runs.append((capsys.readouterr(), without_wallclock(Path("manifest.txt").read_bytes()),
+                         sorted(os.listdir())))
+        assert runs[0] == runs[1]
+        assert runs[0][0].err == "" and "tap.log" not in runs[0][2]
+
+
 class TestTest:
     def test_default_plan_passes_with_packaged_genome(self, tmp_path, capsys):
         manifest, tap = out_paths(tmp_path)

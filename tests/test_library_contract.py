@@ -4,8 +4,9 @@ A property test in the style of QuickCheck (Claessen and Hughes, ICFP 2000):
 every field of ``WorldConfig`` and ``GAConfig``, ``NetworkTopology``'s
 ``hiddenCount``, ``EventClock``'s start, ``reserve`` and ``advance_to``,
 ``TransitionSpec``'s alternatives and ``maxWait``, ``TestCase``'s
-``functionName``, and ``declare_queue``'s and ``subscribe``'s name, pattern
-list, ``capacity`` and ``deliver`` are drawn from values the CLI never passes.
+``functionName``, ``Broker``'s ``clock``, ``declare_queue``'s and
+``subscribe``'s name, pattern list, ``capacity`` and ``deliver``, and
+``consume``'s ``maxWait`` are drawn from values the CLI never passes.
 So are the arguments of every export that takes input from outside the
 program: the fault and pattern parsers, ``matches``, ``decode``, the file
 loaders, ``save_genome`` and a broker's tap, whose files hold drawn bytes.
@@ -17,6 +18,7 @@ check there would cost every tick.
 
 import os
 import tempfile
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -105,19 +107,35 @@ def test_a_call_returns_or_raises_its_module_s_error(world, ga, hidden, start, c
                 end = ts + n
 
 
+def log(broker):
+    return broker.publisher("A", "a1").log(
+        "act", sourceUnit="U", sourceOperation="o", sourceLine=1, resource="r")
+
+
 @settings(max_examples=200, deadline=None)
 @given(alternatives=ALTERNATIVES, wait=ANY, name=st.one_of(ODD, st.just("n")), capacity=ANY,
        queue=st.one_of(ODD, st.just("q")), patterns=st.one_of(ODD, st.just(["#"])),
-       deliver=st.one_of(ODD, st.just(lambda event: None)))
+       deliver=st.one_of(ODD, st.just(lambda event: None)),
+       clock=st.one_of(ODD, st.builds(EventClock)))
 def test_a_plan_or_queue_call_returns_or_raises_its_module_s_error(
-        alternatives, wait, name, capacity, queue, patterns, deliver):
+        alternatives, wait, name, capacity, queue, patterns, deliver, clock):
     transition = returns_or_raises(MasharnessError, TransitionSpec, alternatives, wait)
     if transition is not None:
         assert type(transition.maxWait) is int and transition.maxWait >= 1
         returns_or_raises(MasharnessError, TestCase, name, "local", "scenario", (transition,))
     handle = returns_or_raises(MasharnessError, Broker().declare_queue, "q", ["#"], capacity)
     assert handle is None or type(capacity) is int and capacity >= 1
-    queues, subscribers = Broker(), Broker()
+    # a queue holding one event hands it over, or refuses a wait it cannot wait on
+    broker = Broker()
+    handle = broker.declare_queue("q", ["#"])
+    log(broker)
+    waitable = wait is None or type(wait) in (int, float) and wait <= threading.TIMEOUT_MAX
+    assert (returns_or_raises(MasharnessError, handle.consume, wait) is not None) == waitable
+    if wait is not None and (not waitable or wait <= 0):  # empty now, so no event comes
+        assert returns_or_raises(MasharnessError, handle.consume, wait) is None
+    clocked = returns_or_raises(MasharnessError, Broker, clock=clock)
+    assert clocked is None or clock is None or isinstance(clock, EventClock)
+    queues, subscribers = clocked or Broker(), Broker()
     handle = returns_or_raises(MasharnessError, queues.declare_queue, queue, patterns)
     assert handle is None or isinstance(queue, str)
     try:
@@ -128,8 +146,7 @@ def test_a_plan_or_queue_call_returns_or_raises_its_module_s_error(
         assert callable(deliver) and isinstance(queue, str)
     # whatever was bound, a publish routes without an error
     for broker in (queues, subscribers):
-        assert broker.publisher("A", "a1").log(
-            "act", sourceUnit="U", sourceOperation="o", sourceLine=1, resource="r") in (0, 1)
+        assert log(broker) in (0, 1)
 
 
 #: an odd value that is not a file name; a bool would name stdin or stdout, which
@@ -179,8 +196,8 @@ def test_an_input_from_outside_returns_or_raises_the_root_error(
         broker = returns_or_raises(MasharnessError, Broker, tap=path)
         if broker is not None:
             broker.close()
-        if not on_disk:  # an odd value names no file; a false one is no tap
-            assert loaded == [None] * len(LOADERS) and (broker is None or not path)
+        if not on_disk:  # an odd value names no file; None is no tap
+            assert loaded == [None] * len(LOADERS) and (broker is None or path is None)
         try:
             save_genome(path, genes, topology)
         except MasharnessError:
