@@ -4,7 +4,10 @@ Exit codes are uniform across commands: 0 when everything passed, 1 when
 any test machine failed, 2 on usage, config, or input-file errors.  Every
 run writes one plain-text manifest describing what ran and what it emitted;
 the manifest is the only output containing wall-clock time, so repeated
-runs with the same flags produce byte-identical taps and reports.  ``test``
+runs with the same flags produce byte-identical taps and reports.  Each
+command returns its exit code and manifest entries, and ``main`` alone
+writes the manifest: a run that exits 2 after the manifest check writes
+its ``error:`` line there.  ``test``
 steps its machines inline as broker subscribers on the publishing thread,
 so it starts no threads.
 
@@ -17,6 +20,7 @@ import ``world`` and ``neural`` (and so numpy) when they run, ``test`` and
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 import time
@@ -58,16 +62,20 @@ def _episode_inputs(args):
     return config, topology, genes, faults, entries
 
 
-def _stats_entries(stats: dict) -> dict:
-    """A run's counters as ``stats.<name>`` manifest entries."""
-    return {f"stats.{name}": value for name, value in stats.items()}
-
-
-def _event_counts(broker: Broker) -> dict:
-    """A closed broker's events published, and delivered by all its queues and subscribers."""
+def _stats_entries(broker: Broker, **ticks) -> dict:
+    """A closed broker's run counters as ``stats.<name>`` manifest entries: the tick
+    counts, each queue's and subscriber's deliveries, then events published and
+    delivered in all."""
     counts = broker.stats()
-    return {"events_published": counts.published,
-            "events_delivered": sum(q.delivered for q in counts.queues.values())}
+    return {**{f"stats.{name}": value for name, value in ticks.items()},
+            **{f"stats.delivered.{name}": q.delivered for name, q in counts.queues.items()},
+            "stats.events_published": counts.published,
+            "stats.events_delivered": sum(q.delivered for q in counts.queues.values())}
+
+
+def _metrics(metrics) -> dict:
+    """An episode's metrics as ``pPeople``, ``pTrip`` and ``pEnergy`` entries."""
+    return {name: f"{getattr(metrics, name):.6f}" for name in ("pPeople", "pTrip", "pEnergy")}
 
 
 def write_manifest(path: str, command: str, entries: dict) -> None:
@@ -78,35 +86,27 @@ def write_manifest(path: str, command: str, entries: dict) -> None:
         fh.write(f"wallclock: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[int, dict]:
     from . import decode, run_episode
 
     config, topology, genes, faults, inputs = _episode_inputs(args)
     tap = args.tap or "tap.log"
     # one plain episode with full world logging; no observer protocol here
-    stats = {}
+    ticks = {}
     with Broker(tap=tap) as broker:
-        metrics = run_episode(config, decode(genes, topology), broker, faults=faults, stats=stats)
-    stats.update(_event_counts(broker))
-    print(f"pPeople={metrics.pPeople:.6f}")
-    print(f"pTrip={metrics.pTrip:.6f}")
-    print(f"pEnergy={metrics.pEnergy:.6f}")
-    write_manifest(
-        args.manifest,
-        "simulate",
-        {
-            **inputs,
-            "tap": tap,
-            "pPeople": f"{metrics.pPeople:.6f}",
-            "pTrip": f"{metrics.pTrip:.6f}",
-            "pEnergy": f"{metrics.pEnergy:.6f}",
-            **_stats_entries(stats),
-        },
-    )
-    return 0
+        metrics = _metrics(run_episode(config, decode(genes, topology), broker, faults=faults,
+                                       stats=ticks))
+    for name, value in metrics.items():
+        print(f"{name}={value}")
+    return 0, {
+        **inputs,
+        "tap": tap,
+        **metrics,
+        **_stats_entries(broker, **ticks),
+    }
 
 
-def cmd_evolve(args) -> int:
+def cmd_evolve(args) -> tuple[int, dict]:
     from . import NetworkTopology, load_ga_config, load_world_config, run_observer, save_genome
 
     config_path = args.config or data_path("world.cfg")
@@ -121,34 +121,27 @@ def cmd_evolve(args) -> int:
     with Broker(tap=args.tap or None) as broker, open_output(history_path) as history:
         result = run_observer(config, ga_config, broker)
         history.writelines(generation.line() + "\n" for generation in result.history)
-    stats = _event_counts(broker)
     save_genome(out_path, result.best.genes, NetworkTopology(hiddenCount=ga_config.hiddenCount))
     report = result.finalReport
     print(f"fitness={report.fitness:.6f}")
-    print(f"pPeople={report.metrics.pPeople:.6f}")
-    print(f"pTrip={report.metrics.pTrip:.6f}")
-    print(f"pEnergy={report.metrics.pEnergy:.6f}")
+    for name, value in _metrics(report.metrics).items():
+        print(f"{name}={value}")
     print(f"energyTargetMet={report.energyTargetMet}")
     print(f"peopleTargetMet={report.peopleTargetMet}")
-    write_manifest(
-        args.manifest,
-        "evolve",
-        {
-            "config": config_path,
-            "gaConfig": ga_path,
-            "seed": ga_config.rngSeed,
-            "genomeOut": out_path,
-            "history": history_path,
-            "fitness": f"{report.fitness:.6f}",
-            "energyTargetMet": report.energyTargetMet,
-            "peopleTargetMet": report.peopleTargetMet,
-            **_stats_entries(stats),
-        },
-    )
-    return 0
+    return 0, {
+        "config": config_path,
+        "gaConfig": ga_path,
+        "seed": ga_config.rngSeed,
+        "genomeOut": out_path,
+        "history": history_path,
+        "fitness": f"{report.fitness:.6f}",
+        "energyTargetMet": report.energyTargetMet,
+        "peopleTargetMet": report.peopleTargetMet,
+        **_stats_entries(broker),
+    }
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> tuple[int, dict]:
     # testkit before numpy loads, so that compiling it does not raise the peak RSS
     from .testkit import format_report, judge, load_test_plan
     from . import evaluate_solution
@@ -159,11 +152,10 @@ def cmd_test(args) -> int:
         # a plan without cases would run the episode and print no verdict
         raise MasharnessError(f"plan {plan_path} has no test cases")
     config, topology, genes, faults, inputs = _episode_inputs(args)
-    stats = {}
+    ticks = {}
     with Broker(tap=args.tap or None) as broker:
         finish = judge(cases, broker)
-        report = evaluate_solution(config, genes, topology, broker, faults=faults, stats=stats)
-    stats.update(_event_counts(broker))
+        report = evaluate_solution(config, genes, topology, broker, faults=faults, stats=ticks)
     verdicts = finish()
     for verdict in verdicts:
         print(format_report(verdict))
@@ -176,24 +168,16 @@ def cmd_test(args) -> int:
             print(f"VERDICT {verdict.name} PASS")
         else:
             print(f"VERDICT {verdict.name} FAIL {verdict.failedState}")
-    all_passed = all(v.passed for v in verdicts)
-    write_manifest(
-        args.manifest,
-        "test",
-        {
-            "plan": plan_path,
-            **inputs,
-            "tap": args.tap or "-",
-            "verdicts": " ".join(
-                f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in verdicts
-            ),
-            **_stats_entries(stats),
-        },
-    )
-    return 0 if all_passed else TEST_FAILURE
+    return 0 if all(v.passed for v in verdicts) else TEST_FAILURE, {
+        "plan": plan_path,
+        **inputs,
+        "tap": args.tap or "-",
+        "verdicts": " ".join(f"{v.name}={'PASS' if v.passed else 'FAIL'}" for v in verdicts),
+        **_stats_entries(broker, **ticks),
+    }
 
 
-def cmd_timeline(args) -> int:
+def cmd_timeline(args) -> tuple[int, dict]:
     """Print the tap lines whose key matches the pattern, stably sorted by timestamp."""
     pattern = parse_binding_pattern(args.pattern).segments
     stamps, lines = [], []
@@ -205,11 +189,8 @@ def cmd_timeline(args) -> int:
     if not all(map(le, stamps, islice(stamps, 1, None))):
         lines = [lines[i] for i in sorted(range(len(lines)), key=stamps.__getitem__)]
     sys.stdout.writelines(lines)
-    count = len(lines)
-    del stamps, lines  # freed first, so the manifest's buffers do not raise the peak RSS
-    write_manifest(args.manifest, "timeline",
-                   {"tap": args.tap, "pattern": args.pattern, "events": count})
-    return 0
+    # returning frees the lines before ``main`` writes the manifest
+    return 0, {"tap": args.tap, "pattern": args.pattern, "events": len(lines)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,15 +248,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    manifest = None
     try:
         args = _parser().parse_args(argv)
         # an unwritable manifest fails the run before it prints or writes anything
         open(args.manifest, "a", encoding="utf-8").close()
-        return args.func(args)
+        manifest = args.manifest
+        code, entries = args.func(args)
+        write_manifest(manifest, args.command, entries)
+        return code
     except SystemExit:  # --help printed its text; a usage error raises ArgumentError
         return 0
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if manifest is not None:
+            # the failed run's manifest replaces the last run's; if it cannot be
+            # written, the stderr line stands alone
+            with contextlib.suppress(OSError):
+                write_manifest(manifest, args.command, {"error": exc})
         return USAGE_ERROR
 
 

@@ -431,6 +431,14 @@ def seeds_with_light_on_route(config: WorldConfig, light_id: str, count: int,
 
     Used to pick worlds where a fault on that light is route-critical.
     """
+    w, h = config.gridWidth, config.gridHeight
+    # checked before the search, which would build routes for 100,000 seeds and then fail
+    if light_id not in tuple(_node_id(config, (i % w, i // w)) for i in range(w * h)):
+        raise UnknownTarget(f"no light named {light_id!r}")
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise WorldError(f"count must be an int, got {count!r}")
+    if config.numPeople == 0:
+        raise WorldError("a world without people has no routes")
     found = []
     seed = start_seed
     while len(found) < count:

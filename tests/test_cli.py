@@ -729,6 +729,80 @@ class TestManifestEventCounts:
         assert stats["events_published"] == Path(tap).read_bytes().count(b"\n") > 0
 
 
+def manifest_keys(path):
+    return [line.split(": ", 1)[0] for line in Path(path).read_text().splitlines()]
+
+
+def verdicts_seen(out):
+    """Each verdict's ``events seen`` from ``test``'s report, by test name."""
+    seen, name = {}, None
+    for line in out.splitlines():
+        if match := re.fullmatch(r"test (\S+): [A-Z]+", line):
+            name = match[1]
+        elif line.startswith("  events seen: "):
+            seen[name] = int(line.rsplit(" ", 1)[1])
+    return seen
+
+
+DEFAULT_PLAN_NAMES = ["create-adaptive-agent", "collect-data", "process-output", "set-actuators",
+                      "change-neural-network", "switch-light-on", "evaluate-solution"]
+
+
+class TestManifestKeys:
+    """Each command's manifest keys, in order; values are pinned elsewhere."""
+
+    EPISODE = ["config", "genome", "seed", "faults"]
+    TICKS = ["stats.ticks_stepped", "stats.ticks_replayed"]
+    EVENTS = ["stats.events_published", "stats.events_delivered"]
+
+    @pytest.mark.parametrize("faults", [[], ["--fault", "go-dark:node10"]], ids=["pass", "fail"])
+    def test_test(self, tmp_path, capsys, faults):
+        manifest, tap = out_paths(tmp_path)
+        code = main(["test", *faults, "--seed", "2", "--manifest", manifest, "--tap", tap])
+        assert code == (1 if faults else 0)
+        delivered = [f"stats.delivered.{name}" for name in [*DEFAULT_PLAN_NAMES, "error monitor"]]
+        assert manifest_keys(manifest) == ["command", "plan", *self.EPISODE, "tap", "verdicts",
+                                           *self.TICKS, *delivered, *self.EVENTS, "wallclock"]
+
+    def test_simulate(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        assert main(["simulate", "--seed", "1", "--manifest", manifest, "--tap", tap]) == 0
+        assert manifest_keys(manifest) == ["command", *self.EPISODE, "tap", "pPeople", "pTrip",
+                                           "pEnergy", *self.TICKS, *self.EVENTS, "wallclock"]
+
+    def test_evolve(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        assert main(["evolve", "--config", small_world(tmp_path),
+                     "--ga-config", TestEvolve().ga_file(tmp_path, generations=1),
+                     "--genome", str(tmp_path / "g.txt"), "--manifest", manifest,
+                     "--tap", tap]) == 0
+        assert manifest_keys(manifest) == [
+            "command", "config", "gaConfig", "seed", "genomeOut", "history", "fitness",
+            "energyTargetMet", "peopleTargetMet", *self.EVENTS, "wallclock"]
+
+    def test_timeline(self, go_dark_tap, tmp_path, capsys):
+        manifest = str(tmp_path / "m.txt")
+        assert main(["timeline", "*.node10.#", "--tap", go_dark_tap,
+                     "--manifest", manifest]) == 0
+        assert manifest_keys(manifest) == ["command", "tap", "pattern", "events", "wallclock"]
+
+
+class TestManifestDeliveredCounts:
+    @pytest.mark.parametrize("faults", [[], ["--fault", "go-dark:node10"]],
+                             ids=["fault-free", "go-dark"])
+    @pytest.mark.parametrize("seed", ["1", "2", "3", "4"])
+    def test_each_machine_was_delivered_what_its_verdict_saw(self, tmp_path, capsys, faults,
+                                                            seed):
+        manifest = str(tmp_path / "m.txt")
+        main(["test", *faults, "--seed", seed, "--manifest", manifest])
+        seen = verdicts_seen(capsys.readouterr().out)
+        assert list(seen) == DEFAULT_PLAN_NAMES
+        stats = manifest_stats(manifest)
+        assert {name: stats[f"delivered.{name}"] for name in DEFAULT_PLAN_NAMES} == seen
+        delivered = [value for name, value in stats.items() if name.startswith("delivered.")]
+        assert sum(delivered) == stats["events_delivered"]
+
+
 class TestTimeline:
     def make_tap(self, tmp_path, capsys):
         manifest, tap = out_paths(tmp_path)
@@ -899,6 +973,56 @@ class TestUnwritableManifest:
         assert code == USAGE_ERROR
         assert [path.read_text() for path in outputs] == [f"old {path.name}\n" * 100
                                                           for path in outputs]
+
+
+class TestErrorManifest:
+    """Once the manifest check has passed, a run that exits 2 writes its error there."""
+
+    def test_a_failed_run_replaces_the_last_runs_manifest(self, tmp_path, capsys):
+        manifest = str(tmp_path / "m.txt")
+        assert main(["test", "--fault", "go-dark:node10", "--seed", "2",
+                     "--manifest", manifest]) == 1
+        assert "verdicts" in manifest_keys(manifest)
+        capsys.readouterr()
+        missing = str(tmp_path / "nonexistent")
+        assert main(["test", "--config", missing, "--manifest", manifest]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and missing in err
+        lines = Path(manifest).read_text().splitlines()
+        assert lines[:2] == ["command: test", err.rstrip("\n")]
+        assert len(lines) == 3 and lines[2].startswith("wallclock: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "evolve", "test", "timeline"])
+    def test_every_command_writes_its_error_line(self, tmp_path, capsys, command):
+        manifest, missing = tmp_path / "m.txt", str(tmp_path / "missing")
+        argv = {
+            "simulate": ["simulate", "--genome", missing],
+            "evolve": ["evolve", "--ga-config", missing],
+            "test": ["test", "--plan", missing],
+            "timeline": ["timeline", "#", "--tap", missing],
+        }[command]
+        manifest.write_text("old\n")
+        assert main([*argv, "--manifest", str(manifest)]) == USAGE_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and missing in err
+        lines = manifest.read_text().splitlines()
+        assert lines[:2] == [f"command: {command}", err.rstrip("\n")]
+        assert len(lines) == 3 and lines[2].startswith("wallclock: ")
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["test", "--plan", "missing"]],
+                             ids=["after-a-run", "after-an-error"])
+    def test_an_unwritable_manifest_after_the_check_leaves_one_error_line(
+            self, tmp_path, capsys, monkeypatch, argv):
+        def full(path, command, entries):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(cli, "write_manifest", full)
+        code = main([*argv, "--config", small_world(tmp_path),
+                     "--manifest", str(tmp_path / "m.txt"), "--tap", str(tmp_path / "tap.log")])
+        err = capsys.readouterr().err
+        assert code == USAGE_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("no space left" in err) == (argv == ["simulate"])
 
 
 #: sha256 of the taps these runs wrote before words, keys and routes were

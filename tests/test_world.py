@@ -437,6 +437,21 @@ class TestGridAndRoutes:
             routes = build_routes(cfg(gridWidth=5, gridHeight=5, numPeople=5, rngSeed=seed))
             assert (4, 1) in {pos for route in routes for pos in route}
 
+    @pytest.mark.parametrize("config,light,count,error", [
+        (WorldConfig(), "node99", 1, UnknownTarget),
+        (WorldConfig(), "node0", 1, UnknownTarget),
+        (WorldConfig(), ["node10"], 1, UnknownTarget),
+        (WorldConfig(), "node10", 2.5, WorldError),
+        (WorldConfig(), "node10", "3", WorldError),
+        (WorldConfig(), "node10", True, WorldError),
+        (cfg(gridWidth=5, gridHeight=5), "node10", 1, WorldError),
+    ], ids=["off-grid", "node0", "list", "float-count", "str-count", "bool-count", "no-people"])
+    def test_seeds_with_light_on_route_checks_before_it_searches(self, config, light, count,
+                                                                  error):
+        with mock.patch.object(world_module, "build_routes", side_effect=AssertionError):
+            with pytest.raises(error):
+                seeds_with_light_on_route(config, light, count)
+
 
 class TestHandshake:
     def test_five_logs_per_light(self, tmp_path):
