@@ -30,7 +30,8 @@ from itertools import islice
 from operator import le
 
 from .broker import Broker, _match
-from .logmodel import MasharnessError, open_output, parse_binding_pattern, read_tap
+from .logmodel import (MasharnessError, _file_name, open_output, parse_binding_pattern,
+                       read_tap)
 
 USAGE_ERROR = 2
 TEST_FAILURE = 1
@@ -78,11 +79,17 @@ def _metrics(metrics) -> dict:
     return {name: f"{getattr(metrics, name):.6f}" for name in ("pPeople", "pTrip", "pEnergy")}
 
 
+def _one_line(value) -> str:
+    """``str(value)``, or its ``repr`` if it would break the line, so an entry stays one line."""
+    text = str(value)
+    return text if text.splitlines() in ([text], []) else repr(text)
+
+
 def write_manifest(path: str, command: str, entries: dict) -> None:
     with open_output(path) as fh:
         fh.write(f"command: {command}\n")
         for key, value in entries.items():
-            fh.write(f"{key}: {value}\n")
+            fh.write(f"{key}: {_one_line(value)}\n")
         fh.write(f"wallclock: {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n")
 
 
@@ -252,7 +259,8 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         # an unwritable manifest fails the run before it prints or writes anything
-        open(args.manifest, "a", encoding="utf-8").close()
+        open(_file_name(args.manifest, MasharnessError, "manifest"), "a",
+             encoding="utf-8").close()
         manifest = args.manifest
         code, entries = args.func(args)
         write_manifest(manifest, args.command, entries)

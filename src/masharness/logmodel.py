@@ -446,6 +446,18 @@ def read_lines(path, error: type[MasharnessError], what: str) -> list[str]:
             raise error(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
 
 
+#: parses by (parser, args, lines); each is shared, so it is immutable and holds no path
+_parsed = BoundedMemo(8)
+
+
+def read_parsed(path, error: type[MasharnessError], what: str, parse, *args):
+    """``parse(path, lines, *args)`` of ``read_lines``, once per text; a raise is not kept."""
+    lines = read_lines(path, error, what)
+    key = (parse, args, tuple(lines))
+    found = _parsed.get(key)
+    return found if found is not None else _parsed.remember(key, parse(path, lines, *args))
+
+
 def _in_place(path, flags: int) -> int:
     """``open``'s opener for mode "w" without O_TRUNC, so an old file is written over."""
     return os.open(path, flags & ~os.O_TRUNC, 0o666)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logmodel import MasharnessError, _shown, open_output, read_lines
+from .logmodel import MasharnessError, _shown, open_output, read_parsed
 
 #: a light controller maps 3 sensor inputs to 2 commands
 INPUTS = 3
@@ -126,7 +126,12 @@ def save_genome(path, genes, topology: NetworkTopology | None = None) -> None:
 
 def load_genome(path) -> tuple[NetworkTopology, tuple[float, ...]]:
     """Inverse of save_genome.  Raises GenomeShapeMismatch, naming the file, on a bad one."""
-    lines = [ln.strip() for ln in read_lines(path, GenomeShapeMismatch, "genome") if ln.strip()]
+    return read_parsed(path, GenomeShapeMismatch, "genome", _parse_genome)
+
+
+def _parse_genome(path, lines: list[str]) -> tuple[NetworkTopology, tuple[float, ...]]:
+    """``load_genome``'s parse of a genome file's lines; ``path`` names it in errors."""
+    lines = [ln.strip() for ln in lines if ln.strip()]
     if not lines:
         raise GenomeShapeMismatch(f"genome {path}: empty genome file")
     header = lines[0].split()

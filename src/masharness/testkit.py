@@ -19,7 +19,7 @@ stream ended before the expected pattern".
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .broker import Broker, QueueClosed, QueueHandle, _match
 from .logmodel import (
@@ -29,7 +29,7 @@ from .logmodel import (
     MasharnessError,
     _shown,
     parse_binding_pattern,
-    read_lines,
+    read_parsed,
 )
 
 LEVELS = ("local", "global")
@@ -100,6 +100,9 @@ class TestCase:
     level: str
     subLevel: str
     validationSequence: tuple[TransitionSpec, ...]
+    states: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    #: every pattern of every transition, once each, in plan order
+    patterns: tuple[BindingPattern, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if type(self.functionName) is not str or not self.functionName:
@@ -116,6 +119,10 @@ class TestCase:
             raise TestkitError("validationSequence must be a tuple of TransitionSpecs")
         if not self.validationSequence:
             raise TestkitError("validationSequence may not be empty")
+        specs = self.validationSequence
+        object.__setattr__(self, "states", ("start",) + tuple(spec.label() for spec in specs))
+        object.__setattr__(self, "patterns", tuple(dict.fromkeys(
+            alt for spec in specs for alt in spec.alternatives)))
 
 
 class MachineStatus(enum.Enum):
@@ -157,11 +164,7 @@ class TestMachine:
     def __init__(self, case: TestCase):
         self.name = case.functionName
         self.specs = case.validationSequence
-        self.states = ("start",) + tuple(spec.label() for spec in self.specs)
-        #: every pattern of every transition, once each, in plan order
-        self.patterns = tuple(dict.fromkeys(
-            alt for spec in self.specs for alt in spec.alternatives
-        ))
+        self.states, self.patterns = case.states, case.patterns
         self.current = 0
         self.status = MachineStatus.RUNNING
         self.seen = 0
@@ -330,10 +333,15 @@ def load_test_plan(path) -> list[TestCase]:
         test <name> level=<local|global> sublevel=<framework|scenario|learning|mas>
         expect <pattern>[|<pattern>...] within <N>ticks
 
-    ``within`` is optional and defaults to 500 ticks; N is decimal digits,
-    at most MAX_WAIT_TICKS.  Test names are unique.  Raises ParseError
-    naming the plan file and the offending line number.
+    ``within`` is optional and defaults to 500 ticks; N is decimal digits, at most
+    MAX_WAIT_TICKS.  Test names are unique.  Raises ParseError naming the plan file and the
+    offending line number.  A plan is parsed once per text; each call returns a fresh list.
     """
+    return list(read_parsed(path, TestkitError, "plan", _parse_plan))
+
+
+def _parse_plan(path, lines: list[str]) -> tuple[TestCase, ...]:
+    """``load_test_plan``'s parse of a plan file's lines; ``path`` names it in errors."""
     cases: list[TestCase] = []
     name = None
     level = ""
@@ -362,7 +370,7 @@ def load_test_plan(path) -> list[TestCase]:
         name = None
         specs = []
 
-    for lineno, raw in enumerate(read_lines(path, TestkitError, "plan"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -418,4 +426,4 @@ def load_test_plan(path) -> list[TestCase]:
         else:
             raise ParseError(f"unknown directive {tokens[0]!r}", lineno, path)
     flush()
-    return cases
+    return tuple(cases)

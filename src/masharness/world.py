@@ -63,7 +63,7 @@ import numpy as np
 
 from .broker import Broker
 from .logmodel import (TICK_US, BoundedMemo, MasharnessError, RoutingKey, _shown, intern_sites,
-                       read_lines)
+                       read_parsed)
 from .neural import NeuralController, stack_layers, stacked_outputs
 
 FAULT_GO_DARK = "go-dark"
@@ -237,9 +237,14 @@ def load_config(cls, path):
     given twice keeps its last value, and a key not given keeps its default.
     Every error names the file, and the line where there is one.
     """
+    return read_parsed(path, InvalidConfig, "config", _parse_config, cls)
+
+
+def _parse_config(path, lines: list[str], cls):
+    """``load_config``'s parse of a config file's lines; ``path`` names it in errors."""
     kinds = {f.name: type(f.default) for f in fields(cls)}
     values = {}
-    for lineno, raw in enumerate(read_lines(path, InvalidConfig, "config"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

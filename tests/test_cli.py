@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import masharness
-from masharness import broker as broker_module, cli, evolution, logmodel, world as world_module
+from masharness import (broker as broker_module, cli, evolution, logmodel, testkit,
+                        world as world_module)
 from masharness.broker import Broker
 from masharness.cli import USAGE_ERROR, data_path, main
 from masharness.evolution import (
@@ -1763,6 +1764,183 @@ class TestPlanContract:
                                     "--tap", str(Path(tmp) / "tap.log"),
                                     "--manifest", str(Path(tmp) / "m.txt")])
         assert_contract(*result, (0, 1, USAGE_ERROR))
+
+
+class TestPlanStates:
+    """A case's machine tables, built once with the case, are those a machine derived."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(plan_texts())
+    def test_states_and_patterns_equal_the_machine_derivation(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            plan = Path(tmp) / "plan.txt"
+            plan.write_text(text, encoding="utf-8")
+            try:
+                cases = load_test_plan(plan)
+            except testkit.ParseError:
+                return
+        for case in cases:
+            specs = case.validationSequence
+            assert case.states == ("start",) + tuple(spec.label() for spec in specs)
+            assert case.patterns == tuple(dict.fromkeys(
+                alt for spec in specs for alt in spec.alternatives))
+            machine = testkit.TestMachine(case)
+            assert (machine.states, machine.patterns) == (case.states, case.patterns)
+            # the tables are derived, so they take no part in equality or repr
+            assert replace(case) == case and "states" not in repr(case)
+
+
+#: each loader, its error class, and a text it refuses
+LOADERS = {
+    "plan": (load_test_plan, testkit.ParseError, "test a level=local sublevel=mas\n"),
+    "config": (load_world_config, world_module.InvalidConfig, "gridWidth=x\n"),
+    "genome": (load_genome, masharness.GenomeShapeMismatch, "3 4 2\n0.5\n"),
+}
+
+
+class TestParsedOncePerText:
+    """Plan, config and genome files are parsed once per text in a process, and an edited
+    file is read fresh."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """An empty parse memo for the test."""
+        memo = BoundedMemo(8)
+        monkeypatch.setattr(logmodel, "_parsed", memo)
+        return memo
+
+    def test_an_edited_plan_runs_its_new_cases(self, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        argv = ["test", "--plan", str(plan), "--config", small_world(tmp_path),
+                "--manifest", str(tmp_path / "m.txt")]
+        counts = []
+        for names in (["a", "b"], ["a"]):
+            plan.write_text("".join(f"test {name} level=global sublevel=mas\n"
+                                    "expect OBSERVER.*.calculateFitness.#\n" for name in names))
+            assert main(argv) == 0
+            counts.append(capsys.readouterr().out.count("VERDICT "))
+        assert counts == [2, 1]
+
+    def test_an_edited_config_writes_its_new_tap(self, tmp_path, capsys):
+        manifest, tap = out_paths(tmp_path)
+        taps = []
+        for people in (2, 3):
+            argv = ["test", "--config", small_world(tmp_path, numPeople=people),
+                    "--manifest", manifest, "--tap", tap]
+            main(argv)
+            taps.append(Path(tap).read_bytes())
+        capsys.readouterr()
+        assert taps[0] != taps[1]
+
+    def test_an_edited_genome_runs_its_new_genes(self, tmp_path, capsys):
+        genome = always_on_genome(tmp_path)
+        argv = ["test", "--config", small_world(tmp_path), "--genome", genome,
+                "--manifest", str(tmp_path / "m.txt")]
+        fitness = []
+        for genes in (ALWAYS_ON_GENES, [0.0] * 26):
+            save_genome(genome, genes, NetworkTopology())
+            main(argv)
+            fitness += [line for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("episode fitness=")]
+        assert len(fitness) == 2 and fitness[0] != fitness[1]
+
+    def test_two_runs_on_the_shipped_plan_parse_it_once(self, tmp_path, capsys, monkeypatch,
+                                                        parsed):
+        calls = []
+
+        def counted(path, lines):
+            calls.append(path)
+            return parse(path, lines)
+
+        parse = testkit._parse_plan
+        monkeypatch.setattr(testkit, "_parse_plan", counted)
+        outputs = []
+        for _ in range(2):
+            manifest, tap = out_paths(tmp_path)
+            assert main(["test", "--seed", "2", "--manifest", manifest, "--tap", tap]) == 0
+            outputs.append((capsys.readouterr().out, Path(tap).read_bytes()))
+        assert calls == [data_path("default_plan.txt")]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("what", LOADERS)
+    def test_bad_text_raises_naming_each_path_every_time(self, tmp_path, parsed, what):
+        load, error, text = LOADERS[what]
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        for path in (first, second):
+            path.write_text(text)
+        messages = []
+        for path in (first, second, first, second):
+            with pytest.raises(error) as raised:
+                load(path)
+            messages.append(str(raised.value))
+        assert messages[:2] == messages[2:]
+        assert str(first) in messages[0] and str(second) in messages[1]
+        assert messages[0].replace(str(first), str(second)) == messages[1]
+        assert len(parsed) == 0
+
+    @pytest.mark.parametrize("what", LOADERS)
+    def test_a_file_read_again_with_its_text_is_not_parsed_again(self, tmp_path, parsed, what):
+        load = LOADERS[what][0]
+        text = Path(data_path({"plan": "default_plan.txt", "config": "world.cfg",
+                               "genome": "demo_genome.txt"}[what])).read_text()
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        for path in (first, second):
+            path.write_text(text)
+        results = [load(path) for path in (first, second, first)]
+        assert results[0] == results[1] == results[2]
+        assert len(parsed) == 1
+
+    def test_a_returned_plan_is_a_fresh_list(self, parsed):
+        plan = data_path("default_plan.txt")
+        cases = load_test_plan(plan)
+        expected = list(cases)
+        cases.clear()
+        assert load_test_plan(plan) == expected and len(expected) == 7
+
+    def test_the_memo_stays_within_its_bound(self, tmp_path, parsed):
+        for i in range(20):
+            plan = tmp_path / f"plan{i}.txt"
+            plan.write_text(f"test t{i} level=local sublevel=mas\nexpect #\n")
+            assert [case.functionName for case in load_test_plan(plan)] == [f"t{i}"]
+            assert 1 <= len(parsed) <= 8
+
+
+class TestManifestLines:
+    """Each manifest entry is one ``key: value`` line."""
+
+    def test_a_line_break_in_a_value_is_escaped(self, tmp_path, capsys):
+        manifest, tap = str(tmp_path / "m.txt"), str(tmp_path / "a\nb.tap")
+        assert main(["test", "--seed", "2", "--tap", tap, "--manifest", manifest]) == 0
+        lines = Path(manifest).read_text().split("\n")
+        assert lines[-1] == "" and all(re.match(r"^[^:\n]+: ", line) for line in lines[:-1])
+        assert f"tap: {tap!r}" in lines
+        assert Path(tap).exists()
+
+    def test_a_default_run_writes_its_entries_as_they_are(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def kept(path, command, entries):
+            written.append((command, entries))
+            write(path, command, entries)
+
+        write = cli.write_manifest
+        monkeypatch.setattr(cli, "write_manifest", kept)
+        manifest = tmp_path / "m.txt"
+        assert main(["test", "--seed", "2", "--manifest", str(manifest)]) == 0
+        [(command, entries)] = written
+        expected = f"command: {command}\n" + "".join(f"{k}: {v}\n" for k, v in entries.items())
+        assert without_wallclock(manifest.read_bytes()) == expected.encode()
+
+    @pytest.mark.parametrize("value", ["a\rb", "a\r\nb", "a\x85b", "a\u2028b", "ab\n"])
+    def test_every_line_boundary_is_escaped(self, value):
+        assert cli._one_line(value) == repr(value)
+        assert len(cli._one_line(value).splitlines()) == 1
+
+    def test_a_nul_in_the_manifest_path_exits_two(self, tmp_path, capsys):
+        code = main(["timeline", "#", "--tap", str(tmp_path / "x"), "--manifest", "a\0b"])
+        assert code == USAGE_ERROR
+        assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
 
 
 def assert_one_error_line(capsys):
