@@ -230,12 +230,12 @@ def check_finite_fields(config) -> None:
 
 
 def load_config(cls, path):
-    """Read a flat ``key=value`` file into ``cls``, a config dataclass.
+    """Read a flat ``key=value`` file into ``cls``, a frozen config dataclass.
 
-    Keys are the field names of ``cls``, and a value is read as the type of
-    its field's default.  Blank lines and ``#`` comments are skipped, a key
-    given twice keeps its last value, and a key not given keeps its default.
-    Every error names the file, and the line where there is one.
+    Keys are the field names of ``cls``, and a value is read as the type of its field's
+    default.  Blank lines and ``#`` comments are skipped, a key given twice keeps its last
+    value, and a key not given keeps its default.  Every error names the file, and the line
+    where there is one.  ``cls`` must be frozen: every call that reads one text shares its result.
     """
     return read_parsed(path, InvalidConfig, "config", _parse_config, cls)
 
